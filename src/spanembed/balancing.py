@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .graph_core import Graph, VertexSet, iter_bits, mask_of, rng_for
+from .graph_core import Graph, StageError, VertexSet, iter_bits, mask_of, rng_for
 from .regularity import check_lower_regular
 
 __all__ = [
@@ -22,16 +22,11 @@ __all__ = [
     "global_balance",
     "local_balance",
     "BalancingError",
-    "dump_move_log",
 ]
 
 
-class BalancingError(RuntimeError):
-    """Balancing failed; carries the cell or stage that ran out of vertices."""
-
-    def __init__(self, where: str, message: str):
-        super().__init__(f"[{where}] {message}")
-        self.where = where
+class BalancingError(StageError):
+    """Balancing failed; `stage` names the pass or step that ran out of vertices."""
 
 
 @dataclass(frozen=True)
@@ -243,11 +238,3 @@ def local_balance(
         if len(work[cell]) != target:
             raise BalancingError("local", f"cell {cell} finished at {len(work[cell])} != {target}")
     return work, log
-
-
-def dump_move_log(log: MoveLog) -> str:
-    lines = []
-    for stage, src, dst, moved in log.moves:
-        vs = " ".join(str(v) for v in moved)
-        lines.append(f"move {stage} {src[0]} {src[1]} {dst[0]} {dst[1]} {len(moved)} {vs}".rstrip())
-    return "\n".join(lines) + ("\n" if lines else "")

@@ -57,20 +57,19 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    rows = [CSV_HEADER]
-    for offset in range(args.seeds):
-        rec = run_pipeline(replace(cfg, seed=cfg.seed + offset))
-        rows.append(csv_row(rec))
-    text = "\n".join(rows) + "\n"
-    if args.out:
-        try:
+    try:
+        rows = [CSV_HEADER]
+        for offset in range(args.seeds):
+            rows.append(csv_row(run_pipeline(replace(cfg, seed=cfg.seed + offset))))
+        text = "\n".join(rows) + "\n"
+        if args.out:
             with open(args.out, "w", encoding="ascii") as fh:
                 fh.write(text)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-    else:
-        sys.stdout.write(text)
+        else:
+            sys.stdout.write(text)
+    except (ConfigError, OSError) as exc:  # loading the host, or writing the rows
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

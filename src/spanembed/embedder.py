@@ -10,10 +10,9 @@ and seeded restarts handle dead ends.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
-from .graph_core import Graph, Labelling, VertexSet, iter_bits, mask_of, rng_for
+from .graph_core import Graph, Labelling, StageError, VertexSet, iter_bits, mask_of, rng_for
 from .pre_embedding import RestrictionPair, restriction_image
 
 __all__ = [
@@ -24,15 +23,14 @@ __all__ = [
     "verify_embedding",
     "embedding_violations",
     "EmbedError",
-    "dump_embedding",
 ]
 
 
-class EmbedError(RuntimeError):
+class EmbedError(StageError):
     """Embedding failed; carries the stuck vertex and a depletion trace."""
 
     def __init__(self, message: str, stuck: int | None = None, trace: list[str] | None = None):
-        super().__init__(message)
+        super().__init__(None, message)
         self.stuck = stuck
         self.trace = trace or []
 
@@ -116,10 +114,6 @@ def embed(
     backjump_budget = params.get("backjumps", 300)
     initial_phi = initial_phi or {}
     n = guest.n
-    # augmenting paths in the buffer phase can be as long as a cluster
-    limit = sys.getrecursionlimit()
-    if limit < 2 * n + 100:
-        sys.setrecursionlimit(2 * n + 100)
     skip_mask = mask_of(initial_phi.keys())
     buf_mask = buffers.mask() & ~skip_mask
 
@@ -287,19 +281,35 @@ def embed(
             phi[x] = h
             used |= 1 << h
 
-        def augment(cell, x: int, seen: set[int]) -> bool:
+        def augment(cell, x: int, seen: int) -> bool:
+            """Depth-first augmenting path from x, on an explicit stack.
+
+            Paths can be as long as a cluster.  Each frame scans the candidate
+            mask fixed when it was pushed, so a host marked seen by a deeper
+            frame can still come up again in a shallower one.
+            """
             own = owners[cell]
-            for h in iter_bits(cand_of(x) & ~mask_of(seen)):
-                seen.add(h)
-                cur = own.get(h)
-                if ((used >> h) & 1) and cur is None:
-                    continue
-                if cur is None:
-                    assign(cell, x, h)
-                    return True
-                if cur != x and augment(cell, cur, seen):
-                    assign(cell, x, h)
-                    return True
+            path = [[x, iter_bits(cand_of(x) & ~seen), -1]]  # [guest, hosts left, host tried]
+            while path:
+                frame = path[-1]
+                y, hosts, _ = frame
+                for h in hosts:
+                    seen |= 1 << h
+                    cur = own.get(h)
+                    if cur is None:
+                        if (used >> h) & 1:
+                            continue
+                        assign(cell, y, h)
+                        path.pop()
+                        for y2, _, h2 in reversed(path):
+                            assign(cell, y2, h2)
+                        return True
+                    if cur != y:
+                        frame[2] = h
+                        path.append([cur, iter_bits(cand_of(cur) & ~seen), -1])
+                        break
+                else:
+                    path.pop()
             return False
 
         def relocate_neighbour(x: int) -> bool:
@@ -330,7 +340,7 @@ def embed(
                         return True
                     del phi[cur]
                     assign(ycell, y, w2)
-                    if augment(ycell, cur, {w2}):
+                    if augment(ycell, cur, 1 << w2):
                         return True
                     assign(ycell, y, old)
                     assign(ycell, cur, w2)
@@ -338,9 +348,9 @@ def embed(
 
         failed_x = None
         for cell, x in pending:
-            done = augment(cell, x, set())
+            done = augment(cell, x, 0)
             if not done and relocate_neighbour(x):
-                done = augment(cell, x, set())
+                done = augment(cell, x, 0)
             if not done:
                 failed_x = (cell, x)
                 break
@@ -388,7 +398,3 @@ def verify_embedding(
 ) -> bool:
     """True iff phi is total, injective, edge-preserving, and restriction-honoring."""
     return not embedding_violations(g, guest, phi, images)
-
-
-def dump_embedding(phi: dict[int, int]) -> str:
-    return "\n".join(f"embed {x} {v}" for x, v in sorted(phi.items())) + "\n"

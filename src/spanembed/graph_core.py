@@ -28,7 +28,16 @@ __all__ = [
     "write_graph_file",
     "read_graph_file",
     "parse_graph_text",
+    "StageError",
 ]
+
+
+class StageError(RuntimeError):
+    """A pipeline stage failed; `stage`, when set, names the step inside it that broke."""
+
+    def __init__(self, stage: str | None, message: str):
+        super().__init__(f"[{stage}] {message}" if stage else message)
+        self.stage = stage
 
 
 def rng_for(seed: int, stream: int = 0) -> np.random.Generator:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .graph_core import Graph, Labelling, VertexSet, iter_bits, rng_for
+from .graph_core import Graph, Labelling, StageError, VertexSet, iter_bits, rng_for
 from .reduced_graph import ReducedGraph
 
 __all__ = [
@@ -26,17 +26,11 @@ __all__ = [
     "check_bounded_order",
     "GuestPrepError",
     "SwitchError",
-    "dump_assignment",
-    "write_guest_bundle",
 ]
 
 
-class GuestPrepError(RuntimeError):
-    """Guest assignment failed; `violated` names the first broken property."""
-
-    def __init__(self, violated: str, message: str):
-        super().__init__(f"[{violated}] {message}")
-        self.violated = violated
+class GuestPrepError(StageError):
+    """Guest assignment failed; `stage` names the first broken property."""
 
 
 class SwitchError(ValueError):
@@ -293,7 +287,7 @@ def _certify_assignment(
     beta: float,
     sigma: Colouring,
     deg_bound: int,
-) -> tuple[dict[str, bool], str]:
+) -> dict[str, bool]:
     n = h.n
     certs: dict[str, bool] = {}
     counts: dict[tuple[int, int], int] = {cell: 0 for cell in m_targets}
@@ -339,8 +333,7 @@ def _certify_assignment(
             lowdeg_ok = False
             break
     certs["low_degree_fraction"] = lowdeg_ok
-    failed = ", ".join(k_ for k_, v_ in certs.items() if not v_)
-    return certs, failed
+    return certs
 
 
 def assign_guest(
@@ -393,7 +386,7 @@ def assign_guest(
     blocks = build_block_structure(n, k, beta, m_targets, col, l, r)
 
     rng = rng_for(seed, stream=51)
-    last_fail = ""
+    last_fail = ["unknown"]
     for attempt in range(max_retries):
         sigma_prime = col
         applied = True
@@ -417,7 +410,7 @@ def assign_guest(
             if not applied:
                 break
         if not applied:
-            last_fail = "switching"
+            last_fail = ["switching"]
             continue
 
         f: list[tuple[int, int]] = [(-1, -1)] * n
@@ -460,9 +453,10 @@ def assign_guest(
                 grow |= h.adj[v]
             special_mask = grow
 
-        certs, failed = _certify_assignment(
+        certs = _certify_assignment(
             h, l, f, special_mask, reduced, m_targets, xi, beta, col, deg_bound
         )
+        failed = [name for name, ok in certs.items() if not ok]
         if not failed:
             return GuestAssignment(
                 f=tuple(f),
@@ -476,7 +470,7 @@ def assign_guest(
         last_fail = failed
         if not any(blocks.switching_blocks(i) for i in range(r)):
             break  # nothing random to retry
-    raise GuestPrepError(last_fail or "unknown", f"assignment failed after retries ({last_fail})")
+    raise GuestPrepError(last_fail[0], f"assignment failed after retries (failed: {', '.join(last_fail)})")
 
 
 def check_bounded_order(
@@ -546,21 +540,3 @@ def check_bounded_order(
             if far > max(0, quota):
                 report["buffer_locality"].append(x)
     return report
-
-
-def dump_assignment(assignment: GuestAssignment) -> str:
-    """`assign <v> <i> <j>` lines plus the special set."""
-    lines = [f"assign {v} {cell[0]} {cell[1]}" for v, cell in enumerate(assignment.f)]
-    vs = " ".join(str(v) for v in assignment.special)
-    lines.append(f"special {vs}".rstrip())
-    return "\n".join(lines) + "\n"
-
-
-def write_guest_bundle(h: Graph, l: Labelling, col: Colouring) -> str:
-    """Graph file text plus labelling and colouring lines."""
-    from .graph_core import write_graph_file
-
-    parts = [write_graph_file(h).rstrip("\n")]
-    parts.append("labelling " + " ".join(str(v) for v in l.order))
-    parts.append("colouring " + " ".join(str(c) for c in col.sigma))
-    return "\n".join(parts) + "\n"

@@ -2,8 +2,10 @@
 
 `run_pipeline` drives host preparation, guest assignment, reserve selection,
 pre-embedding, balancing, spanning completion, and final verification for one
-seeded configuration, emitting a RunRecord; stage failures are recorded, not
-raised.  The CSV row format is the stable cross-run contract.
+seeded configuration, emitting a RunRecord.  Configuration faults raise
+ConfigError (or OSError for an unreadable host file) before any stage runs;
+stage failures are recorded, not raised.  The CSV row format is the stable
+cross-run contract.
 """
 
 from __future__ import annotations
@@ -12,20 +14,19 @@ import math
 import sys
 import time
 import typing
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from .balancing import (
-    BalanceTargets,
-    BalancingError,
-    global_balance,
-    local_balance,
-)
-from .embedder import BufferPlan, EmbedError, choose_buffers, embed, verify_embedding
+from .balancing import BalanceTargets, global_balance, local_balance
+from .embedder import choose_buffers, embed, verify_embedding
 from .graph_core import (
     Graph,
     Labelling,
+    StageError,
     VertexSet,
+    _is_prime,
     bandwidth_of_labelling,
+    degeneracy_order,
     gnp,
     iter_bits,
     mask_of,
@@ -33,16 +34,15 @@ from .graph_core import (
     read_graph_file,
     rng_for,
 )
-from .guest_prep import Colouring, GuestPrepError, assign_guest, check_zero_free
+from .guest_prep import Colouring, assign_guest, check_bounded_order, check_zero_free
 from .oracles import bijumbled_check, bijumbled_feasible
 from .pre_embedding import (
-    PreEmbedError,
     pre_embed,
     reserve_set,
     restriction_image,
     validate_restriction_pair,
 )
-from .reduced_graph import HostPrepError, prepare_host
+from .reduced_graph import prepare_host
 
 __all__ = [
     "ExperimentConfig",
@@ -50,6 +50,7 @@ __all__ = [
     "ConfigError",
     "adversary_delete",
     "make_guest",
+    "GUEST_FAMILIES",
     "run_pipeline",
     "parse_config_file",
     "CSV_HEADER",
@@ -119,6 +120,15 @@ class ExperimentConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.adversary not in ("none", "random", "triangle_killer", "bipartite_push"):
             raise ConfigError(f"unknown adversary {self.adversary!r}")
+        _guest_family(self.guest_family)
+        if self.mode == "bijumbled":
+            q = self.paley_q
+            if q is None and not self.host_file:
+                raise ConfigError("bijumbled mode needs paley_q or host_file")
+            if q is not None and (not _is_prime(q) or q % 4 != 1):
+                raise ConfigError(f"paley_q={q} must be a prime = 1 (mod 4)")
+            if q is not None and q != self.n:
+                raise ConfigError(f"paley({q}) has {q} vertices but n={self.n}")
         beta = self.resolved_beta()
         if 4 * self.k * beta * self.n < 1:
             raise ConfigError("beta too small for n: 4*k*beta*n < 1")
@@ -231,6 +241,9 @@ def adversary_delete(
 # Guest families
 # ---------------------------------------------------------------------------
 
+GUEST_FAMILIES = ("hamilton_cycle", "power_cycle", "power_path", "bounded_tree", "f_factor")
+_DEFAULT_PARAM = {"power_cycle": 2, "power_path": 2, "bounded_tree": 3, "f_factor": "triangle"}
+
 _FACTORS = {
     "edge": (2, [(0, 1)]),
     "path3": (3, [(0, 1), (1, 2)]),
@@ -238,6 +251,31 @@ _FACTORS = {
     "c4": (4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
     "k4": (4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
 }
+
+
+def _guest_family(family: str) -> tuple[str, int | str | None]:
+    """Split `name[:param]` into a family of GUEST_FAMILIES and its parameter.
+
+    f_factor's parameter names a factor graph, the other parameters are
+    integers, and hamilton_cycle has none; a missing parameter takes the
+    family's default.  Raises ConfigError for an unknown family or a
+    parameter that does not parse.
+    """
+    name, _, arg = family.partition(":")
+    if name not in GUEST_FAMILIES:
+        raise ConfigError(f"unknown guest family {name!r}")
+    if name == "hamilton_cycle":
+        return name, None
+    if not arg:
+        return name, _DEFAULT_PARAM[name]
+    if name == "f_factor":
+        if arg not in _FACTORS:
+            raise ConfigError(f"unknown factor graph {arg!r}")
+        return name, arg
+    try:
+        return name, int(arg)
+    except ValueError:
+        raise ConfigError(f"guest {family!r}: {arg!r} is not an integer") from None
 
 
 def _fold_labelling(n: int) -> Labelling:
@@ -265,7 +303,7 @@ def make_guest(family: str, n: int, seed: int = 0) -> tuple[Graph, Labelling, Co
     labelled position; bounded trees balance their two colour classes online so
     sections stay near-even.
     """
-    name, _, arg = family.partition(":")
+    name, arg = _guest_family(family)
     if name == "hamilton_cycle":
         if n < 3:
             raise ConfigError("hamilton_cycle needs n >= 3")
@@ -284,7 +322,7 @@ def make_guest(family: str, n: int, seed: int = 0) -> tuple[Graph, Labelling, Co
         col = Colouring(sigma, 2)
         meta = {"k": 2, "Delta": 2, "D": 2}
     elif name == "power_cycle":
-        c = int(arg or 2)
+        c = arg
         if c < 1:
             raise ConfigError("power_cycle needs c >= 1")
         if n % (c + 1) != 0:
@@ -294,7 +332,7 @@ def make_guest(family: str, n: int, seed: int = 0) -> tuple[Graph, Labelling, Co
         col = Colouring(tuple((v % (c + 1)) + 1 for v in range(n)), c + 1)
         meta = {"k": c + 1, "Delta": 2 * c, "D": 2 * c}
     elif name == "power_path":
-        c = int(arg or 2)
+        c = arg
         if c < 1:
             raise ConfigError("power_path needs c >= 1")
         edges = [(u, u + s) for u in range(n) for s in range(1, c + 1) if u + s < n]
@@ -303,7 +341,7 @@ def make_guest(family: str, n: int, seed: int = 0) -> tuple[Graph, Labelling, Co
         col = Colouring(tuple((v % (c + 1)) + 1 for v in range(n)), c + 1)
         meta = {"k": c + 1, "Delta": 2 * c, "D": c}
     elif name == "bounded_tree":
-        dmax = int(arg or 3)
+        dmax = arg
         if dmax < 2:
             raise ConfigError("bounded_tree needs max degree >= 2")
         rng = rng_for(seed, stream=111)
@@ -330,13 +368,10 @@ def make_guest(family: str, n: int, seed: int = 0) -> tuple[Graph, Labelling, Co
         l = Labelling.identity(n)
         col = Colouring(tuple(colour), 2)
         meta = {"k": 2, "Delta": dmax, "D": 1}
-    elif name == "f_factor":
-        fname = arg or "triangle"
-        if fname not in _FACTORS:
-            raise ConfigError(f"unknown factor graph {fname!r}")
-        fn, fedges = _FACTORS[fname]
+    else:  # f_factor
+        fn, fedges = _FACTORS[arg]
         if n % fn != 0:
-            raise ConfigError(f"f_factor:{fname} needs {fn} | n")
+            raise ConfigError(f"f_factor:{arg} needs {fn} | n")
         fcol = [0] * fn
         for v in range(fn):  # greedy proper colouring of F
             used = set()
@@ -355,20 +390,9 @@ def make_guest(family: str, n: int, seed: int = 0) -> tuple[Graph, Labelling, Co
         l = Labelling.identity(n)
         col = Colouring(tuple(fcol[v % fn] for v in range(n)), kcol)
         meta = {"k": kcol, "Delta": max(sum(1 for e in fedges if v in e) for v in range(fn)), "D": fn - 1}
-    else:
-        raise ConfigError(f"unknown guest family {name!r}")
 
     meta["bandwidth"] = bandwidth_of_labelling(h, l)
     meta["zeros"] = col.zero_vertices()
-    meta["triangle_free_total"] = sum(
-        1
-        for x in range(n)
-        if not any(
-            h.has_edge(a, b)
-            for ii, a in enumerate(list(iter_bits(h.adj[x])))
-            for b in list(iter_bits(h.adj[x]))[ii + 1:]
-        )
-    )
     return h, l, col, meta
 
 
@@ -390,16 +414,52 @@ def _k_equitable_targets(
     return targets
 
 
+@contextmanager
+def _stage(rec: RunRecord, name: str):
+    """Run one pipeline stage, recording its span even when it fails.
+
+    A stage error, or a ConfigError raised inside the stage, names the failure
+    `name` or `name:<step>` and propagates; `runtime_ms` is the sum of the
+    spans so far.
+    """
+    t0 = time.perf_counter()
+    try:
+        yield
+    except (ConfigError, StageError) as exc:
+        step = exc.stage if isinstance(exc, StageError) else None
+        rec.failure_stage = f"{name}:{step}" if step else name
+        rec.notes["error"] = str(exc)
+        raise
+    finally:
+        rec.stage_timings[name] = round((time.perf_counter() - t0) * 1000, 2)
+        rec.runtime_ms = int(sum(rec.stage_timings.values()))
+
+
+def _load_host(cfg: ExperimentConfig) -> tuple[Graph, float]:
+    """The host graph and its edge density; raises ConfigError or OSError."""
+    if cfg.mode != "bijumbled":
+        return gnp(cfg.n, cfg.p, cfg.seed), cfg.p
+    if cfg.paley_q is not None:
+        host = paley(cfg.paley_q)
+        return host, host.degree(0) / (host.n - 1)
+    try:
+        host = read_graph_file(cfg.host_file)
+    except ValueError as exc:
+        raise ConfigError(f"host file {cfg.host_file}: {exc}") from None
+    if host.n != cfg.n:
+        raise ConfigError(f"host file {cfg.host_file} has {host.n} vertices but n={cfg.n}")
+    return host, 2.0 * host.m / (host.n * (host.n - 1))
+
+
 def run_pipeline(cfg: ExperimentConfig) -> RunRecord:
-    """Execute the full pipeline for one configuration; failures become record fields."""
+    """Execute the full pipeline for one configuration; stage failures become record fields.
+
+    Raises ConfigError from `cfg.validate()`, and ConfigError or OSError while
+    loading the host; from the bijumbledness check on, every failure is a
+    `failure_stage` of the returned record.
+    """
     cfg.validate()
     rec = RunRecord(config=cfg)
-    t_start = time.perf_counter()
-    timings = rec.stage_timings
-
-    def tick(stage: str, t0: float):
-        timings[stage] = round((time.perf_counter() - t0) * 1000, 2)
-
     if cfg.p < cfg.recommended_min_p():
         print(
             f"warning: p={cfg.p} below recommended minimum {cfg.recommended_min_p():.4f}",
@@ -413,221 +473,158 @@ def run_pipeline(cfg: ExperimentConfig) -> RunRecord:
             file=sys.stderr,
         )
 
+    with _stage(rec, "host"):
+        host, p = _load_host(cfg)
     try:
-        t0 = time.perf_counter()
         if cfg.mode == "bijumbled":
-            if cfg.paley_q is not None:
-                host = paley(cfg.paley_q)
-                if host.n != cfg.n:
-                    raise ConfigError(f"paley({cfg.paley_q}) has n={host.n} != cfg.n={cfg.n}")
-                p = host.degree(0) / (host.n - 1)
-            elif cfg.host_file:
-                host = read_graph_file(cfg.host_file)
-                if host.n != cfg.n:
-                    raise ConfigError("host file vertex count mismatch")
-                p = 2.0 * host.m / (host.n * (host.n - 1))
-            else:
-                raise ConfigError("bijumbled mode needs paley_q or host_file")
-        else:
-            host = gnp(cfg.n, cfg.p, cfg.seed)
-            p = cfg.p
-        tick("host", t0)
-    except ConfigError:
-        raise
-    except Exception as exc:  # pragma: no cover - defensive
-        rec.failure_stage = f"host:{exc}"
-        rec.runtime_ms = int((time.perf_counter() - t_start) * 1000)
-        return rec
+            with _stage(rec, "bijumbled-check"):
+                _, info = bijumbled_check(host, p, nu=float("inf"), mode="sampled", k=2000, seed=cfg.seed)
+                nu_measured = info["ratio"]
+                rec.notes["nu_measured"] = nu_measured
+                rec.notes["bijumbled_feasible"] = bijumbled_feasible(p, nu_measured, cfg.n)
+                if cfg.nu is not None and nu_measured > cfg.nu:
+                    raise StageError(None, f"measured nu={nu_measured:.4g} exceeds nu={cfg.nu}")
 
-    if cfg.mode == "bijumbled":
-        t0 = time.perf_counter()
-        holds, info = bijumbled_check(host, p, nu=float("inf"), mode="sampled", k=2000, seed=cfg.seed)
-        nu_measured = info["ratio"]
-        rec.notes["nu_measured"] = nu_measured
-        rec.notes["bijumbled_feasible"] = bijumbled_feasible(p, nu_measured, cfg.n)
-        if cfg.nu is not None and nu_measured > cfg.nu:
-            rec.failure_stage = "bijumbled-check"
-            rec.runtime_ms = int((time.perf_counter() - t_start) * 1000)
-            return rec
-        tick("bijumbled", t0)
-
-    stage = "adversary"
-    try:
-        t0 = time.perf_counter()
-        g = adversary_delete(
-            host, cfg.adversary, cfg.gamma, cfg.k, p,
-            seed=cfg.seed, budget=cfg.adversary_budget, target=cfg.adversary_target,
-        )
-        tick("adversary", t0)
-
-        stage = "guest"
-        t0 = time.perf_counter()
-        guest, lab, col, meta = make_guest(cfg.guest_family, cfg.n, cfg.seed)
-        if meta["k"] != cfg.k:
-            raise ConfigError(f"guest uses k={meta['k']} but config has k={cfg.k}")
-        if cfg.beta is not None:
-            beta = cfg.beta
-        else:
-            # default block length 32, stretched so the labelling fits: beta*n
-            # must cover the guest bandwidth
-            blocklen = max(32, math.ceil(4 * cfg.k * meta["bandwidth"]))
-            beta = blocklen / (4 * cfg.k * cfg.n)
-        if meta["bandwidth"] > beta * cfg.n:
-            raise ConfigError(f"guest bandwidth {meta['bandwidth']} exceeds beta*n={beta * cfg.n:.1f}")
-        if not check_zero_free(col, lab, cfg.resolved_z(), beta, cfg.k):
-            raise ConfigError("guest colouring is not zero-free enough")
-        rec.notes["guest_meta"] = meta
-        tick("guest", t0)
-
-        stage = "host-structure"
-        t0 = time.perf_counter()
-        hs = prepare_host(g, host, p, cfg.gamma, cfg.k, cfg.eps, cfg.d, cfg.r0, cfg.seed)
-        rec.r = hs.r
-        rec.v0_size = len(hs.v0)
-        tick("host-structure", t0)
-
-        stage = "guest-assignment"
-        t0 = time.perf_counter()
-        m_targets = _k_equitable_targets(hs.clusters, len(hs.v0), cfg.n)
-        if cfg.xi_guest is not None:
-            xi_guest = cfg.xi_guest
-        else:
-            # the special set holds ~6 r beta n vertices structurally, so the
-            # default window scales with the block grid rather than with xi
-            blocklen_eff = math.floor(4 * cfg.k * beta * cfg.n)
-            xi_guest = max(cfg.xi, 0.05, 2.0 * hs.r * blocklen_eff / (cfg.k * cfg.n))
-        assignment = assign_guest(
-            guest, lab, col, hs.reduced, m_targets,
-            xi=xi_guest, beta=beta, seed=cfg.seed,
-        )
-        rec.notes["zero_routed"] = [(v, assignment.f[v]) for v in assignment.zero_routed]
-        rec.notes["extension"] = dict(hs.reduced.extension)
-        tick("guest-assignment", t0)
-
-        stage = "reserve"
-        t0 = time.perf_counter()
-        reserve = reserve_set(
-            g, host, hs.clusters, cfg.mu, seed=cfg.seed,
-            delta_max=cfg.Delta, eps=cfg.eps,
-        )
-        tick("reserve", t0)
-
-        stage = "pre-embed"
-        t0 = time.perf_counter()
-        params = dict(
-            eps=cfg.eps, d=cfg.d, p=p, mu=cfg.mu, delta=cfg.Delta,
-            forbid_c4=(cfg.mode == "degenerate"),
-        )
-        state, f_star, restr = pre_embed(
-            g, host, hs.v0, hs.clusters, hs.reduced, guest, lab, assignment,
-            reserve, params, seed=cfg.seed,
-        )
-        tick("pre-embed", t0)
-
-        stage = "balancing"
-        t0 = time.perf_counter()
-        im_mask = state.image_mask()
-        dom_mask = state.domain_mask()
-        clusters_prime = {
-            cell: VertexSet(cfg.n, c.mask & ~im_mask) for cell, c in hs.clusters.items()
-        }
-        part_counts: dict[tuple[int, int], int] = {cell: 0 for cell in hs.clusters}
-        for v in range(cfg.n):
-            if not ((dom_mask >> v) & 1):
-                part_counts[f_star[v]] = part_counts.get(f_star[v], 0) + 1
-        targets = BalanceTargets(part_counts)
-        targets.validate_against(clusters_prime, max(cfg.xi, xi_guest), cfg.n)
-        bal_params = dict(eps=cfg.eps, d=cfg.d, p=p, gamma=cfg.gamma)
-        work, glog = global_balance(clusters_prime, targets, hs.reduced, g, host, bal_params, seed=cfg.seed)
-        final_clusters, llog = local_balance(work, targets, hs.reduced, g, host, bal_params, seed=cfg.seed + 1)
-        rec.moved = glog.total_moved() + llog.total_moved()
-        tick("balancing", t0)
-
-        stage = "restriction-pair"
-        t0 = time.perf_counter()
-        # selection ran at eps; the windows erode through pre-embedding
-        # removals and balancing moves, so validation runs one stage looser
-        report = validate_restriction_pair(
-            restr, final_clusters, part_counts, host, g,
-            rho=cfg.rho, zeta=cfg.zeta, delta=cfg.Delta, delta_j=cfg.Delta,
-            eps=min(0.9, 2 * cfg.eps), p=p, d=cfg.d, f_star=f_star, guest=guest,
-            skip=set(state.phi.keys()), seed=cfg.seed,
-        )
-        rec.notes["restriction_report"] = {k_: v["ok"] for k_, v in report.items()}
-        if not report["all_ok"]["ok"]:
-            rec.failure_stage = "restriction-pair"
-            rec.runtime_ms = int((time.perf_counter() - t_start) * 1000)
-            return rec
-        tick("restriction-pair", t0)
-
-        stage = "embed"
-        t0 = time.perf_counter()
-        # buffer vertices avoid the special set, the pre-embedded vertices,
-        # the restricted vertices and the neighbours of both, so every
-        # neighbour of a buffer keeps the spare back-degree that
-        # check_bounded_order demands of it
-        blocked = assignment.special.mask
-        for x in [*iter_bits(dom_mask), *restr.restricted()]:
-            blocked |= (1 << x) | guest.adj[x]
-        eligible = 0
-        for v in range(cfg.n):
-            if (blocked >> v) & 1:
-                continue
-            if cfg.mode == "degenerate" and guest.degree(v) > 2 * cfg.D:
-                continue
-            eligible |= 1 << v
-        buffers = choose_buffers(
-            guest, f_star, eligible, sorted(hs.clusters), cfg.vartheta,
-            skip_mask=dom_mask, order=lab,
-        )
-        if cfg.mode == "degenerate":
-            # bounded-order report for the degeneracy order; the buffer rule
-            # above keeps it clean, since no restricted vertex, whose pi
-            # counts its J, loses a spare to a buffer neighbour
-            from .graph_core import degeneracy_order
-            from .guest_prep import check_bounded_order
-
-            removal, dgen = degeneracy_order(guest)
-            tau = Labelling(tuple(reversed(removal.order)))  # <= dgen earlier neighbours
-            buf_all = VertexSet(cfg.n, buffers.mask())
-            exceptional = VertexSet(cfg.n, mask_of(restr.J.keys()))
-            bo = check_bounded_order(
-                guest, tau, dict(restr.J), buf_all, 2 * dgen + 1, p,
-                cfg.eps * cfg.n / max(1, cfg.k * rec.r), exceptional=exceptional,
+        with _stage(rec, "adversary"):
+            g = adversary_delete(
+                host, cfg.adversary, cfg.gamma, cfg.k, p,
+                seed=cfg.seed, budget=cfg.adversary_budget, target=cfg.adversary_target,
             )
-            rec.notes["bounded_order_violations"] = {k_: len(v) for k_, v in bo.items()}
-        result = embed(
-            g, guest, final_clusters, f_star, restr, buffers, lab,
-            initial_phi=state.phi, seed=cfg.seed,
-        )
-        rec.embed_retries = result.retries
-        tick("embed", t0)
 
-        stage = "verify"
-        t0 = time.perf_counter()
-        images = {
-            x: restriction_image(g, final_clusters, f_star[x], js)
-            for x, js in restr.J.items()
-            if js
-        }
-        if not verify_embedding(g, guest, result.phi, images):
-            rec.failure_stage = "verify"
-            rec.runtime_ms = int((time.perf_counter() - t_start) * 1000)
-            return rec
-        tick("verify", t0)
+        with _stage(rec, "guest"):
+            guest, lab, col, meta = make_guest(cfg.guest_family, cfg.n, cfg.seed)
+            if meta["k"] != cfg.k:
+                raise ConfigError(f"guest uses k={meta['k']} but config has k={cfg.k}")
+            if cfg.beta is not None:
+                beta = cfg.beta
+            else:
+                # default block length 32, stretched so the labelling fits: beta*n
+                # must cover the guest bandwidth
+                blocklen = max(32, math.ceil(4 * cfg.k * meta["bandwidth"]))
+                beta = blocklen / (4 * cfg.k * cfg.n)
+            if meta["bandwidth"] > beta * cfg.n:
+                raise ConfigError(f"guest bandwidth {meta['bandwidth']} exceeds beta*n={beta * cfg.n:.1f}")
+            if not check_zero_free(col, lab, cfg.resolved_z(), beta, cfg.k):
+                raise ConfigError("guest colouring is not zero-free enough")
+            rec.notes["guest_meta"] = meta
+
+        with _stage(rec, "host-structure"):
+            hs = prepare_host(g, host, p, cfg.gamma, cfg.k, cfg.eps, cfg.d, cfg.r0, cfg.seed)
+            rec.r = hs.r
+            rec.v0_size = len(hs.v0)
+
+        with _stage(rec, "guest-assignment"):
+            m_targets = _k_equitable_targets(hs.clusters, len(hs.v0), cfg.n)
+            if cfg.xi_guest is not None:
+                xi_guest = cfg.xi_guest
+            else:
+                # the special set holds ~6 r beta n vertices structurally, so the
+                # default window scales with the block grid rather than with xi
+                blocklen_eff = math.floor(4 * cfg.k * beta * cfg.n)
+                xi_guest = max(cfg.xi, 0.05, 2.0 * hs.r * blocklen_eff / (cfg.k * cfg.n))
+            assignment = assign_guest(
+                guest, lab, col, hs.reduced, m_targets,
+                xi=xi_guest, beta=beta, seed=cfg.seed,
+            )
+            rec.notes["zero_routed"] = [(v, assignment.f[v]) for v in assignment.zero_routed]
+            rec.notes["extension"] = dict(hs.reduced.extension)
+
+        with _stage(rec, "reserve"):
+            reserve = reserve_set(
+                g, host, hs.clusters, cfg.mu, seed=cfg.seed,
+                delta_max=cfg.Delta, eps=cfg.eps,
+            )
+
+        with _stage(rec, "pre-embed"):
+            params = dict(
+                eps=cfg.eps, d=cfg.d, p=p, mu=cfg.mu, delta=cfg.Delta,
+                forbid_c4=(cfg.mode == "degenerate"),
+            )
+            state, f_star, restr = pre_embed(
+                g, host, hs.v0, hs.clusters, hs.reduced, guest, lab, assignment,
+                reserve, params, seed=cfg.seed,
+            )
+
+        with _stage(rec, "balancing"):
+            im_mask = state.image_mask()
+            dom_mask = state.domain_mask()
+            clusters_prime = {
+                cell: VertexSet(cfg.n, c.mask & ~im_mask) for cell, c in hs.clusters.items()
+            }
+            part_counts: dict[tuple[int, int], int] = {cell: 0 for cell in hs.clusters}
+            for v in range(cfg.n):
+                if not ((dom_mask >> v) & 1):
+                    part_counts[f_star[v]] = part_counts.get(f_star[v], 0) + 1
+            targets = BalanceTargets(part_counts)
+            targets.validate_against(clusters_prime, max(cfg.xi, xi_guest), cfg.n)
+            bal_params = dict(eps=cfg.eps, d=cfg.d, p=p, gamma=cfg.gamma)
+            work, glog = global_balance(clusters_prime, targets, hs.reduced, g, host, bal_params, seed=cfg.seed)
+            final_clusters, llog = local_balance(work, targets, hs.reduced, g, host, bal_params, seed=cfg.seed + 1)
+            rec.moved = glog.total_moved() + llog.total_moved()
+
+        with _stage(rec, "restriction-pair"):
+            # selection ran at eps; the windows erode through pre-embedding
+            # removals and balancing moves, so validation runs one stage looser
+            report = validate_restriction_pair(
+                restr, final_clusters, part_counts, host, g,
+                rho=cfg.rho, zeta=cfg.zeta, delta=cfg.Delta, delta_j=cfg.Delta,
+                eps=min(0.9, 2 * cfg.eps), p=p, d=cfg.d, f_star=f_star, guest=guest,
+                skip=set(state.phi.keys()), seed=cfg.seed,
+            )
+            rec.notes["restriction_report"] = {k_: v["ok"] for k_, v in report.items()}
+            if not report["all_ok"]["ok"]:
+                broken = [k_ for k_, v in report.items() if not v["ok"] and k_ != "all_ok"]
+                raise StageError(None, f"restriction pair breaks {', '.join(broken)}")
+
+        with _stage(rec, "embed"):
+            # buffer vertices avoid the special set, the pre-embedded vertices,
+            # the restricted vertices and the neighbours of both, so every
+            # neighbour of a buffer keeps the spare back-degree that
+            # check_bounded_order demands of it
+            blocked = assignment.special.mask
+            for x in [*iter_bits(dom_mask), *restr.restricted()]:
+                blocked |= (1 << x) | guest.adj[x]
+            eligible = 0
+            for v in range(cfg.n):
+                if (blocked >> v) & 1:
+                    continue
+                if cfg.mode == "degenerate" and guest.degree(v) > 2 * cfg.D:
+                    continue
+                eligible |= 1 << v
+            buffers = choose_buffers(
+                guest, f_star, eligible, sorted(hs.clusters), cfg.vartheta,
+                skip_mask=dom_mask, order=lab,
+            )
+            if cfg.mode == "degenerate":
+                # bounded-order report for the degeneracy order; the buffer rule
+                # above keeps it clean, since no restricted vertex, whose pi
+                # counts its J, loses a spare to a buffer neighbour
+                removal, dgen = degeneracy_order(guest)
+                tau = Labelling(tuple(reversed(removal.order)))  # <= dgen earlier neighbours
+                buf_all = VertexSet(cfg.n, buffers.mask())
+                exceptional = VertexSet(cfg.n, mask_of(restr.J.keys()))
+                bo = check_bounded_order(
+                    guest, tau, dict(restr.J), buf_all, 2 * dgen + 1, p,
+                    cfg.eps * cfg.n / max(1, cfg.k * rec.r), exceptional=exceptional,
+                )
+                rec.notes["bounded_order_violations"] = {k_: len(v) for k_, v in bo.items()}
+            result = embed(
+                g, guest, final_clusters, f_star, restr, buffers, lab,
+                initial_phi=state.phi, seed=cfg.seed,
+            )
+            rec.embed_retries = result.retries
+
+        with _stage(rec, "verify"):
+            images = {
+                x: restriction_image(g, final_clusters, f_star[x], js)
+                for x, js in restr.J.items()
+                if js
+            }
+            if not verify_embedding(g, guest, result.phi, images):
+                raise StageError(None, "the completed embedding fails verification")
         rec.success = True
-    except (
-        ConfigError,
-        HostPrepError,
-        GuestPrepError,
-        PreEmbedError,
-        BalancingError,
-        EmbedError,
-    ) as exc:
-        sub = getattr(exc, "stage", None) or getattr(exc, "violated", None) or getattr(exc, "step", None) or getattr(exc, "where", None)
-        rec.failure_stage = f"{stage}:{sub}" if sub else stage
-        rec.notes["error"] = str(exc)
-    rec.runtime_ms = int((time.perf_counter() - t_start) * 1000)
+    except (ConfigError, StageError):
+        pass  # _stage has named the failure
     return rec
 
 

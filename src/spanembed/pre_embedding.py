@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .graph_core import Graph, Labelling, VertexSet, iter_bits, mask_of, rng_for
+from .graph_core import Graph, Labelling, StageError, VertexSet, iter_bits, mask_of, rng_for
 from .guest_prep import GuestAssignment
 from .reduced_graph import ReducedGraph
 from .regularity import check_lower_regular
@@ -25,16 +25,11 @@ __all__ = [
     "validate_restriction_pair",
     "restriction_image",
     "PreEmbedError",
-    "dump_transcript",
 ]
 
 
-class PreEmbedError(RuntimeError):
-    """Pre-embedding failed; `step` identifies the loop stage or L-condition."""
-
-    def __init__(self, step: str, message: str):
-        super().__init__(f"[{step}] {message}")
-        self.step = step
+class PreEmbedError(StageError):
+    """Pre-embedding failed; `stage` identifies the loop step or L-condition."""
 
 
 @dataclass
@@ -562,7 +557,3 @@ def validate_restriction_pair(
     report["pair_regularity"] = {"ok": not pair_bad, "violations": pair_bad}
     report["all_ok"] = {"ok": all(v["ok"] for k_, v in report.items() if k_ != "all_ok"), "violations": []}
     return report
-
-
-def dump_transcript(state: PreEmbedState) -> str:
-    return "\n".join(state.transcript) + ("\n" if state.transcript else "")

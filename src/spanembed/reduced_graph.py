@@ -13,12 +13,11 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .graph_core import Graph, VertexSet, iter_bits, mask_of, rng_for
+from .graph_core import Graph, StageError, VertexSet, iter_bits, mask_of, rng_for
 from .regularity import (
     PairVerdict,
     check_lower_regular,
     check_super_regular,
-    dump_partition,
     min_degree_regular_partition,
     RegularityError,
 )
@@ -28,26 +27,20 @@ __all__ = [
     "ReducedGraph",
     "HostStructure",
     "backbone_edges",
-    "clique_factor_edges",
     "find_backbone",
     "prepare_host",
     "validate_k_equitable",
     "HostPrepError",
-    "dump_host_structure",
 ]
 
 
-class HostPrepError(RuntimeError):
+class HostPrepError(StageError):
     """Host preparation failed; `stage` names the failing step."""
-
-    def __init__(self, stage: str, message: str):
-        super().__init__(f"[{stage}] {message}")
-        self.stage = stage
 
 
 @dataclass(frozen=True)
 class BackboneIndex:
-    """Index space [r] x [k] with the backbone / clique-factor edge rules."""
+    """Index space [r] x [k] with the backbone edge rule."""
 
     r: int
     k: int
@@ -58,9 +51,6 @@ class BackboneIndex:
     def is_backbone_edge(self, a: tuple[int, int], b: tuple[int, int]) -> bool:
         return a[1] != b[1] and abs(a[0] - b[0]) <= 1
 
-    def is_clique_edge(self, a: tuple[int, int], b: tuple[int, int]) -> bool:
-        return a[0] == b[0] and a[1] != b[1]
-
 
 def backbone_edges(r: int, k: int) -> set[frozenset]:
     idx = BackboneIndex(r, k)
@@ -69,16 +59,6 @@ def backbone_edges(r: int, k: int) -> set[frozenset]:
         frozenset((a, b))
         for a, b in itertools.combinations(cells, 2)
         if idx.is_backbone_edge(a, b)
-    }
-
-
-def clique_factor_edges(r: int, k: int) -> set[frozenset]:
-    idx = BackboneIndex(r, k)
-    cells = idx.cells()
-    return {
-        frozenset((a, b))
-        for a, b in itertools.combinations(cells, 2)
-        if idx.is_clique_edge(a, b)
     }
 
 
@@ -552,18 +532,3 @@ def _prepare_host_once(
         raise HostPrepError("partition", "clusters + V0 do not cover V(G)")
 
     return HostStructure(v0=v0, clusters=cluster_sets, reduced=reduced, certs=certs, p=p)
-
-
-def dump_host_structure(hs: HostStructure) -> str:
-    """Partition dump extended with reduced-edge / backbone / extension lines."""
-    text = dump_partition(hs.clusters, hs.v0, hs.r, hs.k)
-    lines = [text.rstrip("\n")]
-    for e in sorted(hs.reduced.edges, key=lambda e: sorted(e)):
-        (a, b) = sorted(e)
-        lines.append(f"reduced-edge {a[0]} {a[1]} {b[0]} {b[1]}")
-    for i in range(hs.r):
-        for j in range(hs.k):
-            lines.append(f"backbone {i} {j}")
-    for i, z in sorted(hs.reduced.extension.items()):
-        lines.append(f"extension {i} {z[0]} {z[1]}")
-    return "\n".join(lines) + "\n"

@@ -1,4 +1,4 @@
-"""Regular-pair predicates, inheritance counting, and sparse regular partitions.
+"""Regular-pair predicates and sparse regular partitions.
 
 Two verdict routes exist for every pair: an exhaustive check (exact answer,
 exponential in the smaller side, capped at 20) and a sampled check that probes
@@ -22,11 +22,9 @@ __all__ = [
     "EnergyPartitionResult",
     "check_lower_regular",
     "check_super_regular",
-    "count_inheritance_failures",
     "energy_partition",
     "min_degree_regular_partition",
     "RegularityError",
-    "dump_partition",
 ]
 
 EXACT_SIDE_CAP = 20
@@ -263,40 +261,6 @@ def check_super_regular(
             if g.degree_into(v, other.mask) < need - 1e-12:
                 return False
     return True
-
-
-def count_inheritance_failures(
-    g: Graph,
-    host: Graph,
-    x: VertexSet,
-    y: VertexSet,
-    candidates: VertexSet,
-    eps_out: float,
-    d: float,
-    p: float,
-    two_sided: bool,
-    budget: int = 64,
-    seed: int = 0,
-) -> int:
-    """How many candidate vertices z break lower-regularity of the inherited pair?
-
-    One-sided inherits (N_host(z) & X, Y); two-sided intersects both sides.
-    An empty inherited side counts as a failure.
-    """
-    failures = 0
-    for z in candidates:
-        xm = host.adj[z] & x.mask
-        ym = (host.adj[z] & y.mask) if two_sided else y.mask
-        if xm == 0 or ym == 0:
-            failures += 1
-            continue
-        verdict = check_lower_regular(
-            g, VertexSet(g.n, xm), VertexSet(g.n, ym), eps_out, d, p,
-            mode="sampled", budget=budget, seed=seed + z,
-        )
-        if not verdict.ok:
-            failures += 1
-    return failures
 
 
 # ---------------------------------------------------------------------------
@@ -587,18 +551,3 @@ def min_degree_regular_partition(
             alpha=alpha,
         )
     raise RegularityError(f"regular partition certificate failed after {retries} attempts: {last_diag}")
-
-
-def dump_partition(clusters, exceptional: VertexSet, r: int, k: int) -> str:
-    """Text dump: `partition <r> <k>` then cluster/exceptional membership lines."""
-    lines = [f"partition {r} {k}"]
-    if isinstance(clusters, dict):
-        items = sorted(clusters.items())
-    else:
-        items = [((i, 0), c) for i, c in enumerate(clusters)]
-    for (i, j), c in items:
-        vs = " ".join(str(v) for v in c)
-        lines.append(f"cluster {i} {j} {len(c)} {vs}".rstrip())
-    vs = " ".join(str(v) for v in exceptional)
-    lines.append(f"exceptional {len(exceptional)} {vs}".rstrip())
-    return "\n".join(lines) + "\n"

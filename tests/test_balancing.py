@@ -5,8 +5,6 @@ import pytest
 from spanembed.balancing import (
     BalanceTargets,
     BalancingError,
-    MoveLog,
-    dump_move_log,
     global_balance,
     local_balance,
     probe_move_equidistribution,
@@ -159,11 +157,3 @@ class TestLocalBalance:
         targets = BalanceTargets({c: 100 for c in cells})
         with pytest.raises(BalancingError, match="column"):
             local_balance(clusters, targets, complete_reduced(2, 2), g, g, PARAMS, seed=1)
-
-
-class TestMoveLog:
-    def test_dump_format(self):
-        log = MoveLog()
-        log.record("global", (0, 0), (1, 1), VertexSet.from_iter(8, [2, 5]))
-        text = dump_move_log(log)
-        assert text == "move global 0 0 1 1 2 2 5\n"

@@ -6,7 +6,6 @@ from spanembed.embedder import (
     BufferPlan,
     EmbedError,
     choose_buffers,
-    dump_embedding,
     embed,
     embedding_violations,
     verify_embedding,
@@ -146,7 +145,3 @@ class TestVerifyEmbedding:
         phi = {v: v for v in range(4)}
         viols = embedding_violations(g, g, phi, images={0: 0b1110})
         assert any("restriction" in v for v in viols)
-
-    def test_dump_format(self):
-        text = dump_embedding({1: 5, 0: 3})
-        assert text == "embed 0 3\nembed 1 5\n"

@@ -11,9 +11,7 @@ from spanembed.guest_prep import (
     assign_guest,
     check_bounded_order,
     check_zero_free,
-    dump_assignment,
     switch_colours,
-    write_guest_bundle,
 )
 from spanembed.harness import make_guest
 from spanembed.reduced_graph import BackboneIndex, ReducedGraph
@@ -202,20 +200,6 @@ class TestAssignGuest:
         assert any(ga.blocks.switching_blocks(i) for i in range(r))
         assert ga.sigma_prime.sigma != col.sigma  # a switch really happened
         assert ga.sigma_prime.is_proper(h)
-
-    def test_dump_and_bundle_formats(self):
-        n = 400
-        h, l, col, _ = make_guest("hamilton_cycle", n, 0)
-        red = complete_reduced(2, 2)
-        ga = assign_guest(h, l, col, red, even_targets(n, 2, 2), xi=0.08, beta=8 / (2 * n), seed=0)
-        dump = dump_assignment(ga)
-        lines = dump.splitlines()
-        assert len([ln for ln in lines if ln.startswith("assign ")]) == n
-        assert lines[-1].startswith("special")
-        bundle = write_guest_bundle(h, l, col)
-        assert bundle.splitlines()[0] == f"graph {n} {n}"
-        assert any(ln.startswith("labelling ") for ln in bundle.splitlines())
-        assert any(ln.startswith("colouring ") for ln in bundle.splitlines())
 
 
 class TestBoundedOrder:

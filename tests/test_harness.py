@@ -129,6 +129,16 @@ class TestConfig:
             ExperimentConfig(mode="weird").validate()
         with pytest.raises(ConfigError):
             ExperimentConfig(gamma=-1).validate()
+        with pytest.raises(ConfigError, match="unknown guest family"):
+            ExperimentConfig(guest_family="nonsense").validate()
+        with pytest.raises(ConfigError, match="not an integer"):
+            ExperimentConfig(guest_family="power_cycle:two").validate()
+        with pytest.raises(ConfigError, match="paley_q or host_file"):
+            ExperimentConfig(mode="bijumbled", n=101).validate()
+        with pytest.raises(ConfigError, match="prime"):
+            ExperimentConfig(mode="bijumbled", paley_q=103, n=103).validate()
+        with pytest.raises(ConfigError, match="n=100"):
+            ExperimentConfig(mode="bijumbled", paley_q=101, n=100).validate()
         ExperimentConfig().validate()
 
     def test_config_file_parsing(self, tmp_path):
@@ -172,6 +182,7 @@ class TestRunPipeline:
         rec = run_pipeline(cfg)
         assert not rec.success
         assert rec.failure_stage.startswith("adversary")
+        assert "adversary" in rec.stage_timings
 
     def test_csv_row_shape(self):
         cfg = ExperimentConfig(n=200, p=1.0, k=2, gamma=0.2, eps=0.1, d=0.5,
@@ -180,6 +191,26 @@ class TestRunPipeline:
         row = csv_row(rec)
         assert len(row.split(",")) == len(CSV_HEADER.split(","))
         assert row.split(",")[0] == "1"
+
+    def test_failure_stage_is_one_csv_field(self):
+        # a tight special-set window breaks two assignment certificates at once
+        cfg = ExperimentConfig(n=200, p=1.0, k=2, gamma=0.2, eps=0.1, d=0.5,
+                               adversary="none", seed=1, xi_guest=0.001)
+        rec = run_pipeline(cfg)
+        assert rec.failure_stage == "guest-assignment:part_sizes"
+        assert "special_small" in rec.notes["error"]
+        assert len(csv_row(rec).split(",")) == len(CSV_HEADER.split(","))
+
+    def test_recursion_limit_untouched(self):
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            cfg = ExperimentConfig(n=1000, p=0.4, k=2, gamma=0.2, adversary="random",
+                                   guest_family="hamilton_cycle", eps=0.25, d=0.1, mu=0.15, seed=0)
+            assert run_pipeline(cfg).success
+            assert sys.getrecursionlimit() == 1000
+        finally:
+            sys.setrecursionlimit(old)
 
     def test_determinism_modulo_runtime(self):
         cfg = ExperimentConfig(n=300, p=0.5, k=2, gamma=0.2, eps=0.25, d=0.1,
@@ -237,11 +268,21 @@ class TestCli:
         assert lines[0] == CSV_HEADER
         assert lines[1].split(",")[8] in ("true", "false")
 
-    def test_cli_invalid_config_exit_code(self):
-        cmd = [sys.executable, "-m", "spanembed.cli", "run", "--p", "2.0"]
-        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 1
-        assert "error" in proc.stderr
+    def test_cli_invalid_config_exit_code(self, tmp_path):
+        garbled = tmp_path / "garbled.txt"
+        garbled.write_text("not a graph\n")
+        for args in (
+            ["--p", "2.0"],
+            ["--guest", "nonsense"],
+            ["--mode", "bijumbled"],
+            ["--mode", "bijumbled", "--host-file", str(tmp_path / "missing.txt")],
+            ["--mode", "bijumbled", "--host-file", str(garbled)],
+        ):
+            cmd = [sys.executable, "-m", "spanembed.cli", "run", *args]
+            proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 1, (args, proc.stderr)
+            errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]
+            assert len(errors) == 1 and "Traceback" not in proc.stderr, (args, proc.stderr)
 
     def test_cli_multi_seed_and_config_file(self, tmp_path):
         cfg = tmp_path / "exp.cfg"

@@ -10,7 +10,6 @@ from spanembed.pre_embedding import (
     restriction_image,
     validate_restriction_pair,
     RestrictionPair,
-    dump_transcript,
 )
 from spanembed.reduced_graph import prepare_host
 
@@ -144,9 +143,8 @@ class TestPreEmbed:
         state, _, _ = pre_embed(
             g, host, hs.v0, hs.clusters, hs.reduced, guest, lab, assignment, reserve, PARAMS, seed=6
         )
-        text = dump_transcript(state)
-        assert any(ln.startswith("anchor ") for ln in text.splitlines())
-        assert any(ln.startswith("leaf ") for ln in text.splitlines())
+        assert any(ln.startswith("anchor ") for ln in state.transcript)
+        assert any(ln.startswith("leaf ") for ln in state.transcript)
 
 
 class TestRestrictionValidation:

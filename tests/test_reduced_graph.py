@@ -8,8 +8,6 @@ from spanembed.reduced_graph import (
     HostPrepError,
     ReducedGraph,
     backbone_edges,
-    clique_factor_edges,
-    dump_host_structure,
     find_backbone,
     prepare_host,
     validate_k_equitable,
@@ -39,17 +37,11 @@ class TestBackboneStructure:
             assert len(backbone_edges(r, k)) == expect
         assert len(backbone_edges(3, 2)) == 7
 
-    def test_clique_factor_subset(self):
-        assert clique_factor_edges(3, 2) <= backbone_edges(3, 2)
-        assert len(clique_factor_edges(3, 2)) == 3
-
     def test_edge_rules(self):
         idx = BackboneIndex(3, 2)
         assert idx.is_backbone_edge((0, 0), (1, 1))
         assert not idx.is_backbone_edge((0, 0), (1, 0))  # same column
         assert not idx.is_backbone_edge((0, 0), (2, 1))  # rows too far
-        assert idx.is_clique_edge((1, 0), (1, 1))
-        assert not idx.is_clique_edge((0, 0), (1, 1))
 
 
 class TestFindBackbone:
@@ -160,11 +152,3 @@ class TestPrepareHost:
             c = hs.clusters[cell]
             dv = host.degree_into(v, c.mask)
             assert abs(dv - 0.4 * len(c)) <= 0.25 * 0.4 * len(c) + 1.0
-
-    def test_dump_format(self):
-        g = Graph.complete(80)
-        hs = prepare_host(g, g, 1.0, 0.2, 2, 0.1, 0.5, 4, seed=3)
-        text = dump_host_structure(hs)
-        assert text.splitlines()[0].startswith("partition ")
-        assert any(ln.startswith("reduced-edge ") for ln in text.splitlines())
-        assert any(ln.startswith("extension ") for ln in text.splitlines())
