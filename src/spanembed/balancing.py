@@ -9,11 +9,9 @@ degrees into the target row's other columns.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
-from .graph_core import Graph, StageError, VertexSet, iter_bits, mask_of, rng_for
-from .regularity import check_lower_regular
+from .graph_core import Graph, StageError, VertexSet, rng_for
 
 __all__ = [
     "BalanceTargets",

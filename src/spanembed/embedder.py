@@ -10,7 +10,7 @@ and seeded restarts handle dead ends.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graph_core import Graph, Labelling, StageError, VertexSet, iter_bits, mask_of, rng_for
 from .pre_embedding import RestrictionPair, restriction_image

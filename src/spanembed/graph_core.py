@@ -1,14 +1,14 @@
 """Bitset graph kernel: representation, seeded generators, density and order utilities.
 
 Graphs are immutable, undirected, loop-free, with adjacency stored as one
-Python int bitmask per vertex.  All randomness flows through numpy's Philox
+Python int bitmask per vertex; bulk edge work converts to and from an n x n
+numpy bool matrix.  All randomness flows through numpy's Philox
 counter-based generator so that identical seeds reproduce identical graphs
 on every platform.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -143,6 +143,24 @@ class Graph:
         return cls(n, tuple(adj))
 
     @classmethod
+    def from_bit_matrix(cls, a: np.ndarray) -> "Graph":
+        """Graph whose adjacency is the n x n bool matrix `a`, which must be symmetric with a zero diagonal."""
+        n = a.shape[0]
+        if a.shape != (n, n):
+            raise ValueError(f"adjacency matrix must be square, got shape {a.shape}")
+        rows = np.packbits(a, axis=1, bitorder="little")
+        w = rows.shape[1]
+        buf = rows.tobytes()
+        return cls(n, tuple(int.from_bytes(buf[i * w:(i + 1) * w], "little") for i in range(n)))
+
+    def to_bit_matrix(self) -> np.ndarray:
+        """The adjacency as a fresh n x n bool matrix."""
+        n = self.n
+        w = (n + 7) // 8
+        rows = np.frombuffer(b"".join(a.to_bytes(w, "little") for a in self.adj), dtype=np.uint8)
+        return np.unpackbits(rows.reshape(n, w), axis=1, count=n, bitorder="little").view(bool)
+
+    @classmethod
     def empty(cls, n: int) -> "Graph":
         return cls(n, tuple([0] * n))
 
@@ -258,15 +276,14 @@ def gnp(n: int, p: float, seed: int) -> Graph:
         raise ValueError("n must be >= 1")
     if not (0.0 <= p <= 1.0):
         raise ValueError("p must lie in [0, 1]")
-    adj = [0] * n
+    a = np.zeros((n, n), dtype=bool)
     if p > 0.0 and n > 1:
+        # One double per pair (u, v), u < v, drawn in row-major order.
         rng = rng_for(seed, stream=0)
-        iu, iv = np.triu_indices(n, k=1)
-        hit = rng.random(iu.shape[0]) < p
-        for u, v in zip(iu[hit].tolist(), iv[hit].tolist()):
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-    return Graph(n, tuple(adj))
+        for u in range(n - 1):
+            a[u, u + 1:] = rng.random(n - 1 - u) < p
+        a = a | a.T
+    return Graph.from_bit_matrix(a)
 
 
 def _is_prime(q: int) -> bool:

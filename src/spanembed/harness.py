@@ -17,6 +17,8 @@ import typing
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .balancing import BalanceTargets, global_balance, local_balance
 from .embedder import choose_buffers, embed, verify_embedding
 from .graph_core import (
@@ -192,49 +194,89 @@ def adversary_delete(
         raise ConfigError(f"degree floor {floor:.1f} unsatisfiable: min degree {g.min_degree()}")
     if strategy == "none" or budget == 0:
         return g
+    # A vertex may lose an edge while its degree minus one stays at or above
+    # the floor; `spare` counts the edges each vertex can still lose.
     deg = [g.degree(v) for v in range(n)]
+    keep = math.ceil(floor - 1e-9)
+    spare = [d - keep for d in deg]
     rng = rng_for(seed, stream=101)
-
-    def greedy(edges: list[tuple[int, int]], cap: int | None) -> list[tuple[int, int]]:
-        out = []
-        for u, v in edges:
-            if cap is not None and len(out) >= cap:
-                break
-            if deg[u] - 1 >= floor - 1e-9 and deg[v] - 1 >= floor - 1e-9:
-                deg[u] -= 1
-                deg[v] -= 1
-                out.append((u, v))
-        return out
-
+    a = g.to_bit_matrix()
     if strategy == "random":
-        edges = list(g.edges())
-        order = rng.permutation(len(edges))
-        drop = greedy([edges[int(i)] for i in order], budget)
-        return g.without_edges(drop)
+        keys = _edge_keys(a)
+        rng.shuffle(keys)  # the same swaps as rng.permutation(len(keys))
+        _greedy_delete(a, keys, spare, budget)
+        return Graph.from_bit_matrix(a)
     if strategy == "triangle_killer":
-        nbrs = list(iter_bits(g.adj[target]))
-        inside = [
-            (u, v) for ii, u in enumerate(nbrs) for v in nbrs[ii + 1:] if g.has_edge(u, v)
-        ]
-        order = rng.permutation(len(inside))
-        ranked = sorted(
-            (inside[int(i)] for i in order),
-            key=lambda e: -(deg[e[0]] + deg[e[1]]),
-        )
-        drop = greedy(ranked, None)
-        g2 = g.without_edges(drop)
-        for ii, u in enumerate(nbrs):
-            for v in nbrs[ii + 1:]:
-                if g2.has_edge(u, v):
-                    raise ConfigError("triangle_killer blocked by the degree floor")
-        return g2
+        nbrs = np.flatnonzero(a[target])
+        inside = np.ix_(nbrs, nbrs)
+        iu, iv = np.divmod(_edge_keys(a[inside]), len(nbrs))
+        us, vs = nbrs[iu], nbrs[iv]
+        order = rng.permutation(len(us))
+        us, vs = us[order], vs[order]
+        deg = np.array(deg)
+        ranked = np.argsort(-(deg[us] + deg[vs]), kind="stable")
+        _greedy_delete(a, (us * n + vs)[ranked], spare, None)
+        if a[inside].any():
+            raise ConfigError("triangle_killer blocked by the degree floor")
+        return Graph.from_bit_matrix(a)
     if strategy == "bipartite_push":
-        classes = [int(x) for x in rng.integers(0, k, size=n)]
-        edges = [(u, v) for u, v in g.edges() if classes[u] == classes[v]]
-        order = rng.permutation(len(edges))
-        drop = greedy([edges[int(i)] for i in order], budget)
-        return g.without_edges(drop)
+        classes = rng.integers(0, k, size=n)
+        keys = _edge_keys(a & (classes[:, None] == classes[None, :]))
+        rng.shuffle(keys)
+        _greedy_delete(a, keys, spare, budget)
+        return Graph.from_bit_matrix(a)
     raise ConfigError(f"unknown adversary {strategy!r}")
+
+
+def _edge_keys(a: np.ndarray) -> np.ndarray:
+    """Edges (u, v), u < v, of symmetric bool matrix `a` as keys u * n + v, in `Graph.edges()` order.
+
+    The keys are int32 whenever n * n fits, and are built row by row, so no
+    index array wider than the edge count is ever allocated.
+    """
+    n = a.shape[0]
+    dtype = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
+    keys = np.empty(int(np.count_nonzero(a)) // 2, dtype=dtype)
+    at = 0
+    for u in range(n - 1):
+        row = np.flatnonzero(a[u, u + 1:])
+        keys[at:at + len(row)] = row + (u * n + u + 1)
+        at += len(row)
+    return keys
+
+
+_SCAN_BLOCK = 1 << 16
+
+
+def _greedy_delete(a: np.ndarray, keys: np.ndarray, spare: list[int], cap: int | None) -> None:
+    """Delete from `a`, in scan order, each edge key u * n + v whose ends both have spare degree.
+
+    Stops after `cap` deletions when a cap is given; `spare` is debited in place.
+    """
+    n = a.shape[0]
+    left = len(keys) if cap is None else cap
+    hits = [np.zeros(0, dtype=np.int64)]
+    for start in range(0, len(keys), _SCAN_BLOCK):
+        if left <= 0:
+            break
+        # Spare degree only falls, so an edge with a spent end at the start of
+        # the block is skipped by the scan as well; drop those up front.
+        has = np.asarray(spare) > 0
+        bu, bv = np.divmod(keys[start:start + _SCAN_BLOCK], n)
+        live = np.flatnonzero(has[bu] & has[bv])
+        block = []
+        for i, u, v in zip(live.tolist(), bu[live].tolist(), bv[live].tolist()):
+            if spare[u] > 0 and spare[v] > 0:
+                spare[u] -= 1
+                spare[v] -= 1
+                block.append(i)
+                left -= 1
+                if left <= 0:
+                    break
+        hits.append(np.asarray(block, dtype=np.int64) + start)
+    du, dv = np.divmod(keys[np.concatenate(hits)], n)
+    a[du, dv] = False
+    a[dv, du] = False
 
 
 # ---------------------------------------------------------------------------
@@ -257,14 +299,16 @@ def _guest_family(family: str) -> tuple[str, int | str | None]:
     """Split `name[:param]` into a family of GUEST_FAMILIES and its parameter.
 
     f_factor's parameter names a factor graph, the other parameters are
-    integers, and hamilton_cycle has none; a missing parameter takes the
-    family's default.  Raises ConfigError for an unknown family or a
-    parameter that does not parse.
+    integers, and hamilton_cycle takes none; a missing parameter takes the
+    family's default.  Raises ConfigError for an unknown family, a
+    parameter that does not parse, or a parameter on hamilton_cycle.
     """
     name, _, arg = family.partition(":")
     if name not in GUEST_FAMILIES:
         raise ConfigError(f"unknown guest family {name!r}")
     if name == "hamilton_cycle":
+        if arg:
+            raise ConfigError(f"guest {family!r}: hamilton_cycle takes no parameter")
         return name, None
     if not arg:
         return name, _DEFAULT_PARAM[name]

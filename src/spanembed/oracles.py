@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graph_core import Graph, Labelling, iter_bits, rng_for
+from .graph_core import Graph, iter_bits, rng_for
 
 __all__ = [
     "exact_bandwidth",

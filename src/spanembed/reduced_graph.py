@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 from .graph_core import Graph, StageError, VertexSet, iter_bits, mask_of, rng_for
 from .regularity import (
-    PairVerdict,
     check_lower_regular,
     check_super_regular,
     min_degree_regular_partition,

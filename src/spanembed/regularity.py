@@ -10,7 +10,7 @@ most 14 vertices, so the two routes agree on everything the oracle can reach.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

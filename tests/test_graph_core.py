@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -53,6 +54,27 @@ class TestGnp:
     def test_rejects_bad_p(self):
         with pytest.raises(ValueError):
             gnp(5, 1.5, 0)
+
+
+class TestBitMatrix:
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 201])
+    def test_round_trip(self, n):
+        g = gnp(n, 0.4, n)
+        a = g.to_bit_matrix()
+        assert a.dtype == bool and a.shape == (n, n)
+        assert (a == a.T).all() and not a.diagonal().any()
+        assert int(a.sum()) == 2 * g.m
+        assert all(a[u, v] == g.has_edge(u, v) for u in range(n) for v in range(n))
+        assert Graph.from_bit_matrix(a) == g
+
+    def test_matrix_is_a_copy(self):
+        g = Graph.complete(5)
+        g.to_bit_matrix()[0, 1] = False
+        assert g.has_edge(0, 1)
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError):
+            Graph.from_bit_matrix(np.zeros((3, 4), dtype=bool))
 
 
 class TestPaley:

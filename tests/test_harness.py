@@ -133,6 +133,8 @@ class TestConfig:
             ExperimentConfig(guest_family="nonsense").validate()
         with pytest.raises(ConfigError, match="not an integer"):
             ExperimentConfig(guest_family="power_cycle:two").validate()
+        with pytest.raises(ConfigError, match="takes no parameter"):
+            ExperimentConfig(guest_family="hamilton_cycle:2").validate()
         with pytest.raises(ConfigError, match="paley_q or host_file"):
             ExperimentConfig(mode="bijumbled", n=101).validate()
         with pytest.raises(ConfigError, match="prime"):

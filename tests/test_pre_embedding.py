@@ -1,8 +1,6 @@
 import pytest
 
-from spanembed.graph_core import VertexSet, gnp, iter_bits, rng_for
-from spanembed.guest_prep import assign_guest
-from spanembed.harness import make_guest
+from spanembed.graph_core import VertexSet, gnp, iter_bits
 from spanembed.pre_embedding import (
     PreEmbedError,
     pre_embed,
@@ -13,47 +11,7 @@ from spanembed.pre_embedding import (
 )
 from spanembed.reduced_graph import prepare_host
 
-
-def deleted_to_floor(host, gamma, k, p, seed):
-    floor = ((k - 1) / k + gamma) * p * host.n
-    rng = rng_for(seed, stream=42)
-    deg = [host.degree(v) for v in range(host.n)]
-    edges = list(host.edges())
-    drop = []
-    for i in rng.permutation(len(edges)):
-        u, v = edges[int(i)]
-        if deg[u] - 1 >= floor and deg[v] - 1 >= floor:
-            deg[u] -= 1
-            deg[v] -= 1
-            drop.append((u, v))
-    return host.without_edges(drop)
-
-
-def build_instance(n=1000, seed=0, v0_target=None, eps=0.25):
-    """Host structure + guest assignment, optionally padding V0 to a target size."""
-    p, k, gamma = 0.4, 2, 0.2
-    host = gnp(n, p, seed)
-    g = deleted_to_floor(host, gamma, k, p, seed)
-    hs = prepare_host(g, host, p, gamma, k, eps, 0.1, 4, seed=seed)
-    if v0_target is not None and len(hs.v0) < v0_target:
-        short = v0_target - len(hs.v0)
-        cells = sorted(hs.clusters)
-        moved = hs.v0.mask
-        for t in range(short):
-            cell = cells[t % len(cells)]
-            v = max(iter_bits(hs.clusters[cell].mask))
-            hs.clusters[cell] = hs.clusters[cell] - VertexSet.from_iter(n, [v])
-            moved |= 1 << v
-        hs.v0 = VertexSet(n, moved)
-    guest, lab, col, _ = make_guest("hamilton_cycle", n, seed)
-    cells = sorted(hs.clusters)
-    v0s = len(hs.v0)
-    base = v0s // len(cells)
-    m = {c: len(hs.clusters[c]) + base for c in cells}
-    for c in cells[: v0s - base * len(cells)]:
-        m[c] += 1
-    assignment = assign_guest(guest, lab, col, hs.reduced, m, xi=0.05, beta=8 / (k * n), seed=seed)
-    return g, host, hs, guest, lab, assignment
+from helpers import deleted_to_floor, pre_embed_instance
 
 
 PARAMS = dict(eps=0.25, d=0.1, p=0.4, mu=0.15, delta=2)
@@ -82,7 +40,7 @@ class TestReserveSet:
 
 class TestPreEmbed:
     def test_empty_v0_trivial(self):
-        g, host, hs, guest, lab, assignment = build_instance(seed=3)
+        g, host, hs, guest, lab, assignment = pre_embed_instance(seed=3)
         hs.v0 = VertexSet.empty(g.n)
         reserve = reserve_set(g, host, hs.clusters, 0.15, seed=3)
         state, f_star, restr = pre_embed(
@@ -94,7 +52,7 @@ class TestPreEmbed:
 
     def test_invariants_on_seeded_instances(self):
         for seed, v0_target in [(0, 1), (1, 3), (2, 8), (4, 5)]:
-            g, host, hs, guest, lab, assignment = build_instance(seed=seed, v0_target=v0_target)
+            g, host, hs, guest, lab, assignment = pre_embed_instance(seed=seed, v0_target=v0_target)
             reserve = reserve_set(g, host, hs.clusters, 0.15, seed=seed)
             state, f_star, restr = pre_embed(
                 g, host, hs.v0, hs.clusters, hs.reduced, guest, lab, assignment, reserve, PARAMS, seed=seed
@@ -129,7 +87,7 @@ class TestPreEmbed:
                 assert hs.reduced.has_edge(f_star[u], f_star[v])
 
     def test_single_exceptional_cycle_embeds_three(self):
-        g, host, hs, guest, lab, assignment = build_instance(seed=5, v0_target=1)
+        g, host, hs, guest, lab, assignment = pre_embed_instance(seed=5, v0_target=1)
         reserve = reserve_set(g, host, hs.clusters, 0.15, seed=5)
         state, _, _ = pre_embed(
             g, host, hs.v0, hs.clusters, hs.reduced, guest, lab, assignment, reserve, PARAMS, seed=5
@@ -138,7 +96,7 @@ class TestPreEmbed:
             assert len(state.phi) == 3  # the anchor and its two cycle neighbours
 
     def test_transcript_lines(self):
-        g, host, hs, guest, lab, assignment = build_instance(seed=6, v0_target=2)
+        g, host, hs, guest, lab, assignment = pre_embed_instance(seed=6, v0_target=2)
         reserve = reserve_set(g, host, hs.clusters, 0.15, seed=6)
         state, _, _ = pre_embed(
             g, host, hs.v0, hs.clusters, hs.reduced, guest, lab, assignment, reserve, PARAMS, seed=6
@@ -171,7 +129,7 @@ class TestRestrictionValidation:
         assert 0 in report["degree_budget"]["violations"]
 
     def test_fixture_from_seeded_run(self):
-        g, host, hs, guest, lab, assignment = build_instance(seed=7, v0_target=4)
+        g, host, hs, guest, lab, assignment = pre_embed_instance(seed=7, v0_target=4)
         reserve = reserve_set(g, host, hs.clusters, 0.15, seed=7)
         state, f_star, restr = pre_embed(
             g, host, hs.v0, hs.clusters, hs.reduced, guest, lab, assignment, reserve, PARAMS, seed=7

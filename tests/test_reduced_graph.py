@@ -13,20 +13,7 @@ from spanembed.reduced_graph import (
     validate_k_equitable,
 )
 
-
-def deleted_to_floor(host, gamma, k, p, seed):
-    floor = ((k - 1) / k + gamma) * p * host.n
-    rng = rng_for(seed, stream=42)
-    deg = [host.degree(v) for v in range(host.n)]
-    edges = list(host.edges())
-    drop = []
-    for i in rng.permutation(len(edges)):
-        u, v = edges[int(i)]
-        if deg[u] - 1 >= floor and deg[v] - 1 >= floor:
-            deg[u] -= 1
-            deg[v] -= 1
-            drop.append((u, v))
-    return host.without_edges(drop)
+from helpers import deleted_to_floor
 
 
 class TestBackboneStructure:
