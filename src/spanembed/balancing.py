@@ -79,9 +79,8 @@ def small_move_select(
     """Pick m vertices of X with degree >= (d-eps)p|Z_i| into every Z_i.
 
     The selection is a seeded uniform sample of the eligible subset, so host
-    common neighbourhoods meet it near-proportionally (checked post hoc by the
-    probe helper).  Raises BalancingError with the eligible count if fewer than
-    m vertices qualify.
+    common neighbourhoods meet it near-proportionally.  Raises BalancingError
+    with the eligible count if fewer than m vertices qualify.
     """
     if m > len(x) // 2:
         raise BalancingError("small-move", f"m={m} exceeds |X|/2={len(x) // 2}")
@@ -97,30 +96,6 @@ def small_move_select(
     rng = rng_for(seed, stream=61)
     picked = rng.permutation(len(eligible))[:m]
     return VertexSet.from_iter(g.n, (eligible[int(i)] for i in picked))
-
-
-def probe_move_equidistribution(
-    host: Graph,
-    x: VertexSet,
-    s: VertexSet,
-    probes: int,
-    max_tuple: int,
-    cap: float,
-    slack: float,
-    seed: int = 0,
-) -> bool:
-    """Post-hoc check that |N cap S| <= cap * |N cap X| + slack over sampled
-    host common neighbourhoods of up to max_tuple vertices."""
-    rng = rng_for(seed, stream=62)
-    for _ in range(probes):
-        size = int(rng.integers(1, max_tuple + 1))
-        vs = [int(v) for v in rng.choice(host.n, size=size, replace=False)]
-        nmask = host.common_neighbourhood(vs)
-        in_s = (nmask & s.mask).bit_count()
-        in_x = (nmask & x.mask).bit_count()
-        if in_s > cap * in_x + slack:
-            return False
-    return True
 
 
 def _column_delta(clusters, targets, j: int, r: int) -> int:

@@ -200,9 +200,6 @@ class Graph:
             raise ValueError("edges_between requires disjoint sets")
         return sum((self.adj[x] & ymask).bit_count() for x in iter_bits(xmask))
 
-    def edges_inside(self, mask: int) -> int:
-        return sum((self.adj[x] & mask).bit_count() for x in iter_bits(mask)) // 2
-
     def without_edges(self, edges) -> "Graph":
         adj = list(self.adj)
         for u, v in edges:

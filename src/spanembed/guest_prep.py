@@ -106,11 +106,6 @@ class BlockStructure:
     def block_positions(self, t: int) -> range:
         return range(t * self.blocklen, min((t + 1) * self.blocklen, self.n))
 
-    def section_positions(self, i: int) -> range:
-        lo = self.section_bounds[i] * self.blocklen
-        hi = min(self.section_bounds[i + 1] * self.blocklen, self.n)
-        return range(lo, hi)
-
     def switching_blocks(self, i: int) -> list[tuple[int, tuple[int, int]]]:
         """(interval index ell, (block1, block2)) for ell in 2..s_i-1 (1-based)."""
         out = []
@@ -271,9 +266,6 @@ class GuestAssignment:
         for cell in self.f:
             counts[cell] = counts.get(cell, 0) + 1
         return counts
-
-    def preimage(self, cell: tuple[int, int]) -> list[int]:
-        return [v for v, c in enumerate(self.f) if c == cell]
 
 
 def _certify_assignment(

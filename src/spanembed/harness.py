@@ -104,9 +104,6 @@ class ExperimentConfig:
     def resolved_z(self) -> float:
         return self.z if self.z is not None else 10.0 / self.xi
 
-    def resolved_xi_guest(self) -> float:
-        return self.xi_guest if self.xi_guest is not None else max(self.xi, 0.05)
-
     def validate(self):
         if self.n < 1 or self.k < 1 or self.Delta < 2 or self.D < 1:
             raise ConfigError("n >= 1, k >= 1, Delta >= 2, D >= 1 required")

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 from .graph_core import Graph, StageError, VertexSet, iter_bits, mask_of, rng_for
 from .regularity import (
+    _inheritance_ok,
+    _lower_bound_vacuous,
     check_lower_regular,
     check_super_regular,
     min_degree_regular_partition,
@@ -229,25 +231,6 @@ class HostStructure:
         return self.reduced.index.k
 
 
-def _prefix_inheritance_ok(g: Graph, xmask: int, ymask: int, eps: float, d: float, p: float) -> bool:
-    """Cheap one-pair screen: degree-sorted prefix cuts only; empty side fails."""
-    sx, sy = xmask.bit_count(), ymask.bit_count()
-    if sx == 0 or sy == 0:
-        return False
-    bound = d - eps
-    if bound <= 0:
-        return True
-    xs = sorted(iter_bits(xmask), key=lambda v: (g.adj[v] & ymask).bit_count())
-    thr = max(1, math.ceil(eps * sx - 1e-12))
-    degs = [(g.adj[v] & ymask).bit_count() for v in xs]
-    run = 0
-    for idx in range(len(xs)):
-        run += degs[idx]
-        if idx + 1 >= thr and run / (p * (idx + 1) * sy) < bound - 1e-12:
-            return False
-    return True
-
-
 def _pad_for_equitability(
     cluster_masks: dict[tuple[int, int], int], r: int, k: int
 ) -> int:
@@ -377,9 +360,14 @@ def _prepare_host_once(
     # The degree screen runs at a fraction of the certificate window eps (an
     # asymptotically-tiny eps* would sweep in almost everything at desk-scale
     # cluster sizes); +1 absorbs self-membership.
+    # The inheritance screen reads N(v) & U_a against U_b (and N(v) & U_b when
+    # two-sided); with d <= eps/2 it fails only on an empty side, and clusters
+    # are nonempty, so then v need only see every cell the screen reads.
     z1 = 0
     active = ((1 << n) - 1) & ~v0_mask
     red_edge_list = [tuple(e) for e in red_edges]
+    vacuous = _lower_bound_vacuous(d, eps / 2.0)
+    read_cells = {c for e in red_edge_list for c in (e if two_sided_screen else e[:1])}
     for v in iter_bits(active):
         bad = False
         if v0_mask and (host.adj[v] & v0_mask).bit_count() > max(2 * eps_star * p * n, 2.0 * p * v0_mask.bit_count() + 4):
@@ -391,17 +379,13 @@ def _prepare_host_once(
                 if abs(dv - exp) > screen_frac * eps * exp + 1.0:
                     bad = True
                     break
-        if not bad:
-            for a, b in red_edge_list:
-                nx = host.adj[v] & u[a]
-                if not _prefix_inheritance_ok(g, nx, u[b], eps / 2.0, d, p):
-                    bad = True
-                    break
-                if two_sided_screen:
-                    ny = host.adj[v] & u[b]
-                    if not _prefix_inheritance_ok(g, nx, ny, eps / 2.0, d, p):
-                        bad = True
-                        break
+        if not bad and vacuous:
+            bad = any(not host.adj[v] & u[cell] for cell in read_cells)
+        elif not bad:
+            bad = not all(
+                _inheritance_ok(g, host.adj[v], u[a], u[b], eps / 2.0, d, p, two_sided_screen)
+                for a, b in red_edge_list
+            )
         if bad:
             z1 |= 1 << v
     work = {cell: u[cell] & ~z1 for cell in cells}
@@ -498,11 +482,7 @@ def _prepare_host_once(
     inh_ok = True
     for v in probe_vertices[: max(10, cert_samples // 10)]:
         a, b = red_edge_list[int(rng.integers(len(red_edge_list)))]
-        nx = host.adj[v] & final[a]
-        if not _prefix_inheritance_ok(g, nx, final[b], eps, d, p):
-            inh_ok = False
-            break
-        if two_sided_screen and not _prefix_inheritance_ok(g, nx, host.adj[v] & final[b], eps, d, p):
+        if not _inheritance_ok(g, host.adj[v], final[a], final[b], eps, d, p, two_sided_screen):
             inh_ok = False
             break
     certs["inheritance"] = inh_ok

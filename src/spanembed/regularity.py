@@ -5,12 +5,16 @@ exponential in the smaller side, capped at 20) and a sampled check that probes
 degree-sorted prefix cuts first and seeded random threshold-size subpairs
 second.  Sampled mode silently upgrades to exhaustive when both sides have at
 most 14 vertices, so the two routes agree on everything the oracle can reach.
+Every sampled predicate runs on one engine, `_first_bad_subpair`, which reads
+G[X, Y] once and scores each candidate subpair as an exact edge count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 import numpy as np
 
@@ -53,9 +57,24 @@ def _threshold(eps: float, size: int) -> int:
     return max(1, math.ceil(eps * size - 1e-12))
 
 
+def _lower_bound_vacuous(d: float, eps: float) -> bool:
+    """d - eps <= 0: no density breaks the lower bound, so every lower-regular
+    test, super-regular floor and inheritance screen holds on nonempty sides."""
+    return d - eps <= 0
+
+
 def _pair_density(g: Graph, xmask: int, ymask: int, p: float) -> float:
     sx, sy = xmask.bit_count(), ymask.bit_count()
     return g.edges_between(xmask, ymask) / (p * sx * sy)
+
+
+def _takes_exact_route(x: VertexSet, y: VertexSet, exact: bool) -> bool:
+    """Exhaustive when asked for, or when both sides are at most 14; sides are capped at 20."""
+    if not exact and (len(x) > EXHAUSTIVE_FALLBACK_SIZE or len(y) > EXHAUSTIVE_FALLBACK_SIZE):
+        return False
+    if len(x) > EXACT_SIDE_CAP or len(y) > EXACT_SIDE_CAP:
+        raise ValueError(f"exact mode capped at side size {EXACT_SIDE_CAP}")
+    return True
 
 
 def _subset_degree_table(g: Graph, xs: list[int], ys: list[int]) -> np.ndarray:
@@ -120,33 +139,60 @@ def _exact_extreme_subpairs(
     return mn, pmn, mx, pmx
 
 
-def _iter_sampled_subpairs(
-    g: Graph, x: VertexSet, y: VertexSet, eps: float, budget: int, seed: int,
-    joint_cuts: bool = True,
-):
-    """Candidate witness subpairs: degree-sorted prefix cuts, then random threshold pairs."""
-    xs, ys = x.to_list(), y.to_list()
-    mx_thr, my_thr = _threshold(eps, len(xs)), _threshold(eps, len(ys))
-    deg_x = sorted(xs, key=lambda v: ((g.adj[v] & y.mask).bit_count(), v))
-    deg_y = sorted(ys, key=lambda v: ((g.adj[v] & x.mask).bit_count(), v))
-    cuts = sorted({mx_thr, (mx_thr + len(xs)) // 2, len(xs) // 2, len(xs)} - {0})
-    for c in cuts:
+def _candidate_subpairs(deg_x: np.ndarray, deg_y: np.ndarray, eps: float, budget: int, seed: int, joint_cuts: bool):
+    """Row and column indices (X', Y') of each candidate witness subpair, in scan order:
+    degree-sorted prefix and suffix cuts of X against all of Y, the same for Y,
+    with joint_cuts the two threshold-size double cuts, then `budget` seeded
+    random threshold-size subpairs."""
+    nx, ny = len(deg_x), len(deg_y)
+    mx_thr, my_thr = _threshold(eps, nx), _threshold(eps, ny)
+    # a stable sort over ascending vertex ids is the (degree, vertex) order
+    ox, oy = np.argsort(deg_x, kind="stable"), np.argsort(deg_y, kind="stable")
+    all_x, all_y = np.arange(nx), np.arange(ny)
+    for c in sorted({mx_thr, (mx_thr + nx) // 2, nx // 2, nx}):
         if c >= mx_thr:
-            yield mask_of(deg_x[:c]), y.mask
-            yield mask_of(deg_x[-c:]), y.mask
-    cuts = sorted({my_thr, (my_thr + len(ys)) // 2, len(ys) // 2, len(ys)} - {0})
-    for c in cuts:
+            yield ox[:c], all_y
+            yield ox[nx - c :], all_y
+    for c in sorted({my_thr, (my_thr + ny) // 2, ny // 2, ny}):
         if c >= my_thr:
-            yield x.mask, mask_of(deg_y[:c])
-            yield x.mask, mask_of(deg_y[-c:])
+            yield all_x, oy[:c]
+            yield all_x, oy[ny - c :]
     if joint_cuts:
-        yield mask_of(deg_x[:mx_thr]), mask_of(deg_y[:my_thr])
-        yield mask_of(deg_x[-mx_thr:]), mask_of(deg_y[-my_thr:])
+        yield ox[:mx_thr], oy[:my_thr]
+        yield ox[nx - mx_thr :], oy[ny - my_thr :]
     rng = rng_for(seed, stream=21)
     for _ in range(budget):
-        xa = rng.choice(len(xs), size=mx_thr, replace=False)
-        ya = rng.choice(len(ys), size=my_thr, replace=False)
-        yield mask_of(xs[int(i)] for i in xa), mask_of(ys[int(j)] for j in ya)
+        yield rng.choice(nx, size=mx_thr, replace=False), rng.choice(ny, size=my_thr, replace=False)
+
+
+def _first_bad_subpair(
+    g: Graph, x: VertexSet, y: VertexSet, eps: float, budget: int, seed: int, bad,
+    joint_cuts: bool = True,
+) -> tuple[VertexSet, VertexSet] | None:
+    """The first candidate subpair (X', Y') with bad(e(X', Y'), |X'|, |Y'|), or None.
+
+    The engine behind every sampled predicate.  G[X, Y] is read once into a 0/1
+    block, 32 rows of X at a time; each candidate is scored alone as an exact
+    edge count (a degree sum when one side is whole), so the scan stops at the
+    first failure, and vertex sets are built for the witness only.
+    """
+    xs, ys = x.to_list(), y.to_list()
+    w, cols = (g.n + 7) // 8, np.array(ys)
+    block = np.empty((len(xs), len(ys)), dtype=np.uint8)
+    for lo in range(0, len(xs), 32):
+        rows = np.frombuffer(b"".join(g.adj[v].to_bytes(w, "little") for v in xs[lo : lo + 32]), dtype=np.uint8)
+        block[lo : lo + 32] = np.unpackbits(rows.reshape(-1, w), axis=1, count=g.n, bitorder="little")[:, cols]
+    deg_x, deg_y = block.sum(axis=1, dtype=np.int64), block.sum(axis=0, dtype=np.int64)
+    for xi, yi in _candidate_subpairs(deg_x, deg_y, eps, budget, seed, joint_cuts):
+        if len(yi) == len(ys):
+            e = deg_x[xi].sum()
+        elif len(xi) == len(xs):
+            e = deg_y[yi].sum()
+        else:
+            e = block[np.ix_(xi, yi)].sum(dtype=np.int64)
+        if bad(int(e), len(xi), len(yi)):
+            return VertexSet.from_iter(g.n, (xs[i] for i in xi)), VertexSet.from_iter(g.n, (ys[j] for j in yi))
+    return None
 
 
 def check_lower_regular(
@@ -164,29 +210,28 @@ def check_lower_regular(
 
     mode="exact" enumerates all subpairs (sides capped at 20); mode="sampled"
     probes prefix cuts and seeded random subpairs, upgrading to exact when both
-    sides are at most 14.
+    sides are at most 14, and certifies without probing when d - eps <= 0.
     """
     if len(x) == 0 or len(y) == 0 or (x.mask & y.mask):
         raise ValueError("sides must be nonempty and disjoint")
     if p <= 0:
         raise ValueError("p must be positive")
+    if mode not in ("exact", "sampled"):
+        raise ValueError(f"unknown mode {mode!r}")
     full = _pair_density(g, x.mask, y.mask, p)
     bound = d - eps
-    if mode == "exact" or (mode == "sampled" and len(x) <= EXHAUSTIVE_FALLBACK_SIZE and len(y) <= EXHAUSTIVE_FALLBACK_SIZE):
-        if len(x) > EXACT_SIDE_CAP or len(y) > EXACT_SIDE_CAP:
-            raise ValueError(f"exact mode capped at side size {EXACT_SIDE_CAP}")
+    if _takes_exact_route(x, y, exact=mode == "exact"):
         mn, pmn, _, _ = _exact_extreme_subpairs(g, x, y, eps, p)
         if mn < bound - 1e-12:
             wit = (VertexSet(g.n, pmn[0]), VertexSet(g.n, pmn[1]))
             return PairVerdict("irregular", full, wit, exact=True)
         return PairVerdict("lower_regular", full, None, exact=True)
-    if mode != "sampled":
-        raise ValueError(f"unknown mode {mode!r}")
-    for xmask, ymask in _iter_sampled_subpairs(g, x, y, eps, budget, seed):
-        if _pair_density(g, xmask, ymask, p) < bound - 1e-12:
-            wit = (VertexSet(g.n, xmask), VertexSet(g.n, ymask))
-            return PairVerdict("irregular", full, wit, exact=False)
-    return PairVerdict("lower_regular", full, None, exact=False)
+    if _lower_bound_vacuous(d, eps):
+        return PairVerdict("lower_regular", full, None, exact=False)
+    wit = _first_bad_subpair(
+        g, x, y, eps, budget, seed, lambda e, sx, sy: e / (p * sx * sy) < bound - 1e-12
+    )
+    return PairVerdict("lower_regular" if wit is None else "irregular", full, wit, exact=False)
 
 
 def _density_stderr(full: float, p: float, sx: int, sy: int) -> float:
@@ -218,9 +263,7 @@ def check_two_sided_regular(
     def margin(sx: int, sy: int) -> float:
         return eps + noise_sigmas * _density_stderr(full, p, sx, sy) + 1e-12
 
-    if exact or (len(x) <= EXHAUSTIVE_FALLBACK_SIZE and len(y) <= EXHAUSTIVE_FALLBACK_SIZE):
-        if len(x) > EXACT_SIDE_CAP or len(y) > EXACT_SIDE_CAP:
-            raise ValueError(f"exact mode capped at side size {EXACT_SIDE_CAP}")
+    if _takes_exact_route(x, y, exact):
         mn, pmn, mx, pmx = _exact_extreme_subpairs(g, x, y, eps, p)
         for dens, pair in ((mn, pmn), (mx, pmx)):
             if abs(dens - full) > margin(pair[0].bit_count(), pair[1].bit_count()):
@@ -229,11 +272,12 @@ def check_two_sided_regular(
         return PairVerdict("regular", full, None, exact=noise_sigmas == 0.0)
     # Joint double cuts are skipped here: at desk-scale part sizes they deviate
     # by ~eps on genuinely random pairs and would trigger endless refinement.
-    for xmask, ymask in _iter_sampled_subpairs(g, x, y, eps, budget, seed, joint_cuts=False):
-        dens = _pair_density(g, xmask, ymask, p)
-        if abs(dens - full) > margin(xmask.bit_count(), ymask.bit_count()):
-            return PairVerdict("irregular", full, (VertexSet(g.n, xmask), VertexSet(g.n, ymask)), exact=False)
-    return PairVerdict("regular", full, None, exact=False)
+    wit = _first_bad_subpair(
+        g, x, y, eps, budget, seed,
+        lambda e, sx, sy: abs(e / (p * sx * sy) - full) > margin(sx, sy),
+        joint_cuts=False,
+    )
+    return PairVerdict("regular" if wit is None else "irregular", full, wit, exact=False)
 
 
 def check_super_regular(
@@ -250,10 +294,12 @@ def check_super_regular(
     """Lower-regular (sampled) plus the per-vertex degree floor into the other side.
 
     Every x in X needs deg_G(x, Y) >= (d - eps) * max(p|Y|, deg_host(x, Y)/2),
-    and symmetrically for Y.
+    and symmetrically for Y; with d - eps <= 0 that floor holds for every vertex.
     """
     if not check_lower_regular(g, x, y, eps, d, p, mode="sampled", budget=budget, seed=seed).ok:
         return False
+    if _lower_bound_vacuous(d, eps):
+        return True
     for side, other in ((x, y), (y, x)):
         so = len(other)
         for v in side:
@@ -261,6 +307,34 @@ def check_super_regular(
             if g.degree_into(v, other.mask) < need - 1e-12:
                 return False
     return True
+
+
+def _prefix_inheritance_ok(g: Graph, xmask: int, ymask: int, eps: float, d: float, p: float) -> bool:
+    """Cheap one-pair screen: degree-sorted prefix cuts only; empty side fails."""
+    sx, sy = xmask.bit_count(), ymask.bit_count()
+    if sx == 0 or sy == 0:
+        return False
+    if _lower_bound_vacuous(d, eps):
+        return True
+    bound = d - eps
+    thr = _threshold(eps, sx)
+    run = 0
+    for size, deg in enumerate(sorted((g.adj[v] & ymask).bit_count() for v in iter_bits(xmask)), 1):
+        run += deg
+        if size >= thr and run / (p * size * sy) < bound - 1e-12:
+            return False
+    return True
+
+
+def _inheritance_ok(
+    g: Graph, nbrs: int, amask: int, bmask: int, eps: float, d: float, p: float, two_sided: bool
+) -> bool:
+    """Inheritance screen of a vertex with host neighbourhood N(v) = `nbrs` on (A, B): the
+    prefix screen on (N(v) & A, B) and, with two_sided, on (N(v) & A, N(v) & B)."""
+    nx = nbrs & amask
+    return _prefix_inheritance_ok(g, nx, bmask, eps, d, p) and (
+        not two_sided or _prefix_inheritance_ok(g, nx, nbrs & bmask, eps, d, p)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -321,20 +395,10 @@ def energy_partition(
     s = len(initial)
     if s == 0:
         raise ValueError("need at least one initial part")
-    for i in range(s):
-        for j in range(i + 1, s):
-            if initial[i].mask & initial[j].mask:
-                raise ValueError("initial parts must be disjoint")
+    if sum(len(v) for v in initial) != reduce(or_, (v.mask for v in initial)).bit_count():
+        raise ValueError("initial parts must be disjoint")
     L = 100.0 * s * s / eps
     origin_sizes = [len(v) for v in initial]
-    # density preconditions: warn (not fail) on violation
-    warnings: list[str] = []
-    for i, vi in enumerate(initial):
-        if len(vi) >= 2 and g.edges_inside(vi.mask) > 3 * p * len(vi) ** 2:
-            warnings.append(f"e(V_{i}) > 3p|V_{i}|^2")
-        for j in range(i + 1, s):
-            if g.edges_between(vi.mask, initial[j].mask) > 2 * p * len(vi) * len(initial[j]):
-                warnings.append(f"e(V_{i},V_{j}) > 2p|V_{i}||V_{j}|")
 
     # parts as (origin index, mask); a single initial part gets a mandatory
     # first split so that pair checks have something to look at
@@ -377,8 +441,7 @@ def energy_partition(
                 if not verdict.ok:
                     irregular += 1
                     wx, wy = verdict.witness
-                    witnesses.append((a, wx.mask))
-                    witnesses.append((b, wy.mask))
+                    witnesses += [(a, wx.mask), (b, wy.mask)]
         irregular_counts.append(irregular)
         if n_pairs == 0 or irregular <= (eps / 2.0) * n_pairs:
             triggered.append(False)
@@ -388,14 +451,7 @@ def energy_partition(
         # Venn refinement by witness sets, per part
         atoms_by_part: list[list[int]] = [[m] for _, m in nontrivial]
         for idx, wmask in witnesses:
-            new_atoms = []
-            for a_mask in atoms_by_part[idx]:
-                inside, outside = a_mask & wmask, a_mask & ~wmask
-                if inside:
-                    new_atoms.append(inside)
-                if outside:
-                    new_atoms.append(outside)
-            atoms_by_part[idx] = new_atoms
+            atoms_by_part[idx] = [m for atom in atoms_by_part[idx] for m in (atom & wmask, atom & ~wmask) if m]
         atoms_by_origin: list[list[int]] = [[] for _ in range(s)]
         for (o, _), atoms in zip(nontrivial, atoms_by_part):
             atoms_by_origin[o].extend(atoms)
@@ -412,33 +468,17 @@ def energy_partition(
                     parts.append((o, mask_of(vs[t : t + c])))
         energy_history.append(_energy(parts, origin_sizes, g, p, L))
 
-    # Output: per origin, keep the most common chunk size; leftovers to residue.
-    refinement: list[list[VertexSet]] = [[] for _ in range(s)]
-    residues: list[VertexSet] = []
-    by_origin: list[list[int]] = [[] for _ in range(s)]
-    for o, m in parts:
-        if m:
-            by_origin[o].append(m)
-    counts = []
+    # Output: per origin, the chunks within one vertex of its largest, cut to
+    # the same count for every origin; leftovers go to the residue.
     kept_by_origin: list[list[int]] = []
     for o in range(s):
-        masks = sorted(by_origin[o], key=lambda m: (-m.bit_count(), m))
-        if not masks:
-            kept_by_origin.append([])
-            counts.append(0)
-            continue
-        top = masks[0].bit_count()
-        kept = [m for m in masks if m.bit_count() >= top - 1]
-        kept_by_origin.append(kept)
-        counts.append(len(kept))
-    t_keep = min((c for c in counts if c > 0), default=0)
-    for o in range(s):
-        kept = kept_by_origin[o][:t_keep]
-        refinement[o] = [VertexSet(g.n, m) for m in kept]
-        kept_mask = 0
-        for m in kept:
-            kept_mask |= m
-        residues.append(VertexSet(g.n, initial[o].mask & ~kept_mask))
+        masks = sorted((m for o_, m in parts if o_ == o and m), key=lambda m: (-m.bit_count(), m))
+        kept_by_origin.append([m for m in masks if m.bit_count() >= masks[0].bit_count() - 1])
+    t_keep = min((len(kept) for kept in kept_by_origin if kept), default=0)
+    refinement = [[VertexSet(g.n, m) for m in kept[:t_keep]] for kept in kept_by_origin]
+    residues = [
+        VertexSet(g.n, v.mask & ~reduce(or_, kept[:t_keep], 0)) for v, kept in zip(initial, kept_by_origin)
+    ]
     return EnergyPartitionResult(
         residues=residues,
         refinement=refinement,

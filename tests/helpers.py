@@ -8,10 +8,10 @@ from spanembed.harness import make_guest
 from spanembed.reduced_graph import BackboneIndex, ReducedGraph, prepare_host
 
 
-def deleted_to_floor(host, gamma, k, p, seed):
+def deleted_to_floor(host, gamma, k, p, seed, stream=42):
     """Random adversary pushed all the way to the degree floor."""
     floor = ((k - 1) / k + gamma) * p * host.n
-    rng = rng_for(seed, stream=42)
+    rng = rng_for(seed, stream=stream)
     deg = [host.degree(v) for v in range(host.n)]
     edges = list(host.edges())
     drop = []

@@ -8,11 +8,10 @@ import math
 import time
 
 import numpy as np
-import pytest
 
-from helpers import complete_reduced, deleted_to_floor, even_targets, pre_embed_instance
+from helpers import complete_reduced, even_targets, pre_embed_instance
 from spanembed.balancing import BalanceTargets, global_balance, local_balance
-from spanembed.graph_core import Graph, VertexSet, gnp, iter_bits, paley, rng_for
+from spanembed.graph_core import VertexSet, gnp, paley, rng_for
 from spanembed.guest_prep import assign_guest
 from spanembed.harness import ExperimentConfig, csv_row, make_guest, run_pipeline
 from spanembed.oracles import TailBoundQuery, bijumbled_check, bijumbled_feasible, tail_bound

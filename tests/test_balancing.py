@@ -7,11 +7,25 @@ from spanembed.balancing import (
     BalancingError,
     global_balance,
     local_balance,
-    probe_move_equidistribution,
     small_move_select,
 )
 from spanembed.graph_core import Graph, VertexSet, gnp, rng_for
 from spanembed.reduced_graph import BackboneIndex, ReducedGraph
+
+
+def probe_move_equidistribution(host, x, s, probes, max_tuple, cap, slack, seed=0):
+    """Post-hoc check that |N cap S| <= cap * |N cap X| + slack over sampled
+    host common neighbourhoods of up to max_tuple vertices."""
+    rng = rng_for(seed, stream=62)
+    for _ in range(probes):
+        size = int(rng.integers(1, max_tuple + 1))
+        vs = [int(v) for v in rng.choice(host.n, size=size, replace=False)]
+        nmask = host.common_neighbourhood(vs)
+        in_s = (nmask & s.mask).bit_count()
+        in_x = (nmask & x.mask).bit_count()
+        if in_s > cap * in_x + slack:
+            return False
+    return True
 
 
 def complete_reduced(r, k):

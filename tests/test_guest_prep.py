@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from spanembed.graph_core import Graph, Labelling, VertexSet, bandwidth_of_labelling
+from spanembed.graph_core import Graph, Labelling, bandwidth_of_labelling
 from spanembed.guest_prep import (
     Colouring,
     GuestPrepError,

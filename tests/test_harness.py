@@ -1,8 +1,6 @@
 import re
 import subprocess
 import sys
-from dataclasses import replace
-from pathlib import Path
 
 import pytest
 

@@ -1,12 +1,14 @@
-"""Source hygiene: every top-level import of a spanembed module is used or re-exported."""
+"""Source hygiene: every top-level import of a spanembed module or a test file is used or re-exported."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "spanembed"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "spanembed"
 MODULES = sorted(SRC.glob("*.py"))
+TEST_FILES = sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -45,4 +47,9 @@ def test_scanner_flags_only_unused_names():
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", TEST_FILES, ids=[p.name for p in TEST_FILES])
+def test_no_unused_imports_in_tests(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -1,8 +1,5 @@
-import pytest
-
 from spanembed.graph_core import VertexSet, gnp, iter_bits
 from spanembed.pre_embedding import (
-    PreEmbedError,
     pre_embed,
     reserve_set,
     restriction_image,

@@ -2,11 +2,10 @@ import itertools
 
 import pytest
 
-from spanembed.graph_core import Graph, VertexSet, gnp, rng_for
+from spanembed.graph_core import Graph, gnp, rng_for
 from spanembed.reduced_graph import (
     BackboneIndex,
     HostPrepError,
-    ReducedGraph,
     backbone_edges,
     find_backbone,
     prepare_host,

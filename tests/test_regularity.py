@@ -3,9 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from spanembed.graph_core import Graph, VertexSet, gnp, rng_for
+from helpers import deleted_to_floor
+from spanembed.graph_core import Graph, VertexSet, gnp, iter_bits, mask_of, rng_for
 from spanembed.regularity import (
+    PairVerdict,
     RegularityError,
+    _inheritance_ok,
+    _prefix_inheritance_ok,
     check_lower_regular,
     check_super_regular,
     check_two_sided_regular,
@@ -182,18 +186,7 @@ class TestMinDegreePartition:
 
     def test_seeded_gnp_with_deletions(self):
         host = gnp(1000, 0.4, 5)
-        floor = 0.7 * 0.4 * 1000
-        rng = rng_for(5, stream=77)
-        deg = [host.degree(v) for v in range(1000)]
-        edges = list(host.edges())
-        drop = []
-        for i in rng.permutation(len(edges)):
-            u, v = edges[int(i)]
-            if deg[u] - 1 >= floor and deg[v] - 1 >= floor:
-                deg[u] -= 1
-                deg[v] -= 1
-                drop.append((u, v))
-        g = host.without_edges(drop)
+        g = deleted_to_floor(host, 0.2, 2, 0.4, 5, stream=77)
         part = min_degree_regular_partition(g, 0.2, 0.1, 0.4, 4, seed=5)
         r = len(part.clusters)
         assert part.reduced_min_degree >= (part.alpha - 0.1 - 0.2) * r
@@ -216,3 +209,154 @@ class TestTwoSidedRegular:
         y = VertexSet.from_iter(n, range(30, 60))
         v = check_two_sided_regular(g, x, y, 0.2, 0.5, seed=1)
         assert not v.ok and v.witness is not None
+
+
+# Reference scan: one bitmask per candidate subpair, scored with
+# Graph.edges_between.  The block engine must reproduce its draws, verdicts
+# and witnesses exactly.
+
+
+def scan_subpairs(g, x, y, eps, budget, seed, joint_cuts=True):
+    xs, ys = x.to_list(), y.to_list()
+    mx_thr = max(1, math.ceil(eps * len(xs) - 1e-12))
+    my_thr = max(1, math.ceil(eps * len(ys) - 1e-12))
+    deg_x = sorted(xs, key=lambda v: ((g.adj[v] & y.mask).bit_count(), v))
+    deg_y = sorted(ys, key=lambda v: ((g.adj[v] & x.mask).bit_count(), v))
+    cuts = sorted({mx_thr, (mx_thr + len(xs)) // 2, len(xs) // 2, len(xs)} - {0})
+    for c in cuts:
+        if c >= mx_thr:
+            yield mask_of(deg_x[:c]), y.mask
+            yield mask_of(deg_x[-c:]), y.mask
+    cuts = sorted({my_thr, (my_thr + len(ys)) // 2, len(ys) // 2, len(ys)} - {0})
+    for c in cuts:
+        if c >= my_thr:
+            yield x.mask, mask_of(deg_y[:c])
+            yield x.mask, mask_of(deg_y[-c:])
+    if joint_cuts:
+        yield mask_of(deg_x[:mx_thr]), mask_of(deg_y[:my_thr])
+        yield mask_of(deg_x[-mx_thr:]), mask_of(deg_y[-my_thr:])
+    rng = rng_for(seed, stream=21)
+    for _ in range(budget):
+        xa = rng.choice(len(xs), size=mx_thr, replace=False)
+        ya = rng.choice(len(ys), size=my_thr, replace=False)
+        yield mask_of(xs[int(i)] for i in xa), mask_of(ys[int(j)] for j in ya)
+
+
+def scan_verdict(g, x, y, eps, p, budget, seed, bad, ok_kind, joint_cuts=True):
+    full = g.edges_between(x.mask, y.mask) / (p * len(x) * len(y))
+    for xmask, ymask in scan_subpairs(g, x, y, eps, budget, seed, joint_cuts):
+        dens = g.edges_between(xmask, ymask) / (p * xmask.bit_count() * ymask.bit_count())
+        if bad(dens, full, xmask.bit_count(), ymask.bit_count()):
+            return PairVerdict("irregular", full, (VertexSet(g.n, xmask), VertexSet(g.n, ymask)), False)
+    return PairVerdict(ok_kind, full, None, False)
+
+
+def scan_lower(g, x, y, eps, d, p, budget, seed):
+    return scan_verdict(
+        g, x, y, eps, p, budget, seed, lambda dens, full, sx, sy: dens < d - eps - 1e-12, "lower_regular"
+    )
+
+
+def scan_two_sided(g, x, y, eps, p, budget, seed, noise_sigmas):
+    def bad(dens, full, sx, sy):
+        q = min(1.0, max(full * p, p))
+        stderr = math.sqrt(max(q * (1.0 - q), 1e-12) / (p * p * sx * sy))
+        return abs(dens - full) > eps + noise_sigmas * stderr + 1e-12
+
+    return scan_verdict(g, x, y, eps, p, budget, seed, bad, "regular", joint_cuts=False)
+
+
+def scan_super(g, host, x, y, eps, d, p, budget, seed):
+    if not scan_lower(g, x, y, eps, d, p, budget, seed).ok:
+        return False
+    for side, other in ((x, y), (y, x)):
+        for v in side:
+            need = (d - eps) * max(p * len(other), host.degree_into(v, other.mask) / 2.0)
+            if g.degree_into(v, other.mask) < need - 1e-12:
+                return False
+    return True
+
+
+SCAN_SIDES = [(15, 15), (15, 32), (41, 23), (120, 97), (450, 310)]
+
+
+def scan_case(sx, sy, seed):
+    """Seeded pair of a gnp graph with interleaved vertex ids and a thinned corner."""
+    n = sx + sy + 7
+    q = (0.3, 0.5, 0.7)[seed % 3]
+    host = gnp(n, q, seed)
+    perm = [int(v) for v in rng_for(seed, stream=5).permutation(n)]
+    x, y = VertexSet.from_iter(n, perm[:sx]), VertexSet.from_iter(n, perm[sx : sx + sy])
+    corner = [(u, v) for u in perm[: sx // 3] for v in perm[sx : sx + sy // 3] if host.has_edge(u, v)]
+    g = host.without_edges(corner[: len(corner) * (seed % 4) // 4])
+    return g, host, x, y, q
+
+
+class TestEngineMatchesScan:
+    """The block engine gives the old scan's verdicts and witnesses above the exact fallback."""
+
+    @pytest.mark.parametrize("sides", SCAN_SIDES, ids=[f"{a}x{b}" for a, b in SCAN_SIDES])
+    def test_sampled_checks_match_scan(self, sides):
+        kinds = []
+        for case, (eps, budget) in enumerate((e, b) for e in (0.1, 0.25, 0.4) for b in (0, 5, 64)):
+            seed = 10 * sides[0] + case
+            g, host, x, y, p = scan_case(*sides, seed)
+            for d in (eps + 0.05, eps + 0.45, eps + 0.9):
+                got = check_lower_regular(g, x, y, eps, d, p, budget=budget, seed=seed)
+                assert got == scan_lower(g, x, y, eps, d, p, budget, seed)
+                kinds.append(got.kind)
+                assert check_super_regular(g, host, x, y, eps, d, p, budget=budget, seed=seed) == scan_super(
+                    g, host, x, y, eps, d, p, budget, seed
+                )
+            for sigmas in (0.0, 1.0, 3.0):
+                got = check_two_sided_regular(g, x, y, eps, p, budget=budget, seed=seed, noise_sigmas=sigmas)
+                assert got == scan_two_sided(g, x, y, eps, p, budget, seed, sigmas)
+                kinds.append(got.kind)
+        assert kinds.count("irregular") >= len(kinds) / 4
+        assert kinds.count("irregular") < len(kinds)
+
+    def test_vacuous_lower_bound_certifies_without_probing(self):
+        # with d <= eps no nonnegative density breaks the bound; the old scan
+        # agrees, and an edgeless pair is certified as well
+        g, host, x, y, p = scan_case(41, 23, 3)
+        for eps, d in ((0.25, 0.1), (0.3, 0.3)):
+            got = check_lower_regular(g, x, y, eps, d, p, budget=64, seed=3)
+            assert got == scan_lower(g, x, y, eps, d, p, 64, 3)
+            assert got == PairVerdict("lower_regular", got.d_observed, None, exact=False)
+            assert check_super_regular(g, host, x, y, eps, d, p, budget=64, seed=3)
+        empty = Graph.empty(g.n)
+        assert check_lower_regular(empty, x, y, 0.25, 0.1, p).kind == "lower_regular"
+        assert check_super_regular(empty, host, x, y, 0.25, 0.1, p)
+        assert _prefix_inheritance_ok(empty, x.mask, y.mask, 0.25, 0.1, p)
+        assert not _prefix_inheritance_ok(empty, 0, y.mask, 0.25, 0.1, p)
+
+
+def reference_inheritance(g, nbrs, amask, bmask, eps, d, p, two_sided):
+    """The Z1 inheritance screen written out: prefix cuts of N(v) & A, sorted by degree."""
+
+    def screen(xmask, ymask):
+        sx, sy = xmask.bit_count(), ymask.bit_count()
+        if sx == 0 or sy == 0:
+            return False
+        if d - eps <= 0:
+            return True
+        degs = sorted((g.adj[v] & ymask).bit_count() for v in iter_bits(xmask))
+        thr = max(1, math.ceil(eps * sx - 1e-12))
+        return all(sum(degs[:i]) / (p * i * sy) >= d - eps - 1e-12 for i in range(thr, sx + 1))
+
+    nx = nbrs & amask
+    return screen(nx, bmask) and (not two_sided or screen(nx, nbrs & bmask))
+
+
+def test_inheritance_screen_matches_reference():
+    g, host, x, y, p = scan_case(41, 23, 6)
+    sparse = gnp(g.n, 0.03, 6)  # host neighbourhoods of a few vertices, some empty
+    verdicts = []
+    for h in (host, sparse):
+        for v in range(g.n):
+            for eps, d in ((0.2, 0.9), (0.3, 0.6), (0.25, 0.1)):
+                for two_sided in (False, True):
+                    got = _inheritance_ok(g, h.adj[v], x.mask, y.mask, eps, d, p, two_sided)
+                    assert got == reference_inheritance(g, h.adj[v], x.mask, y.mask, eps, d, p, two_sided)
+                    verdicts.append(got)
+    assert 0.1 * len(verdicts) < sum(verdicts) < 0.9 * len(verdicts)
