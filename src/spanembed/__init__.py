@@ -14,7 +14,6 @@ from .graph_core import (
     bandwidth_of_labelling,
     degeneracy_order,
     gnp,
-    p_density,
     paley,
 )
 
@@ -25,6 +24,5 @@ __all__ = [
     "bandwidth_of_labelling",
     "degeneracy_order",
     "gnp",
-    "p_density",
     "paley",
 ]

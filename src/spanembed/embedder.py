@@ -151,11 +151,13 @@ def embed(
         trace: list[str] = []
         failed = False
 
-        def constrained_mask(y: int, extra_used: int) -> int:
-            m = base_mask[y] & ~used & ~extra_used
-            for w in iter_bits(guest.adj[y]):
-                if w in phi:
-                    m &= g.adj[phi[w]]
+        def common(x: int, skip: int = -1) -> int:
+            """Base mask of x cut down to the G-neighbourhoods of the images of
+            its embedded guest neighbours, all but `skip`."""
+            m = base_mask[x]
+            for y in iter_bits(guest.adj[x]):
+                if y != skip and y in phi:
+                    m &= g.adj[phi[y]]
             return m
 
         def try_swap(x: int, need: int) -> bool:
@@ -165,7 +167,7 @@ def embed(
                 y = img_owner.get(w)
                 if y is None or y in initial_phi:
                     continue
-                alt = constrained_mask(y, extra_used=0) & ~(1 << w) & ~blacklist.get(y, 0)
+                alt = common(y) & ~used & ~(1 << w) & ~blacklist.get(y, 0)
                 if alt == 0:
                     continue
                 w2 = next(iter_bits(alt))
@@ -179,17 +181,11 @@ def embed(
 
         while idx < len(main_order):
             x = main_order[idx]
-            cand = base_mask[x] & ~used & ~blacklist.get(x, 0)
-            for y in iter_bits(guest.adj[x]):
-                if y in phi:
-                    cand &= g.adj[phi[y]]
+            need = common(x) & ~blacklist.get(x, 0)
+            cand = need & ~used
             if cand == 0:
                 # local repair first: relocate a same-cell occupant of a host
                 # that would serve x, then fall back to backjumping
-                need = base_mask[x] & ~blacklist.get(x, 0)
-                for y in iter_bits(guest.adj[x]):
-                    if y in phi:
-                        need &= g.adj[phi[y]]
                 if need and try_swap(x, need):
                     continue
                 jumps += 1
@@ -263,13 +259,6 @@ def embed(
             (c, v) for c, bset in sorted(buffers.buffers.items()) for v in bset if v not in phi
         ]
 
-        def cand_of(x: int) -> int:
-            m = base_mask[x]
-            for y in iter_bits(guest.adj[x]):
-                if y in phi and y != x:
-                    m &= g.adj[phi[y]]
-            return m
-
         def assign(cell, x: int, h: int):
             # write-through: phi and used always reflect the working matching
             nonlocal used
@@ -289,7 +278,7 @@ def embed(
             frame can still come up again in a shallower one.
             """
             own = owners[cell]
-            path = [[x, iter_bits(cand_of(x) & ~seen), -1]]  # [guest, hosts left, host tried]
+            path = [[x, iter_bits(common(x) & ~seen), -1]]  # [guest, hosts left, host tried]
             while path:
                 frame = path[-1]
                 y, hosts, _ = frame
@@ -306,7 +295,7 @@ def embed(
                         return True
                     if cur != y:
                         frame[2] = h
-                        path.append([cur, iter_bits(cand_of(cur) & ~seen), -1])
+                        path.append([cur, iter_bits(common(cur) & ~seen), -1])
                         break
                 else:
                     path.pop()
@@ -324,12 +313,9 @@ def embed(
                 ycell = f_star[y]
                 if ycell not in owners:
                     continue
-                others = base_mask[x]
-                for z in iter_bits(guest.adj[x]):
-                    if z in phi and z != y:
-                        others &= g.adj[phi[z]]
+                others = common(x, skip=y)
                 old = phi[y]
-                for w2 in iter_bits(cand_of(y) & ~(1 << old)):
+                for w2 in iter_bits(common(y) & ~(1 << old)):
                     if not (g.adj[w2] & others):
                         continue
                     cur = owners[ycell].get(w2)

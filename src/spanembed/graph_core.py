@@ -1,4 +1,4 @@
-"""Bitset graph kernel: representation, seeded generators, density and order utilities.
+"""Bitset graph kernel: representation, seeded generators and order utilities.
 
 Graphs are immutable, undirected, loop-free, with adjacency stored as one
 Python int bitmask per vertex; bulk edge work converts to and from an n x n
@@ -22,7 +22,6 @@ __all__ = [
     "mask_of",
     "gnp",
     "paley",
-    "p_density",
     "bandwidth_of_labelling",
     "degeneracy_order",
     "write_graph_file",
@@ -310,20 +309,6 @@ def paley(q: int) -> Graph:
         for r in residues:
             adj[u] |= 1 << ((u + r) % q)
     return Graph(q, tuple(adj))
-
-
-def p_density(g: Graph, x: VertexSet, y: VertexSet, p: float) -> float:
-    """Edge density of the pair (X, Y) normalised by the ambient density p.
-
-    May exceed 1; only defined for disjoint nonempty sides and p > 0.
-    """
-    if p <= 0.0:
-        raise ValueError("p must be positive")
-    if len(x) == 0 or len(y) == 0:
-        raise ValueError("sides must be nonempty")
-    if x.mask & y.mask:
-        raise ValueError("sides must be disjoint")
-    return g.edges_between(x.mask, y.mask) / (p * len(x) * len(y))
 
 
 def bandwidth_of_labelling(g: Graph, l: Labelling) -> int:

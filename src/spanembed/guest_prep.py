@@ -29,6 +29,10 @@ __all__ = [
 ]
 
 
+SWITCH_STEPS = 200_000  # colour trials of one block's recolouring search
+ASSIGN_RETRIES = 200  # fresh switching permutations before the assignment gives up
+
+
 class GuestPrepError(StageError):
     """Guest assignment failed; `stage` names the first broken property."""
 
@@ -178,9 +182,7 @@ def switch_colours(
     l: Labelling,
     block_t: int,
     pi: dict[int, int],
-    beta: float | None = None,
-    blocklen: int | None = None,
-    budget: int = 200_000,
+    blocklen: int,
 ) -> Colouring:
     """Proper recolouring equal to `col` before block t and pi o col (fixing 0) after.
 
@@ -190,10 +192,6 @@ def switch_colours(
     """
     n = len(l)
     k = col.k
-    if blocklen is None:
-        if beta is None:
-            raise ValueError("need beta or blocklen")
-        blocklen, _ = _blocks(n, k, beta)
     lo, hi = block_t * blocklen, min((block_t + 1) * blocklen, n)
     if any(col.sigma[l.order[p]] == 0 for p in range(lo, hi)):
         raise SwitchError(f"block {block_t} is not zero-free")
@@ -233,7 +231,7 @@ def switch_colours(
                 forbidden.add(new[w])
         for c in prefs[idx]:
             steps += 1
-            if steps > budget:
+            if steps > SWITCH_STEPS:
                 return False
             if c in forbidden:
                 continue
@@ -245,8 +243,7 @@ def switch_colours(
 
     if not solve(0):
         raise SwitchError(f"no proper switch found in block {block_t} within budget")
-    out = Colouring(tuple(new), k)
-    return out
+    return Colouring(tuple(new), k)
 
 
 @dataclass
@@ -337,7 +334,6 @@ def assign_guest(
     xi: float,
     beta: float,
     seed: int = 0,
-    max_retries: int = 200,
 ) -> GuestAssignment:
     """Map guest vertices to reduced-graph cells respecting colours and sections.
 
@@ -379,7 +375,7 @@ def assign_guest(
 
     rng = rng_for(seed, stream=51)
     last_fail = ["unknown"]
-    for attempt in range(max_retries):
+    for _attempt in range(ASSIGN_RETRIES):
         sigma_prime = col
         applied = True
         # switch colours at interval starts (intervals 2..s_i-1 of each section)

@@ -28,6 +28,19 @@ __all__ = [
 ]
 
 
+# Reserve certification: common-neighbourhood probes per draw, their slack and
+# the seeded redraws.  Sample budgets of the pair checks while choosing a tuple
+# and while validating the restriction pair.  A vertex of V0 stops the
+# pre-embedding when fewer than STUCK_GUARD * mu * p * n free reserve vertices
+# remain in its neighbourhood.
+RESERVE_PROBES = 100
+RESERVE_SLACK = 3.0
+RESERVE_RETRIES = 5
+TUPLE_PAIR_BUDGET = 24
+RESTRICTION_PAIR_BUDGET = 64
+STUCK_GUARD = 0.25
+
+
 class PreEmbedError(StageError):
     """Pre-embedding failed; `stage` identifies the loop step or L-condition."""
 
@@ -57,10 +70,7 @@ def restriction_image(
     g: Graph, clusters: dict[tuple[int, int], VertexSet], cell: tuple[int, int], js
 ) -> int:
     """Mask of the allowed images: cluster cap common G-neighbourhood of J."""
-    m = clusters[cell].mask
-    for u in js:
-        m &= g.adj[u]
-    return m
+    return g.common_neighbourhood(js, within=clusters[cell].mask)
 
 
 @dataclass
@@ -86,9 +96,6 @@ def reserve_set(
     seed: int = 0,
     delta_max: int = 2,
     eps: float = 0.2,
-    probes: int = 100,
-    slack: float = 3.0,
-    retries: int = 5,
 ) -> VertexSet:
     """Seeded uniform reserve of floor(mu*n) vertices, probe-certified to meet
     host common neighbourhoods and clusters near-proportionally."""
@@ -101,17 +108,17 @@ def reserve_set(
     if size == 0:
         return VertexSet.empty(n)
     p_est = 2.0 * host.m / (n * (n - 1))
-    for attempt in range(retries):
+    for attempt in range(RESERVE_RETRIES):
         rng = rng_for(seed + attempt, stream=71)
         s = VertexSet.from_iter(n, (int(v) for v in rng.permutation(n)[:size]))
         ok = True
-        for _ in range(probes):
+        for _ in range(RESERVE_PROBES):
             ell = int(rng.integers(1, delta_max + 1))
             vs = [int(v) for v in rng.choice(n, size=ell, replace=False)]
             t_mask = host.common_neighbourhood(vs)
             t_size = t_mask.bit_count()
             hit = (t_mask & s.mask).bit_count()
-            allowed = slack * (eps * mu * t_size + eps * mu * (p_est**ell) * n) + 2.0
+            allowed = RESERVE_SLACK * (eps * mu * t_size + eps * mu * (p_est**ell) * n) + 2.0
             if abs(hit - mu * t_size) > allowed:
                 ok = False
                 break
@@ -122,7 +129,7 @@ def reserve_set(
                     break
         if ok:
             return s
-    raise PreEmbedError("reserve", f"probe certification failed after {retries} attempts")
+    raise PreEmbedError("reserve", f"probe certification failed after {RESERVE_RETRIES} attempts")
 
 
 def _independent_neighbourhood(h: Graph, x: int, forbid_c4: bool = False) -> bool:
@@ -145,25 +152,23 @@ def _anchor_candidates(
     r: int,
     forbid_c4: bool,
 ) -> list[int]:
-    """Guest vertices usable as anchors: independent neighbourhood and a
-    constant-row, zero-free assignment on their (r+2)-ball."""
-    out = []
+    """Guest vertices usable as anchors, in labelling order: independent
+    neighbourhood and a constant-row, zero-free assignment on their (r+2)-ball.
+
+    The ball of x avoids every vertex off x's row or of colour 0 exactly when
+    no such vertex lies within distance r+2 of x, so one BFS per row, from all
+    the vertices that row's anchors must not see, decides every x at once.
+    """
     f = assignment.f
     sig = assignment.sigma_prime.sigma
-    for pos in range(h.n):
-        x = l.order[pos]
-        if sig[x] == 0 or not _independent_neighbourhood(h, x, forbid_c4):
-            continue
-        row = f[x][0]
-        dist = h.bfs_distances([x], limit=r + 2)
-        ok = all(
-            f[z][0] == row and sig[z] != 0
-            for z in range(h.n)
-            if dist[z] >= 0
-        )
-        if ok:
-            out.append(x)
-    return out
+    reached = {
+        i: h.bfs_distances([z for z in range(h.n) if f[z][0] != i or sig[z] == 0], limit=r + 2)
+        for i in {cell[0] for cell in f}
+    }
+    return [
+        x for x in l.order
+        if reached[f[x][0]][x] == -1 and _independent_neighbourhood(h, x, forbid_c4)
+    ]
 
 
 def _choose_host_row(
@@ -215,13 +220,11 @@ def _greedy_tuple(
     w_pool: list[int],
     ell: int,
     row_clusters: dict[int, VertexSet],
-    eps0: float,
-    eps_pair: float,
+    eps: float,
     d: float,
     p: float,
     delta: int,
     seed: int,
-    budget: int = 24,
 ) -> list[int]:
     """Sequential greedy choice of ell host vertices keeping all subset conditions.
 
@@ -255,7 +258,7 @@ def _greedy_tuple(
             gm = {j: g_masks[lam][j] & g.adj[w] for j in row_clusters}
             gam = {j: ga_masks[lam][j] & host.adj[w] for j in row_clusters}
             gg = ga_global[lam] & host.adj[w]
-            if gg.bit_count() > (1 + eps0) ** sz * p**sz * n:
+            if gg.bit_count() > (1 + eps) ** sz * p**sz * n:
                 ok, reason = False, "common-size"
                 break
             for j, c in row_clusters.items():
@@ -263,7 +266,7 @@ def _greedy_tuple(
                 if gm[j].bit_count() < (d / 4.0) ** sz * exp:
                     ok, reason = False, "common-degree"
                     break
-                if not ((1 - eps0) ** sz * exp <= gam[j].bit_count() <= (1 + eps0) ** sz * exp):
+                if not ((1 - eps) ** sz * exp <= gam[j].bit_count() <= (1 + eps) ** sz * exp):
                     ok, reason = False, "common-size"
                     break
             if not ok:
@@ -292,8 +295,8 @@ def _greedy_tuple(
                                 break
                             verdict = check_lower_regular(
                                 g, VertexSet(n, xm), VertexSet(n, ym),
-                                eps_pair, d, p, mode="sampled",
-                                budget=budget, seed=seed + 13 * j1 + j2,
+                                eps, d, p, mode="sampled",
+                                budget=TUPLE_PAIR_BUDGET, seed=seed + 13 * j1 + j2,
                             )
                             if not verdict.ok:
                                 ok, reason = False, "pair-regularity"
@@ -342,9 +345,6 @@ def pre_embed(
     mu = params.get("mu", 0.05)
     delta = params.get("delta", 2)
     forbid_c4 = params.get("forbid_c4", False)
-    eps0 = params.get("eps0", eps)
-    eps_pair = params.get("eps_pair", eps)
-    guard = params.get("stuck_guard", 0.25)
 
     f_star = list(assignment.f)
     restr = RestrictionPair()
@@ -370,10 +370,10 @@ def pre_embed(
             v: ((g.adj[v] & reserve.mask) & ~im_mask).bit_count() for v in uncovered
         }
         v = min(uncovered, key=lambda u: (avail[u], u))
-        if avail[v] < guard * mu * p * n:
+        if avail[v] < STUCK_GUARD * mu * p * n:
             raise PreEmbedError(
                 "stuck-guard",
-                f"vertex {v} has {avail[v]} free reserve neighbours < {guard * mu * p * n:.1f}",
+                f"vertex {v} has {avail[v]} free reserve neighbours < {STUCK_GUARD * mu * p * n:.1f}",
             )
         dom = list(state.phi.keys())
         dist_from_dom = guest.bfs_distances(dom, limit=sep) if dom else None
@@ -410,7 +410,7 @@ def pre_embed(
         nbrs = sorted(iter_bits(guest.adj[x]))
         ws = _greedy_tuple(
             g, host, w_pool, len(nbrs), row_clusters_cache[i_t],
-            eps0, eps_pair, d, p, delta, seed=seed + 977 * state.t,
+            eps, d, p, delta, seed=seed + 977 * state.t,
         )
 
         state.phi[x] = v
@@ -477,7 +477,6 @@ def validate_restriction_pair(
     f_star: tuple[tuple[int, int], ...] | None = None,
     guest: Graph | None = None,
     skip: set[int] | None = None,
-    budget: int = 64,
     seed: int = 0,
 ) -> dict[str, dict]:
     """Per-condition report for the restriction pair against the given clusters.
@@ -508,9 +507,7 @@ def validate_restriction_pair(
             img = restriction_image(g, clusters, cell, js)
             if img.bit_count() < zeta * (d * p) ** len(js) * len(clusters[cell]):
                 img_bad.append(x)
-            hostmask = clusters[cell].mask
-            for u in js:
-                hostmask &= host.adj[u]
+            hostmask = host.common_neighbourhood(js, within=clusters[cell].mask)
             if img & ~hostmask:
                 img_bad.append(x)
             exp = len(clusters[cell])
@@ -539,18 +536,14 @@ def validate_restriction_pair(
             for y in iter_bits(guest.adj[x]):
                 if y in skip:
                     continue
-                xm = clusters[f_star[x]].mask
-                for u in restr.J[x]:
-                    xm &= host.adj[u]
-                ym = clusters[f_star[y]].mask
-                for u in restr.J.get(y, ()):
-                    ym &= host.adj[u]
+                xm = host.common_neighbourhood(restr.J[x], within=clusters[f_star[x]].mask)
+                ym = host.common_neighbourhood(restr.J.get(y, ()), within=clusters[f_star[y]].mask)
                 if xm == 0 or ym == 0 or (xm & ym):
                     pair_bad.append((x, y))
                     continue
                 verdict = check_lower_regular(
                     g, VertexSet(g.n, xm), VertexSet(g.n, ym), eps, d, p,
-                    mode="sampled", budget=budget, seed=seed + x + y,
+                    mode="sampled", budget=RESTRICTION_PAIR_BUDGET, seed=seed + x + y,
                 )
                 if not verdict.ok:
                     pair_bad.append((x, y))

@@ -35,13 +35,25 @@ __all__ = [
 ]
 
 
+# Host preparation settings: the sample budget of every pair check, the Z1
+# degree screen as a fraction of the certificate window eps, the Z2 screen as a
+# fraction of a cluster's expected degree, the certificate probes, the seeded
+# restarts of the whole preparation and the backbone search's step budget.
+PAIR_BUDGET = 64
+SCREEN_FRAC = 0.9
+Z2_FACTOR = 0.1
+CERT_SAMPLES = 200
+HOST_RETRIES = 3
+BACKBONE_STEPS = 10**6
+
+
 class HostPrepError(StageError):
     """Host preparation failed; `stage` names the failing step."""
 
 
 @dataclass(frozen=True)
 class BackboneIndex:
-    """Index space [r] x [k] with the backbone edge rule."""
+    """Index space [r] x [k] with the backbone edge rule; cell (i, j) is vertex i*k + j."""
 
     r: int
     k: int
@@ -49,43 +61,44 @@ class BackboneIndex:
     def cells(self) -> list[tuple[int, int]]:
         return [(i, j) for i in range(self.r) for j in range(self.k)]
 
+    def vertex(self, cell: tuple[int, int]) -> int:
+        return cell[0] * self.k + cell[1]
+
     def is_backbone_edge(self, a: tuple[int, int], b: tuple[int, int]) -> bool:
         return a[1] != b[1] and abs(a[0] - b[0]) <= 1
+
+    def graph(self) -> Graph:
+        """The backbone on the r*k cell vertices."""
+        pairs = itertools.combinations(self.cells(), 2)
+        return Graph.from_edges(
+            self.r * self.k,
+            ((self.vertex(a), self.vertex(b)) for a, b in pairs if self.is_backbone_edge(a, b)),
+        )
 
 
 def backbone_edges(r: int, k: int) -> set[frozenset]:
     idx = BackboneIndex(r, k)
     cells = idx.cells()
-    return {
-        frozenset((a, b))
-        for a, b in itertools.combinations(cells, 2)
-        if idx.is_backbone_edge(a, b)
-    }
+    return {frozenset((cells[a], cells[b])) for a, b in idx.graph().edges()}
 
 
 @dataclass
 class ReducedGraph:
-    """Reduced graph on [r] x [k] cells with a distinguished backbone copy.
+    """Reduced graph on the [r] x [k] cells with a distinguished backbone copy.
 
-    `edges` holds frozensets of cell pairs; `extension` maps each row i to a
-    cell z_i outside row i adjacent to every cell of row i.
+    `graph` has vertex i*k + j for cell (i, j); `extension` maps each row i to
+    a cell z_i outside row i adjacent to every cell of row i.
     """
 
     index: BackboneIndex
-    edges: set[frozenset]
+    graph: Graph
     extension: dict[int, tuple[int, int]] = field(default_factory=dict)
 
     def has_edge(self, a: tuple[int, int], b: tuple[int, int]) -> bool:
-        return a != b and frozenset((a, b)) in self.edges
-
-    def degree(self, a: tuple[int, int]) -> int:
-        return sum(1 for e in self.edges if a in e)
-
-    def min_degree(self) -> int:
-        return min(self.degree(c) for c in self.index.cells())
+        return self.graph.has_edge(self.index.vertex(a), self.index.vertex(b))
 
     def contains_backbone(self) -> bool:
-        return backbone_edges(self.index.r, self.index.k) <= self.edges
+        return all(not want & ~have for want, have in zip(self.index.graph().adj, self.graph.adj))
 
     def validate_extension(self) -> bool:
         for i in range(self.index.r):
@@ -98,118 +111,85 @@ class ReducedGraph:
 
 
 def find_backbone(
-    reduced_edges: set[frozenset],
-    vertices: list,
-    r: int,
-    k: int,
-    gamma: float,
-    seed: int = 0,
-    budget: int = 10**6,
-) -> tuple[dict[tuple[int, int], object], dict[int, object]]:
-    """Search for a spanning backbone copy inside an abstract reduced graph.
+    cluster_graph: Graph, r: int, k: int, seed: int
+) -> tuple[dict[tuple[int, int], int], dict[int, int]]:
+    """Search for a spanning backbone copy inside a cluster graph on r*k vertices.
 
-    `reduced_edges` are frozensets over `vertices` (any hashable ids, len r*k).
     Returns (embedding cell -> vertex, extension row -> vertex).  Backtracks
     row by row with candidate scoring and seeded restarts; raises
-    HostPrepError("backbone") with the deepest row reached when the step
-    budget runs out.
+    HostPrepError("backbone") with the deepest row reached when the search
+    fails or its step budget runs out.
     """
-    if len(vertices) != r * k:
+    m = cluster_graph.n
+    if m != r * k:
         raise ValueError("vertex count must equal r*k")
-    adj: dict[object, set] = {v: set() for v in vertices}
-    for e in reduced_edges:
-        a, b = tuple(e)
-        adj[a].add(b)
-        adj[b].add(a)
-
+    adj = cluster_graph.adj
+    deg = [a.bit_count() for a in adj]
     steps = 0
     best_depth = 0
     rng = rng_for(seed, stream=41)
 
-    def row_candidates(prev_row: list | None, used: set) -> list[tuple]:
-        """Ordered k-tuples forming a clique, fully joined to the previous row
-        except possibly at the same column."""
-        free = [v for v in vertices if v not in used]
+    def row_candidates(prev_row: tuple | None, used: int) -> list[tuple]:
+        """Ordered k-tuples of unused vertices forming a clique, fully joined to
+        the previous row except possibly at the same column, in ascending order."""
+        free = ((1 << m) - 1) & ~used
+        if prev_row is None:
+            joined = [free] * k
+        else:
+            joined = [
+                cluster_graph.common_neighbourhood(prev_row[:j] + prev_row[j + 1 :], within=free) for j in range(k)
+            ]
         results = []
 
-        def extend(tup: list):
+        def extend(tup: list, common: int):
             if len(tup) == k:
                 results.append(tuple(tup))
                 return
-            j = len(tup)
-            for v in free:
-                if v in tup:
-                    continue
-                if any(v not in adj[u] for u in tup):
-                    continue
-                if prev_row is not None:
-                    ok = all(v in adj[prev_row[jj]] for jj in range(k) if jj != j)
-                    if not ok:
-                        continue
+            for v in iter_bits(common & joined[len(tup)]):
                 tup.append(v)
-                extend(tup)
+                extend(tup, common & adj[v])
                 tup.pop()
 
-        extend([])
+        extend([], free)
+        results.sort(key=lambda t: sum(deg[v] for v in t) + noise[t[0]], reverse=True)
         return results
 
-    for restart in range(8):
-        order_noise = {v: float(x) for v, x in zip(vertices, rng.random(len(vertices)))}
+    for _restart in range(8):
+        noise = rng.random(m).tolist()
         rows: list[tuple] = []
-        used: set = set()
-        stack: list[list[tuple]] = []
-        cands = row_candidates(None, used)
-        cands.sort(key=lambda t: sum(len(adj[v]) for v in t) + order_noise[t[0]], reverse=True)
-        stack.append(cands)
+        used = 0
+        stack = [row_candidates(None, used)]
         while stack:
             steps += 1
-            if steps > budget:
+            if steps > BACKBONE_STEPS:
                 raise HostPrepError("backbone", f"budget exhausted at depth {best_depth}/{r}")
             if not stack[-1]:
                 stack.pop()
                 if rows:
-                    for v in rows.pop():
-                        used.discard(v)
+                    used &= ~mask_of(rows.pop())
                 continue
             tup = stack[-1].pop()
             rows.append(tup)
-            used.update(tup)
+            used |= mask_of(tup)
             best_depth = max(best_depth, len(rows))
-            if len(rows) == r:
-                embedding = {(i, j): rows[i][j] for i in range(r) for j in range(k)}
-                extension: dict[int, object] = {}
-                for i in range(r):
-                    z = next(
-                        (v for v in vertices if v not in rows[i] and all(v in adj[u] for u in rows[i])),
-                        None,
-                    )
-                    if z is None:
-                        break
-                    extension[i] = z
-                if len(extension) == r:
-                    return embedding, extension
-                for v in rows.pop():
-                    used.discard(v)
+            if len(rows) < r:
+                stack.append(row_candidates(rows[-1], used))
                 continue
-            nxt = row_candidates(rows[-1], used)
-            nxt.sort(key=lambda t: sum(len(adj[v]) for v in t) + order_noise[t[0]], reverse=True)
-            stack.append(nxt)
+            # the extension z_i of row i: its least common neighbour
+            ext = [cluster_graph.common_neighbourhood(row) for row in rows]
+            if all(ext):
+                embedding = {(i, j): rows[i][j] for i in range(r) for j in range(k)}
+                return embedding, {i: (z & -z).bit_length() - 1 for i, z in enumerate(ext)}
+            used &= ~mask_of(rows.pop())
     raise HostPrepError("backbone", f"no spanning backbone found (deepest row {best_depth}/{r})")
 
 
-def validate_k_equitable(clusters) -> bool:
-    """True iff within every row the cluster sizes differ by at most 1.
-
-    Accepts either a dict (i, j) -> sized collection or a list of rows.
-    """
+def validate_k_equitable(clusters: dict[tuple[int, int], object]) -> bool:
+    """True iff within every row the cluster sizes differ by at most 1."""
     rows: dict[int, list[int]] = {}
-    if isinstance(clusters, dict):
-        for (i, _j), c in clusters.items():
-            rows.setdefault(i, []).append(len(c))
-    else:
-        for i, row in enumerate(clusters):
-            rows[i] = [len(c) for c in row]
-    return all(max(sizes) - min(sizes) <= 1 for sizes in rows.values() if sizes)
+    for (i, _j), c in clusters.items():
+        rows.setdefault(i, []).append(len(c))
+    return all(max(sizes) - min(sizes) <= 1 for sizes in rows.values())
 
 
 @dataclass
@@ -263,13 +243,6 @@ def prepare_host(
     d: float,
     r0: int,
     seed: int,
-    eps_star: float | None = None,
-    z2_factor: float = 0.1,
-    screen_frac: float = 0.9,
-    two_sided_screen: bool = True,
-    budget: int = 64,
-    cert_samples: int = 200,
-    retries: int = 3,
 ) -> HostStructure:
     """Partition the host into V0 plus k-equitable clusters indexed by a backbone copy.
 
@@ -280,20 +253,14 @@ def prepare_host(
     rows; screen vertices seeing too much of the moved sets (Z2); certify the
     size window, regularity, inheritance, and degree window on samples.
     """
-    n = g.n
-    if eps_star is None:
-        eps_star = eps / 10.0
-    floor = ((k - 1) / k + gamma) * p * n
+    floor = ((k - 1) / k + gamma) * p * g.n
     if g.min_degree() < floor - 1e-9:
         raise HostPrepError("precondition", f"min degree {g.min_degree()} < {floor:.1f}")
 
     last_err: Exception | None = None
-    for attempt in range(retries):
+    for attempt in range(HOST_RETRIES):
         try:
-            return _prepare_host_once(
-                g, host, p, gamma, k, eps, d, r0, seed + 1009 * attempt,
-                eps_star, z2_factor, screen_frac, two_sided_screen, budget, cert_samples,
-            )
+            return _prepare_host_once(g, host, p, gamma, k, eps, d, r0, seed + 1009 * attempt)
         except HostPrepError as exc:
             last_err = exc
         except RegularityError as exc:
@@ -301,73 +268,59 @@ def prepare_host(
     raise last_err
 
 
-def _prepare_host_once(
-    g, host, p, gamma, k, eps, d, r0, seed,
-    eps_star, z2_factor, screen_frac, two_sided_screen, budget, cert_samples,
-) -> HostStructure:
+def _prepare_host_once(g, host, p, gamma, k, eps, d, r0, seed) -> HostStructure:
     n = g.n
     # the partition itself runs at the working eps; eps_star only scales the
     # vertex screens (an eps/10-scale partition check is pure noise at n ~ 10^3)
+    eps_star = eps / 10.0
     part = min_degree_regular_partition(
-        g, eps, d, p, max(r0, 2 * k), seed=seed, budget=budget
+        g, eps, d, p, max(r0, 2 * k), seed=seed, budget=PAIR_BUDGET
     )
     clusters = list(part.clusters)
     v0_mask = part.exceptional.mask
 
     drop = len(clusters) % k
-    if drop:
-        for c in clusters[:drop]:
-            v0_mask |= c.mask
-        clusters = clusters[drop:]
+    for c in clusters[:drop]:
+        v0_mask |= c.mask
+    clusters = clusters[drop:]
     r = len(clusters) // k
     if r < 2:
         raise HostPrepError("regular-partition", f"only {len(clusters)} clusters for k={k}")
 
-    # reduced adjacency among surviving clusters, from dense regular pairs
-    index_of = {}
-    offset = drop
-    reduced_pairs = set()
-    for a, b in part.dense_regular_pairs:
-        if a >= offset and b >= offset:
-            reduced_pairs.add(frozenset((a - offset, b - offset)))
-    degs = [0] * len(clusters)
-    for e in reduced_pairs:
-        a, b = tuple(e)
-        degs[a] += 1
-        degs[b] += 1
-    need = ((k - 1) / k + gamma / 2.0) * k * r
-    if min(degs) < need - 1e-9:
-        raise HostPrepError("reduced-degree", f"min reduced degree {min(degs)} < {need:.2f}")
-
-    embedding, extension = find_backbone(
-        reduced_pairs, list(range(len(clusters))), r, k, gamma, seed=seed
+    # the dense regular pairs among the surviving clusters
+    cluster_graph = Graph.from_edges(
+        len(clusters),
+        ((a - drop, b - drop) for a, b in part.dense_regular_pairs if a >= drop and b >= drop),
     )
-    u: dict[tuple[int, int], int] = {cell: clusters[cid].mask for cell, cid in embedding.items()}
-    cell_of_cluster = {cid: cell for cell, cid in embedding.items()}
-    red_edges = {
-        frozenset((cell_of_cluster[a], cell_of_cluster[b]))
-        for e in reduced_pairs
-        for a, b in [tuple(e)]
-    }
-    ext_cells = {i: cell_of_cluster[extension[i]] for i in range(r)}
+    need = ((k - 1) / k + gamma / 2.0) * k * r
+    if cluster_graph.min_degree() < need - 1e-9:
+        raise HostPrepError("reduced-degree", f"min reduced degree {cluster_graph.min_degree()} < {need:.2f}")
+
+    embedding, extension = find_backbone(cluster_graph, r, k, seed)
     idx = BackboneIndex(r, k)
-    reduced = ReducedGraph(index=idx, edges=red_edges, extension=ext_cells)
+    cells = idx.cells()
+    u: dict[tuple[int, int], int] = {cell: clusters[cid].mask for cell, cid in embedding.items()}
+    vertex_of = {cid: idx.vertex(cell) for cell, cid in embedding.items()}
+    reduced = ReducedGraph(
+        index=idx,
+        graph=Graph.from_edges(r * k, ((vertex_of[a], vertex_of[b]) for a, b in cluster_graph.edges())),
+        extension={i: cells[vertex_of[extension[i]]] for i in range(r)},
+    )
     if not reduced.contains_backbone():
         raise HostPrepError("backbone", "embedding misses a backbone edge")
+    red_edges = [(cells[a], cells[b]) for a, b in reduced.graph.edges()]
 
-    cells = idx.cells()
     # ---- Z1: degree-window and inheritance violators ---------------------
     # The degree screen runs at a fraction of the certificate window eps (an
     # asymptotically-tiny eps* would sweep in almost everything at desk-scale
     # cluster sizes); +1 absorbs self-membership.
-    # The inheritance screen reads N(v) & U_a against U_b (and N(v) & U_b when
-    # two-sided); with d <= eps/2 it fails only on an empty side, and clusters
-    # are nonempty, so then v need only see every cell the screen reads.
+    # The inheritance screen reads N(v) & U_a against U_b and N(v) & U_b; with
+    # d <= eps/2 it fails only on an empty side, and clusters are nonempty, so
+    # then v need only see every cell of a reduced edge.
     z1 = 0
     active = ((1 << n) - 1) & ~v0_mask
-    red_edge_list = [tuple(e) for e in red_edges]
     vacuous = _lower_bound_vacuous(d, eps / 2.0)
-    read_cells = {c for e in red_edge_list for c in (e if two_sided_screen else e[:1])}
+    read_cells = {c for e in red_edges for c in e}
     for v in iter_bits(active):
         bad = False
         if v0_mask and (host.adj[v] & v0_mask).bit_count() > max(2 * eps_star * p * n, 2.0 * p * v0_mask.bit_count() + 4):
@@ -376,15 +329,15 @@ def _prepare_host_once(
             for cell in cells:
                 dv = (host.adj[v] & u[cell]).bit_count()
                 exp = p * u[cell].bit_count()
-                if abs(dv - exp) > screen_frac * eps * exp + 1.0:
+                if abs(dv - exp) > SCREEN_FRAC * eps * exp + 1.0:
                     bad = True
                     break
         if not bad and vacuous:
             bad = any(not host.adj[v] & u[cell] for cell in read_cells)
         elif not bad:
             bad = not all(
-                _inheritance_ok(g, host.adj[v], u[a], u[b], eps / 2.0, d, p, two_sided_screen)
-                for a, b in red_edge_list
+                _inheritance_ok(g, host.adj[v], u[a], u[b], eps / 2.0, d, p)
+                for a, b in red_edges
             )
         if bad:
             z1 |= 1 << v
@@ -438,7 +391,7 @@ def _prepare_host_once(
     alive = ((1 << n) - 1) & ~z1
     for v in iter_bits(alive):
         for cell in cells:
-            if (host.adj[v] & sym[cell]).bit_count() >= z2_factor * p * u[cell].bit_count():
+            if (host.adj[v] & sym[cell]).bit_count() >= Z2_FACTOR * p * u[cell].bit_count():
                 z2 |= 1 << v
                 break
     final = {cell: vprime[cell] & ~z2 for cell in cells}
@@ -458,11 +411,10 @@ def _prepare_host_once(
 
     rng = rng_for(seed, stream=43)
     ok = True
-    for e in red_edges:
-        a, b = tuple(e)
+    for a, b in red_edges:
         verdict = check_lower_regular(
             g, cluster_sets[a], cluster_sets[b], eps, d, p,
-            mode="sampled", budget=budget, seed=seed + 3,
+            mode="sampled", budget=PAIR_BUDGET, seed=seed + 3,
         )
         if not verdict.ok:
             ok = False
@@ -473,22 +425,22 @@ def _prepare_host_once(
                 for j2 in range(j1 + 1, k):
                     if not check_super_regular(
                         g, host, cluster_sets[(i, j1)], cluster_sets[(i, j2)],
-                        eps, d, p, budget=budget, seed=seed + 5,
+                        eps, d, p, budget=PAIR_BUDGET, seed=seed + 5,
                     ):
                         ok = False
     certs["regular_on_reduced"] = ok
 
     probe_vertices = [int(v) for v in rng.permutation(n) if not ((v0_final >> int(v)) & 1)]
     inh_ok = True
-    for v in probe_vertices[: max(10, cert_samples // 10)]:
-        a, b = red_edge_list[int(rng.integers(len(red_edge_list)))]
-        if not _inheritance_ok(g, host.adj[v], final[a], final[b], eps, d, p, two_sided_screen):
+    for v in probe_vertices[: max(10, CERT_SAMPLES // 10)]:
+        a, b = red_edges[int(rng.integers(len(red_edges)))]
+        if not _inheritance_ok(g, host.adj[v], final[a], final[b], eps, d, p):
             inh_ok = False
             break
     certs["inheritance"] = inh_ok
 
     deg_ok = True
-    for t in range(cert_samples):
+    for t in range(CERT_SAMPLES):
         v = probe_vertices[t % len(probe_vertices)]
         cell = cells[int(rng.integers(len(cells)))]
         dv = (host.adj[v] & final[cell]).bit_count()

@@ -34,6 +34,7 @@ __all__ = [
 EXACT_SIDE_CAP = 20
 EXHAUSTIVE_FALLBACK_SIZE = 14
 DEFAULT_SAMPLE_BUDGET = 2000
+MAX_ROUNDS = 50  # refinement rounds of the energy-increment partitioner
 
 
 class RegularityError(RuntimeError):
@@ -247,7 +248,6 @@ def check_two_sided_regular(
     p: float,
     budget: int = DEFAULT_SAMPLE_BUDGET,
     seed: int = 0,
-    exact: bool = False,
     noise_sigmas: float = 0.0,
 ) -> PairVerdict:
     """Does every eps-fraction subpair stay within eps of the pair density?
@@ -263,7 +263,7 @@ def check_two_sided_regular(
     def margin(sx: int, sy: int) -> float:
         return eps + noise_sigmas * _density_stderr(full, p, sx, sy) + 1e-12
 
-    if _takes_exact_route(x, y, exact):
+    if _takes_exact_route(x, y, exact=False):
         mn, pmn, mx, pmx = _exact_extreme_subpairs(g, x, y, eps, p)
         for dens, pair in ((mn, pmn), (mx, pmx)):
             if abs(dens - full) > margin(pair[0].bit_count(), pair[1].bit_count()):
@@ -326,14 +326,12 @@ def _prefix_inheritance_ok(g: Graph, xmask: int, ymask: int, eps: float, d: floa
     return True
 
 
-def _inheritance_ok(
-    g: Graph, nbrs: int, amask: int, bmask: int, eps: float, d: float, p: float, two_sided: bool
-) -> bool:
+def _inheritance_ok(g: Graph, nbrs: int, amask: int, bmask: int, eps: float, d: float, p: float) -> bool:
     """Inheritance screen of a vertex with host neighbourhood N(v) = `nbrs` on (A, B): the
-    prefix screen on (N(v) & A, B) and, with two_sided, on (N(v) & A, N(v) & B)."""
+    prefix screen on (N(v) & A, B) and on (N(v) & A, N(v) & B)."""
     nx = nbrs & amask
-    return _prefix_inheritance_ok(g, nx, bmask, eps, d, p) and (
-        not two_sided or _prefix_inheritance_ok(g, nx, nbrs & bmask, eps, d, p)
+    return _prefix_inheritance_ok(g, nx, bmask, eps, d, p) and _prefix_inheritance_ok(
+        g, nx, nbrs & bmask, eps, d, p
     )
 
 
@@ -381,7 +379,6 @@ def energy_partition(
     p: float,
     seed: int = 0,
     budget: int = 64,
-    max_rounds: int = 50,
     first_split: int | None = None,
 ) -> EnergyPartitionResult:
     """Refine the initial parts until almost all part pairs are two-sided regular.
@@ -422,7 +419,7 @@ def energy_partition(
     irregular_counts: list[int] = []
     rounds = 0
     regular = False
-    while rounds < max_rounds:
+    while rounds < MAX_ROUNDS:
         rounds += 1
         nontrivial = [(o, m) for o, m in parts if m]
         witnesses: list[tuple[int, int]] = []  # (part index, witness mask)

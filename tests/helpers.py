@@ -1,8 +1,6 @@
 """Shared fixture builders for the test suite."""
 
-import itertools
-
-from spanembed.graph_core import VertexSet, gnp, iter_bits, rng_for
+from spanembed.graph_core import Graph, VertexSet, gnp, iter_bits, rng_for
 from spanembed.guest_prep import assign_guest
 from spanembed.harness import make_guest
 from spanembed.reduced_graph import BackboneIndex, ReducedGraph, prepare_host
@@ -25,9 +23,8 @@ def deleted_to_floor(host, gamma, k, p, seed, stream=42):
 
 
 def complete_reduced(r, k):
-    idx = BackboneIndex(r, k)
-    edges = {frozenset(e) for e in itertools.combinations(idx.cells(), 2)}
-    return ReducedGraph(index=idx, edges=edges, extension={i: ((i + 1) % r, 0) for i in range(r)})
+    """Every pair of cells adjacent; row i extends to cell (i + 1 mod r, 0)."""
+    return ReducedGraph(BackboneIndex(r, k), Graph.complete(r * k), {i: ((i + 1) % r, 0) for i in range(r)})
 
 
 def even_targets(n, r, k):

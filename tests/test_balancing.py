@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 
 from spanembed.balancing import (
@@ -10,7 +8,8 @@ from spanembed.balancing import (
     small_move_select,
 )
 from spanembed.graph_core import Graph, VertexSet, gnp, rng_for
-from spanembed.reduced_graph import BackboneIndex, ReducedGraph
+
+from helpers import complete_reduced
 
 
 def probe_move_equidistribution(host, x, s, probes, max_tuple, cap, slack, seed=0):
@@ -26,12 +25,6 @@ def probe_move_equidistribution(host, x, s, probes, max_tuple, cap, slack, seed=
         if in_s > cap * in_x + slack:
             return False
     return True
-
-
-def complete_reduced(r, k):
-    idx = BackboneIndex(r, k)
-    edges = {frozenset(e) for e in itertools.combinations(idx.cells(), 2)}
-    return ReducedGraph(index=idx, edges=edges, extension={i: ((i + 1) % r, 0) for i in range(r)})
 
 
 def make_instance(n, p, seed, sizes, r, k):

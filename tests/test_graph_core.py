@@ -10,7 +10,6 @@ from spanembed.graph_core import (
     bandwidth_of_labelling,
     degeneracy_order,
     gnp,
-    p_density,
     paley,
     parse_graph_text,
     rng_for,
@@ -92,46 +91,6 @@ class TestPaley:
     def test_rejects_bad_q(self, q):
         with pytest.raises(ValueError):
             paley(q)
-
-
-class TestPDensity:
-    def test_complete_bipartite(self):
-        g = Graph.from_edges(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
-        x = VertexSet.from_iter(5, [0, 1])
-        y = VertexSet.from_iter(5, [2, 3, 4])
-        assert p_density(g, x, y, 0.5) == pytest.approx(2.0)
-
-    def test_no_edges(self):
-        g = Graph.empty(6)
-        x = VertexSet.from_iter(6, [0, 1])
-        y = VertexSet.from_iter(6, [2, 3])
-        assert p_density(g, x, y, 0.5) == 0.0
-
-    def test_seeded_slice_regression(self):
-        g = gnp(200, 0.3, 2)
-        x = VertexSet.from_iter(200, range(50))
-        y = VertexSet.from_iter(200, range(50, 100))
-        val = p_density(g, x, y, 0.3)
-        assert g.edges_between(x.mask, y.mask) == 761  # frozen
-        assert val == pytest.approx(761 / (0.3 * 2500))
-        assert 0.7 <= val <= 1.3
-
-    def test_rejects_overlap_and_zero_p(self):
-        g = Graph.empty(4)
-        x = VertexSet.from_iter(4, [0, 1])
-        with pytest.raises(ValueError):
-            p_density(g, x, x, 0.5)
-        y = VertexSet.from_iter(4, [2, 3])
-        with pytest.raises(ValueError):
-            p_density(g, x, y, 0.0)
-
-    @given(st.floats(min_value=0.01, max_value=1.0))
-    @settings(max_examples=30, deadline=2000)
-    def test_scaling_in_p(self, p):
-        g = gnp(60, 0.4, 11)
-        x = VertexSet.from_iter(60, range(20))
-        y = VertexSet.from_iter(60, range(20, 40))
-        assert p_density(g, x, y, p) * p == pytest.approx(p_density(g, x, y, 1.0), abs=1e-12)
 
 
 class TestBandwidth:

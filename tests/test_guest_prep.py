@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import pytest
@@ -14,21 +13,8 @@ from spanembed.guest_prep import (
     switch_colours,
 )
 from spanembed.harness import make_guest
-from spanembed.reduced_graph import BackboneIndex, ReducedGraph
 
-
-def complete_reduced(r, k):
-    idx = BackboneIndex(r, k)
-    edges = {frozenset(e) for e in itertools.combinations(idx.cells(), 2)}
-    ext = {i: ((i + 1) % r, 0) for i in range(r)}
-    return ReducedGraph(index=idx, edges=edges, extension=ext)
-
-
-def even_targets(n, r, k):
-    cells = [(i, j) for i in range(r) for j in range(k)]
-    base = n // len(cells)
-    rem = n - base * len(cells)
-    return {cell: base + (1 if idx < rem else 0) for idx, cell in enumerate(cells)}
+from helpers import complete_reduced, even_targets
 
 
 class TestZeroFree:

@@ -1,4 +1,5 @@
-"""Source hygiene: every top-level import of a spanembed module or a test file is used or re-exported."""
+"""Source hygiene: every top-level import of a spanembed module or a test file is used or
+re-exported, and every defaulted parameter of a spanembed function is passed by some call."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,8 @@ TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "spanembed"
 MODULES = sorted(SRC.glob("*.py"))
 TEST_FILES = sorted(TESTS.glob("*.py"))
+# parameters that callers outside src/ and tests/ set: the command's argument vector
+ENTRY_POINTS = {"main(argv)"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -53,3 +56,58 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", TEST_FILES, ids=[p.name for p in TEST_FILES])
 def test_no_unused_imports_in_tests(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unset_options(module_sources: dict[str, str], caller_sources: list[str]) -> list[str]:
+    """`module.function(parameter)` for every defaulted parameter of a top-level function
+    that no call in `caller_sources` passes, by keyword or by position.
+
+    Calls are matched to functions by name, so a name that two modules define counts
+    as passed when either is called with it; `*args` or `**kwargs` at a call passes all.
+    """
+    params: dict[str, list[tuple[str, list[str], list[str]]]] = {}
+    for module, source in module_sources.items():
+        for node in ast.parse(source).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            positional = [x.arg for x in a.posonlyargs + a.args]
+            defaulted = positional[len(positional) - len(a.defaults):]
+            defaulted += [x.arg for x, dflt in zip(a.kwonlyargs, a.kw_defaults) if dflt is not None]
+            if defaulted:
+                params.setdefault(node.name, []).append((module, positional, defaulted))
+    passed: set[tuple[str, str]] = set()
+    for source in caller_sources:
+        for call in ast.walk(ast.parse(source)):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            for _module, positional, defaulted in params.get(name, ()):
+                if any(isinstance(x, ast.Starred) for x in call.args) or None in [kw.arg for kw in call.keywords]:
+                    passed.update((name, x) for x in defaulted)
+                passed.update((name, x) for x in positional[: len(call.args)])
+                passed.update((name, kw.arg) for kw in call.keywords)
+    return [
+        f"{module}.{name}({x})"
+        for name, sigs in sorted(params.items())
+        for module, _positional, defaulted in sigs
+        for x in defaulted
+        if (name, x) not in passed and f"{name}({x})" not in ENTRY_POINTS
+    ]
+
+
+def test_scanner_flags_only_options_no_call_sets():
+    module = (
+        "def f(a, b=1, c=2, *, d=3, e=4):\n    return a\n"
+        "def g(x=0):\n    return x\n"
+        "def h(y=0):\n    return y\n"
+        "class C:\n    def m(self, z=0):\n        return z\n"
+    )
+    callers = [module + "f(0, 5, e=6)\nobj.h(*[1])\n"]
+    assert unset_options({"mod": module}, callers) == ["mod.f(c)", "mod.f(d)", "mod.g(x)"]
+
+
+def test_every_option_is_set_by_some_call():
+    modules = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    callers = [*modules.values(), *(path.read_text(encoding="utf-8") for path in TEST_FILES)]
+    assert unset_options(modules, callers) == []

@@ -1,5 +1,13 @@
+from types import SimpleNamespace
+
+import pytest
+
 from spanembed.graph_core import VertexSet, gnp, iter_bits
+from spanembed.guest_prep import Colouring
+from spanembed.harness import make_guest
 from spanembed.pre_embedding import (
+    _anchor_candidates,
+    _independent_neighbourhood,
     pre_embed,
     reserve_set,
     restriction_image,
@@ -150,3 +158,32 @@ class TestRestrictionValidation:
         cells = {(0, 0): VertexSet.from_iter(30, range(15))}
         img = restriction_image(g, cells, (0, 0), [20])
         assert img == g.adj[20] & cells[(0, 0)].mask
+
+
+def reference_anchor_candidates(h, l, assignment, r, forbid_c4):
+    """Anchors read from one BFS ball per guest vertex, scanned over all n vertices;
+    kept as the oracle of the one-BFS-per-row search."""
+    out = []
+    f, sig = assignment.f, assignment.sigma_prime.sigma
+    for x in l.order:
+        if sig[x] == 0 or not _independent_neighbourhood(h, x, forbid_c4):
+            continue
+        dist = h.bfs_distances([x], limit=r + 2)
+        if all(f[z][0] == f[x][0] and sig[z] != 0 for z in range(h.n) if dist[z] >= 0):
+            out.append(x)
+    return out
+
+
+@pytest.mark.parametrize("family", ["hamilton_cycle", "bounded_tree:3", "f_factor:path3"])
+def test_anchor_candidates_match_ball_scan(family):
+    n = 600
+    guest, lab, col, _ = make_guest(family, n, 3)
+    # rows are consecutive stretches of the labelling; every 97th vertex takes colour 0
+    sigma = tuple(0 if lab.pos[v] % 97 == 50 else c for v, c in enumerate(col.sigma))
+    for r in (2, 3, 5):
+        f = tuple((lab.pos[v] * r // n, 0) for v in range(n))
+        assignment = SimpleNamespace(f=f, sigma_prime=Colouring(sigma, col.k))
+        for forbid_c4 in (False, True):
+            got = _anchor_candidates(guest, lab, assignment, r, forbid_c4)
+            assert got == reference_anchor_candidates(guest, lab, assignment, r, forbid_c4)
+            assert 0 < len(got) < n

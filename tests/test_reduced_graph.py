@@ -34,7 +34,7 @@ class TestFindBackbone:
     def test_complete_reduced_graph(self):
         verts = list(range(6))
         edges = {frozenset(e) for e in itertools.combinations(verts, 2)}
-        emb, ext = find_backbone(edges, verts, 3, 2, 0.2, seed=1)
+        emb, ext = find_backbone(Graph.complete(6), 3, 2, seed=1)
         assert sorted(emb.values()) == verts
         for e in backbone_edges(3, 2):
             a, b = tuple(e)
@@ -43,9 +43,8 @@ class TestFindBackbone:
             assert all(frozenset((z, emb[(i, j)])) in edges for j in range(2))
 
     def test_no_cross_row_edges_fails(self):
-        edges = {frozenset((0, 1)), frozenset((2, 3))}
         with pytest.raises(HostPrepError):
-            find_backbone(edges, [0, 1, 2, 3], 2, 2, 0.2, seed=1)
+            find_backbone(Graph.from_edges(4, [(0, 1), (2, 3)]), 2, 2, seed=1)
 
     def test_dense_random_reduced_graph(self):
         # spec example: 12 vertices, delta forced >= 8, relabel to [4] x [3]
@@ -64,13 +63,128 @@ class TestFindBackbone:
                     adj[v].add(w)
                     adj[w].add(v)
                     edges.add(frozenset((v, w)))
-        emb, ext = find_backbone(edges, list(range(12)), 4, 3, 0.2, seed=6)
+        emb, ext = find_backbone(Graph.from_edges(12, map(tuple, edges)), 4, 3, seed=6)
         for e in backbone_edges(4, 3):
             a, b = tuple(e)
             assert frozenset((emb[a], emb[b])) in edges
         for i, z in ext.items():
             assert z not in {emb[(i, j)] for j in range(3)}
             assert all(frozenset((z, emb[(i, j)])) in edges for j in range(3))
+
+
+def reference_find_backbone(
+    reduced_edges: set[frozenset],
+    vertices: list,
+    r: int,
+    k: int,
+    gamma: float,
+    seed: int = 0,
+    budget: int = 10**6,
+) -> tuple[dict[tuple[int, int], object], dict[int, object]]:
+    """The backbone search on a set of frozenset edges and a dict of neighbour sets, as
+    it was before the search read the cluster graph's bitmasks; kept as the oracle."""
+    if len(vertices) != r * k:
+        raise ValueError("vertex count must equal r*k")
+    adj: dict[object, set] = {v: set() for v in vertices}
+    for e in reduced_edges:
+        a, b = tuple(e)
+        adj[a].add(b)
+        adj[b].add(a)
+
+    steps = 0
+    best_depth = 0
+    rng = rng_for(seed, stream=41)
+
+    def row_candidates(prev_row: list | None, used: set) -> list[tuple]:
+        """Ordered k-tuples forming a clique, fully joined to the previous row
+        except possibly at the same column."""
+        free = [v for v in vertices if v not in used]
+        results = []
+
+        def extend(tup: list):
+            if len(tup) == k:
+                results.append(tuple(tup))
+                return
+            j = len(tup)
+            for v in free:
+                if v in tup:
+                    continue
+                if any(v not in adj[u] for u in tup):
+                    continue
+                if prev_row is not None:
+                    ok = all(v in adj[prev_row[jj]] for jj in range(k) if jj != j)
+                    if not ok:
+                        continue
+                tup.append(v)
+                extend(tup)
+                tup.pop()
+
+        extend([])
+        return results
+
+    for restart in range(8):
+        order_noise = {v: float(x) for v, x in zip(vertices, rng.random(len(vertices)))}
+        rows: list[tuple] = []
+        used: set = set()
+        stack: list[list[tuple]] = []
+        cands = row_candidates(None, used)
+        cands.sort(key=lambda t: sum(len(adj[v]) for v in t) + order_noise[t[0]], reverse=True)
+        stack.append(cands)
+        while stack:
+            steps += 1
+            if steps > budget:
+                raise HostPrepError("backbone", f"budget exhausted at depth {best_depth}/{r}")
+            if not stack[-1]:
+                stack.pop()
+                if rows:
+                    for v in rows.pop():
+                        used.discard(v)
+                continue
+            tup = stack[-1].pop()
+            rows.append(tup)
+            used.update(tup)
+            best_depth = max(best_depth, len(rows))
+            if len(rows) == r:
+                embedding = {(i, j): rows[i][j] for i in range(r) for j in range(k)}
+                extension: dict[int, object] = {}
+                for i in range(r):
+                    z = next(
+                        (v for v in vertices if v not in rows[i] and all(v in adj[u] for u in rows[i])),
+                        None,
+                    )
+                    if z is None:
+                        break
+                    extension[i] = z
+                if len(extension) == r:
+                    return embedding, extension
+                for v in rows.pop():
+                    used.discard(v)
+                continue
+            nxt = row_candidates(rows[-1], used)
+            nxt.sort(key=lambda t: sum(len(adj[v]) for v in t) + order_noise[t[0]], reverse=True)
+            stack.append(nxt)
+    raise HostPrepError("backbone", f"no spanning backbone found (deepest row {best_depth}/{r})")
+
+
+def outcome(search):
+    try:
+        return search()
+    except HostPrepError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("r,k", [(2, 2), (3, 2), (4, 3), (6, 2)])
+def test_backbone_search_matches_reference(r, k):
+    found = failed = 0
+    for density in (0.3, 0.5, 0.7, 0.85, 1.0):
+        for seed in range(6):
+            g = gnp(r * k, density, seed)
+            edges = {frozenset(e) for e in g.edges()}
+            want = outcome(lambda: reference_find_backbone(edges, list(range(r * k)), r, k, 0.2, seed=seed))
+            assert outcome(lambda: find_backbone(g, r, k, seed)) == want
+            found += isinstance(want, tuple)
+            failed += isinstance(want, str)
+    assert found and failed
 
 
 class TestKEquitable:

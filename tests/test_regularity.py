@@ -331,7 +331,7 @@ class TestEngineMatchesScan:
         assert not _prefix_inheritance_ok(empty, 0, y.mask, 0.25, 0.1, p)
 
 
-def reference_inheritance(g, nbrs, amask, bmask, eps, d, p, two_sided):
+def reference_inheritance(g, nbrs, amask, bmask, eps, d, p):
     """The Z1 inheritance screen written out: prefix cuts of N(v) & A, sorted by degree."""
 
     def screen(xmask, ymask):
@@ -345,7 +345,7 @@ def reference_inheritance(g, nbrs, amask, bmask, eps, d, p, two_sided):
         return all(sum(degs[:i]) / (p * i * sy) >= d - eps - 1e-12 for i in range(thr, sx + 1))
 
     nx = nbrs & amask
-    return screen(nx, bmask) and (not two_sided or screen(nx, nbrs & bmask))
+    return screen(nx, bmask) and screen(nx, nbrs & bmask)
 
 
 def test_inheritance_screen_matches_reference():
@@ -355,8 +355,7 @@ def test_inheritance_screen_matches_reference():
     for h in (host, sparse):
         for v in range(g.n):
             for eps, d in ((0.2, 0.9), (0.3, 0.6), (0.25, 0.1)):
-                for two_sided in (False, True):
-                    got = _inheritance_ok(g, h.adj[v], x.mask, y.mask, eps, d, p, two_sided)
-                    assert got == reference_inheritance(g, h.adj[v], x.mask, y.mask, eps, d, p, two_sided)
-                    verdicts.append(got)
+                got = _inheritance_ok(g, h.adj[v], x.mask, y.mask, eps, d, p)
+                assert got == reference_inheritance(g, h.adj[v], x.mask, y.mask, eps, d, p)
+                verdicts.append(got)
     assert 0.1 * len(verdicts) < sum(verdicts) < 0.9 * len(verdicts)
