@@ -303,12 +303,10 @@ def paley(q: int) -> Graph:
     """
     if not _is_prime(q) or q % 4 != 1:
         raise ValueError("paley requires a prime q with q = 1 (mod 4)")
-    residues = {(x * x) % q for x in range(1, q)}
-    adj = [0] * q
-    for u in range(q):
-        for r in residues:
-            adj[u] |= 1 << ((u + r) % q)
-    return Graph(q, tuple(adj))
+    # row u is the residue mask rotated left by u within q bits
+    full = (1 << q) - 1
+    res = mask_of({(x * x) % q for x in range(1, q)})
+    return Graph(q, tuple(((res << u) | (res >> (q - u))) & full for u in range(q)))
 
 
 def bandwidth_of_labelling(g: Graph, l: Labelling) -> int:

@@ -1,8 +1,11 @@
-"""Brute-force oracles and tail-bound calculators.
+"""Brute-force oracles, the sampled bijumbledness search and tail-bound calculators.
 
-Everything here is deliberately slow and simple: exhaustive enumeration or
-explicit closed-form bounds, used as independent ground truth for the sampled
-verdicts produced elsewhere.  Size caps keep each call under a few seconds.
+The oracles are deliberately slow and simple: exhaustive enumeration, used as
+independent ground truth for the sampled verdicts produced elsewhere.  Size
+caps keep each call under a few seconds.  The sampled bijumbledness search is
+not one of them: the pipeline runs it on every bijumbled host, so it counts
+edges incrementally and on packed numpy rows, and what it returns is a lower
+bound on the host's nu, not a certificate.  The tail bounds are closed forms.
 """
 
 from __future__ import annotations
@@ -10,7 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graph_core import Graph, iter_bits, rng_for
+import numpy as np
+
+from .graph_core import Graph, iter_bits, mask_of, rng_for
 
 __all__ = [
     "exact_bandwidth",
@@ -189,41 +194,44 @@ def _exhaustive_bijumbled_max(g: Graph, p: float) -> tuple[float, tuple[int, int
 
 
 def _sampled_bijumbled_max(g: Graph, p: float, k: int, seed: int) -> tuple[float, tuple[int, int]]:
-    """Degree-sorted prefix pairs first, then k seeded random disjoint pairs."""
+    """Degree-sorted prefix pairs first, then k seeded random disjoint pairs.
+
+    A pair replaces the best only with a strictly larger ratio, so ties go to
+    the earliest; masks are built for the winning pair alone.
+    """
     n = g.n
+    adj = g.adj
     best = -1.0
-    best_pair = (0, 0)
-
-    def consider(xmask: int, ymask: int):
-        nonlocal best, best_pair
-        if not xmask or not ymask or (xmask & ymask):
-            return
-        e = g.edges_between(xmask, ymask)
-        r = _discrepancy(e, p, xmask.bit_count(), ymask.bit_count())
-        if r > best:
-            best = r
-            best_pair = (xmask, ymask)
-
+    best_cut, best_draw = 0, None
     by_degree = sorted(range(n), key=lambda v: (g.degree(v), v))
-    for cut in range(1, n):
-        lo = 0
-        for v in by_degree[:cut]:
-            lo |= 1 << v
-        hi = ((1 << n) - 1) & ~lo
-        consider(lo, hi)
+    # moving v from the rest into the prefix P: e(P+v, rest) = e(P, rest) + deg v - 2 deg(v, P)
+    prefix = e = 0
+    for cut, v in enumerate(by_degree[:-1], start=1):
+        e += adj[v].bit_count() - 2 * (adj[v] & prefix).bit_count()
+        prefix |= 1 << v
+        r = _discrepancy(e, p, cut, n - cut)
+        if r > best:
+            best, best_cut = r, cut
+    words = (n + 63) // 64
+    rows = np.frombuffer(b"".join(a.to_bytes(8 * words, "little") for a in adj), dtype="<u8").reshape(n, words)
     rng = rng_for(seed, stream=11)
     for _ in range(k):
         sx = int(rng.integers(1, n))
         sy = int(rng.integers(1, n - sx + 1))
         perm = rng.permutation(n)
-        xmask = 0
-        for v in perm[:sx]:
-            xmask |= 1 << int(v)
-        ymask = 0
-        for v in perm[sx:sx + sy]:
-            ymask |= 1 << int(v)
-        consider(xmask, ymask)
-    return best, best_pair
+        x, y = perm[:sx], perm[sx:sx + sy]
+        # e(X, Y): the smaller side's rows against the larger side's packed indicator
+        small, large = (x, y) if sx <= sy else (y, x)
+        flags = np.zeros(64 * words, dtype=bool)
+        flags[large] = True
+        e = int(np.bitwise_count(rows[small] & np.packbits(flags, bitorder="little").view("<u8")).sum())
+        r = _discrepancy(e, p, sx, sy)
+        if r > best:
+            best, best_draw = r, (x, y)
+    if best_draw is not None:
+        return best, (mask_of(best_draw[0].tolist()), mask_of(best_draw[1].tolist()))
+    prefix = mask_of(by_degree[:best_cut])
+    return best, (prefix, ((1 << n) - 1) & ~prefix)
 
 
 def bijumbled_check(
@@ -239,8 +247,10 @@ def bijumbled_check(
     mode="exhaustive" enumerates everything (n <= 14); mode="sampled" checks
     degree cuts plus k seeded pairs, falling back to full enumeration when the
     graph is small enough for it.  Returns (holds, worst_pair_info) where the
-    info records the maximising pair and its discrepancy ratio (the minimal
-    certifiable nu).
+    info records the maximising pair found and its discrepancy ratio.  From
+    full enumeration the ratio is the least nu for which g is (p, nu)-bijumbled;
+    from the sampled search it is a lower bound on that nu, so there a False
+    disproves bijumbledness and a True certifies nothing.
     """
     if mode == "exhaustive":
         if g.n > _EXACT_BIJUMBLED_CAP:
