@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .graph_core import Graph, StageError, VertexSet, rng_for
 
 __all__ = [
@@ -67,7 +69,6 @@ class MoveLog:
 
 def small_move_select(
     g: Graph,
-    host: Graph,
     x: VertexSet,
     z_list: list[VertexSet],
     m: int,
@@ -84,13 +85,9 @@ def small_move_select(
     """
     if m > len(x) // 2:
         raise BalancingError("small-move", f"m={m} exceeds |X|/2={len(x) // 2}")
-    eligible = []
-    for v in x:
-        if all(
-            g.degree_into(v, z.mask) >= (d - eps) * p * len(z) - 1e-12
-            for z in z_list
-        ):
-            eligible.append(v)
+    xs = x.to_list()
+    need = (d - eps) * p * np.array([len(z) for z in z_list]) - 1e-12
+    eligible = np.compress((g.degree_table([z.mask for z in z_list], xs) >= need).all(axis=1), xs).tolist()
     if len(eligible) < m:
         raise BalancingError("small-move", f"only {len(eligible)} eligible vertices for m={m}")
     rng = rng_for(seed, stream=61)
@@ -107,20 +104,19 @@ def global_balance(
     targets: BalanceTargets,
     reduced,
     g: Graph,
-    host: Graph,
-    params: dict,
+    eps: float,
+    d: float,
+    p: float,
+    gamma: float,
     seed: int = 0,
 ) -> tuple[dict[tuple[int, int], VertexSet], MoveLog]:
     """Equalise column sums: at most k passes, donating from row 0 of the
     largest-surplus column into an untouched row fully joined to it in the
     reduced graph."""
     r, k = reduced.index.r, reduced.index.k
-    eps, d, p = params["eps"], params["d"], params["p"]
-    n = g.n
     tg = targets.n_targets
     if sum(tg.values()) != sum(len(c) for c in clusters.values()):
         raise BalancingError("global", "targets and clusters disagree on the total")
-    gamma = params.get("gamma", 0.2)
     surplus_cols = sum(1 for j in range(k) if _column_delta(clusters, tg, j, r) > 0)
     deficit_cols = sum(1 for j in range(k) if _column_delta(clusters, tg, j, r) < 0)
     passes_bound = max(surplus_cols + deficit_cols - 1, 0)
@@ -154,7 +150,7 @@ def global_balance(
             raise BalancingError("global", "no unflagged row adjacent to the donor cell")
         move = min(surplus, -deltas[j_prime])
         z_list = [work[(target_row, j)] for j in range(k) if j != j_prime]
-        s = small_move_select(g, host, work[donor], z_list, move, eps, d, p, seed=seed + passes)
+        s = small_move_select(g, work[donor], z_list, move, eps, d, p, seed=seed + passes)
         work[donor] = work[donor] - s
         work[(target_row, j_prime)] = work[(target_row, j_prime)] | s
         flagged.add(donor)
@@ -168,8 +164,9 @@ def local_balance(
     targets: BalanceTargets,
     reduced,
     g: Graph,
-    host: Graph,
-    params: dict,
+    eps: float,
+    d: float,
+    p: float,
     seed: int = 0,
 ) -> tuple[dict[tuple[int, int], VertexSet], MoveLog]:
     """Walk rows 0..r-2 making |V'_{i,j}| = n_{i,j} exactly by trading with row i+1.
@@ -179,7 +176,6 @@ def local_balance(
     row's other columns.
     """
     r, k = reduced.index.r, reduced.index.k
-    eps, d, p = params["eps"], params["d"], params["p"]
     tg = targets.n_targets
     for j in range(k):
         if _column_delta(clusters, tg, j, r) != 0:
@@ -199,7 +195,7 @@ def local_balance(
                 z_list = [work[(i, j2)] for j2 in range(k) if j2 != j]
             try:
                 s = small_move_select(
-                    g, host, work[src], z_list, abs(diff), eps, d, p,
+                    g, work[src], z_list, abs(diff), eps, d, p,
                     seed=seed + 101 * i + j,
                 )
             except BalancingError as exc:

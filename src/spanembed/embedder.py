@@ -26,13 +26,17 @@ __all__ = [
 ]
 
 
-class EmbedError(StageError):
-    """Embedding failed; carries the stuck vertex and a depletion trace."""
+# Seeded restarts of the whole completion, and the backjumps allowed in one.
+EMBED_RESTARTS = 10
+BACKJUMP_BUDGET = 300
 
-    def __init__(self, message: str, stuck: int | None = None, trace: list[str] | None = None):
+
+class EmbedError(StageError):
+    """Embedding failed; carries the stuck guest vertex."""
+
+    def __init__(self, message: str, stuck: int | None = None):
         super().__init__(None, message)
         self.stuck = stuck
-        self.trace = trace or []
 
 
 @dataclass
@@ -86,8 +90,6 @@ def choose_buffers(
 class EmbedResult:
     phi: dict[int, int]
     retries: int
-    main_embedded: int
-    matched: int
 
 
 def embed(
@@ -99,7 +101,6 @@ def embed(
     buffers: BufferPlan,
     order: Labelling,
     initial_phi: dict[int, int] | None = None,
-    params: dict | None = None,
     seed: int = 0,
 ) -> EmbedResult:
     """Complete the embedding of the unembedded guest into the clusters.
@@ -109,9 +110,6 @@ def embed(
     neighbours, backjumps over the most recent conflicting placement when a
     candidate set empties, and finishes buffer vertices via perfect matchings.
     """
-    params = params or {}
-    restarts = params.get("restarts", 10)
-    backjump_budget = params.get("backjumps", 300)
     initial_phi = initial_phi or {}
     n = guest.n
     skip_mask = mask_of(initial_phi.keys())
@@ -138,7 +136,7 @@ def embed(
     main_order = [v for v in order.order if not ((skip_mask >> v) & 1) and not ((buf_mask >> v) & 1)]
     order_index = {v: i for i, v in enumerate(main_order)}
     last_err: EmbedError | None = None
-    for attempt in range(restarts):
+    for attempt in range(EMBED_RESTARTS):
         rng = rng_for(seed + attempt, stream=91)
         phi: dict[int, int] = dict(initial_phi)
         img_owner: dict[int, int] = {v: x for x, v in initial_phi.items()}
@@ -148,7 +146,6 @@ def embed(
         jumps = 0
         idx = 0
         blacklist: dict[int, int] = {}
-        trace: list[str] = []
         failed = False
 
         def common(x: int, skip: int = -1) -> int:
@@ -189,20 +186,15 @@ def embed(
                 if need and try_swap(x, need):
                     continue
                 jumps += 1
-                trace.append(f"deplete {x} at index {idx}")
-                if jumps > backjump_budget:
-                    last_err = EmbedError(
-                        f"candidate depletion at guest {x}", stuck=x, trace=trace[-10:]
-                    )
+                if jumps > BACKJUMP_BUDGET:
+                    last_err = EmbedError(f"candidate depletion at guest {x}", stuck=x)
                     failed = True
                     break
                 nbr_positions = [
                     stack_pos[y] for y in iter_bits(guest.adj[x]) if y in phi and y in stack_pos
                 ]
                 if not nbr_positions:
-                    last_err = EmbedError(
-                        f"guest {x} has an empty base candidate set", stuck=x, trace=trace[-10:]
-                    )
+                    last_err = EmbedError(f"guest {x} has an empty base candidate set", stuck=x)
                     failed = True
                     break
                 cut = max(nbr_positions)
@@ -250,7 +242,6 @@ def embed(
         # scale, but the full cell's candidate relation is dense).  When even
         # that fails, one embedded neighbour of the stuck buffer is relocated
         # to reopen its common neighbourhood.
-        matched = 0
         owners: dict[tuple[int, int], dict[int, int]] = {c: {} for c in buffers.buffers}
         for v in range(n):
             if not ((skip_mask >> v) & 1) and v in phi and f_star[v] in owners:
@@ -340,14 +331,10 @@ def embed(
             if not done:
                 failed_x = (cell, x)
                 break
-            matched += 1
         if failed_x is not None:
-            last_err = EmbedError(
-                f"no perfect matching in cell {failed_x[0]}", stuck=failed_x[1],
-                trace=[f"pending {len(pending)} buffers"],
-            )
+            last_err = EmbedError(f"no perfect matching in cell {failed_x[0]}", stuck=failed_x[1])
             continue
-        return EmbedResult(phi=phi, retries=attempt, main_embedded=len(main_order), matched=matched)
+        return EmbedResult(phi=phi, retries=attempt)
     raise last_err or EmbedError("embedding failed with no attempts")
 
 

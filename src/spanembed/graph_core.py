@@ -1,8 +1,11 @@
 """Bitset graph kernel: representation, seeded generators and order utilities.
 
 Graphs are immutable, undirected, loop-free, with adjacency stored as one
-Python int bitmask per vertex; bulk edge work converts to and from an n x n
-numpy bool matrix.  All randomness flows through numpy's Philox
+Python int bitmask per vertex.  Bulk work reads rows of vertices as packed
+little-endian uint64 words (`Graph.packed_rows`), counts vertex-to-set degrees
+on them with `Graph.degree_table`, and unpacks them to bool rows only where a
+0/1 block is needed (`Graph.to_bit_matrix`); this module is the only one that
+knows that format.  All randomness flows through numpy's Philox
 counter-based generator so that identical seeds reproduce identical graphs
 on every platform.
 """
@@ -57,6 +60,13 @@ def mask_of(vertices) -> int:
     for v in vertices:
         m |= 1 << v
     return m
+
+
+def _packed(masks, words: int) -> np.ndarray:
+    """Int bitmasks as rows of `words` little-endian uint64 words: bit v is bit v % 64 of word v // 64."""
+    masks = list(masks)
+    buf = b"".join(m.to_bytes(8 * words, "little") for m in masks)
+    return np.frombuffer(buf, dtype="<u8").reshape(len(masks), words)
 
 
 class VertexSet:
@@ -152,12 +162,26 @@ class Graph:
         buf = rows.tobytes()
         return cls(n, tuple(int.from_bytes(buf[i * w:(i + 1) * w], "little") for i in range(n)))
 
-    def to_bit_matrix(self) -> np.ndarray:
-        """The adjacency as a fresh n x n bool matrix."""
-        n = self.n
-        w = (n + 7) // 8
-        rows = np.frombuffer(b"".join(a.to_bytes(w, "little") for a in self.adj), dtype=np.uint8)
-        return np.unpackbits(rows.reshape(n, w), axis=1, count=n, bitorder="little").view(bool)
+    def packed_rows(self, vertices=None) -> np.ndarray:
+        """Row i is N(vertices[i]) as ceil(n/64) little-endian uint64 words, bit v in
+        word v // 64; `vertices` defaults to all of them in order."""
+        adj = self.adj if vertices is None else [self.adj[v] for v in vertices]
+        return _packed(adj, (self.n + 63) // 64)
+
+    def degree_table(self, masks, vertices=None) -> np.ndarray:
+        """D[i, c] = |N(vertices[i]) & masks[c]| as an int64 array, one row per vertex
+        (all of them in order by default) and one column per mask."""
+        rows = self.packed_rows(vertices)
+        cols = _packed(masks, rows.shape[1])
+        table = np.empty((len(rows), len(cols)), dtype=np.int64)
+        for c, col in enumerate(cols):
+            table[:, c] = np.bitwise_count(rows & col).sum(axis=1, dtype=np.int64)
+        return table
+
+    def to_bit_matrix(self, vertices=None) -> np.ndarray:
+        """The adjacency rows of `vertices` (all by default) as a fresh bool matrix with n columns."""
+        rows = self.packed_rows(vertices).view(np.uint8)
+        return np.unpackbits(rows, axis=1, count=self.n, bitorder="little").view(bool)
 
     @classmethod
     def empty(cls, n: int) -> "Graph":

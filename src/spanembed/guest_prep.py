@@ -252,7 +252,6 @@ class GuestAssignment:
 
     f: tuple[tuple[int, int], ...]
     special: VertexSet
-    m_targets: dict[tuple[int, int], int]
     blocks: BlockStructure
     sigma_prime: Colouring
     certs: dict[str, bool] = field(default_factory=dict)
@@ -449,7 +448,6 @@ def assign_guest(
             return GuestAssignment(
                 f=tuple(f),
                 special=VertexSet(n, special_mask),
-                m_targets=dict(m_targets),
                 blocks=blocks,
                 sigma_prime=sigma_prime,
                 certs=certs,

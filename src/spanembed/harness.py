@@ -577,13 +577,10 @@ def run_pipeline(cfg: ExperimentConfig) -> RunRecord:
             )
 
         with _stage(rec, "pre-embed"):
-            params = dict(
-                eps=cfg.eps, d=cfg.d, p=p, mu=cfg.mu, delta=cfg.Delta,
-                forbid_c4=(cfg.mode == "degenerate"),
-            )
             state, f_star, restr = pre_embed(
-                g, host, hs.v0, hs.clusters, hs.reduced, guest, lab, assignment,
-                reserve, params, seed=cfg.seed,
+                g, host, hs.v0, hs.clusters, hs.reduced, guest, lab, assignment, reserve,
+                eps=cfg.eps, d=cfg.d, p=p, mu=cfg.mu, delta=cfg.Delta,
+                forbid_c4=(cfg.mode == "degenerate"), seed=cfg.seed,
             )
 
         with _stage(rec, "balancing"):
@@ -598,9 +595,12 @@ def run_pipeline(cfg: ExperimentConfig) -> RunRecord:
                     part_counts[f_star[v]] = part_counts.get(f_star[v], 0) + 1
             targets = BalanceTargets(part_counts)
             targets.validate_against(clusters_prime, max(cfg.xi, xi_guest), cfg.n)
-            bal_params = dict(eps=cfg.eps, d=cfg.d, p=p, gamma=cfg.gamma)
-            work, glog = global_balance(clusters_prime, targets, hs.reduced, g, host, bal_params, seed=cfg.seed)
-            final_clusters, llog = local_balance(work, targets, hs.reduced, g, host, bal_params, seed=cfg.seed + 1)
+            work, glog = global_balance(
+                clusters_prime, targets, hs.reduced, g, eps=cfg.eps, d=cfg.d, p=p, gamma=cfg.gamma, seed=cfg.seed
+            )
+            final_clusters, llog = local_balance(
+                work, targets, hs.reduced, g, eps=cfg.eps, d=cfg.d, p=p, seed=cfg.seed + 1
+            )
             rec.moved = glog.total_moved() + llog.total_moved()
 
         with _stage(rec, "restriction-pair"):

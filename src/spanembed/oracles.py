@@ -212,8 +212,8 @@ def _sampled_bijumbled_max(g: Graph, p: float, k: int, seed: int) -> tuple[float
         r = _discrepancy(e, p, cut, n - cut)
         if r > best:
             best, best_cut = r, cut
-    words = (n + 63) // 64
-    rows = np.frombuffer(b"".join(a.to_bytes(8 * words, "little") for a in adj), dtype="<u8").reshape(n, words)
+    rows = g.packed_rows()
+    words = rows.shape[1]
     rng = rng_for(seed, stream=11)
     for _ in range(k):
         sx = int(rng.integers(1, n))

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .graph_core import Graph, Labelling, StageError, VertexSet, iter_bits, mask_of, rng_for
 from .guest_prep import GuestAssignment
 from .reduced_graph import ReducedGraph
@@ -192,26 +194,16 @@ def _choose_host_row(
     Ties rotate through `prefer` so successive anchors spread across rows.
     """
     n = g.n
-    kept_rows: dict[int, list[int]] = {i: [] for i in range(r)}
-    for y in iter_bits(y_mask):
-        if v0_mask and (host.adj[y] & v0_mask).bit_count() >= max(eps * p * n, 2 * p * v0_mask.bit_count() + 4):
-            continue
-        deviant = False
-        for cell, c in clusters.items():
-            dy = (host.adj[y] & c.mask).bit_count()
-            if abs(dy - p * len(c)) > eps * p * len(c) + 1.0:
-                deviant = True
-                break
-        if deviant:
-            continue
-        for i in range(r):
-            if all(
-                g.degree_into(y, clusters[(i, j)].mask) >= d * p * len(clusters[(i, j)])
-                for j in range(k)
-            ):
-                kept_rows[i].append(y)
-    best = max(range(r), key=lambda i: (len(kept_rows[i]), -((i - prefer) % r)))
-    return best, kept_rows[best]
+    ys = list(iter_bits(y_mask))
+    masks = [clusters[(i, j)].mask for i in range(r) for j in range(k)]
+    size = np.array([m.bit_count() for m in masks])
+    host_deg = host.degree_table(masks + [v0_mask], ys)
+    deviant = (np.abs(host_deg[:, :-1] - p * size) > eps * p * size + 1.0).any(axis=1)
+    deviant |= host_deg[:, -1] >= max(eps * p * n, 2 * p * v0_mask.bit_count() + 4)
+    strong = (g.degree_table(masks, ys) >= d * p * size).reshape(-1, r, k).all(axis=2) & ~deviant[:, None]
+    counts = strong.sum(axis=0).tolist()
+    best = max(range(r), key=lambda i: (counts[i], -((i - prefer) % r)))
+    return best, np.compress(strong[:, best], ys).tolist()
 
 
 def _greedy_tuple(
@@ -329,7 +321,12 @@ def pre_embed(
     labelling: Labelling,
     assignment: GuestAssignment,
     reserve: VertexSet,
-    params: dict,
+    eps: float,
+    d: float,
+    p: float,
+    mu: float,
+    delta: int,
+    forbid_c4: bool,
     seed: int = 0,
 ) -> tuple[PreEmbedState, tuple[tuple[int, int], ...], RestrictionPair]:
     """Embed anchors over every exceptional vertex and reroute the assignment.
@@ -341,10 +338,6 @@ def pre_embed(
     """
     n = g.n
     r, k = reduced.index.r, reduced.index.k
-    eps, d, p = params["eps"], params["d"], params["p"]
-    mu = params.get("mu", 0.05)
-    delta = params.get("delta", 2)
-    forbid_c4 = params.get("forbid_c4", False)
 
     f_star = list(assignment.f)
     restr = RestrictionPair()

@@ -13,6 +13,8 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .graph_core import Graph, StageError, VertexSet, iter_bits, mask_of, rng_for
 from .regularity import (
     _inheritance_ok,
@@ -200,7 +202,6 @@ class HostStructure:
     clusters: dict[tuple[int, int], VertexSet]
     reduced: ReducedGraph
     certs: dict[str, bool]
-    p: float
 
     @property
     def r(self) -> int:
@@ -317,64 +318,47 @@ def _prepare_host_once(g, host, p, gamma, k, eps, d, r0, seed) -> HostStructure:
     # The inheritance screen reads N(v) & U_a against U_b and N(v) & U_b; with
     # d <= eps/2 it fails only on an empty side, and clusters are nonempty, so
     # then v need only see every cell of a reduced edge.
-    z1 = 0
-    active = ((1 << n) - 1) & ~v0_mask
+    masks = [u[cell] for cell in cells]
+    size = np.array([m.bit_count() for m in masks])
+    active = list(iter_bits(((1 << n) - 1) & ~v0_mask))
+    host_deg = host.degree_table(masks + [v0_mask], active)
+    exp = p * size
+    bad = (np.abs(host_deg[:, :-1] - exp) > SCREEN_FRAC * eps * exp + 1.0).any(axis=1)
+    bad |= host_deg[:, -1] > max(2 * eps_star * p * n, 2.0 * p * v0_mask.bit_count() + 4)
     vacuous = _lower_bound_vacuous(d, eps / 2.0)
-    read_cells = {c for e in red_edges for c in e}
-    for v in iter_bits(active):
-        bad = False
-        if v0_mask and (host.adj[v] & v0_mask).bit_count() > max(2 * eps_star * p * n, 2.0 * p * v0_mask.bit_count() + 4):
-            bad = True
-        if not bad:
-            for cell in cells:
-                dv = (host.adj[v] & u[cell]).bit_count()
-                exp = p * u[cell].bit_count()
-                if abs(dv - exp) > SCREEN_FRAC * eps * exp + 1.0:
-                    bad = True
-                    break
-        if not bad and vacuous:
-            bad = any(not host.adj[v] & u[cell] for cell in read_cells)
-        elif not bad:
-            bad = not all(
-                _inheritance_ok(g, host.adj[v], u[a], u[b], eps / 2.0, d, p)
-                for a, b in red_edges
-            )
-        if bad:
-            z1 |= 1 << v
+    if vacuous:
+        read = [c for c in range(r * k) if reduced.graph.adj[c]]
+        bad |= (host_deg[:, read] == 0).any(axis=1)
+    kept = np.compress(~bad, active).tolist()
+    if not vacuous:
+        kept = [
+            v for v in kept
+            if all(_inheritance_ok(g, host.adj[v], u[a], u[b], eps / 2.0, d, p) for a, b in red_edges)
+        ]
+    z1 = ((1 << n) - 1) & ~v0_mask & ~mask_of(kept)
     work = {cell: u[cell] & ~z1 for cell in cells}
     z1 |= _pad_for_equitability(work, r, k)
 
     # ---- W: clique-factor degree violators + old exceptional set ---------
+    g_deg = g.degree_table(masks)
+    weak = g_deg < (d - 2 * eps_star) * p * size
     w_mask = v0_mask & ~z1
-    for i in range(r):
-        for j in range(k):
-            for v in iter_bits(work[(i, j)]):
-                for j2 in range(k):
-                    if j2 == j:
-                        continue
-                    if g.degree_into(v, u[(i, j2)]) < (d - 2 * eps_star) * p * u[(i, j2)].bit_count():
-                        w_mask |= 1 << v
-                        break
+    for i, j in cells:
+        members = list(iter_bits(work[(i, j)]))
+        others = [i * k + j2 for j2 in range(k) if j2 != j]
+        w_mask |= mask_of(np.compress(weak[members][:, others].any(axis=1), members).tolist())
     for cell in cells:
         work[cell] &= ~w_mask
     w_mask |= _pad_for_equitability(work, r, k)
 
     # ---- redistribute W by strong-degree rows with a per-row quota -------
+    strong_row = (g_deg >= 2 * d * p * size).reshape(n, r, k).all(axis=2)
     quota = max(1, math.ceil(100.0 * k * eps_star * n / (max(r, 1) * gamma)))
     row_load = [0] * r
     cell_load = {cell: 0 for cell in cells}
     assign: dict[int, tuple[int, int]] = {}
     for wv in iter_bits(w_mask):
-        chosen_row = -1
-        for i in range(r):
-            if row_load[i] >= quota:
-                continue
-            if all(
-                g.degree_into(wv, u[(i, j2)]) >= 2 * d * p * u[(i, j2)].bit_count()
-                for j2 in range(k)
-            ):
-                chosen_row = i
-                break
+        chosen_row = next((i for i in range(r) if row_load[i] < quota and strong_row[wv, i]), -1)
         if chosen_row < 0:
             raise HostPrepError("redistribute", f"no strong row under quota for vertex {wv}")
         j_best = min(range(k), key=lambda j2: (cell_load[(chosen_row, j2)], j2))
@@ -386,14 +370,9 @@ def _prepare_host_once(g, host, p, gamma, k, eps, d, r0, seed) -> HostStructure:
         vprime[cell] |= 1 << wv
 
     # ---- Z2: vertices seeing too much of the symmetric differences -------
-    sym = {cell: u[cell] ^ vprime[cell] for cell in cells}
-    z2 = 0
-    alive = ((1 << n) - 1) & ~z1
-    for v in iter_bits(alive):
-        for cell in cells:
-            if (host.adj[v] & sym[cell]).bit_count() >= Z2_FACTOR * p * u[cell].bit_count():
-                z2 |= 1 << v
-                break
+    alive = list(iter_bits(((1 << n) - 1) & ~z1))
+    sym_deg = host.degree_table([u[cell] ^ vprime[cell] for cell in cells], alive)
+    z2 = mask_of(np.compress((sym_deg >= Z2_FACTOR * p * size).any(axis=1), alive).tolist())
     final = {cell: vprime[cell] & ~z2 for cell in cells}
     z2 |= _pad_for_equitability(final, r, k)
     v0_final = z1 | z2
@@ -462,4 +441,4 @@ def _prepare_host_once(g, host, p, gamma, k, eps, d, r0, seed) -> HostStructure:
     if covered != (1 << n) - 1:
         raise HostPrepError("partition", "clusters + V0 do not cover V(G)")
 
-    return HostStructure(v0=v0, clusters=cluster_sets, reduced=reduced, certs=certs, p=p)
+    return HostStructure(v0=v0, clusters=cluster_sets, reduced=reduced, certs=certs)

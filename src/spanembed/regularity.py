@@ -178,11 +178,10 @@ def _first_bad_subpair(
     first failure, and vertex sets are built for the witness only.
     """
     xs, ys = x.to_list(), y.to_list()
-    w, cols = (g.n + 7) // 8, np.array(ys)
+    cols = np.array(ys)
     block = np.empty((len(xs), len(ys)), dtype=np.uint8)
     for lo in range(0, len(xs), 32):
-        rows = np.frombuffer(b"".join(g.adj[v].to_bytes(w, "little") for v in xs[lo : lo + 32]), dtype=np.uint8)
-        block[lo : lo + 32] = np.unpackbits(rows.reshape(-1, w), axis=1, count=g.n, bitorder="little")[:, cols]
+        block[lo : lo + 32] = g.to_bit_matrix(xs[lo : lo + 32])[:, cols]
     deg_x, deg_y = block.sum(axis=1, dtype=np.int64), block.sum(axis=0, dtype=np.int64)
     for xi, yi in _candidate_subpairs(deg_x, deg_y, eps, budget, seed, joint_cuts):
         if len(yi) == len(ys):
@@ -301,11 +300,10 @@ def check_super_regular(
     if _lower_bound_vacuous(d, eps):
         return True
     for side, other in ((x, y), (y, x)):
-        so = len(other)
-        for v in side:
-            need = (d - eps) * max(p * so, host.degree_into(v, other.mask) / 2.0)
-            if g.degree_into(v, other.mask) < need - 1e-12:
-                return False
+        vs = side.to_list()
+        need = (d - eps) * np.maximum(p * len(other), host.degree_table([other.mask], vs)[:, 0] / 2.0)
+        if (g.degree_table([other.mask], vs)[:, 0] < need - 1e-12).any():
+            return False
     return True
 
 
@@ -497,10 +495,6 @@ def energy_partition(
 class RegularPartitionResult:
     clusters: list[VertexSet]
     exceptional: VertexSet
-    epsilon: float
-    d: float
-    p: float
-    regular_pairs: set[tuple[int, int]]
     dense_regular_pairs: set[tuple[int, int]]
     reduced_min_degree: int
     alpha: float
@@ -546,7 +540,7 @@ def min_degree_regular_partition(
             v0_mask |= mask_of(drop)
         clusters = trimmed
         r = len(clusters)
-        regular_pairs: set[tuple[int, int]] = set()
+        n_regular = 0
         dense_pairs: set[tuple[int, int]] = set()
         for a in range(r):
             for b in range(a + 1, r):
@@ -555,7 +549,7 @@ def min_degree_regular_partition(
                     mode="sampled", budget=budget, seed=seed + 7 * a + b,
                 )
                 if verdict.ok:
-                    regular_pairs.add((a, b))
+                    n_regular += 1
                     if verdict.d_observed >= d:
                         dense_pairs.add((a, b))
         deg = [0] * r
@@ -566,7 +560,7 @@ def min_degree_regular_partition(
         exceptional = VertexSet(n, v0_mask)
         need = (alpha - d - eps) * r
         max_irregular = eps * r * (r - 1) / 2.0
-        n_irregular = r * (r - 1) // 2 - len(regular_pairs)
+        n_irregular = r * (r - 1) // 2 - n_regular
         if len(exceptional) > eps * n:
             last_diag = f"|V0|={len(exceptional)} > eps*n={eps * n:.1f}"
             continue
@@ -579,10 +573,6 @@ def min_degree_regular_partition(
         return RegularPartitionResult(
             clusters=clusters,
             exceptional=exceptional,
-            epsilon=eps,
-            d=d,
-            p=p,
-            regular_pairs=regular_pairs,
             dense_regular_pairs=dense_pairs,
             reduced_min_degree=red_min,
             alpha=alpha,

@@ -167,7 +167,7 @@ def test_criterion_6_balancing_exactness():
     """100 imbalance fixtures: exact sizes, conservation, <= 3 touches per cluster."""
     # r >= k so the global pass always has a fresh target row available
     shapes = [(2, 2), (3, 2), (3, 3), (4, 2)]
-    params = dict(eps=0.25, d=0.1, p=0.4, gamma=0.2)
+    params = dict(eps=0.25, d=0.1, p=0.4)
     done = 0
     for case in range(100):
         r, k = shapes[case % len(shapes)]
@@ -186,8 +186,8 @@ def test_criterion_6_balancing_exactness():
             start += size + dlt
         targets = BalanceTargets({c: size for c in cells})
         red = complete_reduced(r, k)
-        work, glog = global_balance(clusters, targets, red, g, g, params, seed=case)
-        final, llog = local_balance(work, targets, red, g, g, params, seed=case + 1)
+        work, glog = global_balance(clusters, targets, red, g, **params, gamma=0.2, seed=case)
+        final, llog = local_balance(work, targets, red, g, **params, seed=case + 1)
         assert all(len(final[c]) == size for c in cells)
         before = after = 0
         for c in cells:
@@ -205,7 +205,7 @@ def test_criterion_6_balancing_exactness():
 
 def test_criterion_7_pre_embedding_invariants():
     """50 instances with |V0| in 1..8: coverage, containment, separation, f*, RP."""
-    params = dict(eps=0.3, d=0.1, p=0.4, mu=0.15, delta=2)
+    params = dict(eps=0.3, d=0.1, p=0.4, mu=0.15, delta=2, forbid_c4=False)
     done = 0
     seed_stream = iter(range(200))
     for i in range(50):
@@ -223,7 +223,7 @@ def test_criterion_7_pre_embedding_invariants():
         reserve = reserve_set(g, host, hs.clusters, 0.15, seed=i)
         state, f_star, restr = pre_embed(
             g, host, hs.v0, hs.clusters, hs.reduced, guest, lab, assignment,
-            reserve, params, seed=i,
+            reserve, **params, seed=i,
         )
         im = state.image_mask()
         assert hs.v0.mask & ~im == 0

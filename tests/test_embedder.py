@@ -94,8 +94,7 @@ class TestEmbed:
         g = Graph.empty(n)
         buffers = BufferPlan({c: VertexSet.empty(n) for c in clusters})
         with pytest.raises(EmbedError) as ei:
-            embed(g, guest, clusters, f_star, RestrictionPair(), buffers, fold_labelling(n),
-                  params={"restarts": 2, "backjumps": 20}, seed=1)
+            embed(g, guest, clusters, f_star, RestrictionPair(), buffers, fold_labelling(n), seed=1)
         assert ei.value.stuck is not None
 
 

@@ -10,6 +10,7 @@ from spanembed.graph_core import (
     bandwidth_of_labelling,
     degeneracy_order,
     gnp,
+    mask_of,
     paley,
     parse_graph_text,
     rng_for,
@@ -72,6 +73,33 @@ class TestBitMatrix:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             Graph.from_bit_matrix(np.zeros((3, 4), dtype=bool))
+
+
+class TestPackedRows:
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+    def test_rows_and_degree_table_match_adjacency(self, n):
+        g = gnp(n, 0.4, n)
+        rng = rng_for(n, stream=5)
+        rows = g.packed_rows()
+        assert rows.dtype == np.dtype("<u8") and rows.shape == (n, (n + 63) // 64)
+        assert [sum(int(w) << (64 * i) for i, w in enumerate(row)) for row in rows] == list(g.adj)
+        masks = [0, (1 << n) - 1, g.adj[0]]
+        masks += [mask_of(np.flatnonzero(rng.random(n) < q).tolist()) for q in (0.1, 0.5, 0.9)]
+        vertices = rng.permutation(n).tolist()  # not in ascending order
+        assert (g.packed_rows(vertices) == rows[vertices]).all()
+        assert (g.to_bit_matrix(vertices) == g.to_bit_matrix()[vertices]).all()
+        table = g.degree_table(masks, vertices)
+        assert table.dtype == np.int64
+        assert table.tolist() == [[g.degree_into(v, m) for m in masks] for v in vertices]
+        assert g.degree_table(masks).tolist() == [[g.degree_into(v, m) for m in masks] for v in range(n)]
+
+    def test_empty_vertex_and_mask_lists(self):
+        g = gnp(65, 0.4, 3)
+        assert g.packed_rows([]).shape == (0, 2)
+        assert g.to_bit_matrix([]).shape == (0, 65)
+        assert g.degree_table([g.adj[0], 7], []).shape == (0, 2)
+        assert g.degree_table([], [3, 1]).shape == (2, 0)
+        assert g.degree_table([]).shape == (65, 0)
 
 
 class TestPaley:

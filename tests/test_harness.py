@@ -176,6 +176,14 @@ class TestRunPipeline:
         assert rec.success, (rec.failure_stage, rec.notes.get("error"))
         assert rec.r >= 2 and rec.failure_stage == ""
 
+    def test_non_vacuous_screens_succeed(self):
+        # d > eps/2: host preparation runs the inheritance screen on every vertex
+        for seed in range(3):
+            cfg = ExperimentConfig(n=1000, p=0.4, k=2, gamma=0.2, adversary="random",
+                                   guest_family="hamilton_cycle", eps=0.3, d=0.2, mu=0.15, seed=seed)
+            rec = run_pipeline(cfg)
+            assert rec.success, (seed, rec.failure_stage, rec.notes.get("error"))
+
     def test_failure_is_recorded_not_raised(self):
         # two disjoint cliques fail the degree floor at the adversary stage
         cfg = ExperimentConfig(n=100, p=0.2, k=2, gamma=0.6, eps=0.25, d=0.1, seed=1)

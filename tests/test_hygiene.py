@@ -1,5 +1,6 @@
 """Source hygiene: every top-level import of a spanembed module or a test file is used or
-re-exported, and every defaulted parameter of a spanembed function is passed by some call."""
+re-exported, every defaulted parameter of a spanembed function is passed by some call, and
+no spanembed function takes its settings as string keys of a parameter."""
 
 import ast
 from pathlib import Path
@@ -111,3 +112,51 @@ def test_every_option_is_set_by_some_call():
     modules = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
     callers = [*modules.values(), *(path.read_text(encoding="utf-8") for path in TEST_FILES)]
     assert unset_options(modules, callers) == []
+
+
+def string_key_reads(source: str) -> list[str]:
+    """`function(parameter['key'])` for every read of a function's own parameter by a
+    constant string key, as `parameter["key"]` or `parameter.get("key", ...)`.
+
+    A setting passed inside a dict is an option that `unset_options` cannot see, so
+    settings are named parameters.  A nested function's reads count for the functions
+    around it too.
+    """
+    out = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = fn.args
+        names = {x.arg for x in [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg] if x}
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
+                target, key = node.value, node.slice
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "get" and node.args:
+                target, key = node.func.value, node.args[0]
+            else:
+                continue
+            if (
+                isinstance(target, ast.Name) and target.id in names
+                and isinstance(key, ast.Constant) and isinstance(key.value, str)
+            ):
+                out.append(f"{fn.name}({target.id}[{key.value!r}])")
+    return out
+
+
+def test_scanner_flags_only_string_key_reads_of_parameters():
+    source = (
+        "def f(params, rows, *, opts=None):\n"
+        "    local = {'a': 1}\n"
+        "    params['written'] = local['a'] + rows[0] + params.x['attr']\n"
+        "    return params['eps'], opts.get('mu', 0.1), local.get('b'), rows.get(0)\n"
+        "def g(cfg):\n"
+        "    def inner():\n"
+        "        return cfg['k']\n"
+        "    return inner\n"
+    )
+    assert string_key_reads(source) == ["f(params['eps'])", "f(opts['mu'])", "g(cfg['k'])"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_settings_read_by_string_key(path):
+    assert string_key_reads(path.read_text(encoding="utf-8")) == []

@@ -7,6 +7,7 @@ from spanembed.guest_prep import Colouring
 from spanembed.harness import make_guest
 from spanembed.pre_embedding import (
     _anchor_candidates,
+    _choose_host_row,
     _independent_neighbourhood,
     pre_embed,
     reserve_set,
@@ -19,7 +20,7 @@ from spanembed.reduced_graph import prepare_host
 from helpers import deleted_to_floor, pre_embed_instance
 
 
-PARAMS = dict(eps=0.25, d=0.1, p=0.4, mu=0.15, delta=2)
+PARAMS = dict(eps=0.25, d=0.1, p=0.4, mu=0.15, delta=2, forbid_c4=False)
 
 
 class TestReserveSet:
@@ -49,7 +50,7 @@ class TestPreEmbed:
         hs.v0 = VertexSet.empty(g.n)
         reserve = reserve_set(g, host, hs.clusters, 0.15, seed=3)
         state, f_star, restr = pre_embed(
-            g, host, hs.v0, hs.clusters, hs.reduced, guest, lab, assignment, reserve, PARAMS, seed=3
+            g, host, hs.v0, hs.clusters, hs.reduced, guest, lab, assignment, reserve, **PARAMS, seed=3
         )
         assert not state.phi
         assert f_star == assignment.f
@@ -60,7 +61,7 @@ class TestPreEmbed:
             g, host, hs, guest, lab, assignment = pre_embed_instance(seed=seed, v0_target=v0_target)
             reserve = reserve_set(g, host, hs.clusters, 0.15, seed=seed)
             state, f_star, restr = pre_embed(
-                g, host, hs.v0, hs.clusters, hs.reduced, guest, lab, assignment, reserve, PARAMS, seed=seed
+                g, host, hs.v0, hs.clusters, hs.reduced, guest, lab, assignment, reserve, **PARAMS, seed=seed
             )
             im = state.image_mask()
             # exceptional set fully covered, images inside V0 + reserve
@@ -95,7 +96,7 @@ class TestPreEmbed:
         g, host, hs, guest, lab, assignment = pre_embed_instance(seed=5, v0_target=1)
         reserve = reserve_set(g, host, hs.clusters, 0.15, seed=5)
         state, _, _ = pre_embed(
-            g, host, hs.v0, hs.clusters, hs.reduced, guest, lab, assignment, reserve, PARAMS, seed=5
+            g, host, hs.v0, hs.clusters, hs.reduced, guest, lab, assignment, reserve, **PARAMS, seed=5
         )
         if len(hs.v0) == 1:
             assert len(state.phi) == 3  # the anchor and its two cycle neighbours
@@ -104,7 +105,7 @@ class TestPreEmbed:
         g, host, hs, guest, lab, assignment = pre_embed_instance(seed=6, v0_target=2)
         reserve = reserve_set(g, host, hs.clusters, 0.15, seed=6)
         state, _, _ = pre_embed(
-            g, host, hs.v0, hs.clusters, hs.reduced, guest, lab, assignment, reserve, PARAMS, seed=6
+            g, host, hs.v0, hs.clusters, hs.reduced, guest, lab, assignment, reserve, **PARAMS, seed=6
         )
         assert any(ln.startswith("anchor ") for ln in state.transcript)
         assert any(ln.startswith("leaf ") for ln in state.transcript)
@@ -137,7 +138,7 @@ class TestRestrictionValidation:
         g, host, hs, guest, lab, assignment = pre_embed_instance(seed=7, v0_target=4)
         reserve = reserve_set(g, host, hs.clusters, 0.15, seed=7)
         state, f_star, restr = pre_embed(
-            g, host, hs.v0, hs.clusters, hs.reduced, guest, lab, assignment, reserve, PARAMS, seed=7
+            g, host, hs.v0, hs.clusters, hs.reduced, guest, lab, assignment, reserve, **PARAMS, seed=7
         )
         im = state.image_mask()
         clusters_prime = {c: VertexSet(g.n, vs.mask & ~im) for c, vs in hs.clusters.items()}
@@ -187,3 +188,44 @@ def test_anchor_candidates_match_ball_scan(family):
             got = _anchor_candidates(guest, lab, assignment, r, forbid_c4)
             assert got == reference_anchor_candidates(guest, lab, assignment, r, forbid_c4)
             assert 0 < len(got) < n
+
+
+def reference_choose_host_row(g, host, y_mask, clusters, v0_mask, r, k, eps, d, p, prefer=0):
+    """The per-vertex loop that `_choose_host_row` replaced; kept as the oracle of
+    its degree-table form."""
+    n = g.n
+    kept_rows = {i: [] for i in range(r)}
+    for y in iter_bits(y_mask):
+        if v0_mask and (host.adj[y] & v0_mask).bit_count() >= max(eps * p * n, 2 * p * v0_mask.bit_count() + 4):
+            continue
+        deviant = False
+        for cell, c in clusters.items():
+            dy = (host.adj[y] & c.mask).bit_count()
+            if abs(dy - p * len(c)) > eps * p * len(c) + 1.0:
+                deviant = True
+                break
+        if deviant:
+            continue
+        for i in range(r):
+            if all(
+                g.degree_into(y, clusters[(i, j)].mask) >= d * p * len(clusters[(i, j)])
+                for j in range(k)
+            ):
+                kept_rows[i].append(y)
+    best = max(range(r), key=lambda i: (len(kept_rows[i]), -((i - prefer) % r)))
+    return best, kept_rows[best]
+
+
+@pytest.mark.parametrize("eps,d", [(0.25, 0.1), (0.1, 0.65), (0.05, 0.7), (0.3, 0.75), (0.3, 1.1)])
+def test_choose_host_row_matches_loop(eps, d):
+    g, host, hs, *_ = pre_embed_instance(seed=2, v0_target=8)
+    r, k = hs.r, hs.k
+    outside = ((1 << g.n) - 1) & ~hs.v0.mask
+    y_masks = [g.adj[v] for v in list(hs.v0)[:3]] + [outside]
+    y0 = next(iter_bits(outside))
+    # the exceptional set itself, and a large one that y0 sees entirely
+    for v0_mask in (hs.v0.mask, host.adj[y0]):
+        for y_mask in y_masks:
+            for prefer in range(r):
+                args = (g, host, y_mask, hs.clusters, v0_mask, r, k, eps, d, 0.4)
+                assert _choose_host_row(*args, prefer=prefer) == reference_choose_host_row(*args, prefer=prefer)

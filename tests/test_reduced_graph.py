@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import itertools
 
 import pytest
@@ -212,6 +214,16 @@ class TestPrepareHost:
         assert hs.reduced.contains_backbone()
         assert hs.reduced.validate_extension()
 
+    def test_weak_vertex_moves_to_a_strong_row(self):
+        # v keeps its host edges but loses 34 of its 50 G-edges into the other
+        # cluster of its row: it joins W and is redistributed to row 1
+        host = Graph.complete(200)
+        before = prepare_host(host, host, 1.0, 0.2, 2, 0.3, 0.4, 4, seed=2)
+        v = next(iter(before.clusters[(0, 0)]))
+        g = host.without_edges([(v, w) for w in before.clusters[(0, 1)].to_list()[:34]])
+        hs = prepare_host(g, host, 1.0, 0.2, 2, 0.3, 0.4, 4, seed=2)
+        assert v in hs.clusters[(1, 0)]
+
     def test_two_cliques_precondition_rejected(self):
         # disjoint K_30 + K_30 has min degree 29 < (1/2 + gamma) * 60
         edges = [(a, b) for a in range(30) for b in range(a + 1, 30)]
@@ -252,3 +264,42 @@ class TestPrepareHost:
             c = hs.clusters[cell]
             dv = host.degree_into(v, c.mask)
             assert abs(dv - 0.4 * len(c)) <= 0.25 * 0.4 * len(c) + 1.0
+
+
+@functools.lru_cache(maxsize=None)
+def floor_host(n, seed):
+    host = gnp(n, 0.4, seed)
+    return host, deleted_to_floor(host, 0.2, 2, 0.4, seed)
+
+
+def prepared(n, seed, eps, d):
+    """sha256 of (V0 mask, sorted cell -> cluster mask), or the HostPrepError message."""
+    host, g = floor_host(n, seed)
+    try:
+        hs = prepare_host(g, host, 0.4, 0.2, 2, eps, d, 4, seed=seed)
+    except HostPrepError as exc:
+        return str(exc)
+    text = repr((hs.v0.mask, sorted((cell, c.mask) for cell, c in hs.clusters.items())))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# Outputs of the per-vertex screens that the degree tables replaced.  (0.25, 0.1)
+# is vacuous: with d <= eps/2 the inheritance screen only asks that v see every
+# read cell; the other configurations run it per vertex.  At n = 1000 the
+# partition leaves no exceptional vertex, so W is empty; at n = 1001 and 1003 it
+# leaves some, and d = 0.35 makes the strong-row test choose rows, or find none.
+@pytest.mark.parametrize(
+    "n,seed,eps,d,expected",
+    [
+        (1000, 0, 0.25, 0.1, "4ee0376ab6c6eb471b7b1281ab53023941b111c27be1aa35535b5e693cc7837a"),
+        (1000, 1, 0.25, 0.1, "1cf1b16cf6a9a08b236dd8e85b3c71a4a36848ce74460eac3fd491f05006849f"),
+        (1000, 0, 0.3, 0.2, "d4553de85d3e1042768c1c481cbf967e6df86161b01db37e6af66336d6d3a74a"),
+        (1000, 1, 0.3, 0.2, "a3612313d71cd3dc65a4cbf532a7085acf7c63b0d6b14333d6caf919c7808e5d"),
+        (1000, 0, 0.08, 0.1, "[cleanup] a cluster was emptied by the vertex screens"),
+        (1000, 1, 0.08, 0.1, "[cleanup] a cluster was emptied by the vertex screens"),
+        (1001, 0, 0.3, 0.35, "636b52cd729c1034b944a8ff5b3b81f64fc65150403feb48e462938eba3ab5e2"),
+        (1003, 0, 0.3, 0.35, "[redistribute] no strong row under quota for vertex 126"),
+    ],
+)
+def test_prepare_host_pinned(n, seed, eps, d, expected):
+    assert prepared(n, seed, eps, d) == expected
