@@ -2,12 +2,13 @@
 
 Graphs are immutable, undirected, loop-free, with adjacency stored as one
 Python int bitmask per vertex.  Bulk work reads rows of vertices as packed
-little-endian uint64 words (`Graph.packed_rows`), counts vertex-to-set degrees
-on them with `Graph.degree_table`, and unpacks them to bool rows only where a
-0/1 block is needed (`Graph.to_bit_matrix`); this module is the only one that
-knows that format.  All randomness flows through numpy's Philox
-counter-based generator so that identical seeds reproduce identical graphs
-on every platform.
+little-endian uint64 words (`Graph.packed_rows`, and one vertex set with
+`packed_indicator`), counts vertex-to-set degrees on them with
+`Graph.degree_table`, and unpacks them to bool rows only where a 0/1 block is
+needed (`Graph.to_bit_matrix`); `bit_positions` lists a mask's set bits from
+its bytes.  This module is the only one that knows that format.  All
+randomness flows through numpy's Philox counter-based generator so that
+identical seeds reproduce identical graphs on every platform.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ __all__ = [
     "rng_for",
     "iter_bits",
     "mask_of",
+    "bit_positions",
+    "packed_indicator",
     "gnp",
     "paley",
     "bandwidth_of_labelling",
@@ -60,6 +63,21 @@ def mask_of(vertices) -> int:
     for v in vertices:
         m |= 1 << v
     return m
+
+
+def bit_positions(mask: int) -> np.ndarray:
+    """Set bit positions of `mask` as an ascending int64 array, the same list that
+    `iter_bits` yields, read in one pass over the mask's bytes."""
+    buf = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    return np.flatnonzero(np.unpackbits(np.frombuffer(buf, dtype=np.uint8), bitorder="little"))
+
+
+def packed_indicator(vertices, n: int) -> np.ndarray:
+    """The set `vertices` of [n] as one row of `Graph.packed_rows`: ceil(n/64)
+    little-endian uint64 words, bit v in word v // 64."""
+    flags = np.zeros(64 * ((n + 63) // 64), dtype=bool)
+    flags[vertices] = True
+    return np.packbits(flags, bitorder="little").view("<u8")
 
 
 def _packed(masks, words: int) -> np.ndarray:

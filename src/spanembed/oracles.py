@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_core import Graph, iter_bits, mask_of, rng_for
+from .graph_core import Graph, iter_bits, mask_of, packed_indicator, rng_for
 
 __all__ = [
     "exact_bandwidth",
@@ -213,7 +213,6 @@ def _sampled_bijumbled_max(g: Graph, p: float, k: int, seed: int) -> tuple[float
         if r > best:
             best, best_cut = r, cut
     rows = g.packed_rows()
-    words = rows.shape[1]
     rng = rng_for(seed, stream=11)
     for _ in range(k):
         sx = int(rng.integers(1, n))
@@ -222,9 +221,7 @@ def _sampled_bijumbled_max(g: Graph, p: float, k: int, seed: int) -> tuple[float
         x, y = perm[:sx], perm[sx:sx + sy]
         # e(X, Y): the smaller side's rows against the larger side's packed indicator
         small, large = (x, y) if sx <= sy else (y, x)
-        flags = np.zeros(64 * words, dtype=bool)
-        flags[large] = True
-        e = int(np.bitwise_count(rows[small] & np.packbits(flags, bitorder="little").view("<u8")).sum())
+        e = int(np.bitwise_count(rows[small] & packed_indicator(large, n)).sum())
         r = _discrepancy(e, p, sx, sy)
         if r > best:
             best, best_draw = r, (x, y)

@@ -1,9 +1,39 @@
 """Shared fixture builders for the test suite."""
 
-from spanembed.graph_core import Graph, VertexSet, gnp, iter_bits, rng_for
+from spanembed.graph_core import Graph, Labelling, VertexSet, gnp, iter_bits, rng_for
 from spanembed.guest_prep import assign_guest
 from spanembed.harness import make_guest
 from spanembed.reduced_graph import BackboneIndex, ReducedGraph, prepare_host
+
+# the desk-scale resilience configuration the acceptance suite runs
+SMOKE_CFG = dict(
+    n=1000, p=0.4, k=2, gamma=0.2, adversary="random", guest_family="hamilton_cycle",
+    eps=0.25, d=0.1, mu=0.15,
+)
+
+
+def cycle_graph(n):
+    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def fold_labelling(n):
+    order = []
+    for i in range((n + 1) // 2):
+        order.append(i)
+        if n - 1 - i != i:
+            order.append(n - 1 - i)
+    return Labelling(tuple(order))
+
+
+def two_cell_setup(n):
+    """Even cycle into two cells by parity: cell (0,0) even ids, (0,1) odd."""
+    guest = cycle_graph(n)
+    f_star = tuple((0, v % 2) for v in range(n))
+    clusters = {
+        (0, 0): VertexSet.from_iter(n, range(0, n, 2)),
+        (0, 1): VertexSet.from_iter(n, range(1, n, 2)),
+    }
+    return guest, f_star, clusters
 
 
 def deleted_to_floor(host, gamma, k, p, seed, stream=42):

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from helpers import complete_reduced, even_targets, pre_embed_instance
+from helpers import SMOKE_CFG, complete_reduced, even_targets, pre_embed_instance
 from spanembed.balancing import BalanceTargets, global_balance, local_balance
 from spanembed.graph_core import VertexSet, gnp, paley, rng_for
 from spanembed.guest_prep import assign_guest
@@ -25,12 +25,6 @@ def report(criterion, ok, detail=""):
         line += f"  ({detail})"
     print(line)
     return ok
-
-
-SMOKE_CFG = dict(
-    n=1000, p=0.4, k=2, gamma=0.2, adversary="random", guest_family="hamilton_cycle",
-    eps=0.25, d=0.1, mu=0.15,
-)
 
 
 def test_criterion_1_resilience_smoke():

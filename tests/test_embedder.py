@@ -13,29 +13,7 @@ from spanembed.embedder import (
 from spanembed.graph_core import Graph, Labelling, VertexSet, gnp
 from spanembed.pre_embedding import RestrictionPair
 
-
-def cycle_graph(n):
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def fold_labelling(n):
-    order = []
-    for i in range((n + 1) // 2):
-        order.append(i)
-        if n - 1 - i != i:
-            order.append(n - 1 - i)
-    return Labelling(tuple(order))
-
-
-def two_cell_setup(n):
-    """Even cycle into two cells by parity: cell (0,0) even ids, (0,1) odd."""
-    guest = cycle_graph(n)
-    f_star = tuple((0, v % 2) for v in range(n))
-    clusters = {
-        (0, 0): VertexSet.from_iter(n, range(0, n, 2)),
-        (0, 1): VertexSet.from_iter(n, range(1, n, 2)),
-    }
-    return guest, f_star, clusters
+from helpers import cycle_graph, fold_labelling, two_cell_setup
 
 
 class TestEmbed:
@@ -88,7 +66,7 @@ class TestEmbed:
         res = embed(g, guest, clusters, f_star, RestrictionPair(), buffers, fold_labelling(n), seed=5)
         assert verify_embedding(g, guest, res.phi)
 
-    def test_impossible_guest_fails_with_trace(self):
+    def test_impossible_guest_fails_with_stuck_vertex(self):
         n = 20
         guest, f_star, clusters = two_cell_setup(n)
         g = Graph.empty(n)

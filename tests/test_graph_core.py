@@ -8,9 +8,12 @@ from spanembed.graph_core import (
     Labelling,
     VertexSet,
     bandwidth_of_labelling,
+    bit_positions,
     degeneracy_order,
     gnp,
+    iter_bits,
     mask_of,
+    packed_indicator,
     paley,
     parse_graph_text,
     rng_for,
@@ -100,6 +103,26 @@ class TestPackedRows:
         assert g.degree_table([g.adj[0], 7], []).shape == (0, 2)
         assert g.degree_table([], [3, 1]).shape == (2, 0)
         assert g.degree_table([]).shape == (65, 0)
+
+    @pytest.mark.parametrize("mask", [0, 1, 1 << 63, 1 << 64, (1 << 63) | (1 << 64), (1 << 130) - 1])
+    def test_bit_positions_of_fixed_masks(self, mask):
+        assert bit_positions(mask).tolist() == list(iter_bits(mask))
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 4000])
+    def test_bit_positions_of_random_masks(self, n):
+        rng = rng_for(n, stream=6)
+        for q in (0.1, 0.5, 0.9):
+            mask = mask_of(np.flatnonzero(rng.random(n) < q).tolist()) | (1 << (n - 1))
+            positions = bit_positions(mask)
+            assert positions.dtype == np.int64
+            assert positions.tolist() == list(iter_bits(mask))
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+    def test_packed_indicator_is_a_packed_row(self, n):
+        vertices = rng_for(n, stream=7).permutation(n)[: (n + 1) // 2]
+        words = packed_indicator(vertices, n)
+        assert words.dtype == np.dtype("<u8") and words.shape == ((n + 63) // 64,)
+        assert sum(int(w) << (64 * i) for i, w in enumerate(words)) == mask_of(vertices.tolist())
 
 
 class TestPaley:

@@ -160,3 +160,45 @@ def test_scanner_flags_only_string_key_reads_of_parameters():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_settings_read_by_string_key(path):
     assert string_key_reads(path.read_text(encoding="utf-8")) == []
+
+
+# the conversions between int bitmasks and packed words or bytes
+PACKED_FORMAT_NAMES = {"to_bytes", "from_bytes", "frombuffer", "packbits", "unpackbits"}
+
+
+def packed_format_uses(source: str) -> list[tuple[int, str]]:
+    """(line, name) for every use of a packed-format conversion, as an attribute or a name.
+
+    The word format of packed rows is `graph_core`'s alone; other modules reach it
+    through `Graph.packed_rows`, `packed_indicator` and `bit_positions`.
+    """
+    uses = []
+    for node in ast.walk(ast.parse(source)):
+        name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+        if name in PACKED_FORMAT_NAMES:
+            uses.append((node.lineno, node.col_offset, name))
+    return [(line, name) for line, _col, name in sorted(uses)]
+
+
+def test_scanner_flags_only_packed_format_uses():
+    source = (
+        "import numpy as np\n"
+        "from numpy import unpackbits\n"
+        "def f(m, a):\n"
+        '    """to_bytes in a docstring is fine"""\n'
+        "    b = m.to_bytes(8, 'little')\n"
+        "    return np.packbits(a), int.from_bytes(b, 'little'), np.frombuffer(b), unpackbits(a)\n"
+    )
+    assert packed_format_uses(source) == [
+        (5, "to_bytes"), (6, "packbits"), (6, "from_bytes"), (6, "frombuffer"), (6, "unpackbits"),
+    ]
+
+
+def test_only_graph_core_knows_the_packed_format():
+    uses = [
+        f"{path.name}:{line} {name}"
+        for path in MODULES
+        if path.name != "graph_core.py"
+        for line, name in packed_format_uses(path.read_text(encoding="utf-8"))
+    ]
+    assert uses == []

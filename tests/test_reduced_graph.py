@@ -205,6 +205,16 @@ class TestKEquitable:
         assert validate_k_equitable(clusters)
 
 
+def cut_into_own_row(cut):
+    """A vertex v of cell (0, 0) of the complete 200-vertex host, and the host
+    preparation after G loses `cut` of v's 50 edges into cell (0, 1)."""
+    host = Graph.complete(200)
+    before = prepare_host(host, host, 1.0, 0.2, 2, 0.3, 0.4, 4, seed=2)
+    v = next(iter(before.clusters[(0, 0)]))
+    g = host.without_edges([(v, w) for w in before.clusters[(0, 1)].to_list()[:cut]])
+    return v, prepare_host(g, host, 1.0, 0.2, 2, 0.3, 0.4, 4, seed=2)
+
+
 class TestPrepareHost:
     def test_complete_graph(self):
         g = Graph.complete(120)
@@ -217,12 +227,14 @@ class TestPrepareHost:
     def test_weak_vertex_moves_to_a_strong_row(self):
         # v keeps its host edges but loses 34 of its 50 G-edges into the other
         # cluster of its row: it joins W and is redistributed to row 1
-        host = Graph.complete(200)
-        before = prepare_host(host, host, 1.0, 0.2, 2, 0.3, 0.4, 4, seed=2)
-        v = next(iter(before.clusters[(0, 0)]))
-        g = host.without_edges([(v, w) for w in before.clusters[(0, 1)].to_list()[:34]])
-        hs = prepare_host(g, host, 1.0, 0.2, 2, 0.3, 0.4, 4, seed=2)
+        v, hs = cut_into_own_row(34)
         assert v in hs.clusters[(1, 0)]
+
+    def test_vertex_at_the_weak_threshold_stays(self):
+        # a cut of 33 leaves v exactly (0.4 - 2 * 0.3 / 10) * 50 = 17 G-edges
+        # into the other cluster of its row: not weak, so it keeps its cell
+        v, hs = cut_into_own_row(33)
+        assert v in hs.clusters[(0, 0)]
 
     def test_two_cliques_precondition_rejected(self):
         # disjoint K_30 + K_30 has min degree 29 < (1/2 + gamma) * 60
