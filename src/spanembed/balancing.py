@@ -59,13 +59,6 @@ class MoveLog:
     def total_moved(self) -> int:
         return sum(len(m) for _, _, _, m in self.moves)
 
-    def touches(self) -> dict[tuple[int, int], int]:
-        out: dict[tuple[int, int], int] = {}
-        for _, src, dst, _ in self.moves:
-            out[src] = out.get(src, 0) + 1
-            out[dst] = out.get(dst, 0) + 1
-        return out
-
 
 def small_move_select(
     g: Graph,

@@ -5,10 +5,11 @@ Python int bitmask per vertex.  Bulk work reads rows of vertices as packed
 little-endian uint64 words (`Graph.packed_rows`, and one vertex set with
 `packed_indicator`), counts vertex-to-set degrees on them with
 `Graph.degree_table`, and unpacks them to bool rows only where a 0/1 block is
-needed (`Graph.to_bit_matrix`); `bit_positions` lists a mask's set bits from
-its bytes.  This module is the only one that knows that format.  All
-randomness flows through numpy's Philox counter-based generator so that
-identical seeds reproduce identical graphs on every platform.
+needed (`Graph.to_bit_matrix`, or `unpack_rows` for rows packed earlier);
+`bit_positions` lists a mask's set bits from its bytes.  This module is the
+only one that knows that format.  All randomness flows through numpy's Philox
+counter-based generator so that identical seeds reproduce identical graphs on
+every platform.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ __all__ = [
     "mask_of",
     "bit_positions",
     "packed_indicator",
+    "unpack_rows",
     "gnp",
     "paley",
     "bandwidth_of_labelling",
@@ -78,6 +80,11 @@ def packed_indicator(vertices, n: int) -> np.ndarray:
     flags = np.zeros(64 * ((n + 63) // 64), dtype=bool)
     flags[vertices] = True
     return np.packbits(flags, bitorder="little").view("<u8")
+
+
+def unpack_rows(rows: np.ndarray, n: int) -> np.ndarray:
+    """Rows in the format of `Graph.packed_rows` as a fresh bool matrix with n columns."""
+    return np.unpackbits(rows.view(np.uint8), axis=1, count=n, bitorder="little").view(bool)
 
 
 def _packed(masks, words: int) -> np.ndarray:
@@ -198,8 +205,7 @@ class Graph:
 
     def to_bit_matrix(self, vertices=None) -> np.ndarray:
         """The adjacency rows of `vertices` (all by default) as a fresh bool matrix with n columns."""
-        rows = self.packed_rows(vertices).view(np.uint8)
-        return np.unpackbits(rows, axis=1, count=self.n, bitorder="little").view(bool)
+        return unpack_rows(self.packed_rows(vertices), self.n)
 
     @classmethod
     def empty(cls, n: int) -> "Graph":
@@ -219,9 +225,6 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
-
-    def degree_into(self, v: int, mask: int) -> int:
-        return (self.adj[v] & mask).bit_count()
 
     def min_degree(self) -> int:
         return min((a.bit_count() for a in self.adj), default=0)

@@ -257,12 +257,6 @@ class GuestAssignment:
     certs: dict[str, bool] = field(default_factory=dict)
     zero_routed: tuple[int, ...] = ()
 
-    def cell_counts(self) -> dict[tuple[int, int], int]:
-        counts: dict[tuple[int, int], int] = {}
-        for cell in self.f:
-            counts[cell] = counts.get(cell, 0) + 1
-        return counts
-
 
 def _certify_assignment(
     h: Graph,

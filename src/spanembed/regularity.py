@@ -6,7 +6,9 @@ degree-sorted prefix cuts first and seeded random threshold-size subpairs
 second.  Sampled mode silently upgrades to exhaustive when both sides have at
 most 14 vertices, so the two routes agree on everything the oracle can reach.
 Every sampled predicate runs on one engine, `_first_bad_subpair`, which reads
-G[X, Y] once and scores each candidate subpair as an exact edge count.
+G[X, Y] once into a 0/1 block and scores its candidate subpairs as exact edge
+counts: the one-sided cuts off cumulative degree sums, then the double cuts and
+random subpairs all at once, with one batched matrix product.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from operator import or_
 
 import numpy as np
 
-from .graph_core import Graph, VertexSet, iter_bits, mask_of, rng_for
+from .graph_core import Graph, VertexSet, bit_positions, iter_bits, mask_of, rng_for, unpack_rows
 
 __all__ = [
     "PairVerdict",
@@ -140,59 +142,82 @@ def _exact_extreme_subpairs(
     return mn, pmn, mx, pmx
 
 
-def _candidate_subpairs(deg_x: np.ndarray, deg_y: np.ndarray, eps: float, budget: int, seed: int, joint_cuts: bool):
-    """Row and column indices (X', Y') of each candidate witness subpair, in scan order:
-    degree-sorted prefix and suffix cuts of X against all of Y, the same for Y,
-    with joint_cuts the two threshold-size double cuts, then `budget` seeded
-    random threshold-size subpairs."""
-    nx, ny = len(deg_x), len(deg_y)
-    mx_thr, my_thr = _threshold(eps, nx), _threshold(eps, ny)
-    # a stable sort over ascending vertex ids is the (degree, vertex) order
-    ox, oy = np.argsort(deg_x, kind="stable"), np.argsort(deg_y, kind="stable")
-    all_x, all_y = np.arange(nx), np.arange(ny)
-    for c in sorted({mx_thr, (mx_thr + nx) // 2, nx // 2, nx}):
-        if c >= mx_thr:
-            yield ox[:c], all_y
-            yield ox[nx - c :], all_y
-    for c in sorted({my_thr, (my_thr + ny) // 2, ny // 2, ny}):
-        if c >= my_thr:
-            yield all_x, oy[:c]
-            yield all_x, oy[ny - c :]
-    if joint_cuts:
-        yield ox[:mx_thr], oy[:my_thr]
-        yield ox[nx - mx_thr :], oy[ny - my_thr :]
-    rng = rng_for(seed, stream=21)
-    for _ in range(budget):
-        yield rng.choice(nx, size=mx_thr, replace=False), rng.choice(ny, size=my_thr, replace=False)
+def _pair_block(g: Graph, xs: np.ndarray, ys: np.ndarray, x_rows: np.ndarray | None = None) -> np.ndarray:
+    """G[X, Y] as a uint8 0/1 block, one row per vertex of xs.
+
+    X's adjacency rows are read as packed rows (`Graph.packed_rows(xs)`), or
+    taken from `x_rows` when a caller has packed them already, and unpacked
+    32 at a time, so no full unpacked row of X is ever held.
+    """
+    packed = g.packed_rows(xs) if x_rows is None else x_rows
+    block = np.empty((len(xs), len(ys)), dtype=np.uint8)
+    for lo in range(0, len(xs), 32):
+        block[lo : lo + 32] = np.take(unpack_rows(packed[lo : lo + 32], g.n), ys, axis=1)
+    return block
+
+
+def _cuts(deg: np.ndarray, order: np.ndarray, thr: int):
+    """Degree-sorted prefix and suffix cuts of one side against all of the other,
+    in scan order, each as (indices, edge count) read off one cumulative sum."""
+    n = len(deg)
+    csum = np.concatenate(([0], np.cumsum(deg[order], dtype=np.int64)))
+    for c in sorted({thr, (thr + n) // 2, n // 2, n}):
+        if c >= thr:
+            yield order[:c], int(csum[c])
+            yield order[n - c :], int(csum[n] - csum[n - c])
 
 
 def _first_bad_subpair(
-    g: Graph, x: VertexSet, y: VertexSet, eps: float, budget: int, seed: int, bad,
+    g: Graph, xs: np.ndarray, ys: np.ndarray, block: np.ndarray, eps: float, budget: int, seed: int, bad,
     joint_cuts: bool = True,
 ) -> tuple[VertexSet, VertexSet] | None:
     """The first candidate subpair (X', Y') with bad(e(X', Y'), |X'|, |Y'|), or None.
 
-    The engine behind every sampled predicate.  G[X, Y] is read once into a 0/1
-    block, 32 rows of X at a time; each candidate is scored alone as an exact
-    edge count (a degree sum when one side is whole), so the scan stops at the
-    first failure, and vertex sets are built for the witness only.
+    The engine behind every sampled predicate, on the 0/1 block G[X, Y] of
+    `_pair_block`.  Candidates in scan order: degree-sorted prefix and suffix
+    cuts of X against all of Y, the same for Y, with joint_cuts the two
+    threshold-size double cuts, then `budget` seeded random threshold-size
+    subpairs.  A one-sided cut's edge count is an entry of a cumulative degree
+    sum.  The double cuts and random subpairs are scored together by one
+    float32 product of their X indicators with the block, taken 32 block
+    rows at a time so that no float copy of the block exists, then gathered
+    at their Y indices and summed in float64.  Every partial sum of the
+    product is an integer of at most |X| < 2^24, exact in float32, so every
+    count is exact.  `bad` decides the whole batch at once; the first bad
+    candidate in scan order is the witness, and vertex sets are built for it
+    only.
     """
-    xs, ys = x.to_list(), y.to_list()
-    cols = np.array(ys)
-    block = np.empty((len(xs), len(ys)), dtype=np.uint8)
-    for lo in range(0, len(xs), 32):
-        block[lo : lo + 32] = g.to_bit_matrix(xs[lo : lo + 32])[:, cols]
-    deg_x, deg_y = block.sum(axis=1, dtype=np.int64), block.sum(axis=0, dtype=np.int64)
-    for xi, yi in _candidate_subpairs(deg_x, deg_y, eps, budget, seed, joint_cuts):
-        if len(yi) == len(ys):
-            e = deg_x[xi].sum()
-        elif len(xi) == len(xs):
-            e = deg_y[yi].sum()
-        else:
-            e = block[np.ix_(xi, yi)].sum(dtype=np.int64)
-        if bad(int(e), len(xi), len(yi)):
-            return VertexSet.from_iter(g.n, (xs[i] for i in xi)), VertexSet.from_iter(g.n, (ys[j] for j in yi))
-    return None
+    nx, ny = block.shape
+    deg_x, deg_y = block.sum(axis=1, dtype=np.int32), block.sum(axis=0, dtype=np.int32)
+    mx_thr, my_thr = _threshold(eps, nx), _threshold(eps, ny)
+    # a stable sort over ascending vertex ids is the (degree, vertex) order
+    ox, oy = np.argsort(deg_x, kind="stable"), np.argsort(deg_y, kind="stable")
+    all_x, all_y = np.arange(nx), np.arange(ny)
+
+    def witness(xi: np.ndarray, yi: np.ndarray) -> tuple[VertexSet, VertexSet]:
+        return VertexSet(g.n, mask_of(xs[xi].tolist())), VertexSet(g.n, mask_of(ys[yi].tolist()))
+
+    for xi, e in _cuts(deg_x, ox, mx_thr):
+        if bad(e, len(xi), ny):
+            return witness(xi, all_y)
+    for yi, e in _cuts(deg_y, oy, my_thr):
+        if bad(e, nx, len(yi)):
+            return witness(all_x, yi)
+    cands = [(ox[:mx_thr], oy[:my_thr]), (ox[nx - mx_thr :], oy[ny - my_thr :])] if joint_cuts else []
+    rng = rng_for(seed, stream=21)
+    for _ in range(budget):
+        cands.append((rng.choice(nx, size=mx_thr, replace=False), rng.choice(ny, size=my_thr, replace=False)))
+    if not cands:
+        return None
+    cx, cy = np.array([xi for xi, _ in cands]), np.array([yi for _, yi in cands])
+    ind = np.zeros((len(cands), nx), dtype=np.float32)
+    np.put_along_axis(ind, cx, 1.0, axis=1)
+    prod = np.zeros((len(cands), ny), dtype=np.float32)
+    for lo in range(0, nx, 32):
+        prod += ind[:, lo : lo + 32] @ block[lo : lo + 32].astype(np.float32)
+    e = np.take_along_axis(prod, cy, axis=1).sum(axis=1, dtype=np.float64)
+    hit = np.flatnonzero(bad(e, mx_thr, my_thr))
+    return witness(cx[hit[0]], cy[hit[0]]) if len(hit) else None
 
 
 def check_lower_regular(
@@ -228,8 +253,9 @@ def check_lower_regular(
         return PairVerdict("lower_regular", full, None, exact=True)
     if _lower_bound_vacuous(d, eps):
         return PairVerdict("lower_regular", full, None, exact=False)
+    xs, ys = bit_positions(x.mask), bit_positions(y.mask)
     wit = _first_bad_subpair(
-        g, x, y, eps, budget, seed, lambda e, sx, sy: e / (p * sx * sy) < bound - 1e-12
+        g, xs, ys, _pair_block(g, xs, ys), eps, budget, seed, lambda e, sx, sy: e / (p * sx * sy) < bound - 1e-12
     )
     return PairVerdict("lower_regular" if wit is None else "irregular", full, wit, exact=False)
 
@@ -248,6 +274,8 @@ def check_two_sided_regular(
     budget: int = DEFAULT_SAMPLE_BUDGET,
     seed: int = 0,
     noise_sigmas: float = 0.0,
+    *,
+    _x_rows: np.ndarray | None = None,
 ) -> PairVerdict:
     """Does every eps-fraction subpair stay within eps of the pair density?
 
@@ -256,8 +284,14 @@ def check_two_sided_regular(
     a subpair only witnesses irregularity when its deviation clears eps plus
     that many standard errors of the subpair density estimate; at desk-scale
     part sizes this keeps binomial noise from masquerading as structure.
+    `_x_rows` is private to `energy_partition`, which hands in X's packed
+    rows (see `_pair_block`) so that each part's rows are read once per round.
     """
-    full = _pair_density(g, x.mask, y.mask, p)
+    if x.mask & y.mask:
+        raise ValueError("sides must be disjoint")
+    xs, ys = bit_positions(x.mask), bit_positions(y.mask)
+    block = _pair_block(g, xs, ys, _x_rows)
+    full = int(block.sum(dtype=np.int64)) / (p * len(xs) * len(ys))
 
     def margin(sx: int, sy: int) -> float:
         return eps + noise_sigmas * _density_stderr(full, p, sx, sy) + 1e-12
@@ -272,7 +306,7 @@ def check_two_sided_regular(
     # Joint double cuts are skipped here: at desk-scale part sizes they deviate
     # by ~eps on genuinely random pairs and would trigger endless refinement.
     wit = _first_bad_subpair(
-        g, x, y, eps, budget, seed,
+        g, xs, ys, block, eps, budget, seed,
         lambda e, sx, sy: abs(e / (p * sx * sy) - full) > margin(sx, sy),
         joint_cuts=False,
     )
@@ -423,20 +457,21 @@ def energy_partition(
         witnesses: list[tuple[int, int]] = []  # (part index, witness mask)
         irregular = 0
         n_pairs = 0
-        for a in range(len(nontrivial)):
+        for a, (_, ma) in enumerate(nontrivial[:-1]):
+            x = VertexSet(g.n, ma)
+            x_rows = g.packed_rows(bit_positions(ma))  # read once for every b > a
             for b in range(a + 1, len(nontrivial)):
                 n_pairs += 1
-                oa, ma = nontrivial[a]
-                ob, mb = nontrivial[b]
                 verdict = check_two_sided_regular(
-                    g, VertexSet(g.n, ma), VertexSet(g.n, mb), eps, p,
+                    g, x, VertexSet(g.n, nontrivial[b][1]), eps, p,
                     budget=budget, seed=seed + 997 * rounds + a * 131 + b,
-                    noise_sigmas=3.0,
+                    noise_sigmas=3.0, _x_rows=x_rows,
                 )
                 if not verdict.ok:
                     irregular += 1
                     wx, wy = verdict.witness
                     witnesses += [(a, wx.mask), (b, wy.mask)]
+            del x_rows  # only one part's rows are live at a time
         irregular_counts.append(irregular)
         if n_pairs == 0 or irregular <= (eps / 2.0) * n_pairs:
             triggered.append(False)

@@ -12,6 +12,28 @@ SMOKE_CFG = dict(
 )
 
 
+def degree_into(g, v, mask):
+    """|N(v) & mask| in g."""
+    return (g.adj[v] & mask).bit_count()
+
+
+def cell_counts(assignment):
+    """Number of guest vertices that a GuestAssignment maps to each cell."""
+    counts = {}
+    for cell in assignment.f:
+        counts[cell] = counts.get(cell, 0) + 1
+    return counts
+
+
+def move_touches(log):
+    """Number of recorded moves in a MoveLog that start or end at each cell."""
+    out = {}
+    for _, src, dst, _ in log.moves:
+        out[src] = out.get(src, 0) + 1
+        out[dst] = out.get(dst, 0) + 1
+    return out
+
+
 def cycle_graph(n):
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 

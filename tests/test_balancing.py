@@ -9,7 +9,7 @@ from spanembed.balancing import (
 )
 from spanembed.graph_core import Graph, VertexSet, gnp, rng_for
 
-from helpers import complete_reduced
+from helpers import complete_reduced, degree_into, move_touches
 
 
 def probe_move_equidistribution(host, x, s, probes, max_tuple, cap, slack, seed=0):
@@ -47,7 +47,7 @@ def reference_small_move_select(g, x, z_list, m, eps, d, p, seed=0):
         raise BalancingError("small-move", f"m={m} exceeds |X|/2={len(x) // 2}")
     eligible = []
     for v in x:
-        if all(g.degree_into(v, z.mask) >= (d - eps) * p * len(z) - 1e-12 for z in z_list):
+        if all(degree_into(g, v, z.mask) >= (d - eps) * p * len(z) - 1e-12 for z in z_list):
             eligible.append(v)
     if len(eligible) < m:
         raise BalancingError("small-move", f"only {len(eligible)} eligible vertices for m={m}")
@@ -185,7 +185,7 @@ class TestLocalBalance:
         assert before == after
         touches = {}
         for log in (glog, llog):
-            for cell, cnt in log.touches().items():
+            for cell, cnt in move_touches(log).items():
                 touches[cell] = touches.get(cell, 0) + cnt
         assert max(touches.values(), default=0) <= 3
         # per-cluster churn stays within the move budget

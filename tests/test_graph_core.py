@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import degree_into
 from spanembed.graph_core import (
     Graph,
     Labelling,
@@ -17,6 +18,7 @@ from spanembed.graph_core import (
     paley,
     parse_graph_text,
     rng_for,
+    unpack_rows,
     write_graph_file,
 )
 
@@ -91,10 +93,11 @@ class TestPackedRows:
         vertices = rng.permutation(n).tolist()  # not in ascending order
         assert (g.packed_rows(vertices) == rows[vertices]).all()
         assert (g.to_bit_matrix(vertices) == g.to_bit_matrix()[vertices]).all()
+        assert (unpack_rows(rows[n // 2 :], n) == g.to_bit_matrix()[n // 2 :]).all()  # a slice of packed rows
         table = g.degree_table(masks, vertices)
         assert table.dtype == np.int64
-        assert table.tolist() == [[g.degree_into(v, m) for m in masks] for v in vertices]
-        assert g.degree_table(masks).tolist() == [[g.degree_into(v, m) for m in masks] for v in range(n)]
+        assert table.tolist() == [[degree_into(g, v, m) for m in masks] for v in vertices]
+        assert g.degree_table(masks).tolist() == [[degree_into(g, v, m) for m in masks] for v in range(n)]
 
     def test_empty_vertex_and_mask_lists(self):
         g = gnp(65, 0.4, 3)

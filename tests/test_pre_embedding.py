@@ -17,7 +17,7 @@ from spanembed.pre_embedding import (
 )
 from spanembed.reduced_graph import prepare_host
 
-from helpers import deleted_to_floor, pre_embed_instance
+from helpers import deleted_to_floor, degree_into, pre_embed_instance
 
 
 PARAMS = dict(eps=0.25, d=0.1, p=0.4, mu=0.15, delta=2, forbid_c4=False)
@@ -208,7 +208,7 @@ def reference_choose_host_row(g, host, y_mask, clusters, v0_mask, r, k, eps, d, 
             continue
         for i in range(r):
             if all(
-                g.degree_into(y, clusters[(i, j)].mask) >= d * p * len(clusters[(i, j)])
+                degree_into(g, y, clusters[(i, j)].mask) >= d * p * len(clusters[(i, j)])
                 for j in range(k)
             ):
                 kept_rows[i].append(y)

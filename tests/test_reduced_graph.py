@@ -14,7 +14,7 @@ from spanembed.reduced_graph import (
     validate_k_equitable,
 )
 
-from helpers import deleted_to_floor
+from helpers import deleted_to_floor, degree_into
 
 
 class TestBackboneStructure:
@@ -274,7 +274,7 @@ class TestPrepareHost:
                 continue
             cell = cells[int(rng.integers(len(cells)))]
             c = hs.clusters[cell]
-            dv = host.degree_into(v, c.mask)
+            dv = degree_into(host, v, c.mask)
             assert abs(dv - 0.4 * len(c)) <= 0.25 * 0.4 * len(c) + 1.0
 
 

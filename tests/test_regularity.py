@@ -1,9 +1,11 @@
+import hashlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from helpers import deleted_to_floor
+from helpers import deleted_to_floor, degree_into
 from spanembed.graph_core import Graph, VertexSet, gnp, iter_bits, mask_of, rng_for
 from spanembed.regularity import (
     PairVerdict,
@@ -73,7 +75,7 @@ class TestCheckLowerRegular:
             if v.kind != "lower_regular":
                 continue
             certified += 1
-            low = sum(1 for u in x if g.degree_into(u, y.mask) < (d - eps) * p * len(y))
+            low = sum(1 for u in x if degree_into(g, u, y.mask) < (d - eps) * p * len(y))
             assert low < eps * len(x)
         assert certified >= 10
 
@@ -125,6 +127,34 @@ class TestSuperRegular:
         assert not check_super_regular(g, host, x, y, 0.05, 0.3, p)
 
 
+def refining_instance(name):
+    """Two halves with a planted dense block between them, so the partitioner
+    refines for several rounds: (graph, initial parts, p)."""
+    if name == "planted-120":  # the setup of test_planted_structure_gains_energy
+        rng = np.random.default_rng(5)
+        n, edges = 120, []
+        for u in range(n):
+            for v in range(u + 1, n):
+                base = 0.95 if (u < 30 and 60 <= v < 90) else 0.25
+                if rng.random() < base:
+                    edges.append((u, v))
+        g, p = Graph.from_edges(n, edges), 0.25
+    else:
+        n, p = 240, 0.25
+        rng = rng_for(1, stream=9)
+        a = rng.random((n, n)) < p
+        a[: n // 4, n // 2 : 3 * n // 4] = rng.random((n // 4, n // 4)) < 0.95
+        a = np.triu(a, 1)
+        g = Graph.from_bit_matrix(a | a.T)
+    return g, [VertexSet.from_iter(n, range(n // 2)), VertexSet.from_iter(n, range(n // 2, n))], p
+
+
+def partition_digest(res):
+    """sha256 prefix of the refinement's masks, the energy history and the irregular counts."""
+    masks = [[v.mask for v in group] for group in res.refinement]
+    return hashlib.sha256(repr((masks, res.energy_history, res.irregular_counts)).encode()).hexdigest()[:16]
+
+
 class TestEnergyPartition:
     def test_edgeless_trivial(self):
         res = energy_partition(Graph.empty(40), [VertexSet.full(40)], 0.25, 0.5, seed=1)
@@ -144,17 +174,8 @@ class TestEnergyPartition:
         assert res.energy_history[0] == pytest.approx(0.3747, abs=5e-3)  # frozen
 
     def test_planted_structure_gains_energy(self):
-        rng = np.random.default_rng(5)
-        n, edges = 120, []
-        for u in range(n):
-            for v in range(u + 1, n):
-                base = 0.95 if (u < 30 and 60 <= v < 90) else 0.25
-                if rng.random() < base:
-                    edges.append((u, v))
-        g = Graph.from_edges(n, edges)
-        a = VertexSet.from_iter(n, range(60))
-        b = VertexSet.from_iter(n, range(60, 120))
-        res = energy_partition(g, [a, b], 0.25, 0.25, seed=2)
+        g, parts, p = refining_instance("planted-120")
+        res = energy_partition(g, parts, 0.25, p, seed=2)
         assert res.regular
         gains = [res.energy_history[i + 1] - res.energy_history[i] for i in range(len(res.energy_history) - 1)]
         assert all(gain >= -1e-9 for gain in gains)
@@ -162,6 +183,23 @@ class TestEnergyPartition:
         for i, trig in enumerate(res.triggered_rounds):
             if trig:
                 assert res.energy_history[i + 1] - res.energy_history[i] >= need
+
+    @pytest.mark.parametrize(
+        "instance, seed, rounds, irregular, digest",
+        [
+            ("planted-120", 2, 3, [1, 39, 0], "c26e7ab45fe239ac"),
+            ("planted-240", 3, 3, [1, 14, 112], "605f7de0eb609e59"),
+        ],
+        ids=["planted-120", "planted-240"],
+    )
+    def test_refining_partition_pinned(self, instance, seed, rounds, irregular, digest):
+        # several refinement rounds, each reading every part's rows once for
+        # all its pairs; the 60- and 120-vertex halves of round 1 and the
+        # 29-vertex chunks of planted-240's round 2 take the sampled route
+        g, parts, p = refining_instance(instance)
+        res = energy_partition(g, parts, 0.25, p, seed=seed)
+        assert (res.rounds, res.irregular_counts) == (rounds, irregular)
+        assert partition_digest(res) == digest
 
     def test_energy_cap(self):
         g = gnp(200, 0.5, 8)
@@ -271,8 +309,8 @@ def scan_super(g, host, x, y, eps, d, p, budget, seed):
         return False
     for side, other in ((x, y), (y, x)):
         for v in side:
-            need = (d - eps) * max(p * len(other), host.degree_into(v, other.mask) / 2.0)
-            if g.degree_into(v, other.mask) < need - 1e-12:
+            need = (d - eps) * max(p * len(other), degree_into(host, v, other.mask) / 2.0)
+            if degree_into(g, v, other.mask) < need - 1e-12:
                 return False
     return True
 
@@ -329,6 +367,60 @@ class TestEngineMatchesScan:
         assert check_super_regular(empty, host, x, y, 0.25, 0.1, p)
         assert _prefix_inheritance_ok(empty, x.mask, y.mask, 0.25, 0.1, p)
         assert not _prefix_inheritance_ok(empty, 0, y.mask, 0.25, 0.1, p)
+
+
+# The energy partitioner's part sizes on the tree (333) and resilience (1000)
+# workloads, where the engine scores 64 random subpairs in one batch.
+BENCH_SIDES = (333, 1000)
+
+
+def circulant_case(side, seed):
+    """A pair whose G[X, Y] is a circulant band: the i-th vertex of X (by id) is
+    adjacent to the j-th of Y iff (j - i) mod side < 0.4 side.  Every vertex has
+    the same degree across, so no one-sided cut deviates from the pair density;
+    a witness, if any, is a double cut or a random subpair."""
+    n = 2 * side + 7
+    perm = rng_for(seed, stream=5).permutation(n)
+    xs, ys = np.sort(perm[:side]), np.sort(perm[side : 2 * side])
+    w = round(0.4 * side)
+    a = np.zeros((n, n), dtype=bool)
+    a[np.ix_(xs, ys)] = (np.arange(side)[None, :] - np.arange(side)[:, None]) % side < w
+    a |= a.T
+    return Graph.from_bit_matrix(a), VertexSet.from_iter(n, xs.tolist()), VertexSet.from_iter(n, ys.tolist()), w / side
+
+
+def witness_kind(g, x, y, eps, budget, seed, verdict, joint_cuts):
+    """Where the scan finds the witness: "cut" (one-sided or double), "random", or None."""
+    if verdict.witness is None:
+        return None
+    cands = list(scan_subpairs(g, x, y, eps, budget, seed, joint_cuts))
+    i = cands.index((verdict.witness[0].mask, verdict.witness[1].mask))
+    return "random" if i >= len(cands) - budget else "cut"
+
+
+@pytest.mark.parametrize("side", BENCH_SIDES)
+def test_batch_matches_scan_at_benchmark_shapes(side):
+    """Verdicts and witnesses equal the scan's, at budgets 64 and 0, on thinned
+    corners and on circulant bands; the witnesses come from cuts and from random
+    subpairs, and some pairs have none."""
+    cases = []
+    for seed in range(4):  # seed % 4 quarters of the corner are thinned
+        g, _host, x, y, p = scan_case(side, side, seed)
+        cases.append((seed, g, x, y, p))
+    cases += [(seed, *circulant_case(side, seed)) for seed in range(2)]
+    kinds = Counter()
+    for seed, g, x, y, p in cases:
+        for eps in (0.05, 0.25):
+            for budget in (0, 64):
+                for sigmas in (0.0, 3.0):
+                    got = check_two_sided_regular(g, x, y, eps, p, budget=budget, seed=seed, noise_sigmas=sigmas)
+                    assert got == scan_two_sided(g, x, y, eps, p, budget, seed, sigmas)
+                    kinds[witness_kind(g, x, y, eps, budget, seed, got, joint_cuts=False)] += 1
+                for d in (eps + 0.95, eps + 0.8):
+                    got = check_lower_regular(g, x, y, eps, d, p, budget=budget, seed=seed)
+                    assert got == scan_lower(g, x, y, eps, d, p, budget, seed)
+                    kinds[witness_kind(g, x, y, eps, budget, seed, got, joint_cuts=True)] += 1
+    assert kinds["cut"] > 0 and kinds["random"] > 0 and kinds[None] > 0
 
 
 def reference_inheritance(g, nbrs, amask, bmask, eps, d, p):
