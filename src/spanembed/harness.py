@@ -193,9 +193,8 @@ def adversary_delete(
         return g
     # A vertex may lose an edge while its degree minus one stays at or above
     # the floor; `spare` counts the edges each vertex can still lose.
-    deg = [g.degree(v) for v in range(n)]
-    keep = math.ceil(floor - 1e-9)
-    spare = [d - keep for d in deg]
+    deg = np.array([g.degree(v) for v in range(n)], dtype=np.int64)
+    spare = deg - math.ceil(floor - 1e-9)
     rng = rng_for(seed, stream=101)
     a = g.to_bit_matrix()
     if strategy == "random":
@@ -210,7 +209,6 @@ def adversary_delete(
         us, vs = nbrs[iu], nbrs[iv]
         order = rng.permutation(len(us))
         us, vs = us[order], vs[order]
-        deg = np.array(deg)
         ranked = np.argsort(-(deg[us] + deg[vs]), kind="stable")
         _greedy_delete(a, (us * n + vs)[ranked], spare, None)
         if a[inside].any():
@@ -218,7 +216,13 @@ def adversary_delete(
         return Graph.from_bit_matrix(a)
     if strategy == "bipartite_push":
         classes = rng.integers(0, k, size=n)
-        keys = _edge_keys(a & (classes[:, None] == classes[None, :]))
+        # the keys whose ends share a class, found a block at a time (no n x n temporary)
+        keys = _edge_keys(a)
+        same = np.empty(len(keys), dtype=bool)
+        for at in range(0, len(keys), _SCAN_BLOCK):
+            u, v = np.divmod(keys[at:at + _SCAN_BLOCK], n)
+            same[at:at + _SCAN_BLOCK] = classes[u] == classes[v]
+        keys = keys[same]
         rng.shuffle(keys)
         _greedy_delete(a, keys, spare, budget)
         return Graph.from_bit_matrix(a)
@@ -245,35 +249,55 @@ def _edge_keys(a: np.ndarray) -> np.ndarray:
 _SCAN_BLOCK = 1 << 16
 
 
-def _greedy_delete(a: np.ndarray, keys: np.ndarray, spare: list[int], cap: int | None) -> None:
+def _greedy_delete(a: np.ndarray, keys: np.ndarray, spare: np.ndarray, cap: int | None) -> None:
     """Delete from `a`, in scan order, each edge key u * n + v whose ends both have spare degree.
 
-    Stops after `cap` deletions when a cap is given; `spare` is debited in place.
+    Stops after `cap` deletions when a cap is given; `spare` (an int array with
+    one entry per vertex) is debited in place.  The deletions are those of the
+    key-by-key scan, settled one block of `_SCAN_BLOCK` keys at a time:
+
+    - Spare degree only falls, so a key with a spent end at the start of its
+      block is skipped; the block's other keys are live.
+    - A vertex is *safe* in the block when its live keys there number at most
+      its spare at the block's start.  At each of those keys it has lost fewer
+      edges in the block than it had spare, so it passes the test on all of
+      them.  A key with two safe ends is deleted in one numpy step.
+    - A key with an unsafe end depends on the scan order, so those keys alone
+      are scanned in Python, in key order, each end's spare counted from the
+      block's start (a safe end never runs out there).
+    - The block's deletions debit `spare` in bulk.  A cap keeps the first
+      `left` of them by key index; that is exact, because whether a key is
+      deleted never depends on a later key.
     """
     n = a.shape[0]
     left = len(keys) if cap is None else cap
-    hits = [np.zeros(0, dtype=np.int64)]
     for start in range(0, len(keys), _SCAN_BLOCK):
         if left <= 0:
             break
-        # Spare degree only falls, so an edge with a spent end at the start of
-        # the block is skipped by the scan as well; drop those up front.
-        has = np.asarray(spare) > 0
         bu, bv = np.divmod(keys[start:start + _SCAN_BLOCK], n)
-        live = np.flatnonzero(has[bu] & has[bv])
-        block = []
-        for i, u, v in zip(live.tolist(), bu[live].tolist(), bv[live].tolist()):
-            if spare[u] > 0 and spare[v] > 0:
-                spare[u] -= 1
-                spare[v] -= 1
-                block.append(i)
-                left -= 1
-                if left <= 0:
-                    break
-        hits.append(np.asarray(block, dtype=np.int64) + start)
-    du, dv = np.divmod(keys[np.concatenate(hits)], n)
-    a[du, dv] = False
-    a[dv, du] = False
+        has = spare > 0
+        live = has[bu] & has[bv]
+        occ = np.bincount(bu[live], minlength=n) + np.bincount(bv[live], minlength=n)
+        safe = occ <= spare
+        take = live & safe[bu] & safe[bv]
+        scan = np.flatnonzero(live & ~take)
+        if len(scan):
+            su, sv = bu[scan], bv[scan]
+            ends = np.concatenate([su, sv])
+            rest = dict(zip(ends.tolist(), spare[ends].tolist()))
+            kept = []
+            for i, u, v in zip(scan.tolist(), su.tolist(), sv.tolist()):
+                if rest[u] > 0 and rest[v] > 0:
+                    rest[u] -= 1
+                    rest[v] -= 1
+                    kept.append(i)
+            take[kept] = True
+        hit = np.flatnonzero(take)[:left]
+        du, dv = bu[hit], bv[hit]
+        spare -= np.bincount(du, minlength=n) + np.bincount(dv, minlength=n)
+        left -= len(hit)
+        a[du, dv] = False
+        a[dv, du] = False
 
 
 # ---------------------------------------------------------------------------

@@ -391,15 +391,25 @@ def _energy_term(dens: float, L: float) -> float:
 
 
 def _energy(parts: list[tuple[int, int]], origin_sizes: list[int], g: Graph, p: float, L: float) -> float:
-    """Sum over unordered part pairs of |P||P'| f(d_p) / (|V_i||V_j|), f capped at L."""
+    """Sum over unordered part pairs of |P||P'| f(d_p) / (|V_i||V_j|), f capped at L.
+
+    Every pair's edge count comes from one packed degree table: each part's
+    vertices' degrees into every part, summed over the part's rows.
+    """
+    masks = [m for _, m in parts]
+    members = [bit_positions(m) for m in masks]
+    table = g.degree_table(masks, np.concatenate(members))
     total = 0.0
+    start = 0
     for a in range(len(parts)):
         oa, ma = parts[a]
         sa = ma.bit_count()
+        counts = table[start:start + sa].sum(axis=0)
+        start += sa
         for b in range(a + 1, len(parts)):
             ob, mb = parts[b]
             sb = mb.bit_count()
-            dens = _pair_density(g, ma, mb, p)
+            dens = int(counts[b]) / (p * sa * sb)  # the float `_pair_density` gives
             total += sa * sb * _energy_term(dens, L) / (origin_sizes[oa] * origin_sizes[ob])
     return total
 

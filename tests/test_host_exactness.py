@@ -3,13 +3,24 @@
 The oracles are the edge-list versions of `gnp` and `adversary_delete`: one
 Philox double per pair from `triu_indices`, and a greedy over a list of edge
 tuples.  The bit-matrix versions must reproduce their graphs exactly.
+
+`adversary_delete` settles its greedy one block of `_SCAN_BLOCK` keys at a
+time, deleting the keys whose ends cannot run out of spare degree in the block
+at once.  The cases at n = 300 fit in one block; the cross-block cases (n of
+1000 to 1400, four or more blocks) also cover a cap that runs out in a later
+block, a floor at the minimum degree, where almost every vertex is unsafe, and
+vertices whose live keys in a block equal their spare.  Each of those also
+checks the blocked greedy against `reference_greedy_delete`, the key-by-key
+scan it replaced, on the same keys, and so does the benchmark's resilience
+host at n = 4000.
 """
 
 import numpy as np
 import pytest
 
+from spanembed import harness
 from spanembed.graph_core import Graph, gnp, iter_bits, rng_for
-from spanembed.harness import ConfigError, adversary_delete
+from spanembed.harness import _SCAN_BLOCK, ConfigError, adversary_delete
 
 
 def oracle_gnp(n, p, seed):
@@ -96,3 +107,135 @@ def test_blocked_triangle_killer_matches_oracle():
     for fn in (oracle_adversary_delete, adversary_delete):
         with pytest.raises(ConfigError, match="blocked"):
             fn(host, "triangle_killer", 0.2, 2, 0.4, seed=5, target=0)
+
+
+def reference_greedy_delete(a, keys, spare, cap):
+    """The key-by-key greedy that `harness._greedy_delete` replaced; `spare` is a list."""
+    n = a.shape[0]
+    left = len(keys) if cap is None else cap
+    hits = [np.zeros(0, dtype=np.int64)]
+    for start in range(0, len(keys), _SCAN_BLOCK):
+        if left <= 0:
+            break
+        # Spare degree only falls, so an edge with a spent end at the start of
+        # the block is skipped by the scan as well; drop those up front.
+        has = np.asarray(spare) > 0
+        bu, bv = np.divmod(keys[start:start + _SCAN_BLOCK], n)
+        live = np.flatnonzero(has[bu] & has[bv])
+        block = []
+        for i, u, v in zip(live.tolist(), bu[live].tolist(), bv[live].tolist()):
+            if spare[u] > 0 and spare[v] > 0:
+                spare[u] -= 1
+                spare[v] -= 1
+                block.append(i)
+                left -= 1
+                if left <= 0:
+                    break
+        hits.append(np.asarray(block, dtype=np.int64) + start)
+    du, dv = np.divmod(keys[np.concatenate(hits)], n)
+    a[du, dv] = False
+    a[dv, du] = False
+
+
+@pytest.fixture
+def greedy_calls(monkeypatch):
+    """Each `_greedy_delete` call the adversary makes: its inputs, then the matrix and spare it leaves."""
+    calls = []
+    greedy = harness._greedy_delete
+
+    def recording(a, keys, spare, cap):
+        inputs = (a.copy(), keys.copy(), spare.tolist(), cap)
+        greedy(a, keys, spare, cap)
+        calls.append((inputs, a.copy(), spare.tolist()))
+
+    monkeypatch.setattr(harness, "_greedy_delete", recording)
+    return calls
+
+
+def assert_matches_reference(call):
+    """Run the reference on the call's inputs (in place) and compare what both leave."""
+    (a, keys, spare, cap), got, got_spare = call
+    reference_greedy_delete(a, keys, spare, cap)
+    assert np.array_equal(a, got)
+    assert spare == got_spare
+
+
+def block_profile(keys, spare, n):
+    """Per block of the scan, over the vertices with spare at its start: the
+    share whose live keys in the block outnumber their spare (unsafe), and the
+    numbers whose live keys equal their spare and exceed it by one."""
+    spare = list(spare)
+    out = []
+    for start in range(0, len(keys), _SCAN_BLOCK):
+        block = keys[start:start + _SCAN_BLOCK]
+        sp = np.asarray(spare)
+        has = sp > 0
+        bu, bv = np.divmod(block, n)
+        live = has[bu] & has[bv]
+        occ = np.bincount(bu[live], minlength=n) + np.bincount(bv[live], minlength=n)
+        out.append((float(np.mean(occ[has] > sp[has])), int(np.sum(occ[has] == sp[has])),
+                    int(np.sum(occ[has] == sp[has] + 1))))
+        reference_greedy_delete(np.zeros((n, n), dtype=bool), block, spare, None)
+    return out
+
+
+@pytest.mark.parametrize(
+    "strategy,n,p,gamma,k,seed,budget,target",
+    [
+        ("random", 1000, 0.6, 0.2, 2, 0, None, 0),
+        ("random", 1000, 0.6, 0.2, 2, 1, 80_000, 0),  # 89k deletions uncapped
+        ("bipartite_push", 1400, 0.6, 0.2, 2, 2, None, 0),
+        ("triangle_killer", 1100, 0.8, 0.05, 1, 3, None, 5),
+    ],
+)
+def test_cross_block_adversary_matches_oracle(greedy_calls, strategy, n, p, gamma, k, seed, budget, target):
+    host = gnp(n, p, seed)
+    args = (host, strategy, gamma, k, p)
+    kwargs = dict(seed=seed, budget=budget, target=target)
+    expect = oracle_adversary_delete(*args, **kwargs)
+    assert adversary_delete(*args, **kwargs) == expect
+    [call] = greedy_calls
+    assert len(call[0][1]) >= 4 * _SCAN_BLOCK
+    assert_matches_reference(call)
+    if budget is not None:
+        assert budget > _SCAN_BLOCK  # so the cap runs out after the first block
+        assert host.m - expect.m == budget
+
+
+@pytest.mark.parametrize("slack", [0, 100])
+def test_tight_floor_matches_oracle(greedy_calls, slack):
+    host = gnp(1000, 0.6, 1)
+    gamma = (host.min_degree() - slack - 0.5) / (0.6 * 1000) - 1 / 2  # floor `slack` under the min degree at k = 2
+    expect = oracle_adversary_delete(host, "random", gamma, 2, 0.6, seed=1)
+    assert adversary_delete(host, "random", gamma, 2, 0.6, seed=1) == expect
+    [call] = greedy_calls
+    (_, keys, spare, _), _, _ = call
+    profile = block_profile(keys, spare, host.n)
+    assert_matches_reference(call)
+    assert len(profile) >= 4
+    if slack == 0:
+        # spare of at most a block's worth of keys: (almost) every vertex is
+        # unsafe in the first two blocks, so the Python scan reads them whole
+        assert profile[0][0] == 1.0 and profile[1][0] > 0.8
+    else:
+        # vertices on both sides of the safe test's `<=` boundary
+        assert profile[0][1] > 0 and profile[0][2] > 0
+
+
+def test_blocked_triangle_killer_greedy_matches_reference(greedy_calls):
+    host = gnp(1100, 0.8, 3)
+    for fn in (oracle_adversary_delete, adversary_delete):
+        with pytest.raises(ConfigError, match="blocked"):
+            fn(host, "triangle_killer", 0.3, 1, 0.8, seed=3, target=5)
+    [call] = greedy_calls
+    assert len(call[0][1]) >= 4 * _SCAN_BLOCK
+    assert_matches_reference(call)
+
+
+def test_resilience_host_matches_reference(greedy_calls):
+    """The `resilience-gnp-n4000` benchmark host, seed 0: 49 blocks of keys."""
+    host = gnp(4000, 0.4, 0)
+    adversary_delete(host, "random", 0.2, 2, 0.4, seed=0)
+    [call] = greedy_calls
+    assert len(call[0][1]) > 48 * _SCAN_BLOCK
+    assert_matches_reference(call)

@@ -10,6 +10,8 @@ from spanembed.graph_core import Graph, VertexSet, gnp, iter_bits, mask_of, rng_
 from spanembed.regularity import (
     PairVerdict,
     RegularityError,
+    _energy,
+    _energy_term,
     _inheritance_ok,
     _prefix_inheritance_ok,
     check_lower_regular,
@@ -200,6 +202,25 @@ class TestEnergyPartition:
         res = energy_partition(g, parts, 0.25, p, seed=seed)
         assert (res.rounds, res.irregular_counts) == (rounds, irregular)
         assert partition_digest(res) == digest
+
+    @pytest.mark.parametrize("L", [1.0, 100.0])  # L = 1 caps about half of the pairs
+    def test_energy_matches_pairwise_reference(self, L):
+        """`_energy` against the loop it replaced: one `edges_between` count per part pair."""
+        n, p = 300, 0.3
+        g = gnp(n, p, 6)
+        order = rng_for(6, stream=9).permutation(n).tolist()
+        parts = [(i % 2, mask_of(order[i::24])) for i in range(24)]
+        origin_sizes = [n // 2, n - n // 2]
+        expect = 0.0
+        for a in range(len(parts)):
+            oa, ma = parts[a]
+            sa = ma.bit_count()
+            for b in range(a + 1, len(parts)):
+                ob, mb = parts[b]
+                sb = mb.bit_count()
+                dens = g.edges_between(ma, mb) / (p * sa * sb)
+                expect += sa * sb * _energy_term(dens, L) / (origin_sizes[oa] * origin_sizes[ob])
+        assert _energy(parts, origin_sizes, g, p, L) == expect
 
     def test_energy_cap(self):
         g = gnp(200, 0.5, 8)
