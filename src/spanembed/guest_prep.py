@@ -373,7 +373,7 @@ def assign_guest(
         applied = True
         # switch colours at interval starts (intervals 2..s_i-1 of each section)
         for i in range(r):
-            for ell, (b1, b2) in blocks.switching_blocks(i):
+            for _ell, (b1, b2) in blocks.switching_blocks(i):
                 perm_vals = [int(x) + 1 for x in rng.permutation(k)]
                 pi = {c: perm_vals[c - 1] for c in range(1, k + 1)}
                 zb = _zero_blocks(sigma_prime, l, blocks.blocklen, blocks.nblocks)

@@ -77,7 +77,7 @@ class ExperimentConfig:
     eps: float = 0.2
     d: float = 0.1
     xi: float = 0.01
-    beta: float | None = None  # default: 4*k*beta*n = 32
+    beta: float | None = None  # default: block length 32, or more for a wide guest (run_pipeline)
     mu: float = 0.05
     rho: float = 0.1
     zeta: float = 0.01
@@ -96,15 +96,14 @@ class ExperimentConfig:
     adversary_target: int = 0
     min_p_factor: float = 1.0
 
-    def resolved_beta(self) -> float:
-        if self.beta is not None:
-            return self.beta
-        return 8.0 / (self.k * self.n)
-
     def resolved_z(self) -> float:
         return self.z if self.z is not None else 10.0 / self.xi
 
     def validate(self):
+        for name, (kind, _) in _FIELD_TYPES.items():
+            val = getattr(self, name)
+            if kind is float and val is not None and not math.isfinite(val):
+                raise ConfigError(f"{name}={val} must be finite")
         if self.n < 1 or self.k < 1 or self.Delta < 2 or self.D < 1:
             raise ConfigError("n >= 1, k >= 1, Delta >= 2, D >= 1 required")
         if not (0 < self.p <= 1):
@@ -128,8 +127,7 @@ class ExperimentConfig:
                 raise ConfigError(f"paley_q={q} must be a prime = 1 (mod 4)")
             if q is not None and q != self.n:
                 raise ConfigError(f"paley({q}) has {q} vertices but n={self.n}")
-        beta = self.resolved_beta()
-        if 4 * self.k * beta * self.n < 1:
+        if self.beta is not None and 4 * self.k * self.beta * self.n < 1:
             raise ConfigError("beta too small for n: 4*k*beta*n < 1")
 
     def recommended_min_p(self) -> float:
@@ -632,7 +630,7 @@ def run_pipeline(cfg: ExperimentConfig) -> RunRecord:
             # removals and balancing moves, so validation runs one stage looser
             report = validate_restriction_pair(
                 restr, final_clusters, part_counts, host, g,
-                rho=cfg.rho, zeta=cfg.zeta, delta=cfg.Delta, delta_j=cfg.Delta,
+                rho=cfg.rho, zeta=cfg.zeta, delta=cfg.Delta,
                 eps=min(0.9, 2 * cfg.eps), p=p, d=cfg.d, f_star=f_star, guest=guest,
                 skip=set(state.phi.keys()), seed=cfg.seed,
             )
@@ -647,7 +645,7 @@ def run_pipeline(cfg: ExperimentConfig) -> RunRecord:
             # neighbour of a buffer keeps the spare back-degree that
             # check_bounded_order demands of it
             blocked = assignment.special.mask
-            for x in [*iter_bits(dom_mask), *restr.restricted()]:
+            for x in [*iter_bits(dom_mask), *restr.J]:
                 blocked |= (1 << x) | guest.adj[x]
             eligible = 0
             for v in range(cfg.n):
@@ -683,7 +681,6 @@ def run_pipeline(cfg: ExperimentConfig) -> RunRecord:
             images = {
                 x: restriction_image(g, final_clusters, f_star[x], js)
                 for x, js in restr.J.items()
-                if js
             }
             if not verify_embedding(g, guest, result.phi, images):
                 raise StageError(None, "the completed embedding fails verification")

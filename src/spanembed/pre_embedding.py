@@ -9,6 +9,8 @@ neighbourhood picks up image restrictions for the final embedding stage.
 
 from __future__ import annotations
 
+import collections
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -51,21 +53,11 @@ class PreEmbedError(StageError):
 class RestrictionPair:
     """Restricting host vertices J_x per guest vertex; images derive from f*.
 
-    I_x is materialised on demand against a cluster family: the guest's cell
-    intersected with the common G-neighbourhood of J_x.
+    J holds only nonempty J_x.  I_x is materialised on demand against a cluster
+    family: the guest's cell intersected with the common G-neighbourhood of J_x.
     """
 
     J: dict[int, tuple[int, ...]] = field(default_factory=dict)
-
-    def restricted(self) -> list[int]:
-        return [x for x, js in self.J.items() if js]
-
-    def host_load(self) -> dict[int, int]:
-        load: dict[int, int] = {}
-        for js in self.J.values():
-            for u in js:
-                load[u] = load.get(u, 0) + 1
-        return load
 
 
 def restriction_image(
@@ -77,11 +69,8 @@ def restriction_image(
 
 @dataclass
 class PreEmbedState:
-    phi: dict[int, int]  # guest -> host
-    reserve: VertexSet
-    t: int
-    anchors: list[tuple[int, int]]  # (guest anchor, host exceptional vertex)
-    transcript: list[str] = field(default_factory=list)
+    phi: dict[int, int] = field(default_factory=dict)  # guest -> host
+    anchors: list[tuple[int, int]] = field(default_factory=list)  # (guest anchor, host exceptional vertex)
 
     def image_mask(self) -> int:
         return mask_of(self.phi.values())
@@ -226,86 +215,59 @@ def _greedy_tuple(
     lower-regularity of cluster-restricted host intersections for subset pairs.
     """
     n = g.n
-    k = len(row_clusters)
-    chosen: list[int] = []
-    g_masks: dict[tuple, dict[int, int]] = {(): {j: c.mask for j, c in row_clusters.items()}}
-    ga_masks: dict[tuple, dict[int, int]] = {(): {j: c.mask for j, c in row_clusters.items()}}
-    ga_global: dict[tuple, int] = {(): (1 << n) - 1}
-    rng = rng_for(seed, stream=81)
-    order = [w_pool[int(i)] for i in rng.permutation(len(w_pool))]
-    failure = "candidates"
-    for w in order:
-        if len(chosen) == ell:
-            break
-        if w in chosen:
-            continue
-        lam_new: list[tuple] = []
-        ok = True
-        reason = ""
-        subsets = list(g_masks.keys())
-        trial_g, trial_ga, trial_gn = {}, {}, {}
-        for lam in subsets:
-            lam2 = tuple(sorted(lam + (w,)))
-            sz = len(lam2)
-            gm = {j: g_masks[lam][j] & g.adj[w] for j in row_clusters}
-            gam = {j: ga_masks[lam][j] & host.adj[w] for j in row_clusters}
-            gg = ga_global[lam] & host.adj[w]
-            if gg.bit_count() > (1 + eps) ** sz * p**sz * n:
-                ok, reason = False, "common-size"
-                break
+    # each subset L of the chosen vertices -> its common G-neighbourhood and its
+    # common host neighbourhood in each cluster, and its common host neighbourhood
+    masks = {j: c.mask for j, c in row_clusters.items()}
+    common = {(): (masks, masks, (1 << n) - 1)}
+
+    def broken(trial) -> str | None:
+        """The first condition that the new subsets in `trial` break, or None."""
+        for lam, (gm, hm, hg) in trial.items():
+            sz = len(lam)
+            if hg.bit_count() > (1 + eps) ** sz * p**sz * n:
+                return "common-size"
             for j, c in row_clusters.items():
                 exp = p**sz * len(c)
                 if gm[j].bit_count() < (d / 4.0) ** sz * exp:
-                    ok, reason = False, "common-degree"
-                    break
-                if not ((1 - eps) ** sz * exp <= gam[j].bit_count() <= (1 + eps) ** sz * exp):
-                    ok, reason = False, "common-size"
-                    break
-            if not ok:
-                break
-            trial_g[lam2], trial_ga[lam2], trial_gn[lam2] = gm, gam, gg
-            lam_new.append(lam2)
-        if ok and delta >= 2:
-            # pairwise lower-regularity between cluster-restricted intersections
-            all_ga = dict(ga_masks)
-            all_ga.update(trial_ga)
-            for lam2 in lam_new:
-                if len(lam2) >= delta:
+                    return "common-degree"
+                if not ((1 - eps) ** sz * exp <= hm[j].bit_count() <= (1 + eps) ** sz * exp):
+                    return "common-size"
+        # pairwise lower-regularity between cluster-restricted intersections
+        for lam, (_, hm, _) in trial.items():
+            if len(lam) >= delta:
+                continue
+            for other, (_, hm_other, _) in {**common, **trial}.items():
+                if not other or len(other) >= delta or (delta == 2 and set(lam) & set(other)):
                     continue
-                for lam_other, gam_other in all_ga.items():
-                    if not lam_other or len(lam_other) >= delta:
-                        continue
-                    if delta == 2 and set(lam2) & set(lam_other):
-                        continue
-                    for j1 in row_clusters:
-                        for j2 in row_clusters:
-                            if j1 == j2:
-                                continue
-                            xm, ym = trial_ga[lam2][j1], gam_other[j2]
-                            if xm == 0 or ym == 0 or (xm & ym):
-                                ok, reason = False, "pair-regularity"
-                                break
-                            verdict = check_lower_regular(
-                                g, VertexSet(n, xm), VertexSet(n, ym),
-                                eps, d, p, mode="sampled",
-                                budget=TUPLE_PAIR_BUDGET, seed=seed + 13 * j1 + j2,
-                            )
-                            if not verdict.ok:
-                                ok, reason = False, "pair-regularity"
-                                break
-                        if not ok:
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-        if not ok:
+                for j1, j2 in itertools.permutations(row_clusters, 2):
+                    xm, ym = hm[j1], hm_other[j2]
+                    if xm == 0 or ym == 0 or (xm & ym) or not check_lower_regular(
+                        g, VertexSet(n, xm), VertexSet(n, ym), eps, d, p,
+                        mode="sampled", budget=TUPLE_PAIR_BUDGET, seed=seed + 13 * j1 + j2,
+                    ).ok:
+                        return "pair-regularity"
+        return None
+
+    chosen: list[int] = []
+    failure = "candidates"
+    for i in rng_for(seed, stream=81).permutation(len(w_pool)):
+        if len(chosen) == ell:
+            break
+        w = w_pool[int(i)]
+        trial = {
+            tuple(sorted(lam + (w,))): (
+                {j: gm[j] & g.adj[w] for j in row_clusters},
+                {j: hm[j] & host.adj[w] for j in row_clusters},
+                hg & host.adj[w],
+            )
+            for lam, (gm, hm, hg) in common.items()
+        }
+        reason = broken(trial)
+        if reason:
             failure = reason
             continue
         chosen.append(w)
-        g_masks.update(trial_g)
-        ga_masks.update(trial_ga)
-        ga_global.update(trial_gn)
+        common.update(trial)
     if len(chosen) < ell:
         raise PreEmbedError(failure, f"greedy tuple stalled at {len(chosen)}/{ell}")
     return chosen
@@ -341,7 +303,7 @@ def pre_embed(
 
     f_star = list(assignment.f)
     restr = RestrictionPair()
-    state = PreEmbedState(phi={}, reserve=reserve, t=0, anchors=[])
+    state = PreEmbedState()
     if len(v0) == 0:
         return state, tuple(f_star), restr
 
@@ -349,100 +311,67 @@ def pre_embed(
     if len(candidates) < len(v0):
         raise PreEmbedError("anchors", f"{len(candidates)} anchor candidates for |V0|={len(v0)}")
     sep = 2 * r + 20
-    used_anchor: set[int] = set()
-    colour_load: dict[int, int] = {}
+    sig = assignment.sigma_prime.sigma
     uncovered = set(v0)
     im_mask = 0
-    row_clusters_cache = {
-        i: {j: clusters[(i, j)] for j in range(k)} for i in range(r)
-    }
-
     while uncovered:
-        state.t += 1
-        avail = {
-            v: ((g.adj[v] & reserve.mask) & ~im_mask).bit_count() for v in uncovered
-        }
+        t = len(state.anchors) + 1  # the round, counted from 1
+        free = reserve.mask & ~im_mask
+        avail = {v: (g.adj[v] & free).bit_count() for v in uncovered}
         v = min(uncovered, key=lambda u: (avail[u], u))
         if avail[v] < STUCK_GUARD * mu * p * n:
             raise PreEmbedError(
                 "stuck-guard",
                 f"vertex {v} has {avail[v]} free reserve neighbours < {STUCK_GUARD * mu * p * n:.1f}",
             )
-        dom = list(state.phi.keys())
-        dist_from_dom = guest.bfs_distances(dom, limit=sep) if dom else None
-        # anchors cycle colour classes out of phase with the row rotation: the
-        # anchor's colour decides which column its restricted second
-        # neighbours land in, so (row, colour) pairs must all be visited
-        sig = assignment.sigma_prime.sigma
-        lag = 1 + ((state.t - 1) // r) % k
-        x = fallback = None
-        for cand in candidates:
-            if cand in used_anchor or cand in state.phi:
-                continue
-            if dist_from_dom is not None and dist_from_dom[cand] != -1:
-                continue
-            if fallback is None:
-                fallback = cand
-            if sig[cand] == lag:
-                x = cand
-                break
-        if x is None:
-            x = fallback
+        # the anchor is the first candidate that the domain's sep-ball misses
+        # and whose colour is `lag`, else the first it misses.  Anchors cycle
+        # colour classes out of phase with the row rotation: the anchor's colour
+        # decides which column its restricted second neighbours land in, so
+        # (row, colour) pairs must all be visited
+        dist = guest.bfs_distances(state.phi, limit=sep)
+        lag = 1 + ((t - 1) // r) % k
+        far = (cand for cand in candidates if dist[cand] == -1)
+        x = next(far, None)
         if x is None:
             raise PreEmbedError("anchors", f"no anchor at distance >= {sep} from the domain")
-        used_anchor.add(x)
-        colour_load[sig[x]] = colour_load.get(sig[x], 0) + 1
+        if sig[x] != lag:
+            x = next((cand for cand in far if sig[cand] == lag), x)
 
-        y_mask = (g.adj[v] & reserve.mask) & ~im_mask
         i_t, w_pool = _choose_host_row(
-            g, host, y_mask, clusters, v0.mask & ~im_mask, r, k, eps, d, p,
-            prefer=state.t % r,
+            g, host, g.adj[v] & free, clusters, v0.mask & ~im_mask, r, k, eps, d, p, prefer=t % r,
         )
         if not w_pool:
             raise PreEmbedError("row-filter", f"no strong-degree host candidates for {v}")
-        nbrs = sorted(iter_bits(guest.adj[x]))
+        nbrs = list(iter_bits(guest.adj[x]))
         ws = _greedy_tuple(
-            g, host, w_pool, len(nbrs), row_clusters_cache[i_t],
-            eps, d, p, delta, seed=seed + 977 * state.t,
+            g, host, w_pool, len(nbrs), {j: clusters[(i_t, j)] for j in range(k)},
+            eps, d, p, delta, seed=seed + 977 * t,
         )
-
         state.phi[x] = v
-        state.transcript.append(f"anchor {state.t} {x} {v}")
-        for y, w in zip(nbrs, ws):
-            state.phi[y] = w
-            state.transcript.append(f"leaf {state.t} {y} {w}")
+        state.phi.update(zip(nbrs, ws))
         state.anchors.append((x, v))
         im_mask = state.image_mask()
         # a leaf image may itself be exceptional; that counts as covered too
         uncovered = {u for u in uncovered if not ((im_mask >> u) & 1)}
 
-        # reroute the assignment around x: walk rows from i_t back to the
-        # anchor's home row s, shell by shell
+        # reroute the assignment around x: the shell at distance 2 + s from x
+        # moves to row i_t + s steps towards the anchor's home row, which the
+        # BFS limit lets no shell pass; the second neighbours of x are restricted
         s_row = assignment.f[x][0]
         dist = guest.bfs_distances([x], limit=abs(i_t - s_row) + 2)
-        step = -1 if i_t > s_row else (1 if i_t < s_row else 0)
+        step = (s_row > i_t) - (s_row < i_t)
         for z in range(n):
-            dz = dist[z]
-            if dz < 2 or z in state.phi:
+            if dist[z] < 2 or z in state.phi:
                 continue
-            if step == 0:
-                row = i_t if dz == 2 else None
-            else:
-                row = i_t + step * (dz - 2)
-                if (step == -1 and row < s_row) or (step == 1 and row > s_row):
-                    row = None
-            if row is None:
-                continue
-            col = f_star[z][1] if f_star[z][0] in (s_row, row) else None
-            if col is None:
+            row = i_t + step * (dist[z] - 2)
+            if f_star[z][0] not in (s_row, row):
                 raise PreEmbedError("reroute", f"shell vertex {z} assigned off-row {f_star[z]}")
-            f_star[z] = (row, col)
-        for z in range(n):
-            if dist[z] == 2 and z not in state.phi:
+            f_star[z] = (row, f_star[z][1])
+            if dist[z] == 2:
                 js = tuple(sorted(state.phi[y] for y in iter_bits(guest.adj[z]) if y in state.phi))
                 if js:
                     restr.J[z] = js
-                    state.transcript.append(f"reroute {z} {f_star[z][0]} {f_star[z][1]}")
 
     # homomorphism check over the remaining guest
     dom_mask = state.domain_mask()
@@ -463,83 +392,72 @@ def validate_restriction_pair(
     rho: float,
     zeta: float,
     delta: int,
-    delta_j: int,
     eps: float,
     p: float,
     d: float,
-    f_star: tuple[tuple[int, int], ...] | None = None,
-    guest: Graph | None = None,
-    skip: set[int] | None = None,
+    f_star: tuple[tuple[int, int], ...],
+    guest: Graph,
+    skip: set[int],
     seed: int = 0,
 ) -> dict[str, dict]:
     """Per-condition report for the restriction pair against the given clusters.
 
     Checks: restricted-vertex counts per cell, image sizes and containment,
-    the degree budget |J_x| + deg(x) <= delta, per-host-vertex load <= delta_j,
+    the degree budget |J_x| + deg(x) <= delta, per-host-vertex load <= delta,
     host common-neighbourhood size windows, and sampled lower-regularity of the
-    restricted pairs along guest edges.
+    restricted pairs along guest edges.  Guest vertices in `skip` are already
+    embedded and count neither for the degree budget nor as pair ends.
     """
-    skip = skip or set()
-    report: dict[str, dict] = {}
-    by_cell: dict[tuple[int, int], list[int]] = {}
-    for x, js in restr.J.items():
-        if js and f_star is not None:
-            by_cell.setdefault(f_star[x], []).append(x)
-    bad = [
-        cell for cell, xs in by_cell.items()
-        if guest_parts.get(cell, 0) and len(xs) > rho * guest_parts[cell]
+    # each restricted vertex's host image: its cluster cap the common host
+    # neighbourhood of J_x; an unrestricted vertex's is its whole cluster
+    host_img = {x: restriction_image(host, clusters, f_star[x], js) for x, js in restr.J.items()}
+    by_cell = collections.Counter(f_star[x] for x in restr.J)
+    count_bad = [
+        cell for cell, count in by_cell.items()
+        if guest_parts.get(cell, 0) and count > rho * guest_parts[cell]
     ]
-    report["restricted_count"] = {"ok": not bad, "violations": bad}
 
     img_bad, win_bad = [], []
-    if f_star is not None:
-        for x, js in restr.J.items():
-            if not js:
-                continue
-            cell = f_star[x]
-            img = restriction_image(g, clusters, cell, js)
-            if img.bit_count() < zeta * (d * p) ** len(js) * len(clusters[cell]):
-                img_bad.append(x)
-            hostmask = host.common_neighbourhood(js, within=clusters[cell].mask)
-            if img & ~hostmask:
-                img_bad.append(x)
-            exp = len(clusters[cell])
-            lo = ((1 - eps) * p) ** len(js) * exp
-            hi = ((1 + eps) * p) ** len(js) * exp
-            if not (lo - 1.0 <= hostmask.bit_count() <= hi + 1.0):
-                win_bad.append(x)
-    report["image_size"] = {"ok": not img_bad, "violations": img_bad}
-    report["gamma_window"] = {"ok": not win_bad, "violations": win_bad}
+    for x, js in restr.J.items():
+        size = len(clusters[f_star[x]])
+        img = restriction_image(g, clusters, f_star[x], js)
+        if img.bit_count() < zeta * (d * p) ** len(js) * size:
+            img_bad.append(x)
+        if img & ~host_img[x]:
+            img_bad.append(x)
+        lo = ((1 - eps) * p) ** len(js) * size
+        hi = ((1 + eps) * p) ** len(js) * size
+        if not (lo - 1.0 <= host_img[x].bit_count() <= hi + 1.0):
+            win_bad.append(x)
 
-    deg_bad = []
-    if guest is not None:
-        for x, js in restr.J.items():
-            deg_here = sum(1 for y in iter_bits(guest.adj[x]) if y not in skip)
-            if js and len(js) + deg_here > delta:
-                deg_bad.append(x)
-    report["degree_budget"] = {"ok": not deg_bad, "violations": deg_bad}
-
-    load = restr.host_load()
-    load_bad = [u for u, c in load.items() if c > delta_j]
-    report["host_load"] = {"ok": not load_bad, "violations": load_bad}
+    deg_bad = [
+        x for x, js in restr.J.items()
+        if len(js) + sum(1 for y in iter_bits(guest.adj[x]) if y not in skip) > delta
+    ]
+    load = collections.Counter(u for js in restr.J.values() for u in js)
 
     pair_bad = []
-    if guest is not None and f_star is not None:
-        for x in restr.restricted():
-            for y in iter_bits(guest.adj[x]):
-                if y in skip:
-                    continue
-                xm = host.common_neighbourhood(restr.J[x], within=clusters[f_star[x]].mask)
-                ym = host.common_neighbourhood(restr.J.get(y, ()), within=clusters[f_star[y]].mask)
-                if xm == 0 or ym == 0 or (xm & ym):
-                    pair_bad.append((x, y))
-                    continue
-                verdict = check_lower_regular(
-                    g, VertexSet(g.n, xm), VertexSet(g.n, ym), eps, d, p,
-                    mode="sampled", budget=RESTRICTION_PAIR_BUDGET, seed=seed + x + y,
-                )
-                if not verdict.ok:
-                    pair_bad.append((x, y))
-    report["pair_regularity"] = {"ok": not pair_bad, "violations": pair_bad}
-    report["all_ok"] = {"ok": all(v["ok"] for k_, v in report.items() if k_ != "all_ok"), "violations": []}
+    for x in restr.J:
+        for y in iter_bits(guest.adj[x]):
+            if y in skip:
+                continue
+            xm, ym = host_img[x], host_img.get(y, clusters[f_star[y]].mask)
+            if xm == 0 or ym == 0 or (xm & ym) or not check_lower_regular(
+                g, VertexSet(g.n, xm), VertexSet(g.n, ym), eps, d, p,
+                mode="sampled", budget=RESTRICTION_PAIR_BUDGET, seed=seed + x + y,
+            ).ok:
+                pair_bad.append((x, y))
+
+    report = {
+        name: {"ok": not bad, "violations": bad}
+        for name, bad in [
+            ("restricted_count", count_bad),
+            ("image_size", img_bad),
+            ("gamma_window", win_bad),
+            ("degree_budget", deg_bad),
+            ("host_load", [u for u, c in load.items() if c > delta]),
+            ("pair_regularity", pair_bad),
+        ]
+    }
+    report["all_ok"] = {"ok": all(v["ok"] for v in report.values()), "violations": []}
     return report

@@ -29,7 +29,6 @@ __all__ = [
     "BackboneIndex",
     "ReducedGraph",
     "HostStructure",
-    "backbone_edges",
     "find_backbone",
     "prepare_host",
     "validate_k_equitable",
@@ -76,12 +75,6 @@ class BackboneIndex:
             self.r * self.k,
             ((self.vertex(a), self.vertex(b)) for a, b in pairs if self.is_backbone_edge(a, b)),
         )
-
-
-def backbone_edges(r: int, k: int) -> set[frozenset]:
-    idx = BackboneIndex(r, k)
-    cells = idx.cells()
-    return {frozenset((cells[a], cells[b])) for a, b in idx.graph().edges()}
 
 
 @dataclass

@@ -17,6 +17,13 @@ def degree_into(g, v, mask):
     return (g.adj[v] & mask).bit_count()
 
 
+def backbone_edges(r, k):
+    """The backbone's edges, as frozensets of two cells."""
+    idx = BackboneIndex(r, k)
+    cells = idx.cells()
+    return {frozenset((cells[a], cells[b])) for a, b in idx.graph().edges()}
+
+
 def cell_counts(assignment):
     """Number of guest vertices that a GuestAssignment maps to each cell."""
     counts = {}

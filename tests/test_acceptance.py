@@ -239,7 +239,7 @@ def test_criterion_7_pre_embedding_invariants():
                 parts[f_star[v]] = parts.get(f_star[v], 0) + 1
         rep = validate_restriction_pair(
             restr, clusters_prime, parts, host, g,
-            rho=0.1, zeta=0.01, delta=2, delta_j=2, eps=0.25, p=0.4, d=0.1,
+            rho=0.1, zeta=0.01, delta=2, eps=0.25, p=0.4, d=0.1,
             f_star=f_star, guest=guest, skip=set(state.phi.keys()), seed=i,
         )
         assert rep["all_ok"]["ok"], {k: v for k, v in rep.items() if not v["ok"]}

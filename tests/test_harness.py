@@ -1,3 +1,4 @@
+import math
 import re
 import subprocess
 import sys
@@ -140,6 +141,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match="n=100"):
             ExperimentConfig(mode="bijumbled", paley_q=101, n=100).validate()
         ExperimentConfig().validate()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "name",
+        ["p", "gamma", "eps", "d", "xi", "beta", "mu", "rho", "zeta", "vartheta", "z", "nu",
+         "xi_guest", "min_p_factor"],
+    )
+    def test_validation_names_a_non_finite_value(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name}={value} must be finite$"):
+            ExperimentConfig(**{name: value}).validate()
 
     def test_config_file_parsing(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -291,6 +302,19 @@ class TestCli:
             assert proc.returncode == 1, (args, proc.stderr)
             errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]
             assert len(errors) == 1 and "Traceback" not in proc.stderr, (args, proc.stderr)
+
+    def test_cli_non_finite_value_exit_code(self, tmp_path):
+        for key in ("beta", "z"):
+            (tmp_path / f"{key}.cfg").write_text(f"n = 200\np = 0.5\n{key} = nan\n")
+        for args, key in (
+            (["--n", "200", "--p", "0.5", "--gamma", "nan"], "gamma"),
+            (["--config", str(tmp_path / "beta.cfg")], "beta"),
+            (["--config", str(tmp_path / "z.cfg")], "z"),
+        ):
+            cmd = [sys.executable, "-m", "spanembed.cli", "run", *args]
+            proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 1, (args, proc.stderr)
+            assert proc.stderr == f"error: {key}=nan must be finite\n", (args, proc.stderr)
 
     def test_cli_multi_seed_and_config_file(self, tmp_path):
         cfg = tmp_path / "exp.cfg"

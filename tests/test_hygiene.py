@@ -1,6 +1,7 @@
 """Source hygiene: every top-level import of a spanembed module or a test file is used or
-re-exported, every defaulted parameter of a spanembed function is passed by some call, and
-no spanembed function takes its settings as string keys of a parameter."""
+re-exported, every local that a spanembed function assigns is read, every defaulted
+parameter of a spanembed function is passed by some call, and no spanembed function takes
+its settings as string keys of a parameter."""
 
 import ast
 from pathlib import Path
@@ -57,6 +58,68 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", TEST_FILES, ids=[p.name for p in TEST_FILES])
 def test_no_unused_imports_in_tests(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def unread_locals(source: str) -> list[str]:
+    """Names that a function assigns and never reads, at the line of their first assignment.
+
+    A read anywhere in the function counts, in a nested function too; an augmented
+    assignment is not a read.  Names that start with `_` are exempt, and so are names
+    that the function declares global or nonlocal.
+    """
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        declared: set[str] = set()
+        stored: dict[str, int] = {}
+        todo = list(fn.body)
+        while todo:
+            node = todo.pop()
+            if isinstance(node, SCOPES):
+                continue  # a nested scope binds its own locals
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                declared.update(node.names)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                stored[node.id] = min(node.lineno, stored.get(node.id, node.lineno))
+            todo.extend(ast.iter_child_nodes(node))
+        read = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        found += [
+            (line, name) for name, line in stored.items()
+            if name not in read and name not in declared and not name.startswith("_")
+        ]
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_scanner_flags_only_unread_locals():
+    source = (
+        "def f(a, unused_param):\n"
+        "    x, _y = a\n"
+        "    z = 1\n"
+        "    for i, j in a:\n"
+        "        print(j)\n"
+        "    w = 0\n"
+        "    def g():\n"
+        "        nonlocal w\n"
+        "        w = v = 2\n"
+        "        return x\n"
+        "    return g, w, [k for k in a], lambda m: m\n"
+        "def h():\n"
+        "    global G\n"
+        "    G = total = 0\n"
+        "    total += 1\n"
+        "    with open('f') as fh:\n"
+        "        pass\n"
+    )
+    assert unread_locals(source) == ["line 3: z", "line 4: i", "line 9: v", "line 14: total", "line 16: fh"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_unread_locals(path):
+    assert unread_locals(path.read_text(encoding="utf-8")) == []
 
 
 def unset_options(module_sources: dict[str, str], caller_sources: list[str]) -> list[str]:

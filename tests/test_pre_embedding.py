@@ -1,3 +1,5 @@
+import functools
+import hashlib
 from types import SimpleNamespace
 
 import pytest
@@ -9,6 +11,7 @@ from spanembed.pre_embedding import (
     _anchor_candidates,
     _choose_host_row,
     _independent_neighbourhood,
+    PreEmbedError,
     pre_embed,
     reserve_set,
     restriction_image,
@@ -101,21 +104,59 @@ class TestPreEmbed:
         if len(hs.v0) == 1:
             assert len(state.phi) == 3  # the anchor and its two cycle neighbours
 
-    def test_transcript_lines(self):
-        g, host, hs, guest, lab, assignment = pre_embed_instance(seed=6, v0_target=2)
-        reserve = reserve_set(g, host, hs.clusters, 0.15, seed=6)
-        state, _, _ = pre_embed(
-            g, host, hs.v0, hs.clusters, hs.reduced, guest, lab, assignment, reserve, **PARAMS, seed=6
+
+@functools.lru_cache(maxsize=None)
+def cached_instance(seed, v0_target):
+    return pre_embed_instance(seed=seed, v0_target=v0_target)
+
+
+def pre_embedded(seed, v0_target, mu, delta, eps, d):
+    """("success", sha256 of (sorted phi, anchors, f*, sorted J)), or the
+    PreEmbedError's stage with the sha256 of its stage and message."""
+    g, host, hs, guest, lab, assignment = cached_instance(seed, v0_target)
+    reserve = reserve_set(g, host, hs.clusters, mu, seed=seed)
+    try:
+        state, f_star, restr = pre_embed(
+            g, host, hs.v0, hs.clusters, hs.reduced, guest, lab, assignment, reserve,
+            eps=eps, d=d, p=0.4, mu=mu, delta=delta, forbid_c4=(delta == 3), seed=seed,
         )
-        assert any(ln.startswith("anchor ") for ln in state.transcript)
-        assert any(ln.startswith("leaf ") for ln in state.transcript)
+    except PreEmbedError as exc:
+        return exc.stage, hashlib.sha256(repr((exc.stage, str(exc))).encode()).hexdigest()
+    text = repr((sorted(state.phi.items()), state.anchors, f_star, sorted(restr.J.items())))
+    return "success", hashlib.sha256(text.encode()).hexdigest()
+
+
+# One fixture per outcome: a success and each failure stage that an instance
+# reaches, as (seed, v0_target, mu, delta, eps, d).
+@pytest.mark.parametrize(
+    "fixture,outcome,digest",
+    [
+        ((0, 1, 0.15, 2, 0.25, 0.1), "success",
+         "366d5367b994fab2e6bdf096994da1ead9f22f15f9a471725eff4ed07e7d23b4"),
+        ((0, 1, 0.15, 2, 0.05, 0.5), "common-size",
+         "954c11d3275b14374f30b4cb8011f269a0fb9f96146a448dcbdedd54fa3a003e"),
+        ((0, 1, 0.15, 3, 0.1, 0.3), "pair-regularity",
+         "9a21066da7dcdbb01be84c35d320a365042b506d21cfff2a58e60e4772af9e29"),
+        ((0, 1, 0.04, 2, 0.05, 0.5), "row-filter",
+         "12d81b5b95d98cb35177cca09b6ee19db994ff58a6d98ac67c3d5df1a6c731f6"),
+        ((1, 3, 0.04, 2, 0.05, 0.5), "candidates",
+         "6e2586d9a8ad7a263e553baa80caa6a017dce7d1482187072d8f51a11a8e3212"),
+        ((8, 12, 0.04, 2, 0.25, 0.1), "stuck-guard",
+         "4595376ef04f7f04210ca0ecd8ed4fb3a51dd44de36a9e4aac7128911f0b713c"),
+        ((11, 60, 0.15, 2, 0.25, 0.1), "anchors",
+         "f1d3bd4b340e91103d4c820d1ca9cf6490ae6ad8f0bd311f1f64251bd5ed6e3a"),
+    ],
+)
+def test_pre_embed_pinned(fixture, outcome, digest):
+    assert pre_embedded(*fixture) == (outcome, digest)
 
 
 class TestRestrictionValidation:
     def test_empty_pair_vacuous(self):
         g = gnp(40, 0.5, 1)
         report = validate_restriction_pair(
-            RestrictionPair(), {}, {}, g, g, 0.1, 0.01, 2, 2, 0.25, 0.5, 0.1
+            RestrictionPair(), {}, {}, g, g, 0.1, 0.01, 2, 0.25, 0.5, 0.1,
+            f_star=(), guest=g, skip=set(),
         )
         assert report["all_ok"]["ok"]
 
@@ -128,8 +169,8 @@ class TestRestrictionValidation:
         cells = {(0, 0): VertexSet.from_iter(40, range(20))}
         f_star = ((0, 0),) * 4
         report = validate_restriction_pair(
-            restr, cells, {(0, 0): 4}, g, g, 0.9, 1e-6, 2, 2, 0.9, 0.5, 0.1,
-            f_star=f_star, guest=guest,
+            restr, cells, {(0, 0): 4}, g, g, 0.9, 1e-6, 2, 0.9, 0.5, 0.1,
+            f_star=f_star, guest=guest, skip=set(),
         )
         assert not report["degree_budget"]["ok"]
         assert 0 in report["degree_budget"]["violations"]
@@ -149,7 +190,7 @@ class TestRestrictionValidation:
                 parts[f_star[v]] = parts.get(f_star[v], 0) + 1
         report = validate_restriction_pair(
             restr, clusters_prime, parts, host, g,
-            rho=0.1, zeta=0.01, delta=2, delta_j=2, eps=0.25, p=0.4, d=0.1,
+            rho=0.1, zeta=0.01, delta=2, eps=0.25, p=0.4, d=0.1,
             f_star=f_star, guest=guest, skip=set(state.phi.keys()), seed=7,
         )
         assert report["all_ok"]["ok"], {k: v for k, v in report.items() if not v["ok"]}

@@ -8,13 +8,12 @@ from spanembed.graph_core import Graph, gnp, rng_for
 from spanembed.reduced_graph import (
     BackboneIndex,
     HostPrepError,
-    backbone_edges,
     find_backbone,
     prepare_host,
     validate_k_equitable,
 )
 
-from helpers import deleted_to_floor, degree_into
+from helpers import backbone_edges, deleted_to_floor, degree_into
 
 
 class TestBackboneStructure:
