@@ -3,15 +3,19 @@
 The main phase walks the guest in the supplied order, embedding each non-buffer
 vertex into its candidate set (image restriction or assigned cluster, cut down
 by the images of embedded neighbours), choosing the best of a seeded sample of
-at most `CANDIDATE_SAMPLE` candidates.  Buffer vertices are deferred and
+at most `CANDIDATE_SAMPLE` candidates; the placed vertices are always a prefix
+of that order, which a backjump cuts back.  Buffer vertices are deferred and
 finished per cluster by augmenting-path bipartite matching, which caches each
-guest's candidate mask until a neighbour's image changes; bounded backjumps
-and seeded restarts handle dead ends.
+guest's candidate mask until a neighbour's image changes.  One host -> guest
+map serves both phases: a candidate lies in its guest's own cluster, so its
+owner is a guest of the same cell or a pre-embedded guest, whose host is held.
+Bounded backjumps and seeded restarts handle dead ends.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .graph_core import (
@@ -80,10 +84,7 @@ def choose_buffers(
     Scans latest embedding positions first: clusters drain as their guests'
     stretch of the order ends, so the deferred vertices must be the tail ones.
     """
-    counts: dict[tuple[int, int], int] = {c: 0 for c in cells}
-    for v, cell in enumerate(f_star):
-        if not ((skip_mask >> v) & 1):
-            counts[cell] = counts.get(cell, 0) + 1
+    counts = Counter(cell for v, cell in enumerate(f_star) if not ((skip_mask >> v) & 1))
     chosen: dict[tuple[int, int], list[int]] = {c: [] for c in cells}
     blocked = 0
     scan = reversed(order.order) if order is not None else range(guest.n)
@@ -91,7 +92,7 @@ def choose_buffers(
         if (skip_mask >> v) & 1 or not ((eligible_mask >> v) & 1) or ((blocked >> v) & 1):
             continue
         cell = f_star[v]
-        want = max(1, math.ceil(vartheta * counts.get(cell, 0)))
+        want = max(1, math.ceil(vartheta * counts[cell]))
         if len(chosen[cell]) >= want:
             continue
         chosen[cell].append(v)
@@ -126,43 +127,38 @@ def embed(
     guest's candidate mask until the image of one of its neighbours changes.
     """
     initial_phi = initial_phi or {}
-    n = guest.n
     skip_mask = mask_of(initial_phi.keys())
-    buf_mask = buffers.mask() & ~skip_mask
+    # hosts of the pre-embedded guests, which no phase moves
+    held = mask_of(initial_phi.values())
+    todo = [v for v in range(guest.n) if not ((skip_mask >> v) & 1)]
 
     # size compatibility
-    part_count: dict[tuple[int, int], int] = {}
-    for v in range(n):
-        if not ((skip_mask >> v) & 1):
-            part_count[f_star[v]] = part_count.get(f_star[v], 0) + 1
+    part_count = Counter(f_star[v] for v in todo)
     for cell, c in clusters.items():
-        if part_count.get(cell, 0) != len(c):
-            raise EmbedError(
-                f"cell {cell}: cluster size {len(c)} != guest part {part_count.get(cell, 0)}"
-            )
+        if part_count[cell] != len(c):
+            raise EmbedError(f"cell {cell}: cluster size {len(c)} != guest part {part_count[cell]}")
 
-    base_mask: dict[int, int] = {}
-    for v in range(n):
-        if (skip_mask >> v) & 1:
-            continue
-        js = restr.J.get(v, ())
-        base_mask[v] = restriction_image(g, clusters, f_star[v], js) if js else clusters[f_star[v]].mask
+    base_mask = {v: restriction_image(g, clusters, f_star[v], restr.J.get(v, ())) for v in todo}
     nbrs = [list(iter_bits(a)) for a in guest.adj]
 
-    main_order = [v for v in order.order if not ((skip_mask >> v) & 1) and not ((buf_mask >> v) & 1)]
+    # the main phase places main_order[:idx], in that order
+    deferred = skip_mask | buffers.mask()
+    main_order = [v for v in order.order if not ((deferred >> v) & 1)]
     order_index = {v: i for i, v in enumerate(main_order)}
-    last_err: EmbedError | None = None
     for attempt in range(EMBED_RESTARTS):
         rng = rng_for(seed + attempt, stream=91)
         phi: dict[int, int] = dict(initial_phi)
-        img_owner: dict[int, int] = {v: x for x, v in initial_phi.items()}
-        used = mask_of(initial_phi.values())
-        placed_stack: list[int] = []
-        stack_pos: dict[int, int] = {}
+        # host -> guest for every image.  A candidate lies in its guest's own
+        # cluster, so its owner is a guest of the same cell or a pre-embedded
+        # guest, whose host is held.
+        owner: dict[int, int] = {v: x for x, v in initial_phi.items()}
+        used = held
         jumps = 0
         idx = 0
         blacklist: dict[int, int] = {}
-        failed = False
+        # common(x) for each guest x in the buffer phase, dropped whenever a
+        # neighbour's image changes
+        cand_cache: dict[int, int] = {}
 
         def common(x: int, skip: int = -1) -> int:
             """Base mask of x cut down to the G-neighbourhoods of the images of
@@ -173,104 +169,19 @@ def embed(
                     m &= g.adj[phi[y]]
             return m
 
-        def try_swap(x: int, need: int) -> bool:
+        def try_swap(need: int) -> bool:
             """Free one host in `need` by relocating its current same-stage owner."""
             nonlocal used
-            for w in iter_bits(need & used):
-                y = img_owner.get(w)
-                if y is None or y in initial_phi:
-                    continue
-                alt = common(y) & ~used & ~(1 << w) & ~blacklist.get(y, 0)
-                if alt == 0:
-                    continue
-                w2 = next(iter_bits(alt))
-                phi[y] = w2
-                img_owner[w2] = y
-                used |= 1 << w2
-                used &= ~(1 << w)
-                del img_owner[w]
-                return True
+            for w in iter_bits(need & used & ~held):
+                y = owner[w]
+                alt = common(y) & ~used & ~blacklist.get(y, 0)
+                if alt:
+                    w2 = next(iter_bits(alt))
+                    phi[y] = w2
+                    owner[w2] = owner.pop(w)
+                    used ^= (1 << w) | (1 << w2)  # w leaves, w2 joins
+                    return True
             return False
-
-        while idx < len(main_order):
-            x = main_order[idx]
-            need = common(x) & ~blacklist.get(x, 0)
-            cand = need & ~used
-            if cand == 0:
-                # local repair first: relocate a same-cell occupant of a host
-                # that would serve x, then fall back to backjumping
-                if need and try_swap(x, need):
-                    continue
-                jumps += 1
-                if jumps > BACKJUMP_BUDGET:
-                    last_err = EmbedError(f"candidate depletion at guest {x}", stuck=x)
-                    failed = True
-                    break
-                nbr_positions = [stack_pos[y] for y in nbrs[x] if y in phi and y in stack_pos]
-                if not nbr_positions:
-                    last_err = EmbedError(f"guest {x} has an empty base candidate set", stuck=x)
-                    failed = True
-                    break
-                cut = max(nbr_positions)
-                culprit = placed_stack[cut]
-                blacklist[culprit] = blacklist.get(culprit, 0) | (1 << phi[culprit])
-                for y in placed_stack[cut:]:
-                    used &= ~(1 << phi[y])
-                    img_owner.pop(phi[y], None)
-                    del phi[y]
-                    del stack_pos[y]
-                for y in placed_stack[cut + 1:]:
-                    blacklist.pop(y, None)
-                placed_stack = placed_stack[:cut]
-                idx = order_index[culprit]
-                continue
-            # prefer images keeping unembedded neighbours most flexible, scored
-            # on a seeded sample of the candidates
-            cand_list = bit_positions(cand)
-            if len(cand_list) > CANDIDATE_SAMPLE:
-                cand_list = cand_list[rng.permutation(len(cand_list))[:CANDIDATE_SAMPLE]]
-            free = ~used
-            future = [
-                base_mask[y] & free for y in nbrs[x] if y not in phi and not ((skip_mask >> y) & 1)
-            ]
-            best_v, best_key = -1, None
-            for v in cand_list.tolist():
-                row = g.adj[v]
-                score = min([(row & m).bit_count() for m in future]) if future else 0
-                key = (-score, (row & free).bit_count(), v)
-                if best_key is None or key < best_key:
-                    best_v, best_key = v, key
-            phi[x] = best_v
-            img_owner[best_v] = x
-            used |= 1 << best_v
-            stack_pos[x] = len(placed_stack)
-            placed_stack.append(x)
-            blacklist.pop(x, None)
-            idx += 1
-        if failed:
-            continue
-
-        # buffer phase: per-cell matching that augments through the main-phase
-        # placements (free buffer candidates alone are far too thin at desk
-        # scale, but the full cell's candidate relation is dense).  When even
-        # that fails, one embedded neighbour of the stuck buffer is relocated
-        # to reopen its common neighbourhood.
-        owners: dict[tuple[int, int], dict[int, int]] = {c: {} for c in buffers.buffers}
-        for v in range(n):
-            if not ((skip_mask >> v) & 1) and v in phi and f_star[v] in owners:
-                owners[f_star[v]][phi[v]] = v
-        pending = [
-            (c, v) for c, bset in sorted(buffers.buffers.items()) for v in bset if v not in phi
-        ]
-        # hosts held by guests outside `owners` (the initial images among
-        # them).  The phase never moves those guests, so the mask stays fixed;
-        # a candidate lies in its guest's own cluster, so one that no guest of
-        # that cell owns is free unless held.
-        held = used
-        for own in owners.values():
-            held &= ~mask_of(own)
-        # common(x) for each guest x, dropped whenever a neighbour's image changes
-        cand_cache: dict[int, int] = {}
 
         def cand_of(x: int) -> int:
             m = cand_cache.get(x)
@@ -283,39 +194,37 @@ def embed(
             for y in nbrs[x]:
                 cand_cache.pop(y, None)
 
-        def assign(cell, x: int, h: int):
-            # write-through: phi and owners always reflect the working matching
+        def assign(x: int, h: int):
+            # write-through: phi and owner always reflect the working matching
             old = phi.get(x)
             if old is not None:
-                owners[cell].pop(old, None)
-            owners[cell][h] = x
+                del owner[old]
+            owner[h] = x
             phi[x] = h
             moved(x)
 
-        def augment(cell, x: int, seen: int) -> bool:
+        def augment(x: int, seen: int) -> bool:
             """Depth-first augmenting path from the unembedded guest x, on an
-            explicit stack.
+            explicit stack, over hosts outside `seen` and `held`.
 
             Paths can be as long as a cluster.  Each frame scans the candidate
             mask fixed when it was pushed, so a host marked seen by a deeper
             frame can still come up again in a shallower one.
             """
-            own = owners[cell]
+            seen |= held
             path = [[x, iter_bits(cand_of(x) & ~seen), -1]]  # [guest, hosts left, host tried]
             while path:
                 frame = path[-1]
                 y, hosts, _ = frame
                 for h in hosts:
                     seen |= 1 << h
-                    cur = own.get(h)
+                    cur = owner.get(h)
                     if cur is None:
-                        if (held >> h) & 1:
-                            continue
                         # each guest on the path takes the host it tried; the
                         # hosts in between stay owned, and x held none
                         frame[2] = h
                         for y2, _, h2 in reversed(path):
-                            own[h2] = y2
+                            owner[h2] = y2
                             phi[y2] = h2
                             moved(y2)
                         return True
@@ -334,51 +243,92 @@ def embed(
             and re-placed by augmentation, with rollback on failure.
             """
             for y in nbrs[x]:
-                if y not in phi or y in initial_phi:
-                    continue
-                ycell = f_star[y]
-                if ycell not in owners:
+                if y not in phi or y in initial_phi or f_star[y] not in buffers.buffers:
                     continue
                 others = common(x, skip=y)
                 old = phi[y]
-                for w2 in iter_bits(cand_of(y) & ~(1 << old)):
+                for w2 in iter_bits(cand_of(y) & ~(1 << old) & ~held):
                     if not (g.adj[w2] & others):
                         continue
-                    cur = owners[ycell].get(w2)
-                    if cur is None and ((held >> w2) & 1):
-                        continue  # held outside this stage
+                    cur = owner.get(w2)
                     if cur is None:
-                        assign(ycell, y, w2)
+                        assign(y, w2)
                         return True
                     del phi[cur]
                     moved(cur)
-                    assign(ycell, y, w2)
-                    if augment(ycell, cur, 1 << w2):
+                    assign(y, w2)
+                    if augment(cur, 1 << w2):
                         return True
-                    assign(ycell, y, old)
-                    assign(ycell, cur, w2)
+                    assign(y, old)
+                    assign(cur, w2)
             return False
 
-        failed_x = None
-        matching = None
-        for cell, x in pending:
-            if cell != matching:
+        try:
+            while idx < len(main_order):
+                x = main_order[idx]
+                need = common(x) & ~blacklist.get(x, 0)
+                cand = need & ~used
+                if cand == 0:
+                    # local repair first: relocate a same-cell occupant of a host
+                    # that would serve x, then fall back to backjumping
+                    if need and try_swap(need):
+                        continue
+                    jumps += 1
+                    if jumps > BACKJUMP_BUDGET:
+                        raise EmbedError(f"candidate depletion at guest {x}", stuck=x)
+                    placed = [order_index[y] for y in nbrs[x] if order_index.get(y, idx) < idx]
+                    if not placed:
+                        raise EmbedError(f"guest {x} has an empty base candidate set", stuck=x)
+                    # undo the latest placed neighbour and everything after it
+                    cut = max(placed)
+                    culprit = main_order[cut]
+                    blacklist[culprit] = blacklist.get(culprit, 0) | (1 << phi[culprit])
+                    for y in main_order[cut:idx]:
+                        h = phi.pop(y)
+                        used &= ~(1 << h)
+                        del owner[h]
+                    for y in main_order[cut + 1:idx]:
+                        blacklist.pop(y, None)
+                    idx = cut
+                    continue
+                # prefer images keeping unembedded neighbours most flexible,
+                # scored on a seeded sample of the candidates
+                cand_list = bit_positions(cand)
+                if len(cand_list) > CANDIDATE_SAMPLE:
+                    cand_list = cand_list[rng.permutation(len(cand_list))[:CANDIDATE_SAMPLE]]
+                free = ~used
+                future = [base_mask[y] & free for y in nbrs[x] if y not in phi]
+                best_v, best_key = -1, None
+                for v in cand_list.tolist():
+                    row = g.adj[v]
+                    score = min([(row & m).bit_count() for m in future]) if future else 0
+                    key = (-score, (row & free).bit_count(), v)
+                    if best_key is None or key < best_key:
+                        best_v, best_key = v, key
+                phi[x] = best_v
+                owner[best_v] = x
+                used |= 1 << best_v
+                blacklist.pop(x, None)
+                idx += 1
+
+            # buffer phase: per-cell matching that augments through the
+            # main-phase placements (free buffer candidates alone are far too
+            # thin at desk scale, but the full cell's candidate relation is
+            # dense).  When even that fails, one embedded neighbour of the
+            # stuck buffer is relocated to reopen its common neighbourhood.
+            for cell, bset in sorted(buffers.buffers.items()):
                 # moved() keeps every cached mask current; the cache is
                 # emptied per cell only to bound memory (keeping every
                 # guest's mask raised peak RSS by about 3%)
                 cand_cache.clear()
-                matching = cell
-            done = augment(cell, x, 0)
-            if not done and relocate_neighbour(x):
-                done = augment(cell, x, 0)
-            if not done:
-                failed_x = (cell, x)
-                break
-        if failed_x is not None:
-            last_err = EmbedError(f"no perfect matching in cell {failed_x[0]}", stuck=failed_x[1])
+                for x in bset:
+                    if x not in phi and not (augment(x, 0) or relocate_neighbour(x) and augment(x, 0)):
+                        raise EmbedError(f"no perfect matching in cell {cell}", stuck=x)
+        except EmbedError as err:
+            last_err = err
             continue
         return EmbedResult(phi=phi, retries=attempt)
-    raise last_err or EmbedError("embedding failed with no attempts")
+    raise last_err
 
 
 def embedding_violations(

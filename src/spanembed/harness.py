@@ -129,6 +129,12 @@ class ExperimentConfig:
                 raise ConfigError(f"paley({q}) has {q} vertices but n={self.n}")
         if self.beta is not None and 4 * self.k * self.beta * self.n < 1:
             raise ConfigError("beta too small for n: 4*k*beta*n < 1")
+        if not (0 <= self.adversary_target < self.n):
+            raise ConfigError(f"adversary_target={self.adversary_target} must lie in [0, n={self.n})")
+        if self.adversary_budget is not None and self.adversary_budget < 0:
+            raise ConfigError(f"adversary_budget={self.adversary_budget} must be >= 0")
+        if self.xi_guest is not None and self.xi_guest <= 0:
+            raise ConfigError(f"xi_guest={self.xi_guest} must be positive")
 
     def recommended_min_p(self) -> float:
         expo = 1.0 / (2 * self.D + 1) if self.mode == "degenerate" else 1.0 / self.Delta
@@ -647,13 +653,9 @@ def run_pipeline(cfg: ExperimentConfig) -> RunRecord:
             blocked = assignment.special.mask
             for x in [*iter_bits(dom_mask), *restr.J]:
                 blocked |= (1 << x) | guest.adj[x]
-            eligible = 0
-            for v in range(cfg.n):
-                if (blocked >> v) & 1:
-                    continue
-                if cfg.mode == "degenerate" and guest.degree(v) > 2 * cfg.D:
-                    continue
-                eligible |= 1 << v
+            if cfg.mode == "degenerate":
+                blocked |= mask_of(v for v in range(cfg.n) if guest.degree(v) > 2 * cfg.D)
+            eligible = ((1 << cfg.n) - 1) & ~blocked
             buffers = choose_buffers(
                 guest, f_star, eligible, sorted(hs.clusters), cfg.vartheta,
                 skip_mask=dom_mask, order=lab,

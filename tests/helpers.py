@@ -11,6 +11,14 @@ SMOKE_CFG = dict(
     eps=0.25, d=0.1, mu=0.15,
 )
 
+# degenerate mode with a bounded-degree tree: the values of the benchmark's
+# tree-degenerate-n4000 workload
+TREE_CFG = dict(
+    mode="degenerate", guest_family="bounded_tree:3", adversary="none",
+    n=4000, p=0.4, k=2, gamma=0.2, eps=0.3, d=0.1, mu=0.15, r0=12,
+    D=1, Delta=3, xi_guest=0.45,
+)
+
 
 def degree_into(g, v, mask):
     """|N(v) & mask| in g."""

@@ -30,7 +30,7 @@ from spanembed.embedder import (
 from spanembed.graph_core import Graph, Labelling, VertexSet, gnp, iter_bits, mask_of, rng_for
 from spanembed.pre_embedding import RestrictionPair, restriction_image
 
-from helpers import SMOKE_CFG, fold_labelling, two_cell_setup
+from helpers import SMOKE_CFG, TREE_CFG, fold_labelling, two_cell_setup
 
 
 def reference_embed(
@@ -354,9 +354,11 @@ def test_host_of_a_pre_embedded_guest_stays_held(case):
     assert outcome(embed, *args, initial_phi={n: 2 * seed}, seed=seed) == expected
 
 
-def test_pipeline_inputs_match_reference(monkeypatch):
-    """The arguments `run_pipeline` passes to `embed` on the smoke configuration,
-    seeds 0-1, with pre-embedded guests and image restrictions."""
+@pytest.mark.parametrize("cfg", [SMOKE_CFG, TREE_CFG], ids=["smoke", "tree"])
+def test_pipeline_inputs_match_reference(monkeypatch, cfg):
+    """The arguments `run_pipeline` passes to `embed`, seeds 0-1, with
+    pre-embedded guests and image restrictions: on the smoke configuration,
+    and in degenerate mode with a bounded-degree tree and its buffer rule."""
     captured = []
 
     def recording_embed(*args, **kwargs):
@@ -365,7 +367,7 @@ def test_pipeline_inputs_match_reference(monkeypatch):
 
     monkeypatch.setattr(harness, "embed", recording_embed)
     for seed in range(2):
-        assert harness.run_pipeline(harness.ExperimentConfig(seed=seed, **SMOKE_CFG)).success
+        assert harness.run_pipeline(harness.ExperimentConfig(seed=seed, **cfg)).success
     assert len(captured) == 2
     for args, kwargs in captured:
         restr = args[4]

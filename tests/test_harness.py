@@ -19,6 +19,8 @@ from spanembed.harness import (
 )
 from spanembed.graph_core import bandwidth_of_labelling
 
+from helpers import SMOKE_CFG, TREE_CFG
+
 
 class TestAdversary:
     def test_budget_zero_identity(self):
@@ -141,6 +143,18 @@ class TestConfig:
         with pytest.raises(ConfigError, match="n=100"):
             ExperimentConfig(mode="bijumbled", paley_q=101, n=100).validate()
         ExperimentConfig().validate()
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("adversary_target", 1000), ("adversary_target", 5000), ("adversary_target", -1),
+         ("adversary_budget", -5), ("xi_guest", 0.0), ("xi_guest", -0.1)],
+    )
+    def test_validation_names_an_out_of_range_value(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{key}={value} must "):
+            ExperimentConfig(n=1000, **{key: value}).validate()
+
+    def test_validation_accepts_the_range_ends(self):
+        ExperimentConfig(n=1000, adversary_target=999, adversary_budget=0, xi_guest=1e-9).validate()
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
@@ -303,6 +317,15 @@ class TestCli:
             errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]
             assert len(errors) == 1 and "Traceback" not in proc.stderr, (args, proc.stderr)
 
+    def test_cli_adversary_target_out_of_range_exit_code(self, tmp_path):
+        cfg = tmp_path / "f.cfg"
+        cfg.write_text("adversary = triangle_killer\nadversary_target = 5000\n")
+        cmd = [sys.executable, "-m", "spanembed.cli", "run", "--n", "1000", "--p", "0.4",
+               "--k", "2", "--gamma", "0.2", "--eps", "0.25", "--config", str(cfg)]
+        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr == "error: adversary_target=5000 must lie in [0, n=1000)\n", proc.stderr
+
     def test_cli_non_finite_value_exit_code(self, tmp_path):
         for key in ("beta", "z"):
             (tmp_path / f"{key}.cfg").write_text(f"n = 200\np = 0.5\n{key} = nan\n")
@@ -330,3 +353,43 @@ class TestCli:
         lines = out.read_text().splitlines()
         assert len(lines) == 3
         assert lines[1].split(",")[0] == "1" and lines[2].split(",")[0] == "2"
+
+
+# CSV rows without runtime_ms.  Every stage's seeded output feeds them, so a
+# change to any stage's result shows here.  Smoke seeds 0-3, (eps, d) =
+# (0.3, 0.2) and (0.25, 0.3) seeds 0-1, bipartite_push seeds 0-1, eps = 0.08
+# seed 0 (fails in cleanup), then the resilience, Paley and tree settings of
+# the benchmark, seed 0.
+PINNED_CONFIGS = [
+    *(dict(SMOKE_CFG, seed=s) for s in range(4)),
+    *(dict(SMOKE_CFG, eps=0.3, d=0.2, seed=s) for s in range(2)),
+    *(dict(SMOKE_CFG, eps=0.25, d=0.3, seed=s) for s in range(2)),
+    *(dict(SMOKE_CFG, adversary="bipartite_push", seed=s) for s in range(2)),
+    dict(SMOKE_CFG, eps=0.08, seed=0),
+    dict(SMOKE_CFG, n=4000, seed=0),
+    dict(SMOKE_CFG, mode="bijumbled", paley_q=2017, adversary="none", n=2017, p=0.5, gamma=0.1, seed=0),
+    dict(TREE_CFG, seed=0),
+]
+PINNED_ROWS = """\
+0,1000,0.4,2,0.2,hamilton_cycle,random,random,true,-,2,16,64,0
+1,1000,0.4,2,0.2,hamilton_cycle,random,random,true,-,2,12,50,0
+2,1000,0.4,2,0.2,hamilton_cycle,random,random,true,-,2,12,48,0
+3,1000,0.4,2,0.2,hamilton_cycle,random,random,true,-,2,10,45,0
+0,1000,0.4,2,0.2,hamilton_cycle,random,random,true,-,2,4,31,0
+1,1000,0.4,2,0.2,hamilton_cycle,random,random,true,-,2,2,23,0
+0,1000,0.4,2,0.2,hamilton_cycle,random,random,true,-,2,16,64,0
+1,1000,0.4,2,0.2,hamilton_cycle,random,random,true,-,2,12,50,0
+0,1000,0.4,2,0.2,hamilton_cycle,bipartite_push,random,true,-,2,16,60,0
+1,1000,0.4,2,0.2,hamilton_cycle,bipartite_push,random,true,-,2,12,52,0
+0,1000,0.4,2,0.2,hamilton_cycle,random,random,false,host-structure:cleanup,0,0,0,0
+0,4000,0.4,2,0.2,hamilton_cycle,random,random,true,-,2,0,16,0
+0,2017,0.5,2,0.1,hamilton_cycle,none,bijumbled,true,-,2,1,19,0
+0,4000,0.4,2,0.2,bounded_tree:3,none,degenerate,true,-,6,4,511,0
+"""
+
+
+def test_csv_rows_pinned():
+    rows = [
+        csv_row(run_pipeline(ExperimentConfig(**cfg))).rsplit(",", 1)[0] for cfg in PINNED_CONFIGS
+    ]
+    assert rows == PINNED_ROWS.splitlines()

@@ -95,14 +95,16 @@ class TestPreEmbed:
                     continue
                 assert hs.reduced.has_edge(f_star[u], f_star[v])
 
-    def test_single_exceptional_cycle_embeds_three(self):
+    def test_cycle_anchors_embed_three_each_and_cover_v0(self):
         g, host, hs, guest, lab, assignment = pre_embed_instance(seed=5, v0_target=1)
         reserve = reserve_set(g, host, hs.clusters, 0.15, seed=5)
         state, _, _ = pre_embed(
             g, host, hs.v0, hs.clusters, hs.reduced, guest, lab, assignment, reserve, **PARAMS, seed=5
         )
-        if len(hs.v0) == 1:
-            assert len(state.phi) == 3  # the anchor and its two cycle neighbours
+        # each anchor sits on its exceptional vertex, with its two cycle neighbours
+        assert len(state.phi) == 3 * len(state.anchors)
+        assert all(state.phi[x] == v for x, v in state.anchors)
+        assert set(hs.v0) <= set(state.phi.values())
 
 
 @functools.lru_cache(maxsize=None)
