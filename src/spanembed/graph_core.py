@@ -6,10 +6,13 @@ little-endian uint64 words (`Graph.packed_rows`, and one vertex set with
 `packed_indicator`), counts vertex-to-set degrees on them with
 `Graph.degree_table`, and unpacks them to bool rows only where a 0/1 block is
 needed (`Graph.to_bit_matrix`, or `unpack_rows` for rows packed earlier);
-`bit_positions` lists a mask's set bits from its bytes.  This module is the
-only one that knows that format.  All randomness flows through numpy's Philox
-counter-based generator so that identical seeds reproduce identical graphs on
-every platform.
+`bit_positions` lists a mask's set bits from its bytes.  Edge sets in bulk are
+int keys u * n + v: `Graph.edge_keys` lists them a block of rows at a time and
+`Graph.without_edge_keys` deletes them from a packed copy.  `gnp` writes its
+rows packed, a block of rows at a time, so program code never holds an n x n
+bool matrix.  This module is the only one that knows that format.  All
+randomness flows through numpy's Philox counter-based generator so that
+identical seeds reproduce identical graphs on every platform.
 """
 
 from __future__ import annotations
@@ -94,6 +97,20 @@ def _packed(masks, words: int) -> np.ndarray:
     return np.frombuffer(buf, dtype="<u8").reshape(len(masks), words)
 
 
+def _graph_of_rows(rows: np.ndarray) -> "Graph":
+    """The graph whose row v is `rows[v]`, a row of little-endian bytes (bit w in byte w // 8)."""
+    return Graph(len(rows), tuple(int.from_bytes(row, "little") for row in rows))
+
+
+# Rows of a bool block that `gnp` and `Graph.edge_keys` unpack at once, and the
+# edge keys that `Graph.without_edge_keys` clears in one step.  _ROW_BLOCK is a
+# multiple of 8, so a block's columns start on a byte.
+_ROW_BLOCK = 512
+_KEY_BLOCK = 1 << 16
+# _CLEAR_BIT[b] is a byte with every bit but b set
+_CLEAR_BIT = np.array([0xFF ^ (1 << b) for b in range(8)], dtype=np.uint8)
+
+
 class VertexSet:
     """Immutable vertex subset of [n], backed by an int bitmask with cached size."""
 
@@ -176,17 +193,6 @@ class Graph:
             adj[v] |= 1 << u
         return cls(n, tuple(adj))
 
-    @classmethod
-    def from_bit_matrix(cls, a: np.ndarray) -> "Graph":
-        """Graph whose adjacency is the n x n bool matrix `a`, which must be symmetric with a zero diagonal."""
-        n = a.shape[0]
-        if a.shape != (n, n):
-            raise ValueError(f"adjacency matrix must be square, got shape {a.shape}")
-        rows = np.packbits(a, axis=1, bitorder="little")
-        w = rows.shape[1]
-        buf = rows.tobytes()
-        return cls(n, tuple(int.from_bytes(buf[i * w:(i + 1) * w], "little") for i in range(n)))
-
     def packed_rows(self, vertices=None) -> np.ndarray:
         """Row i is N(vertices[i]) as ceil(n/64) little-endian uint64 words, bit v in
         word v // 64; `vertices` defaults to all of them in order."""
@@ -244,12 +250,69 @@ class Graph:
             raise ValueError("edges_between requires disjoint sets")
         return sum((self.adj[x] & ymask).bit_count() for x in iter_bits(xmask))
 
+    def edge_keys(self, vertices=None) -> np.ndarray:
+        """The edges of the subgraph induced on `vertices` (distinct; all of [n] in
+        order by default) as keys i * len(vertices) + j over their positions i < j,
+        ascending: for the whole graph, u * n + v in `edges()` order.
+
+        The keys are int32 whenever len(vertices) ** 2 fits.  Rows are unpacked
+        `_ROW_BLOCK` at a time, so no array but the keys outgrows a block.
+        """
+        vs = np.arange(self.n) if vertices is None else np.asarray(vertices, dtype=np.int64)
+        size = len(vs)
+        if vertices is None:
+            count = self.m
+        else:
+            inside = mask_of(vs.tolist())
+            count = sum((self.adj[v] & inside).bit_count() for v in vs.tolist()) // 2
+        keys = np.empty(count, dtype=np.int32 if size * size <= np.iinfo(np.int32).max else np.int64)
+        at = 0
+        for i0 in range(0, size, _ROW_BLOCK):
+            block = self.to_bit_matrix(vs[i0:i0 + _ROW_BLOCK])
+            if vertices is not None:
+                block = block[:, vs]
+            for i in range(len(block)):
+                block[i, :i0 + i + 1] = False  # keep positions j > i0 + i
+            hit = np.flatnonzero(block)
+            keys[at:at + len(hit)] = hit
+            keys[at:at + len(hit)] += i0 * size
+            at += len(hit)
+            del block, hit  # before the next block is read
+        return keys
+
+    def without_edge_keys(self, keys) -> "Graph":
+        """This graph less the edges {u, v} of the keys u * n + v; an absent edge is
+        skipped.  Raises ValueError for a key outside [0, n * n), which has an end
+        outside [0, n).
+
+        Both bits of each edge are cleared on a packed copy of the rows,
+        `_KEY_BLOCK` keys at a time.
+        """
+        n = self.n
+        keys = np.asarray(keys)
+        if keys.size and (keys.min() < 0 or keys.max() >= n * n):
+            raise ValueError(f"edge key outside [0, n * n) for n={n}")
+        # a writable copy of the rows, filled row by row: `packed_rows` and a copy
+        # of it would hold the rows twice at once
+        width = (n + 7) // 8
+        buf = bytearray(n * width)
+        for v, a in enumerate(self.adj):
+            buf[v * width:(v + 1) * width] = a.to_bytes(width, "little")
+        rows = np.frombuffer(buf, dtype=np.uint8).reshape(n, width)
+        flat = rows.reshape(-1)
+        for at in range(0, len(keys), _KEY_BLOCK):
+            u, v = np.divmod(keys[at:at + _KEY_BLOCK].astype(np.int64), n)
+            np.bitwise_and.at(flat, u * width + (v >> 3), _CLEAR_BIT[v & 7])
+            np.bitwise_and.at(flat, v * width + (u >> 3), _CLEAR_BIT[u & 7])
+        return _graph_of_rows(rows)
+
     def without_edges(self, edges) -> "Graph":
-        adj = list(self.adj)
-        for u, v in edges:
-            adj[u] &= ~(1 << v)
-            adj[v] &= ~(1 << u)
-        return Graph(self.n, tuple(adj))
+        """This graph less the edges (u, v) in `edges`, as `without_edge_keys` deletes
+        them; raises ValueError for an end outside [0, n)."""
+        ends = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
+        if ((ends < 0) | (ends >= self.n)).any():
+            raise ValueError(f"edge end outside [0, {self.n})")
+        return self.without_edge_keys(ends[:, 0] * self.n + ends[:, 1])
 
     def common_neighbourhood(self, vertices, within: int | None = None) -> int:
         m = (1 << self.n) - 1 if within is None else within
@@ -317,14 +380,22 @@ def gnp(n: int, p: float, seed: int) -> Graph:
         raise ValueError("n must be >= 1")
     if not (0.0 <= p <= 1.0):
         raise ValueError("p must lie in [0, 1]")
-    a = np.zeros((n, n), dtype=bool)
+    rows = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
     if p > 0.0 and n > 1:
-        # One double per pair (u, v), u < v, drawn in row-major order.
+        # One double per pair (u, v), u < v, drawn in row-major order, a block
+        # of rows at a time.  The block is packed into its own rows, and its
+        # transpose into the same columns of rows u0.. below: only those hold
+        # edges (u, v) with v > u >= u0.
         rng = rng_for(seed, stream=0)
-        for u in range(n - 1):
-            a[u, u + 1:] = rng.random(n - 1 - u) < p
-        a = a | a.T
-    return Graph.from_bit_matrix(a)
+        for u0 in range(0, n - 1, _ROW_BLOCK):
+            u1 = min(u0 + _ROW_BLOCK, n - 1)
+            block = np.zeros((u1 - u0, n), dtype=bool)
+            for u in range(u0, u1):
+                block[u - u0, u + 1:] = rng.random(n - 1 - u) < p
+            rows[u0:u1] |= np.packbits(block, axis=1, bitorder="little")
+            below = np.packbits(block[:, u0:].T, axis=1, bitorder="little")
+            rows[u0:, u0 // 8:u0 // 8 + below.shape[1]] |= below
+    return _graph_of_rows(rows)
 
 
 def _is_prime(q: int) -> bool:

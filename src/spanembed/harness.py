@@ -28,6 +28,7 @@ from .graph_core import (
     VertexSet,
     _is_prime,
     bandwidth_of_labelling,
+    bit_positions,
     degeneracy_order,
     gnp,
     iter_bits,
@@ -135,6 +136,10 @@ class ExperimentConfig:
             raise ConfigError(f"adversary_budget={self.adversary_budget} must be >= 0")
         if self.xi_guest is not None and self.xi_guest <= 0:
             raise ConfigError(f"xi_guest={self.xi_guest} must be positive")
+        if self.r0 < 1:
+            raise ConfigError(f"r0={self.r0} must be >= 1")
+        if self.z is not None and self.z < 1:
+            raise ConfigError(f"z={self.z} must be >= 1")
 
     def recommended_min_p(self) -> float:
         expo = 1.0 / (2 * self.D + 1) if self.mode == "degenerate" else 1.0 / self.Delta
@@ -200,85 +205,72 @@ def adversary_delete(
     deg = np.array([g.degree(v) for v in range(n)], dtype=np.int64)
     spare = deg - math.ceil(floor - 1e-9)
     rng = rng_for(seed, stream=101)
-    a = g.to_bit_matrix()
     if strategy == "random":
-        keys = _edge_keys(a)
+        keys = g.edge_keys()
         rng.shuffle(keys)  # the same swaps as rng.permutation(len(keys))
-        _greedy_delete(a, keys, spare, budget)
-        return Graph.from_bit_matrix(a)
+        return g.without_edge_keys(keys[:_greedy_delete(keys, spare, budget)])
     if strategy == "triangle_killer":
-        nbrs = np.flatnonzero(a[target])
-        inside = np.ix_(nbrs, nbrs)
-        iu, iv = np.divmod(_edge_keys(a[inside]), len(nbrs))
+        nbrs = bit_positions(g.adj[target])
+        iu, iv = np.divmod(g.edge_keys(nbrs), len(nbrs))
         us, vs = nbrs[iu], nbrs[iv]
         order = rng.permutation(len(us))
         us, vs = us[order], vs[order]
         ranked = np.argsort(-(deg[us] + deg[vs]), kind="stable")
-        _greedy_delete(a, (us * n + vs)[ranked], spare, None)
-        if a[inside].any():
+        keys = (us * n + vs)[ranked]
+        out = g.without_edge_keys(keys[:_greedy_delete(keys, spare, None)])
+        inside = g.adj[target]
+        if any(out.adj[u] & inside for u in nbrs.tolist()):
             raise ConfigError("triangle_killer blocked by the degree floor")
-        return Graph.from_bit_matrix(a)
+        return out
     if strategy == "bipartite_push":
         classes = rng.integers(0, k, size=n)
         # the keys whose ends share a class, found a block at a time (no n x n temporary)
-        keys = _edge_keys(a)
+        keys = g.edge_keys()
         same = np.empty(len(keys), dtype=bool)
         for at in range(0, len(keys), _SCAN_BLOCK):
             u, v = np.divmod(keys[at:at + _SCAN_BLOCK], n)
             same[at:at + _SCAN_BLOCK] = classes[u] == classes[v]
         keys = keys[same]
         rng.shuffle(keys)
-        _greedy_delete(a, keys, spare, budget)
-        return Graph.from_bit_matrix(a)
+        return g.without_edge_keys(keys[:_greedy_delete(keys, spare, budget)])
     raise ConfigError(f"unknown adversary {strategy!r}")
-
-
-def _edge_keys(a: np.ndarray) -> np.ndarray:
-    """Edges (u, v), u < v, of symmetric bool matrix `a` as keys u * n + v, in `Graph.edges()` order.
-
-    The keys are int32 whenever n * n fits, and are built row by row, so no
-    index array wider than the edge count is ever allocated.
-    """
-    n = a.shape[0]
-    dtype = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
-    keys = np.empty(int(np.count_nonzero(a)) // 2, dtype=dtype)
-    at = 0
-    for u in range(n - 1):
-        row = np.flatnonzero(a[u, u + 1:])
-        keys[at:at + len(row)] = row + (u * n + u + 1)
-        at += len(row)
-    return keys
 
 
 _SCAN_BLOCK = 1 << 16
 
 
-def _greedy_delete(a: np.ndarray, keys: np.ndarray, spare: np.ndarray, cap: int | None) -> None:
-    """Delete from `a`, in scan order, each edge key u * n + v whose ends both have spare degree.
+def _greedy_delete(keys: np.ndarray, spare: np.ndarray, cap: int | None) -> int:
+    """Select, in scan order, each edge key u * n + v whose ends both have spare degree.
 
-    Stops after `cap` deletions when a cap is given; `spare` (an int array with
-    one entry per vertex) is debited in place.  The deletions are those of the
-    key-by-key scan, settled one block of `_SCAN_BLOCK` keys at a time:
+    Stops after `cap` deletions when a cap is given.  `spare` (an int array
+    with one entry per vertex, so n = len(spare)) is debited in place, and the
+    selected keys are written, in scan order, over the front of `keys`; the
+    return value is their number.  A block's selections never outnumber the
+    keys read so far, so they never overwrite a key not yet read.  The
+    selections are those of the key-by-key scan, settled one block of
+    `_SCAN_BLOCK` keys at a time:
 
     - Spare degree only falls, so a key with a spent end at the start of its
       block is skipped; the block's other keys are live.
     - A vertex is *safe* in the block when its live keys there number at most
       its spare at the block's start.  At each of those keys it has lost fewer
       edges in the block than it had spare, so it passes the test on all of
-      them.  A key with two safe ends is deleted in one numpy step.
+      them.  A key with two safe ends is selected in one numpy step.
     - A key with an unsafe end depends on the scan order, so those keys alone
       are scanned in Python, in key order, each end's spare counted from the
       block's start (a safe end never runs out there).
-    - The block's deletions debit `spare` in bulk.  A cap keeps the first
+    - The block's selections debit `spare` in bulk.  A cap keeps the first
       `left` of them by key index; that is exact, because whether a key is
-      deleted never depends on a later key.
+      selected never depends on a later key.
     """
-    n = a.shape[0]
+    n = len(spare)
     left = len(keys) if cap is None else cap
+    done = 0
     for start in range(0, len(keys), _SCAN_BLOCK):
         if left <= 0:
             break
-        bu, bv = np.divmod(keys[start:start + _SCAN_BLOCK], n)
+        block = keys[start:start + _SCAN_BLOCK]
+        bu, bv = np.divmod(block, n)
         has = spare > 0
         live = has[bu] & has[bv]
         occ = np.bincount(bu[live], minlength=n) + np.bincount(bv[live], minlength=n)
@@ -297,11 +289,11 @@ def _greedy_delete(a: np.ndarray, keys: np.ndarray, spare: np.ndarray, cap: int 
                     kept.append(i)
             take[kept] = True
         hit = np.flatnonzero(take)[:left]
-        du, dv = bu[hit], bv[hit]
-        spare -= np.bincount(du, minlength=n) + np.bincount(dv, minlength=n)
+        spare -= np.bincount(bu[hit], minlength=n) + np.bincount(bv[hit], minlength=n)
         left -= len(hit)
-        a[du, dv] = False
-        a[dv, du] = False
+        keys[done:done + len(hit)] = block[hit]
+        done += len(hit)
+    return done
 
 
 # ---------------------------------------------------------------------------

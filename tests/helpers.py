@@ -1,5 +1,7 @@
 """Shared fixture builders for the test suite."""
 
+import numpy as np
+
 from spanembed.graph_core import Graph, Labelling, VertexSet, gnp, iter_bits, rng_for
 from spanembed.guest_prep import assign_guest
 from spanembed.harness import make_guest
@@ -18,6 +20,15 @@ TREE_CFG = dict(
     n=4000, p=0.4, k=2, gamma=0.2, eps=0.3, d=0.1, mu=0.15, r0=12,
     D=1, Delta=3, xi_guest=0.45,
 )
+
+
+def graph_from_bit_matrix(a):
+    """Graph whose adjacency is the n x n bool matrix `a`, which must be symmetric with a zero diagonal."""
+    n = a.shape[0]
+    if a.shape != (n, n):
+        raise ValueError(f"adjacency matrix must be square, got shape {a.shape}")
+    rows = np.packbits(a, axis=1, bitorder="little")
+    return Graph(n, tuple(int.from_bytes(row, "little") for row in rows))
 
 
 def degree_into(g, v, mask):

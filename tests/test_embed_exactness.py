@@ -10,7 +10,8 @@ The grid's second layout puts guest edges inside a cell, so that a guest's
 own cell holds the neighbours whose cached candidate masks a move must drop;
 ϑ = 0.2 is the buffer fraction at which a stale mask there changes φ.  A
 pre-embedded guest imaged inside a cluster checks that the buffer matching
-never takes a host held outside it.
+never takes a host held outside it, and that neither a main-phase swap nor a
+buffer-phase relocation moves it.
 """
 
 from functools import cache
@@ -352,6 +353,41 @@ def test_host_of_a_pre_embedded_guest_stays_held(case):
     expected = outcome(reference_embed, *args, initial_phi={n: 2 * seed}, seed=seed)
     assert expected[:2] == ("error", "no perfect matching in cell (0, 0)")
     assert outcome(embed, *args, initial_phi={n: 2 * seed}, seed=seed) == expected
+
+
+def held_inside_inputs(n, q, layout, seed):
+    """A cycle on guests 0..n-1 in two cells, by parity or by pairs as in LAYOUTS,
+    and q more guests, each joined to two cycle vertices and pre-embedded onto a
+    host inside a cluster; the clusters are a seeded split of the n hosts."""
+    rng = rng_for(seed, stream=7)
+    m = n + q
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    for x in range(n, m):
+        edges += [(x, v) for v in rng.choice(n, size=2, replace=False).tolist()]
+    guest = Graph.from_edges(m, edges)
+    f_star = tuple((0, v % 2 if layout == "parity" else (v // 2) % 2) for v in range(m))
+    size0 = sum(1 for v in range(n) if f_star[v] == (0, 0))
+    perm = rng.permutation(n).tolist()
+    clusters = {(0, 0): VertexSet.from_iter(n, perm[:size0]), (0, 1): VertexSet.from_iter(n, perm[size0:])}
+    initial_phi = dict(zip(range(n, m), rng.choice(n, size=q, replace=False).tolist()))
+    order = fold_labelling(m)
+    skip = mask_of(initial_phi)
+    buffers = choose_buffers(guest, f_star, (1 << m) - 1, sorted(clusters), 0.2, skip_mask=skip, order=order)
+    return (gnp(n, 0.5, seed), guest, clusters, f_star, RestrictionPair(), buffers, order), initial_phi
+
+
+HELD_INSIDE_CASES = [(n, q, layout, seed) for n in (12, 16, 24) for q in (1, 2) for layout in LAYOUTS for seed in range(3)]
+
+
+@pytest.mark.parametrize("case", HELD_INSIDE_CASES, ids=["-".join(map(str, c)) for c in HELD_INSIDE_CASES])
+def test_held_host_inside_a_cluster_matches_reference(case):
+    """A held host inside a cluster comes up in the main phase's swap scan and in
+    the buffer phase's relocation scan; neither may move its pre-embedded guest.
+    Six of these cases reach it from each scan: without `& ~held` there, `embed`
+    ends in a KeyError instead of the reference's outcome."""
+    args, initial_phi = held_inside_inputs(*case)
+    expected = outcome(reference_embed, *args, initial_phi=initial_phi, seed=case[-1])
+    assert outcome(embed, *args, initial_phi=initial_phi, seed=case[-1]) == expected
 
 
 @pytest.mark.parametrize("cfg", [SMOKE_CFG, TREE_CFG], ids=["smoke", "tree"])

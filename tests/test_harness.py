@@ -147,14 +147,15 @@ class TestConfig:
     @pytest.mark.parametrize(
         "key,value",
         [("adversary_target", 1000), ("adversary_target", 5000), ("adversary_target", -1),
-         ("adversary_budget", -5), ("xi_guest", 0.0), ("xi_guest", -0.1)],
+         ("adversary_budget", -5), ("xi_guest", 0.0), ("xi_guest", -0.1),
+         ("r0", 0), ("r0", -3), ("z", 0.5), ("z", -1.0)],
     )
     def test_validation_names_an_out_of_range_value(self, key, value):
         with pytest.raises(ConfigError, match=f"^{key}={value} must "):
             ExperimentConfig(n=1000, **{key: value}).validate()
 
     def test_validation_accepts_the_range_ends(self):
-        ExperimentConfig(n=1000, adversary_target=999, adversary_budget=0, xi_guest=1e-9).validate()
+        ExperimentConfig(n=1000, adversary_target=999, adversary_budget=0, xi_guest=1e-9, r0=1, z=1.0).validate()
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
@@ -325,6 +326,16 @@ class TestCli:
         proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr == "error: adversary_target=5000 must lie in [0, n=1000)\n", proc.stderr
+
+    def test_cli_out_of_range_r0_and_z_exit_code(self, tmp_path):
+        for key, value in (("r0", "-3"), ("z", "-1.0")):
+            cfg = tmp_path / f"{key}.cfg"
+            cfg.write_text(f"{key} = {value}\n")
+            cmd = [sys.executable, "-m", "spanembed.cli", "run", "--n", "1000", "--p", "0.4",
+                   "--k", "2", "--gamma", "0.2", "--eps", "0.25", "--config", str(cfg)]
+            proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 1, (key, proc.stderr)
+            assert proc.stderr == f"error: {key}={value} must be >= 1\n", (key, proc.stderr)
 
     def test_cli_non_finite_value_exit_code(self, tmp_path):
         for key in ("beta", "z"):

@@ -13,13 +13,22 @@ vertices whose live keys in a block equal their spare.  Each of those also
 checks the blocked greedy against `reference_greedy_delete`, the key-by-key
 scan it replaced, on the same keys, and so does the benchmark's resilience
 host at n = 4000.
+
+`gnp` and `Graph.edge_keys` work on blocks of `_ROW_BLOCK` rows, and
+`Graph.without_edge_keys` clears bits on packed bytes: the cases at n from 1
+to 1100 put rows and columns on both sides of a byte and of a row block, and
+compare with `reference_edge_keys` and `reference_without_edges`, the code
+they replaced.  Neither path may hold an n x n matrix: at n = 3000 the peak
+that tracemalloc sees stays under the n^2 bytes of one bool matrix.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from spanembed import harness
-from spanembed.graph_core import Graph, gnp, iter_bits, rng_for
+from spanembed.graph_core import _ROW_BLOCK, Graph, gnp, iter_bits, rng_for
 from spanembed.harness import _SCAN_BLOCK, ConfigError, adversary_delete
 
 
@@ -74,10 +83,79 @@ def oracle_adversary_delete(g, strategy, gamma, k, p, seed=0, budget=None, targe
 
 @pytest.mark.parametrize(
     "n,p,seed",
-    [(1, 0.5, 0), (2, 1.0, 0), (2, 0.5, 1), (3, 0.5, 2), (9, 0.3, 5), (50, 1.0, 1), (50, 0.0, 1), (301, 0.4, 3)],
+    [(1, 0.5, 0), (2, 1.0, 0), (2, 0.5, 1), (3, 0.5, 2), (9, 0.3, 5), (50, 1.0, 1), (50, 0.0, 1), (301, 0.4, 3),
+     (7, 0.5, 1), (8, 0.5, 2), (9, 1.0, 3), (511, 0.4, 4), (512, 0.4, 5), (513, 0.4, 6), (513, 1.0, 0),
+     (700, 0.3, 7), (1025, 0.3, 8)],
 )
 def test_gnp_matches_oracle(n, p, seed):
     assert gnp(n, p, seed) == oracle_gnp(n, p, seed)
+
+
+def reference_edge_keys(a):
+    """The key builder that `Graph.edge_keys` replaced, on the symmetric bool matrix `a`."""
+    n = a.shape[0]
+    dtype = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
+    keys = np.empty(int(np.count_nonzero(a)) // 2, dtype=dtype)
+    at = 0
+    for u in range(n - 1):
+        row = np.flatnonzero(a[u, u + 1:])
+        keys[at:at + len(row)] = row + (u * n + u + 1)
+        at += len(row)
+    return keys
+
+
+def reference_without_edges(g, edges):
+    """The int-row deletion that `Graph.without_edges` replaced."""
+    adj = list(g.adj)
+    for u, v in edges:
+        adj[u] &= ~(1 << v)
+        adj[v] &= ~(1 << u)
+    return Graph(g.n, tuple(adj))
+
+
+@pytest.mark.parametrize("n,p,seed", [(1, 0.5, 0), (7, 0.5, 1), (9, 0.6, 2), (513, 0.3, 3), (1100, 0.2, 4)])
+def test_edge_keys_match_reference(n, p, seed):
+    g = gnp(n, p, seed)
+    a = g.to_bit_matrix()
+    keys = g.edge_keys()
+    expect = reference_edge_keys(a)
+    assert keys.dtype == expect.dtype and np.array_equal(keys, expect)
+    assert keys.tolist() == [u * n + v for u, v in g.edges()]
+    # induced subgraphs, on more than a row block of vertices and on none
+    rng = rng_for(seed, stream=3)
+    for vs in (np.flatnonzero(rng.random(n) < 0.6), np.arange(n)[::-1], np.arange(0)):
+        sub = g.edge_keys(vs)
+        assert np.array_equal(sub, reference_edge_keys(a[np.ix_(vs, vs)]))
+        assert sub.dtype == np.int32
+
+
+@pytest.mark.parametrize("n,p,seed", [(8, 0.9, 0), (9, 0.5, 1), (520, 0.3, 2), (1030, 0.1, 3)])
+def test_deletion_matches_reference_and_keeps_the_source(n, p, seed):
+    g = gnp(n, p, seed)
+    adj, rows = g.adj, g.packed_rows().copy()
+    rng = rng_for(seed, stream=4)
+    edges = list(g.edges())
+    pairs = [edges[int(i)] for i in rng.choice(len(edges), size=len(edges) // 3)]  # with repeats
+    pairs = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]  # either order
+    pairs += [(0, n - 1), (n - 1, 0), (n // 2, n // 2)]  # maybe absent, and a loop
+    expect = reference_without_edges(g, pairs)
+    keys = np.array([u * n + v for u, v in pairs])
+    assert g.without_edges(pairs) == expect
+    assert g.without_edge_keys(keys) == expect
+    assert g.without_edge_keys(keys.astype(np.int32)) == expect
+    assert g.without_edges([]) == g == g.without_edge_keys(np.zeros(0, dtype=np.int32))
+    assert g.adj == adj and np.array_equal(g.packed_rows(), rows)
+
+
+def test_deletion_rejects_an_end_outside_the_graph():
+    g = Graph.complete(9)
+    for pairs in ([(0, 9)], [(9, 0)], [(-1, 3)], [(3, -1)], [(1, 2), (2, 10)]):
+        with pytest.raises(ValueError, match="outside"):
+            g.without_edges(pairs)
+    for keys in ([-1], [81], [0, 100]):
+        with pytest.raises(ValueError, match="outside"):
+            g.without_edge_keys(np.array(keys))
+    assert g == Graph.complete(9)
 
 
 @pytest.mark.parametrize(
@@ -100,6 +178,22 @@ def test_adversary_matches_oracle(strategy, p, gamma, k, seed, budget, target):
     if budget is not None:
         assert host.m - expect.m == budget  # the cap binds
     assert adversary_delete(*args, **kwargs) == expect
+
+
+@pytest.mark.parametrize(
+    "strategy,p,gamma,k,seed,budget",
+    [("random", 0.5, 0.2, 2, 0, None), ("random", 0.5, 0.2, 2, 1, 3000),
+     ("bipartite_push", 0.5, 0.2, 2, 2, None), ("triangle_killer", 0.8, 0.05, 1, 3, None)],
+)
+def test_adversary_across_row_blocks_matches_oracle(strategy, p, gamma, k, seed, budget):
+    """At n = 700 the host's rows, and the 560 or so neighbours whose edges the
+    triangle killer reads, span two row blocks."""
+    host = gnp(700, p, seed)
+    assert host.n > _ROW_BLOCK and (strategy != "triangle_killer" or host.degree(0) > _ROW_BLOCK)
+    args = (host, strategy, gamma, k, p)
+    expect = oracle_adversary_delete(*args, seed=seed, budget=budget)
+    assert expect.m < host.m
+    assert adversary_delete(*args, seed=seed, budget=budget) == expect
 
 
 def test_blocked_triangle_killer_matches_oracle():
@@ -139,25 +233,35 @@ def reference_greedy_delete(a, keys, spare, cap):
 
 @pytest.fixture
 def greedy_calls(monkeypatch):
-    """Each `_greedy_delete` call the adversary makes: its inputs, then the matrix and spare it leaves."""
+    """Each `_greedy_delete` call the adversary makes: its inputs, then the keys it selects and the spare it leaves."""
     calls = []
     greedy = harness._greedy_delete
 
-    def recording(a, keys, spare, cap):
-        inputs = (a.copy(), keys.copy(), spare.tolist(), cap)
-        greedy(a, keys, spare, cap)
-        calls.append((inputs, a.copy(), spare.tolist()))
+    def recording(keys, spare, cap):
+        inputs = (keys.copy(), spare.tolist(), cap)
+        count = greedy(keys, spare, cap)
+        calls.append((inputs, keys[:count].copy(), spare.tolist()))
+        return count
 
     monkeypatch.setattr(harness, "_greedy_delete", recording)
     return calls
 
 
 def assert_matches_reference(call):
-    """Run the reference on the call's inputs (in place) and compare what both leave."""
-    (a, keys, spare, cap), got, got_spare = call
-    reference_greedy_delete(a, keys, spare, cap)
-    assert np.array_equal(a, got)
+    """Run the reference on the call's inputs and compare what both delete and leave;
+    the selected keys must also come in scan order."""
+    (keys, spare, cap), got, got_spare = call
+    n = len(spare)
+    expect = np.ones((n, n), dtype=bool)
+    reference_greedy_delete(expect, keys, spare, cap)
+    du, dv = np.divmod(got, n)
+    deleted = np.ones((n, n), dtype=bool)
+    deleted[du, dv] = False
+    deleted[dv, du] = False
+    assert np.array_equal(deleted, expect)
     assert spare == got_spare
+    order = np.argsort(keys)
+    assert (np.diff(order[np.searchsorted(keys, got, sorter=order)]) > 0).all()
 
 
 def block_profile(keys, spare, n):
@@ -195,7 +299,7 @@ def test_cross_block_adversary_matches_oracle(greedy_calls, strategy, n, p, gamm
     expect = oracle_adversary_delete(*args, **kwargs)
     assert adversary_delete(*args, **kwargs) == expect
     [call] = greedy_calls
-    assert len(call[0][1]) >= 4 * _SCAN_BLOCK
+    assert len(call[0][0]) >= 4 * _SCAN_BLOCK
     assert_matches_reference(call)
     if budget is not None:
         assert budget > _SCAN_BLOCK  # so the cap runs out after the first block
@@ -209,7 +313,7 @@ def test_tight_floor_matches_oracle(greedy_calls, slack):
     expect = oracle_adversary_delete(host, "random", gamma, 2, 0.6, seed=1)
     assert adversary_delete(host, "random", gamma, 2, 0.6, seed=1) == expect
     [call] = greedy_calls
-    (_, keys, spare, _), _, _ = call
+    (keys, spare, _), _, _ = call
     profile = block_profile(keys, spare, host.n)
     assert_matches_reference(call)
     assert len(profile) >= 4
@@ -228,7 +332,7 @@ def test_blocked_triangle_killer_greedy_matches_reference(greedy_calls):
         with pytest.raises(ConfigError, match="blocked"):
             fn(host, "triangle_killer", 0.3, 1, 0.8, seed=3, target=5)
     [call] = greedy_calls
-    assert len(call[0][1]) >= 4 * _SCAN_BLOCK
+    assert len(call[0][0]) >= 4 * _SCAN_BLOCK
     assert_matches_reference(call)
 
 
@@ -237,5 +341,25 @@ def test_resilience_host_matches_reference(greedy_calls):
     host = gnp(4000, 0.4, 0)
     adversary_delete(host, "random", 0.2, 2, 0.4, seed=0)
     [call] = greedy_calls
-    assert len(call[0][1]) > 48 * _SCAN_BLOCK
+    assert len(call[0][0]) > 48 * _SCAN_BLOCK
     assert_matches_reference(call)
+
+
+def traced_peak(fn, *args):
+    """Bytes that `fn(*args)` holds at its peak, beyond what was live before the call."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_host_and_adversary_hold_no_square_matrix():
+    """At n = 3000 an n x n bool matrix is 9 MB: `gnp` stays under it, and the
+    `random` adversary under it plus its int32 keys."""
+    n, p = 3000, 0.4
+    assert traced_peak(gnp, n, p, 0) < n * n
+    host = gnp(n, p, 0)
+    assert traced_peak(adversary_delete, host, "random", 0.2, 2, p) < 4 * host.m + n * n

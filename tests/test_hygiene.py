@@ -1,7 +1,8 @@
 """Source hygiene: every top-level import of a spanembed module or a test file is used or
 re-exported, every local that a spanembed function assigns is read, every defaulted
 parameter of a spanembed function is passed by some call, and no spanembed function takes
-its settings as string keys of a parameter."""
+its settings as string keys of a parameter; only `graph_core` knows the packed-row
+format or holds the whole graph as an n x n bool matrix."""
 
 import ast
 from pathlib import Path
@@ -265,3 +266,42 @@ def test_only_graph_core_knows_the_packed_format():
         for line, name in packed_format_uses(path.read_text(encoding="utf-8"))
     ]
     assert uses == []
+
+
+def whole_matrix_calls(source: str) -> list[tuple[int, str]]:
+    """(line, name) for every call of `to_bit_matrix` with no argument and every call
+    of `from_bit_matrix`.
+
+    Both hold the whole graph as an n x n bool matrix, n^2 bytes against the n^2/8
+    of the packed rows; other modules read rows a block at a time
+    (`to_bit_matrix(vertices)`, `Graph.edge_keys`) and delete edges by key
+    (`Graph.without_edge_keys`).
+    """
+    calls = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+        if name == "from_bit_matrix" or (name == "to_bit_matrix" and not node.args and not node.keywords):
+            calls.append((node.lineno, node.col_offset, name))
+    return [(line, name) for line, _col, name in sorted(calls)]
+
+
+def test_scanner_flags_only_whole_matrix_calls():
+    source = (
+        "def f(g, vs, a):\n"
+        '    """g.to_bit_matrix() in a docstring is fine"""\n'
+        "    rows = g.to_bit_matrix(vs), g.to_bit_matrix(vertices=vs), g.to_bit_matrix\n"
+        "    return g.to_bit_matrix(), Graph.from_bit_matrix(a), from_bit_matrix(a)\n"
+    )
+    assert whole_matrix_calls(source) == [(4, "to_bit_matrix"), (4, "from_bit_matrix"), (4, "from_bit_matrix")]
+
+
+def test_only_graph_core_holds_a_whole_bool_matrix():
+    calls = [
+        f"{path.name}:{line} {name}"
+        for path in MODULES
+        if path.name != "graph_core.py"
+        for line, name in whole_matrix_calls(path.read_text(encoding="utf-8"))
+    ]
+    assert calls == []

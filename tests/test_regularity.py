@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from helpers import deleted_to_floor, degree_into
+from helpers import deleted_to_floor, degree_into, graph_from_bit_matrix
 from spanembed.graph_core import Graph, VertexSet, gnp, iter_bits, mask_of, rng_for
 from spanembed.regularity import (
     PairVerdict,
@@ -147,7 +147,7 @@ def refining_instance(name):
         a = rng.random((n, n)) < p
         a[: n // 4, n // 2 : 3 * n // 4] = rng.random((n // 4, n // 4)) < 0.95
         a = np.triu(a, 1)
-        g = Graph.from_bit_matrix(a | a.T)
+        g = graph_from_bit_matrix(a | a.T)
     return g, [VertexSet.from_iter(n, range(n // 2)), VertexSet.from_iter(n, range(n // 2, n))], p
 
 
@@ -407,7 +407,7 @@ def circulant_case(side, seed):
     a = np.zeros((n, n), dtype=bool)
     a[np.ix_(xs, ys)] = (np.arange(side)[None, :] - np.arange(side)[:, None]) % side < w
     a |= a.T
-    return Graph.from_bit_matrix(a), VertexSet.from_iter(n, xs.tolist()), VertexSet.from_iter(n, ys.tolist()), w / side
+    return graph_from_bit_matrix(a), VertexSet.from_iter(n, xs.tolist()), VertexSet.from_iter(n, ys.tolist()), w / side
 
 
 def witness_kind(g, x, y, eps, budget, seed, verdict, joint_cuts):
