@@ -3,7 +3,7 @@
 import numpy as np
 
 from spanembed.graph_core import Graph, Labelling, VertexSet, gnp, iter_bits, rng_for
-from spanembed.guest_prep import assign_guest
+from spanembed.guest_prep import Colouring, assign_guest
 from spanembed.harness import make_guest
 from spanembed.reduced_graph import BackboneIndex, ReducedGraph, prepare_host
 
@@ -110,6 +110,30 @@ def even_targets(n, r, k):
     base = n // len(cells)
     rem = n - base * len(cells)
     return {cell: base + (1 if idx < rem else 0) for idx, cell in enumerate(cells)}
+
+
+def window_tree(n, seed, window=5, dmax=3):
+    """Tree on 0..n-1 whose edges span at most `window` labels, with its proper 2-colouring.
+
+    Each vertex takes a parent among the `window` before it with degree below
+    `dmax`, preferring the colour class that is behind.
+    """
+    rng = rng_for(seed, stream=7)
+    edges, colour, degs = [], [1], [0]
+    bal = 1
+    for v in range(1, n):
+        lo = max(0, v - window)
+        want = 1 if bal >= 0 else 2
+        cands = [u for u in range(lo, v) if degs[u] < dmax and colour[u] == want]
+        if not cands:
+            cands = [u for u in range(lo, v) if degs[u] < dmax]
+        u = cands[int(rng.integers(len(cands)))]
+        edges.append((u, v))
+        degs[u] += 1
+        degs.append(1)
+        colour.append(3 - colour[u])
+        bal += 1 if colour[v] == 1 else -1
+    return Graph.from_edges(n, edges), Colouring(tuple(colour), 2)
 
 
 def pre_embed_instance(n=1000, seed=0, v0_target=None, eps=0.25):

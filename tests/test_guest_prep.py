@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -14,7 +15,7 @@ from spanembed.guest_prep import (
 )
 from spanembed.harness import make_guest
 
-from helpers import cell_counts, complete_reduced, even_targets
+from helpers import cell_counts, complete_reduced, even_targets, window_tree
 
 
 class TestZeroFree:
@@ -156,28 +157,9 @@ class TestAssignGuest:
         # beta small enough that sections hold several intervals, so the
         # random-permutation switching machinery actually runs; needs a
         # low-bandwidth guest at large n (window-5 tree)
-        from spanembed.graph_core import rng_for
-
         n, r, k = 50_000, 2, 2
-        rng = rng_for(5, stream=7)
-        window, dmax = 5, 3
-        edges, colour, degs = [], [1], [0]
-        bal = 1
-        for v in range(1, n):
-            lo = max(0, v - window)
-            want = 1 if bal >= 0 else 2
-            cands = [u for u in range(lo, v) if degs[u] < dmax and colour[u] == want]
-            if not cands:
-                cands = [u for u in range(lo, v) if degs[u] < dmax]
-            u = cands[int(rng.integers(len(cands)))]
-            edges.append((u, v))
-            degs[u] += 1
-            degs.append(1)
-            colour.append(3 - colour[u])
-            bal += 1 if colour[v] == 1 else -1
-        h = Graph.from_edges(n, edges)
+        h, col = window_tree(n, 5)
         l = Labelling.identity(n)
-        col = Colouring(tuple(colour), 2)
         beta = 0.00011
         assert bandwidth_of_labelling(h, l) <= beta * n
         red = complete_reduced(r, k)
@@ -221,3 +203,70 @@ class TestBoundedOrder:
         restr = {2: {10, 11, 12}}
         rep = check_bounded_order(h, Labelling.identity(4), restr, None, 3, 0.5, 100)
         assert 2 in rep["back_degree"]  # |J| + 1 earlier neighbour = 4 > 3
+
+
+def _pinned_input(name):
+    """(guest, labelling, colouring, reduced graph, targets, xi, beta, seed) of one pinned input."""
+    if name == "edgeless":
+        n = 480
+        col = Colouring(tuple((v % 2) + 1 for v in range(n)), 2)
+        return Graph.empty(n), Labelling.identity(n), col, complete_reduced(2, 2), even_targets(n, 2, 2), 0.08, 8 / (2 * n), 0
+    if name == "path_zero_in_switching_block":
+        # the colour-0 vertex sits in block 200, the first switching block of
+        # section 0, so that section switches at block 201 instead
+        n = 20_000
+        sigma = [1 + v % 2 for v in range(n)]
+        sigma[200 * 16 + 5] = 0
+        h = Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
+        col = Colouring(tuple(sigma), 2)
+        return h, Labelling.identity(n), col, complete_reduced(2, 2), even_targets(n, 2, 2), 0.05, 16 / (8 * n), 0
+    if name == "switching_tree":
+        n = 50_000
+        h, col = window_tree(n, 5)
+        return h, Labelling.identity(n), col, complete_reduced(2, 2), even_targets(n, 2, 2), 0.02, 0.00011, 5
+    family, n, k, r, blocklen, xi, seed = {
+        "cycle_1000": ("hamilton_cycle", 1000, 2, 2, 16, 0.05, 1),
+        "cycle_1001": ("hamilton_cycle", 1001, 2, 2, 16, 0.05, 1),
+        "cycle_20001": ("hamilton_cycle", 20001, 2, 2, 16, 0.05, 0),
+        "power_cycle": ("power_cycle:2", 576, 3, 2, 48, 0.06, 2),
+        "triangle_factor": ("f_factor:triangle", 624, 3, 2, 24, 0.06, 3),
+        "power_path": ("power_path:2", 624, 3, 2, 24, 0.06, 4),
+        "tree_six_rows": ("bounded_tree:3", 4000, 2, 6, 184, 0.2, 0),
+        "tree_short_prefix": ("bounded_tree:3", 1920, 2, 6, 168, 0.45, 0),
+        "skewed_targets": ("hamilton_cycle", 1000, 2, 2, 16, 0.05, 1),
+    }[name]
+    h, l, col, _ = make_guest(family, n, seed)
+    m = even_targets(n, r, k)
+    if name == "skewed_targets":  # same row masses, columns 100 off the even split
+        m = {(i, j): m[(i, j)] + (100 if j == i else -100) for i, j in m}
+    return h, l, col, complete_reduced(r, k), m, xi, blocklen / (4 * k * n), seed
+
+
+# digest of (f, special set, sigma', zero_routed, section bounds), or the failure's (stage, message)
+PINNED_ASSIGNMENTS = {
+    "cycle_1000": "d112d4b8a1f40d97",
+    "cycle_1001": "de682b3d905f94bf",
+    "power_cycle": "af394523374c0ddd",
+    "triangle_factor": "560a75d405b5faaf",
+    "power_path": "cc359a58bd455f33",
+    "tree_six_rows": "687a8133f6d52200",
+    "edgeless": "2f02476d00a2b477",
+    "cycle_20001": "b6addb26b1d40c23",
+    "path_zero_in_switching_block": "ecf8b652e089b2ed",
+    "switching_tree": "b8ce911305604fb7",
+    "skewed_targets": ("part_sizes", "[part_sizes] assignment failed after retries (failed: part_sizes)"),
+    "tree_short_prefix": ("prefix_rule", "[prefix_rule] assignment failed after retries (failed: prefix_rule)"),
+}
+
+
+@pytest.mark.parametrize("name, expected", PINNED_ASSIGNMENTS.items(), ids=list(PINNED_ASSIGNMENTS))
+def test_assign_guest_pinned(name, expected):
+    h, l, col, red, m, xi, beta, seed = _pinned_input(name)
+    if isinstance(expected, tuple):
+        with pytest.raises(GuestPrepError) as err:
+            assign_guest(h, l, col, red, m, xi=xi, beta=beta, seed=seed)
+        assert (err.value.stage, str(err.value)) == expected
+        return
+    ga = assign_guest(h, l, col, red, m, xi=xi, beta=beta, seed=seed)
+    data = repr((ga.f, format(ga.special.mask, "x"), ga.sigma_prime.sigma, ga.zero_routed, ga.blocks.section_bounds))
+    assert hashlib.sha256(data.encode()).hexdigest()[:16] == expected
