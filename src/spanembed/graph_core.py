@@ -17,6 +17,7 @@ identical seeds reproduce identical graphs on every platform.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -446,8 +447,6 @@ def degeneracy_order(g: Graph) -> tuple[Labelling, int]:
     at its removal time, so every vertex has at most d neighbours that are
     removed after it.
     """
-    import heapq
-
     n = g.n
     deg = [g.degree(v) for v in range(n)]
     heap = [(deg[v], v) for v in range(n)]

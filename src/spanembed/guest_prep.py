@@ -5,15 +5,20 @@ sparse colour 0).  `assign_guest` partitions the labelling into blocks and
 sections, optionally rebalances colour classes by switching colours inside
 zero-free blocks under random permutations, and produces the homomorphism
 f: V(H) -> [r] x [k] (colour-0 vertices route to the row's extension cell z_i)
-together with the special set X and the per-property certificates.
+together with the special set X, after checking every property it promises.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from collections import Counter
+from dataclasses import dataclass
 
-from .graph_core import Graph, Labelling, StageError, VertexSet, iter_bits, rng_for
+from .graph_core import (
+    Graph, Labelling, StageError, VertexSet, bandwidth_of_labelling, degeneracy_order, iter_bits,
+    mask_of, rng_for,
+)
 from .reduced_graph import ReducedGraph
 
 __all__ = [
@@ -68,56 +73,32 @@ def _blocks(n: int, k: int, beta: float) -> tuple[int, int]:
 
 
 def _zero_blocks(col: Colouring, l: Labelling, blocklen: int, nblocks: int) -> set[int]:
-    zb = set()
-    for v in col.zero_vertices():
-        zb.add(min(l.pos[v] // blocklen, nblocks - 1))
-    return zb
+    return {min(l.pos[v] // blocklen, nblocks - 1) for v in col.zero_vertices()}
 
 
 def check_zero_free(col: Colouring, l: Labelling, z: float, beta: float, k: int) -> bool:
     """Every window of z consecutive blocks contains at most one block using colour 0."""
-    n = len(l)
-    blocklen, nblocks = _blocks(n, k, beta)
+    blocklen, nblocks = _blocks(len(l), k, beta)
     zb = sorted(_zero_blocks(col, l, blocklen, nblocks))
-    w = int(z)
-    for a, b in zip(zb, zb[1:]):
-        if b - a < w:  # two zero blocks inside one window of z consecutive blocks
-            return False
-    return True
+    # no two zero blocks inside one window of z consecutive blocks
+    return all(b - a >= int(z) for a, b in zip(zb, zb[1:]))
 
 
 @dataclass
 class BlockStructure:
-    """Blocks, sections, intervals, and switching blocks over a bandwidth labelling."""
+    """Blocks and sections over a bandwidth labelling, and each section's switching blocks."""
 
-    n: int
-    k: int
-    r: int
-    beta: float
     blocklen: int
     nblocks: int
-    section_bounds: list[int]  # t_0 .. t_r as block indices (section i = blocks t_{i-1}..t_i - 1)
-    intervals: list[list[tuple[int, int]]]  # per section: (first block, last block) inclusive
+    section_bounds: list[int]  # t_0 .. t_r as block indices (section i = blocks t_i..t_{i+1} - 1)
     b: int  # blocks per interval
 
     def section_of_position(self, pos: int) -> int:
-        blk = min(pos // self.blocklen, self.nblocks - 1)
-        for i in range(1, self.r + 1):
-            if blk < self.section_bounds[i]:
-                return i - 1
-        return self.r - 1
+        return bisect_right(self.section_bounds, min(pos // self.blocklen, self.nblocks - 1)) - 1
 
-    def block_positions(self, t: int) -> range:
-        return range(t * self.blocklen, min((t + 1) * self.blocklen, self.n))
-
-    def switching_blocks(self, i: int) -> list[tuple[int, tuple[int, int]]]:
-        """(interval index ell, (block1, block2)) for ell in 2..s_i-1 (1-based)."""
-        out = []
-        ivs = self.intervals[i]
-        for ell in range(1, len(ivs) - 1):
-            first = ivs[ell][0]
-            out.append((ell, (first, first + 1)))
-        return out
+    def switching_blocks(self, i: int) -> range:
+        """First blocks of section i's intervals 2..s_i-1 (1-based); each switches at it or the next block."""
+        return range(self.section_bounds[i], self.section_bounds[i + 1], self.b)[1:-1]
 
 
 def build_block_structure(
@@ -143,14 +124,13 @@ def build_block_structure(
         acc += sum(m_targets[(i, j)] for j in range(k))
         # cumulative block mass stays at or below the target mass
         target = min(nblocks - 1, max(bounds[-1] + 1, math.floor(acc / blocklen)))
-        chosen = None
-        for off in range(nblocks):
-            for cand in (target - off, target + off):
-                if bounds[-1] < cand < nblocks and boundary_ok(cand - 1):
-                    chosen = cand
-                    break
-            if chosen is not None:
-                break
+        chosen = next(
+            (
+                cand for off in range(nblocks) for cand in (target - off, target + off)
+                if bounds[-1] < cand < nblocks and boundary_ok(cand - 1)
+            ),
+            None,
+        )
         if chosen is None:
             raise GuestPrepError("sections", f"no zero-free boundary for section {i}")
         # section sizing: cumulative block mass within 3 blocks of the target mass
@@ -161,19 +141,7 @@ def build_block_structure(
         bounds.append(chosen)
     bounds.append(nblocks)
     b = max(1, math.floor(k / math.sqrt(beta)))
-    intervals: list[list[tuple[int, int]]] = []
-    for i in range(r):
-        lo, hi = bounds[i], bounds[i + 1] - 1
-        ivs = []
-        t = lo
-        while t <= hi:
-            ivs.append((t, min(t + b - 1, hi)))
-            t += b
-        intervals.append(ivs)
-    return BlockStructure(
-        n=n, k=k, r=r, beta=beta, blocklen=blocklen, nblocks=nblocks,
-        section_bounds=bounds, intervals=intervals, b=b,
-    )
+    return BlockStructure(blocklen=blocklen, nblocks=nblocks, section_bounds=bounds, b=b)
 
 
 def switch_colours(
@@ -188,7 +156,8 @@ def switch_colours(
 
     Inside the block the colours are found by a greedy backtracking search that
     prefers the old colouring in the first half and the permuted one in the
-    second; colour 0 is a last resort.  The block must be zero-free under `col`.
+    second; colour 0 is a last resort.  The block must be zero-free under `col`,
+    so every colour-0 vertex of `col` keeps colour 0.
     """
     n = len(l)
     k = col.k
@@ -222,13 +191,8 @@ def switch_colours(
             return True
         p = lo + idx
         v = l.order[p]
-        forbidden = set()
-        for w in iter_bits(h.adj[v]):
-            q = l.pos[w]
-            if q < p or q >= hi:
-                forbidden.add(new[w])
-            elif lo <= q < p:
-                forbidden.add(new[w])
+        # neighbours already coloured: earlier in the block, or outside it
+        forbidden = {new[w] for w in iter_bits(h.adj[v]) if not p < l.pos[w] < hi}
         for c in prefs[idx]:
             steps += 1
             if steps > SWITCH_STEPS:
@@ -254,8 +218,48 @@ class GuestAssignment:
     special: VertexSet
     blocks: BlockStructure
     sigma_prime: Colouring
-    certs: dict[str, bool] = field(default_factory=dict)
-    zero_routed: tuple[int, ...] = ()
+    zero_routed: tuple[int, ...]
+
+
+def _with_neighbours(h: Graph, mask: int) -> int:
+    """`mask` and every neighbour of its vertices."""
+    out = mask
+    for v in iter_bits(mask):
+        out |= h.adj[v]
+    return out
+
+
+def _switched(
+    h: Graph, col: Colouring, l: Labelling, switching: list[int], blocklen: int, rng
+) -> Colouring | None:
+    """`col` after a random switch at each switching block, or None when one fails.
+
+    A switch at t happens at block t, or at t + 1 when block t holds colour 0.
+    """
+    k = col.k
+    for t in switching:
+        perm_vals = [int(x) + 1 for x in rng.permutation(k)]
+        pi = {c: perm_vals[c - 1] for c in range(1, k + 1)}
+        zero_free = [
+            b for b in (t, t + 1)
+            if all(col.sigma[v] != 0 for v in l.order[b * blocklen:(b + 1) * blocklen])
+        ]
+        if not zero_free:
+            return None
+        try:
+            col = switch_colours(h, col, l, zero_free[0], pi, blocklen=blocklen)
+        except SwitchError:
+            return None
+    return col
+
+
+def _two_step_local(h: Graph, f: list[tuple[int, int]], special_mask: int) -> bool:
+    """Every vertex outside `special_mask` sees only its own row of f within distance 2.
+
+    A vertex fails exactly when it or a neighbour has a neighbour in another row.
+    """
+    cut = mask_of(w for u, v in h.edges() if f[u][0] != f[v][0] for w in (u, v))
+    return not _with_neighbours(h, cut) & ~special_mask
 
 
 def _certify_assignment(
@@ -266,56 +270,23 @@ def _certify_assignment(
     reduced: ReducedGraph,
     m_targets: dict[tuple[int, int], int],
     xi: float,
-    beta: float,
+    prefix: int,
     sigma: Colouring,
     deg_bound: int,
 ) -> dict[str, bool]:
+    """Each promised property of the assignment and whether it holds, in the order checked."""
     n = h.n
-    certs: dict[str, bool] = {}
-    counts: dict[tuple[int, int], int] = {cell: 0 for cell in m_targets}
-    for cell in f:
-        counts[cell] = counts.get(cell, 0) + 1
-    certs["part_sizes"] = all(
-        m_targets[cell] - xi * n <= counts.get(cell, 0) <= m_targets[cell] + xi * n
-        for cell in m_targets
-    )
-    certs["special_small"] = special_mask.bit_count() <= xi * n
-    hom = all(reduced.has_edge(f[u], f[v]) for u, v in h.edges())
-    certs["homomorphism"] = hom
-    loc = True
-    for x in range(n):
-        if (special_mask >> x) & 1:
-            continue
-        i = f[x][0]
-        for y in iter_bits(h.adj[x]):
-            if f[y][0] != i:
-                loc = False
-                break
-            for z in iter_bits(h.adj[y]):
-                if f[z][0] != i:
-                    loc = False
-                    break
-            if not loc:
-                break
-        if not loc:
-            break
-    certs["two_step_locality"] = loc
-    prefix = math.floor(math.sqrt(beta) * n)
-    certs["prefix_rule"] = all(
-        f[l.order[p]] == (0, sigma.sigma[l.order[p]] - 1)
-        for p in range(min(prefix, n))
-        if sigma.sigma[l.order[p]] != 0
-    ) and all(sigma.sigma[l.order[p]] != 0 for p in range(min(prefix, n)))
-    lowdeg_ok = True
-    for cell, cnt in counts.items():
-        if cnt == 0:
-            continue
-        low = sum(1 for v in range(n) if f[v] == cell and h.degree(v) <= 2 * deg_bound)
-        if low < cnt / (24 * deg_bound):
-            lowdeg_ok = False
-            break
-    certs["low_degree_fraction"] = lowdeg_ok
-    return certs
+    counts = Counter(f)
+    low = Counter(cell for v, cell in enumerate(f) if h.degree(v) <= 2 * deg_bound)
+    return {
+        "part_sizes": all(m - xi * n <= counts[cell] <= m + xi * n for cell, m in m_targets.items()),
+        "special_small": special_mask.bit_count() <= xi * n,
+        "homomorphism": all(reduced.has_edge(f[u], f[v]) for u, v in h.edges()),
+        "two_step_locality": _two_step_local(h, f, special_mask),
+        # the prefix holds no colour 0 (a precondition), and goes to row 0 by colour
+        "prefix_rule": all(f[v] == (0, sigma.sigma[v] - 1) for v in l.order[:prefix]),
+        "low_degree_fraction": all(low[cell] >= cnt / (24 * deg_bound) for cell, cnt in counts.items()),
+    }
 
 
 def assign_guest(
@@ -336,8 +307,6 @@ def assign_guest(
     property (full edge scan), two-step row locality, the prefix rule, and the
     low-degree fraction; retries fresh permutations until the counts land.
     """
-    from .graph_core import bandwidth_of_labelling, degeneracy_order
-
     n = h.n
     k = col.k
     r = reduced.index.r
@@ -351,7 +320,7 @@ def assign_guest(
     if not check_zero_free(col, l, 10.0 / xi, beta, k):
         raise GuestPrepError("precondition", "colouring is not (10/xi, beta)-zero-free")
     prefix = math.floor(math.sqrt(beta) * n)
-    if any(col.sigma[l.order[p]] == 0 for p in range(min(prefix, n))):
+    if any(col.sigma[v] == 0 for v in l.order[:prefix]):
         raise GuestPrepError("precondition", "colour zero in the first sqrt(beta)*n positions")
     if not reduced.validate_extension():
         raise GuestPrepError("precondition", "reduced graph extension map invalid")
@@ -365,39 +334,27 @@ def assign_guest(
     _, deg_bound = degeneracy_order(h)
     deg_bound = max(1, deg_bound)
     blocks = build_block_structure(n, k, beta, m_targets, col, l, r)
+    bl = blocks.blocklen
+    switching = [t for i in range(r) for t in blocks.switching_blocks(i)]
+    # special set: distance <= 2 from the beta*n positions either side of each
+    # section boundary, from the switching block pairs, and from colour 0; a
+    # switch keeps every colour-0 vertex, so sigma' covers sigma's zeros
+    bwn = math.floor(beta * n)
+    spans = [range(t * bl - bwn, min(t * bl + bwn, n)) for t in blocks.section_bounds[1:-1]]
+    spans += [range(t * bl, min((t + 2) * bl, n)) for t in switching]
+    seeds = mask_of(l.order[p] for span in spans for p in span)
+    fixed_special = _with_neighbours(h, _with_neighbours(h, seeds))
 
     rng = rng_for(seed, stream=51)
-    last_fail = ["unknown"]
+    failed = ["unknown"]
     for _attempt in range(ASSIGN_RETRIES):
-        sigma_prime = col
-        applied = True
-        # switch colours at interval starts (intervals 2..s_i-1 of each section)
-        for i in range(r):
-            for _ell, (b1, b2) in blocks.switching_blocks(i):
-                perm_vals = [int(x) + 1 for x in rng.permutation(k)]
-                pi = {c: perm_vals[c - 1] for c in range(1, k + 1)}
-                zb = _zero_blocks(sigma_prime, l, blocks.blocklen, blocks.nblocks)
-                t = b1 if b1 not in zb else (b2 if b2 not in zb else None)
-                if t is None:
-                    applied = False
-                    break
-                try:
-                    sigma_prime = switch_colours(
-                        h, sigma_prime, l, t, pi, blocklen=blocks.blocklen
-                    )
-                except SwitchError:
-                    applied = False
-                    break
-            if not applied:
-                break
-        if not applied:
-            last_fail = ["switching"]
+        sigma_prime = _switched(h, col, l, switching, bl, rng)
+        if sigma_prime is None:
+            failed = ["switching"]
             continue
-
         f: list[tuple[int, int]] = [(-1, -1)] * n
         zero_routed = []
-        for pos in range(n):
-            v = l.order[pos]
+        for pos, v in enumerate(l.order):
             i = blocks.section_of_position(pos)
             c = sigma_prime.sigma[v]
             if c == 0:
@@ -405,38 +362,8 @@ def assign_guest(
                 zero_routed.append(v)
             else:
                 f[v] = (i, c - 1)
-
-        # special set: distance <= 2 from boundary vertices, switching blocks,
-        # or colour-zero vertices
-        bwn = math.floor(beta * n)
-        seeds_mask = 0
-        for i in range(r - 1):
-            t_edge = blocks.section_bounds[i + 1]
-            last_block = blocks.block_positions(t_edge - 1)
-            first_block = blocks.block_positions(t_edge) if t_edge < blocks.nblocks else range(0)
-            for p in list(last_block)[-bwn:] if bwn else []:
-                seeds_mask |= 1 << l.order[p]
-            for p in list(first_block)[:bwn] if bwn else []:
-                seeds_mask |= 1 << l.order[p]
-        for i in range(r):
-            for _ell, (b1, b2) in blocks.switching_blocks(i):
-                for t in (b1, b2):
-                    for p in blocks.block_positions(t):
-                        seeds_mask |= 1 << l.order[p]
-        for v in sigma_prime.zero_vertices():
-            seeds_mask |= 1 << v
-        for v in col.zero_vertices():
-            seeds_mask |= 1 << v
-        special_mask = seeds_mask
-        for _ in range(2):
-            grow = special_mask
-            for v in iter_bits(special_mask):
-                grow |= h.adj[v]
-            special_mask = grow
-
-        certs = _certify_assignment(
-            h, l, f, special_mask, reduced, m_targets, xi, beta, col, deg_bound
-        )
+        special_mask = fixed_special | _with_neighbours(h, _with_neighbours(h, mask_of(zero_routed)))
+        certs = _certify_assignment(h, l, f, special_mask, reduced, m_targets, xi, prefix, col, deg_bound)
         failed = [name for name, ok in certs.items() if not ok]
         if not failed:
             return GuestAssignment(
@@ -444,13 +371,11 @@ def assign_guest(
                 special=VertexSet(n, special_mask),
                 blocks=blocks,
                 sigma_prime=sigma_prime,
-                certs=certs,
                 zero_routed=tuple(zero_routed),
             )
-        last_fail = failed
-        if not any(blocks.switching_blocks(i) for i in range(r)):
+        if not switching:
             break  # nothing random to retry
-    raise GuestPrepError(last_fail[0], f"assignment failed after retries (failed: {', '.join(last_fail)})")
+    raise GuestPrepError(failed[0], f"assignment failed after retries (failed: {', '.join(failed)})")
 
 
 def check_bounded_order(

@@ -556,6 +556,8 @@ def run_pipeline(cfg: ExperimentConfig) -> RunRecord:
             guest, lab, col, meta = make_guest(cfg.guest_family, cfg.n, cfg.seed)
             if meta["k"] != cfg.k:
                 raise ConfigError(f"guest uses k={meta['k']} but config has k={cfg.k}")
+            if meta["Delta"] > cfg.Delta:
+                raise ConfigError(f"guest has maximum degree {meta['Delta']} but config has Delta={cfg.Delta}")
             if cfg.beta is not None:
                 beta = cfg.beta
             else:

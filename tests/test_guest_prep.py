@@ -1,13 +1,17 @@
 import hashlib
 import math
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spanembed.graph_core import Graph, Labelling, bandwidth_of_labelling
+from spanembed.graph_core import Graph, Labelling, bandwidth_of_labelling, iter_bits
 from spanembed.guest_prep import (
     Colouring,
     GuestPrepError,
     SwitchError,
+    _two_step_local,
     assign_guest,
     check_bounded_order,
     check_zero_free,
@@ -83,6 +87,57 @@ class TestSwitchColours:
         assert all(out.sigma[v] == pi[col.sigma[v]] for v in range(24, n))
 
 
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_switch_keeps_every_colour_zero_vertex(seed):
+    # a small guest of bandwidth <= k under a random labelling, coloured in
+    # labelling order with a sparse colour 0, switched at a random zero-free
+    # block (when there is one) under a random pi
+    rnd = random.Random(seed)
+    n, k = rnd.randint(4, 40), rnd.choice((2, 3))
+    order = list(range(n))
+    rnd.shuffle(order)
+    l = Labelling(tuple(order))
+    edges = [
+        (order[p], order[q]) for q in range(n) for p in range(max(0, q - k), q) if rnd.random() < 0.6
+    ]
+    h = Graph.from_edges(n, edges)
+    sigma = [0] * n
+    for v in order:
+        taken = {sigma[w] for w in iter_bits(h.adj[v]) if l.pos[w] < l.pos[v]}
+        free = [c for c in range(1, k + 1) if c not in taken]
+        sigma[v] = 0 if not free or (0 not in taken and rnd.random() < 0.1) else rnd.choice(free)
+    col = Colouring(tuple(sigma), k)
+    blocklen = rnd.randint(1, max(1, n // 4))
+    blocks = range(-(-n // blocklen))
+    zero_free = [t for t in blocks if all(sigma[v] for v in order[t * blocklen:(t + 1) * blocklen])]
+    block_t = rnd.choice(zero_free or blocks)
+    values = rnd.sample(range(1, k + 1), k)
+    pi = {c: values[c - 1] for c in range(1, k + 1)}
+    try:
+        out = switch_colours(h, col, l, block_t, pi, blocklen=blocklen)
+    except SwitchError:
+        return  # the block holds colour 0, or the search ran out of budget
+    assert all(out.sigma[v] == 0 for v in col.zero_vertices())
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_two_step_locality_matches_its_definition(seed):
+    rnd = random.Random(seed)
+    n = rnd.randint(1, 14)
+    density = rnd.random()
+    h = Graph.from_edges(n, [(u, v) for v in range(n) for u in range(v) if rnd.random() < density])
+    f = [(rnd.randrange(3), rnd.randrange(2)) for _ in range(n)]
+    special = rnd.getrandbits(n) if rnd.random() < 0.7 else 0
+    expected = all(
+        f[z][0] == f[x][0]
+        for x in range(n) if not (special >> x) & 1
+        for z, dist in enumerate(h.bfs_distances([x], limit=2)) if dist >= 0
+    )
+    assert _two_step_local(h, f, special) == expected
+
+
 class TestAssignGuest:
     def test_even_cycle(self):
         n, r, k = 1000, 2, 2
@@ -90,11 +145,10 @@ class TestAssignGuest:
         red = complete_reduced(r, k)
         m = even_targets(n, r, k)
         ga = assign_guest(h, l, col, red, m, xi=0.05, beta=8 / (k * n), seed=1)
-        assert all(ga.certs.values())
         counts = cell_counts(ga)
         assert sum(counts.values()) == n
         assert max(abs(counts.get(c, 0) - m[c]) for c in m) <= 0.01 * n
-        # homomorphism, rechecked independently of the cert flag
+        # homomorphism, rechecked here edge by edge
         for u, v in h.edges():
             assert red.has_edge(ga.f[u], ga.f[v])
         assert not ga.zero_routed
@@ -105,7 +159,6 @@ class TestAssignGuest:
         red = complete_reduced(r, k)
         m = even_targets(n, r, k)
         ga = assign_guest(h, l, col, red, m, xi=0.05, beta=8 / (k * n), seed=1)
-        assert all(ga.certs.values())
         assert len(ga.zero_routed) == 1
         zv = ga.zero_routed[0]
         row = ga.blocks.section_of_position(l.pos[zv])
@@ -118,7 +171,6 @@ class TestAssignGuest:
         col = Colouring(tuple((v % 2) + 1 for v in range(n)), 2)
         red = complete_reduced(r, k)
         ga = assign_guest(h, l, col, red, even_targets(n, r, k), xi=0.08, beta=8 / (k * n), seed=0)
-        assert all(ga.certs.values())
 
     def test_two_step_locality(self):
         n = 1000
@@ -164,7 +216,6 @@ class TestAssignGuest:
         assert bandwidth_of_labelling(h, l) <= beta * n
         red = complete_reduced(r, k)
         ga = assign_guest(h, l, col, red, even_targets(n, r, k), xi=0.02, beta=beta, seed=5)
-        assert all(ga.certs.values())
         assert any(ga.blocks.switching_blocks(i) for i in range(r))
         assert ga.sigma_prime.sigma != col.sigma  # a switch really happened
         assert ga.sigma_prime.is_proper(h)

@@ -260,6 +260,14 @@ class TestRunPipeline:
         rec = run_pipeline(cfg)
         assert not rec.success and "guest" in rec.failure_stage
 
+    def test_guest_degree_above_delta(self):
+        # the guest's maximum degree 3 exceeds Delta = 2: a fault of the config,
+        # reported at the guest stage before the host is prepared
+        rec = run_pipeline(ExperimentConfig(**dict(TREE_CFG, Delta=2, seed=0)))
+        assert not rec.success and rec.failure_stage == "guest"
+        assert rec.notes["error"] == "guest has maximum degree 3 but config has Delta=2"
+        assert "host-structure" not in rec.stage_timings
+
     def test_degenerate_mode_tree(self):
         cfg = ExperimentConfig(n=1000, p=0.4, k=2, gamma=0.2, eps=0.3, d=0.1, D=1,
                                Delta=3, guest_family="bounded_tree:3", mode="degenerate",

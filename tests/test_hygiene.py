@@ -1,8 +1,9 @@
 """Source hygiene: every top-level import of a spanembed module or a test file is used or
 re-exported, every local that a spanembed function assigns is read, every defaulted
 parameter of a spanembed function is passed by some call, and no spanembed function takes
-its settings as string keys of a parameter; only `graph_core` knows the packed-row
-format or holds the whole graph as an n x n bool matrix."""
+its settings as string keys of a parameter, and no spanembed function imports inside its
+body; only `graph_core` knows the packed-row format or holds the whole graph as an n x n
+bool matrix."""
 
 import ast
 from pathlib import Path
@@ -121,6 +122,55 @@ def test_scanner_flags_only_unread_locals():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unread_locals(path):
     assert unread_locals(path.read_text(encoding="utf-8")) == []
+
+
+def local_imports(source: str) -> list[str]:
+    """`line: function` for every import statement inside a function's body.
+
+    A module's imports belong at its top, where a reader sees all its dependencies
+    and `unused_imports` checks them; an import in a nested function is that
+    function's.
+    """
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        todo = list(fn.body)
+        while todo:
+            node = todo.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue  # a nested function reports its own
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                found.append((node.lineno, fn.name))
+            todo.extend(ast.iter_child_nodes(node))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_scanner_flags_only_local_imports():
+    source = (
+        "import os\n"
+        "from x import y\n"
+        "def f():\n"
+        "    import heapq\n"
+        "    def g():\n"
+        "        from a import b\n"
+        "        return b\n"
+        "    if y:\n"
+        "        import json\n"
+        "    return heapq, g, json\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        from . import z\n"
+        "        return z\n"
+        "if os:\n"
+        "    import sys\n"
+    )
+    assert local_imports(source) == ["line 4: f", "line 6: g", "line 9: f", "line 13: m"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_local_imports(path):
+    assert local_imports(path.read_text(encoding="utf-8")) == []
 
 
 def unset_options(module_sources: dict[str, str], caller_sources: list[str]) -> list[str]:
