@@ -189,12 +189,11 @@ def validate_k_equitable(clusters: dict[tuple[int, int], object]) -> bool:
 
 @dataclass
 class HostStructure:
-    """Output of host preparation: exceptional set, clusters, reduced graph, certificates."""
+    """Output of host preparation, which returns one only when every certificate holds."""
 
     v0: VertexSet
     clusters: dict[tuple[int, int], VertexSet]
     reduced: ReducedGraph
-    certs: dict[str, bool]
 
     @property
     def r(self) -> int:
@@ -214,14 +213,10 @@ def _pad_for_equitability(
     """
     removed = 0
     for i in range(r):
-        sizes = {j: cluster_masks[(i, j)].bit_count() for j in range(k)}
-        target = min(sizes.values())
+        target = min(cluster_masks[(i, j)].bit_count() for j in range(k))
         for j in range(k):
-            excess = sizes[j] - target
-            if excess <= 0:
-                continue
-            vs = list(iter_bits(cluster_masks[(i, j)]))[:excess]
-            drop = mask_of(vs)
+            m = cluster_masks[(i, j)]
+            drop = mask_of(itertools.islice(iter_bits(m), m.bit_count() - target))
             cluster_masks[(i, j)] &= ~drop
             removed |= drop
     return removed
@@ -245,7 +240,8 @@ def prepare_host(
     host degrees or failing regularity inheritance (Z1); redistribute
     clique-factor degree violators and the old exceptional set by strong-degree
     rows; screen vertices seeing too much of the moved sets (Z2); certify the
-    size window, regularity, inheritance, and degree window on samples.
+    size window, regularity, inheritance, and degree window on samples, raising
+    HostPrepError("certificates") that names every certificate that failed.
     """
     floor = ((k - 1) / k + gamma) * p * g.n
     if g.min_degree() < floor - 1e-9:
@@ -267,9 +263,7 @@ def _prepare_host_once(g, host, p, gamma, k, eps, d, r0, seed) -> HostStructure:
     # the partition itself runs at the working eps; eps_star only scales the
     # vertex screens (an eps/10-scale partition check is pure noise at n ~ 10^3)
     eps_star = eps / 10.0
-    part = min_degree_regular_partition(
-        g, eps, d, p, max(r0, 2 * k), seed=seed, budget=PAIR_BUDGET
-    )
+    part = min_degree_regular_partition(g, eps, d, p, max(r0, 2 * k), seed=seed, budget=PAIR_BUDGET)
     clusters = list(part.clusters)
     v0_mask = part.exceptional.mask
 
@@ -349,18 +343,15 @@ def _prepare_host_once(g, host, p, gamma, k, eps, d, r0, seed) -> HostStructure:
     quota = max(1, math.ceil(100.0 * k * eps_star * n / (max(r, 1) * gamma)))
     row_load = [0] * r
     cell_load = {cell: 0 for cell in cells}
-    assign: dict[int, tuple[int, int]] = {}
+    vprime = dict(work)
     for wv in iter_bits(w_mask):
         chosen_row = next((i for i in range(r) if row_load[i] < quota and strong_row[wv, i]), -1)
         if chosen_row < 0:
             raise HostPrepError("redistribute", f"no strong row under quota for vertex {wv}")
         j_best = min(range(k), key=lambda j2: (cell_load[(chosen_row, j2)], j2))
-        assign[wv] = (chosen_row, j_best)
+        vprime[(chosen_row, j_best)] |= 1 << wv
         row_load[chosen_row] += 1
         cell_load[(chosen_row, j_best)] += 1
-    vprime = dict(work)
-    for wv, cell in assign.items():
-        vprime[cell] |= 1 << wv
 
     # ---- Z2: vertices seeing too much of the symmetric differences -------
     alive = list(iter_bits(((1 << n) - 1) & ~z1))
@@ -373,58 +364,40 @@ def _prepare_host_once(g, host, p, gamma, k, eps, d, r0, seed) -> HostStructure:
     if any(final[cell].bit_count() == 0 for cell in cells):
         raise HostPrepError("cleanup", "a cluster was emptied by the vertex screens")
     cluster_sets = {cell: VertexSet(n, final[cell]) for cell in cells}
-    v0 = VertexSet(n, v0_final)
 
     # ---- certificates -----------------------------------------------------
-    certs: dict[str, bool] = {}
-    sizes = [len(c) for c in cluster_sets.values()]
-    certs["size_window"] = all(n / (4 * k * r) <= s <= 4 * n / (k * r) for s in sizes)
-    certs["k_equitable"] = validate_k_equitable(cluster_sets)
-
+    # Each is decided in turn and stops at its first failure.  The probes draw
+    # from one stream-43 generator: a permutation of the vertices, then a
+    # reduced edge per inheritance probe, then a cell per degree probe.
     rng = rng_for(seed, stream=43)
-    ok = True
-    for a, b in red_edges:
-        verdict = check_lower_regular(
-            g, cluster_sets[a], cluster_sets[b], eps, d, p,
-            mode="sampled", budget=PAIR_BUDGET, seed=seed + 3,
-        )
-        if not verdict.ok:
-            ok = False
-            break
-    if ok:
-        for i in range(r):
-            for j1 in range(k):
-                for j2 in range(j1 + 1, k):
-                    if not check_super_regular(
-                        g, host, cluster_sets[(i, j1)], cluster_sets[(i, j2)],
-                        eps, d, p, budget=PAIR_BUDGET, seed=seed + 5,
-                    ):
-                        ok = False
-    certs["regular_on_reduced"] = ok
+    probes = [int(v) for v in rng.permutation(n) if not ((v0_final >> int(v)) & 1)]
 
-    probe_vertices = [int(v) for v in rng.permutation(n) if not ((v0_final >> int(v)) & 1)]
-    inh_ok = True
-    for v in probe_vertices[: max(10, CERT_SAMPLES // 10)]:
-        a, b = red_edges[int(rng.integers(len(red_edges)))]
-        if not _inheritance_ok(g, host.adj[v], final[a], final[b], eps, d, p):
-            inh_ok = False
-            break
-    certs["inheritance"] = inh_ok
+    def pick(seq):
+        return seq[int(rng.integers(len(seq)))]
 
-    deg_ok = True
-    for t in range(CERT_SAMPLES):
-        v = probe_vertices[t % len(probe_vertices)]
-        cell = cells[int(rng.integers(len(cells)))]
-        dv = (host.adj[v] & final[cell]).bit_count()
+    def in_degree_window(v, cell):
         exp = p * len(cluster_sets[cell])
-        if abs(dv - exp) > eps * exp + 1.0:
-            deg_ok = False
-            break
-    certs["degree_window"] = deg_ok
+        return abs((host.adj[v] & final[cell]).bit_count() - exp) <= eps * exp + 1.0
 
-    if not all(certs.values()):
-        failed = ", ".join(k_ for k_, v_ in certs.items() if not v_)
-        raise HostPrepError("certificates", f"failed: {failed}")
+    certs = {
+        "size_window": all(n / (4 * k * r) <= len(c) <= 4 * n / (k * r) for c in cluster_sets.values()),
+        "k_equitable": validate_k_equitable(cluster_sets),
+        "regular_on_reduced": all(
+            check_lower_regular(g, cluster_sets[a], cluster_sets[b], eps, d, p, budget=PAIR_BUDGET, seed=seed + 3).ok
+            for a, b in red_edges
+        ) and all(
+            check_super_regular(g, host, *(cluster_sets[(i, j)] for j in js), eps, d, p, budget=PAIR_BUDGET, seed=seed + 5)
+            for i in range(r) for js in itertools.combinations(range(k), 2)
+        ),
+        "inheritance": all(
+            _inheritance_ok(g, host.adj[v], *map(final.get, pick(red_edges)), eps, d, p)
+            for v in probes[: max(10, CERT_SAMPLES // 10)]
+        ),
+        "degree_window": all(in_degree_window(probes[t % len(probes)], pick(cells)) for t in range(CERT_SAMPLES)),
+    }
+    failed = [name for name, ok in certs.items() if not ok]
+    if failed:
+        raise HostPrepError("certificates", f"failed: {', '.join(failed)}")
 
     covered = v0_final
     for cell in cells:
@@ -434,4 +407,4 @@ def _prepare_host_once(g, host, p, gamma, k, eps, d, r0, seed) -> HostStructure:
     if covered != (1 << n) - 1:
         raise HostPrepError("partition", "clusters + V0 do not cover V(G)")
 
-    return HostStructure(v0=v0, clusters=cluster_sets, reduced=reduced, certs=certs)
+    return HostStructure(v0=VertexSet(n, v0_final), clusters=cluster_sets, reduced=reduced)

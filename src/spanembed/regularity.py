@@ -13,6 +13,7 @@ random subpairs all at once, with one batched matrix product.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import reduce
@@ -66,11 +67,6 @@ def _lower_bound_vacuous(d: float, eps: float) -> bool:
     return d - eps <= 0
 
 
-def _pair_density(g: Graph, xmask: int, ymask: int, p: float) -> float:
-    sx, sy = xmask.bit_count(), ymask.bit_count()
-    return g.edges_between(xmask, ymask) / (p * sx * sy)
-
-
 def _takes_exact_route(x: VertexSet, y: VertexSet, exact: bool) -> bool:
     """Exhaustive when asked for, or when both sides are at most 14; sides are capped at 20."""
     if not exact and (len(x) > EXHAUSTIVE_FALLBACK_SIZE or len(y) > EXHAUSTIVE_FALLBACK_SIZE):
@@ -83,17 +79,11 @@ def _takes_exact_route(x: VertexSet, y: VertexSet, exact: bool) -> bool:
 def _subset_degree_table(g: Graph, xs: list[int], ys: list[int]) -> np.ndarray:
     """D[S, i] = number of neighbours of xs[i] inside the subset S of ys (all 2^|ys| S)."""
     nx, ny = len(xs), len(ys)
-    cols = np.zeros((nx, ny), dtype=np.int32)
-    for i, x in enumerate(xs):
-        a = g.adj[x]
-        for j, y in enumerate(ys):
-            cols[i, j] = (a >> y) & 1
+    cols = np.array([[(g.adj[x] >> y) & 1 for y in ys] for x in xs], dtype=np.int32)
     table = np.zeros((1 << ny, nx), dtype=np.int32)
     for j in range(ny):
         step = 1 << j
         table[step : 2 * step] = table[:step] + cols[:, j]
-        for base in range(2 * step, 1 << ny, 2 * step):
-            table[base + step : base + 2 * step] = table[base : base + step] + cols[:, j]
     return table
 
 
@@ -243,7 +233,7 @@ def check_lower_regular(
         raise ValueError("p must be positive")
     if mode not in ("exact", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
-    full = _pair_density(g, x.mask, y.mask, p)
+    full = g.edges_between(x.mask, y.mask) / (p * len(x) * len(y))
     bound = d - eps
     if _takes_exact_route(x, y, exact=mode == "exact"):
         mn, pmn, _, _ = _exact_extreme_subpairs(g, x, y, eps, p)
@@ -342,20 +332,20 @@ def check_super_regular(
 
 
 def _prefix_inheritance_ok(g: Graph, xmask: int, ymask: int, eps: float, d: float, p: float) -> bool:
-    """Cheap one-pair screen: degree-sorted prefix cuts only; empty side fails."""
+    """Cheap one-pair screen: do the degree-sorted prefix cuts of X of size at least
+    eps|X| keep p-density d - eps into Y?  An empty side fails.
+
+    Prefix averages of ascending degrees never fall, so only the threshold-size cut
+    of the ceil(eps|X|) smallest degrees needs the test.
+    """
     sx, sy = xmask.bit_count(), ymask.bit_count()
     if sx == 0 or sy == 0:
         return False
     if _lower_bound_vacuous(d, eps):
         return True
-    bound = d - eps
     thr = _threshold(eps, sx)
-    run = 0
-    for size, deg in enumerate(sorted((g.adj[v] & ymask).bit_count() for v in iter_bits(xmask)), 1):
-        run += deg
-        if size >= thr and run / (p * size * sy) < bound - 1e-12:
-            return False
-    return True
+    degs = sorted((g.adj[v] & ymask).bit_count() for v in iter_bits(xmask))
+    return sum(degs[:thr]) / (p * thr * sy) >= d - eps - 1e-12
 
 
 def _inheritance_ok(g: Graph, nbrs: int, amask: int, bmask: int, eps: float, d: float, p: float) -> bool:
@@ -409,7 +399,7 @@ def _energy(parts: list[tuple[int, int]], origin_sizes: list[int], g: Graph, p: 
         for b in range(a + 1, len(parts)):
             ob, mb = parts[b]
             sb = mb.bit_count()
-            dens = int(counts[b]) / (p * sa * sb)  # the float `_pair_density` gives
+            dens = int(counts[b]) / (p * sa * sb)  # the float of `check_lower_regular`'s d_observed
             total += sa * sb * _energy_term(dens, L) / (origin_sizes[oa] * origin_sizes[ob])
     return total
 
@@ -421,7 +411,6 @@ def energy_partition(
     p: float,
     seed: int = 0,
     budget: int = 64,
-    first_split: int | None = None,
 ) -> EnergyPartitionResult:
     """Refine the initial parts until almost all part pairs are two-sided regular.
 
@@ -441,20 +430,12 @@ def energy_partition(
 
     # parts as (origin index, mask); a single initial part gets a mandatory
     # first split so that pair checks have something to look at
-    if first_split is None:
-        n_target = max(2, math.ceil(1.0 / eps)) if s == 1 else 1
-    else:
-        n_target = max(1, first_split)
-    parts: list[tuple[int, int]] = []
-    for i, v in enumerate(initial):
-        vs = v.to_list()
-        if len(vs) < n_target or n_target == 1:
-            parts.append((i, v.mask))
-            continue
+    n_target = max(2, math.ceil(1.0 / eps)) if s == 1 else 1
+    parts = [(i, v.mask) for i, v in enumerate(initial)]
+    if n_target > 1 and len(initial[0]) >= n_target:
+        vs = initial[0].to_list()
         c = len(vs) // n_target
-        for t in range(n_target):
-            chunk = vs[t * c : (t + 1) * c] if t < n_target - 1 else vs[(n_target - 1) * c :]
-            parts.append((i, mask_of(chunk)))
+        parts = [(0, mask_of(vs[t * c : (t + 1) * c if t < n_target - 1 else None])) for t in range(n_target)]
 
     energy_history = [_energy(parts, origin_sizes, g, p, L)]
     triggered: list[bool] = []
@@ -569,43 +550,27 @@ def min_degree_regular_partition(
         perm = [int(v) for v in rng.permutation(n)]
         size = n // r0
         initial = [VertexSet.from_iter(n, perm[i * size : (i + 1) * size]) for i in range(r0)]
-        spare = perm[r0 * size :]
-        res = energy_partition(g, initial, eps, p, seed=seed + attempt, budget=budget, first_split=1)
+        res = energy_partition(g, initial, eps, p, seed=seed + attempt, budget=budget)
         clusters = [vs for group in res.refinement for vs in group if len(vs) > 0]
-        v0_mask = mask_of(spare)
-        for r_ in res.residues:
-            v0_mask |= r_.mask
-        # trim to an exact equipartition
+        # trim to an exact equipartition; the spare vertices past r0 * size, the
+        # residues and the trimmed tails are all that no cluster keeps, and form V0
         min_size = min(len(c) for c in clusters)
-        trimmed = []
-        for c in clusters:
-            vs = c.to_list()
-            keep, drop = vs[:min_size], vs[min_size:]
-            trimmed.append(VertexSet.from_iter(n, keep))
-            v0_mask |= mask_of(drop)
-        clusters = trimmed
+        clusters = [VertexSet.from_iter(n, c.to_list()[:min_size]) for c in clusters]
+        exceptional = VertexSet(n, ((1 << n) - 1) & ~reduce(or_, (c.mask for c in clusters)))
         r = len(clusters)
-        n_regular = 0
+        n_irregular = 0
         dense_pairs: set[tuple[int, int]] = set()
-        for a in range(r):
-            for b in range(a + 1, r):
-                verdict = check_lower_regular(
-                    g, clusters[a], clusters[b], eps, d, p,
-                    mode="sampled", budget=budget, seed=seed + 7 * a + b,
-                )
-                if verdict.ok:
-                    n_regular += 1
-                    if verdict.d_observed >= d:
-                        dense_pairs.add((a, b))
-        deg = [0] * r
-        for a, b in dense_pairs:
-            deg[a] += 1
-            deg[b] += 1
-        red_min = min(deg) if deg else 0
-        exceptional = VertexSet(n, v0_mask)
+        for a, b in itertools.combinations(range(r), 2):
+            verdict = check_lower_regular(
+                g, clusters[a], clusters[b], eps, d, p,
+                mode="sampled", budget=budget, seed=seed + 7 * a + b,
+            )
+            n_irregular += not verdict.ok
+            if verdict.ok and verdict.d_observed >= d:
+                dense_pairs.add((a, b))
+        red_min = Graph.from_edges(r, dense_pairs).min_degree()
         need = (alpha - d - eps) * r
         max_irregular = eps * r * (r - 1) / 2.0
-        n_irregular = r * (r - 1) // 2 - n_regular
         if len(exceptional) > eps * n:
             last_diag = f"|V0|={len(exceptional)} > eps*n={eps * n:.1f}"
             continue

@@ -218,7 +218,6 @@ class TestPrepareHost:
     def test_complete_graph(self):
         g = Graph.complete(120)
         hs = prepare_host(g, g, 1.0, 0.2, 2, 0.1, 0.5, 4, seed=2)
-        assert all(hs.certs.values())
         assert len(hs.v0) <= 2
         assert hs.reduced.contains_backbone()
         assert hs.reduced.validate_extension()
@@ -248,7 +247,6 @@ class TestPrepareHost:
         host = gnp(1000, 0.4, 7)
         g = deleted_to_floor(host, 0.2, 2, 0.4, 99)
         hs = prepare_host(g, host, 0.4, 0.2, 2, 0.25, 0.1, 4, seed=7)
-        assert all(hs.certs.values())
         assert len(hs.v0) <= 0.05 * 1000
         n_check = len(hs.v0) + sum(len(c) for c in hs.clusters.values())
         assert n_check == 1000
@@ -260,6 +258,17 @@ class TestPrepareHost:
         assert validate_k_equitable(hs.clusters)
         # extension cells adjacent to their whole row
         assert hs.reduced.validate_extension()
+
+    def test_vacuous_read_cell_rule_rejects_a_vertex_blind_to_a_cell(self):
+        # With d <= eps/2 the inheritance screen asks only that v see every read
+        # cell.  Here p|U| <= 1/(1 - 0.9 eps), so the degree screen lets a vertex
+        # with no host neighbour in a cell through, and the read-cell rule alone
+        # rejects such vertices, until a cluster is emptied.
+        host = gnp(300, 0.5, 0)
+        g = deleted_to_floor(host, 0.05, 2, 0.5, 0)
+        with pytest.raises(HostPrepError) as ei:
+            prepare_host(g, host, 0.5, 0.05, 2, 0.9, 0.1, 30, seed=0)
+        assert str(ei.value) == "[cleanup] a cluster was emptied by the vertex screens"
 
     def test_degree_window_spot_checks(self):
         host = gnp(800, 0.4, 11)
@@ -278,20 +287,28 @@ class TestPrepareHost:
 
 
 @functools.lru_cache(maxsize=None)
-def floor_host(n, seed):
-    host = gnp(n, 0.4, seed)
-    return host, deleted_to_floor(host, 0.2, 2, 0.4, seed)
+def floor_host(n, p, seed):
+    host = gnp(n, p, seed)
+    return host, deleted_to_floor(host, 0.2, 2, p, seed)
 
 
-def prepared(n, seed, eps, d):
+def prepared(n, p, seed, eps, d, r0):
     """sha256 of (V0 mask, sorted cell -> cluster mask), or the HostPrepError message."""
-    host, g = floor_host(n, seed)
+    host, g = floor_host(n, p, seed)
     try:
-        hs = prepare_host(g, host, 0.4, 0.2, 2, eps, d, 4, seed=seed)
+        hs = prepare_host(g, host, p, 0.2, 2, eps, d, r0, seed=seed)
     except HostPrepError as exc:
         return str(exc)
     text = repr((hs.v0.mask, sorted((cell, c.mask) for cell, c in hs.clusters.items())))
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def pinned_row(n, seed, eps, d, expected, p=0.4, r0=4):
+    """A row of `test_prepare_host_pinned`.  Its id is n-seed-eps-d-expected, with p
+    and r0 put in only where they differ from 0.4 and 4."""
+    named = [f"p={p}"] * (p != 0.4) + [f"r0={r0}"] * (r0 != 4)
+    row_id = "-".join(map(str, (n, seed, eps, d, *named, expected)))
+    return pytest.param(n, p, seed, eps, d, r0, expected, id=row_id)
 
 
 # Outputs of the per-vertex screens that the degree tables replaced.  (0.25, 0.1)
@@ -299,18 +316,21 @@ def prepared(n, seed, eps, d):
 # read cell; the other configurations run it per vertex.  At n = 1000 the
 # partition leaves no exceptional vertex, so W is empty; at n = 1001 and 1003 it
 # leaves some, and d = 0.35 makes the strong-row test choose rows, or find none.
+# At p = 0.25 and 0.3 the certificates fail, and the message names each failed one.
 @pytest.mark.parametrize(
-    "n,seed,eps,d,expected",
+    "n,p,seed,eps,d,r0,expected",
     [
-        (1000, 0, 0.25, 0.1, "4ee0376ab6c6eb471b7b1281ab53023941b111c27be1aa35535b5e693cc7837a"),
-        (1000, 1, 0.25, 0.1, "1cf1b16cf6a9a08b236dd8e85b3c71a4a36848ce74460eac3fd491f05006849f"),
-        (1000, 0, 0.3, 0.2, "d4553de85d3e1042768c1c481cbf967e6df86161b01db37e6af66336d6d3a74a"),
-        (1000, 1, 0.3, 0.2, "a3612313d71cd3dc65a4cbf532a7085acf7c63b0d6b14333d6caf919c7808e5d"),
-        (1000, 0, 0.08, 0.1, "[cleanup] a cluster was emptied by the vertex screens"),
-        (1000, 1, 0.08, 0.1, "[cleanup] a cluster was emptied by the vertex screens"),
-        (1001, 0, 0.3, 0.35, "636b52cd729c1034b944a8ff5b3b81f64fc65150403feb48e462938eba3ab5e2"),
-        (1003, 0, 0.3, 0.35, "[redistribute] no strong row under quota for vertex 126"),
+        pinned_row(1000, 0, 0.25, 0.1, "4ee0376ab6c6eb471b7b1281ab53023941b111c27be1aa35535b5e693cc7837a"),
+        pinned_row(1000, 1, 0.25, 0.1, "1cf1b16cf6a9a08b236dd8e85b3c71a4a36848ce74460eac3fd491f05006849f"),
+        pinned_row(1000, 0, 0.3, 0.2, "d4553de85d3e1042768c1c481cbf967e6df86161b01db37e6af66336d6d3a74a"),
+        pinned_row(1000, 1, 0.3, 0.2, "a3612313d71cd3dc65a4cbf532a7085acf7c63b0d6b14333d6caf919c7808e5d"),
+        pinned_row(1000, 0, 0.08, 0.1, "[cleanup] a cluster was emptied by the vertex screens"),
+        pinned_row(1000, 1, 0.08, 0.1, "[cleanup] a cluster was emptied by the vertex screens"),
+        pinned_row(1001, 0, 0.3, 0.35, "636b52cd729c1034b944a8ff5b3b81f64fc65150403feb48e462938eba3ab5e2"),
+        pinned_row(1003, 0, 0.3, 0.35, "[redistribute] no strong row under quota for vertex 126"),
+        pinned_row(1000, 0, 0.25, 0.1, "[certificates] failed: size_window, inheritance, degree_window", p=0.25),
+        pinned_row(1000, 0, 0.25, 0.1, "[certificates] failed: degree_window", p=0.3),
     ],
 )
-def test_prepare_host_pinned(n, seed, eps, d, expected):
-    assert prepared(n, seed, eps, d) == expected
+def test_prepare_host_pinned(n, p, seed, eps, d, r0, expected):
+    assert prepared(n, p, seed, eps, d, r0) == expected

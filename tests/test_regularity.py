@@ -14,6 +14,7 @@ from spanembed.regularity import (
     _energy_term,
     _inheritance_ok,
     _prefix_inheritance_ok,
+    _subset_degree_table,
     check_lower_regular,
     check_super_regular,
     check_two_sided_regular,
@@ -472,3 +473,53 @@ def test_inheritance_screen_matches_reference():
                 assert got == reference_inheritance(g, h.adj[v], x.mask, y.mask, eps, d, p)
                 verdicts.append(got)
     assert 0.1 * len(verdicts) < sum(verdicts) < 0.9 * len(verdicts)
+
+
+def reference_prefix_inheritance_ok(g, xmask, ymask, eps, d, p):
+    """The one-pair screen as a scan of every degree-sorted prefix cut of size at least eps|X|."""
+    sx, sy = xmask.bit_count(), ymask.bit_count()
+    if sx == 0 or sy == 0:
+        return False
+    if d - eps <= 0:
+        return True
+    bound = d - eps
+    thr = max(1, math.ceil(eps * sx - 1e-12))
+    run = 0
+    for size, deg in enumerate(sorted((g.adj[v] & ymask).bit_count() for v in iter_bits(xmask)), 1):
+        run += deg
+        if size >= thr and run / (p * size * sy) < bound - 1e-12:
+            return False
+    return True
+
+
+def test_prefix_screen_matches_the_scan():
+    """The threshold-size cut decides the screen as the scan of every prefix does,
+    on random graphs, sides, p and eps <= d, with both verdicts common."""
+    rng = rng_for(0, stream=61)
+    verdicts = Counter()
+    for seed in range(3000):
+        n = int(rng.integers(2, 81))
+        g = gnp(n, float(rng.uniform(0.05, 0.95)), seed)
+        side = rng.integers(0, 3, size=n)  # 0: X, 1: Y, 2: neither
+        xmask, ymask = mask_of(np.flatnonzero(side == 0).tolist()), mask_of(np.flatnonzero(side == 1).tolist())
+        eps = float(rng.uniform(0.05, 0.6))
+        d, p = float(rng.uniform(eps, 1.0)), float(rng.uniform(0.05, 1.0))
+        got = _prefix_inheritance_ok(g, xmask, ymask, eps, d, p)
+        assert got == reference_prefix_inheritance_ok(g, xmask, ymask, eps, d, p)
+        verdicts[got] += 1
+    assert min(verdicts[True], verdicts[False]) > 300
+
+
+def test_subset_degree_table_counts_neighbours_in_every_subset():
+    rng = rng_for(0, stream=62)
+    sides = [(20, 14), (1, 1)] + [(int(rng.integers(1, 21)), int(rng.integers(1, 15))) for _ in range(10)]
+    for seed, (nx, ny) in enumerate(sides):
+        n = nx + ny + int(rng.integers(0, 5))
+        g = gnp(n, float(rng.uniform(0.1, 0.9)), seed)
+        perm = rng.permutation(n).tolist()
+        xs, ys = perm[:nx], perm[nx : nx + ny]
+        table = _subset_degree_table(g, xs, ys)
+        assert table.shape == (1 << ny, nx)
+        for s in range(1 << ny):
+            smask = mask_of(ys[j] for j in iter_bits(s))
+            assert table[s].tolist() == [(g.adj[x] & smask).bit_count() for x in xs]
