@@ -4,12 +4,14 @@ The main phase walks the guest in the supplied order, embedding each non-buffer
 vertex into its candidate set (image restriction or assigned cluster, cut down
 by the images of embedded neighbours), choosing the best of a seeded sample of
 at most `CANDIDATE_SAMPLE` candidates; the placed vertices are always a prefix
-of that order, which a backjump cuts back.  Buffer vertices are deferred and
-finished per cluster by augmenting-path bipartite matching, which caches each
-guest's candidate mask until a neighbour's image changes.  One host -> guest
-map serves both phases: a candidate lies in its guest's own cluster, so its
-owner is a guest of the same cell or a pre-embedded guest, whose host is held.
-Bounded backjumps and seeded restarts handle dead ends.
+of that order, which a backjump cuts back.  The sample is scored on the host's
+packed rows (`row_mask_counts`), packed once per call: n^2/8 bytes.  Buffer
+vertices are deferred and finished per cluster by augmenting-path bipartite
+matching, a depth-first search that tries each host at most once and caches
+each guest's candidate mask until a neighbour's image changes.  One host ->
+guest map serves both phases: a candidate lies in its guest's own cluster, so
+its owner is a guest of the same cell or a pre-embedded guest, whose host is
+held.  Bounded backjumps and seeded restarts handle dead ends.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+
+import numpy as np
 
 from .graph_core import (
     Graph,
@@ -27,6 +31,7 @@ from .graph_core import (
     iter_bits,
     mask_of,
     rng_for,
+    row_mask_counts,
 )
 from .pre_embedding import RestrictionPair, restriction_image
 
@@ -145,6 +150,8 @@ def embed(
     deferred = skip_mask | buffers.mask()
     main_order = [v for v in order.order if not ((deferred >> v) & 1)]
     order_index = {v: i for i, v in enumerate(main_order)}
+    rows = g.packed_rows()  # n^2/8 bytes, read by the main phase's scoring
+    full = (1 << g.n) - 1
     for attempt in range(EMBED_RESTARTS):
         rng = rng_for(seed + attempt, stream=91)
         phi: dict[int, int] = dict(initial_phi)
@@ -205,36 +212,41 @@ def embed(
 
         def augment(x: int, seen: int) -> bool:
             """Depth-first augmenting path from the unembedded guest x, on an
-            explicit stack, over hosts outside `seen` and `held`.
+            explicit stack of (guest, host tried) frames, over hosts outside
+            `seen` and `held`; each host is tried at most once.
 
-            Paths can be as long as a cluster.  Each frame scans the candidate
-            mask fixed when it was pushed, so a host marked seen by a deeper
-            frame can still come up again in a shallower one.
+            A frame resumed after its child fails takes its lowest candidate
+            still unseen.  Paths can be as long as a cluster, and retrying a
+            candidate that a deeper frame saw would find the same path: the
+            search from that host's owner failed over a superset of the hosts
+            unseen now, so the retry fails too and marks no new host.  A guest
+            on the path never meets its own host: the frame below tried it
+            before pushing the guest, and x holds none.
             """
-            seen |= held
-            path = [[x, iter_bits(cand_of(x) & ~seen), -1]]  # [guest, hosts left, host tried]
-            while path:
-                frame = path[-1]
-                y, hosts, _ = frame
-                for h in hosts:
-                    seen |= 1 << h
-                    cur = owner.get(h)
-                    if cur is None:
+            unseen = full & ~(seen | held)
+            path = []
+            y = x
+            while True:
+                m = cand_of(y) & unseen
+                if m:
+                    low = m & -m
+                    unseen ^= low
+                    h = low.bit_length() - 1
+                    path.append((y, h))
+                    y = owner.get(h)
+                    if y is None:
                         # each guest on the path takes the host it tried; the
                         # hosts in between stay owned, and x held none
-                        frame[2] = h
-                        for y2, _, h2 in reversed(path):
+                        for y2, h2 in reversed(path):
                             owner[h2] = y2
                             phi[y2] = h2
-                            moved(y2)
+                            for z in nbrs[y2]:
+                                cand_cache.pop(z, None)
                         return True
-                    if cur != y:
-                        frame[2] = h
-                        path.append([cur, iter_bits(cand_of(cur) & ~seen), -1])
-                        break
+                elif path:
+                    y = path.pop()[0]
                 else:
-                    path.pop()
-            return False
+                    return False
 
         def relocate_neighbour(x: int) -> bool:
             """Move one embedded neighbour of x so x's cell regains a candidate.
@@ -292,19 +304,17 @@ def embed(
                     idx = cut
                     continue
                 # prefer images keeping unembedded neighbours most flexible,
-                # scored on a seeded sample of the candidates
+                # scored on a seeded sample of the candidates: the least key
+                # (-score, free count, v), where score is the fewest free
+                # candidates left to an unembedded neighbour
                 cand_list = bit_positions(cand)
                 if len(cand_list) > CANDIDATE_SAMPLE:
                     cand_list = cand_list[rng.permutation(len(cand_list))[:CANDIDATE_SAMPLE]]
-                free = ~used
+                free = full ^ used
                 future = [base_mask[y] & free for y in nbrs[x] if y not in phi]
-                best_v, best_key = -1, None
-                for v in cand_list.tolist():
-                    row = g.adj[v]
-                    score = min([(row & m).bit_count() for m in future]) if future else 0
-                    key = (-score, (row & free).bit_count(), v)
-                    if best_key is None or key < best_key:
-                        best_v, best_key = v, key
+                counts = row_mask_counts(rows[cand_list], [free] + future)
+                score = counts[:, 1:].min(axis=1, initial=g.n)  # signed: -score must not wrap
+                best_v = int(cand_list[np.lexsort((cand_list, counts[:, 0], -score))[0]])
                 phi[x] = best_v
                 owner[best_v] = x
                 used |= 1 << best_v

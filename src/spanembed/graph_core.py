@@ -4,8 +4,9 @@ Graphs are immutable, undirected, loop-free, with adjacency stored as one
 Python int bitmask per vertex.  Bulk work reads rows of vertices as packed
 little-endian uint64 words (`Graph.packed_rows`, and one vertex set with
 `packed_indicator`), counts vertex-to-set degrees on them with
-`Graph.degree_table`, and unpacks them to bool rows only where a 0/1 block is
-needed (`Graph.to_bit_matrix`, or `unpack_rows` for rows packed earlier);
+`row_mask_counts` (or `Graph.degree_table`, which packs the rows itself), and
+unpacks them to bool rows only where a 0/1 block is needed
+(`Graph.to_bit_matrix`, or `unpack_rows` for rows packed earlier);
 `bit_positions` lists a mask's set bits from its bytes.  Edge sets in bulk are
 int keys u * n + v: `Graph.edge_keys` lists them a block of rows at a time and
 `Graph.without_edge_keys` deletes them from a packed copy.  `gnp` writes its
@@ -31,6 +32,7 @@ __all__ = [
     "mask_of",
     "bit_positions",
     "packed_indicator",
+    "row_mask_counts",
     "unpack_rows",
     "gnp",
     "paley",
@@ -92,10 +94,32 @@ def unpack_rows(rows: np.ndarray, n: int) -> np.ndarray:
 
 
 def _packed(masks, words: int) -> np.ndarray:
-    """Int bitmasks as rows of `words` little-endian uint64 words: bit v is bit v % 64 of word v // 64."""
+    """Int bitmasks as rows of `words` little-endian uint64 words: bit v is bit v % 64 of word v // 64.
+
+    The rows are filled one at a time, so that no more than one row's bytes
+    are held besides the result.
+    """
     masks = list(masks)
-    buf = b"".join(m.to_bytes(8 * words, "little") for m in masks)
+    width = 8 * words
+    buf = bytearray(len(masks) * width)
+    for i, m in enumerate(masks):
+        buf[i * width:(i + 1) * width] = m.to_bytes(width, "little")
     return np.frombuffer(buf, dtype="<u8").reshape(len(masks), words)
+
+
+def row_mask_counts(rows: np.ndarray, masks) -> np.ndarray:
+    """D[i, c] = |rows[i] & masks[c]| as a signed int64 array, for rows in the format
+    of `Graph.packed_rows` and int bitmasks `masks` over the same vertices.
+
+    Each block of rows meets every mask in one broadcast AND of at most about
+    `_COUNT_BLOCK` words.
+    """
+    cols = _packed(masks, rows.shape[1])
+    table = np.empty((len(rows), len(cols)), dtype=np.int64)
+    step = max(1, _COUNT_BLOCK // max(1, cols.size))
+    for i in range(0, len(rows), step):
+        table[i:i + step] = np.bitwise_count(rows[i:i + step, None, :] & cols).sum(axis=2, dtype=np.int64)
+    return table
 
 
 def _graph_of_rows(rows: np.ndarray) -> "Graph":
@@ -108,6 +132,8 @@ def _graph_of_rows(rows: np.ndarray) -> "Graph":
 # multiple of 8, so a block's columns start on a byte.
 _ROW_BLOCK = 512
 _KEY_BLOCK = 1 << 16
+# uint64 words of the rows-by-masks AND that `row_mask_counts` holds at once
+_COUNT_BLOCK = 1 << 16
 # _CLEAR_BIT[b] is a byte with every bit but b set
 _CLEAR_BIT = np.array([0xFF ^ (1 << b) for b in range(8)], dtype=np.uint8)
 
@@ -203,12 +229,7 @@ class Graph:
     def degree_table(self, masks, vertices=None) -> np.ndarray:
         """D[i, c] = |N(vertices[i]) & masks[c]| as an int64 array, one row per vertex
         (all of them in order by default) and one column per mask."""
-        rows = self.packed_rows(vertices)
-        cols = _packed(masks, rows.shape[1])
-        table = np.empty((len(rows), len(cols)), dtype=np.int64)
-        for c, col in enumerate(cols):
-            table[:, c] = np.bitwise_count(rows & col).sum(axis=1, dtype=np.int64)
-        return table
+        return row_mask_counts(self.packed_rows(vertices), masks)
 
     def to_bit_matrix(self, vertices=None) -> np.ndarray:
         """The adjacency rows of `vertices` (all by default) as a fresh bool matrix with n columns."""

@@ -208,7 +208,7 @@ def adversary_delete(
     if strategy == "random":
         keys = g.edge_keys()
         rng.shuffle(keys)  # the same swaps as rng.permutation(len(keys))
-        return g.without_edge_keys(keys[:_greedy_delete(keys, spare, budget)])
+        return _delete_greedily(g, keys, spare, budget)
     if strategy == "triangle_killer":
         nbrs = bit_positions(g.adj[target])
         iu, iv = np.divmod(g.edge_keys(nbrs), len(nbrs))
@@ -217,7 +217,7 @@ def adversary_delete(
         us, vs = us[order], vs[order]
         ranked = np.argsort(-(deg[us] + deg[vs]), kind="stable")
         keys = (us * n + vs)[ranked]
-        out = g.without_edge_keys(keys[:_greedy_delete(keys, spare, None)])
+        out = _delete_greedily(g, keys, spare, None)
         inside = g.adj[target]
         if any(out.adj[u] & inside for u in nbrs.tolist()):
             raise ConfigError("triangle_killer blocked by the degree floor")
@@ -232,11 +232,22 @@ def adversary_delete(
             same[at:at + _SCAN_BLOCK] = classes[u] == classes[v]
         keys = keys[same]
         rng.shuffle(keys)
-        return g.without_edge_keys(keys[:_greedy_delete(keys, spare, budget)])
+        return _delete_greedily(g, keys, spare, budget)
     raise ConfigError(f"unknown adversary {strategy!r}")
 
 
 _SCAN_BLOCK = 1 << 16
+
+
+def _delete_greedily(g: Graph, keys: np.ndarray, spare: np.ndarray, cap: int | None) -> Graph:
+    """g less the edges that `_greedy_delete` selects from the scan of `keys`.
+
+    `keys` must own its data: it is cut to the selection in place, and sorted,
+    so that the clear walks the rows in order instead of at random.
+    """
+    keys.resize(_greedy_delete(keys, spare, cap), refcheck=False)
+    keys.sort()
+    return g.without_edge_keys(keys)
 
 
 def _greedy_delete(keys: np.ndarray, spare: np.ndarray, cap: int | None) -> int:

@@ -1,11 +1,13 @@
 """`embed` against the loop it replaced, kept here verbatim as `reference_embed`.
 
-The reference lists every candidate before sampling, rebuilds candidate masks
-on every augmenting-path frame and commits a path guest by guest.  The program
-must reach the same φ with the same retries, or fail with the same message on
-the same stuck vertex, on a grid of small hosts that drives every branch
-(swaps, backjumps, relocations with and without rollback, restarts of both
-phases, both error kinds) and on the inputs the pipeline hands to `embed`.
+The reference lists every candidate before sampling, scores each candidate on
+int masks, rebuilds candidate masks on every augmenting-path frame, retries in
+a resumed frame the hosts that a deeper frame saw, and commits a path guest by
+guest.  The program must reach the same φ with the same retries, or fail with
+the same message on the same stuck vertex, on a grid of small hosts that drives
+every branch (swaps, backjumps, relocations with and without rollback, restarts
+of both phases, both error kinds) and on the inputs the pipeline hands to
+`embed`, at k = 2 and at k = 3.
 The grid's second layout puts guest edges inside a cell, so that a guest's
 own cell holds the neighbours whose cached candidate masks a move must drop;
 ϑ = 0.2 is the buffer fraction at which a stale mask there changes φ.  A
@@ -306,6 +308,12 @@ GRID = [
     for p in (0.2, 0.3, 0.4, 0.5, 0.7)
     for vartheta in (0.1, 0.2, 0.3)
     for seed in range(4)
+] + [
+    # seeded-fuzz inputs on which the reference retries the most hosts that a
+    # deeper frame already saw, inside augmenting searches that succeed (630
+    # retries in 70 searches, and 20 in 20); `embed` skips those retries
+    ("parity", 40, 0.3, 0.5, 431),
+    ("pairs", 28, 0.3, 0.5, 102),
 ]
 
 
@@ -390,11 +398,9 @@ def test_held_host_inside_a_cluster_matches_reference(case):
     assert outcome(embed, *args, initial_phi=initial_phi, seed=case[-1]) == expected
 
 
-@pytest.mark.parametrize("cfg", [SMOKE_CFG, TREE_CFG], ids=["smoke", "tree"])
-def test_pipeline_inputs_match_reference(monkeypatch, cfg):
-    """The arguments `run_pipeline` passes to `embed`, seeds 0-1, with
-    pre-embedded guests and image restrictions: on the smoke configuration,
-    and in degenerate mode with a bounded-degree tree and its buffer rule."""
+def pipeline_embed_calls(monkeypatch, cfg, seeds):
+    """The (args, kwargs) of each `embed` call that successful `run_pipeline` runs
+    of `cfg` make, one run per seed."""
     captured = []
 
     def recording_embed(*args, **kwargs):
@@ -402,10 +408,37 @@ def test_pipeline_inputs_match_reference(monkeypatch, cfg):
         return embed(*args, **kwargs)
 
     monkeypatch.setattr(harness, "embed", recording_embed)
-    for seed in range(2):
+    for seed in seeds:
         assert harness.run_pipeline(harness.ExperimentConfig(seed=seed, **cfg)).success
+    return captured
+
+
+@pytest.mark.parametrize("cfg", [SMOKE_CFG, TREE_CFG], ids=["smoke", "tree"])
+def test_pipeline_inputs_match_reference(monkeypatch, cfg):
+    """The arguments `run_pipeline` passes to `embed`, seeds 0-1, with
+    pre-embedded guests and image restrictions: on the smoke configuration,
+    and in degenerate mode with a bounded-degree tree and its buffer rule."""
+    captured = pipeline_embed_calls(monkeypatch, cfg, range(2))
     assert len(captured) == 2
     for args, kwargs in captured:
         restr = args[4]
         assert kwargs["initial_phi"] and restr.J
         assert outcome(embed, *args, **kwargs) == outcome(reference_embed, *args, **kwargs)
+
+
+# k = 3 with the square of a cycle: the only configuration measured on which
+# `embed` relocates neighbours and restarts (at seed 0: 21 swaps, 9 relocation
+# attempts and 2 restarts)
+K3_CFG = dict(
+    guest_family="power_cycle:2", n=960, p=0.5, k=3, gamma=0.1, eps=0.35, d=0.1, mu=0.2,
+    Delta=4, xi_guest=0.25,
+)
+
+
+def test_k3_pipeline_input_matches_reference(monkeypatch):
+    """The arguments `run_pipeline` passes to `embed` at k = 3, seed 0, where the
+    completion restarts: both loops must agree on the φ and on the retries."""
+    [(args, kwargs)] = pipeline_embed_calls(monkeypatch, K3_CFG, [0])
+    expected = outcome(reference_embed, *args, **kwargs)
+    assert expected[0] == "ok" and expected[2] >= 1
+    assert outcome(embed, *args, **kwargs) == expected

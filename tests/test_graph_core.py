@@ -18,6 +18,7 @@ from spanembed.graph_core import (
     paley,
     parse_graph_text,
     rng_for,
+    row_mask_counts,
     unpack_rows,
     write_graph_file,
 )
@@ -106,6 +107,22 @@ class TestPackedRows:
         assert g.degree_table([g.adj[0], 7], []).shape == (0, 2)
         assert g.degree_table([], [3, 1]).shape == (2, 0)
         assert g.degree_table([]).shape == (65, 0)
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130, 1000])
+    def test_row_mask_counts_match_direct_counts(self, n):
+        """On a sample of rows and on all of them, with one mask and with eight; at
+        n = 1000 the eight masks split the rows into two blocks."""
+        g = gnp(n, 0.3, n + 1)
+        rng = rng_for(n, stream=6)
+        rows = g.packed_rows()
+        masks = [mask_of(np.flatnonzero(rng.random(n) < q).tolist()) for q in (0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95)]
+        masks.append((1 << n) - 1)
+        sample = rng.choice(n, size=min(n, 24), replace=False)
+        for vs in (sample, np.arange(n)):
+            for ms in (masks[:1], masks):
+                table = row_mask_counts(rows[vs], ms)
+                assert table.dtype == np.int64  # signed: a negated count of 0 sorts last
+                assert table.tolist() == [[(g.adj[v] & m).bit_count() for m in ms] for v in vs.tolist()]
 
     @pytest.mark.parametrize("mask", [0, 1, 1 << 63, 1 << 64, (1 << 63) | (1 << 64), (1 << 130) - 1])
     def test_bit_positions_of_fixed_masks(self, mask):
