@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .harness import (
     CSV_HEADER,
@@ -44,13 +44,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         overrides = parse_config_file(args.config) if args.config else {}
-        for name in (
-            "n", "p", "k", "gamma", "seed", "guest_family", "adversary",
-            "eps", "d", "mode", "paley_q", "host_file",
-        ):
-            val = getattr(args, name, None)
-            if val is not None:
-                overrides[name] = val
+        names = {f.name for f in fields(ExperimentConfig)}
+        overrides.update((name, val) for name, val in vars(args).items() if name in names and val is not None)
         cfg = ExperimentConfig(**overrides)
         cfg.validate()
     except (ConfigError, TypeError, OSError) as exc:

@@ -1,17 +1,15 @@
-"""Spanning-completion stage: greedy candidate embedding plus buffer matching.
+"""Spanning-completion stage in two phases: greedy embedding, buffer matching.
 
-The main phase walks the guest in the supplied order, embedding each non-buffer
-vertex into its candidate set (image restriction or assigned cluster, cut down
-by the images of embedded neighbours), choosing the best of a seeded sample of
-at most `CANDIDATE_SAMPLE` candidates; the placed vertices are always a prefix
-of that order, which a backjump cuts back.  The sample is scored on the host's
-packed rows (`row_mask_counts`), packed once per call: n^2/8 bytes.  Buffer
-vertices are deferred and finished per cluster by augmenting-path bipartite
-matching, a depth-first search that tries each host at most once and caches
-each guest's candidate mask until a neighbour's image changes.  One host ->
-guest map serves both phases: a candidate lies in its guest's own cluster, so
-its owner is a guest of the same cell or a pre-embedded guest, whose host is
-held.  Bounded backjumps and seeded restarts handle dead ends.
+The main phase (`embed`) walks the guest in the supplied order, embedding each
+non-buffer vertex into its candidate set (image restriction or assigned
+cluster, cut down by the images of embedded neighbours), choosing the best of a
+seeded sample of at most `CANDIDATE_SAMPLE` candidates, scored on the host's
+packed rows (n^2/8 bytes, packed once per call); the placed vertices are always
+a prefix of that order, which a backjump cuts back.  The buffer phase
+(`_match_buffers`) finishes the deferred vertices per cluster by augmenting-path
+bipartite matching, a depth-first search that tries each host at most once.
+One host -> guest map serves both phases.  Bounded backjumps and seeded
+restarts handle dead ends.
 """
 
 from __future__ import annotations
@@ -124,12 +122,10 @@ def embed(
 ) -> EmbedResult:
     """Complete the embedding of the unembedded guest into the clusters.
 
-    Requires |cluster| == |guest part| per cell.  Honors image restrictions,
-    prefers candidates keeping the most options open for unembedded
-    neighbours (scoring a seeded sample of at most `CANDIDATE_SAMPLE` of them),
-    backjumps over the most recent conflicting placement when a candidate set
-    empties, and finishes buffer vertices via perfect matchings, caching each
-    guest's candidate mask until the image of one of its neighbours changes.
+    Requires |cluster| == |guest part| per cell.  Each seeded attempt runs the
+    main phase, which honors image restrictions, prefers candidates keeping the
+    most options open for unembedded neighbours and backjumps over the latest
+    conflicting placement when a candidate set empties, then `_match_buffers`.
     """
     initial_phi = initial_phi or {}
     skip_mask = mask_of(initial_phi.keys())
@@ -145,6 +141,8 @@ def embed(
 
     base_mask = {v: restriction_image(g, clusters, f_star[v], restr.J.get(v, ())) for v in todo}
     nbrs = [list(iter_bits(a)) for a in guest.adj]
+    # the guests that the buffer phase may relocate
+    movable = mask_of(v for v in todo if f_star[v] in buffers.buffers)
 
     # the main phase places main_order[:idx], in that order
     deferred = skip_mask | buffers.mask()
@@ -163,145 +161,41 @@ def embed(
         jumps = 0
         idx = 0
         blacklist: dict[int, int] = {}
-        # common(x) for each guest x in the buffer phase, dropped whenever a
-        # neighbour's image changes
-        cand_cache: dict[int, int] = {}
-
-        def common(x: int, skip: int = -1) -> int:
-            """Base mask of x cut down to the G-neighbourhoods of the images of
-            its embedded guest neighbours, all but `skip`."""
-            m = base_mask[x]
-            for y in nbrs[x]:
-                if y != skip and y in phi:
-                    m &= g.adj[phi[y]]
-            return m
-
-        def try_swap(need: int) -> bool:
-            """Free one host in `need` by relocating its current same-stage owner."""
-            nonlocal used
-            for w in iter_bits(need & used & ~held):
-                y = owner[w]
-                alt = common(y) & ~used & ~blacklist.get(y, 0)
-                if alt:
-                    w2 = next(iter_bits(alt))
-                    phi[y] = w2
-                    owner[w2] = owner.pop(w)
-                    used ^= (1 << w) | (1 << w2)  # w leaves, w2 joins
-                    return True
-            return False
-
-        def cand_of(x: int) -> int:
-            m = cand_cache.get(x)
-            if m is None:
-                m = cand_cache[x] = common(x)
-            return m
-
-        def moved(x: int):
-            """x's image changed: drop the cached masks that read it."""
-            for y in nbrs[x]:
-                cand_cache.pop(y, None)
-
-        def assign(x: int, h: int):
-            # write-through: phi and owner always reflect the working matching
-            old = phi.get(x)
-            if old is not None:
-                del owner[old]
-            owner[h] = x
-            phi[x] = h
-            moved(x)
-
-        def augment(x: int, seen: int) -> bool:
-            """Depth-first augmenting path from the unembedded guest x, on an
-            explicit stack of (guest, host tried) frames, over hosts outside
-            `seen` and `held`; each host is tried at most once.
-
-            A frame resumed after its child fails takes its lowest candidate
-            still unseen.  Paths can be as long as a cluster, and retrying a
-            candidate that a deeper frame saw would find the same path: the
-            search from that host's owner failed over a superset of the hosts
-            unseen now, so the retry fails too and marks no new host.  A guest
-            on the path never meets its own host: the frame below tried it
-            before pushing the guest, and x holds none.
-            """
-            unseen = full & ~(seen | held)
-            path = []
-            y = x
-            while True:
-                m = cand_of(y) & unseen
-                if m:
-                    low = m & -m
-                    unseen ^= low
-                    h = low.bit_length() - 1
-                    path.append((y, h))
-                    y = owner.get(h)
-                    if y is None:
-                        # each guest on the path takes the host it tried; the
-                        # hosts in between stay owned, and x held none
-                        for y2, h2 in reversed(path):
-                            owner[h2] = y2
-                            phi[y2] = h2
-                            for z in nbrs[y2]:
-                                cand_cache.pop(z, None)
-                        return True
-                elif path:
-                    y = path.pop()[0]
-                else:
-                    return False
-
-        def relocate_neighbour(x: int) -> bool:
-            """Move one embedded neighbour of x so x's cell regains a candidate.
-
-            The target host may itself be occupied: its occupant is displaced
-            and re-placed by augmentation, with rollback on failure.
-            """
-            for y in nbrs[x]:
-                if y not in phi or y in initial_phi or f_star[y] not in buffers.buffers:
-                    continue
-                others = common(x, skip=y)
-                old = phi[y]
-                for w2 in iter_bits(cand_of(y) & ~(1 << old) & ~held):
-                    if not (g.adj[w2] & others):
-                        continue
-                    cur = owner.get(w2)
-                    if cur is None:
-                        assign(y, w2)
-                        return True
-                    del phi[cur]
-                    moved(cur)
-                    assign(y, w2)
-                    if augment(cur, 1 << w2):
-                        return True
-                    assign(y, old)
-                    assign(cur, w2)
-            return False
-
         try:
             while idx < len(main_order):
                 x = main_order[idx]
-                need = common(x) & ~blacklist.get(x, 0)
+                need = _common(g, base_mask, nbrs, phi, x) & ~blacklist.get(x, 0)
                 cand = need & ~used
                 if cand == 0:
-                    # local repair first: relocate a same-cell occupant of a host
-                    # that would serve x, then fall back to backjumping
-                    if need and try_swap(need):
-                        continue
-                    jumps += 1
-                    if jumps > BACKJUMP_BUDGET:
-                        raise EmbedError(f"candidate depletion at guest {x}", stuck=x)
-                    placed = [order_index[y] for y in nbrs[x] if order_index.get(y, idx) < idx]
-                    if not placed:
-                        raise EmbedError(f"guest {x} has an empty base candidate set", stuck=x)
-                    # undo the latest placed neighbour and everything after it
-                    cut = max(placed)
-                    culprit = main_order[cut]
-                    blacklist[culprit] = blacklist.get(culprit, 0) | (1 << phi[culprit])
-                    for y in main_order[cut:idx]:
-                        h = phi.pop(y)
-                        used &= ~(1 << h)
-                        del owner[h]
-                    for y in main_order[cut + 1:idx]:
-                        blacklist.pop(y, None)
-                    idx = cut
+                    # local repair first: relocate a same-cell occupant of a
+                    # host that would serve x to a free host, else backjump
+                    for w in iter_bits(need & used & ~held):
+                        y = owner[w]
+                        alt = _common(g, base_mask, nbrs, phi, y) & ~used & ~blacklist.get(y, 0)
+                        if alt:
+                            w2 = next(iter_bits(alt))
+                            phi[y] = w2
+                            owner[w2] = owner.pop(w)
+                            used ^= (1 << w) | (1 << w2)  # w leaves, w2 joins
+                            break
+                    else:
+                        jumps += 1
+                        if jumps > BACKJUMP_BUDGET:
+                            raise EmbedError(f"candidate depletion at guest {x}", stuck=x)
+                        placed = [order_index[y] for y in nbrs[x] if order_index.get(y, idx) < idx]
+                        if not placed:
+                            raise EmbedError(f"guest {x} has an empty base candidate set", stuck=x)
+                        # undo the latest placed neighbour and everything after it
+                        cut = max(placed)
+                        culprit = main_order[cut]
+                        blacklist[culprit] = blacklist.get(culprit, 0) | (1 << phi[culprit])
+                        for y in main_order[cut:idx]:
+                            h = phi.pop(y)
+                            used &= ~(1 << h)
+                            del owner[h]
+                        for y in main_order[cut + 1:idx]:
+                            blacklist.pop(y, None)
+                        idx = cut
                     continue
                 # prefer images keeping unembedded neighbours most flexible,
                 # scored on a seeded sample of the candidates: the least key
@@ -321,24 +215,129 @@ def embed(
                 blacklist.pop(x, None)
                 idx += 1
 
-            # buffer phase: per-cell matching that augments through the
-            # main-phase placements (free buffer candidates alone are far too
-            # thin at desk scale, but the full cell's candidate relation is
-            # dense).  When even that fails, one embedded neighbour of the
-            # stuck buffer is relocated to reopen its common neighbourhood.
-            for cell, bset in sorted(buffers.buffers.items()):
-                # moved() keeps every cached mask current; the cache is
-                # emptied per cell only to bound memory (keeping every
-                # guest's mask raised peak RSS by about 3%)
-                cand_cache.clear()
-                for x in bset:
-                    if x not in phi and not (augment(x, 0) or relocate_neighbour(x) and augment(x, 0)):
-                        raise EmbedError(f"no perfect matching in cell {cell}", stuck=x)
+            _match_buffers(g, base_mask, nbrs, phi, owner, held, movable, buffers)
         except EmbedError as err:
             last_err = err
             continue
         return EmbedResult(phi=phi, retries=attempt)
     raise last_err
+
+
+def _common(
+    g: Graph, base_mask: dict[int, int], nbrs: list[list[int]], phi: dict[int, int], x: int, skip: int = -1
+) -> int:
+    """Base mask of x cut down to the G-neighbourhoods of the images of its
+    embedded guest neighbours, all but `skip`."""
+    m = base_mask[x]
+    for y in nbrs[x]:
+        if y != skip and y in phi:
+            m &= g.adj[phi[y]]
+    return m
+
+
+def _match_buffers(
+    g: Graph,
+    base_mask: dict[int, int],
+    nbrs: list[list[int]],
+    phi: dict[int, int],
+    owner: dict[int, int],
+    held: int,
+    movable: int,
+    buffers: BufferPlan,
+) -> None:
+    """Embed the buffer guests cell by cell, updating `phi` and its inverse
+    `owner` in place, by augmenting paths through the placed guests (the free
+    hosts alone are far too thin at desk scale); when none exists, relocate one
+    embedded neighbour in `movable` and try again.  Hosts in `held` keep their
+    guests.  Each guest's candidate mask is cached until a neighbour's image
+    moves.  Raises EmbedError on the first guest left stuck.
+    """
+    full = (1 << g.n) - 1
+    cand_cache: dict[int, int] = {}
+
+    def cand_of(x: int) -> int:
+        m = cand_cache.get(x)
+        if m is None:
+            m = cand_cache[x] = _common(g, base_mask, nbrs, phi, x)
+        return m
+
+    def assign(x: int, h: int | None):
+        """Move x to host h, or unplace it (h None); drop the masks that read x's image."""
+        old = phi.pop(x) if h is None else phi.get(x)
+        if old is not None:
+            del owner[old]
+        if h is not None:
+            owner[h] = x
+            phi[x] = h
+        for y in nbrs[x]:
+            cand_cache.pop(y, None)
+
+    def augment(x: int, seen: int) -> bool:
+        """Depth-first augmenting path from the unembedded guest x over hosts
+        outside `seen` and `held`, on an explicit stack of (guest, host tried)
+        frames as long as a cluster; each host is tried at most once.  A
+        resumed frame skips the hosts a deeper frame saw: the search from such
+        a host's owner failed over a superset of the hosts unseen now.  A guest
+        on the path never meets its own host: the frame below tried it before
+        pushing the guest, and x holds none.
+        """
+        unseen = full & ~(seen | held)
+        path = []
+        y = x
+        while True:
+            m = cand_of(y) & unseen
+            if m:
+                low = m & -m
+                unseen ^= low
+                h = low.bit_length() - 1
+                path.append((y, h))
+                y = owner.get(h)
+                if y is None:
+                    # each guest on the path takes the host it tried; the
+                    # hosts in between stay owned, and x held none
+                    for y2, h2 in reversed(path):
+                        owner[h2] = y2
+                        phi[y2] = h2
+                        for z in nbrs[y2]:
+                            cand_cache.pop(z, None)
+                    return True
+            elif path:
+                y = path.pop()[0]
+            else:
+                return False
+
+    def relocate_neighbour(x: int) -> bool:
+        """Move one embedded neighbour of x so x's cell regains a candidate.
+
+        The target host may itself be occupied: its occupant is displaced
+        and re-placed by augmentation, with rollback on failure.
+        """
+        for y in nbrs[x]:
+            if not ((movable >> y) & 1) or y not in phi:
+                continue
+            others = _common(g, base_mask, nbrs, phi, x, skip=y)
+            old = phi[y]
+            for w2 in iter_bits(cand_of(y) & ~(1 << old) & ~held):
+                if not (g.adj[w2] & others):
+                    continue
+                cur = owner.get(w2)
+                if cur is not None:
+                    assign(cur, None)
+                assign(y, w2)
+                if cur is None or augment(cur, 1 << w2):
+                    return True
+                assign(y, old)
+                assign(cur, w2)
+        return False
+
+    for cell, bset in sorted(buffers.buffers.items()):
+        # assign() and augment() keep every cached mask current; the cache
+        # is emptied per cell only to bound memory (keeping every guest's
+        # mask raised peak RSS by about 3%)
+        cand_cache.clear()
+        for x in bset:
+            if x not in phi and not (augment(x, 0) or relocate_neighbour(x) and augment(x, 0)):
+                raise EmbedError(f"no perfect matching in cell {cell}", stuck=x)
 
 
 def embedding_violations(

@@ -314,13 +314,8 @@ class Graph:
         keys = np.asarray(keys)
         if keys.size and (keys.min() < 0 or keys.max() >= n * n):
             raise ValueError(f"edge key outside [0, n * n) for n={n}")
-        # a writable copy of the rows, filled row by row: `packed_rows` and a copy
-        # of it would hold the rows twice at once
-        width = (n + 7) // 8
-        buf = bytearray(n * width)
-        for v, a in enumerate(self.adj):
-            buf[v * width:(v + 1) * width] = a.to_bytes(width, "little")
-        rows = np.frombuffer(buf, dtype=np.uint8).reshape(n, width)
+        rows = self.packed_rows().view(np.uint8)  # a fresh, writable array
+        width = rows.shape[1]
         flat = rows.reshape(-1)
         for at in range(0, len(keys), _KEY_BLOCK):
             u, v = np.divmod(keys[at:at + _KEY_BLOCK].astype(np.int64), n)

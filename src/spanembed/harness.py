@@ -95,7 +95,6 @@ class ExperimentConfig:
     xi_guest: float | None = None  # special-set window; default max(xi, 0.05)
     adversary_budget: int | None = None
     adversary_target: int = 0
-    min_p_factor: float = 1.0
 
     def resolved_z(self) -> float:
         return self.z if self.z is not None else 10.0 / self.xi
@@ -143,7 +142,7 @@ class ExperimentConfig:
 
     def recommended_min_p(self) -> float:
         expo = 1.0 / (2 * self.D + 1) if self.mode == "degenerate" else 1.0 / self.Delta
-        return self.min_p_factor * (math.log(self.n) / self.n) ** expo
+        return (math.log(self.n) / self.n) ** expo
 
 
 @dataclass
@@ -392,7 +391,7 @@ def make_guest(family: str, n: int, seed: int = 0) -> tuple[Graph, Labelling, Co
                 cur = 3 - cur
             sigma = tuple(sig)
         col = Colouring(sigma, 2)
-        meta = {"k": 2, "Delta": 2, "D": 2}
+        meta = {"k": 2, "Delta": 2}
     elif name == "power_cycle":
         c = arg
         if c < 1:
@@ -402,7 +401,7 @@ def make_guest(family: str, n: int, seed: int = 0) -> tuple[Graph, Labelling, Co
         h = _cycle(n, c)
         l = _fold_labelling(n)
         col = Colouring(tuple((v % (c + 1)) + 1 for v in range(n)), c + 1)
-        meta = {"k": c + 1, "Delta": 2 * c, "D": 2 * c}
+        meta = {"k": c + 1, "Delta": 2 * c}
     elif name == "power_path":
         c = arg
         if c < 1:
@@ -411,7 +410,7 @@ def make_guest(family: str, n: int, seed: int = 0) -> tuple[Graph, Labelling, Co
         h = Graph.from_edges(n, edges)
         l = Labelling.identity(n)
         col = Colouring(tuple((v % (c + 1)) + 1 for v in range(n)), c + 1)
-        meta = {"k": c + 1, "Delta": 2 * c, "D": c}
+        meta = {"k": c + 1, "Delta": 2 * c}
     elif name == "bounded_tree":
         dmax = arg
         if dmax < 2:
@@ -439,7 +438,7 @@ def make_guest(family: str, n: int, seed: int = 0) -> tuple[Graph, Labelling, Co
         h = Graph.from_edges(n, edges)
         l = Labelling.identity(n)
         col = Colouring(tuple(colour), 2)
-        meta = {"k": 2, "Delta": dmax, "D": 1}
+        meta = {"k": 2, "Delta": dmax}
     else:  # f_factor
         fn, fedges = _FACTORS[arg]
         if n % fn != 0:
@@ -461,10 +460,9 @@ def make_guest(family: str, n: int, seed: int = 0) -> tuple[Graph, Labelling, Co
         h = Graph.from_edges(n, edges)
         l = Labelling.identity(n)
         col = Colouring(tuple(fcol[v % fn] for v in range(n)), kcol)
-        meta = {"k": kcol, "Delta": max(sum(1 for e in fedges if v in e) for v in range(fn)), "D": fn - 1}
+        meta = {"k": kcol, "Delta": max(sum(1 for e in fedges if v in e) for v in range(fn))}
 
     meta["bandwidth"] = bandwidth_of_labelling(h, l)
-    meta["zeros"] = col.zero_vertices()
     return h, l, col, meta
 
 
@@ -532,11 +530,9 @@ def run_pipeline(cfg: ExperimentConfig) -> RunRecord:
     """
     cfg.validate()
     rec = RunRecord(config=cfg)
-    if cfg.p < cfg.recommended_min_p():
-        print(
-            f"warning: p={cfg.p} below recommended minimum {cfg.recommended_min_p():.4f}",
-            file=sys.stderr,
-        )
+    min_p = cfg.recommended_min_p()
+    if cfg.p < min_p:
+        print(f"warning: p={cfg.p} below recommended minimum {min_p:.4f}", file=sys.stderr)
     est_cluster = cfg.n / max(cfg.r0, 2 * cfg.k)
     if cfg.eps * cfg.p * est_cluster < 3.0 * math.sqrt(est_cluster * cfg.p * (1 - cfg.p)):
         print(
@@ -580,7 +576,6 @@ def run_pipeline(cfg: ExperimentConfig) -> RunRecord:
                 raise ConfigError(f"guest bandwidth {meta['bandwidth']} exceeds beta*n={beta * cfg.n:.1f}")
             if not check_zero_free(col, lab, cfg.resolved_z(), beta, cfg.k):
                 raise ConfigError("guest colouring is not zero-free enough")
-            rec.notes["guest_meta"] = meta
 
         with _stage(rec, "host-structure"):
             hs = prepare_host(g, host, p, cfg.gamma, cfg.k, cfg.eps, cfg.d, cfg.r0, cfg.seed)

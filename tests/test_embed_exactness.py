@@ -13,20 +13,22 @@ own cell holds the neighbours whose cached candidate masks a move must drop;
 ϑ = 0.2 is the buffer fraction at which a stale mask there changes φ.  A
 pre-embedded guest imaged inside a cluster checks that the buffer matching
 never takes a host held outside it, and that neither a main-phase swap nor a
-buffer-phase relocation moves it.
+buffer-phase relocation moves it.  The buffer matcher, `_match_buffers`, is
+also replayed alone on the cells that a k = 3 pipeline run hands it.
 """
 
 from functools import cache
 
 import pytest
 
-from spanembed import harness
+from spanembed import embedder, harness
 from spanembed.embedder import (
     BACKJUMP_BUDGET,
     EMBED_RESTARTS,
     BufferPlan,
     EmbedError,
     EmbedResult,
+    _match_buffers,
     choose_buffers,
     embed,
 )
@@ -442,3 +444,84 @@ def test_k3_pipeline_input_matches_reference(monkeypatch):
     expected = outcome(reference_embed, *args, **kwargs)
     assert expected[0] == "ok" and expected[2] >= 1
     assert outcome(embed, *args, **kwargs) == expected
+
+
+@cache
+def k3_matcher_calls():
+    """The `_match_buffers` calls of the `K3_CFG` seed-0 pipeline run, one per
+    attempt that reaches the buffer phase: its arguments, with `phi` and
+    `owner` copied on entry, and its outcome, then the φ that `embed` returns."""
+    calls, results = [], []
+
+    def recording_match(g, base_mask, nbrs, phi, owner, held, movable, buffers):
+        args = (g, base_mask, nbrs, dict(phi), dict(owner), held, movable, buffers)
+        try:
+            _match_buffers(g, base_mask, nbrs, phi, owner, held, movable, buffers)
+        except EmbedError as err:
+            calls.append((args, ("error", str(err), err.stuck)))
+            raise
+        calls.append((args, ("ok", sorted(phi.items()))))
+
+    def recording_embed(*args, **kwargs):
+        results.append(embed(*args, **kwargs))
+        return results[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(embedder, "_match_buffers", recording_match)
+        mp.setattr(harness, "embed", recording_embed)
+        assert harness.run_pipeline(harness.ExperimentConfig(seed=0, **K3_CFG)).success
+    [result] = results
+    return calls, sorted(result.phi.items())
+
+
+def replay_match(g, base_mask, nbrs, phi, owner, held, movable, buffers):
+    """`_match_buffers` on fresh copies of `phi` and `owner`: the outcome as
+    recorded by `k3_matcher_calls`, and the φ and owner map it leaves."""
+    phi, owner = dict(phi), dict(owner)
+    try:
+        _match_buffers(g, base_mask, nbrs, phi, owner, held, movable, buffers)
+    except EmbedError as err:
+        return ("error", str(err), err.stuck), phi, owner
+    return ("ok", sorted(phi.items())), phi, owner
+
+
+def test_matcher_replays_the_captured_cells():
+    """Each captured call, re-run alone, fails with the same message on the same
+    stuck guest, or reaches the φ that `embed` returned."""
+    calls, final_phi = k3_matcher_calls()
+    assert [kind for _, (kind, *_) in calls][-1] == "ok"
+    assert any(kind == "error" for _, (kind, *_) in calls)
+    assert calls[-1][1] == ("ok", final_phi)
+    for args, expected in calls:
+        assert replay_match(*args)[0] == expected
+
+
+def test_matcher_success_keeps_the_matching_sound():
+    """After the successful call, `owner` inverts `phi`, the held hosts keep
+    their guests, and every buffer guest sits in its candidate mask: its base
+    mask, cut down to the neighbourhoods of its neighbours' images."""
+    calls, _ = k3_matcher_calls()
+    args, _ = calls[-1]
+    g, base_mask, nbrs, _, owner0, held, _, buffers = args
+    _, phi, owner = replay_match(*args)
+    assert owner == {h: x for x, h in phi.items()}
+    assert all(owner[h] == owner0[h] for h in iter_bits(held))
+    for bset in buffers.buffers.values():
+        for x in bset:
+            assert (base_mask[x] >> phi[x]) & 1
+            assert all(g.has_edge(phi[x], phi[y]) for y in nbrs[x])
+
+
+def test_matcher_leaves_a_buffer_guest_stuck_on_a_held_host():
+    """Buffer guest 0's only candidate is host 0, held by the pre-embedded guest
+    2.  Relocating its neighbour 1 to host 2 keeps host 0 a candidate, but the
+    matching still may not take it: guest 0 is stuck and host 0 keeps guest 2."""
+    g = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
+    guest = Graph.from_edges(3, [(0, 1)])
+    nbrs = [list(iter_bits(a)) for a in guest.adj]
+    phi, owner = {2: 0, 1: 1}, {0: 2, 1: 1}
+    buffers = BufferPlan({(0, 0): VertexSet.from_iter(3, [0])})
+    with pytest.raises(EmbedError, match=r"^no perfect matching in cell \(0, 0\)$") as err:
+        _match_buffers(g, {0: 0b001, 1: 0b110}, nbrs, phi, owner, 0b001, 0b011, buffers)
+    assert err.value.stuck == 0
+    assert phi == {2: 0, 1: 2} and owner == {0: 2, 2: 1}

@@ -161,7 +161,7 @@ class TestConfig:
     @pytest.mark.parametrize(
         "name",
         ["p", "gamma", "eps", "d", "xi", "beta", "mu", "rho", "zeta", "vartheta", "z", "nu",
-         "xi_guest", "min_p_factor"],
+         "xi_guest"],
     )
     def test_validation_names_a_non_finite_value(self, name, value):
         with pytest.raises(ConfigError, match=f"^{name}={value} must be finite$"):
