@@ -21,6 +21,7 @@ __all__ = [
     "small_move_select",
     "global_balance",
     "local_balance",
+    "balance",
     "BalancingError",
 ]
 
@@ -35,11 +36,8 @@ class BalanceTargets:
 
     n_targets: dict[tuple[int, int], int]
 
-    def total(self) -> int:
-        return sum(self.n_targets.values())
-
     def validate_against(self, clusters: dict[tuple[int, int], VertexSet], xi: float, n: int):
-        if self.total() != sum(len(c) for c in clusters.values()):
+        if sum(self.n_targets.values()) != sum(len(c) for c in clusters.values()):
             raise BalancingError("targets", "targets do not sum to the cluster total")
         for cell, target in self.n_targets.items():
             if abs(len(clusters[cell]) - target) > xi * n:
@@ -200,3 +198,28 @@ def local_balance(
         if len(work[cell]) != target:
             raise BalancingError("local", f"cell {cell} finished at {len(work[cell])} != {target}")
     return work, log
+
+
+def balance(
+    clusters: dict[tuple[int, int], VertexSet], taken_mask: int, placed_mask: int,
+    f_star: tuple[tuple[int, int], ...], reduced, g: Graph,
+    *, xi: float, eps: float, d: float, p: float, gamma: float, seed: int,
+) -> tuple[dict[tuple[int, int], VertexSet], dict[tuple[int, int], int], int]:
+    """The clusters less the host vertices of `taken_mask`, sized exactly to the guest
+    parts: per cell, the guest vertices outside `placed_mask` that `f_star` maps there.
+
+    Checks the parts against the cut clusters (within xi*n), then runs the global
+    pass at `seed` and the local pass at `seed + 1`.  Returns the balanced clusters,
+    the part sizes and the number of moved vertices.
+    """
+    n = g.n
+    cut = {cell: VertexSet(n, c.mask & ~taken_mask) for cell, c in clusters.items()}
+    part_counts = dict.fromkeys(clusters, 0)
+    for v in range(n):
+        if not (placed_mask >> v) & 1:
+            part_counts[f_star[v]] = part_counts.get(f_star[v], 0) + 1
+    targets = BalanceTargets(part_counts)
+    targets.validate_against(cut, xi, n)
+    work, glog = global_balance(cut, targets, reduced, g, eps=eps, d=d, p=p, gamma=gamma, seed=seed)
+    final, llog = local_balance(work, targets, reduced, g, eps=eps, d=d, p=p, seed=seed + 1)
+    return final, part_counts, glog.total_moved() + llog.total_moved()

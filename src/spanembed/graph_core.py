@@ -337,6 +337,12 @@ class Graph:
             m &= self.adj[v]
         return m
 
+    def closed_neighbourhood(self, mask: int) -> int:
+        """The vertices of `mask` and every neighbour of them, as a mask."""
+        for v in iter_bits(mask):
+            mask |= self.adj[v]
+        return mask
+
     def bfs_distances(self, sources, limit: int | None = None) -> list[int]:
         """BFS distance from a source set; -1 for unreached (or beyond `limit`)."""
         dist = [-1] * self.n

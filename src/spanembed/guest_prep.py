@@ -29,6 +29,7 @@ __all__ = [
     "switch_colours",
     "assign_guest",
     "check_bounded_order",
+    "bounded_order_report",
     "GuestPrepError",
     "SwitchError",
 ]
@@ -221,14 +222,6 @@ class GuestAssignment:
     zero_routed: tuple[int, ...]
 
 
-def _with_neighbours(h: Graph, mask: int) -> int:
-    """`mask` and every neighbour of its vertices."""
-    out = mask
-    for v in iter_bits(mask):
-        out |= h.adj[v]
-    return out
-
-
 def _switched(
     h: Graph, col: Colouring, l: Labelling, switching: list[int], blocklen: int, rng
 ) -> Colouring | None:
@@ -259,7 +252,7 @@ def _two_step_local(h: Graph, f: list[tuple[int, int]], special_mask: int) -> bo
     A vertex fails exactly when it or a neighbour has a neighbour in another row.
     """
     cut = mask_of(w for u, v in h.edges() if f[u][0] != f[v][0] for w in (u, v))
-    return not _with_neighbours(h, cut) & ~special_mask
+    return not h.closed_neighbourhood(cut) & ~special_mask
 
 
 def _certify_assignment(
@@ -343,7 +336,7 @@ def assign_guest(
     spans = [range(t * bl - bwn, min(t * bl + bwn, n)) for t in blocks.section_bounds[1:-1]]
     spans += [range(t * bl, min((t + 2) * bl, n)) for t in switching]
     seeds = mask_of(l.order[p] for span in spans for p in span)
-    fixed_special = _with_neighbours(h, _with_neighbours(h, seeds))
+    fixed_special = h.closed_neighbourhood(h.closed_neighbourhood(seeds))
 
     rng = rng_for(seed, stream=51)
     failed = ["unknown"]
@@ -362,7 +355,7 @@ def assign_guest(
                 zero_routed.append(v)
             else:
                 f[v] = (i, c - 1)
-        special_mask = fixed_special | _with_neighbours(h, _with_neighbours(h, mask_of(zero_routed)))
+        special_mask = fixed_special | h.closed_neighbourhood(h.closed_neighbourhood(mask_of(zero_routed)))
         certs = _certify_assignment(h, l, f, special_mask, reduced, m_targets, xi, prefix, col, deg_bound)
         failed = [name for name, ok in certs.items() if not ok]
         if not failed:
@@ -445,3 +438,18 @@ def check_bounded_order(
             if far > max(0, quota):
                 report["buffer_locality"].append(x)
     return report
+
+
+def bounded_order_report(
+    h: Graph, restricting: dict[int, set[int]], buffer_mask: int, p: float, m: float
+) -> dict[str, int]:
+    """The number of violators of each `check_bounded_order` condition for the
+    degeneracy order, with d_tilde = 2 * degeneracy + 1 and the restricted
+    vertices exceptional."""
+    removal, dgen = degeneracy_order(h)
+    tau = Labelling(tuple(reversed(removal.order)))  # <= dgen earlier neighbours
+    report = check_bounded_order(
+        h, tau, dict(restricting), VertexSet(h.n, buffer_mask), 2 * dgen + 1, p, m,
+        exceptional=VertexSet(h.n, mask_of(restricting)),
+    )
+    return {key: len(violators) for key, violators in report.items()}

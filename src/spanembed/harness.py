@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .balancing import BalanceTargets, global_balance, local_balance
+from .balancing import balance
 from .embedder import choose_buffers, embed, verify_embedding
 from .graph_core import (
     Graph,
@@ -29,15 +29,13 @@ from .graph_core import (
     _is_prime,
     bandwidth_of_labelling,
     bit_positions,
-    degeneracy_order,
     gnp,
-    iter_bits,
     mask_of,
     paley,
     read_graph_file,
     rng_for,
 )
-from .guest_prep import Colouring, assign_guest, check_bounded_order, check_zero_free
+from .guest_prep import Colouring, assign_guest, bounded_order_report, check_zero_free
 from .oracles import bijumbled_check, bijumbled_feasible
 from .pre_embedding import (
     pre_embed,
@@ -119,6 +117,11 @@ class ExperimentConfig:
         if self.adversary not in ("none", "random", "triangle_killer", "bipartite_push"):
             raise ConfigError(f"unknown adversary {self.adversary!r}")
         _guest_family(self.guest_family)
+        if self.adversary == "triangle_killer" and self.adversary_budget is not None:
+            raise ConfigError(_NO_BUDGET)
+        for name in ("paley_q", "host_file"):
+            if getattr(self, name) is not None and self.mode != "bijumbled":
+                raise ConfigError(f"{name} needs mode bijumbled, not {self.mode!r}")
         if self.mode == "bijumbled":
             q = self.paley_q
             if q is None and not self.host_file:
@@ -190,9 +193,11 @@ def adversary_delete(
 
     random: greedy over a seeded edge shuffle (optionally capped by budget);
     triangle_killer: removes every triangle at `target` (edges inside its
-    neighbourhood), failing if the floor blocks it; bipartite_push: removes
-    edges inside k seeded random classes.
+    neighbourhood), failing if the floor blocks it, and takes no budget;
+    bipartite_push: removes edges inside k seeded random classes.
     """
+    if strategy == "triangle_killer" and budget is not None:
+        raise ConfigError(_NO_BUDGET)
     n = g.n
     floor = ((k - 1) / k + gamma) * p * n
     if g.min_degree() < floor - 1e-9:
@@ -236,6 +241,7 @@ def adversary_delete(
 
 
 _SCAN_BLOCK = 1 << 16
+_NO_BUDGET = "triangle_killer takes no adversary_budget: it deletes every edge inside the target's neighbourhood"
 
 
 def _delete_greedily(g: Graph, keys: np.ndarray, spare: np.ndarray, cap: int | None) -> Graph:
@@ -313,12 +319,13 @@ def _greedy_delete(keys: np.ndarray, spare: np.ndarray, cap: int | None) -> int:
 GUEST_FAMILIES = ("hamilton_cycle", "power_cycle", "power_path", "bounded_tree", "f_factor")
 _DEFAULT_PARAM = {"power_cycle": 2, "power_path": 2, "bounded_tree": 3, "f_factor": "triangle"}
 
+# factor graph -> (order, edges, a proper colouring with colours 1..k)
 _FACTORS = {
-    "edge": (2, [(0, 1)]),
-    "path3": (3, [(0, 1), (1, 2)]),
-    "triangle": (3, [(0, 1), (1, 2), (0, 2)]),
-    "c4": (4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
-    "k4": (4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+    "edge": (2, [(0, 1)], (1, 2)),
+    "path3": (3, [(0, 1), (1, 2)], (1, 2, 1)),
+    "triangle": (3, [(0, 1), (1, 2), (0, 2)], (1, 2, 3)),
+    "c4": (4, [(0, 1), (1, 2), (2, 3), (0, 3)], (1, 2, 1, 2)),
+    "k4": (4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], (1, 2, 3, 4)),
 }
 
 
@@ -359,11 +366,7 @@ def _fold_labelling(n: int) -> Labelling:
 
 
 def _cycle(n: int, power: int = 1) -> Graph:
-    edges = []
-    for v in range(n):
-        for c in range(1, power + 1):
-            edges.append((v, (v + c) % n))
-    return Graph.from_edges(n, [(min(u, v), max(u, v)) for u, v in edges if u != v])
+    return Graph.from_edges(n, [(v, (v + c) % n) for v in range(n) for c in range(1, power + 1) if (v + c) % n != v])
 
 
 def make_guest(family: str, n: int, seed: int = 0) -> tuple[Graph, Labelling, Colouring, dict]:
@@ -382,14 +385,9 @@ def make_guest(family: str, n: int, seed: int = 0) -> tuple[Graph, Labelling, Co
         l = _fold_labelling(n)
         if n % 2 == 0:
             sigma = tuple((v % 2) + 1 for v in range(n))
-        else:
-            sig = [0] * n
+        else:  # colour 0 at the last labelled vertex, then 1, 2, 1, ... around the cycle
             zv = l.order[-1]
-            cur = 1
-            for step in range(1, n):
-                sig[(zv + step) % n] = cur
-                cur = 3 - cur
-            sigma = tuple(sig)
+            sigma = tuple(2 - (v - zv) % n % 2 if v != zv else 0 for v in range(n))
         col = Colouring(sigma, 2)
         meta = {"k": 2, "Delta": 2}
     elif name == "power_cycle":
@@ -440,27 +438,13 @@ def make_guest(family: str, n: int, seed: int = 0) -> tuple[Graph, Labelling, Co
         col = Colouring(tuple(colour), 2)
         meta = {"k": 2, "Delta": dmax}
     else:  # f_factor
-        fn, fedges = _FACTORS[arg]
+        fn, fedges, fcol = _FACTORS[arg]
         if n % fn != 0:
             raise ConfigError(f"f_factor:{arg} needs {fn} | n")
-        fcol = [0] * fn
-        for v in range(fn):  # greedy proper colouring of F
-            used = set()
-            for a, b in fedges:
-                if a == v and fcol[b]:
-                    used.add(fcol[b])
-                if b == v and fcol[a]:
-                    used.add(fcol[a])
-            fcol[v] = next(c for c in range(1, fn + 1) if c not in used)
-        kcol = max(fcol)
-        edges = []
-        for blk in range(n // fn):
-            base = blk * fn
-            edges.extend((base + a, base + b) for a, b in fedges)
-        h = Graph.from_edges(n, edges)
+        h = Graph.from_edges(n, [(base + a, base + b) for base in range(0, n, fn) for a, b in fedges])
         l = Labelling.identity(n)
-        col = Colouring(tuple(fcol[v % fn] for v in range(n)), kcol)
-        meta = {"k": kcol, "Delta": max(sum(1 for e in fedges if v in e) for v in range(fn))}
+        col = Colouring(tuple(fcol[v % fn] for v in range(n)), max(fcol))
+        meta = {"k": max(fcol), "Delta": max(sum(1 for e in fedges if v in e) for v in range(fn))}
 
     meta["bandwidth"] = bandwidth_of_labelling(h, l)
     return h, l, col, meta
@@ -612,24 +596,10 @@ def run_pipeline(cfg: ExperimentConfig) -> RunRecord:
             )
 
         with _stage(rec, "balancing"):
-            im_mask = state.image_mask()
-            dom_mask = state.domain_mask()
-            clusters_prime = {
-                cell: VertexSet(cfg.n, c.mask & ~im_mask) for cell, c in hs.clusters.items()
-            }
-            part_counts: dict[tuple[int, int], int] = {cell: 0 for cell in hs.clusters}
-            for v in range(cfg.n):
-                if not ((dom_mask >> v) & 1):
-                    part_counts[f_star[v]] = part_counts.get(f_star[v], 0) + 1
-            targets = BalanceTargets(part_counts)
-            targets.validate_against(clusters_prime, max(cfg.xi, xi_guest), cfg.n)
-            work, glog = global_balance(
-                clusters_prime, targets, hs.reduced, g, eps=cfg.eps, d=cfg.d, p=p, gamma=cfg.gamma, seed=cfg.seed
+            final_clusters, part_counts, rec.moved = balance(
+                hs.clusters, state.image_mask(), state.domain_mask(), f_star, hs.reduced, g,
+                xi=max(cfg.xi, xi_guest), eps=cfg.eps, d=cfg.d, p=p, gamma=cfg.gamma, seed=cfg.seed,
             )
-            final_clusters, llog = local_balance(
-                work, targets, hs.reduced, g, eps=cfg.eps, d=cfg.d, p=p, seed=cfg.seed + 1
-            )
-            rec.moved = glog.total_moved() + llog.total_moved()
 
         with _stage(rec, "restriction-pair"):
             # selection ran at eps; the windows erode through pre-embedding
@@ -649,30 +619,20 @@ def run_pipeline(cfg: ExperimentConfig) -> RunRecord:
             # buffer vertices avoid the special set, the pre-embedded vertices,
             # the restricted vertices and the neighbours of both, so every
             # neighbour of a buffer keeps the spare back-degree that
-            # check_bounded_order demands of it
-            blocked = assignment.special.mask
-            for x in [*iter_bits(dom_mask), *restr.J]:
-                blocked |= (1 << x) | guest.adj[x]
+            # check_bounded_order demands of it; the degenerate mode's report
+            # stays clean, since no restricted vertex loses a spare to a buffer
+            placed = state.domain_mask()
+            blocked = assignment.special.mask | guest.closed_neighbourhood(placed | mask_of(restr.J))
             if cfg.mode == "degenerate":
                 blocked |= mask_of(v for v in range(cfg.n) if guest.degree(v) > 2 * cfg.D)
-            eligible = ((1 << cfg.n) - 1) & ~blocked
             buffers = choose_buffers(
-                guest, f_star, eligible, sorted(hs.clusters), cfg.vartheta,
-                skip_mask=dom_mask, order=lab,
+                guest, f_star, ((1 << cfg.n) - 1) & ~blocked, sorted(hs.clusters), cfg.vartheta,
+                skip_mask=placed, order=lab,
             )
             if cfg.mode == "degenerate":
-                # bounded-order report for the degeneracy order; the buffer rule
-                # above keeps it clean, since no restricted vertex, whose pi
-                # counts its J, loses a spare to a buffer neighbour
-                removal, dgen = degeneracy_order(guest)
-                tau = Labelling(tuple(reversed(removal.order)))  # <= dgen earlier neighbours
-                buf_all = VertexSet(cfg.n, buffers.mask())
-                exceptional = VertexSet(cfg.n, mask_of(restr.J.keys()))
-                bo = check_bounded_order(
-                    guest, tau, dict(restr.J), buf_all, 2 * dgen + 1, p,
-                    cfg.eps * cfg.n / max(1, cfg.k * rec.r), exceptional=exceptional,
+                rec.notes["bounded_order_violations"] = bounded_order_report(
+                    guest, restr.J, buffers.mask(), p, cfg.eps * cfg.n / max(1, cfg.k * rec.r)
                 )
-                rec.notes["bounded_order_violations"] = {k_: len(v) for k_, v in bo.items()}
             result = embed(
                 g, guest, final_clusters, f_star, restr, buffers, lab,
                 initial_phi=state.phi, seed=cfg.seed,

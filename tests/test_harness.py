@@ -2,9 +2,12 @@ import math
 import re
 import subprocess
 import sys
+from contextlib import ExitStack
+from unittest import mock
 
 import pytest
 
+from spanembed import harness
 from spanembed.graph_core import gnp, iter_bits, paley
 from spanembed.guest_prep import check_zero_free
 from spanembed.harness import (
@@ -63,6 +66,14 @@ class TestAdversary:
         with pytest.raises(ConfigError):
             adversary_delete(g, "triangle_killer", 0.05, 2, 0.5, seed=9, target=0)
 
+    @pytest.mark.parametrize("budget", [0, 5])
+    def test_triangle_killer_rejects_a_budget(self, budget):
+        # the killer deletes every edge inside the target's neighbourhood, so a
+        # budget would be ignored, and budget 0 would skip the adversary unseen
+        g = gnp(200, 0.5, 1)
+        with pytest.raises(ConfigError, match="triangle_killer takes no adversary_budget"):
+            adversary_delete(g, "triangle_killer", 0.1, 1, 0.5, seed=1, budget=budget)
+
     def test_bipartite_push(self):
         g = gnp(400, 0.5, 5)
         out = adversary_delete(g, "bipartite_push", 0.2, 2, 0.5, seed=5)
@@ -114,6 +125,22 @@ class TestMakeGuest:
         h2, _, col2, meta2 = make_guest("f_factor:c4", 100, 0)
         assert meta2["k"] == 2 and col2.is_proper(h2)
 
+    @pytest.mark.parametrize(
+        "name,sigma,k,delta,bandwidth,edges",
+        [
+            ("edge", (1, 2), 2, 1, 1, 6),
+            ("path3", (1, 2, 1), 2, 2, 1, 8),
+            ("triangle", (1, 2, 3), 3, 2, 2, 12),
+            ("c4", (1, 2, 1, 2), 2, 2, 3, 12),
+            ("k4", (1, 2, 3, 4), 4, 3, 3, 18),
+        ],
+    )
+    def test_f_factor_pinned(self, name, sigma, k, delta, bandwidth, edges):
+        h, _, col, meta = make_guest(f"f_factor:{name}", 12)
+        assert col.sigma == sigma * (12 // len(sigma)) and col.k == k
+        assert meta == {"k": k, "Delta": delta, "bandwidth": bandwidth}
+        assert h.m == edges
+
     def test_metadata_honest(self):
         for fam, n in [("hamilton_cycle", 200), ("power_path:2", 120), ("bounded_tree:3", 300)]:
             h, l, col, meta = make_guest(fam, n, 3)
@@ -153,6 +180,18 @@ class TestConfig:
     def test_validation_names_an_out_of_range_value(self, key, value):
         with pytest.raises(ConfigError, match=f"^{key}={value} must "):
             ExperimentConfig(n=1000, **{key: value}).validate()
+
+    @pytest.mark.parametrize("mode", ["random", "degenerate"])
+    @pytest.mark.parametrize("name,value", [("paley_q", 101), ("host_file", "host.txt")])
+    def test_validation_rejects_a_host_source_outside_bijumbled_mode(self, mode, name, value):
+        # the run would silently build G(n, p) and ignore the named host
+        with pytest.raises(ConfigError, match=f"^{name} needs mode bijumbled, not '{mode}'$"):
+            ExperimentConfig(n=101, mode=mode, **{name: value}).validate()
+
+    @pytest.mark.parametrize("budget", [0, 5])
+    def test_validation_rejects_a_budget_for_triangle_killer(self, budget):
+        with pytest.raises(ConfigError, match="triangle_killer takes no adversary_budget"):
+            ExperimentConfig(adversary="triangle_killer", adversary_budget=budget).validate()
 
     def test_validation_accepts_the_range_ends(self):
         ExperimentConfig(n=1000, adversary_target=999, adversary_budget=0, xi_guest=1e-9, r0=1, z=1.0).validate()
@@ -245,6 +284,20 @@ class TestRunPipeline:
             assert sys.getrecursionlimit() == 1000
         finally:
             sys.setrecursionlimit(old)
+
+    def test_benchmark_hooks_see_one_call_each(self):
+        # perfbench/check.py captures H, G and phi by patching these three names
+        # on spanembed.harness, so run_pipeline must call them through it
+        cfg = dict(SMOKE_CFG, seed=0)
+        plain = csv_row(run_pipeline(ExperimentConfig(**cfg))).rsplit(",", 1)[0]
+        with ExitStack() as stack:
+            spies = [
+                stack.enter_context(mock.patch.object(harness, name, wraps=getattr(harness, name)))
+                for name in ("adversary_delete", "make_guest", "embed")
+            ]
+            row = csv_row(run_pipeline(ExperimentConfig(**cfg))).rsplit(",", 1)[0]
+        assert [spy.call_count for spy in spies] == [1, 1, 1]
+        assert row == plain
 
     def test_determinism_modulo_runtime(self):
         cfg = ExperimentConfig(n=300, p=0.5, k=2, gamma=0.2, eps=0.25, d=0.1,

@@ -3,7 +3,7 @@ re-exported, every local that a spanembed function assigns is read, every defaul
 parameter of a spanembed function is passed by some call, and no spanembed function takes
 its settings as string keys of a parameter, and no spanembed function imports inside its
 body; only `graph_core` knows the packed-row format or holds the whole graph as an n x n
-bool matrix."""
+bool matrix; `run_pipeline` holds no loop statement."""
 
 import ast
 from pathlib import Path
@@ -355,3 +355,42 @@ def test_only_graph_core_holds_a_whole_bool_matrix():
         for line, name in whole_matrix_calls(path.read_text(encoding="utf-8"))
     ]
     assert calls == []
+
+
+def loop_statements(source: str, function: str) -> list[int]:
+    """Lines of every `for` or `while` statement in the top-level `function`, nested
+    functions included; comprehensions are expressions and do not count.
+
+    `run_pipeline` calls one function per stage, so a loop there is stage logic that
+    belongs in the stage's module, where it can be run and tested alone.
+    """
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == function:
+            return sorted(n.lineno for n in ast.walk(node) if isinstance(n, (ast.For, ast.AsyncFor, ast.While)))
+    raise ValueError(f"no top-level function {function!r}")
+
+
+def test_scanner_flags_only_loop_statements():
+    source = (
+        "def run(xs):\n"
+        "    for x in xs:\n"
+        "        pass\n"
+        "    while xs:\n"
+        "        xs.pop()\n"
+        "    ys = [x for x in xs]\n"
+        "    def inner():\n"
+        "        for y in ys:\n"
+        "            pass\n"
+        "    return {x: 1 for x in ys}, inner\n"
+        "def other(xs):\n"
+        "    for x in xs:\n"
+        "        pass\n"
+    )
+    assert loop_statements(source, "run") == [2, 4, 8]
+    assert loop_statements(source, "other") == [12]
+    with pytest.raises(ValueError, match="no top-level function 'missing'"):
+        loop_statements(source, "missing")
+
+
+def test_run_pipeline_holds_no_loop():
+    assert loop_statements((SRC / "harness.py").read_text(encoding="utf-8"), "run_pipeline") == []
