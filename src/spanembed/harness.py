@@ -35,9 +35,11 @@ from .graph_core import (
     read_graph_file,
     rng_for,
 )
-from .guest_prep import Colouring, assign_guest, bounded_order_report, check_zero_free
+from .guest_prep import Colouring, assign_guest, bounded_order_report
 from .oracles import bijumbled_check, bijumbled_feasible
 from .pre_embedding import (
+    RHO,
+    ZETA,
     pre_embed,
     reserve_set,
     restriction_image,
@@ -78,10 +80,7 @@ class ExperimentConfig:
     xi: float = 0.01
     beta: float | None = None  # default: block length 32, or more for a wide guest (run_pipeline)
     mu: float = 0.05
-    rho: float = 0.1
-    zeta: float = 0.01
     vartheta: float = 0.05
-    z: float | None = None  # default: 10/xi
     seed: int = 0
     guest_family: str = "hamilton_cycle"
     adversary: str = "random"
@@ -94,9 +93,6 @@ class ExperimentConfig:
     adversary_budget: int | None = None
     adversary_target: int = 0
 
-    def resolved_z(self) -> float:
-        return self.z if self.z is not None else 10.0 / self.xi
-
     def validate(self):
         for name, (kind, _) in _FIELD_TYPES.items():
             val = getattr(self, name)
@@ -108,7 +104,7 @@ class ExperimentConfig:
             raise ConfigError("p must lie in (0, 1]")
         if self.gamma <= 0:
             raise ConfigError("gamma must be positive")
-        for name in ("eps", "d", "xi", "mu", "rho", "zeta", "vartheta"):
+        for name in ("eps", "d", "xi", "mu", "vartheta"):
             val = getattr(self, name)
             if not (0 < val < 1):
                 raise ConfigError(f"{name}={val} must lie in (0, 1)")
@@ -116,10 +112,12 @@ class ExperimentConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.adversary not in ("none", "random", "triangle_killer", "bipartite_push"):
             raise ConfigError(f"unknown adversary {self.adversary!r}")
-        _guest_family(self.guest_family)
+        _guest_family(self.guest_family, self.n)
         if self.adversary == "triangle_killer" and self.adversary_budget is not None:
             raise ConfigError(_NO_BUDGET)
-        for name in ("paley_q", "host_file"):
+        if self.adversary == "none" and self.adversary_budget is not None:
+            raise ConfigError("adversary none deletes no edge and takes no adversary_budget")
+        for name in ("nu", "paley_q", "host_file"):
             if getattr(self, name) is not None and self.mode != "bijumbled":
                 raise ConfigError(f"{name} needs mode bijumbled, not {self.mode!r}")
         if self.mode == "bijumbled":
@@ -140,8 +138,6 @@ class ExperimentConfig:
             raise ConfigError(f"xi_guest={self.xi_guest} must be positive")
         if self.r0 < 1:
             raise ConfigError(f"r0={self.r0} must be >= 1")
-        if self.z is not None and self.z < 1:
-            raise ConfigError(f"z={self.z} must be >= 1")
 
     def recommended_min_p(self) -> float:
         expo = 1.0 / (2 * self.D + 1) if self.mode == "degenerate" else 1.0 / self.Delta
@@ -329,13 +325,14 @@ _FACTORS = {
 }
 
 
-def _guest_family(family: str) -> tuple[str, int | str | None]:
+def _guest_family(family: str, n: int) -> tuple[str, int | str | None]:
     """Split `name[:param]` into a family of GUEST_FAMILIES and its parameter.
 
     f_factor's parameter names a factor graph, the other parameters are
     integers, and hamilton_cycle takes none; a missing parameter takes the
     family's default.  Raises ConfigError for an unknown family, a
-    parameter that does not parse, or a parameter on hamilton_cycle.
+    parameter that does not parse, a parameter on hamilton_cycle, or a
+    family and parameter that build no guest on n vertices.
     """
     name, _, arg = family.partition(":")
     if name not in GUEST_FAMILIES:
@@ -343,17 +340,27 @@ def _guest_family(family: str) -> tuple[str, int | str | None]:
     if name == "hamilton_cycle":
         if arg:
             raise ConfigError(f"guest {family!r}: hamilton_cycle takes no parameter")
+        if n < 3:
+            raise ConfigError("hamilton_cycle needs n >= 3")
         return name, None
-    if not arg:
-        return name, _DEFAULT_PARAM[name]
+    arg = arg or _DEFAULT_PARAM[name]
     if name == "f_factor":
         if arg not in _FACTORS:
             raise ConfigError(f"unknown factor graph {arg!r}")
+        if n % _FACTORS[arg][0]:
+            raise ConfigError(f"f_factor:{arg} needs {_FACTORS[arg][0]} | n")
         return name, arg
     try:
-        return name, int(arg)
+        c = int(arg)
     except ValueError:
         raise ConfigError(f"guest {family!r}: {arg!r} is not an integer") from None
+    if name == "bounded_tree" and c < 2:
+        raise ConfigError("bounded_tree needs max degree >= 2")
+    if c < 1:
+        raise ConfigError(f"{name} needs c >= 1")
+    if name == "power_cycle" and n % (c + 1):
+        raise ConfigError(f"power_cycle:{c} needs (c+1) | n")
+    return name, c
 
 
 def _fold_labelling(n: int) -> Labelling:
@@ -377,10 +384,8 @@ def make_guest(family: str, n: int, seed: int = 0) -> tuple[Graph, Labelling, Co
     labelled position; bounded trees balance their two colour classes online so
     sections stay near-even.
     """
-    name, arg = _guest_family(family)
+    name, arg = _guest_family(family, n)
     if name == "hamilton_cycle":
-        if n < 3:
-            raise ConfigError("hamilton_cycle needs n >= 3")
         h = _cycle(n)
         l = _fold_labelling(n)
         if n % 2 == 0:
@@ -390,29 +395,17 @@ def make_guest(family: str, n: int, seed: int = 0) -> tuple[Graph, Labelling, Co
             sigma = tuple(2 - (v - zv) % n % 2 if v != zv else 0 for v in range(n))
         col = Colouring(sigma, 2)
         meta = {"k": 2, "Delta": 2}
-    elif name == "power_cycle":
+    elif name in ("power_cycle", "power_path"):
         c = arg
-        if c < 1:
-            raise ConfigError("power_cycle needs c >= 1")
-        if n % (c + 1) != 0:
-            raise ConfigError(f"power_cycle:{c} needs (c+1) | n")
-        h = _cycle(n, c)
-        l = _fold_labelling(n)
-        col = Colouring(tuple((v % (c + 1)) + 1 for v in range(n)), c + 1)
-        meta = {"k": c + 1, "Delta": 2 * c}
-    elif name == "power_path":
-        c = arg
-        if c < 1:
-            raise ConfigError("power_path needs c >= 1")
-        edges = [(u, u + s) for u in range(n) for s in range(1, c + 1) if u + s < n]
-        h = Graph.from_edges(n, edges)
-        l = Labelling.identity(n)
+        if name == "power_cycle":
+            h, l = _cycle(n, c), _fold_labelling(n)
+        else:
+            h = Graph.from_edges(n, [(u, u + s) for u in range(n) for s in range(1, c + 1) if u + s < n])
+            l = Labelling.identity(n)
         col = Colouring(tuple((v % (c + 1)) + 1 for v in range(n)), c + 1)
         meta = {"k": c + 1, "Delta": 2 * c}
     elif name == "bounded_tree":
         dmax = arg
-        if dmax < 2:
-            raise ConfigError("bounded_tree needs max degree >= 2")
         rng = rng_for(seed, stream=111)
         window = max(4, int(2 * math.ceil(math.log2(max(n, 2)))))
         edges = []
@@ -425,8 +418,6 @@ def make_guest(family: str, n: int, seed: int = 0) -> tuple[Graph, Labelling, Co
             cands = [u for u in range(lo, v) if degs[u] < dmax and colour[u] == want_parent_colour]
             if not cands:
                 cands = [u for u in range(lo, v) if degs[u] < dmax]
-            if not cands:
-                raise ConfigError("bounded_tree construction stalled; raise max degree")
             u = cands[int(rng.integers(len(cands)))]
             edges.append((u, v))
             degs[u] += 1
@@ -439,8 +430,6 @@ def make_guest(family: str, n: int, seed: int = 0) -> tuple[Graph, Labelling, Co
         meta = {"k": 2, "Delta": dmax}
     else:  # f_factor
         fn, fedges, fcol = _FACTORS[arg]
-        if n % fn != 0:
-            raise ConfigError(f"f_factor:{arg} needs {fn} | n")
         h = Graph.from_edges(n, [(base + a, base + b) for base in range(0, n, fn) for a, b in fedges])
         l = Labelling.identity(n)
         col = Colouring(tuple(fcol[v % fn] for v in range(n)), max(fcol))
@@ -558,8 +547,6 @@ def run_pipeline(cfg: ExperimentConfig) -> RunRecord:
                 beta = blocklen / (4 * cfg.k * cfg.n)
             if meta["bandwidth"] > beta * cfg.n:
                 raise ConfigError(f"guest bandwidth {meta['bandwidth']} exceeds beta*n={beta * cfg.n:.1f}")
-            if not check_zero_free(col, lab, cfg.resolved_z(), beta, cfg.k):
-                raise ConfigError("guest colouring is not zero-free enough")
 
         with _stage(rec, "host-structure"):
             hs = prepare_host(g, host, p, cfg.gamma, cfg.k, cfg.eps, cfg.d, cfg.r0, cfg.seed)
@@ -606,7 +593,7 @@ def run_pipeline(cfg: ExperimentConfig) -> RunRecord:
             # removals and balancing moves, so validation runs one stage looser
             report = validate_restriction_pair(
                 restr, final_clusters, part_counts, host, g,
-                rho=cfg.rho, zeta=cfg.zeta, delta=cfg.Delta,
+                rho=RHO, zeta=ZETA, delta=cfg.Delta,
                 eps=min(0.9, 2 * cfg.eps), p=p, d=cfg.d, f_star=f_star, guest=guest,
                 skip=set(state.phi.keys()), seed=cfg.seed,
             )

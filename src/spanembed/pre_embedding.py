@@ -36,12 +36,16 @@ __all__ = [
 # the seeded redraws.  Sample budgets of the pair checks while choosing a tuple
 # and while validating the restriction pair.  A vertex of V0 stops the
 # pre-embedding when fewer than STUCK_GUARD * mu * p * n free reserve vertices
-# remain in its neighbourhood.
+# remain in its neighbourhood.  A valid restriction pair restricts at most RHO
+# of a cell's guest vertices, and leaves each restricted vertex at least
+# ZETA (d p)^|J_x| of its cluster: the paper's rho and zeta.
 RESERVE_PROBES = 100
 RESERVE_SLACK = 3.0
 RESERVE_RETRIES = 5
 TUPLE_PAIR_BUDGET = 24
 RESTRICTION_PAIR_BUDGET = 64
+RHO = 0.1
+ZETA = 0.01
 STUCK_GUARD = 0.25
 
 

@@ -8,7 +8,7 @@ from unittest import mock
 import pytest
 
 from spanembed import harness
-from spanembed.graph_core import gnp, iter_bits, paley
+from spanembed.graph_core import gnp, iter_bits, paley, write_graph_file
 from spanembed.guest_prep import check_zero_free
 from spanembed.harness import (
     CSV_HEADER,
@@ -23,6 +23,12 @@ from spanembed.harness import (
 from spanembed.graph_core import bandwidth_of_labelling
 
 from helpers import SMOKE_CFG, TREE_CFG
+
+# the host-free part of the paley(101) run of acceptance criterion 9
+PALEY_101_CFG = dict(
+    n=101, p=0.5, k=2, gamma=0.1, eps=0.8, d=0.1, mode="bijumbled", adversary="none",
+    mu=0.3, xi=0.05, xi_guest=0.3, vartheta=0.15, guest_family="hamilton_cycle",
+)
 
 
 class TestAdversary:
@@ -175,7 +181,7 @@ class TestConfig:
         "key,value",
         [("adversary_target", 1000), ("adversary_target", 5000), ("adversary_target", -1),
          ("adversary_budget", -5), ("xi_guest", 0.0), ("xi_guest", -0.1),
-         ("r0", 0), ("r0", -3), ("z", 0.5), ("z", -1.0)],
+         ("r0", 0), ("r0", -3)],
     )
     def test_validation_names_an_out_of_range_value(self, key, value):
         with pytest.raises(ConfigError, match=f"^{key}={value} must "):
@@ -193,14 +199,40 @@ class TestConfig:
         with pytest.raises(ConfigError, match="triangle_killer takes no adversary_budget"):
             ExperimentConfig(adversary="triangle_killer", adversary_budget=budget).validate()
 
+    @pytest.mark.parametrize(
+        "n,family,message",
+        [
+            (120, "power_cycle:0", "power_cycle needs c >= 1"),
+            (120, "power_path:0", "power_path needs c >= 1"),
+            (120, "bounded_tree:1", "bounded_tree needs max degree >= 2"),
+            (120, "power_cycle:-2", "power_cycle needs c >= 1"),
+            (1000, "power_cycle:2", "power_cycle:2 needs (c+1) | n"),
+            (1000, "f_factor:triangle", "f_factor:triangle needs 3 | n"),
+            (2, "hamilton_cycle", "hamilton_cycle needs n >= 3"),
+        ],
+    )
+    def test_validation_rejects_a_guest_that_n_does_not_allow(self, n, family, message):
+        # the run would build no guest and end in a failure_stage=guest row
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig(n=n, guest_family=family).validate()
+
+    def test_validation_rejects_nu_outside_bijumbled_mode(self):
+        # only the bijumbled mode measures nu, so the run would ignore it
+        with pytest.raises(ConfigError, match="^nu needs mode bijumbled, not 'random'$"):
+            ExperimentConfig(nu=10.0).validate()
+
+    @pytest.mark.parametrize("budget", [0, 5])
+    def test_validation_rejects_a_budget_for_no_adversary(self, budget):
+        with pytest.raises(ConfigError, match="^adversary none deletes no edge and takes no adversary_budget$"):
+            ExperimentConfig(adversary="none", adversary_budget=budget).validate()
+
     def test_validation_accepts_the_range_ends(self):
-        ExperimentConfig(n=1000, adversary_target=999, adversary_budget=0, xi_guest=1e-9, r0=1, z=1.0).validate()
+        ExperimentConfig(n=1000, adversary_target=999, adversary_budget=0, xi_guest=1e-9, r0=1).validate()
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
         "name",
-        ["p", "gamma", "eps", "d", "xi", "beta", "mu", "rho", "zeta", "vartheta", "z", "nu",
-         "xi_guest"],
+        ["p", "gamma", "eps", "d", "xi", "beta", "mu", "vartheta", "nu", "xi_guest"],
     )
     def test_validation_names_a_non_finite_value(self, name, value):
         with pytest.raises(ConfigError, match=f"^{name}={value} must be finite$"):
@@ -307,6 +339,36 @@ class TestRunPipeline:
         b = csv_row(r2).rsplit(",", 1)[0]
         assert a == b
 
+    def test_host_file_runs_like_the_paley_order(self, tmp_path):
+        path = tmp_path / "paley101.txt"
+        path.write_text(write_graph_file(paley(101)))
+        for seed in range(3):
+            rows = [
+                csv_row(run_pipeline(ExperimentConfig(**dict(PALEY_101_CFG, seed=seed, **source)))).rsplit(",", 1)[0]
+                for source in ({"paley_q": 101}, {"host_file": str(path)})
+            ]
+            assert rows[0] == rows[1], seed
+        with pytest.raises(ConfigError, match=f"^host file {re.escape(str(path))} has 101 vertices but n=100$"):
+            run_pipeline(ExperimentConfig(**dict(PALEY_101_CFG, host_file=str(path), n=100)))
+
+    def test_nu_gate(self):
+        rec = run_pipeline(ExperimentConfig(**dict(PALEY_101_CFG, paley_q=101, nu=1.0)))
+        assert not rec.success and rec.failure_stage == "bijumbled-check"
+        assert rec.notes["error"].startswith("measured nu=")
+        rows = [
+            csv_row(run_pipeline(ExperimentConfig(**dict(PALEY_101_CFG, paley_q=101, **gate)))).rsplit(",", 1)[0]
+            for gate in ({}, {"nu": 10.0})
+        ]
+        assert rows[0] == rows[1]
+
+    def test_explicit_beta(self):
+        # the cycle's bandwidth 2 exceeds beta * n = 1
+        rec = run_pipeline(ExperimentConfig(**dict(SMOKE_CFG, beta=0.001)))
+        assert not rec.success and rec.failure_stage == "guest"
+        assert rec.notes["error"] == "guest bandwidth 2 exceeds beta*n=1.0"
+        rec = run_pipeline(ExperimentConfig(**dict(SMOKE_CFG, beta=0.01)))
+        assert rec.success, (rec.failure_stage, rec.notes.get("error"))
+
     def test_guest_k_mismatch(self):
         cfg = ExperimentConfig(n=60, p=1.0, k=2, guest_family="power_cycle:2",
                                adversary="none", eps=0.1, d=0.5, seed=0)
@@ -388,23 +450,20 @@ class TestCli:
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr == "error: adversary_target=5000 must lie in [0, n=1000)\n", proc.stderr
 
-    def test_cli_out_of_range_r0_and_z_exit_code(self, tmp_path):
-        for key, value in (("r0", "-3"), ("z", "-1.0")):
-            cfg = tmp_path / f"{key}.cfg"
-            cfg.write_text(f"{key} = {value}\n")
-            cmd = [sys.executable, "-m", "spanembed.cli", "run", "--n", "1000", "--p", "0.4",
-                   "--k", "2", "--gamma", "0.2", "--eps", "0.25", "--config", str(cfg)]
-            proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
-            assert proc.returncode == 1, (key, proc.stderr)
-            assert proc.stderr == f"error: {key}={value} must be >= 1\n", (key, proc.stderr)
+    def test_cli_out_of_range_r0_exit_code(self, tmp_path):
+        cfg = tmp_path / "r0.cfg"
+        cfg.write_text("r0 = -3\n")
+        cmd = [sys.executable, "-m", "spanembed.cli", "run", "--n", "1000", "--p", "0.4",
+               "--k", "2", "--gamma", "0.2", "--eps", "0.25", "--config", str(cfg)]
+        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr == "error: r0=-3 must be >= 1\n", proc.stderr
 
     def test_cli_non_finite_value_exit_code(self, tmp_path):
-        for key in ("beta", "z"):
-            (tmp_path / f"{key}.cfg").write_text(f"n = 200\np = 0.5\n{key} = nan\n")
+        (tmp_path / "beta.cfg").write_text("n = 200\np = 0.5\nbeta = nan\n")
         for args, key in (
             (["--n", "200", "--p", "0.5", "--gamma", "nan"], "gamma"),
             (["--config", str(tmp_path / "beta.cfg")], "beta"),
-            (["--config", str(tmp_path / "z.cfg")], "z"),
         ):
             cmd = [sys.executable, "-m", "spanembed.cli", "run", *args]
             proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60)

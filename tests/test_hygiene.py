@@ -3,17 +3,22 @@ re-exported, every local that a spanembed function assigns is read, every defaul
 parameter of a spanembed function is passed by some call, and no spanembed function takes
 its settings as string keys of a parameter, and no spanembed function imports inside its
 body; only `graph_core` knows the packed-row format or holds the whole graph as an n x n
-bool matrix; `run_pipeline` holds no loop statement."""
+bool matrix; `run_pipeline` holds no loop statement; every `ExperimentConfig` field is set
+by some test, benchmark or command-line flag."""
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+
+from spanembed.harness import ExperimentConfig
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "spanembed"
 MODULES = sorted(SRC.glob("*.py"))
 TEST_FILES = sorted(TESTS.glob("*.py"))
+BENCH_FILES = sorted((TESTS.parent / "perfbench").glob("*.py"))
 # parameters that callers outside src/ and tests/ set: the command's argument vector
 ENTRY_POINTS = {"main(argv)"}
 
@@ -394,3 +399,50 @@ def test_scanner_flags_only_loop_statements():
 
 def test_run_pipeline_holds_no_loop():
     assert loop_statements((SRC / "harness.py").read_text(encoding="utf-8"), "run_pipeline") == []
+
+
+CONFIG_CALLS = {"ExperimentConfig", "dict", "replace"}
+
+
+def unset_config_keys(keys: list[str], caller_sources: list[str], cli_source: str) -> list[str]:
+    """The keys that no `ExperimentConfig(...)`, `dict(...)` or `replace(...)` call in
+    `caller_sources` passes by keyword and no command-line flag of `cli_source` sets.
+
+    A flag sets its `dest=`, or else its first long option with `-` read as `_`.  A
+    key that nothing sets is a setting whose other values no run has tried.
+    """
+    passed = set()
+    for source in caller_sources:
+        for call in ast.walk(ast.parse(source)):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            if name in CONFIG_CALLS:
+                passed.update(kw.arg for kw in call.keywords)
+    for call in ast.walk(ast.parse(cli_source)):
+        if isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "add_argument":
+            dest = [kw.value.value for kw in call.keywords if kw.arg == "dest"]
+            flags = [a.value[2:].replace("-", "_") for a in call.args if a.value.startswith("--")]
+            passed.update((dest or flags)[:1])
+    return [key for key in keys if key not in passed]
+
+
+def test_scanner_flags_only_config_keys_nothing_sets():
+    callers = [
+        "cfg = ExperimentConfig(a=1, **extra)\nbase = dict(b=2)\nrun(replace(cfg, c=3))\n"
+        "other(d=4)\nExperimentConfig(**{'e': 5})\n"
+    ]
+    cli = (
+        "def build(p):\n"
+        "    p.add_argument('--f-g', type=int)\n"
+        "    p.add_argument('--name', dest='h')\n"
+        "    p.add_argument('-i')\n"
+    )
+    keys = ["a", "b", "c", "d", "e", "f_g", "h", "name", "i"]
+    assert unset_config_keys(keys, callers, cli) == ["d", "e", "name", "i"]
+
+
+def test_every_config_key_is_set_somewhere():
+    callers = [path.read_text(encoding="utf-8") for path in [*TEST_FILES, *BENCH_FILES]]
+    keys = [f.name for f in fields(ExperimentConfig)]
+    assert unset_config_keys(keys, callers, (SRC / "cli.py").read_text(encoding="utf-8")) == []
