@@ -266,12 +266,6 @@ class Graph:
             for off in iter_bits(rest):
                 yield (u, u + 1 + off)
 
-    def edges_between(self, xmask: int, ymask: int) -> int:
-        """Number of edges with one end in X, the other in Y (X, Y disjoint)."""
-        if xmask & ymask:
-            raise ValueError("edges_between requires disjoint sets")
-        return sum((self.adj[x] & ymask).bit_count() for x in iter_bits(xmask))
-
     def edge_keys(self, vertices=None) -> np.ndarray:
         """The edges of the subgraph induced on `vertices` (distinct; all of [n] in
         order by default) as keys i * len(vertices) + j over their positions i < j,
@@ -464,10 +458,11 @@ def bandwidth_of_labelling(g: Graph, l: Labelling) -> int:
 def degeneracy_order(g: Graph) -> tuple[Labelling, int]:
     """Greedy min-degree removal order and its degeneracy.
 
-    Bucket-queue implementation; ties break on the smallest vertex id.  The
-    returned d is the maximum degree a vertex has into the not-yet-removed set
-    at its removal time, so every vertex has at most d neighbours that are
-    removed after it.
+    A binary heap of (degree, vertex) entries, so ties break on the smallest
+    vertex id; a vertex whose degree drops is pushed again, and its older
+    entries are skipped as stale when popped.  The returned d is the maximum
+    degree a vertex has into the not-yet-removed set at its removal time, so
+    every vertex has at most d neighbours that are removed after it.
     """
     n = g.n
     deg = [g.degree(v) for v in range(n)]

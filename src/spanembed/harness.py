@@ -112,7 +112,11 @@ class ExperimentConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.adversary not in ("none", "random", "triangle_killer", "bipartite_push"):
             raise ConfigError(f"unknown adversary {self.adversary!r}")
-        _guest_family(self.guest_family, self.n)
+        _, _, k, delta = _guest_family(self.guest_family, self.n)
+        if k != self.k:
+            raise ConfigError(f"guest {self.guest_family} uses k={k} but config has k={self.k}")
+        if delta > self.Delta:
+            raise ConfigError(f"guest {self.guest_family} has maximum degree {delta} but config has Delta={self.Delta}")
         if self.adversary == "triangle_killer" and self.adversary_budget is not None:
             raise ConfigError(_NO_BUDGET)
         if self.adversary == "none" and self.adversary_budget is not None:
@@ -325,8 +329,9 @@ _FACTORS = {
 }
 
 
-def _guest_family(family: str, n: int) -> tuple[str, int | str | None]:
-    """Split `name[:param]` into a family of GUEST_FAMILIES and its parameter.
+def _guest_family(family: str, n: int) -> tuple[str, int | str | None, int, int]:
+    """Split `name[:param]` into a family of GUEST_FAMILIES and its parameter, with
+    the guest's colour count k and maximum degree bound Delta, which they fix.
 
     f_factor's parameter names a factor graph, the other parameters are
     integers, and hamilton_cycle takes none; a missing parameter takes the
@@ -342,14 +347,15 @@ def _guest_family(family: str, n: int) -> tuple[str, int | str | None]:
             raise ConfigError(f"guest {family!r}: hamilton_cycle takes no parameter")
         if n < 3:
             raise ConfigError("hamilton_cycle needs n >= 3")
-        return name, None
+        return name, None, 2, 2
     arg = arg or _DEFAULT_PARAM[name]
     if name == "f_factor":
         if arg not in _FACTORS:
             raise ConfigError(f"unknown factor graph {arg!r}")
-        if n % _FACTORS[arg][0]:
-            raise ConfigError(f"f_factor:{arg} needs {_FACTORS[arg][0]} | n")
-        return name, arg
+        fn, fedges, fcol = _FACTORS[arg]
+        if n % fn:
+            raise ConfigError(f"f_factor:{arg} needs {fn} | n")
+        return name, arg, max(fcol), max(sum(1 for e in fedges if v in e) for v in range(fn))
     try:
         c = int(arg)
     except ValueError:
@@ -360,7 +366,7 @@ def _guest_family(family: str, n: int) -> tuple[str, int | str | None]:
         raise ConfigError(f"{name} needs c >= 1")
     if name == "power_cycle" and n % (c + 1):
         raise ConfigError(f"power_cycle:{c} needs (c+1) | n")
-    return name, c
+    return (name, c, 2, c) if name == "bounded_tree" else (name, c, c + 1, 2 * c)
 
 
 def _fold_labelling(n: int) -> Labelling:
@@ -384,7 +390,7 @@ def make_guest(family: str, n: int, seed: int = 0) -> tuple[Graph, Labelling, Co
     labelled position; bounded trees balance their two colour classes online so
     sections stay near-even.
     """
-    name, arg = _guest_family(family, n)
+    name, arg, k, delta = _guest_family(family, n)
     if name == "hamilton_cycle":
         h = _cycle(n)
         l = _fold_labelling(n)
@@ -393,8 +399,7 @@ def make_guest(family: str, n: int, seed: int = 0) -> tuple[Graph, Labelling, Co
         else:  # colour 0 at the last labelled vertex, then 1, 2, 1, ... around the cycle
             zv = l.order[-1]
             sigma = tuple(2 - (v - zv) % n % 2 if v != zv else 0 for v in range(n))
-        col = Colouring(sigma, 2)
-        meta = {"k": 2, "Delta": 2}
+        col = Colouring(sigma, k)
     elif name in ("power_cycle", "power_path"):
         c = arg
         if name == "power_cycle":
@@ -402,8 +407,7 @@ def make_guest(family: str, n: int, seed: int = 0) -> tuple[Graph, Labelling, Co
         else:
             h = Graph.from_edges(n, [(u, u + s) for u in range(n) for s in range(1, c + 1) if u + s < n])
             l = Labelling.identity(n)
-        col = Colouring(tuple((v % (c + 1)) + 1 for v in range(n)), c + 1)
-        meta = {"k": c + 1, "Delta": 2 * c}
+        col = Colouring(tuple((v % k) + 1 for v in range(n)), k)
     elif name == "bounded_tree":
         dmax = arg
         rng = rng_for(seed, stream=111)
@@ -426,17 +430,13 @@ def make_guest(family: str, n: int, seed: int = 0) -> tuple[Graph, Labelling, Co
             bal += 1 if colour[v] == 1 else -1
         h = Graph.from_edges(n, edges)
         l = Labelling.identity(n)
-        col = Colouring(tuple(colour), 2)
-        meta = {"k": 2, "Delta": dmax}
+        col = Colouring(tuple(colour), k)
     else:  # f_factor
         fn, fedges, fcol = _FACTORS[arg]
         h = Graph.from_edges(n, [(base + a, base + b) for base in range(0, n, fn) for a, b in fedges])
         l = Labelling.identity(n)
-        col = Colouring(tuple(fcol[v % fn] for v in range(n)), max(fcol))
-        meta = {"k": max(fcol), "Delta": max(sum(1 for e in fedges if v in e) for v in range(fn))}
-
-    meta["bandwidth"] = bandwidth_of_labelling(h, l)
-    return h, l, col, meta
+        col = Colouring(tuple(fcol[v % fn] for v in range(n)), k)
+    return h, l, col, {"k": k, "Delta": delta, "bandwidth": bandwidth_of_labelling(h, l)}
 
 
 # ---------------------------------------------------------------------------
@@ -534,10 +534,6 @@ def run_pipeline(cfg: ExperimentConfig) -> RunRecord:
 
         with _stage(rec, "guest"):
             guest, lab, col, meta = make_guest(cfg.guest_family, cfg.n, cfg.seed)
-            if meta["k"] != cfg.k:
-                raise ConfigError(f"guest uses k={meta['k']} but config has k={cfg.k}")
-            if meta["Delta"] > cfg.Delta:
-                raise ConfigError(f"guest has maximum degree {meta['Delta']} but config has Delta={cfg.Delta}")
             if cfg.beta is not None:
                 beta = cfg.beta
             else:

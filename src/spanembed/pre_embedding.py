@@ -199,6 +199,15 @@ def _choose_host_row(
     return best, np.compress(strong[:, best], ys).tolist()
 
 
+def _restricted_pair_ok(g: Graph, xm: int, ym: int, eps: float, d: float, p: float, budget: int, seed: int) -> bool:
+    """Are the restricted sides X, Y nonempty, disjoint and sampled lower-regular?"""
+    if xm == 0 or ym == 0 or xm & ym:
+        return False
+    return check_lower_regular(
+        g, VertexSet(g.n, xm), VertexSet(g.n, ym), eps, d, p, mode="sampled", budget=budget, seed=seed
+    ).ok
+
+
 def _greedy_tuple(
     g: Graph,
     host: Graph,
@@ -244,11 +253,9 @@ def _greedy_tuple(
                 if not other or len(other) >= delta or (delta == 2 and set(lam) & set(other)):
                     continue
                 for j1, j2 in itertools.permutations(row_clusters, 2):
-                    xm, ym = hm[j1], hm_other[j2]
-                    if xm == 0 or ym == 0 or (xm & ym) or not check_lower_regular(
-                        g, VertexSet(n, xm), VertexSet(n, ym), eps, d, p,
-                        mode="sampled", budget=TUPLE_PAIR_BUDGET, seed=seed + 13 * j1 + j2,
-                    ).ok:
+                    if not _restricted_pair_ok(
+                        g, hm[j1], hm_other[j2], eps, d, p, TUPLE_PAIR_BUDGET, seed + 13 * j1 + j2
+                    ):
                         return "pair-regularity"
         return None
 
@@ -445,11 +452,10 @@ def validate_restriction_pair(
         for y in iter_bits(guest.adj[x]):
             if y in skip:
                 continue
-            xm, ym = host_img[x], host_img.get(y, clusters[f_star[y]].mask)
-            if xm == 0 or ym == 0 or (xm & ym) or not check_lower_regular(
-                g, VertexSet(g.n, xm), VertexSet(g.n, ym), eps, d, p,
-                mode="sampled", budget=RESTRICTION_PAIR_BUDGET, seed=seed + x + y,
-            ).ok:
+            if not _restricted_pair_ok(
+                g, host_img[x], host_img.get(y, clusters[f_star[y]].mask), eps, d, p,
+                RESTRICTION_PAIR_BUDGET, seed + x + y,
+            ):
                 pair_bad.append((x, y))
 
     report = {

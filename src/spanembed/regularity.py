@@ -8,7 +8,9 @@ most 14 vertices, so the two routes agree on everything the oracle can reach.
 Every sampled predicate runs on one engine, `_first_bad_subpair`, which reads
 G[X, Y] once into a 0/1 block and scores its candidate subpairs as exact edge
 counts: the one-sided cuts off cumulative degree sums, then the double cuts and
-random subpairs all at once, with one batched matrix product.
+random subpairs all at once, with one batched matrix product.  Verdicts carry
+no density: the energy and the partition's dense-pair test count a pair's edges
+in one packed degree table (`_pair_edge_counts`).
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ class RegularityError(RuntimeError):
 @dataclass(frozen=True)
 class PairVerdict:
     kind: str  # lower_regular | regular | irregular
-    d_observed: float
     witness: tuple[VertexSet, VertexSet] | None = None
     exact: bool = False
 
@@ -233,21 +234,20 @@ def check_lower_regular(
         raise ValueError("p must be positive")
     if mode not in ("exact", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
-    full = g.edges_between(x.mask, y.mask) / (p * len(x) * len(y))
     bound = d - eps
     if _takes_exact_route(x, y, exact=mode == "exact"):
         mn, pmn, _, _ = _exact_extreme_subpairs(g, x, y, eps, p)
         if mn < bound - 1e-12:
             wit = (VertexSet(g.n, pmn[0]), VertexSet(g.n, pmn[1]))
-            return PairVerdict("irregular", full, wit, exact=True)
-        return PairVerdict("lower_regular", full, None, exact=True)
+            return PairVerdict("irregular", wit, exact=True)
+        return PairVerdict("lower_regular", exact=True)
     if _lower_bound_vacuous(d, eps):
-        return PairVerdict("lower_regular", full, None, exact=False)
+        return PairVerdict("lower_regular")
     xs, ys = bit_positions(x.mask), bit_positions(y.mask)
     wit = _first_bad_subpair(
         g, xs, ys, _pair_block(g, xs, ys), eps, budget, seed, lambda e, sx, sy: e / (p * sx * sy) < bound - 1e-12
     )
-    return PairVerdict("lower_regular" if wit is None else "irregular", full, wit, exact=False)
+    return PairVerdict("lower_regular" if wit is None else "irregular", wit)
 
 
 def _density_stderr(full: float, p: float, sx: int, sy: int) -> float:
@@ -291,8 +291,8 @@ def check_two_sided_regular(
         for dens, pair in ((mn, pmn), (mx, pmx)):
             if abs(dens - full) > margin(pair[0].bit_count(), pair[1].bit_count()):
                 wit = (VertexSet(g.n, pair[0]), VertexSet(g.n, pair[1]))
-                return PairVerdict("irregular", full, wit, exact=noise_sigmas == 0.0)
-        return PairVerdict("regular", full, None, exact=noise_sigmas == 0.0)
+                return PairVerdict("irregular", wit, exact=noise_sigmas == 0.0)
+        return PairVerdict("regular", exact=noise_sigmas == 0.0)
     # Joint double cuts are skipped here: at desk-scale part sizes they deviate
     # by ~eps on genuinely random pairs and would trigger endless refinement.
     wit = _first_bad_subpair(
@@ -300,7 +300,7 @@ def check_two_sided_regular(
         lambda e, sx, sy: abs(e / (p * sx * sy) - full) > margin(sx, sy),
         joint_cuts=False,
     )
-    return PairVerdict("regular" if wit is None else "irregular", full, wit, exact=False)
+    return PairVerdict("regular" if wit is None else "irregular", wit)
 
 
 def check_super_regular(
@@ -380,26 +380,26 @@ def _energy_term(dens: float, L: float) -> float:
     return dens * dens if dens <= L else 2 * L * dens - L * L
 
 
-def _energy(parts: list[tuple[int, int]], origin_sizes: list[int], g: Graph, p: float, L: float) -> float:
-    """Sum over unordered part pairs of |P||P'| f(d_p) / (|V_i||V_j|), f capped at L.
-
-    Every pair's edge count comes from one packed degree table: each part's
-    vertices' degrees into every part, summed over the part's rows.
-    """
-    masks = [m for _, m in parts]
+def _pair_edge_counts(g: Graph, masks: list[int]) -> np.ndarray:
+    """C[a, b] = e(masks[a], masks[b]) for disjoint sets, from one packed degree
+    table: each set's vertices' degrees into every set, summed over the set's rows."""
     members = [bit_positions(m) for m in masks]
     table = g.degree_table(masks, np.concatenate(members))
+    ends = np.cumsum([len(vs) for vs in members])
+    return np.array([table[end - len(vs):end].sum(axis=0) for vs, end in zip(members, ends)])
+
+
+def _energy(parts: list[tuple[int, int]], origin_sizes: list[int], g: Graph, p: float, L: float) -> float:
+    """Sum over unordered part pairs of |P||P'| f(d_p) / (|V_i||V_j|), f capped at L,
+    every pair's edge count from `_pair_edge_counts`."""
+    counts = _pair_edge_counts(g, [m for _, m in parts])
     total = 0.0
-    start = 0
-    for a in range(len(parts)):
-        oa, ma = parts[a]
+    for a, (oa, ma) in enumerate(parts):
         sa = ma.bit_count()
-        counts = table[start:start + sa].sum(axis=0)
-        start += sa
         for b in range(a + 1, len(parts)):
             ob, mb = parts[b]
             sb = mb.bit_count()
-            dens = int(counts[b]) / (p * sa * sb)  # the float of `check_lower_regular`'s d_observed
+            dens = int(counts[a, b]) / (p * sa * sb)
             total += sa * sb * _energy_term(dens, L) / (origin_sizes[oa] * origin_sizes[ob])
     return total
 
@@ -558,15 +558,16 @@ def min_degree_regular_partition(
         clusters = [VertexSet.from_iter(n, c.to_list()[:min_size]) for c in clusters]
         exceptional = VertexSet(n, ((1 << n) - 1) & ~reduce(or_, (c.mask for c in clusters)))
         r = len(clusters)
+        counts = _pair_edge_counts(g, [c.mask for c in clusters])
         n_irregular = 0
         dense_pairs: set[tuple[int, int]] = set()
         for a, b in itertools.combinations(range(r), 2):
-            verdict = check_lower_regular(
+            ok = check_lower_regular(
                 g, clusters[a], clusters[b], eps, d, p,
                 mode="sampled", budget=budget, seed=seed + 7 * a + b,
-            )
-            n_irregular += not verdict.ok
-            if verdict.ok and verdict.d_observed >= d:
+            ).ok
+            n_irregular += not ok
+            if ok and int(counts[a, b]) / (p * len(clusters[a]) * len(clusters[b])) >= d:
                 dense_pairs.add((a, b))
         red_min = Graph.from_edges(r, dense_pairs).min_degree()
         need = (alpha - d - eps) * r

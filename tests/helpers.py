@@ -31,6 +31,14 @@ def graph_from_bit_matrix(a):
     return Graph(n, tuple(int.from_bytes(row, "little") for row in rows))
 
 
+def edges_between(g, xmask, ymask):
+    """Number of edges of g with one end in X, the other in Y (X, Y disjoint): one
+    popcount per vertex of X, the reference for every packed edge count."""
+    if xmask & ymask:
+        raise ValueError("edges_between requires disjoint sets")
+    return sum((g.adj[x] & ymask).bit_count() for x in iter_bits(xmask))
+
+
 def degree_into(g, v, mask):
     """|N(v) & mask| in g."""
     return (g.adj[v] & mask).bit_count()

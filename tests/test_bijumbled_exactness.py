@@ -1,13 +1,14 @@
 """The sampled bijumbledness search and the Paley host against their loop versions.
 
 The references build a mask per degree cut and per random pair and count
-e(X, Y) with `Graph.edges_between`, and build Paley rows by one shift-or per
+e(X, Y) with `helpers.edges_between`, and build Paley rows by one shift-or per
 residue.  The fast versions must give the same ratio, bit for bit, the same
 witness masks and the same graphs.
 """
 
 import pytest
 
+from helpers import edges_between
 from spanembed.graph_core import Graph, gnp, paley, rng_for
 from spanembed.harness import adversary_delete
 from spanembed.oracles import _discrepancy, bijumbled_check
@@ -22,7 +23,7 @@ def reference_sampled_bijumbled_max(g, p, k, seed):
         nonlocal best, best_pair
         if not xmask or not ymask or (xmask & ymask):
             return
-        e = g.edges_between(xmask, ymask)
+        e = edges_between(g, xmask, ymask)
         r = _discrepancy(e, p, xmask.bit_count(), ymask.bit_count())
         if r > best:
             best = r

@@ -370,18 +370,23 @@ class TestRunPipeline:
         assert rec.success, (rec.failure_stage, rec.notes.get("error"))
 
     def test_guest_k_mismatch(self):
+        # power_cycle:2 is 3-coloured: the family alone decides it, so validate
+        # rejects the config before any stage runs
         cfg = ExperimentConfig(n=60, p=1.0, k=2, guest_family="power_cycle:2",
                                adversary="none", eps=0.1, d=0.5, seed=0)
-        rec = run_pipeline(cfg)
-        assert not rec.success and "guest" in rec.failure_stage
+        for call in (cfg.validate, lambda: run_pipeline(cfg)):
+            with pytest.raises(ConfigError, match="^guest power_cycle:2 uses k=3 but config has k=2$"):
+                call()
 
     def test_guest_degree_above_delta(self):
-        # the guest's maximum degree 3 exceeds Delta = 2: a fault of the config,
-        # reported at the guest stage before the host is prepared
-        rec = run_pipeline(ExperimentConfig(**dict(TREE_CFG, Delta=2, seed=0)))
-        assert not rec.success and rec.failure_stage == "guest"
-        assert rec.notes["error"] == "guest has maximum degree 3 but config has Delta=2"
-        assert "host-structure" not in rec.stage_timings
+        # the guest's maximum degree 3 exceeds Delta = 2, and Delta = 3 passes
+        cfg = ExperimentConfig(**dict(TREE_CFG, Delta=2, seed=0))
+        for call in (cfg.validate, lambda: run_pipeline(cfg)):
+            with pytest.raises(
+                ConfigError, match="^guest bounded_tree:3 has maximum degree 3 but config has Delta=2$"
+            ):
+                call()
+        ExperimentConfig(**dict(TREE_CFG, seed=0)).validate()
 
     def test_degenerate_mode_tree(self):
         cfg = ExperimentConfig(n=1000, p=0.4, k=2, gamma=0.2, eps=0.3, d=0.1, D=1,
@@ -434,6 +439,8 @@ class TestCli:
             ["--mode", "bijumbled"],
             ["--mode", "bijumbled", "--host-file", str(tmp_path / "missing.txt")],
             ["--mode", "bijumbled", "--host-file", str(garbled)],
+            ["--n", "99", "--p", "1.0", "--guest", "power_cycle:2", "--k", "2", "--adversary", "none",
+             "--eps", "0.1", "--d", "0.5"],
         ):
             cmd = [sys.executable, "-m", "spanembed.cli", "run", *args]
             proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60)

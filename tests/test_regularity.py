@@ -1,12 +1,14 @@
 import hashlib
+import itertools
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from helpers import deleted_to_floor, degree_into, graph_from_bit_matrix
+from helpers import deleted_to_floor, degree_into, edges_between, graph_from_bit_matrix
 from spanembed.graph_core import Graph, VertexSet, gnp, iter_bits, mask_of, rng_for
+from spanembed.harness import adversary_delete
 from spanembed.regularity import (
     PairVerdict,
     RegularityError,
@@ -45,7 +47,7 @@ class TestCheckLowerRegular:
         assert v.kind == "irregular"
         wx, wy = v.witness
         assert len(wx) >= math.ceil(0.4 * 2) and len(wy) >= math.ceil(0.4 * 2)
-        dens = g.edges_between(wx.mask, wy.mask) / (1.0 * len(wx) * len(wy))
+        dens = edges_between(g, wx.mask, wy.mask) / (1.0 * len(wx) * len(wy))
         assert dens < 0.9 - 0.4
 
     def test_seeded_14x14_exact_regression(self):
@@ -219,7 +221,7 @@ class TestEnergyPartition:
             for b in range(a + 1, len(parts)):
                 ob, mb = parts[b]
                 sb = mb.bit_count()
-                dens = g.edges_between(ma, mb) / (p * sa * sb)
+                dens = edges_between(g, ma, mb) / (p * sa * sb)
                 expect += sa * sb * _energy_term(dens, L) / (origin_sizes[oa] * origin_sizes[ob])
         assert _energy(parts, origin_sizes, g, p, L) == expect
 
@@ -254,6 +256,28 @@ class TestMinDegreePartition:
         sizes = {len(c) for c in part.clusters}
         assert max(sizes) - min(sizes) <= 1
 
+    @pytest.mark.parametrize(
+        "adversary,eps,d,r0",
+        [("random", 0.25, 0.1, 4), ("bipartite_push", 0.3, 0.7, 12)],
+        ids=["smoke", "push-r0=12"],
+    )
+    def test_dense_pairs_are_the_regular_pairs_of_density_d(self, adversary, eps, d, r0):
+        # the smoke host as the pipeline's partition sees it, and a pushed host
+        # on which some regular pairs are sparse and some dense pairs irregular
+        p = 0.4
+        g = adversary_delete(gnp(1000, p, 0), adversary, 0.2, 2, p, seed=0)
+        part = min_degree_regular_partition(g, eps, d, p, r0, seed=0, budget=64)
+        cl = part.clusters
+        regular, dense = set(), set()
+        for a, b in itertools.combinations(range(len(cl)), 2):
+            if check_lower_regular(g, cl[a], cl[b], eps, d, p, budget=64, seed=7 * a + b).ok:
+                regular.add((a, b))
+            if edges_between(g, cl[a].mask, cl[b].mask) / (p * len(cl[a]) * len(cl[b])) >= d:
+                dense.add((a, b))
+        assert part.dense_regular_pairs == regular & dense
+        if r0 == 12:
+            assert regular - dense and dense - regular
+
 
 class TestTwoSidedRegular:
     def test_balanced_random_pair_regular(self):
@@ -272,7 +296,7 @@ class TestTwoSidedRegular:
 
 
 # Reference scan: one bitmask per candidate subpair, scored with
-# Graph.edges_between.  The block engine must reproduce its draws, verdicts
+# `edges_between`.  The block engine must reproduce its draws, verdicts
 # and witnesses exactly.
 
 
@@ -303,12 +327,12 @@ def scan_subpairs(g, x, y, eps, budget, seed, joint_cuts=True):
 
 
 def scan_verdict(g, x, y, eps, p, budget, seed, bad, ok_kind, joint_cuts=True):
-    full = g.edges_between(x.mask, y.mask) / (p * len(x) * len(y))
+    full = edges_between(g, x.mask, y.mask) / (p * len(x) * len(y))
     for xmask, ymask in scan_subpairs(g, x, y, eps, budget, seed, joint_cuts):
-        dens = g.edges_between(xmask, ymask) / (p * xmask.bit_count() * ymask.bit_count())
+        dens = edges_between(g, xmask, ymask) / (p * xmask.bit_count() * ymask.bit_count())
         if bad(dens, full, xmask.bit_count(), ymask.bit_count()):
-            return PairVerdict("irregular", full, (VertexSet(g.n, xmask), VertexSet(g.n, ymask)), False)
-    return PairVerdict(ok_kind, full, None, False)
+            return PairVerdict("irregular", (VertexSet(g.n, xmask), VertexSet(g.n, ymask)), False)
+    return PairVerdict(ok_kind, None, False)
 
 
 def scan_lower(g, x, y, eps, d, p, budget, seed):
@@ -382,13 +406,26 @@ class TestEngineMatchesScan:
         for eps, d in ((0.25, 0.1), (0.3, 0.3)):
             got = check_lower_regular(g, x, y, eps, d, p, budget=64, seed=3)
             assert got == scan_lower(g, x, y, eps, d, p, 64, 3)
-            assert got == PairVerdict("lower_regular", got.d_observed, None, exact=False)
+            assert got == PairVerdict("lower_regular", None, exact=False)
             assert check_super_regular(g, host, x, y, eps, d, p, budget=64, seed=3)
         empty = Graph.empty(g.n)
         assert check_lower_regular(empty, x, y, 0.25, 0.1, p).kind == "lower_regular"
         assert check_super_regular(empty, host, x, y, 0.25, 0.1, p)
         assert _prefix_inheritance_ok(empty, x.mask, y.mask, 0.25, 0.1, p)
         assert not _prefix_inheritance_ok(empty, 0, y.mask, 0.25, 0.1, p)
+
+    def test_vacuous_route_reads_no_row(self):
+        # above the exact fallback with d <= eps, neither check reads an
+        # adjacency row of g or of the host
+        class Unread(tuple):
+            def __getitem__(self, i):
+                raise AssertionError("adjacency row read")
+
+        g, host, x, y, p = scan_case(41, 23, 3)
+        g, host = Graph(g.n, Unread(g.adj)), Graph(host.n, Unread(host.adj))
+        for eps, d in ((0.25, 0.1), (0.3, 0.3)):
+            assert check_lower_regular(g, x, y, eps, d, p, budget=64, seed=3).kind == "lower_regular"
+            assert check_super_regular(g, host, x, y, eps, d, p, budget=64, seed=3)
 
 
 # The energy partitioner's part sizes on the tree (333) and resilience (1000)
