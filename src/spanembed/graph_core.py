@@ -2,11 +2,10 @@
 
 Graphs are immutable, undirected, loop-free, with adjacency stored as one
 Python int bitmask per vertex.  Bulk work reads rows of vertices as packed
-little-endian uint64 words (`Graph.packed_rows`, and one vertex set with
-`packed_indicator`), counts vertex-to-set degrees on them with
-`row_mask_counts` (or `Graph.degree_table`, which packs the rows itself), and
-unpacks them to bool rows only where a 0/1 block is needed
-(`Graph.to_bit_matrix`, or `unpack_rows` for rows packed earlier);
+little-endian uint64 words (`Graph.packed_rows`), counts vertex-to-set
+degrees on them with `row_mask_counts` (or `Graph.degree_table`, which packs
+the rows itself), and unpacks them to bool rows only where a 0/1 block is
+needed (`Graph.to_bit_matrix`, or `unpack_rows` for rows packed earlier);
 `bit_positions` lists a mask's set bits from its bytes.  Edge sets in bulk are
 int keys u * n + v: `Graph.edge_keys` lists them a block of rows at a time and
 `Graph.without_edge_keys` deletes them from a packed copy.  `gnp` writes its
@@ -31,7 +30,6 @@ __all__ = [
     "iter_bits",
     "mask_of",
     "bit_positions",
-    "packed_indicator",
     "row_mask_counts",
     "unpack_rows",
     "gnp",
@@ -78,14 +76,6 @@ def bit_positions(mask: int) -> np.ndarray:
     `iter_bits` yields, read in one pass over the mask's bytes."""
     buf = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
     return np.flatnonzero(np.unpackbits(np.frombuffer(buf, dtype=np.uint8), bitorder="little"))
-
-
-def packed_indicator(vertices, n: int) -> np.ndarray:
-    """The set `vertices` of [n] as one row of `Graph.packed_rows`: ceil(n/64)
-    little-endian uint64 words, bit v in word v // 64."""
-    flags = np.zeros(64 * ((n + 63) // 64), dtype=bool)
-    flags[vertices] = True
-    return np.packbits(flags, bitorder="little").view("<u8")
 
 
 def unpack_rows(rows: np.ndarray, n: int) -> np.ndarray:

@@ -36,7 +36,7 @@ from .graph_core import (
     rng_for,
 )
 from .guest_prep import Colouring, assign_guest, bounded_order_report
-from .oracles import bijumbled_check, bijumbled_feasible
+from .oracles import bijumbled_feasible, circulant_nu_upper
 from .pre_embedding import (
     RHO,
     ZETA,
@@ -499,7 +499,11 @@ def run_pipeline(cfg: ExperimentConfig) -> RunRecord:
 
     Raises ConfigError from `cfg.validate()`, and ConfigError or OSError while
     loading the host; from the bijumbledness check on, every failure is a
-    `failure_stage` of the returned record.
+    `failure_stage` of the returned record.  In bijumbled mode
+    `notes["nu_upper"]` is a certified upper bound on the host's nu, the least
+    nu for which it is (p, nu)-bijumbled, taken from the spectrum of a
+    circulant host; a host that is not circulant gets None, no certificate, and
+    with `cfg.nu` set fails at the bijumbledness check.
     """
     cfg.validate()
     rec = RunRecord(config=cfg)
@@ -519,12 +523,12 @@ def run_pipeline(cfg: ExperimentConfig) -> RunRecord:
     try:
         if cfg.mode == "bijumbled":
             with _stage(rec, "bijumbled-check"):
-                _, info = bijumbled_check(host, p, nu=float("inf"), mode="sampled", k=2000, seed=cfg.seed)
-                nu_measured = info["ratio"]
-                rec.notes["nu_measured"] = nu_measured
-                rec.notes["bijumbled_feasible"] = bijumbled_feasible(p, nu_measured, cfg.n)
-                if cfg.nu is not None and nu_measured > cfg.nu:
-                    raise StageError(None, f"measured nu={nu_measured:.4g} exceeds nu={cfg.nu}")
+                nu_upper = rec.notes["nu_upper"] = circulant_nu_upper(host, p)
+                rec.notes["bijumbled_feasible"] = None if nu_upper is None else bijumbled_feasible(p, nu_upper, cfg.n)
+                if cfg.nu is not None and nu_upper is None:
+                    raise StageError(None, "host is not circulant: no ν certificate")
+                if cfg.nu is not None and nu_upper > cfg.nu:
+                    raise StageError(None, f"certified nu={nu_upper:.4g} exceeds nu={cfg.nu}")
 
         with _stage(rec, "adversary"):
             g = adversary_delete(

@@ -1,11 +1,10 @@
-"""Brute-force oracles, the sampled bijumbledness search and tail-bound calculators.
+"""Brute-force oracles, the circulant bijumbledness certificate and tail-bound calculators.
 
 The oracles are deliberately slow and simple: exhaustive enumeration, used as
 independent ground truth for the sampled verdicts produced elsewhere.  Size
-caps keep each call under a few seconds.  The sampled bijumbledness search is
-not one of them: the pipeline runs it on every bijumbled host, so it counts
-edges incrementally and on packed numpy rows, and what it returns is a lower
-bound on the host's nu, not a certificate.  The tail bounds are closed forms.
+caps keep each call under a few seconds.  The certificate is not one of them:
+the pipeline runs it on every bijumbled host, and on a circulant host it bounds
+nu from above with one FFT of row 0.  The tail bounds are closed forms.
 """
 
 from __future__ import annotations
@@ -15,12 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_core import Graph, iter_bits, mask_of, packed_indicator, rng_for
+from .graph_core import Graph, bit_positions, iter_bits
 
 __all__ = [
     "exact_bandwidth",
     "exhaustive_subgraph_check",
     "bijumbled_check",
+    "circulant_nu_upper",
     "bijumbled_feasible",
     "TailBoundQuery",
     "tail_bound",
@@ -193,73 +193,15 @@ def _exhaustive_bijumbled_max(g: Graph, p: float) -> tuple[float, tuple[int, int
     return best, best_pair
 
 
-def _sampled_bijumbled_max(g: Graph, p: float, k: int, seed: int) -> tuple[float, tuple[int, int]]:
-    """Degree-sorted prefix pairs first, then k seeded random disjoint pairs.
+def bijumbled_check(g: Graph, p: float, nu: float) -> tuple[bool, dict]:
+    """Test |e(X,Y) - p|X||Y|| <= nu*sqrt(|X||Y|) over all disjoint pairs (n <= 14).
 
-    A pair replaces the best only with a strictly larger ratio, so ties go to
-    the earliest; masks are built for the winning pair alone.
+    Returns (holds, worst_pair_info) where the info records the maximising pair
+    and its discrepancy ratio, the least nu for which g is (p, nu)-bijumbled.
     """
-    n = g.n
-    adj = g.adj
-    best = -1.0
-    best_cut, best_draw = 0, None
-    by_degree = sorted(range(n), key=lambda v: (g.degree(v), v))
-    # moving v from the rest into the prefix P: e(P+v, rest) = e(P, rest) + deg v - 2 deg(v, P)
-    prefix = e = 0
-    for cut, v in enumerate(by_degree[:-1], start=1):
-        e += adj[v].bit_count() - 2 * (adj[v] & prefix).bit_count()
-        prefix |= 1 << v
-        r = _discrepancy(e, p, cut, n - cut)
-        if r > best:
-            best, best_cut = r, cut
-    rows = g.packed_rows()
-    rng = rng_for(seed, stream=11)
-    for _ in range(k):
-        sx = int(rng.integers(1, n))
-        sy = int(rng.integers(1, n - sx + 1))
-        perm = rng.permutation(n)
-        x, y = perm[:sx], perm[sx:sx + sy]
-        # e(X, Y): the smaller side's rows against the larger side's packed indicator
-        small, large = (x, y) if sx <= sy else (y, x)
-        e = int(np.bitwise_count(rows[small] & packed_indicator(large, n)).sum())
-        r = _discrepancy(e, p, sx, sy)
-        if r > best:
-            best, best_draw = r, (x, y)
-    if best_draw is not None:
-        return best, (mask_of(best_draw[0].tolist()), mask_of(best_draw[1].tolist()))
-    prefix = mask_of(by_degree[:best_cut])
-    return best, (prefix, ((1 << n) - 1) & ~prefix)
-
-
-def bijumbled_check(
-    g: Graph,
-    p: float,
-    nu: float,
-    mode: str = "exhaustive",
-    k: int = 5000,
-    seed: int = 0,
-) -> tuple[bool, dict]:
-    """Test |e(X,Y) - p|X||Y|| <= nu*sqrt(|X||Y|) over disjoint pairs.
-
-    mode="exhaustive" enumerates everything (n <= 14); mode="sampled" checks
-    degree cuts plus k seeded pairs, falling back to full enumeration when the
-    graph is small enough for it.  Returns (holds, worst_pair_info) where the
-    info records the maximising pair found and its discrepancy ratio.  From
-    full enumeration the ratio is the least nu for which g is (p, nu)-bijumbled;
-    from the sampled search it is a lower bound on that nu, so there a False
-    disproves bijumbledness and a True certifies nothing.
-    """
-    if mode == "exhaustive":
-        if g.n > _EXACT_BIJUMBLED_CAP:
-            raise ValueError(f"exhaustive bijumbledness capped at n={_EXACT_BIJUMBLED_CAP}")
-        ratio, pair = _exhaustive_bijumbled_max(g, p)
-    elif mode == "sampled":
-        if g.n <= _EXACT_BIJUMBLED_CAP:
-            ratio, pair = _exhaustive_bijumbled_max(g, p)
-        else:
-            ratio, pair = _sampled_bijumbled_max(g, p, k, seed)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    if g.n > _EXACT_BIJUMBLED_CAP:
+        raise ValueError(f"exhaustive bijumbledness capped at n={_EXACT_BIJUMBLED_CAP}")
+    ratio, pair = _exhaustive_bijumbled_max(g, p)
     info = {
         "x": pair[0],
         "y": pair[1],
@@ -268,6 +210,27 @@ def bijumbled_check(
         "y_size": pair[1].bit_count(),
     }
     return ratio <= nu, info
+
+
+def circulant_nu_upper(g: Graph, p: float) -> float | None:
+    """An upper bound on the least nu for which g is (p, nu)-bijumbled, or None
+    unless g is circulant (row u is row 0 rotated left by u).
+
+    The bound is the spectral norm of A - p(J - I) (expander mixing lemma):
+    a circulant's eigenvalues are the DFT of its row 0, lambda_a on the a-th
+    character, so the norm is the largest of |deg - p(n - 1)| and |lambda_a + p|
+    over a != 0.
+    """
+    n, row0 = g.n, g.adj[0]
+    full = (1 << n) - 1
+    for u in range(1, n):
+        if g.adj[u] != ((row0 << u) | (row0 >> (n - u))) & full:
+            return None
+    row = np.zeros(n)
+    row[bit_positions(row0)] = 1.0
+    mu = np.fft.fft(row).real + p
+    mu[0] = row0.bit_count() - p * (n - 1)
+    return float(np.abs(mu).max())
 
 
 def bijumbled_feasible(p: float, nu: float, n: int) -> bool:

@@ -50,7 +50,6 @@ class RegularityError(RuntimeError):
 class PairVerdict:
     kind: str  # lower_regular | regular | irregular
     witness: tuple[VertexSet, VertexSet] | None = None
-    exact: bool = False
 
     @property
     def ok(self) -> bool:
@@ -239,8 +238,8 @@ def check_lower_regular(
         mn, pmn, _, _ = _exact_extreme_subpairs(g, x, y, eps, p)
         if mn < bound - 1e-12:
             wit = (VertexSet(g.n, pmn[0]), VertexSet(g.n, pmn[1]))
-            return PairVerdict("irregular", wit, exact=True)
-        return PairVerdict("lower_regular", exact=True)
+            return PairVerdict("irregular", wit)
+        return PairVerdict("lower_regular")
     if _lower_bound_vacuous(d, eps):
         return PairVerdict("lower_regular")
     xs, ys = bit_positions(x.mask), bit_positions(y.mask)
@@ -291,8 +290,8 @@ def check_two_sided_regular(
         for dens, pair in ((mn, pmn), (mx, pmx)):
             if abs(dens - full) > margin(pair[0].bit_count(), pair[1].bit_count()):
                 wit = (VertexSet(g.n, pair[0]), VertexSet(g.n, pair[1]))
-                return PairVerdict("irregular", wit, exact=noise_sigmas == 0.0)
-        return PairVerdict("regular", exact=noise_sigmas == 0.0)
+                return PairVerdict("irregular", wit)
+        return PairVerdict("regular")
     # Joint double cuts are skipped here: at desk-scale part sizes they deviate
     # by ~eps on genuinely random pairs and would trigger endless refinement.
     wit = _first_bad_subpair(
@@ -557,6 +556,9 @@ def min_degree_regular_partition(
         min_size = min(len(c) for c in clusters)
         clusters = [VertexSet.from_iter(n, c.to_list()[:min_size]) for c in clusters]
         exceptional = VertexSet(n, ((1 << n) - 1) & ~reduce(or_, (c.mask for c in clusters)))
+        if len(exceptional) > eps * n:
+            last_diag = f"|V0|={len(exceptional)} > eps*n={eps * n:.1f}"
+            continue
         r = len(clusters)
         counts = _pair_edge_counts(g, [c.mask for c in clusters])
         n_irregular = 0
@@ -572,9 +574,6 @@ def min_degree_regular_partition(
         red_min = Graph.from_edges(r, dense_pairs).min_degree()
         need = (alpha - d - eps) * r
         max_irregular = eps * r * (r - 1) / 2.0
-        if len(exceptional) > eps * n:
-            last_diag = f"|V0|={len(exceptional)} > eps*n={eps * n:.1f}"
-            continue
         if n_irregular > max_irregular:
             last_diag = f"{n_irregular} irregular pairs > {max_irregular:.1f}"
             continue

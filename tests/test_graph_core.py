@@ -14,7 +14,6 @@ from spanembed.graph_core import (
     gnp,
     iter_bits,
     mask_of,
-    packed_indicator,
     paley,
     parse_graph_text,
     rng_for,
@@ -136,13 +135,6 @@ class TestPackedRows:
             positions = bit_positions(mask)
             assert positions.dtype == np.int64
             assert positions.tolist() == list(iter_bits(mask))
-
-    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
-    def test_packed_indicator_is_a_packed_row(self, n):
-        vertices = rng_for(n, stream=7).permutation(n)[: (n + 1) // 2]
-        words = packed_indicator(vertices, n)
-        assert words.dtype == np.dtype("<u8") and words.shape == ((n + 63) // 64,)
-        assert sum(int(w) << (64 * i) for i, w in enumerate(words)) == mask_of(vertices.tolist())
 
 
 class TestPaley:

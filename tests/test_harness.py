@@ -217,7 +217,7 @@ class TestConfig:
             ExperimentConfig(n=n, guest_family=family).validate()
 
     def test_validation_rejects_nu_outside_bijumbled_mode(self):
-        # only the bijumbled mode measures nu, so the run would ignore it
+        # only the bijumbled mode certifies nu, so the run would ignore it
         with pytest.raises(ConfigError, match="^nu needs mode bijumbled, not 'random'$"):
             ExperimentConfig(nu=10.0).validate()
 
@@ -354,12 +354,23 @@ class TestRunPipeline:
     def test_nu_gate(self):
         rec = run_pipeline(ExperimentConfig(**dict(PALEY_101_CFG, paley_q=101, nu=1.0)))
         assert not rec.success and rec.failure_stage == "bijumbled-check"
-        assert rec.notes["error"].startswith("measured nu=")
+        assert rec.notes["error"].startswith("certified nu=")
         rows = [
             csv_row(run_pipeline(ExperimentConfig(**dict(PALEY_101_CFG, paley_q=101, **gate)))).rsplit(",", 1)[0]
             for gate in ({}, {"nu": 10.0})
         ]
         assert rows[0] == rows[1]
+
+    def test_nu_gate_needs_a_circulant_host(self, tmp_path):
+        path = tmp_path / "gnp101.txt"
+        path.write_text(write_graph_file(gnp(101, 0.5, 0)))
+        cfg = dict(PALEY_101_CFG, host_file=str(path))
+        rec = run_pipeline(ExperimentConfig(**dict(cfg, nu=100.0)))
+        assert not rec.success and rec.failure_stage == "bijumbled-check"
+        assert rec.notes["error"] == "host is not circulant: no ν certificate"
+        rec = run_pipeline(ExperimentConfig(**cfg))
+        assert rec.failure_stage != "bijumbled-check" and "adversary" in rec.stage_timings
+        assert rec.notes["nu_upper"] is None and rec.notes["bijumbled_feasible"] is None
 
     def test_explicit_beta(self):
         # the cycle's bandwidth 2 exceeds beta * n = 1

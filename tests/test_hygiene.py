@@ -289,7 +289,7 @@ def packed_format_uses(source: str) -> list[tuple[int, str]]:
     """(line, name) for every use of a packed-format conversion, as an attribute or a name.
 
     The word format of packed rows is `graph_core`'s alone; other modules reach it
-    through `Graph.packed_rows`, `packed_indicator` and `bit_positions`.
+    through `Graph.packed_rows`, `row_mask_counts` and `bit_positions`.
     """
     uses = []
     for node in ast.walk(ast.parse(source)):

@@ -73,20 +73,10 @@ class TestBijumbled:
 
     def test_exhaustive_cap(self):
         with pytest.raises(ValueError):
-            bijumbled_check(gnp(15, 0.5, 0), 0.5, 1.0, mode="exhaustive")
-
-    def test_sampled_ground_truth_small(self):
-        # with the exhaustive fallback the sampled minimal nu can never
-        # undercut the true one
-        for seed in range(40):
-            n = 6 + seed % 5
-            g = gnp(n, 0.45, seed)
-            _, exact = bijumbled_check(g, 0.45, 0.0, mode="exhaustive")
-            _, samp = bijumbled_check(g, 0.45, 0.0, mode="sampled", k=50, seed=seed)
-            assert samp["ratio"] >= exact["ratio"] - 1e-12
+            bijumbled_check(gnp(15, 0.5, 0), 0.5, 1.0)
 
     def test_paley13_sampled_regression(self):
-        _, info = bijumbled_check(paley(13), 0.5, 0.0, mode="sampled", k=5000, seed=0)
+        _, info = bijumbled_check(paley(13), 0.5, 0.0)
         assert info["ratio"] == pytest.approx(1.2247448713915892, rel=1e-9)  # frozen
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import deleted_to_floor, degree_into, edges_between, graph_from_bit_matrix
+from spanembed import regularity
 from spanembed.graph_core import Graph, VertexSet, gnp, iter_bits, mask_of, rng_for
 from spanembed.harness import adversary_delete
 from spanembed.regularity import (
@@ -37,7 +38,7 @@ class TestCheckLowerRegular:
         x, y = VertexSet.from_iter(6, range(3)), VertexSet.from_iter(6, range(3, 6))
         for eps in (0.2, 0.5, 0.9):
             v = check_lower_regular(g, x, y, eps, 1.0, 1.0, mode="exact")
-            assert v.kind == "lower_regular" and v.exact
+            assert v.kind == "lower_regular"
 
     def test_tiny_irregular_with_witness(self):
         # X={a,b}, Y={c,d}, only edge a-c; the zero-density half-size subpair witnesses
@@ -278,6 +279,17 @@ class TestMinDegreePartition:
         if r0 == 12:
             assert regular - dense and dense - regular
 
+    def test_large_v0_fails_before_any_pair_check(self, monkeypatch):
+        # every attempt leaves |V0| = 244 > eps * n: it fails on V0 alone
+        calls = []
+        monkeypatch.setattr(
+            regularity, "check_lower_regular", lambda *args, **kwargs: calls.append(args) or PairVerdict("lower_regular")
+        )
+        g = adversary_delete(gnp(1000, 0.4, 0), "random", 0.2, 2, 0.4, seed=0)
+        with pytest.raises(RegularityError, match=r"after 3 attempts: \|V0\|=244 > eps\*n=100\.0$"):
+            min_degree_regular_partition(g, 0.1, 0.9, 0.4, 12, seed=0)
+        assert calls == []
+
 
 class TestTwoSidedRegular:
     def test_balanced_random_pair_regular(self):
@@ -331,8 +343,8 @@ def scan_verdict(g, x, y, eps, p, budget, seed, bad, ok_kind, joint_cuts=True):
     for xmask, ymask in scan_subpairs(g, x, y, eps, budget, seed, joint_cuts):
         dens = edges_between(g, xmask, ymask) / (p * xmask.bit_count() * ymask.bit_count())
         if bad(dens, full, xmask.bit_count(), ymask.bit_count()):
-            return PairVerdict("irregular", (VertexSet(g.n, xmask), VertexSet(g.n, ymask)), False)
-    return PairVerdict(ok_kind, None, False)
+            return PairVerdict("irregular", (VertexSet(g.n, xmask), VertexSet(g.n, ymask)))
+    return PairVerdict(ok_kind, None)
 
 
 def scan_lower(g, x, y, eps, d, p, budget, seed):
@@ -406,7 +418,7 @@ class TestEngineMatchesScan:
         for eps, d in ((0.25, 0.1), (0.3, 0.3)):
             got = check_lower_regular(g, x, y, eps, d, p, budget=64, seed=3)
             assert got == scan_lower(g, x, y, eps, d, p, 64, 3)
-            assert got == PairVerdict("lower_regular", None, exact=False)
+            assert got == PairVerdict("lower_regular", None)
             assert check_super_regular(g, host, x, y, eps, d, p, budget=64, seed=3)
         empty = Graph.empty(g.n)
         assert check_lower_regular(empty, x, y, 0.25, 0.1, p).kind == "lower_regular"
