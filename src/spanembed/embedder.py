@@ -3,9 +3,12 @@
 The main phase (`embed`) walks the guest in the supplied order, embedding each
 non-buffer vertex into its candidate set (image restriction or assigned
 cluster, cut down by the images of embedded neighbours), choosing the best of a
-seeded sample of at most `CANDIDATE_SAMPLE` candidates, scored on the host's
-packed rows (n^2/8 bytes, packed once per call); the placed vertices are always
-a prefix of that order, which a backjump cuts back.  The buffer phase
+seeded sample of at most `CANDIDATE_SAMPLE` candidates.  They are scored from
+`_FreeCounts`, each host's free neighbours in all and in each cluster, counted
+once per attempt on the host's packed rows (n^2/8 bytes, kept by the host) and
+moved by one unpacked row whenever a host is taken or freed; a restricted
+neighbour's options are counted against its own mask.  The placed vertices are
+always a prefix of that order, which a backjump cuts back.  The buffer phase
 (`_match_buffers`) finishes the deferred vertices per cluster by augmenting-path
 bipartite matching, a depth-first search that tries each host at most once.
 One host -> guest map serves both phases.  Bounded backjumps and seeded
@@ -30,6 +33,7 @@ from .graph_core import (
     mask_of,
     rng_for,
     row_mask_counts,
+    unpack_rows,
 )
 from .pre_embedding import RestrictionPair, restriction_image
 
@@ -139,7 +143,10 @@ def embed(
         if part_count[cell] != len(c):
             raise EmbedError(f"cell {cell}: cluster size {len(c)} != guest part {part_count[cell]}")
 
-    base_mask = {v: restriction_image(g, clusters, f_star[v], restr.J.get(v, ())) for v in todo}
+    base_mask = {
+        v: restriction_image(g, clusters, f_star[v], restr.J[v]) if v in restr.J else clusters[f_star[v]].mask
+        for v in todo
+    }
     nbrs = [list(iter_bits(a)) for a in guest.adj]
     # the guests that the buffer phase may relocate
     movable = mask_of(v for v in todo if f_star[v] in buffers.buffers)
@@ -148,8 +155,13 @@ def embed(
     deferred = skip_mask | buffers.mask()
     main_order = [v for v in order.order if not ((deferred >> v) & 1)]
     order_index = {v: i for i, v in enumerate(main_order)}
-    rows = g.packed_rows()  # n^2/8 bytes, read by the main phase's scoring
+    rows = g.packed_rows()  # n^2/8 bytes, kept by g
     full = (1 << g.n) - 1
+    # the row of `_FreeCounts.table` that scores a future neighbour's options:
+    # its cluster's, or 0 for a restricted guest, whose options are counted
+    # against its base mask directly
+    cell_row = {cell: i for i, cell in enumerate(clusters, 1)}
+    score_row = {v: 0 if v in restr.J else cell_row[f_star[v]] for v in todo}
     for attempt in range(EMBED_RESTARTS):
         rng = rng_for(seed + attempt, stream=91)
         phi: dict[int, int] = dict(initial_phi)
@@ -158,6 +170,7 @@ def embed(
         # guest, whose host is held.
         owner: dict[int, int] = {v: x for x, v in initial_phi.items()}
         used = held
+        free_counts = _FreeCounts(rows, clusters, full ^ used)
         jumps = 0
         idx = 0
         blacklist: dict[int, int] = {}
@@ -177,6 +190,8 @@ def embed(
                             phi[y] = w2
                             owner[w2] = owner.pop(w)
                             used ^= (1 << w) | (1 << w2)  # w leaves, w2 joins
+                            free_counts.shift(w, 1)
+                            free_counts.shift(w2, -1)
                             break
                     else:
                         jumps += 1
@@ -193,6 +208,7 @@ def embed(
                             h = phi.pop(y)
                             used &= ~(1 << h)
                             del owner[h]
+                            free_counts.shift(h, 1)
                         for y in main_order[cut + 1:idx]:
                             blacklist.pop(y, None)
                         idx = cut
@@ -204,14 +220,22 @@ def embed(
                 cand_list = bit_positions(cand)
                 if len(cand_list) > CANDIDATE_SAMPLE:
                     cand_list = cand_list[rng.permutation(len(cand_list))[:CANDIDATE_SAMPLE]]
-                free = full ^ used
-                future = [base_mask[y] & free for y in nbrs[x] if y not in phi]
-                counts = row_mask_counts(rows[cand_list], [free] + future)
-                score = counts[:, 1:].min(axis=1, initial=g.n)  # signed: -score must not wrap
-                best_v = int(cand_list[np.lexsort((cand_list, counts[:, 0], -score))[0]])
+                counts = free_counts.table[:, cand_list]  # signed: -score must not wrap
+                at, restricted = [], []
+                for y in nbrs[x]:
+                    if y not in phi:
+                        if score_row[y]:
+                            at.append(score_row[y])
+                        else:
+                            restricted.append(base_mask[y] & ~used)
+                score = counts[at[0]] if len(at) == 1 else counts[at].min(axis=0, initial=g.n)
+                if restricted:
+                    score = np.minimum(score, row_mask_counts(rows[cand_list], restricted).min(axis=1))
+                best_v = int(cand_list[np.lexsort((cand_list, counts[0], -score))[0]])
                 phi[x] = best_v
                 owner[best_v] = x
                 used |= 1 << best_v
+                free_counts.shift(best_v, -1)
                 blacklist.pop(x, None)
                 idx += 1
 
@@ -221,6 +245,33 @@ def embed(
             continue
         return EmbedResult(phi=phi, retries=attempt)
     raise last_err
+
+
+class _FreeCounts:
+    """Each host's free neighbours, kept up to date as hosts are taken and freed.
+
+    `table[0, v]` is |N(v) & free| and `table[i, v]` is |N(v) & C_i & free| for
+    the i-th cluster C_i of `clusters`, counted once with `row_mask_counts`.
+    A host of no cluster is never taken or freed.
+    """
+
+    def __init__(self, rows: np.ndarray, clusters: dict[tuple[int, int], VertexSet], free: int):
+        self.rows = rows
+        masks = [c.mask for c in clusters.values()]
+        self.table = row_mask_counts(rows, [free] + [m & free for m in masks]).T.astype(np.int32, order="C")
+        self.lines = list(self.table)  # row views, updated in place
+        row_of = np.zeros(len(rows), dtype=np.intp)
+        for i, m in enumerate(masks, 1):
+            row_of[bit_positions(m)] = i
+        self.row_of = row_of.tolist()  # the table row of each host's cluster
+
+    def shift(self, h: int, sign: int) -> None:
+        """Host h becomes free (sign 1) or taken (sign -1): its neighbours' counts
+        in row 0 and in its cluster's row move by `sign`."""
+        nb = unpack_rows(self.rows[h:h + 1], len(self.row_of))[0].astype(np.int32)  # same-type adds are faster
+        move = np.add if sign > 0 else np.subtract
+        for line in (self.lines[0], self.lines[self.row_of[h]]):
+            move(line, nb, out=line)
 
 
 def _common(
@@ -285,7 +336,10 @@ def _match_buffers(
         path = []
         y = x
         while True:
-            m = cand_of(y) & unseen
+            m = cand_cache.get(y)  # read inline: this runs once a frame
+            if m is None:
+                m = cand_of(y)
+            m &= unseen
             if m:
                 low = m & -m
                 unseen ^= low

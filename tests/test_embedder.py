@@ -1,19 +1,22 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from spanembed.embedder import (
     BufferPlan,
     EmbedError,
+    _FreeCounts,
     choose_buffers,
     embed,
     embedding_violations,
     verify_embedding,
 )
-from spanembed.graph_core import Graph, Labelling, VertexSet, gnp
+from spanembed.graph_core import Graph, Labelling, VertexSet, bit_positions, gnp, mask_of, rng_for, row_mask_counts
 from spanembed.pre_embedding import RestrictionPair
 
 from helpers import cycle_graph, fold_labelling, two_cell_setup
+from test_embed_exactness import K3_CFG, pipeline_embed_calls
 
 
 class TestEmbed:
@@ -122,3 +125,46 @@ class TestVerifyEmbedding:
         phi = {v: v for v in range(4)}
         viols = embedding_violations(g, g, phi, images={0: 0b1110})
         assert any("restriction" in v for v in viols)
+
+
+def test_free_counts_follow_places_swaps_and_undos(monkeypatch):
+    """On the host and clusters that the `K3_CFG` seed-0 run hands to `embed`, a
+    seeded run of the main phase's three moves: place a guest on a free host,
+    swap a placed guest to a free host of its cluster, and undo the latest
+    placements.  After every move the kept table equals a fresh count of each
+    host's free neighbours, in all and in each cluster."""
+    [(args, kwargs)] = pipeline_embed_calls(monkeypatch, K3_CFG, [0])
+    g, clusters = args[0], args[2]
+    rows = g.packed_rows()
+    free = ((1 << g.n) - 1) & ~mask_of(kwargs["initial_phi"].values())
+    counts = _FreeCounts(rows, clusters, free)
+    cluster_of = {h: c.mask for c in clusters.values() for h in c}
+    placed: list[int] = []
+    rng = rng_for(0, stream=7)
+    moves = {"place": 0, "swap": 0, "undo": 0}
+    for _ in range(400):
+        kind = ["place", "swap", "undo"][int(rng.choice(3, p=[0.6, 0.25, 0.15]))] if placed else "place"
+        if kind == "place":
+            h = int(rng.choice(bit_positions(free & mask_of(cluster_of))))
+            placed.append(h)
+            free ^= 1 << h
+            counts.shift(h, -1)
+        elif kind == "swap":
+            at = int(rng.integers(len(placed)))
+            w = placed[at]
+            options = bit_positions(free & cluster_of[w])
+            if not len(options):
+                continue
+            w2 = placed[at] = int(rng.choice(options))
+            free ^= (1 << w) | (1 << w2)
+            counts.shift(w, 1)
+            counts.shift(w2, -1)
+        else:
+            for _ in range(min(len(placed), int(rng.integers(1, 6)))):
+                h = placed.pop()
+                free |= 1 << h
+                counts.shift(h, 1)
+        moves[kind] += 1
+        fresh = row_mask_counts(rows, [free] + [c.mask & free for c in clusters.values()]).T
+        assert np.array_equal(counts.table, fresh)
+    assert min(moves.values()) >= 40

@@ -8,6 +8,7 @@ from spanembed.graph_core import (
     Graph,
     Labelling,
     VertexSet,
+    _plain_graph,
     bandwidth_of_labelling,
     bit_positions,
     degeneracy_order,
@@ -137,6 +138,56 @@ class TestPackedRows:
             assert positions.tolist() == list(iter_bits(mask))
 
 
+class TestRowCache:
+    """`packed_rows()` keeps the graph's rows once asked for all of them; no
+    other request makes it keep them."""
+
+    def test_full_rows_are_kept_and_read_only(self):
+        g = gnp(130, 0.4, 1)
+        rows = g.packed_rows()
+        assert g.packed_rows() is rows
+        with pytest.raises(ValueError):
+            rows[0, 0] = 0
+        assert g.degree_table([g.adj[3]]).tolist() == [[degree_into(g, v, g.adj[3])] for v in range(130)]
+        assert g.packed_rows() is rows
+
+    def test_row_subsets_with_and_without_kept_rows(self):
+        g = gnp(130, 0.4, 2)
+        vertices = rng_for(2, stream=5).permutation(130)[:40].tolist()
+        fresh = g.packed_rows(vertices)
+        assert g._rows is None
+        rows = g.packed_rows()
+        for vs in (vertices, np.array(vertices), [], tuple(vertices[:3])):
+            sliced = g.packed_rows(vs)
+            assert np.array_equal(sliced, rows[list(vs)])
+            sliced[...] = 0  # a fresh array: writing to it leaves the kept rows alone
+        assert np.array_equal(fresh, rows[vertices])
+        assert np.array_equal(g.packed_rows(), Graph(130, g.adj).packed_rows())
+
+    @pytest.mark.parametrize("keep", [False, True])
+    def test_deletion_leaves_the_source_and_keeps_nothing(self, keep):
+        g = gnp(70, 0.5, 3)
+        adj = g.adj
+        if keep:
+            rows = g.packed_rows().copy()
+        h = g.without_edge_keys(g.edge_keys()[::2])
+        assert g.adj == adj and h.m == g.m - (g.m + 1) // 2
+        assert h._rows is None
+        if keep:
+            assert np.array_equal(g.packed_rows(), rows)
+        else:
+            assert g._rows is None
+
+    def test_edge_keys_keep_no_rows(self):
+        """The adversary lists a host's keys at its memory peak: listing them must
+        not leave the host holding its n^2/8 bytes of rows."""
+        g = gnp(600, 0.3, 4)
+        g.edge_keys()
+        g.edge_keys(list(range(0, 600, 3)))
+        g.to_bit_matrix([1, 2, 3])
+        assert g._rows is None
+
+
 class TestPaley:
     def test_q5_is_five_cycle(self):
         g = paley(5)
@@ -238,3 +289,56 @@ class TestGraphFile:
     def test_rejects_malformed(self, text):
         with pytest.raises(ValueError):
             parse_graph_text(text)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("graph 3 2\n0 1\n1 1\n", "self-loop at 1"),
+            ("graph 4 3\n0 1\n2 3\n0 1\n", r"duplicate edge \(0,1\)"),
+            ("graph 3 1\n1 0\n", r"edge \(1,0\) violates 0 <= u < v < n"),
+            ("graph 3 1\n0 3\n", r"edge \(0,3\) violates 0 <= u < v < n"),
+            ("graph 3 1\n-1 2\n", r"edge \(-1,2\) violates 0 <= u < v < n"),
+            ("graph 3 2\n0 1\n", "expected 2 edge lines, found 1"),
+            ("graph 4 2\n0 1\n\n2\n3\n", "expected 2 edge lines, found 3"),
+            ("graph 3 1\n0 1\n1 2\n", "expected 1 edge lines, found 2"),
+            ("0 1\n", "missing graph header"),
+            ("", "missing graph header"),
+            ("graph 3\n0 1\n", "malformed graph header"),
+            ("graph 3 1\n0 x\n", "invalid literal for int"),
+            ("graph 3 1\n0 1 2\n", "too many values to unpack"),
+            ("graph 3 1\n2\n", "not enough values to unpack"),
+            # the first fault in file order, whatever its kind
+            ("graph 5 3\n0 1\n2 2\n0 x\n", "self-loop at 2"),
+            ("graph 5 3\n0 1\n0 x\n2 2\n", "invalid literal for int"),
+            ("graph 5 3\n0 1\n1 2 3\n0 1\n", "too many values to unpack"),
+        ],
+    )
+    def test_names_the_first_fault(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_graph_text(text)
+
+    def test_spelling_variants_read_the_same_graph(self):
+        """Texts that `write_graph_file` would not write: blank lines, CRLF ends,
+        tabs, signs and leading zeros, and a last line with no newline."""
+        g = gnp(30, 0.3, 5)
+        text = write_graph_file(g)
+        head, *body = text.splitlines()
+        variants = [
+            text.replace("\n", "\r\n"),
+            "\n \n" + text.replace("\n", "\n\n"),
+            head + "\n" + "\n".join(" \t" + ln.replace(" ", "\t ") for ln in body),
+            head + "\n" + "\n".join("+0" + ln.replace(" ", " 00") for ln in body),
+            head + "\n" + "\n\n".join(body) + "\n \n",
+        ]
+        for variant in variants:
+            assert parse_graph_text(variant) == g
+
+    @pytest.mark.parametrize("n,p", [(2, 1.0), (65, 0.5), (400, 0.3)])
+    def test_written_files_are_read_with_numpy(self, n, p):
+        """What `write_graph_file` writes takes the numpy reading, with or
+        without its last newline; a CRLF file takes the line-by-line one."""
+        g = gnp(n, p, n)
+        text = write_graph_file(g)
+        assert _plain_graph(text) == g
+        assert _plain_graph(text.rstrip("\n")) == g
+        assert _plain_graph(text.replace("\n", "\r\n")) is None
