@@ -336,10 +336,7 @@ def _match_buffers(
         path = []
         y = x
         while True:
-            m = cand_cache.get(y)  # read inline: this runs once a frame
-            if m is None:
-                m = cand_of(y)
-            m &= unseen
+            m = cand_of(y) & unseen
             if m:
                 low = m & -m
                 unseen ^= low

@@ -11,8 +11,8 @@ earlier); `bit_positions` lists a mask's set bits from its bytes.  Edge sets
 in bulk are int keys u * n + v: `Graph.edge_keys` lists them a block of rows
 at a time and `Graph.without_edge_keys` deletes them from a packed copy.
 `gnp` writes its rows packed, a block of rows at a time, so program code never
-holds an n x n bool matrix, and `parse_graph_text` sets a well-formed file's
-edges straight into packed rows.  This module is the only one that knows that
+holds an n x n bool matrix, and `parse_graph_text` sets a file's edges
+straight into packed rows.  This module is the only one that knows that
 format.  All randomness flows through numpy's Philox counter-based generator
 so that identical seeds reproduce identical graphs on every platform.
 """
@@ -20,6 +20,7 @@ so that identical seeds reproduce identical graphs on every platform.
 from __future__ import annotations
 
 import heapq
+import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,14 +60,7 @@ def rng_for(seed: int, stream: int = 0) -> np.random.Generator:
 
 
 def iter_bits(mask: int):
-    """Set bit positions of `mask` in ascending order, as an iterator.  A mask
-    with more than `_FEW_BITS` bits is listed in one pass by `bit_positions`."""
-    if mask.bit_count() > _FEW_BITS:
-        return iter(bit_positions(mask).tolist())
-    return _bits_one_by_one(mask)
-
-
-def _bits_one_by_one(mask: int):
+    """Yield set bit positions of `mask` in ascending order."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -106,6 +100,19 @@ def _packed(masks, words: int) -> np.ndarray:
     return np.frombuffer(buf, dtype="<u8").reshape(len(masks), words)
 
 
+def _mapped_copy(a: np.ndarray) -> np.ndarray:
+    """A read-only copy of `a` in an anonymous memory map of its own, unmapped
+    when the copy dies.  Kept rows live there, outside the malloc heap: a
+    graph that kept them in the heap until its caller dropped it left a hole
+    that later allocations grew around (1.3-1.9 MB more peak RSS over two
+    pipeline calls at n = 4000, G(n, p) with the adversary, when the caller
+    held the first call's graphs until the second began)."""
+    out = np.frombuffer(mmap.mmap(-1, max(a.nbytes, 1)), dtype=a.dtype, count=a.size).reshape(a.shape)
+    out[...] = a
+    out.flags.writeable = False
+    return out
+
+
 def row_mask_counts(rows: np.ndarray, masks) -> np.ndarray:
     """D[i, c] = |rows[i] & masks[c]| as a signed int64 array, for rows in the format
     of `Graph.packed_rows` and int bitmasks `masks` over the same vertices.
@@ -126,9 +133,6 @@ def _graph_of_rows(rows: np.ndarray) -> "Graph":
     return Graph(len(rows), tuple(int.from_bytes(row, "little") for row in rows))
 
 
-# Set bits above which `iter_bits` lists a mask with numpy: below it, one
-# Python step per bit is cheaper than a pass over all of the mask's bytes
-_FEW_BITS = 16
 # Rows of a bool block that `gnp` and `Graph.edge_keys` unpack at once, and the
 # edge keys that `Graph.without_edge_keys` clears in one step.  _ROW_BLOCK is a
 # multiple of 8, so a block's columns start on a byte.
@@ -195,7 +199,7 @@ class VertexSet:
         return f"VertexSet(n={self.n}, size={self._size})"
 
     def to_list(self) -> list[int]:
-        return list(iter_bits(self.mask))
+        return bit_positions(self.mask).tolist()
 
 
 class Graph:
@@ -228,16 +232,16 @@ class Graph:
         """Row i is N(vertices[i]) as ceil(n/64) little-endian uint64 words, bit v in
         word v // 64; `vertices` defaults to all of them in order.
 
-        All rows are packed on the first call without `vertices` and kept: that
-        call and every later one return the same read-only array.  A call with
-        `vertices` returns a fresh array, sliced from the kept rows when there
-        are any and packed from those rows alone otherwise, so it never makes
-        the graph keep n^2/8 bytes.
+        All rows are packed on the first call without `vertices` and kept, in a
+        memory map of their own (`_mapped_copy`): that call and every later one
+        return the same read-only array.  A call with `vertices` returns a
+        fresh array, sliced from the kept rows when there are any and packed
+        from those rows alone otherwise, so it never makes the graph keep
+        n^2/8 bytes.
         """
         if vertices is None:
             if self._rows is None:
-                self._rows = _packed(self.adj, (self.n + 63) // 64)
-                self._rows.flags.writeable = False
+                self._rows = _mapped_copy(_packed(self.adj, (self.n + 63) // 64))
             return self._rows
         if self._rows is not None:
             return self._rows[np.asarray(vertices, dtype=np.intp)]
@@ -278,13 +282,10 @@ class Graph:
         return bool((self.adj[u] >> v) & 1)
 
     def edges(self):
-        """Yield each edge (u, v), u < v, ascending in u and then in v."""
-        for u, a in enumerate(self.adj):
-            rest = a >> (u + 1)  # bit i is vertex u + 1 + i
-            while rest:
-                low = rest & -rest
-                yield (u, u + low.bit_length())
-                rest ^= low
+        for u in range(self.n):
+            rest = self.adj[u] >> (u + 1)
+            for off in iter_bits(rest):
+                yield (u, u + 1 + off)
 
     def edge_keys(self, vertices=None) -> np.ndarray:
         """The edges of the subgraph induced on `vertices` (distinct; all of [n] in
@@ -469,41 +470,41 @@ def bandwidth_of_labelling(g: Graph, l: Labelling) -> int:
     if len(l) != g.n:
         raise ValueError("labelling size mismatch")
     pos = l.pos
-    return max((abs(pos[u] - pos[v]) for u, v in g.edges()), default=0)
+    best = 0
+    for u, v in g.edges():
+        s = abs(pos[u] - pos[v])
+        if s > best:
+            best = s
+    return best
 
 
 def degeneracy_order(g: Graph) -> tuple[Labelling, int]:
     """Greedy min-degree removal order and its degeneracy.
 
-    A binary heap of (degree, vertex) entries, each kept as the int
-    degree * n + vertex, so ties break on the smallest vertex id; a vertex
-    whose degree drops is pushed again, and its older entries are skipped as
-    stale when popped.  The returned d is the maximum degree a vertex has
-    into the not-yet-removed set at its removal time, so every vertex has at
-    most d neighbours that are removed after it.
+    A binary heap of (degree, vertex) entries, so ties break on the smallest
+    vertex id; a vertex whose degree drops is pushed again, and its older
+    entries are skipped as stale when popped.  The returned d is the maximum
+    degree a vertex has into the not-yet-removed set at its removal time, so
+    every vertex has at most d neighbours that are removed after it.
     """
     n = g.n
-    deg = [a.bit_count() for a in g.adj]
-    heap = [deg[v] * n + v for v in range(n)]
+    deg = [g.degree(v) for v in range(n)]
+    heap = [(deg[v], v) for v in range(n)]
     heapq.heapify(heap)
     removed = [False] * n
     order = []
     d = 0
     while heap:
-        dv, v = divmod(heapq.heappop(heap), n)
+        dv, v = heapq.heappop(heap)
         if removed[v] or dv != deg[v]:
             continue  # stale entry
         order.append(v)
         removed[v] = True
         d = max(d, dv)
-        rest = g.adj[v]
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            w = low.bit_length() - 1
+        for w in iter_bits(g.adj[v]):
             if not removed[w]:
                 deg[w] -= 1
-                heapq.heappush(heap, deg[w] * n + w)
+                heapq.heappush(heap, (deg[w], w))
     return Labelling(tuple(order)), d
 
 
@@ -520,24 +521,20 @@ def parse_graph_text(text: str) -> Graph:
     Raises ValueError for the first fault in file order: a missing or
     malformed header, an edge line count other than m, or the first edge line
     that is not two integers, is a self-loop, breaks 0 <= u < v < n or
-    repeats an edge.  A text as `write_graph_file` writes it is read by
-    `_plain_graph` with numpy; any other text line by line, which also names
-    the fault.
+    repeats an edge.  The edges are set straight into packed rows.
     """
-    g = _plain_graph(text)
-    if g is not None:
-        return g
-    lines = list(filter(str.strip, text.splitlines()))  # the lines that are not blank
+    lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("graph "):
         raise ValueError("missing graph header")
     parts = lines[0].split()
     if len(parts) != 3:
         raise ValueError("malformed graph header")
     n, m = int(parts[1]), int(parts[2])
+    if n < 0:
+        raise ValueError("malformed graph header")
     if len(lines) - 1 != m:
         raise ValueError(f"expected {m} edge lines, found {len(lines) - 1}")
-    seen = set()
-    edges = []
+    seen = set()  # edge keys u * n + v
     for ln in lines[1:]:
         us, vs = ln.split()
         u, v = int(us), int(vs)
@@ -545,61 +542,21 @@ def parse_graph_text(text: str) -> Graph:
             raise ValueError(f"self-loop at {u}")
         if not (0 <= u < v < n):
             raise ValueError(f"edge ({u},{v}) violates 0 <= u < v < n")
-        if (u, v) in seen:
+        key = u * n + v
+        if key in seen:
             raise ValueError(f"duplicate edge ({u},{v})")
-        seen.add((u, v))
-        edges.append((u, v))
-    return Graph.from_edges(n, edges)
+        seen.add(key)
+    return _graph_of_keys(n, np.fromiter(seen, dtype=np.int64, count=len(seen)))
 
 
-def _plain_graph(text: str) -> Graph | None:
-    """The graph of a text whose first line is `graph n m` with single spaces and
-    whose m other lines are each two decimal numbers u < v < n among spaces
-    and tabs, with no edge repeated and no blank line before the last;
-    None for any other text."""
-    head, _, body = text.partition("\n")
-    parts = head.split(" ")
-    if not (text.isascii() and len(parts) == 3 and parts[0] == "graph" and all(w.isdigit() for w in parts[1:])):
-        return None
-    n, m = int(parts[1]), int(parts[2])
-    ends = _decimal_pairs(body, m) if 0 < m and n < 1 << 31 else None  # keys u * n + v fit an int64
-    if ends is None or not ((ends[:, 0] < ends[:, 1]).all() and ends[:, 1].max() < n):
-        return None
-    keys = np.sort(ends[:, 0] * n + ends[:, 1])
-    return None if (keys[1:] == keys[:-1]).any() else _graph_of_ends(n, ends)
-
-
-def _decimal_pairs(body: str, m: int) -> np.ndarray | None:
-    """The m lines of `body` as an (m, 2) int64 array when each is two runs of at
-    most 18 decimal digits among spaces and tabs, and only the last may end
-    without a newline; None otherwise."""
-    b = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
-    digit = (b >= ord("0")) & (b <= ord("9"))
-    if not (digit | (b == ord(" ")) | (b == ord("\t")) | (b == ord("\n"))).all():
-        return None
-    padded = np.concatenate(([False], digit, [False]))
-    flips = np.flatnonzero(padded[1:] != padded[:-1])  # where a run of digits starts or stops
-    starts, stops = flips[0::2], flips[1::2]
-    # line i holds runs 2i and 2i + 1: its newline lies between runs 2i + 1
-    # and 2i + 2, or after the last run; an int64 holds every 18-digit number
-    newlines = np.flatnonzero(b == ord("\n"))
-    if (
-        len(starts) != 2 * m
-        or len(newlines) not in (m - 1, m)
-        or (stops - starts).max() > 18
-        or (newlines < stops[1::2][:len(newlines)]).any()
-        or (newlines[:m - 1] > starts[2::2]).any()
-    ):
-        return None
-    return np.fromstring(body, dtype=np.int64, sep=" ").reshape(m, 2)
-
-
-def _graph_of_ends(n: int, ends: np.ndarray) -> Graph:
-    """The graph on [n] with the edges {u, v} of the rows of `ends`, set as bits of packed rows."""
+def _graph_of_keys(n: int, keys: np.ndarray) -> Graph:
+    """The graph on [n] with the edges {u, v} of the keys u * n + v, set as bits of packed rows."""
     rows = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
+    width = rows.shape[1]
     flat = rows.reshape(-1)
-    for a, b in ((ends[:, 0], ends[:, 1]), (ends[:, 1], ends[:, 0])):
-        np.bitwise_or.at(flat, a * rows.shape[1] + (b >> 3), np.left_shift(1, b & 7).astype(np.uint8))
+    u, v = np.divmod(keys, n)
+    np.bitwise_or.at(flat, u * width + (v >> 3), ~_CLEAR_BIT[v & 7])
+    np.bitwise_or.at(flat, v * width + (u >> 3), ~_CLEAR_BIT[u & 7])
     return _graph_of_rows(rows)
 
 

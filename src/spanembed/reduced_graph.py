@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph_core import Graph, StageError, VertexSet, iter_bits, mask_of, rng_for
+from .graph_core import Graph, StageError, VertexSet, bit_positions, iter_bits, mask_of, rng_for
 from .regularity import (
     _inheritance_ok,
     _lower_bound_vacuous,
@@ -307,7 +307,7 @@ def _prepare_host_once(g, host, p, gamma, k, eps, d, r0, seed) -> HostStructure:
     # then v need only see every cell of a reduced edge.
     masks = [u[cell] for cell in cells]
     size = np.array([m.bit_count() for m in masks])
-    active = list(iter_bits(((1 << n) - 1) & ~v0_mask))
+    active = bit_positions(((1 << n) - 1) & ~v0_mask)
     host_deg = host.degree_table(masks + [v0_mask], active)
     exp = p * size
     bad = (np.abs(host_deg[:, :-1] - exp) > SCREEN_FRAC * eps * exp + 1.0).any(axis=1)
@@ -331,7 +331,7 @@ def _prepare_host_once(g, host, p, gamma, k, eps, d, r0, seed) -> HostStructure:
     weak = g_deg < (d - 2 * eps_star) * p * size
     w_mask = v0_mask & ~z1
     for i, j in cells:
-        members = list(iter_bits(work[(i, j)]))
+        members = bit_positions(work[(i, j)])
         others = [i * k + j2 for j2 in range(k) if j2 != j]
         w_mask |= mask_of(np.compress(weak[members][:, others].any(axis=1), members).tolist())
     for cell in cells:
@@ -354,7 +354,7 @@ def _prepare_host_once(g, host, p, gamma, k, eps, d, r0, seed) -> HostStructure:
         cell_load[(chosen_row, j_best)] += 1
 
     # ---- Z2: vertices seeing too much of the symmetric differences -------
-    alive = list(iter_bits(((1 << n) - 1) & ~z1))
+    alive = bit_positions(((1 << n) - 1) & ~z1)
     sym_deg = host.degree_table([u[cell] ^ vprime[cell] for cell in cells], alive)
     z2 = mask_of(np.compress((sym_deg >= Z2_FACTOR * p * size).any(axis=1), alive).tolist())
     final = {cell: vprime[cell] & ~z2 for cell in cells}

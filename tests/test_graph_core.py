@@ -8,7 +8,6 @@ from spanembed.graph_core import (
     Graph,
     Labelling,
     VertexSet,
-    _plain_graph,
     bandwidth_of_labelling,
     bit_positions,
     degeneracy_order,
@@ -304,6 +303,7 @@ class TestGraphFile:
             ("0 1\n", "missing graph header"),
             ("", "missing graph header"),
             ("graph 3\n0 1\n", "malformed graph header"),
+            ("graph -3 0\n", "malformed graph header"),
             ("graph 3 1\n0 x\n", "invalid literal for int"),
             ("graph 3 1\n0 1 2\n", "too many values to unpack"),
             ("graph 3 1\n2\n", "not enough values to unpack"),
@@ -332,13 +332,3 @@ class TestGraphFile:
         ]
         for variant in variants:
             assert parse_graph_text(variant) == g
-
-    @pytest.mark.parametrize("n,p", [(2, 1.0), (65, 0.5), (400, 0.3)])
-    def test_written_files_are_read_with_numpy(self, n, p):
-        """What `write_graph_file` writes takes the numpy reading, with or
-        without its last newline; a CRLF file takes the line-by-line one."""
-        g = gnp(n, p, n)
-        text = write_graph_file(g)
-        assert _plain_graph(text) == g
-        assert _plain_graph(text.rstrip("\n")) == g
-        assert _plain_graph(text.replace("\n", "\r\n")) is None
