@@ -11,6 +11,9 @@ neighbour's options are counted against its own mask.  The placed vertices are
 always a prefix of that order, which a backjump cuts back.  The buffer phase
 (`_match_buffers`) finishes the deferred vertices per cluster by augmenting-path
 bipartite matching, a depth-first search that tries each host at most once.
+Its first pass ends a path at a free host as soon as a frame has one; if that
+pass leaves a buffer stuck, the phase starts over from the same state with the
+plain depth-first search, so it succeeds whenever that search alone would.
 One host -> guest map serves both phases.  Bounded backjumps and seeded
 restarts handle dead ends.
 """
@@ -91,19 +94,26 @@ def choose_buffers(
     Scans latest embedding positions first: clusters drain as their guests'
     stretch of the order ends, so the deferred vertices must be the tail ones.
     """
-    counts = Counter(cell for v, cell in enumerate(f_star) if not ((skip_mask >> v) & 1))
+    skip = set(bit_positions(skip_mask).tolist())
+    counts = Counter(cell for v, cell in enumerate(f_star) if v not in skip)
     chosen: dict[tuple[int, int], list[int]] = {c: [] for c in cells}
-    blocked = 0
+    # 1 for an eligible guest outside skip that is not chosen nor next to a chosen one
+    open_ = bytearray(guest.n)
+    for v in bit_positions(eligible_mask & ~skip_mask).tolist():
+        open_[v] = 1
+    nbrs = guest.neighbour_lists()
     scan = reversed(order.order) if order is not None else range(guest.n)
     for v in scan:
-        if (skip_mask >> v) & 1 or not ((eligible_mask >> v) & 1) or ((blocked >> v) & 1):
+        if not open_[v]:
             continue
         cell = f_star[v]
         want = max(1, math.ceil(vartheta * counts[cell]))
         if len(chosen[cell]) >= want:
             continue
         chosen[cell].append(v)
-        blocked |= (1 << v) | guest.adj[v]
+        open_[v] = 0
+        for w in nbrs[v]:
+            open_[w] = 0
     return BufferPlan({c: VertexSet.from_iter(guest.n, vs) for c, vs in chosen.items()})
 
 
@@ -132,10 +142,9 @@ def embed(
     conflicting placement when a candidate set empties, then `_match_buffers`.
     """
     initial_phi = initial_phi or {}
-    skip_mask = mask_of(initial_phi.keys())
     # hosts of the pre-embedded guests, which no phase moves
     held = mask_of(initial_phi.values())
-    todo = [v for v in range(guest.n) if not ((skip_mask >> v) & 1)]
+    todo = [v for v in range(guest.n) if v not in initial_phi]
 
     # size compatibility
     part_count = Counter(f_star[v] for v in todo)
@@ -147,13 +156,13 @@ def embed(
         v: restriction_image(g, clusters, f_star[v], restr.J[v]) if v in restr.J else clusters[f_star[v]].mask
         for v in todo
     }
-    nbrs = [list(iter_bits(a)) for a in guest.adj]
+    nbrs = guest.neighbour_lists()
     # the guests that the buffer phase may relocate
-    movable = mask_of(v for v in todo if f_star[v] in buffers.buffers)
+    movable = {v for v in todo if f_star[v] in buffers.buffers}
 
     # the main phase places main_order[:idx], in that order
-    deferred = skip_mask | buffers.mask()
-    main_order = [v for v in order.order if not ((deferred >> v) & 1)]
+    deferred = set(initial_phi).union(*(b.to_list() for b in buffers.buffers.values()))
+    main_order = [v for v in order.order if v not in deferred]
     order_index = {v: i for i, v in enumerate(main_order)}
     rows = g.packed_rows()  # n^2/8 bytes, kept by g
     full = (1 << g.n) - 1
@@ -275,7 +284,8 @@ class _FreeCounts:
 
 
 def _common(
-    g: Graph, base_mask: dict[int, int], nbrs: list[list[int]], phi: dict[int, int], x: int, skip: int = -1
+    g: Graph, base_mask: dict[int, int], nbrs: tuple[tuple[int, ...], ...], phi: dict[int, int], x: int,
+    skip: int = -1,
 ) -> int:
     """Base mask of x cut down to the G-neighbourhoods of the images of its
     embedded guest neighbours, all but `skip`."""
@@ -289,21 +299,55 @@ def _common(
 def _match_buffers(
     g: Graph,
     base_mask: dict[int, int],
-    nbrs: list[list[int]],
+    nbrs: tuple[tuple[int, ...], ...],
     phi: dict[int, int],
     owner: dict[int, int],
     held: int,
-    movable: int,
+    movable: set[int],
     buffers: BufferPlan,
 ) -> None:
     """Embed the buffer guests cell by cell, updating `phi` and its inverse
-    `owner` in place, by augmenting paths through the placed guests (the free
-    hosts alone are far too thin at desk scale); when none exists, relocate one
-    embedded neighbour in `movable` and try again.  Hosts in `held` keep their
-    guests.  Each guest's candidate mask is cached until a neighbour's image
-    moves.  Raises EmbedError on the first guest left stuck.
+    `owner` in place; `movable` holds the guests that a relocation may move.
+
+    The first pass of `_match_cells` is free-first: a path ends at a free host
+    as soon as a frame has one among its candidates, where the plain search
+    walks chains of hundreds of owned hosts.  If that pass leaves a guest
+    stuck, `phi` and `owner` go back to their state on entry and the plain
+    depth-first pass runs from there.  So the phase succeeds whenever the
+    depth-first pass alone would, and otherwise raises that pass's EmbedError.
+    """
+    start_phi, start_owner = dict(phi), dict(owner)
+    try:
+        _match_cells(g, base_mask, nbrs, phi, owner, held, movable, buffers, free_first=True)
+    except EmbedError:
+        phi.clear()
+        phi.update(start_phi)
+        owner.clear()
+        owner.update(start_owner)
+        _match_cells(g, base_mask, nbrs, phi, owner, held, movable, buffers, free_first=False)
+
+
+def _match_cells(
+    g: Graph,
+    base_mask: dict[int, int],
+    nbrs: tuple[tuple[int, ...], ...],
+    phi: dict[int, int],
+    owner: dict[int, int],
+    held: int,
+    movable: set[int],
+    buffers: BufferPlan,
+    free_first: bool,
+) -> None:
+    """One pass of the buffer phase: embed each buffer guest by an augmenting
+    path through the placed guests (the free hosts alone are far too thin at
+    desk scale); when none exists, relocate one embedded neighbour in
+    `movable` and try again.  Hosts in `held` keep their guests.  Each
+    guest's candidate mask is cached until a neighbour's image moves.  Raises
+    EmbedError on the first guest left stuck.
     """
     full = (1 << g.n) - 1
+    # the hosts that no guest owns (held hosts are owned), read by a free-first pass only
+    free = full & ~mask_of(owner) if free_first else 0
     cand_cache: dict[int, int] = {}
 
     def cand_of(x: int) -> int:
@@ -314,31 +358,38 @@ def _match_buffers(
 
     def assign(x: int, h: int | None):
         """Move x to host h, or unplace it (h None); drop the masks that read x's image."""
+        nonlocal free
         old = phi.pop(x) if h is None else phi.get(x)
         if old is not None:
             del owner[old]
+            free |= 1 << old
         if h is not None:
             owner[h] = x
             phi[x] = h
+            free &= ~(1 << h)
         for y in nbrs[x]:
             cand_cache.pop(y, None)
 
     def augment(x: int, seen: int) -> bool:
         """Depth-first augmenting path from the unembedded guest x over hosts
         outside `seen` and `held`, on an explicit stack of (guest, host tried)
-        frames as long as a cluster; each host is tried at most once.  A
-        resumed frame skips the hosts a deeper frame saw: the search from such
-        a host's owner failed over a superset of the hosts unseen now.  A guest
-        on the path never meets its own host: the frame below tried it before
-        pushing the guest, and x holds none.
+        frames as long as a cluster; each host is tried at most once.  A frame
+        tries its lowest unseen candidate, or in a free-first pass its lowest
+        free one when it has any, which ends the path.  A resumed frame skips
+        the hosts a deeper frame saw: the search from such a host's owner
+        failed over a superset of the hosts unseen now.  A guest on the path
+        never meets its own host: the frame below tried it before pushing the
+        guest, and x holds none.
         """
+        nonlocal free
         unseen = full & ~(seen | held)
         path = []
         y = x
         while True:
             m = cand_of(y) & unseen
             if m:
-                low = m & -m
+                low = (m & free if free_first else 0) or m
+                low &= -low
                 unseen ^= low
                 h = low.bit_length() - 1
                 path.append((y, h))
@@ -346,6 +397,7 @@ def _match_buffers(
                 if y is None:
                     # each guest on the path takes the host it tried; the
                     # hosts in between stay owned, and x held none
+                    free ^= low
                     for y2, h2 in reversed(path):
                         owner[h2] = y2
                         phi[y2] = h2
@@ -364,7 +416,7 @@ def _match_buffers(
         and re-placed by augmentation, with rollback on failure.
         """
         for y in nbrs[x]:
-            if not ((movable >> y) & 1) or y not in phi:
+            if y not in movable or y not in phi:
                 continue
             others = _common(g, base_mask, nbrs, phi, x, skip=y)
             old = phi[y]

@@ -13,8 +13,11 @@ at a time and `Graph.without_edge_keys` deletes them from a packed copy.
 `gnp` writes its rows packed, a block of rows at a time, so program code never
 holds an n x n bool matrix, and `parse_graph_text` sets a file's edges
 straight into packed rows.  This module is the only one that knows that
-format.  All randomness flows through numpy's Philox counter-based generator
-so that identical seeds reproduce identical graphs on every platform.
+format.  A graph built by `from_edges` (a guest, a reduced or a cluster graph)
+also keeps each vertex's neighbours as an ascending tuple (`neighbour_list`),
+which walks over sparse graphs read instead of n-bit masks.  All randomness
+flows through numpy's Philox counter-based generator so that identical seeds
+reproduce identical graphs on every platform.
 """
 
 from __future__ import annotations
@@ -204,21 +207,28 @@ class VertexSet:
 
 class Graph:
     """Immutable undirected graph on vertices 0..n-1 with bitset adjacency; the
-    packed form of all rows is kept once a caller asks for it."""
+    packed form of all rows is kept once a caller asks for it.
 
-    __slots__ = ("n", "adj", "_m", "_rows")
+    A graph built by `from_edges` also keeps each vertex's neighbours as an
+    ascending tuple (`neighbour_list`).  A graph built from rows keeps none:
+    on a dense host they would take tens of MB.
+    """
+
+    __slots__ = ("n", "adj", "_m", "_rows", "_nbrs")
 
     def __init__(self, n: int, adj: tuple[int, ...]):
         if len(adj) != n:
             raise ValueError("adjacency length mismatch")
         self.n = n
         self.adj = adj
-        self._m = sum(a.bit_count() for a in adj) // 2
+        self._m = sum(map(int.bit_count, adj)) // 2
         self._rows = None
+        self._nbrs = None
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
         adj = [0] * n
+        nbrs = [[] for _ in range(n)]
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at {u}")
@@ -226,7 +236,24 @@ class Graph:
                 raise ValueError(f"edge ({u},{v}) outside [0,{n})")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        return cls(n, tuple(adj))
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        g = cls(n, tuple(adj))
+        if sum(map(len, nbrs)) != 2 * g.m:  # a repeated edge was listed twice at each end
+            nbrs = map(set, nbrs)
+        g._nbrs = tuple(map(tuple, map(sorted, nbrs)))
+        return g
+
+    def neighbour_list(self, v: int) -> tuple[int, ...]:
+        """N(v) as an ascending tuple: the kept one of a graph built by `from_edges`,
+        else listed afresh from v's mask and not kept."""
+        return self._nbrs[v] if self._nbrs is not None else tuple(iter_bits(self.adj[v]))
+
+    def neighbour_lists(self) -> tuple[tuple[int, ...], ...]:
+        """`neighbour_list(v)` for every v."""
+        if self._nbrs is not None:
+            return self._nbrs
+        return tuple(tuple(iter_bits(a)) for a in self.adj)
 
     def packed_rows(self, vertices=None) -> np.ndarray:
         """Row i is N(vertices[i]) as ceil(n/64) little-endian uint64 words, bit v in
@@ -282,6 +309,13 @@ class Graph:
         return bool((self.adj[u] >> v) & 1)
 
     def edges(self):
+        """Each edge once as (u, v) with u < v, ascending by u, then by v."""
+        if self._nbrs is not None:
+            for u, nb in enumerate(self._nbrs):
+                for v in nb:
+                    if v > u:
+                        yield (u, v)
+            return
         for u in range(self.n):
             rest = self.adj[u] >> (u + 1)
             for off in iter_bits(rest):
@@ -373,7 +407,7 @@ class Graph:
             d += 1
             nxt = []
             for u in frontier:
-                for w in iter_bits(self.adj[u]):
+                for w in self.neighbour_list(u):
                     if dist[w] == -1:
                         dist[w] = d
                         nxt.append(w)
@@ -501,7 +535,7 @@ def degeneracy_order(g: Graph) -> tuple[Labelling, int]:
         order.append(v)
         removed[v] = True
         d = max(d, dv)
-        for w in iter_bits(g.adj[v]):
+        for w in g.neighbour_list(v):
             if not removed[w]:
                 deg[w] -= 1
                 heapq.heappush(heap, (deg[w], w))

@@ -193,7 +193,7 @@ def switch_colours(
         p = lo + idx
         v = l.order[p]
         # neighbours already coloured: earlier in the block, or outside it
-        forbidden = {new[w] for w in iter_bits(h.adj[v]) if not p < l.pos[w] < hi}
+        forbidden = {new[w] for w in h.neighbour_list(v) if not p < l.pos[w] < hi}
         for c in prefs[idx]:
             steps += 1
             if steps > SWITCH_STEPS:
@@ -400,16 +400,17 @@ def check_bounded_order(
     for v in iter_bits(buf_mask):
         near_buf |= h.adj[v]
     pos = order.pos
+    nbrs = h.neighbour_lists()
 
     def pi(x: int) -> int:
-        return len(restricting.get(x, ())) + sum(1 for y in iter_bits(h.adj[x]) if pos[y] < pos[x])
+        return len(restricting.get(x, ())) + sum(1 for y in nbrs[x] if pos[y] < pos[x])
 
     pis = [pi(x) for x in range(n)]
     max_pi_free = max((pis[x] for x in range(n) if not ((exc_mask >> x) & 1)), default=0)
 
     report: dict[str, list[int]] = {"back_degree": [], "locality": [], "buffer_locality": []}
     for x in range(n):
-        later = [y for y in iter_bits(h.adj[x]) if pos[y] > pos[x]]
+        later = [y for y in nbrs[x] if pos[y] > pos[x]]
         dx = d_tilde
         if any(h.has_edge(y, z) for ii, y in enumerate(later) for z in later[ii + 1:]):
             dx = d_tilde - 2
@@ -427,12 +428,12 @@ def check_bounded_order(
                 report["locality"].append(x)
             else:
                 reach = p ** pis[x] * m
-                if any(pos[x] - pos[y] > reach for y in iter_bits(h.adj[x]) if pos[y] < pos[x]):
+                if any(pos[x] - pos[y] > reach for y in nbrs[x] if pos[y] < pos[x]):
                     report["locality"].append(x)
         if (near_buf >> x) & 1:
             quota = d_tilde - 1 - max_pi_free
             far = sum(
-                1 for y in iter_bits(h.adj[x])
+                1 for y in nbrs[x]
                 if pos[y] < pos[x] and pos[x] - pos[y] > p ** d_tilde * m
             )
             if far > max(0, quota):

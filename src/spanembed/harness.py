@@ -379,7 +379,11 @@ def _fold_labelling(n: int) -> Labelling:
 
 
 def _cycle(n: int, power: int = 1) -> Graph:
-    return Graph.from_edges(n, [(v, (v + c) % n) for v in range(n) for c in range(1, power + 1) if (v + c) % n != v])
+    """The power-th power of the n-cycle: v ~ v + c (mod n) for 1 <= c <= power."""
+    return Graph.from_edges(n, [
+        edge for c in range(1, power + 1) if c % n
+        for edge in zip(range(n), [*range(c % n, n), *range(c % n)])
+    ])
 
 
 def make_guest(family: str, n: int, seed: int = 0) -> tuple[Graph, Labelling, Colouring, dict]:

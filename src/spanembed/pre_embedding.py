@@ -128,7 +128,7 @@ def reserve_set(
 
 
 def _independent_neighbourhood(h: Graph, x: int, forbid_c4: bool = False) -> bool:
-    nbrs = list(iter_bits(h.adj[x]))
+    nbrs = h.neighbour_list(x)
     for a in range(len(nbrs)):
         for b in range(a + 1, len(nbrs)):
             if h.has_edge(nbrs[a], nbrs[b]):
@@ -354,7 +354,7 @@ def pre_embed(
         )
         if not w_pool:
             raise PreEmbedError("row-filter", f"no strong-degree host candidates for {v}")
-        nbrs = list(iter_bits(guest.adj[x]))
+        nbrs = guest.neighbour_list(x)
         ws = _greedy_tuple(
             g, host, w_pool, len(nbrs), {j: clusters[(i_t, j)] for j in range(k)},
             eps, d, p, delta, seed=seed + 977 * t,
@@ -380,7 +380,7 @@ def pre_embed(
                 raise PreEmbedError("reroute", f"shell vertex {z} assigned off-row {f_star[z]}")
             f_star[z] = (row, f_star[z][1])
             if dist[z] == 2:
-                js = tuple(sorted(state.phi[y] for y in iter_bits(guest.adj[z]) if y in state.phi))
+                js = tuple(sorted(state.phi[y] for y in guest.neighbour_list(z) if y in state.phi))
                 if js:
                     restr.J[z] = js
 
@@ -443,13 +443,13 @@ def validate_restriction_pair(
 
     deg_bad = [
         x for x, js in restr.J.items()
-        if len(js) + sum(1 for y in iter_bits(guest.adj[x]) if y not in skip) > delta
+        if len(js) + sum(1 for y in guest.neighbour_list(x) if y not in skip) > delta
     ]
     load = collections.Counter(u for js in restr.J.values() for u in js)
 
     pair_bad = []
     for x in restr.J:
-        for y in iter_bits(guest.adj[x]):
+        for y in guest.neighbour_list(x):
             if y in skip:
                 continue
             if not _restricted_pair_ok(

@@ -125,11 +125,12 @@ def main(argv=None) -> int:
         bm, nm = statistics.median(b), statistics.median(n)
         print(f"  {stage:22}{bm:9.2f} ({min(b):.2f}){nm:9.2f} ({min(n):.2f}){change(bm, nm):>9}")
 
-    differ = [i for i in range(calls) if base.outputs[i] != new.outputs[i]]
-    for i in differ:
-        print(f"differs: call {i} (seed {i % args.seeds}): {base.outputs[i][0]} | {new.outputs[i][0]}")
-    print(f"rows and φ: {calls - len(differ)} of {calls} calls equal")
-    return 1 if differ else 0
+    rows_differ = [i for i in range(calls) if base.outputs[i][0] != new.outputs[i][0]]
+    phi_differ = [i for i in range(calls) if base.outputs[i][1] != new.outputs[i][1]]
+    for i in rows_differ:
+        print(f"row differs: call {i} (seed {i % args.seeds}): {base.outputs[i][0]} | {new.outputs[i][0]}")
+    print(f"rows: {calls - len(rows_differ)} of {calls} calls equal; φ: {calls - len(phi_differ)} of {calls} equal")
+    return 1 if rows_differ or phi_differ else 0
 
 
 if __name__ == "__main__":

@@ -1,13 +1,17 @@
-"""`embed` against the loop it replaced, kept here verbatim as `reference_embed`.
+"""`embed` against the loop it replaced, kept here as `reference_embed`.
 
 The reference lists every candidate before sampling, scores each candidate on
 int masks, rebuilds candidate masks on every augmenting-path frame, retries in
 a resumed frame the hosts that a deeper frame saw, and commits a path guest by
-guest.  The program must reach the same φ with the same retries, or fail with
+guest.  Its buffer phase follows `embed`'s policy: a free-first pass, then,
+when that leaves a buffer stuck, the depth-first pass from the phase's start.
+With `dfs_only` it runs the depth-first pass alone, the buffer phase as it was
+before; `embed` must never lose a success that one reaches.
+The program must reach the same φ with the same retries, or fail with
 the same message on the same stuck vertex, on a grid of small hosts that drives
 every branch (swaps, backjumps, relocations with and without rollback, restarts
-of both phases, both error kinds) and on the inputs the pipeline hands to
-`embed`, at k = 2 and at k = 3.
+of both phases, both error kinds, the depth-first fallback) and on the inputs
+the pipeline hands to `embed`, at k = 2 and at k = 3.
 The grid's second layout puts guest edges inside a cell, so that a guest's
 own cell holds the neighbours whose cached candidate masks a move must drop;
 ϑ = 0.2 is the buffer fraction at which a stale mask there changes φ.  A
@@ -48,13 +52,17 @@ def reference_embed(
     order: Labelling,
     initial_phi: dict[int, int] | None = None,
     seed: int = 0,
+    dfs_only: bool = False,
 ) -> EmbedResult:
     """Complete the embedding of the unembedded guest into the clusters.
 
     Requires |cluster| == |guest part| per cell.  Honors image restrictions,
     prefers candidates keeping the most options open for unembedded
     neighbours, backjumps over the most recent conflicting placement when a
-    candidate set empties, and finishes buffer vertices via perfect matchings.
+    candidate set empties, and finishes buffer vertices via perfect matchings:
+    free-first, and when that leaves a buffer stuck, depth-first from the
+    state the buffer phase began in.  `dfs_only` runs the depth-first pass
+    alone, the buffer phase as it was before the free-first pass.
     """
     initial_phi = initial_phi or {}
     n = guest.n
@@ -187,7 +195,9 @@ def reference_embed(
         # placements (free buffer candidates alone are far too thin at desk
         # scale, but the full cell's candidate relation is dense).  When even
         # that fails, one embedded neighbour of the stuck buffer is relocated
-        # to reopen its common neighbourhood.
+        # to reopen its common neighbourhood.  A free-first pass takes, in
+        # every frame that has one, the lowest free candidate.
+        free_first = not dfs_only
         owners: dict[tuple[int, int], dict[int, int]] = {c: {} for c in buffers.buffers}
         for v in range(n):
             if not ((skip_mask >> v) & 1) and v in phi and f_star[v] in owners:
@@ -215,7 +225,15 @@ def reference_embed(
             frame can still come up again in a shallower one.
             """
             own = owners[cell]
-            path = [[x, iter_bits(common(x) & ~seen), -1]]  # [guest, hosts left, host tried]
+
+            def new_frame(y: int, seen: int) -> list:
+                """[guest, hosts left, host tried]: a free-first frame with a
+                free candidate has that one host left."""
+                hosts = common(y) & ~seen
+                free = hosts & ~used if free_first else 0
+                return [y, iter_bits(free & -free if free else hosts), -1]
+
+            path = [new_frame(x, seen)]
             while path:
                 frame = path[-1]
                 y, hosts, _ = frame
@@ -232,7 +250,7 @@ def reference_embed(
                         return True
                     if cur != y:
                         frame[2] = h
-                        path.append([cur, iter_bits(common(cur) & ~seen), -1])
+                        path.append(new_frame(cur, seen))
                         break
                 else:
                     path.pop()
@@ -269,14 +287,28 @@ def reference_embed(
                     assign(ycell, cur, w2)
             return False
 
-        failed_x = None
-        for cell, x in pending:
-            done = augment(cell, x, 0)
-            if not done and relocate_neighbour(x):
+        def match() -> tuple | None:
+            """The (cell, guest) left stuck, or None when every buffer is placed."""
+            for cell, x in pending:
                 done = augment(cell, x, 0)
-            if not done:
-                failed_x = (cell, x)
-                break
+                if not done and relocate_neighbour(x):
+                    done = augment(cell, x, 0)
+                if not done:
+                    return cell, x
+            return None
+
+        start = dict(phi), used, {c: dict(own) for c, own in owners.items()}
+        failed_x = match()
+        if failed_x is not None and free_first:
+            # back to the phase's start, then depth-first
+            phi.clear()
+            phi.update(start[0])
+            used = start[1]
+            for c, own in owners.items():
+                own.clear()
+                own.update(start[2][c])
+            free_first = False
+            failed_x = match()
         if failed_x is not None:
             last_err = EmbedError(f"no perfect matching in cell {failed_x[0]}", stuck=failed_x[1])
             continue
@@ -332,7 +364,15 @@ def grid_reference(case):
     return outcome(reference_embed, *grid_inputs(*case), seed=case[-1])
 
 
-@pytest.mark.parametrize("case", GRID, ids=["-".join(map(str, c)) for c in GRID])
+@cache
+def grid_dfs_reference(case):
+    return outcome(reference_embed, *grid_inputs(*case), seed=case[-1], dfs_only=True)
+
+
+GRID_IDS = ["-".join(map(str, c)) for c in GRID]
+
+
+@pytest.mark.parametrize("case", GRID, ids=GRID_IDS)
 def test_grid_matches_reference(case):
     assert outcome(embed, *grid_inputs(*case), seed=case[-1]) == grid_reference(case)
 
@@ -341,7 +381,57 @@ def test_grid_reaches_every_outcome():
     results = [grid_reference(case) for case in GRID]
     errors = {msg.split(" at ")[0].split(" in ")[0] for kind, msg, _ in results if kind == "error"}
     assert errors == {"no perfect matching", "candidate depletion"}
-    assert {0, 1, 3, 4, 7} <= {retries for kind, _, retries in results if kind == "ok"}
+    assert {0, 1, 2, 3, 4} <= {retries for kind, _, retries in results if kind == "ok"}
+    # the depth-first matcher alone needs up to seven restarts on the same grid
+    assert {0, 1, 3, 4, 7} <= {retries for kind, _, retries in map(grid_dfs_reference, GRID) if kind == "ok"}
+
+
+@pytest.mark.parametrize("case", GRID, ids=GRID_IDS)
+def test_grid_never_loses_a_success(case):
+    """`embed` succeeds whenever the depth-first matcher alone does, after no
+    more restarts; when it fails, it fails as that matcher does."""
+    got, dfs = outcome(embed, *grid_inputs(*case), seed=case[-1]), grid_dfs_reference(case)
+    if dfs[0] == "ok":
+        assert got[0] == "ok" and got[2] <= dfs[2]
+    if got[0] == "error":
+        assert got == dfs
+
+
+def matcher_passes(monkeypatch, case):
+    """`embed`'s outcome on a grid case, and each `_match_cells` pass it ran as
+    (free-first, placed every buffer)."""
+    passes = []
+    match_cells = embedder._match_cells
+
+    def recording(*args, free_first):
+        try:
+            match_cells(*args, free_first=free_first)
+        except EmbedError:
+            passes.append((free_first, False))
+            raise
+        passes.append((free_first, True))
+
+    monkeypatch.setattr(embedder, "_match_cells", recording)
+    return outcome(embed, *grid_inputs(*case), seed=case[-1]), passes
+
+
+def test_depth_first_pass_finishes_what_free_first_left_stuck(monkeypatch):
+    """The first attempt's free-first pass leaves a buffer stuck; the depth-first
+    pass from the restored state places every buffer, and the call succeeds."""
+    case = ("parity", 40, 0.4, 0.1, 0)
+    got, passes = matcher_passes(monkeypatch, case)
+    assert passes[:2] == [(True, False), (False, True)]
+    assert got[0] == "ok" and got == grid_reference(case)
+
+
+def test_free_first_succeeds_where_depth_first_alone_fails(monkeypatch):
+    """On this case every attempt of the depth-first matcher alone fails, and
+    the free-first pass of the first attempt places every buffer."""
+    case = ("parity", 40, 0.4, 0.1, 1)
+    got, passes = matcher_passes(monkeypatch, case)
+    assert grid_dfs_reference(case)[0] == "error"
+    assert passes == [(True, True)]
+    assert got[::2] == ("ok", 0)
 
 
 HELD_CASES = [(n, p, seed) for n in (20, 40) for p in (0.5, 0.9) for seed in range(2)]
@@ -522,6 +612,6 @@ def test_matcher_leaves_a_buffer_guest_stuck_on_a_held_host():
     phi, owner = {2: 0, 1: 1}, {0: 2, 1: 1}
     buffers = BufferPlan({(0, 0): VertexSet.from_iter(3, [0])})
     with pytest.raises(EmbedError, match=r"^no perfect matching in cell \(0, 0\)$") as err:
-        _match_buffers(g, {0: 0b001, 1: 0b110}, nbrs, phi, owner, 0b001, 0b011, buffers)
+        _match_buffers(g, {0: 0b001, 1: 0b110}, nbrs, phi, owner, 0b001, {0, 1}, buffers)
     assert err.value.stuck == 0
     assert phi == {2: 0, 1: 2} and owner == {0: 2, 2: 1}

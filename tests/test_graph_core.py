@@ -187,6 +187,32 @@ class TestRowCache:
         assert g._rows is None
 
 
+class TestNeighbourLists:
+    """`from_edges` keeps each vertex's neighbours as an ascending tuple; a graph
+    built from rows keeps none."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tuples_are_the_rows_and_walks_agree(self, seed):
+        rng = rng_for(seed, stream=13)
+        n = 40
+        pairs = rng.choice(n, size=(90, 2)).tolist()
+        edges = [(u, v) for u, v in pairs if u != v]
+        edges += [(v, u) for u, v in edges[:10]] + edges[10:15]  # each edge again, either way round
+        g = Graph.from_edges(n, edges)
+        plain = Graph(n, g.adj)  # the same graph, built from its masks
+        assert g.neighbour_lists() == tuple(tuple(iter_bits(a)) for a in g.adj)
+        assert list(g.edges()) == list(plain.edges())
+        assert g.bfs_distances([0, 7], limit=3) == plain.bfs_distances([0, 7], limit=3)
+        assert degeneracy_order(g) == degeneracy_order(plain)
+
+    def test_a_graph_of_rows_keeps_none(self):
+        g = gnp(50, 0.3, 1)
+        assert g.neighbour_lists() == tuple(tuple(iter_bits(a)) for a in g.adj)
+        g.bfs_distances([0])
+        list(g.edges())
+        assert g._nbrs is None
+
+
 class TestPaley:
     def test_q5_is_five_cycle(self):
         g = paley(5)

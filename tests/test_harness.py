@@ -331,6 +331,26 @@ class TestRunPipeline:
         assert [spy.call_count for spy in spies] == [1, 1, 1]
         assert row == plain
 
+    def test_only_the_guest_keeps_neighbour_lists(self):
+        """A host's or G's neighbour tuples would hold about p·n² entries: no stage
+        may make them; the guest, built by `from_edges`, keeps its own."""
+        seen = {}
+        prepare_host, make_guest = harness.prepare_host, harness.make_guest
+
+        def spy_prepare(g, host, *args, **kwargs):
+            seen.update(g=g, host=host)
+            return prepare_host(g, host, *args, **kwargs)
+
+        def spy_guest(*args, **kwargs):
+            out = make_guest(*args, **kwargs)
+            seen["guest"] = out[0]
+            return out
+
+        with mock.patch.object(harness, "prepare_host", spy_prepare), mock.patch.object(harness, "make_guest", spy_guest):
+            assert run_pipeline(ExperimentConfig(**dict(SMOKE_CFG, seed=0))).success
+        assert seen["g"]._nbrs is None and seen["host"]._nbrs is None
+        assert seen["guest"]._nbrs is not None
+
     def test_determinism_modulo_runtime(self):
         cfg = ExperimentConfig(n=300, p=0.5, k=2, gamma=0.2, eps=0.25, d=0.1,
                                adversary="random", seed=4, mu=0.15, xi_guest=0.15)
