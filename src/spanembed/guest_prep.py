@@ -220,6 +220,7 @@ class GuestAssignment:
     blocks: BlockStructure
     sigma_prime: Colouring
     zero_routed: tuple[int, ...]
+    degeneracy: tuple[Labelling, int]  # the guest's `degeneracy_order`
 
 
 def _switched(
@@ -324,8 +325,8 @@ def assign_guest(
         if not (n / (10 * k * r) <= m <= 10 * n / (k * r)):
             raise GuestPrepError("precondition", f"m[{i},{j}]={m} outside [n/10kr, 10n/kr]")
 
-    _, deg_bound = degeneracy_order(h)
-    deg_bound = max(1, deg_bound)
+    degeneracy = degeneracy_order(h)
+    deg_bound = max(1, degeneracy[1])
     blocks = build_block_structure(n, k, beta, m_targets, col, l, r)
     bl = blocks.blocklen
     switching = [t for i in range(r) for t in blocks.switching_blocks(i)]
@@ -365,6 +366,7 @@ def assign_guest(
                 blocks=blocks,
                 sigma_prime=sigma_prime,
                 zero_routed=tuple(zero_routed),
+                degeneracy=degeneracy,
             )
         if not switching:
             break  # nothing random to retry
@@ -442,12 +444,18 @@ def check_bounded_order(
 
 
 def bounded_order_report(
-    h: Graph, restricting: dict[int, set[int]], buffer_mask: int, p: float, m: float
+    h: Graph,
+    degeneracy: tuple[Labelling, int],
+    restricting: dict[int, set[int]],
+    buffer_mask: int,
+    p: float,
+    m: float,
 ) -> dict[str, int]:
     """The number of violators of each `check_bounded_order` condition for the
     degeneracy order, with d_tilde = 2 * degeneracy + 1 and the restricted
-    vertices exceptional."""
-    removal, dgen = degeneracy_order(h)
+    vertices exceptional; `degeneracy` is `degeneracy_order(h)`, as kept by
+    `GuestAssignment`."""
+    removal, dgen = degeneracy
     tau = Labelling(tuple(reversed(removal.order)))  # <= dgen earlier neighbours
     report = check_bounded_order(
         h, tau, dict(restricting), VertexSet(h.n, buffer_mask), 2 * dgen + 1, p, m,

@@ -22,6 +22,7 @@ import numpy as np
 from .balancing import balance
 from .embedder import choose_buffers, embed, verify_embedding
 from .graph_core import (
+    _KEY_BLOCK,
     Graph,
     Labelling,
     StageError,
@@ -191,10 +192,12 @@ def adversary_delete(
 ) -> Graph:
     """Delete edges while keeping every degree at or above ((k-1)/k + gamma) p n.
 
-    random: greedy over a seeded edge shuffle (optionally capped by budget);
+    random: greedy over the edges in a seeded priority order (optionally
+    capped by budget), the order of `_priority_order`;
     triangle_killer: removes every triangle at `target` (edges inside its
     neighbourhood), failing if the floor blocks it, and takes no budget;
-    bipartite_push: removes edges inside k seeded random classes.
+    bipartite_push: the same greedy over the edges inside k seeded random
+    classes.
     """
     if strategy == "triangle_killer" and budget is not None:
         raise ConfigError(_NO_BUDGET)
@@ -211,7 +214,7 @@ def adversary_delete(
     rng = rng_for(seed, stream=101)
     if strategy == "random":
         keys = g.edge_keys()
-        rng.shuffle(keys)  # the same swaps as rng.permutation(len(keys))
+        _priority_order(keys, rng)
         return _delete_greedily(g, keys, spare, budget)
     if strategy == "triangle_killer":
         nbrs = bit_positions(g.adj[target])
@@ -228,24 +231,89 @@ def adversary_delete(
         return out
     if strategy == "bipartite_push":
         classes = rng.integers(0, k, size=n)
-        # the keys whose ends share a class, found a block at a time (no n x n temporary)
+        # the keys whose ends share a class, moved to the front a block at a time
         keys = g.edge_keys()
-        same = np.empty(len(keys), dtype=bool)
-        for at in range(0, len(keys), _SCAN_BLOCK):
-            u, v = np.divmod(keys[at:at + _SCAN_BLOCK], n)
-            same[at:at + _SCAN_BLOCK] = classes[u] == classes[v]
-        keys = keys[same]
-        rng.shuffle(keys)
+        kept = 0
+        for at in range(0, len(keys), _KEY_BLOCK):
+            block = keys[at:at + _KEY_BLOCK]
+            u, v = np.divmod(block, n)
+            same = block[classes[u] == classes[v]]
+            keys[kept:kept + len(same)] = same
+            kept += len(same)
+        keys.resize(kept, refcheck=False)
+        _priority_order(keys, rng)
         return _delete_greedily(g, keys, spare, budget)
     raise ConfigError(f"unknown adversary {strategy!r}")
 
 
-_SCAN_BLOCK = 1 << 16
 _NO_BUDGET = "triangle_killer takes no adversary_budget: it deletes every edge inside the target's neighbourhood"
 
 
+# murmur3's finalisers fmix32 and fmix64, by key width in bytes: the shifts s
+# and odd multipliers c of h ^= h >> s0; h *= c0; h ^= h >> s1; h *= c1;
+# h ^= h >> s2, each step a bijection on the word
+_FMIX = {
+    4: ((16, 13, 16), (0x85EBCA6B, 0xC2B2AE35)),
+    8: ((33, 33, 33), (0xFF51AFD7ED558CCD, 0xC4CEB9FE1A85EC53)),
+}
+
+
+def _priority_order(keys: np.ndarray, rng: np.random.Generator) -> None:
+    """Sort `keys` (non-negative ints) in place by a seeded priority: the
+    murmur3 finaliser of the key's word xor one word drawn from `rng`.
+
+    The priority is a bijection on the word, so distinct keys never tie and
+    the order depends on the draw and the key set alone.  The keys are mapped
+    to their priorities in place, sorted, and mapped back; no second array of
+    keys is made.
+    """
+    words = keys.view(f"u{keys.itemsize}")
+    salt = rng.integers(0, 1 << 8 * keys.itemsize, dtype=words.dtype)
+    _mix(words, salt)
+    words.sort()
+    _unmix(words, salt)
+
+
+def _mix(words: np.ndarray, salt) -> None:
+    """Map each unsigned word h to fmix(h ^ salt) in place, `_KEY_BLOCK` at a time."""
+    (s0, s1, s2), (c0, c1) = _FMIX[words.itemsize]
+    c0, c1 = words.dtype.type(c0), words.dtype.type(c1)
+    for at in range(0, len(words), _KEY_BLOCK):
+        h = words[at:at + _KEY_BLOCK]
+        h ^= salt
+        h ^= h >> s0
+        h *= c0
+        h ^= h >> s1
+        h *= c1
+        h ^= h >> s2
+
+
+def _unmix(words: np.ndarray, salt) -> None:
+    """Invert `_mix(words, salt)` in place: each step undone in reverse order."""
+    width = 8 * words.itemsize
+    (s0, s1, s2), (c0, c1) = _FMIX[words.itemsize]
+    inv0, inv1 = (words.dtype.type(pow(c, -1, 1 << width)) for c in (c0, c1))
+    for at in range(0, len(words), _KEY_BLOCK):
+        h = words[at:at + _KEY_BLOCK]
+        _unshift(h, s2, width)
+        h *= inv1
+        _unshift(h, s1, width)
+        h *= inv0
+        _unshift(h, s0, width)
+        h ^= salt
+
+
+def _unshift(h: np.ndarray, s: int, width: int) -> None:
+    """Invert h ^= h >> s in place on words of `width` bits."""
+    while s < width:
+        h ^= h >> s
+        s *= 2
+
+
 def _delete_greedily(g: Graph, keys: np.ndarray, spare: np.ndarray, cap: int | None) -> Graph:
-    """g less the edges that `_greedy_delete` selects from the scan of `keys`.
+    """g less the edges that `_greedy_delete` selects from a scan of `keys` in
+    their given order: the priority order of `_priority_order`, or the triangle
+    killer's ranking.
 
     `keys` must own its data: it is cut to the selection in place, and sorted,
     so that the clear walks the rows in order instead of at random.
@@ -263,8 +331,9 @@ def _greedy_delete(keys: np.ndarray, spare: np.ndarray, cap: int | None) -> int:
     selected keys are written, in scan order, over the front of `keys`; the
     return value is their number.  A block's selections never outnumber the
     keys read so far, so they never overwrite a key not yet read.  The
-    selections are those of the key-by-key scan, settled one block of
-    `_SCAN_BLOCK` keys at a time:
+    selections are those of the key-by-key scan, settled one block of 4 * n
+    keys at a time, so that each vertex has about 8 live keys in a block at
+    any n.  The selections do not depend on the block size:
 
     - Spare degree only falls, so a key with a spent end at the start of its
       block is skipped; the block's other keys are live.
@@ -280,13 +349,16 @@ def _greedy_delete(keys: np.ndarray, spare: np.ndarray, cap: int | None) -> int:
       selected never depends on a later key.
     """
     n = len(spare)
+    size = 4 * n
     left = len(keys) if cap is None else cap
     done = 0
-    for start in range(0, len(keys), _SCAN_BLOCK):
+    for start in range(0, len(keys), size):
         if left <= 0:
             break
-        block = keys[start:start + _SCAN_BLOCK]
-        bu, bv = np.divmod(block, n)
+        block = keys[start:start + size]
+        bu = block.astype(np.int64)  # int64 ends index and count without a cast
+        bu //= n
+        bv = block - bu * n
         has = spare > 0
         live = has[bu] & has[bv]
         occ = np.bincount(bu[live], minlength=n) + np.bincount(bv[live], minlength=n)
@@ -622,7 +694,7 @@ def run_pipeline(cfg: ExperimentConfig) -> RunRecord:
             )
             if cfg.mode == "degenerate":
                 rec.notes["bounded_order_violations"] = bounded_order_report(
-                    guest, restr.J, buffers.mask(), p, cfg.eps * cfg.n / max(1, cfg.k * rec.r)
+                    guest, assignment.degeneracy, restr.J, buffers.mask(), p, cfg.eps * cfg.n / max(1, cfg.k * rec.r)
                 )
             result = embed(
                 g, guest, final_clusters, f_star, restr, buffers, lab,

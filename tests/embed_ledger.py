@@ -10,11 +10,11 @@ Runs two sets on both `src/` trees, each tree in a process of its own:
   n in {960, 1500} at seeds 0-7 and n = 3000 at seeds 0-2, each at
   gamma in {0.1, 0.15}.
 
-Prints each set's success count per tree and every changed outcome: a grid
-case's (outcome, retries or message), a pipeline run's CSV row without
-`runtime_ms`.  A change is a gain (a failure turned into a success), fewer
-retries, or a loss (anything else).  Exits 1 if any change is a loss.  The
-pipeline set takes a few minutes.
+Prints each set's success count and summed `embed` retries per tree, and
+every changed outcome: a grid case's (outcome, retries or message), a
+pipeline run's CSV row without `runtime_ms`.  A change is a gain (a failure
+turned into a success), fewer retries, or a loss (anything else).  Exits 1
+if any change is a loss.  The pipeline set takes a few minutes.
 """
 
 from __future__ import annotations
@@ -104,7 +104,10 @@ def main(argv=None) -> int:
     for name, label in (("grid", "grid, seeds 4-15"), ("k3", "k = 3 power_cycle:2")):
         base = [r for r in runs["base"] if r[0] == name]
         new = [r for r in runs["new"] if r[0] == name]
-        print(f"{label}: {len(base)} runs, successes base {sum(r[2] for r in base)}, new {sum(r[2] for r in new)}")
+        print(
+            f"{label}: {len(base)} runs, successes base {sum(r[2] for r in base)}, new {sum(r[2] for r in new)}; "
+            f"retries base {sum(retries(name, r[3]) for r in base)}, new {sum(retries(name, r[3]) for r in new)}"
+        )
         for b, n in zip(base, new):
             if b[3] == n[3]:
                 continue
@@ -120,13 +123,19 @@ def main(argv=None) -> int:
     return 1 if losses else 0
 
 
-def fewer_retries(name: str, base: str, new: str) -> bool:
-    """Whether two successful outcomes differ only by fewer retries on the new
-    side: the last field of a CSV row, or R in a grid outcome `ok, R retries`."""
+def retries(name: str, outcome: str) -> int:
+    """The retries an outcome records: the last field of a CSV row (its
+    `embed_retries`), R in a grid outcome `ok, R retries`, 0 for a grid error."""
     if name == "k3":
-        (b_rest, b), (n_rest, n) = base.rsplit(",", 1), new.rsplit(",", 1)
-        return b_rest == n_rest and int(n) < int(b)
-    return int(new.split()[1]) < int(base.split()[1])
+        return int(outcome.rsplit(",", 1)[1])
+    return int(outcome.split()[1]) if outcome.startswith("ok") else 0
+
+
+def fewer_retries(name: str, base: str, new: str) -> bool:
+    """Whether two successful outcomes differ only by fewer retries on the new side."""
+    if name == "k3" and base.rsplit(",", 1)[0] != new.rsplit(",", 1)[0]:
+        return False
+    return retries(name, new) < retries(name, base)
 
 
 if __name__ == "__main__":

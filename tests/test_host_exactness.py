@@ -2,17 +2,21 @@
 
 The oracles are the edge-list versions of `gnp` and `adversary_delete`: one
 Philox double per pair from `triu_indices`, and a greedy over a list of edge
-tuples.  The bit-matrix versions must reproduce their graphs exactly.
+tuples, ordered by a pure-Python copy of the adversary's keyed priority (the
+murmur3 finaliser on Python ints mod 2^w).  The bit-matrix versions must
+reproduce their graphs exactly.
 
-`adversary_delete` settles its greedy one block of `_SCAN_BLOCK` keys at a
-time, deleting the keys whose ends cannot run out of spare degree in the block
-at once.  The cases at n = 300 fit in one block; the cross-block cases (n of
-1000 to 1400, four or more blocks) also cover a cap that runs out in a later
-block, a floor at the minimum degree, where almost every vertex is unsafe, and
-vertices whose live keys in a block equal their spare.  Each of those also
-checks the blocked greedy against `reference_greedy_delete`, the key-by-key
-scan it replaced, on the same keys, and so does the benchmark's resilience
-host at n = 4000.
+`adversary_delete` settles its greedy one block of 4n keys at a time,
+deleting the keys whose ends cannot run out of spare degree in the block at
+once.  The cases at n = 300 span several blocks; the cross-block cases (n of
+1000 to 1400, dozens of blocks) also cover a cap that runs out in a later
+block, a floor at the minimum degree, and vertices whose live keys in a block
+equal their spare, and a regular host covers blocks where every vertex is
+unsafe.  Each of those also checks the blocked greedy against
+`reference_greedy_delete`, the key-by-key scan it replaced, on the same keys,
+and so does the benchmark's resilience host at n = 4000.  The priority order
+itself is checked for a round trip, determinism and uniformity, and the
+adversary for holding no second array of keys.
 
 `gnp` and `Graph.edge_keys` work on blocks of `_ROW_BLOCK` rows, and
 `Graph.without_edge_keys` clears bits on packed bytes: the cases at n from 1
@@ -28,8 +32,8 @@ import numpy as np
 import pytest
 
 from spanembed import harness
-from spanembed.graph_core import _ROW_BLOCK, Graph, gnp, iter_bits, rng_for
-from spanembed.harness import _SCAN_BLOCK, ConfigError, adversary_delete
+from spanembed.graph_core import _KEY_BLOCK, _ROW_BLOCK, Graph, gnp, iter_bits, rng_for
+from spanembed.harness import ConfigError, _mix, _priority_order, _unmix, adversary_delete
 
 
 def oracle_gnp(n, p, seed):
@@ -42,6 +46,29 @@ def oracle_gnp(n, p, seed):
             adj[u] |= 1 << v
             adj[v] |= 1 << u
     return Graph(n, tuple(adj))
+
+
+# murmur3's fmix32 and fmix64 by word width: shifts, then odd multipliers
+FMIX = {32: ((16, 13, 16), (0x85EBCA6B, 0xC2B2AE35)), 64: ((33, 33, 33), (0xFF51AFD7ED558CCD, 0xC4CEB9FE1A85EC53))}
+
+
+def oracle_fmix(h, width):
+    (s0, s1, s2), (c0, c1) = FMIX[width]
+    mask = (1 << width) - 1
+    h ^= h >> s0
+    h = h * c0 & mask
+    h ^= h >> s1
+    h = h * c1 & mask
+    return h ^ (h >> s2)
+
+
+def oracle_priority_order(edges, n, rng):
+    """`edges` sorted by the priority fmix(key ^ salt) of their keys u * n + v,
+    with one salt word drawn from `rng`; the words are 32 bits wide when the
+    keys are int32, as `Graph.edge_keys` makes them for n * n < 2^31."""
+    width = 32 if n * n < 2**31 else 64
+    salt = int(rng.integers(0, 1 << width, dtype=f"u{width // 8}"))
+    return sorted(edges, key=lambda e: oracle_fmix((e[0] * n + e[1]) ^ salt, width))
 
 
 def oracle_adversary_delete(g, strategy, gamma, k, p, seed=0, budget=None, target=0):
@@ -62,9 +89,7 @@ def oracle_adversary_delete(g, strategy, gamma, k, p, seed=0, budget=None, targe
         return out
 
     if strategy == "random":
-        edges = list(g.edges())
-        order = rng.permutation(len(edges))
-        return g.without_edges(greedy([edges[int(i)] for i in order], budget))
+        return g.without_edges(greedy(oracle_priority_order(list(g.edges()), n, rng), budget))
     if strategy == "triangle_killer":
         nbrs = list(iter_bits(g.adj[target]))
         inside = [(u, v) for ii, u in enumerate(nbrs) for v in nbrs[ii + 1:] if g.has_edge(u, v)]
@@ -77,8 +102,7 @@ def oracle_adversary_delete(g, strategy, gamma, k, p, seed=0, budget=None, targe
     assert strategy == "bipartite_push"
     classes = [int(x) for x in rng.integers(0, k, size=n)]
     edges = [(u, v) for u, v in g.edges() if classes[u] == classes[v]]
-    order = rng.permutation(len(edges))
-    return g.without_edges(greedy([edges[int(i)] for i in order], budget))
+    return g.without_edges(greedy(oracle_priority_order(edges, n, rng), budget))
 
 
 @pytest.mark.parametrize(
@@ -206,15 +230,16 @@ def test_blocked_triangle_killer_matches_oracle():
 def reference_greedy_delete(a, keys, spare, cap):
     """The key-by-key greedy that `harness._greedy_delete` replaced; `spare` is a list."""
     n = a.shape[0]
+    size = 4 * n  # the greedy's block
     left = len(keys) if cap is None else cap
     hits = [np.zeros(0, dtype=np.int64)]
-    for start in range(0, len(keys), _SCAN_BLOCK):
+    for start in range(0, len(keys), size):
         if left <= 0:
             break
         # Spare degree only falls, so an edge with a spent end at the start of
         # the block is skipped by the scan as well; drop those up front.
         has = np.asarray(spare) > 0
-        bu, bv = np.divmod(keys[start:start + _SCAN_BLOCK], n)
+        bu, bv = np.divmod(keys[start:start + size], n)
         live = np.flatnonzero(has[bu] & has[bv])
         block = []
         for i, u, v in zip(live.tolist(), bu[live].tolist(), bv[live].tolist()):
@@ -265,15 +290,18 @@ def assert_matches_reference(call):
 
 
 def block_profile(keys, spare, n):
-    """Per block of the scan, over the vertices with spare at its start: the
-    share whose live keys in the block outnumber their spare (unsafe), and the
-    numbers whose live keys equal their spare and exceed it by one."""
+    """Per block of the scan while some vertex has spare, over the vertices
+    with spare at its start: the share whose live keys in the block outnumber
+    their spare (unsafe), and the numbers whose live keys equal their spare
+    and exceed it by one."""
     spare = list(spare)
     out = []
-    for start in range(0, len(keys), _SCAN_BLOCK):
-        block = keys[start:start + _SCAN_BLOCK]
+    for start in range(0, len(keys), 4 * n):
+        block = keys[start:start + 4 * n]
         sp = np.asarray(spare)
         has = sp > 0
+        if not has.any():
+            break
         bu, bv = np.divmod(block, n)
         live = has[bu] & has[bv]
         occ = np.bincount(bu[live], minlength=n) + np.bincount(bv[live], minlength=n)
@@ -299,10 +327,10 @@ def test_cross_block_adversary_matches_oracle(greedy_calls, strategy, n, p, gamm
     expect = oracle_adversary_delete(*args, **kwargs)
     assert adversary_delete(*args, **kwargs) == expect
     [call] = greedy_calls
-    assert len(call[0][0]) >= 4 * _SCAN_BLOCK
+    assert len(call[0][0]) >= 4 * (4 * n)
     assert_matches_reference(call)
     if budget is not None:
-        assert budget > _SCAN_BLOCK  # so the cap runs out after the first block
+        assert budget > 4 * n  # so the cap runs out after the first block
         assert host.m - expect.m == budget
 
 
@@ -318,12 +346,31 @@ def test_tight_floor_matches_oracle(greedy_calls, slack):
     assert_matches_reference(call)
     assert len(profile) >= 4
     if slack == 0:
-        # spare of at most a block's worth of keys: (almost) every vertex is
-        # unsafe in the first two blocks, so the Python scan reads them whole
-        assert profile[0][0] == 1.0 and profile[1][0] > 0.8
+        # spare from 0 up: vertices on both sides of the safe test's `<=`
+        # boundary in the second block
+        assert profile[1][1] > 0 and profile[1][2] > 0
     else:
-        # vertices on both sides of the safe test's `<=` boundary
-        assert profile[0][1] > 0 and profile[0][2] > 0
+        # spare far above the ~8 live keys a vertex has in a block: every
+        # vertex is safe in the first block, which one numpy step selects
+        assert profile[0][0] == 0.0
+
+
+def test_regular_host_floor_matches_oracle(greedy_calls):
+    """K_300 with a spare of 1 at every vertex, so that the greedy picks a
+    maximal matching: each vertex's ~8 live keys in the first block outnumber
+    its spare, so every vertex is unsafe there and the Python scan reads that
+    block whole."""
+    n = 300
+    host = Graph.complete(n)
+    gamma = (n - 2.5) / n - 1 / 2  # floor 1.5 under the degree n - 1 at k = 2, p = 1
+    expect = oracle_adversary_delete(host, "random", gamma, 2, 1.0, seed=2)
+    assert adversary_delete(host, "random", gamma, 2, 1.0, seed=2) == expect
+    [call] = greedy_calls
+    (keys, spare, _), _, _ = call
+    assert set(spare) == {1}
+    profile = block_profile(keys, spare, n)
+    assert_matches_reference(call)
+    assert len(profile) >= 4 and profile[0][0] == 1.0
 
 
 def test_blocked_triangle_killer_greedy_matches_reference(greedy_calls):
@@ -332,16 +379,16 @@ def test_blocked_triangle_killer_greedy_matches_reference(greedy_calls):
         with pytest.raises(ConfigError, match="blocked"):
             fn(host, "triangle_killer", 0.3, 1, 0.8, seed=3, target=5)
     [call] = greedy_calls
-    assert len(call[0][0]) >= 4 * _SCAN_BLOCK
+    assert len(call[0][0]) >= 4 * (4 * host.n)
     assert_matches_reference(call)
 
 
 def test_resilience_host_matches_reference(greedy_calls):
-    """The `resilience-gnp-n4000` benchmark host, seed 0: 49 blocks of keys."""
+    """The `resilience-gnp-n4000` benchmark host, seed 0: 200 blocks of keys."""
     host = gnp(4000, 0.4, 0)
     adversary_delete(host, "random", 0.2, 2, 0.4, seed=0)
     [call] = greedy_calls
-    assert len(call[0][0]) > 48 * _SCAN_BLOCK
+    assert len(call[0][0]) > 199 * (4 * host.n)
     assert_matches_reference(call)
 
 
@@ -363,3 +410,68 @@ def test_host_and_adversary_hold_no_square_matrix():
     assert traced_peak(gnp, n, p, 0) < n * n
     host = gnp(n, p, 0)
     assert traced_peak(adversary_delete, host, "random", 0.2, 2, p) < 4 * host.m + n * n
+
+
+@pytest.mark.parametrize("strategy", ["random", "bipartite_push"])
+def test_adversary_holds_one_key_array(monkeypatch, strategy):
+    """At n = 3000 the int32 keys take 7.2 MB.  Handed the keys, the adversary
+    holds them and blocks of `_KEY_BLOCK` or 4n keys, under 32 bytes a key of
+    one `_KEY_BLOCK` (2 MiB) more: no second array of keys, argsort index or
+    uint64 copy fits."""
+    n, p = 3000, 0.4
+    host = gnp(n, p, 0)
+    keys = host.edge_keys()
+    monkeypatch.setattr(Graph, "edge_keys", lambda self: keys.copy())
+    assert traced_peak(adversary_delete, host, strategy, 0.2, 2, p) < 4 * host.m + 32 * _KEY_BLOCK
+
+
+@pytest.mark.parametrize(
+    "words",
+    [np.array([0, 1, 2, 12345, 2**31 - 2, 2**31 - 1], dtype=np.int32),
+     np.array([2**32, 2**32 + 1, 2**40 + 7, 2**62, 2**63 - 1], dtype=np.int64)],
+    ids=["int32", "int64"],
+)
+def test_priority_mixer_round_trips(words):
+    """`_mix` is the keyed fmix32 or fmix64 of the oracle, and `_unmix` undoes it."""
+    width = 8 * words.itemsize
+    view = words.copy().view(f"u{words.itemsize}")
+    salt = view.dtype.type(0x9E3779B97F4A7C15 & ((1 << width) - 1))
+    _mix(view, salt)
+    assert view.tolist() == [oracle_fmix(w ^ int(salt), width) for w in words.tolist()]
+    _unmix(view, salt)
+    assert view.view(words.dtype).tolist() == words.tolist()
+
+
+def test_priority_order_is_a_seeded_permutation():
+    keys = gnp(300, 0.5, 0).edge_keys()
+
+    def ordered(seed):
+        out = keys.copy()
+        _priority_order(out, rng_for(seed, stream=101))
+        return out
+
+    first = ordered(0)
+    assert first.dtype == keys.dtype and np.array_equal(np.sort(first), keys)
+    assert np.array_equal(ordered(0), first)
+    assert not np.array_equal(ordered(1), first)
+    big = np.arange(2**33, 2**33 + 5000, 3, dtype=np.int64)
+    out = big.copy()
+    _priority_order(out, rng_for(0, stream=101))
+    assert np.array_equal(np.sort(out), big) and not np.array_equal(out, big)
+
+
+def test_priority_order_is_uniform_on_complete_graph():
+    """K_20's 190 keys over 2000 seeds: each key's mean rank lies within 4
+    sigma of 94.5, and each two consecutive keys come in either order about
+    half the time (within 4 sigma of 1/2)."""
+    keys = Graph.complete(20).edge_keys()
+    seeds = 2000
+    ranks = np.empty((seeds, len(keys)))
+    for seed in range(seeds):
+        out = keys.copy()
+        _priority_order(out, rng_for(seed, stream=101))
+        ranks[seed, np.searchsorted(keys, out)] = np.arange(len(keys))
+    sigma = np.sqrt((len(keys) ** 2 - 1) / 12 / seeds)
+    assert np.abs(ranks.mean(axis=0) - 94.5).max() < 4 * sigma
+    before = (ranks[:, :-1] < ranks[:, 1:]).mean(axis=0)
+    assert np.abs(before - 0.5).max() < 4 * np.sqrt(0.25 / seeds)
