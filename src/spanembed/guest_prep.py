@@ -65,22 +65,14 @@ class Colouring:
         return [v for v, c in enumerate(self.sigma) if c == 0]
 
 
-def _blocks(n: int, k: int, beta: float) -> tuple[int, int]:
-    """(block length, block count) for the labelling split; floors to integers."""
-    blocklen = math.floor(4 * k * beta * n)
-    if blocklen < 1:
-        raise ValueError(f"4*k*beta*n = {4 * k * beta * n:.3f} < 1: beta too small for n")
-    return blocklen, math.ceil(n / blocklen)
+def _zero_blocks(col: Colouring, l: Labelling, blocklen: int) -> set[int]:
+    return {l.pos[v] // blocklen for v in col.zero_vertices()}
 
 
-def _zero_blocks(col: Colouring, l: Labelling, blocklen: int, nblocks: int) -> set[int]:
-    return {min(l.pos[v] // blocklen, nblocks - 1) for v in col.zero_vertices()}
-
-
-def check_zero_free(col: Colouring, l: Labelling, z: float, beta: float, k: int) -> bool:
-    """Every window of z consecutive blocks contains at most one block using colour 0."""
-    blocklen, nblocks = _blocks(len(l), k, beta)
-    zb = sorted(_zero_blocks(col, l, blocklen, nblocks))
+def check_zero_free(col: Colouring, l: Labelling, z: float, blocklen: int) -> bool:
+    """Every window of z consecutive blocks of `blocklen` positions contains at
+    most one block using colour 0."""
+    zb = sorted(_zero_blocks(col, l, blocklen))
     # no two zero blocks inside one window of z consecutive blocks
     return all(b - a >= int(z) for a, b in zip(zb, zb[1:]))
 
@@ -105,15 +97,20 @@ class BlockStructure:
 def build_block_structure(
     n: int,
     k: int,
-    beta: float,
+    blocklen: int,
     m_targets: dict[tuple[int, int], int],
     col: Colouring,
     l: Labelling,
     r: int,
 ) -> BlockStructure:
-    """Choose section boundaries at zero-free block pairs near the target masses."""
-    blocklen, nblocks = _blocks(n, k, beta)
-    zb = _zero_blocks(col, l, blocklen, nblocks)
+    """Choose section boundaries at zero-free block pairs near the target masses.
+
+    Blocks hold `blocklen` = 4*k*beta*n positions, an interval holds
+    b = floor(k / sqrt(beta)) = isqrt(4*k^3*n // blocklen) blocks, and a
+    boundary may miss its target mass by 12*k*beta*n = 3 blocks.
+    """
+    nblocks = -(-n // blocklen)
+    zb = _zero_blocks(col, l, blocklen)
 
     def boundary_ok(t: int) -> bool:
         # B_t is a section's last block, B_{t+1} the next section's first
@@ -124,7 +121,7 @@ def build_block_structure(
     for i in range(r - 1):
         acc += sum(m_targets[(i, j)] for j in range(k))
         # cumulative block mass stays at or below the target mass
-        target = min(nblocks - 1, max(bounds[-1] + 1, math.floor(acc / blocklen)))
+        target = min(nblocks - 1, max(bounds[-1] + 1, acc // blocklen))
         chosen = next(
             (
                 cand for off in range(nblocks) for cand in (target - off, target + off)
@@ -135,13 +132,13 @@ def build_block_structure(
         if chosen is None:
             raise GuestPrepError("sections", f"no zero-free boundary for section {i}")
         # section sizing: cumulative block mass within 3 blocks of the target mass
-        if not (chosen * blocklen <= acc + blocklen // 2 < 12 * k * beta * n + chosen * blocklen + blocklen):
+        if not (chosen * blocklen <= acc + blocklen // 2 < 3 * blocklen + (chosen + 1) * blocklen):
             raise GuestPrepError(
                 "sections", f"boundary {chosen} misses the target mass by more than 3 blocks"
             )
         bounds.append(chosen)
     bounds.append(nblocks)
-    b = max(1, math.floor(k / math.sqrt(beta)))
+    b = max(1, math.isqrt(4 * k**3 * n // blocklen))
     return BlockStructure(blocklen=blocklen, nblocks=nblocks, section_bounds=bounds, b=b)
 
 
@@ -290,16 +287,20 @@ def assign_guest(
     reduced: ReducedGraph,
     m_targets: dict[tuple[int, int], int],
     xi: float,
-    beta: float,
+    blocklen: int,
     seed: int = 0,
 ) -> GuestAssignment:
     """Map guest vertices to reduced-graph cells respecting colours and sections.
 
-    Sections get rows, colours get columns (after optional random permutation
-    switching per interval), and colour-0 vertices go to the row's extension
-    cell.  Certifies part-size windows, special-set size, the homomorphism
-    property (full edge scan), two-step row locality, the prefix rule, and the
-    low-degree fraction; retries fresh permutations until the counts land.
+    The labelling is cut into blocks of `blocklen` = 4*k*beta*n positions,
+    which must cover 4*k*bandwidth; every beta-scaled quantity is computed
+    from it in integers (beta*n = blocklen // 4k, sqrt(beta)*n =
+    isqrt(blocklen*n // 4k)).  Sections get rows, colours get columns (after
+    optional random permutation switching per interval), and colour-0
+    vertices go to the row's extension cell.  Certifies part-size windows,
+    special-set size, the homomorphism property (full edge scan), two-step row
+    locality, the prefix rule, and the low-degree fraction; retries fresh
+    permutations until the counts land.
     """
     n = h.n
     k = col.k
@@ -307,13 +308,13 @@ def assign_guest(
     if reduced.index.k != k:
         raise ValueError("colouring k does not match reduced graph")
     bw = bandwidth_of_labelling(h, l)
-    if bw > beta * n + 1e-9:
-        raise GuestPrepError("precondition", f"bandwidth {bw} > beta*n = {beta * n:.1f}")
+    if 4 * k * bw > blocklen:
+        raise GuestPrepError("precondition", f"4*k*bandwidth = {4 * k * bw} > blocklen = {blocklen}")
     if not col.is_proper(h):
         raise GuestPrepError("precondition", "colouring is not proper")
-    if not check_zero_free(col, l, 10.0 / xi, beta, k):
+    if not check_zero_free(col, l, 10.0 / xi, blocklen):
         raise GuestPrepError("precondition", "colouring is not (10/xi, beta)-zero-free")
-    prefix = math.floor(math.sqrt(beta) * n)
+    prefix = math.isqrt(blocklen * n // (4 * k))
     if any(col.sigma[v] == 0 for v in l.order[:prefix]):
         raise GuestPrepError("precondition", "colour zero in the first sqrt(beta)*n positions")
     if not reduced.validate_extension():
@@ -327,22 +328,21 @@ def assign_guest(
 
     degeneracy = degeneracy_order(h)
     deg_bound = max(1, degeneracy[1])
-    blocks = build_block_structure(n, k, beta, m_targets, col, l, r)
-    bl = blocks.blocklen
+    blocks = build_block_structure(n, k, blocklen, m_targets, col, l, r)
     switching = [t for i in range(r) for t in blocks.switching_blocks(i)]
     # special set: distance <= 2 from the beta*n positions either side of each
     # section boundary, from the switching block pairs, and from colour 0; a
     # switch keeps every colour-0 vertex, so sigma' covers sigma's zeros
-    bwn = math.floor(beta * n)
-    spans = [range(t * bl - bwn, min(t * bl + bwn, n)) for t in blocks.section_bounds[1:-1]]
-    spans += [range(t * bl, min((t + 2) * bl, n)) for t in switching]
+    bwn = blocklen // (4 * k)
+    spans = [range(t * blocklen - bwn, min(t * blocklen + bwn, n)) for t in blocks.section_bounds[1:-1]]
+    spans += [range(t * blocklen, min((t + 2) * blocklen, n)) for t in switching]
     seeds = mask_of(l.order[p] for span in spans for p in span)
     fixed_special = h.closed_neighbourhood(h.closed_neighbourhood(seeds))
 
     rng = rng_for(seed, stream=51)
     failed = ["unknown"]
     for _attempt in range(ASSIGN_RETRIES):
-        sigma_prime = _switched(h, col, l, switching, bl, rng)
+        sigma_prime = _switched(h, col, l, switching, blocklen, rng)
         if sigma_prime is None:
             failed = ["switching"]
             continue

@@ -79,7 +79,6 @@ class ExperimentConfig:
     eps: float = 0.2
     d: float = 0.1
     xi: float = 0.01
-    beta: float | None = None  # default: block length 32, or more for a wide guest (run_pipeline)
     mu: float = 0.05
     vartheta: float = 0.05
     seed: int = 0
@@ -90,7 +89,9 @@ class ExperimentConfig:
     host_file: str | None = None
     paley_q: int | None = None
     r0: int = 4
-    xi_guest: float | None = None  # special-set window; default max(xi, 0.05)
+    # special-set window; default max(xi, 0.05, 2*r*blocklen/(k*n)), where the
+    # guest's blocks hold blocklen = max(32, 4*k*bandwidth) positions
+    xi_guest: float | None = None
     adversary_budget: int | None = None
     adversary_target: int = 0
 
@@ -133,8 +134,6 @@ class ExperimentConfig:
                 raise ConfigError(f"paley_q={q} must be a prime = 1 (mod 4)")
             if q is not None and q != self.n:
                 raise ConfigError(f"paley({q}) has {q} vertices but n={self.n}")
-        if self.beta is not None and 4 * self.k * self.beta * self.n < 1:
-            raise ConfigError("beta too small for n: 4*k*beta*n < 1")
         if not (0 <= self.adversary_target < self.n):
             raise ConfigError(f"adversary_target={self.adversary_target} must lie in [0, n={self.n})")
         if self.adversary_budget is not None and self.adversary_budget < 0:
@@ -614,15 +613,9 @@ def run_pipeline(cfg: ExperimentConfig) -> RunRecord:
 
         with _stage(rec, "guest"):
             guest, lab, col, meta = make_guest(cfg.guest_family, cfg.n, cfg.seed)
-            if cfg.beta is not None:
-                beta = cfg.beta
-            else:
-                # default block length 32, stretched so the labelling fits: beta*n
-                # must cover the guest bandwidth
-                blocklen = max(32, math.ceil(4 * cfg.k * meta["bandwidth"]))
-                beta = blocklen / (4 * cfg.k * cfg.n)
-            if meta["bandwidth"] > beta * cfg.n:
-                raise ConfigError(f"guest bandwidth {meta['bandwidth']} exceeds beta*n={beta * cfg.n:.1f}")
+            # blocks of 4*k*beta*n positions: 32, stretched so that beta*n
+            # covers the guest's bandwidth
+            blocklen = max(32, 4 * cfg.k * meta["bandwidth"])
 
         with _stage(rec, "host-structure"):
             hs = prepare_host(g, host, p, cfg.gamma, cfg.k, cfg.eps, cfg.d, cfg.r0, cfg.seed)
@@ -636,11 +629,10 @@ def run_pipeline(cfg: ExperimentConfig) -> RunRecord:
             else:
                 # the special set holds ~6 r beta n vertices structurally, so the
                 # default window scales with the block grid rather than with xi
-                blocklen_eff = math.floor(4 * cfg.k * beta * cfg.n)
-                xi_guest = max(cfg.xi, 0.05, 2.0 * hs.r * blocklen_eff / (cfg.k * cfg.n))
+                xi_guest = max(cfg.xi, 0.05, 2.0 * hs.r * blocklen / (cfg.k * cfg.n))
             assignment = assign_guest(
                 guest, lab, col, hs.reduced, m_targets,
-                xi=xi_guest, beta=beta, seed=cfg.seed,
+                xi=xi_guest, blocklen=blocklen, seed=cfg.seed,
             )
             rec.notes["zero_routed"] = [(v, assignment.f[v]) for v in assignment.zero_routed]
             rec.notes["extension"] = dict(hs.reduced.extension)

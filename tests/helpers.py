@@ -167,5 +167,5 @@ def pre_embed_instance(n=1000, seed=0, v0_target=None, eps=0.25):
     m = {c: len(hs.clusters[c]) + base for c in cells}
     for c in cells[: v0s - base * len(cells)]:
         m[c] += 1
-    assignment = assign_guest(guest, lab, col, hs.reduced, m, xi=0.05, beta=8 / (k * n), seed=seed)
+    assignment = assign_guest(guest, lab, col, hs.reduced, m, xi=0.05, blocklen=32, seed=seed)
     return g, host, hs, guest, lab, assignment

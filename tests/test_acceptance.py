@@ -143,9 +143,8 @@ def test_criterion_5_guest_assignment_certificates():
         guest, lab, col, meta = make_guest(family, n, idx)
         red = complete_reduced(r, k)
         m = even_targets(n, r, k)
-        beta = blocklen / (4 * k * n)
-        assert meta["bandwidth"] <= beta * n + 1e-9  # blocklen covers the bandwidth
-        ga = assign_guest(guest, lab, col, red, m, xi=xi, beta=beta, seed=idx)
+        assert 4 * k * meta["bandwidth"] <= blocklen  # blocklen covers the bandwidth
+        ga = assign_guest(guest, lab, col, red, m, xi=xi, blocklen=blocklen, seed=idx)
         # full-scan homomorphism, checked here too: zero tolerance
         for u, v in guest.edges():
             assert red.has_edge(ga.f[u], ga.f[v])

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from spanembed.guest_prep import (
     SwitchError,
     _two_step_local,
     assign_guest,
+    build_block_structure,
     check_bounded_order,
     check_zero_free,
     switch_colours,
@@ -26,28 +28,28 @@ class TestZeroFree:
     def test_no_zeros(self):
         n = 400
         h, l, col, _ = make_guest("hamilton_cycle", n, 0)
-        assert check_zero_free(col, l, 50, 8 / (2 * n), 2)
+        assert check_zero_free(col, l, 50, 32)
 
     def test_adjacent_zero_blocks_fail(self):
         n = 256
         l = Labelling.identity(n)
         sigma = [1 + (v % 2) for v in range(n)]
-        blocklen = math.floor(4 * 2 * (8 / (2 * n)) * n)  # 16
+        blocklen = 32
         sigma[0] = 0
         sigma[blocklen + 1] = 0  # blocks 0 and 1 both carry colour zero
         col = Colouring(tuple(sigma), 2)
-        assert not check_zero_free(col, l, 3, 8 / (2 * n), 2)
+        assert not check_zero_free(col, l, 3, blocklen)
 
     def test_spread_zeros_pass_window(self):
         n = 1600
         l = Labelling.identity(n)
-        blocklen = math.floor(4 * 2 * (8 / (2 * n)) * n)
+        blocklen = 32
         sigma = [1 + (v % 2) for v in range(n)]
         for blk in (0, 11, 22):  # pairwise >= 10 blocks apart
             sigma[blk * blocklen] = 0
         col = Colouring(tuple(sigma), 2)
-        assert check_zero_free(col, l, 10, 8 / (2 * n), 2)
-        assert not check_zero_free(col, l, 12, 8 / (2 * n), 2)
+        assert check_zero_free(col, l, 10, blocklen)
+        assert not check_zero_free(col, l, 12, blocklen)
 
 
 class TestSwitchColours:
@@ -144,7 +146,7 @@ class TestAssignGuest:
         h, l, col, _ = make_guest("hamilton_cycle", n, 0)
         red = complete_reduced(r, k)
         m = even_targets(n, r, k)
-        ga = assign_guest(h, l, col, red, m, xi=0.05, beta=8 / (k * n), seed=1)
+        ga = assign_guest(h, l, col, red, m, xi=0.05, blocklen=32, seed=1)
         counts = cell_counts(ga)
         assert sum(counts.values()) == n
         assert max(abs(counts.get(c, 0) - m[c]) for c in m) <= 0.01 * n
@@ -158,7 +160,7 @@ class TestAssignGuest:
         h, l, col, _ = make_guest("hamilton_cycle", n, 0)
         red = complete_reduced(r, k)
         m = even_targets(n, r, k)
-        ga = assign_guest(h, l, col, red, m, xi=0.05, beta=8 / (k * n), seed=1)
+        ga = assign_guest(h, l, col, red, m, xi=0.05, blocklen=32, seed=1)
         assert len(ga.zero_routed) == 1
         zv = ga.zero_routed[0]
         row = ga.blocks.section_of_position(l.pos[zv])
@@ -170,13 +172,13 @@ class TestAssignGuest:
         l = Labelling.identity(n)
         col = Colouring(tuple((v % 2) + 1 for v in range(n)), 2)
         red = complete_reduced(r, k)
-        ga = assign_guest(h, l, col, red, even_targets(n, r, k), xi=0.08, beta=8 / (k * n), seed=0)
+        ga = assign_guest(h, l, col, red, even_targets(n, r, k), xi=0.08, blocklen=32, seed=0)
 
     def test_two_step_locality(self):
         n = 1000
         h, l, col, _ = make_guest("hamilton_cycle", n, 0)
         red = complete_reduced(2, 2)
-        ga = assign_guest(h, l, col, red, even_targets(n, 2, 2), xi=0.05, beta=8 / (2 * n), seed=3)
+        ga = assign_guest(h, l, col, red, even_targets(n, 2, 2), xi=0.05, blocklen=32, seed=3)
         special = ga.special
         for x in range(n):
             if x in special:
@@ -191,9 +193,8 @@ class TestAssignGuest:
         n = 1000
         h, l, col, _ = make_guest("hamilton_cycle", n, 0)
         red = complete_reduced(2, 2)
-        beta = 8 / (2 * n)
-        ga = assign_guest(h, l, col, red, even_targets(n, 2, 2), xi=0.05, beta=beta, seed=4)
-        for pos in range(math.floor(math.sqrt(beta) * n)):
+        ga = assign_guest(h, l, col, red, even_targets(n, 2, 2), xi=0.05, blocklen=32, seed=4)
+        for pos in range(math.isqrt(32 * n // (4 * 2))):  # sqrt(beta) * n
             v = l.order[pos]
             assert ga.f[v] == (0, col.sigma[v] - 1)
 
@@ -203,22 +204,54 @@ class TestAssignGuest:
         scrambled = Labelling(tuple(reversed(range(n))))
         red = complete_reduced(2, 2)
         with pytest.raises(GuestPrepError):
-            assign_guest(h, scrambled, col, red, even_targets(n, 2, 2), xi=0.05, beta=8 / (2 * n), seed=0)
+            assign_guest(h, scrambled, col, red, even_targets(n, 2, 2), xi=0.05, blocklen=32, seed=0)
 
     def test_switching_active_at_large_n(self):
-        # beta small enough that sections hold several intervals, so the
+        # blocks short enough that sections hold several intervals, so the
         # random-permutation switching machinery actually runs; needs a
         # low-bandwidth guest at large n (window-5 tree)
         n, r, k = 50_000, 2, 2
         h, col = window_tree(n, 5)
         l = Labelling.identity(n)
-        beta = 0.00011
-        assert bandwidth_of_labelling(h, l) <= beta * n
+        blocklen = 44
+        assert 4 * k * bandwidth_of_labelling(h, l) <= blocklen
         red = complete_reduced(r, k)
-        ga = assign_guest(h, l, col, red, even_targets(n, r, k), xi=0.02, beta=beta, seed=5)
+        ga = assign_guest(h, l, col, red, even_targets(n, r, k), xi=0.02, blocklen=blocklen, seed=5)
         assert any(ga.blocks.switching_blocks(i) for i in range(r))
         assert ga.sigma_prime.sigma != col.sigma  # a switch really happened
         assert ga.sigma_prime.is_proper(h)
+
+
+def _floor_sqrt(x: Fraction) -> int:
+    """The largest m >= 0 with m * m <= x, by exact comparisons."""
+    m = math.floor(math.sqrt(x))
+    while (m + 1) ** 2 <= x:
+        m += 1
+    while m * m > x:
+        m -= 1
+    return m
+
+
+@pytest.mark.parametrize("n, k, blocklen", [(2017, 2, 32), (10_000, 4, 96), (737, 2, 16), (929, 2, 16), (4000, 2, 184)])
+def test_block_grid_is_exact(n, k, blocklen):
+    """Every beta-scaled quantity is the floor (or ceiling) of its exact value at
+    beta = blocklen / (4kn), where a float beta would round some of them off by one."""
+    beta = Fraction(blocklen, 4 * k * n)
+    l = Labelling.identity(n)
+    sigma = [1 + v % k for v in range(n)]
+    red, m = complete_reduced(2, k), even_targets(n, 2, k)
+    blocks = build_block_structure(n, k, blocklen, m, Colouring(tuple(sigma), k), l, 2)
+    assert blocks.nblocks == math.ceil(Fraction(n, blocklen))
+    assert blocks.b == max(1, _floor_sqrt(k * k / beta))  # floor(k / sqrt(beta))
+    prefix = _floor_sqrt(beta * n * n)  # floor(sqrt(beta) * n)
+
+    def assign_with_zero_at(pos):
+        col = Colouring(tuple(sigma[:pos] + [0] + sigma[pos + 1:]), k)
+        return assign_guest(Graph.empty(n), l, col, red, m, xi=0.05, blocklen=blocklen, seed=0)
+
+    assign_with_zero_at(prefix)  # the first position past the prefix
+    with pytest.raises(GuestPrepError, match="colour zero in the first"):
+        assign_with_zero_at(prefix - 1)  # the last position inside it
 
 
 class TestBoundedOrder:
@@ -257,11 +290,11 @@ class TestBoundedOrder:
 
 
 def _pinned_input(name):
-    """(guest, labelling, colouring, reduced graph, targets, xi, beta, seed) of one pinned input."""
+    """(guest, labelling, colouring, reduced graph, targets, xi, blocklen, seed) of one pinned input."""
     if name == "edgeless":
         n = 480
         col = Colouring(tuple((v % 2) + 1 for v in range(n)), 2)
-        return Graph.empty(n), Labelling.identity(n), col, complete_reduced(2, 2), even_targets(n, 2, 2), 0.08, 8 / (2 * n), 0
+        return Graph.empty(n), Labelling.identity(n), col, complete_reduced(2, 2), even_targets(n, 2, 2), 0.08, 32, 0
     if name == "path_zero_in_switching_block":
         # the colour-0 vertex sits in block 200, the first switching block of
         # section 0, so that section switches at block 201 instead
@@ -270,11 +303,11 @@ def _pinned_input(name):
         sigma[200 * 16 + 5] = 0
         h = Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
         col = Colouring(tuple(sigma), 2)
-        return h, Labelling.identity(n), col, complete_reduced(2, 2), even_targets(n, 2, 2), 0.05, 16 / (8 * n), 0
+        return h, Labelling.identity(n), col, complete_reduced(2, 2), even_targets(n, 2, 2), 0.05, 16, 0
     if name == "switching_tree":
         n = 50_000
         h, col = window_tree(n, 5)
-        return h, Labelling.identity(n), col, complete_reduced(2, 2), even_targets(n, 2, 2), 0.02, 0.00011, 5
+        return h, Labelling.identity(n), col, complete_reduced(2, 2), even_targets(n, 2, 2), 0.02, 44, 5
     family, n, k, r, blocklen, xi, seed = {
         "cycle_1000": ("hamilton_cycle", 1000, 2, 2, 16, 0.05, 1),
         "cycle_1001": ("hamilton_cycle", 1001, 2, 2, 16, 0.05, 1),
@@ -290,7 +323,7 @@ def _pinned_input(name):
     m = even_targets(n, r, k)
     if name == "skewed_targets":  # same row masses, columns 100 off the even split
         m = {(i, j): m[(i, j)] + (100 if j == i else -100) for i, j in m}
-    return h, l, col, complete_reduced(r, k), m, xi, blocklen / (4 * k * n), seed
+    return h, l, col, complete_reduced(r, k), m, xi, blocklen, seed
 
 
 # digest of (f, special set, sigma', zero_routed, section bounds), or the failure's (stage, message)
@@ -312,12 +345,12 @@ PINNED_ASSIGNMENTS = {
 
 @pytest.mark.parametrize("name, expected", PINNED_ASSIGNMENTS.items(), ids=list(PINNED_ASSIGNMENTS))
 def test_assign_guest_pinned(name, expected):
-    h, l, col, red, m, xi, beta, seed = _pinned_input(name)
+    h, l, col, red, m, xi, blocklen, seed = _pinned_input(name)
     if isinstance(expected, tuple):
         with pytest.raises(GuestPrepError) as err:
-            assign_guest(h, l, col, red, m, xi=xi, beta=beta, seed=seed)
+            assign_guest(h, l, col, red, m, xi=xi, blocklen=blocklen, seed=seed)
         assert (err.value.stage, str(err.value)) == expected
         return
-    ga = assign_guest(h, l, col, red, m, xi=xi, beta=beta, seed=seed)
+    ga = assign_guest(h, l, col, red, m, xi=xi, blocklen=blocklen, seed=seed)
     data = repr((ga.f, format(ga.special.mask, "x"), ga.sigma_prime.sigma, ga.zero_routed, ga.blocks.section_bounds))
     assert hashlib.sha256(data.encode()).hexdigest()[:16] == expected

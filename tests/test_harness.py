@@ -10,6 +10,7 @@ import pytest
 from spanembed import harness
 from spanembed.graph_core import gnp, iter_bits, paley, write_graph_file
 from spanembed.guest_prep import check_zero_free
+from spanembed.reduced_graph import HostPrepError
 from spanembed.harness import (
     CSV_HEADER,
     ConfigError,
@@ -152,7 +153,7 @@ class TestMakeGuest:
             h, l, col, meta = make_guest(fam, n, 3)
             assert meta["bandwidth"] == bandwidth_of_labelling(h, l)
             assert col.is_proper(h)
-            assert check_zero_free(col, l, 10 / 0.01, max(32, 8 * meta["bandwidth"]) / (4 * meta["k"] * n), meta["k"])
+            assert check_zero_free(col, l, 10 / 0.01, max(32, 4 * meta["k"] * meta["bandwidth"]))
 
 
 class TestConfig:
@@ -232,7 +233,7 @@ class TestConfig:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
         "name",
-        ["p", "gamma", "eps", "d", "xi", "beta", "mu", "vartheta", "nu", "xi_guest"],
+        ["p", "gamma", "eps", "d", "xi", "mu", "vartheta", "nu", "xi_guest"],
     )
     def test_validation_names_a_non_finite_value(self, name, value):
         with pytest.raises(ConfigError, match=f"^{name}={value} must be finite$"):
@@ -252,9 +253,9 @@ class TestConfig:
 
     def test_config_file_none_unsets_only_optional_keys(self, tmp_path):
         path = tmp_path / "none.cfg"
-        path.write_text("adversary = none\nbeta = none\nnu =\n")
+        path.write_text("adversary = none\nxi_guest = none\nnu =\n")
         vals = parse_config_file(str(path))
-        assert vals == {"adversary": "none", "beta": None, "nu": None}
+        assert vals == {"adversary": "none", "xi_guest": None, "nu": None}
         ExperimentConfig(**vals).validate()
 
     @pytest.mark.parametrize("line", ["n = abc", "p = 0.4x", "guest_family =", "n = none"])
@@ -392,13 +393,33 @@ class TestRunPipeline:
         assert rec.failure_stage != "bijumbled-check" and "adversary" in rec.stage_timings
         assert rec.notes["nu_upper"] is None and rec.notes["bijumbled_feasible"] is None
 
-    def test_explicit_beta(self):
-        # the cycle's bandwidth 2 exceeds beta * n = 1
-        rec = run_pipeline(ExperimentConfig(**dict(SMOKE_CFG, beta=0.001)))
-        assert not rec.success and rec.failure_stage == "guest"
-        assert rec.notes["error"] == "guest bandwidth 2 exceeds beta*n=1.0"
-        rec = run_pipeline(ExperimentConfig(**dict(SMOKE_CFG, beta=0.01)))
-        assert rec.success, (rec.failure_stage, rec.notes.get("error"))
+    def test_paley_blocks_hold_32_positions(self, monkeypatch):
+        # the hamilton cycle's bandwidth 2 gives blocklen max(32, 4*k*2) = 32
+        # at any n: no floor of a float round trip takes a position off
+        blocklens = []
+        assign_guest = harness.assign_guest
+
+        def spy(*args, **kwargs):
+            ga = assign_guest(*args, **kwargs)
+            blocklens.append(ga.blocks.blocklen)
+            return ga
+
+        monkeypatch.setattr(harness, "assign_guest", spy)
+        cfg = dict(SMOKE_CFG, mode="bijumbled", paley_q=2017, adversary="none", n=2017, p=0.5, gamma=0.1, seed=0)
+        assert run_pipeline(ExperimentConfig(**cfg)).success
+        assert blocklens == [32]
+
+    def test_wide_guest_passes_the_guest_stage_at_scale(self, monkeypatch):
+        # power_cycle:3 has bandwidth 6, so its blocks hold 4*4*6 = 96
+        # positions, which cover it exactly; the host structure is stubbed out
+        def stop(*args, **kwargs):
+            raise HostPrepError(None, "stopped after the guest stage")
+
+        monkeypatch.setattr(harness, "prepare_host", stop)
+        cfg = ExperimentConfig(n=10_000, p=0.6, k=4, Delta=6, guest_family="power_cycle:3", adversary="none")
+        rec = run_pipeline(cfg)
+        assert rec.failure_stage == "host-structure"
+        assert "guest" in rec.stage_timings
 
     def test_guest_k_mismatch(self):
         # power_cycle:2 is 3-coloured: the family alone decides it, so validate
@@ -498,10 +519,10 @@ class TestCli:
         assert proc.stderr == "error: r0=-3 must be >= 1\n", proc.stderr
 
     def test_cli_non_finite_value_exit_code(self, tmp_path):
-        (tmp_path / "beta.cfg").write_text("n = 200\np = 0.5\nbeta = nan\n")
+        (tmp_path / "xi_guest.cfg").write_text("n = 200\np = 0.5\nxi_guest = nan\n")
         for args, key in (
             (["--n", "200", "--p", "0.5", "--gamma", "nan"], "gamma"),
-            (["--config", str(tmp_path / "beta.cfg")], "beta"),
+            (["--config", str(tmp_path / "xi_guest.cfg")], "xi_guest"),
         ):
             cmd = [sys.executable, "-m", "spanembed.cli", "run", *args]
             proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
