@@ -276,8 +276,16 @@ class Graph:
 
     def degree_table(self, masks, vertices=None) -> np.ndarray:
         """D[i, c] = |N(vertices[i]) & masks[c]| as an int64 array, one row per vertex
-        (all of them in order by default) and one column per mask."""
-        return row_mask_counts(self.packed_rows(vertices), masks)
+        (all of them in order by default) and one column per mask.
+
+        The rows of `vertices` are read `_ROW_BLOCK` at a time (see
+        `packed_rows`), so no copy of all of them is held beside kept rows.
+        """
+        if vertices is None:
+            return row_mask_counts(self.packed_rows(), masks)
+        vs = np.asarray(vertices, dtype=np.intp)
+        blocks = [vs[i:i + _ROW_BLOCK] for i in range(0, len(vs), _ROW_BLOCK)] or [vs]
+        return np.concatenate([row_mask_counts(self.packed_rows(block), masks) for block in blocks])
 
     def to_bit_matrix(self, vertices=None) -> np.ndarray:
         """The adjacency rows of `vertices` (all by default) as a fresh bool matrix with n columns."""

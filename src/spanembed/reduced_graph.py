@@ -263,6 +263,10 @@ def _prepare_host_once(g, host, p, gamma, k, eps, d, r0, seed) -> HostStructure:
     # the partition itself runs at the working eps; eps_star only scales the
     # vertex screens (an eps/10-scale partition check is pure noise at n ~ 10^3)
     eps_star = eps / 10.0
+    # pack G's rows now, not at the W screen that would pack them anyway, so
+    # every row read until then (the partition, the Z1 screen on a host that is
+    # G) is a slice of them, not a fresh packing from ints
+    g.packed_rows()
     part = min_degree_regular_partition(g, eps, d, p, max(r0, 2 * k), seed=seed, budget=PAIR_BUDGET)
     clusters = list(part.clusters)
     v0_mask = part.exceptional.mask

@@ -8,9 +8,11 @@ most 14 vertices, so the two routes agree on everything the oracle can reach.
 Every sampled predicate runs on one engine, `_first_bad_subpair`, which reads
 G[X, Y] once into a 0/1 block and scores its candidate subpairs as exact edge
 counts: the one-sided cuts off cumulative degree sums, then the double cuts and
-random subpairs all at once, with one batched matrix product.  Verdicts carry
-no density: the energy and the partition's dense-pair test count a pair's edges
-in one packed degree table (`_pair_edge_counts`).
+random subpairs all at once, with one batched matrix product.  A pair's random
+subpairs come from two draws, one for all X-index sets and one for all Y-index
+sets (`_random_subsets`).  Verdicts carry no density: the energy and the
+partition's dense-pair test count a pair's edges in one packed degree table
+(`_pair_edge_counts`).
 """
 
 from __future__ import annotations
@@ -157,6 +159,14 @@ def _cuts(deg: np.ndarray, order: np.ndarray, thr: int):
             yield order[n - c :], int(csum[n] - csum[n - c])
 
 
+def _random_subsets(rng: np.random.Generator, rows: int, size: int, thr: int) -> np.ndarray:
+    """`rows` uniform thr-subsets of range(size), one per row, from one draw: each
+    row holds the positions of the thr smallest of size uniform keys.  The
+    partition by position, not a `keys <= kth` threshold, keeps every row at
+    exactly thr distinct indices even where keys tie."""
+    return np.argpartition(rng.random((rows, size)), thr - 1, axis=1)[:, :thr]
+
+
 def _first_bad_subpair(
     g: Graph, xs: np.ndarray, ys: np.ndarray, block: np.ndarray, eps: float, budget: int, seed: int, bad,
     joint_cuts: bool = True,
@@ -167,15 +177,16 @@ def _first_bad_subpair(
     `_pair_block`.  Candidates in scan order: degree-sorted prefix and suffix
     cuts of X against all of Y, the same for Y, with joint_cuts the two
     threshold-size double cuts, then `budget` seeded random threshold-size
-    subpairs.  A one-sided cut's edge count is an entry of a cumulative degree
-    sum.  The double cuts and random subpairs are scored together by one
-    float32 product of their X indicators with the block, taken 32 block
-    rows at a time so that no float copy of the block exists, then gathered
-    at their Y indices and summed in float64.  Every partial sum of the
-    product is an integer of at most |X| < 2^24, exact in float32, so every
-    count is exact.  `bad` decides the whole batch at once; the first bad
-    candidate in scan order is the witness, and vertex sets are built for it
-    only.
+    subpairs: one `_random_subsets` draw on the stream-21 generator gives all
+    X-index sets, and a second gives all Y-index sets.  A one-sided cut's edge
+    count is an entry of a cumulative degree sum.  The double cuts and random
+    subpairs are scored together by one float32 product of their X indicators
+    with the block, taken 32 block rows at a time so that no float copy of the
+    block exists, then gathered at their Y indices and summed in float64.
+    Every partial sum of the product is an integer of at most |X| < 2^24,
+    exact in float32, so every count is exact.  `bad` decides the whole batch
+    at once; the first bad candidate in scan order is the witness, and vertex
+    sets are built for it only.
     """
     nx, ny = block.shape
     deg_x, deg_y = block.sum(axis=1, dtype=np.int32), block.sum(axis=0, dtype=np.int32)
@@ -193,16 +204,16 @@ def _first_bad_subpair(
     for yi, e in _cuts(deg_y, oy, my_thr):
         if bad(e, nx, len(yi)):
             return witness(all_x, yi)
-    cands = [(ox[:mx_thr], oy[:my_thr]), (ox[nx - mx_thr :], oy[ny - my_thr :])] if joint_cuts else []
     rng = rng_for(seed, stream=21)
-    for _ in range(budget):
-        cands.append((rng.choice(nx, size=mx_thr, replace=False), rng.choice(ny, size=my_thr, replace=False)))
-    if not cands:
+    cx, cy = _random_subsets(rng, budget, nx, mx_thr), _random_subsets(rng, budget, ny, my_thr)
+    if joint_cuts:
+        cx = np.vstack([ox[:mx_thr], ox[nx - mx_thr :], cx])
+        cy = np.vstack([oy[:my_thr], oy[ny - my_thr :], cy])
+    if not len(cx):
         return None
-    cx, cy = np.array([xi for xi, _ in cands]), np.array([yi for _, yi in cands])
-    ind = np.zeros((len(cands), nx), dtype=np.float32)
+    ind = np.zeros((len(cx), nx), dtype=np.float32)
     np.put_along_axis(ind, cx, 1.0, axis=1)
-    prod = np.zeros((len(cands), ny), dtype=np.float32)
+    prod = np.zeros((len(cx), ny), dtype=np.float32)
     for lo in range(0, nx, 32):
         prod += ind[:, lo : lo + 32] @ block[lo : lo + 32].astype(np.float32)
     e = np.take_along_axis(prod, cy, axis=1).sum(axis=1, dtype=np.float64)

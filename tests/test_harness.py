@@ -1,8 +1,10 @@
 import math
+import os
 import re
 import subprocess
 import sys
 from contextlib import ExitStack
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -467,6 +469,16 @@ class TestRunPipeline:
             assert rec.failure_stage.startswith("pre-embed")
 
 
+# The environment of the CLI's child processes: src/ first on PYTHONPATH, so
+# they import the package that this process tests.
+CLI_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        [str(Path(__file__).resolve().parent.parent / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    ),
+}
+
+
 class TestCli:
     def test_cli_run_writes_csv(self, tmp_path):
         out = tmp_path / "result.csv"
@@ -476,7 +488,7 @@ class TestCli:
             "--eps", "0.1", "--d", "0.5", "--adversary", "none",
             "--seed", "3", "--out", str(out),
         ]
-        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=CLI_ENV, timeout=300)
         assert proc.returncode == 0, proc.stderr
         lines = out.read_text().splitlines()
         assert lines[0] == CSV_HEADER
@@ -495,7 +507,7 @@ class TestCli:
              "--eps", "0.1", "--d", "0.5"],
         ):
             cmd = [sys.executable, "-m", "spanembed.cli", "run", *args]
-            proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
+            proc = subprocess.run(cmd, capture_output=True, text=True, env=CLI_ENV, timeout=60)
             assert proc.returncode == 1, (args, proc.stderr)
             errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]
             assert len(errors) == 1 and "Traceback" not in proc.stderr, (args, proc.stderr)
@@ -505,7 +517,7 @@ class TestCli:
         cfg.write_text("adversary = triangle_killer\nadversary_target = 5000\n")
         cmd = [sys.executable, "-m", "spanembed.cli", "run", "--n", "1000", "--p", "0.4",
                "--k", "2", "--gamma", "0.2", "--eps", "0.25", "--config", str(cfg)]
-        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=CLI_ENV, timeout=60)
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr == "error: adversary_target=5000 must lie in [0, n=1000)\n", proc.stderr
 
@@ -514,7 +526,7 @@ class TestCli:
         cfg.write_text("r0 = -3\n")
         cmd = [sys.executable, "-m", "spanembed.cli", "run", "--n", "1000", "--p", "0.4",
                "--k", "2", "--gamma", "0.2", "--eps", "0.25", "--config", str(cfg)]
-        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=CLI_ENV, timeout=60)
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr == "error: r0=-3 must be >= 1\n", proc.stderr
 
@@ -525,7 +537,7 @@ class TestCli:
             (["--config", str(tmp_path / "xi_guest.cfg")], "xi_guest"),
         ):
             cmd = [sys.executable, "-m", "spanembed.cli", "run", *args]
-            proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
+            proc = subprocess.run(cmd, capture_output=True, text=True, env=CLI_ENV, timeout=60)
             assert proc.returncode == 1, (args, proc.stderr)
             assert proc.stderr == f"error: {key}=nan must be finite\n", (args, proc.stderr)
 
@@ -538,7 +550,7 @@ class TestCli:
         out = tmp_path / "rows.csv"
         cmd = [sys.executable, "-m", "spanembed.cli", "run", "--config", str(cfg),
                "--seed", "1", "--seeds", "2", "--out", str(out)]
-        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=CLI_ENV, timeout=300)
         assert proc.returncode == 0, proc.stderr
         lines = out.read_text().splitlines()
         assert len(lines) == 3

@@ -1,10 +1,12 @@
 import functools
 import hashlib
 import itertools
+import sys
 
 import pytest
 
-from spanembed.graph_core import Graph, gnp, rng_for
+from spanembed import graph_core
+from spanembed.graph_core import Graph, gnp, paley, rng_for
 from spanembed.reduced_graph import (
     BackboneIndex,
     HostPrepError,
@@ -284,6 +286,25 @@ class TestPrepareHost:
             c = hs.clusters[cell]
             dv = degree_into(host, v, c.mask)
             assert abs(dv - 0.4 * len(c)) <= 0.25 * 0.4 * len(c) + 1.0
+
+    def test_g_rows_are_packed_once(self, monkeypatch):
+        # On a graph that is its own host, every adjacency row that host
+        # preparation reads is a slice of G's kept rows: at most n rows are
+        # packed from ints, where reading them afresh per use packed 4.7 n.
+        g = paley(1009)
+        packed = []
+        pack = graph_core._packed
+
+        def counting(masks, words):
+            masks = list(masks)
+            if sys._getframe(1).f_code.co_name == "packed_rows":
+                packed.append(len(masks))
+            return pack(masks, words)
+
+        monkeypatch.setattr(graph_core, "_packed", counting)
+        hs = prepare_host(g, g, 0.5, 0.1, 2, 0.25, 0.1, 4, seed=0)
+        assert hs.reduced.contains_backbone()
+        assert 0 < sum(packed) <= g.n
 
 
 @functools.lru_cache(maxsize=None)

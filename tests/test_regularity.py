@@ -17,6 +17,7 @@ from spanembed.regularity import (
     _energy_term,
     _inheritance_ok,
     _prefix_inheritance_ok,
+    _random_subsets,
     _subset_degree_table,
     check_lower_regular,
     check_super_regular,
@@ -194,7 +195,7 @@ class TestEnergyPartition:
         "instance, seed, rounds, irregular, digest",
         [
             ("planted-120", 2, 3, [1, 39, 0], "c26e7ab45fe239ac"),
-            ("planted-240", 3, 3, [1, 14, 112], "605f7de0eb609e59"),
+            ("planted-240", 3, 3, [1, 13, 113], "6fec5b068f4ed7d7"),
         ],
         ids=["planted-120", "planted-240"],
     )
@@ -308,8 +309,10 @@ class TestTwoSidedRegular:
 
 
 # Reference scan: one bitmask per candidate subpair, scored with
-# `edges_between`.  The block engine must reproduce its draws, verdicts
-# and witnesses exactly.
+# `edges_between`, in the engine's scan order.  It draws its random subpairs
+# with the engine's own batched draw (`_random_subsets`, tested on its own
+# below), so the block engine must reproduce its verdicts and witnesses
+# exactly.
 
 
 def scan_subpairs(g, x, y, eps, budget, seed, joint_cuts=True):
@@ -332,10 +335,10 @@ def scan_subpairs(g, x, y, eps, budget, seed, joint_cuts=True):
         yield mask_of(deg_x[:mx_thr]), mask_of(deg_y[:my_thr])
         yield mask_of(deg_x[-mx_thr:]), mask_of(deg_y[-my_thr:])
     rng = rng_for(seed, stream=21)
-    for _ in range(budget):
-        xa = rng.choice(len(xs), size=mx_thr, replace=False)
-        ya = rng.choice(len(ys), size=my_thr, replace=False)
-        yield mask_of(xs[int(i)] for i in xa), mask_of(ys[int(j)] for j in ya)
+    drawn_x = _random_subsets(rng, budget, len(xs), mx_thr)
+    drawn_y = _random_subsets(rng, budget, len(ys), my_thr)
+    for xa, ya in zip(drawn_x.tolist(), drawn_y.tolist()):
+        yield mask_of(xs[i] for i in xa), mask_of(ys[j] for j in ya)
 
 
 def scan_verdict(g, x, y, eps, p, budget, seed, bad, ok_kind, joint_cuts=True):
@@ -492,6 +495,49 @@ def test_batch_matches_scan_at_benchmark_shapes(side):
                     assert got == scan_lower(g, x, y, eps, d, p, budget, seed)
                     kinds[witness_kind(g, x, y, eps, budget, seed, got, joint_cuts=True)] += 1
     assert kinds["cut"] > 0 and kinds["random"] > 0 and kinds[None] > 0
+
+
+class TestRandomSubsets:
+    """The engine's batched draw of random subpairs: one call per side per pair."""
+
+    @pytest.mark.parametrize("size, thr", [(1, 1), (15, 4), (40, 40), (333, 100)])
+    def test_rows_are_thr_distinct_indices(self, size, thr):
+        rows = _random_subsets(rng_for(size, stream=21), 64, size, thr)
+        assert rows.shape == (64, thr)
+        assert rows.min() >= 0 and rows.max() < size
+        assert all(len(set(row)) == thr for row in rows.tolist())
+
+    def test_tied_keys_still_give_thr_indices(self):
+        # a generator whose keys all tie: rows are cut by position, not by key
+        class Tied:
+            def random(self, shape):
+                return np.zeros(shape)
+
+        assert all(len(set(row)) == 4 for row in _random_subsets(Tied(), 3, 10, 4).tolist())
+
+    def test_same_seed_same_draw(self):
+        a = _random_subsets(rng_for(5, stream=21), 64, 333, 100)
+        assert np.array_equal(a, _random_subsets(rng_for(5, stream=21), 64, 333, 100))
+        assert not np.array_equal(a, _random_subsets(rng_for(6, stream=21), 64, 333, 100))
+
+    def test_inclusion_frequency_is_thr_over_size(self):
+        # 4000 rows of 10 of 40: each index's count is Binomial(4000, 1/4),
+        # whose standard deviation is 0.0068 in frequency; the bound is 5 of them
+        rows = _random_subsets(rng_for(0, stream=21), 4000, 40, 10)
+        freq = np.bincount(rows.ravel(), minlength=40) / 4000
+        assert np.abs(freq - 0.25).max() <= 0.035
+
+    def test_budget_zero_draws_nothing_and_decides_on_cuts(self):
+        rng = rng_for(0, stream=21)
+        assert _random_subsets(rng, 0, 120, 6).shape == (0, 6)
+        assert rng.random() == rng_for(0, stream=21).random()  # the generator did not move
+        # no cut of a circulant band deviates, so budget 0 certifies it, and at
+        # budget 64 a random subpair is the witness
+        g, x, y, p = circulant_case(120, 0)
+        assert check_two_sided_regular(g, x, y, 0.05, p, budget=0, seed=0).kind == "regular"
+        assert check_lower_regular(g, x, y, 0.05, 0.85, p, budget=0, seed=0).kind == "lower_regular"
+        got = check_two_sided_regular(g, x, y, 0.05, p, budget=64, seed=0)
+        assert witness_kind(g, x, y, 0.05, 64, 0, got, joint_cuts=False) == "random"
 
 
 def reference_inheritance(g, nbrs, amask, bmask, eps, d, p):
