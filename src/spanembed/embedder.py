@@ -59,11 +59,13 @@ CANDIDATE_SAMPLE = 24
 
 
 class EmbedError(StageError):
-    """Embedding failed; carries the stuck guest vertex."""
+    """Embedding failed; carries the stuck guest vertex, and the number of
+    attempts that failed when `embed` raises it after all of them."""
 
     def __init__(self, message: str, stuck: int | None = None):
         super().__init__(None, message)
         self.stuck = stuck
+        self.attempts = 0
 
 
 @dataclass
@@ -253,6 +255,7 @@ def embed(
             last_err = err
             continue
         return EmbedResult(phi=phi, retries=attempt)
+    last_err.attempts = EMBED_RESTARTS
     raise last_err
 
 

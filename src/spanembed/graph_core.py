@@ -9,7 +9,9 @@ which reads the rows itself), and unpacks them to bool rows only where a 0/1
 block is needed (`Graph.to_bit_matrix`, or `unpack_rows` for rows packed
 earlier); `bit_positions` lists a mask's set bits from its bytes.  Edge sets
 in bulk are int keys u * n + v: `Graph.edge_keys` lists them a block of rows
-at a time and `Graph.without_edge_keys` deletes them from a packed copy.
+at a time, and a `PackedCopy` of the rows lists them and deletes them in place
+(`Graph.without_edge_keys` deletes on one); `mapped_array` holds keys in bulk
+outside the heap.
 `gnp` writes its rows packed, a block of rows at a time, so program code never
 holds an n x n bool matrix, and `parse_graph_text` sets a file's edges
 straight into packed rows.  This module is the only one that knows that
@@ -30,6 +32,7 @@ import numpy as np
 
 __all__ = [
     "Graph",
+    "PackedCopy",
     "VertexSet",
     "Labelling",
     "rng_for",
@@ -38,6 +41,7 @@ __all__ = [
     "bit_positions",
     "row_mask_counts",
     "unpack_rows",
+    "mapped_array",
     "gnp",
     "paley",
     "bandwidth_of_labelling",
@@ -103,14 +107,23 @@ def _packed(masks, words: int) -> np.ndarray:
     return np.frombuffer(buf, dtype="<u8").reshape(len(masks), words)
 
 
+def mapped_array(count: int, dtype) -> np.ndarray:
+    """A writable zeroed array of `count` items of `dtype` in an anonymous memory
+    map of its own, unmapped when the array dies.  A page of it takes memory
+    only once written, so a buffer sized for every edge key costs only the
+    keys put in it."""
+    dtype = np.dtype(dtype)
+    return np.frombuffer(mmap.mmap(-1, max(count * dtype.itemsize, 1)), dtype=dtype, count=count)
+
+
 def _mapped_copy(a: np.ndarray) -> np.ndarray:
-    """A read-only copy of `a` in an anonymous memory map of its own, unmapped
-    when the copy dies.  Kept rows live there, outside the malloc heap: a
-    graph that kept them in the heap until its caller dropped it left a hole
-    that later allocations grew around (1.3-1.9 MB more peak RSS over two
-    pipeline calls at n = 4000, G(n, p) with the adversary, when the caller
-    held the first call's graphs until the second began)."""
-    out = np.frombuffer(mmap.mmap(-1, max(a.nbytes, 1)), dtype=a.dtype, count=a.size).reshape(a.shape)
+    """A read-only copy of `a` in a `mapped_array`.  Kept rows live there,
+    outside the malloc heap: a graph that kept them in the heap until its
+    caller dropped it left a hole that later allocations grew around (1.3-1.9
+    MB more peak RSS over two pipeline calls at n = 4000, G(n, p) with the
+    adversary, when the caller held the first call's graphs until the second
+    began)."""
+    out = mapped_array(a.size, a.dtype).reshape(a.shape)
     out[...] = a
     out.flags.writeable = False
     return out
@@ -137,10 +150,14 @@ def _graph_of_rows(rows: np.ndarray) -> "Graph":
 
 
 # Rows of a bool block that `gnp` and `Graph.edge_keys` unpack at once, and the
-# edge keys that `Graph.without_edge_keys` clears in one step.  _ROW_BLOCK is a
+# edge keys that `PackedCopy.delete` clears in one step.  _ROW_BLOCK is a
 # multiple of 8, so a block's columns start on a byte.
 _ROW_BLOCK = 512
 _KEY_BLOCK = 1 << 16
+# Rows that `PackedCopy.edge_key_blocks` unpacks at once: few, so that a
+# block's keys stay small beside a buffer of half a graph's keys (blocks of
+# 256 rows gave back the peak RSS that halving the keys saved at n = 4000)
+_KEY_ROWS = 64
 # uint64 words of the rows-by-masks AND that `row_mask_counts` holds at once
 _COUNT_BLOCK = 1 << 16
 # _CLEAR_BIT[b] is a byte with every bit but b set
@@ -362,25 +379,15 @@ class Graph:
     def without_edge_keys(self, keys) -> "Graph":
         """This graph less the edges {u, v} of the keys u * n + v; an absent edge is
         skipped.  Raises ValueError for a key outside [0, n * n), which has an end
-        outside [0, n).
-
-        Both bits of each edge are cleared on a packed copy of the rows,
-        `_KEY_BLOCK` keys at a time.  The copy is taken from the kept rows, or
-        packed afresh; this graph keeps no rows for it.
+        outside [0, n).  The edges are deleted on a `PackedCopy`.
         """
         n = self.n
         keys = np.asarray(keys)
         if keys.size and (keys.min() < 0 or keys.max() >= n * n):
             raise ValueError(f"edge key outside [0, n * n) for n={n}")
-        rows = _packed(self.adj, (n + 63) // 64) if self._rows is None else self._rows.copy()
-        rows = rows.view(np.uint8)
-        width = rows.shape[1]
-        flat = rows.reshape(-1)
-        for at in range(0, len(keys), _KEY_BLOCK):
-            u, v = np.divmod(keys[at:at + _KEY_BLOCK].astype(np.int64), n)
-            np.bitwise_and.at(flat, u * width + (v >> 3), _CLEAR_BIT[v & 7])
-            np.bitwise_and.at(flat, v * width + (u >> 3), _CLEAR_BIT[u & 7])
-        return _graph_of_rows(rows)
+        edit = PackedCopy(self)
+        edit.delete(keys)
+        return edit.graph()
 
     def without_edges(self, edges) -> "Graph":
         """This graph less the edges (u, v) in `edges`, as `without_edge_keys` deletes
@@ -430,6 +437,59 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self._m})"
+
+
+class PackedCopy:
+    """A writable packed copy of a graph's rows: edges are listed from it and
+    deleted in it by key u * n + v, and `graph()` is the graph of its rows.
+
+    The copy is taken from the graph's kept rows, or packed afresh; the graph
+    keeps no rows for it.
+    """
+
+    __slots__ = ("n", "_rows")
+
+    def __init__(self, g: Graph):
+        self.n = g.n
+        rows = _packed(g.adj, (g.n + 63) // 64) if g._rows is None else g._rows.copy()
+        self._rows = rows.view(np.uint8)
+
+    def edge_key_blocks(self, vertices=None):
+        """Yield the edges {u, v} with u < v of the subgraph induced on `vertices`
+        (ascending and distinct; all of [n] by default) as int64 keys u * n + v,
+        ascending, one array for each `_KEY_ROWS` rows of `vertices`."""
+        n = self.n
+        vs = None if vertices is None else np.asarray(vertices, dtype=np.int64)
+        size = n if vs is None else len(vs)
+        for i0 in range(0, size, _KEY_ROWS):
+            if vs is None:
+                block = unpack_rows(self._rows[i0:i0 + _KEY_ROWS], n)
+            else:
+                block = unpack_rows(self._rows[vs[i0:i0 + _KEY_ROWS]], n)[:, vs]
+            for i in range(len(block)):
+                block[i, :i0 + i + 1] = False  # keep positions j > i0 + i
+            hit = np.flatnonzero(block)
+            if vs is None:
+                hit += i0 * n
+                yield hit
+            else:
+                i, j = np.divmod(hit, size)
+                yield vs[i0 + i] * n + vs[j]
+
+    def delete(self, keys) -> None:
+        """Clear both bits of each edge {u, v} of the keys u * n + v (ends in
+        [0, n)), `_KEY_BLOCK` keys at a time; an absent edge is skipped.  Keys
+        in ascending order walk the rows in order."""
+        width = self._rows.shape[1]
+        flat = self._rows.reshape(-1)
+        for at in range(0, len(keys), _KEY_BLOCK):
+            u, v = np.divmod(keys[at:at + _KEY_BLOCK].astype(np.int64), self.n)
+            np.bitwise_and.at(flat, u * width + (v >> 3), _CLEAR_BIT[v & 7])
+            np.bitwise_and.at(flat, v * width + (u >> 3), _CLEAR_BIT[u & 7])
+
+    def graph(self) -> Graph:
+        """The graph of the rows as they stand."""
+        return _graph_of_rows(self._rows)
 
 
 @dataclass(frozen=True)

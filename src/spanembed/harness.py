@@ -20,17 +20,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .balancing import balance
-from .embedder import choose_buffers, embed, verify_embedding
+from .embedder import EmbedError, choose_buffers, embed, verify_embedding
 from .graph_core import (
     _KEY_BLOCK,
     Graph,
     Labelling,
+    PackedCopy,
     StageError,
     VertexSet,
     _is_prime,
     bandwidth_of_labelling,
     bit_positions,
     gnp,
+    mapped_array,
     mask_of,
     paley,
     read_graph_file,
@@ -192,7 +194,8 @@ def adversary_delete(
     """Delete edges while keeping every degree at or above ((k-1)/k + gamma) p n.
 
     random: greedy over the edges in a seeded priority order (optionally
-    capped by budget), the order of `_priority_order`;
+    capped by budget), the order of `_priority_order`, scanned in two halves
+    (`_delete_in_halves`);
     triangle_killer: removes every triangle at `target` (edges inside its
     neighbourhood), failing if the floor blocks it, and takes no budget;
     bipartite_push: the same greedy over the edges inside k seeded random
@@ -212,9 +215,7 @@ def adversary_delete(
     spare = deg - math.ceil(floor - 1e-9)
     rng = rng_for(seed, stream=101)
     if strategy == "random":
-        keys = g.edge_keys()
-        _priority_order(keys, rng)
-        return _delete_greedily(g, keys, spare, budget)
+        return _delete_in_halves(g, spare, budget, rng, None)
     if strategy == "triangle_killer":
         nbrs = bit_positions(g.adj[target])
         iu, iv = np.divmod(g.edge_keys(nbrs), len(nbrs))
@@ -223,25 +224,16 @@ def adversary_delete(
         us, vs = us[order], vs[order]
         ranked = np.argsort(-(deg[us] + deg[vs]), kind="stable")
         keys = (us * n + vs)[ranked]
-        out = _delete_greedily(g, keys, spare, None)
+        edit = PackedCopy(g)
+        _delete_greedily(edit, keys, spare, None)
+        out = edit.graph()
         inside = g.adj[target]
         if any(out.adj[u] & inside for u in nbrs.tolist()):
             raise ConfigError("triangle_killer blocked by the degree floor")
         return out
     if strategy == "bipartite_push":
         classes = rng.integers(0, k, size=n)
-        # the keys whose ends share a class, moved to the front a block at a time
-        keys = g.edge_keys()
-        kept = 0
-        for at in range(0, len(keys), _KEY_BLOCK):
-            block = keys[at:at + _KEY_BLOCK]
-            u, v = np.divmod(block, n)
-            same = block[classes[u] == classes[v]]
-            keys[kept:kept + len(same)] = same
-            kept += len(same)
-        keys.resize(kept, refcheck=False)
-        _priority_order(keys, rng)
-        return _delete_greedily(g, keys, spare, budget)
+        return _delete_in_halves(g, spare, budget, rng, classes)
     raise ConfigError(f"unknown adversary {strategy!r}")
 
 
@@ -257,17 +249,16 @@ _FMIX = {
 }
 
 
-def _priority_order(keys: np.ndarray, rng: np.random.Generator) -> None:
+def _priority_order(keys: np.ndarray, salt) -> None:
     """Sort `keys` (non-negative ints) in place by a seeded priority: the
-    murmur3 finaliser of the key's word xor one word drawn from `rng`.
+    murmur3 finaliser of the key's word xor `salt`, a word as wide as the keys.
 
     The priority is a bijection on the word, so distinct keys never tie and
-    the order depends on the draw and the key set alone.  The keys are mapped
+    the order depends on the salt and the key set alone.  The keys are mapped
     to their priorities in place, sorted, and mapped back; no second array of
     keys is made.
     """
-    words = keys.view(f"u{keys.itemsize}")
-    salt = rng.integers(0, 1 << 8 * keys.itemsize, dtype=words.dtype)
+    words = keys.view(salt.dtype)
     _mix(words, salt)
     words.sort()
     _unmix(words, salt)
@@ -309,17 +300,61 @@ def _unshift(h: np.ndarray, s: int, width: int) -> None:
         s *= 2
 
 
-def _delete_greedily(g: Graph, keys: np.ndarray, spare: np.ndarray, cap: int | None) -> Graph:
-    """g less the edges that `_greedy_delete` selects from a scan of `keys` in
-    their given order: the priority order of `_priority_order`, or the triangle
-    killer's ranking.
+def _delete_in_halves(
+    g: Graph, spare: np.ndarray, cap: int | None, rng: np.random.Generator, classes: np.ndarray | None
+) -> Graph:
+    """g less the edges that `_greedy_delete` selects from a scan of all its edge
+    keys, or of those whose ends share a class when `classes` (one per vertex)
+    is given, in the priority order of `_priority_order` under a salt drawn
+    from `rng`.
 
-    `keys` must own its data: it is cut to the selection in place, and sorted,
-    so that the clear walks the rows in order instead of at random.
+    The scan runs in two halves, split by the top bit of the priority, so that
+    no more than half the keys are held at once.  The first half's keys are
+    listed from a `PackedCopy` of g's rows, ordered and scanned; the second
+    half's keys are listed only among the vertices that still have spare
+    degree, because spare degree only falls and the scan skips a key with a
+    spent end.  Each half's selections are deleted from the copy, which
+    becomes the result.  The keys live in one `mapped_array` sized for every
+    key, of which only the pages written take memory: those of the larger
+    half's keys, the first half's on a host with a floor that binds.
     """
-    keys.resize(_greedy_delete(keys, spare, cap), refcheck=False)
-    keys.sort()
-    return g.without_edge_keys(keys)
+    n = g.n
+    width = 4 if n * n <= np.iinfo(np.int32).max else 8  # bytes a key, as in `Graph.edge_keys`
+    salt = rng.integers(0, 1 << 8 * width, dtype=f"u{width}")
+    edit = PackedCopy(g)
+    keys = mapped_array(g.m, f"i{width}")
+    top = 8 * width - 1
+    for half in (0, 1):
+        count = 0
+        for block in edit.edge_key_blocks(None if half == 0 else np.flatnonzero(spare > 0)):
+            if classes is not None:
+                u, v = np.divmod(block, n)
+                block = block[classes[u] == classes[v]]
+            words = block.astype(salt.dtype)
+            _mix(words, salt)
+            block = block[words >> top == half]
+            keys[count:count + len(block)] = block
+            count += len(block)
+        _priority_order(keys[:count], salt)
+        done = _delete_greedily(edit, keys[:count], spare, cap)
+        if cap is not None:
+            cap -= done
+            if cap == 0:
+                break
+    return edit.graph()
+
+
+def _delete_greedily(edit: PackedCopy, keys: np.ndarray, spare: np.ndarray, cap: int | None) -> int:
+    """Delete from `edit` the edges that `_greedy_delete` selects from a scan of
+    `keys` in their given order, and return their number.
+
+    The selections, at the front of `keys`, are sorted first, so that the
+    clear walks the rows in order instead of at random.
+    """
+    done = _greedy_delete(keys, spare, cap)
+    keys[:done].sort()
+    edit.delete(keys[:done])
+    return done
 
 
 def _greedy_delete(keys: np.ndarray, spare: np.ndarray, cap: int | None) -> int:
@@ -688,10 +723,14 @@ def run_pipeline(cfg: ExperimentConfig) -> RunRecord:
                 rec.notes["bounded_order_violations"] = bounded_order_report(
                     guest, assignment.degeneracy, restr.J, buffers.mask(), p, cfg.eps * cfg.n / max(1, cfg.k * rec.r)
                 )
-            result = embed(
-                g, guest, final_clusters, f_star, restr, buffers, lab,
-                initial_phi=state.phi, seed=cfg.seed,
-            )
+            try:
+                result = embed(
+                    g, guest, final_clusters, f_star, restr, buffers, lab,
+                    initial_phi=state.phi, seed=cfg.seed,
+                )
+            except EmbedError as exc:
+                rec.embed_retries = exc.attempts
+                raise
             rec.embed_retries = result.retries
 
         with _stage(rec, "verify"):

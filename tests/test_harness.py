@@ -9,7 +9,8 @@ from unittest import mock
 
 import pytest
 
-from spanembed import harness
+from spanembed import embedder, harness
+from spanembed.embedder import EMBED_RESTARTS, EmbedError
 from spanembed.graph_core import gnp, iter_bits, paley, write_graph_file
 from spanembed.guest_prep import check_zero_free
 from spanembed.reduced_graph import HostPrepError
@@ -299,6 +300,23 @@ class TestRunPipeline:
         row = csv_row(rec)
         assert len(row.split(",")) == len(CSV_HEADER.split(","))
         assert row.split(",")[0] == "1"
+
+    def test_failed_embed_records_its_attempts(self, monkeypatch):
+        """An `embed` that fails every one of its EMBED_RESTARTS attempts records
+        them all as retries, where a first-try success records 0."""
+        attempts = []
+
+        def no_matching(*args):
+            attempts.append(1)
+            raise EmbedError("no perfect matching")
+
+        monkeypatch.setattr(embedder, "_match_buffers", no_matching)
+        cfg = ExperimentConfig(n=200, p=1.0, k=2, gamma=0.2, eps=0.1, d=0.5,
+                               adversary="none", seed=1, xi_guest=0.15)
+        rec = run_pipeline(cfg)
+        assert rec.failure_stage == "embed" and len(attempts) == EMBED_RESTARTS
+        assert rec.embed_retries == EMBED_RESTARTS
+        assert csv_row(rec).split(",")[CSV_HEADER.split(",").index("embed_retries")] == str(EMBED_RESTARTS)
 
     def test_failure_stage_is_one_csv_field(self):
         # a tight special-set window breaks two assignment certificates at once

@@ -2,9 +2,9 @@
 re-exported, every local that a spanembed function assigns is read, every defaulted
 parameter of a spanembed function is passed by some call, and no spanembed function takes
 its settings as string keys of a parameter, and no spanembed function imports inside its
-body; only `graph_core` knows the packed-row format or holds the whole graph as an n x n
-bool matrix; `run_pipeline` holds no loop statement; every `ExperimentConfig` field is set
-by some test, benchmark or command-line flag."""
+body; only `graph_core` knows the packed-row format, maps memory or holds the whole graph
+as an n x n bool matrix; `run_pipeline` holds no loop statement; every `ExperimentConfig`
+field is set by some test, benchmark or command-line flag."""
 
 import ast
 from dataclasses import fields
@@ -319,6 +319,46 @@ def test_only_graph_core_knows_the_packed_format():
         for path in MODULES
         if path.name != "graph_core.py"
         for line, name in packed_format_uses(path.read_text(encoding="utf-8"))
+    ]
+    assert uses == []
+
+
+def memory_map_uses(source: str) -> list[int]:
+    """Lines of every import or use of `mmap`, as a module, a name or an attribute.
+
+    Where arrays live outside the malloc heap is `graph_core`'s decision, like the
+    packed word format: kept rows and bulk edge keys go in its `mapped_array`.
+    """
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or ""] + [alias.name for alias in node.names]
+            if any(name.split(".")[0] == "mmap" for name in names):
+                lines.add(node.lineno)
+        elif (node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)) == "mmap":
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_scanner_flags_only_memory_map_uses():
+    source = (
+        "import mmap\n"
+        "from mmap import mmap as m, PAGESIZE\n"
+        "import numpy as np\n"
+        "def f(n):\n"
+        '    """mmap in a docstring is fine, and so is a mapped_array call"""\n'
+        "    a = mapped_array(n, np.int32)\n"
+        "    return np.frombuffer(mmap.mmap(-1, n)), a\n"
+    )
+    assert memory_map_uses(source) == [1, 2, 7]
+
+
+def test_only_graph_core_maps_memory():
+    uses = [
+        f"{path.name}:{line}"
+        for path in MODULES
+        if path.name != "graph_core.py"
+        for line in memory_map_uses(path.read_text(encoding="utf-8"))
     ]
     assert uses == []
 
