@@ -250,7 +250,7 @@ def embed(
                 blacklist.pop(x, None)
                 idx += 1
 
-            _match_buffers(g, base_mask, nbrs, phi, owner, held, movable, buffers)
+            _match_buffers(g, base_mask, nbrs, phi, owner, used, held, movable, buffers)
         except EmbedError as err:
             last_err = err
             continue
@@ -305,12 +305,14 @@ def _match_buffers(
     nbrs: tuple[tuple[int, ...], ...],
     phi: dict[int, int],
     owner: dict[int, int],
+    used: int,
     held: int,
     movable: set[int],
     buffers: BufferPlan,
 ) -> None:
     """Embed the buffer guests cell by cell, updating `phi` and its inverse
-    `owner` in place; `movable` holds the guests that a relocation may move.
+    `owner` in place; `used` is the mask of the hosts that `owner` maps, and
+    `movable` holds the guests that a relocation may move.
 
     The first pass of `_match_cells` is free-first: a path ends at a free host
     as soon as a frame has one among its candidates, where the plain search
@@ -321,13 +323,13 @@ def _match_buffers(
     """
     start_phi, start_owner = dict(phi), dict(owner)
     try:
-        _match_cells(g, base_mask, nbrs, phi, owner, held, movable, buffers, free_first=True)
+        _match_cells(g, base_mask, nbrs, phi, owner, used, held, movable, buffers, free_first=True)
     except EmbedError:
         phi.clear()
         phi.update(start_phi)
         owner.clear()
         owner.update(start_owner)
-        _match_cells(g, base_mask, nbrs, phi, owner, held, movable, buffers, free_first=False)
+        _match_cells(g, base_mask, nbrs, phi, owner, used, held, movable, buffers, free_first=False)
 
 
 def _match_cells(
@@ -336,6 +338,7 @@ def _match_cells(
     nbrs: tuple[tuple[int, ...], ...],
     phi: dict[int, int],
     owner: dict[int, int],
+    used: int,
     held: int,
     movable: set[int],
     buffers: BufferPlan,
@@ -344,13 +347,14 @@ def _match_cells(
     """One pass of the buffer phase: embed each buffer guest by an augmenting
     path through the placed guests (the free hosts alone are far too thin at
     desk scale); when none exists, relocate one embedded neighbour in
-    `movable` and try again.  Hosts in `held` keep their guests.  Each
-    guest's candidate mask is cached until a neighbour's image moves.  Raises
+    `movable` and try again.  `used` masks the hosts that `owner` maps on
+    entry, and hosts in `held` keep their guests.  Each guest's candidate
+    mask is cached until a neighbour's image moves.  Raises
     EmbedError on the first guest left stuck.
     """
     full = (1 << g.n) - 1
     # the hosts that no guest owns (held hosts are owned), read by a free-first pass only
-    free = full & ~mask_of(owner) if free_first else 0
+    free = full & ~used if free_first else 0
     cand_cache: dict[int, int] = {}
 
     def cand_of(x: int) -> int:

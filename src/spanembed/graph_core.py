@@ -8,10 +8,9 @@ vertex-to-set degrees on them with `row_mask_counts` (or `Graph.degree_table`,
 which reads the rows itself), and unpacks them to bool rows only where a 0/1
 block is needed (`Graph.to_bit_matrix`, or `unpack_rows` for rows packed
 earlier); `bit_positions` lists a mask's set bits from its bytes.  Edge sets
-in bulk are int keys u * n + v: `Graph.edge_keys` lists them a block of rows
-at a time, and a `PackedCopy` of the rows lists them and deletes them in place
-(`Graph.without_edge_keys` deletes on one); `mapped_array` holds keys in bulk
-outside the heap.
+in bulk are int keys u * n + v, which a `PackedCopy` of the rows alone lists,
+a block of rows at a time, and deletes in place (`Graph.without_edges` deletes
+on one); `mapped_array` holds keys in bulk outside the heap.
 `gnp` writes its rows packed, a block of rows at a time, so program code never
 holds an n x n bool matrix, and `parse_graph_text` sets a file's edges
 straight into packed rows.  This module is the only one that knows that
@@ -149,9 +148,10 @@ def _graph_of_rows(rows: np.ndarray) -> "Graph":
     return Graph(len(rows), tuple(int.from_bytes(row, "little") for row in rows))
 
 
-# Rows of a bool block that `gnp` and `Graph.edge_keys` unpack at once, and the
-# edge keys that `PackedCopy.delete` clears in one step.  _ROW_BLOCK is a
-# multiple of 8, so a block's columns start on a byte.
+# Rows of a bool block that `gnp` unpacks at once, and of a vertex list that
+# `Graph.degree_table` reads at once; and the edge keys that `PackedCopy.delete`
+# clears in one step.  _ROW_BLOCK is a multiple of 8, so a block's columns
+# start on a byte.
 _ROW_BLOCK = 512
 _KEY_BLOCK = 1 << 16
 # Rows that `PackedCopy.edge_key_blocks` unpacks at once: few, so that a
@@ -346,56 +346,15 @@ class Graph:
             for off in iter_bits(rest):
                 yield (u, u + 1 + off)
 
-    def edge_keys(self, vertices=None) -> np.ndarray:
-        """The edges of the subgraph induced on `vertices` (distinct; all of [n] in
-        order by default) as keys i * len(vertices) + j over their positions i < j,
-        ascending: for the whole graph, u * n + v in `edges()` order.
-
-        The keys are int32 whenever len(vertices) ** 2 fits.  Rows are unpacked
-        `_ROW_BLOCK` at a time, so no array but the keys outgrows a block.
-        """
-        vs = np.arange(self.n) if vertices is None else np.asarray(vertices, dtype=np.int64)
-        size = len(vs)
-        if vertices is None:
-            count = self.m
-        else:
-            inside = mask_of(vs.tolist())
-            count = sum((self.adj[v] & inside).bit_count() for v in vs.tolist()) // 2
-        keys = np.empty(count, dtype=np.int32 if size * size <= np.iinfo(np.int32).max else np.int64)
-        at = 0
-        for i0 in range(0, size, _ROW_BLOCK):
-            block = self.to_bit_matrix(vs[i0:i0 + _ROW_BLOCK])
-            if vertices is not None:
-                block = block[:, vs]
-            for i in range(len(block)):
-                block[i, :i0 + i + 1] = False  # keep positions j > i0 + i
-            hit = np.flatnonzero(block)
-            keys[at:at + len(hit)] = hit
-            keys[at:at + len(hit)] += i0 * size
-            at += len(hit)
-            del block, hit  # before the next block is read
-        return keys
-
-    def without_edge_keys(self, keys) -> "Graph":
-        """This graph less the edges {u, v} of the keys u * n + v; an absent edge is
-        skipped.  Raises ValueError for a key outside [0, n * n), which has an end
-        outside [0, n).  The edges are deleted on a `PackedCopy`.
-        """
-        n = self.n
-        keys = np.asarray(keys)
-        if keys.size and (keys.min() < 0 or keys.max() >= n * n):
-            raise ValueError(f"edge key outside [0, n * n) for n={n}")
-        edit = PackedCopy(self)
-        edit.delete(keys)
-        return edit.graph()
-
     def without_edges(self, edges) -> "Graph":
-        """This graph less the edges (u, v) in `edges`, as `without_edge_keys` deletes
-        them; raises ValueError for an end outside [0, n)."""
+        """This graph less the edges (u, v) in `edges`, deleted on a `PackedCopy`;
+        an absent edge is skipped.  Raises ValueError for an end outside [0, n)."""
         ends = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
         if ((ends < 0) | (ends >= self.n)).any():
             raise ValueError(f"edge end outside [0, {self.n})")
-        return self.without_edge_keys(ends[:, 0] * self.n + ends[:, 1])
+        edit = PackedCopy(self)
+        edit.delete(ends[:, 0] * self.n + ends[:, 1])
+        return edit.graph()
 
     def common_neighbourhood(self, vertices, within: int | None = None) -> int:
         m = (1 << self.n) - 1 if within is None else within

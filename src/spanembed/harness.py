@@ -194,8 +194,7 @@ def adversary_delete(
     """Delete edges while keeping every degree at or above ((k-1)/k + gamma) p n.
 
     random: greedy over the edges in a seeded priority order (optionally
-    capped by budget), the order of `_priority_order`, scanned in two halves
-    (`_delete_in_halves`);
+    capped by budget), scanned in two halves (`_delete_in_halves`);
     triangle_killer: removes every triangle at `target` (edges inside its
     neighbourhood), failing if the floor blocks it, and takes no budget;
     bipartite_push: the same greedy over the edges inside k seeded random
@@ -218,13 +217,11 @@ def adversary_delete(
         return _delete_in_halves(g, spare, budget, rng, None)
     if strategy == "triangle_killer":
         nbrs = bit_positions(g.adj[target])
-        iu, iv = np.divmod(g.edge_keys(nbrs), len(nbrs))
-        us, vs = nbrs[iu], nbrs[iv]
-        order = rng.permutation(len(us))
-        us, vs = us[order], vs[order]
-        ranked = np.argsort(-(deg[us] + deg[vs]), kind="stable")
-        keys = (us * n + vs)[ranked]
         edit = PackedCopy(g)
+        keys = np.concatenate([*edit.edge_key_blocks(nbrs), np.zeros(0, dtype=np.int64)])
+        keys = keys[rng.permutation(len(keys))]
+        us, vs = np.divmod(keys, n)
+        keys = keys[np.argsort(-(deg[us] + deg[vs]), kind="stable")]
         _delete_greedily(edit, keys, spare, None)
         out = edit.graph()
         inside = g.adj[target]
@@ -247,21 +244,6 @@ _FMIX = {
     4: ((16, 13, 16), (0x85EBCA6B, 0xC2B2AE35)),
     8: ((33, 33, 33), (0xFF51AFD7ED558CCD, 0xC4CEB9FE1A85EC53)),
 }
-
-
-def _priority_order(keys: np.ndarray, salt) -> None:
-    """Sort `keys` (non-negative ints) in place by a seeded priority: the
-    murmur3 finaliser of the key's word xor `salt`, a word as wide as the keys.
-
-    The priority is a bijection on the word, so distinct keys never tie and
-    the order depends on the salt and the key set alone.  The keys are mapped
-    to their priorities in place, sorted, and mapped back; no second array of
-    keys is made.
-    """
-    words = keys.view(salt.dtype)
-    _mix(words, salt)
-    words.sort()
-    _unmix(words, salt)
 
 
 def _mix(words: np.ndarray, salt) -> None:
@@ -305,24 +287,28 @@ def _delete_in_halves(
 ) -> Graph:
     """g less the edges that `_greedy_delete` selects from a scan of all its edge
     keys, or of those whose ends share a class when `classes` (one per vertex)
-    is given, in the priority order of `_priority_order` under a salt drawn
-    from `rng`.
+    is given, in a seeded priority order: by fmix(key ^ salt) (`_mix`) over
+    words as wide as the keys, with the salt drawn from `rng`.  The priority
+    is a bijection on the word, so distinct keys never tie and the order
+    depends on the salt and the key set alone.
 
     The scan runs in two halves, split by the top bit of the priority, so that
     no more than half the keys are held at once.  The first half's keys are
     listed from a `PackedCopy` of g's rows, ordered and scanned; the second
     half's keys are listed only among the vertices that still have spare
     degree, because spare degree only falls and the scan skips a key with a
-    spent end.  Each half's selections are deleted from the copy, which
-    becomes the result.  The keys live in one `mapped_array` sized for every
-    key, of which only the pages written take memory: those of the larger
-    half's keys, the first half's on a host with a floor that binds.
+    spent end.  Each listed key is mixed to read its top bit, and a half's
+    mixed words are kept, sorted in place and unmixed back to keys once.
+    Each half's selections are deleted from the copy, which becomes the
+    result.  The words live in one `mapped_array` sized for every key, of
+    which only the pages written take memory: those of the larger half's
+    keys, the first half's on a host with a floor that binds.
     """
     n = g.n
-    width = 4 if n * n <= np.iinfo(np.int32).max else 8  # bytes a key, as in `Graph.edge_keys`
+    width = 4 if n * n <= np.iinfo(np.int32).max else 8  # bytes a key u * n + v takes as a signed int
     salt = rng.integers(0, 1 << 8 * width, dtype=f"u{width}")
     edit = PackedCopy(g)
-    keys = mapped_array(g.m, f"i{width}")
+    words = mapped_array(g.m, salt.dtype)
     top = 8 * width - 1
     for half in (0, 1):
         count = 0
@@ -330,13 +316,15 @@ def _delete_in_halves(
             if classes is not None:
                 u, v = np.divmod(block, n)
                 block = block[classes[u] == classes[v]]
-            words = block.astype(salt.dtype)
-            _mix(words, salt)
-            block = block[words >> top == half]
-            keys[count:count + len(block)] = block
-            count += len(block)
-        _priority_order(keys[:count], salt)
-        done = _delete_greedily(edit, keys[:count], spare, cap)
+            mixed = block.astype(salt.dtype)
+            _mix(mixed, salt)
+            mixed = np.compress(mixed >> top == half, mixed)
+            words[count:count + len(mixed)] = mixed
+            count += len(mixed)
+        ordered = words[:count]
+        ordered.sort()
+        _unmix(ordered, salt)
+        done = _delete_greedily(edit, ordered.view(f"i{width}"), spare, cap)
         if cap is not None:
             cap -= done
             if cap == 0:
@@ -567,6 +555,16 @@ def _k_equitable_targets(
     return targets
 
 
+def _xi_guest(cfg: ExperimentConfig, r: int, blocklen: int) -> float:
+    """The guest assignment's xi: `cfg.xi_guest` when set, else the largest of
+    `cfg.xi`, 0.05 and 2 r blocklen / (k n).  The special set holds about
+    6 r beta n vertices by construction, where beta n = blocklen / (4k), so the
+    default window scales with the block grid rather than with xi."""
+    if cfg.xi_guest is not None:
+        return cfg.xi_guest
+    return max(cfg.xi, 0.05, 2.0 * r * blocklen / (cfg.k * cfg.n))
+
+
 @contextmanager
 def _stage(rec: RunRecord, name: str):
     """Run one pipeline stage, recording its span even when it fails.
@@ -659,12 +657,7 @@ def run_pipeline(cfg: ExperimentConfig) -> RunRecord:
 
         with _stage(rec, "guest-assignment"):
             m_targets = _k_equitable_targets(hs.clusters, len(hs.v0), cfg.n)
-            if cfg.xi_guest is not None:
-                xi_guest = cfg.xi_guest
-            else:
-                # the special set holds ~6 r beta n vertices structurally, so the
-                # default window scales with the block grid rather than with xi
-                xi_guest = max(cfg.xi, 0.05, 2.0 * hs.r * blocklen / (cfg.k * cfg.n))
+            xi_guest = _xi_guest(cfg, hs.r, blocklen)
             assignment = assign_guest(
                 guest, lab, col, hs.reduced, m_targets,
                 xi=xi_guest, blocklen=blocklen, seed=cfg.seed,

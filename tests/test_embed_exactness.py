@@ -545,10 +545,10 @@ def k3_matcher_calls():
     `embed` returns."""
     calls, results = [], []
 
-    def recording_match(g, base_mask, nbrs, phi, owner, held, movable, buffers):
-        args = (g, base_mask, nbrs, dict(phi), dict(owner), held, movable, buffers)
+    def recording_match(g, base_mask, nbrs, phi, owner, used, held, movable, buffers):
+        args = (g, base_mask, nbrs, dict(phi), dict(owner), used, held, movable, buffers)
         try:
-            _match_buffers(g, base_mask, nbrs, phi, owner, held, movable, buffers)
+            _match_buffers(g, base_mask, nbrs, phi, owner, used, held, movable, buffers)
         except EmbedError as err:
             calls.append((args, ("error", str(err), err.stuck)))
             raise
@@ -566,25 +566,27 @@ def k3_matcher_calls():
     return calls, sorted(result.phi.items())
 
 
-def replay_match(g, base_mask, nbrs, phi, owner, held, movable, buffers):
+def replay_match(g, base_mask, nbrs, phi, owner, used, held, movable, buffers):
     """`_match_buffers` on fresh copies of `phi` and `owner`: the outcome as
     recorded by `k3_matcher_calls`, and the φ and owner map it leaves."""
     phi, owner = dict(phi), dict(owner)
     try:
-        _match_buffers(g, base_mask, nbrs, phi, owner, held, movable, buffers)
+        _match_buffers(g, base_mask, nbrs, phi, owner, used, held, movable, buffers)
     except EmbedError as err:
         return ("error", str(err), err.stuck), phi, owner
     return ("ok", sorted(phi.items())), phi, owner
 
 
 def test_matcher_replays_the_captured_cells():
-    """Each captured call, re-run alone, fails with the same message on the same
-    stuck guest, or reaches the φ that `embed` returned."""
+    """Each captured call gets as `used` the mask of its owned hosts, and,
+    re-run alone, fails with the same message on the same stuck guest, or
+    reaches the φ that `embed` returned."""
     calls, final_phi = k3_matcher_calls()
     assert [kind for _, (kind, *_) in calls][-1] == "ok"
     assert any(kind == "error" for _, (kind, *_) in calls)
     assert calls[-1][1] == ("ok", final_phi)
     for args, expected in calls:
+        assert args[5] == mask_of(args[4])  # `used` masks the owned hosts
         assert replay_match(*args)[0] == expected
 
 
@@ -594,7 +596,7 @@ def test_matcher_success_keeps_the_matching_sound():
     mask, cut down to the neighbourhoods of its neighbours' images."""
     calls, _ = k3_matcher_calls()
     args, _ = calls[-1]
-    g, base_mask, nbrs, _, owner0, held, _, buffers = args
+    g, base_mask, nbrs, _, owner0, _, held, _, buffers = args
     _, phi, owner = replay_match(*args)
     assert owner == {h: x for x, h in phi.items()}
     assert all(owner[h] == owner0[h] for h in iter_bits(held))
@@ -614,6 +616,6 @@ def test_matcher_leaves_a_buffer_guest_stuck_on_a_held_host():
     phi, owner = {2: 0, 1: 1}, {0: 2, 1: 1}
     buffers = BufferPlan({(0, 0): VertexSet.from_iter(3, [0])})
     with pytest.raises(EmbedError, match=r"^no perfect matching in cell \(0, 0\)$") as err:
-        _match_buffers(g, {0: 0b001, 1: 0b110}, nbrs, phi, owner, 0b001, {0, 1}, buffers)
+        _match_buffers(g, {0: 0b001, 1: 0b110}, nbrs, phi, owner, 0b011, 0b001, {0, 1}, buffers)
     assert err.value.stuck == 0
     assert phi == {2: 0, 1: 2} and owner == {0: 2, 2: 1}

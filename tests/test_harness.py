@@ -269,6 +269,20 @@ class TestConfig:
             parse_config_file(str(path))
 
 
+@pytest.mark.parametrize(
+    "xi,xi_guest,r,blocklen,expect",
+    [
+        (0.3, 0.01, 50, 320, 0.01),  # a configured value wins
+        (0.08, None, 2, 32, 0.08),  # xi
+        (0.01, None, 1, 32, 0.05),  # the floor
+        (0.01, None, 4, 40, 0.16),  # the block grid's share 2 r blocklen / (k n)
+    ],
+)
+def test_xi_guest_takes_the_largest_default(xi, xi_guest, r, blocklen, expect):
+    cfg = ExperimentConfig(n=1000, k=2, xi=xi, xi_guest=xi_guest)
+    assert harness._xi_guest(cfg, r, blocklen) == pytest.approx(expect)
+
+
 class TestRunPipeline:
     def test_dense_small_run(self):
         cfg = ExperimentConfig(n=200, p=1.0, k=2, gamma=0.2, eps=0.1, d=0.5,

@@ -25,12 +25,12 @@ bound the key buffer, a memory map that tracemalloc does not see.  The
 priority order itself is checked for a round trip, determinism and
 uniformity, and the adversary for holding no array of keys in the heap.
 
-`gnp` and `Graph.edge_keys` work on blocks of `_ROW_BLOCK` rows, and
-`Graph.without_edge_keys` clears bits on packed bytes: the cases at n from 1
-to 1100 put rows and columns on both sides of a byte and of a row block, and
-compare with `reference_edge_keys` and `reference_without_edges`, the code
-they replaced.  Neither path may hold an n x n matrix: at n = 3000 the peak
-that tracemalloc sees stays under the n^2 bytes of one bool matrix.
+`gnp` works on blocks of `_ROW_BLOCK` rows, and a `PackedCopy` lists edge
+keys `_KEY_ROWS` rows at a time and clears bits on packed bytes: the cases at
+n from 1 to 1100 put rows and columns on both sides of a byte, a word and a
+block, and compare with `reference_edge_keys` and `reference_without_edges`,
+the code they replaced.  Neither path may hold an n x n matrix: at n = 3000
+the peak that tracemalloc sees stays under the n^2 bytes of one bool matrix.
 """
 
 import tracemalloc
@@ -39,8 +39,8 @@ import numpy as np
 import pytest
 
 from spanembed import harness
-from spanembed.graph_core import _ROW_BLOCK, Graph, gnp, iter_bits, rng_for
-from spanembed.harness import ConfigError, _mix, _priority_order, _unmix, adversary_delete
+from spanembed.graph_core import _KEY_BLOCK, _KEY_ROWS, _ROW_BLOCK, Graph, PackedCopy, gnp, iter_bits, rng_for
+from spanembed.harness import ConfigError, _mix, _unmix, adversary_delete
 
 
 def oracle_gnp(n, p, seed):
@@ -72,7 +72,7 @@ def oracle_fmix(h, width):
 def oracle_priority_order(edges, n, rng):
     """`edges` sorted by the priority fmix(key ^ salt) of their keys u * n + v,
     with one salt word drawn from `rng`; the words are 32 bits wide when the
-    keys are int32, as `Graph.edge_keys` makes them for n * n < 2^31."""
+    keys fit an int32, as for n * n < 2^31."""
     width = 32 if n * n < 2**31 else 64
     salt = int(rng.integers(0, 1 << width, dtype=f"u{width // 8}"))
     return sorted(edges, key=lambda e: oracle_fmix((e[0] * n + e[1]) ^ salt, width))
@@ -123,7 +123,7 @@ def test_gnp_matches_oracle(n, p, seed):
 
 
 def reference_edge_keys(a):
-    """The key builder that `Graph.edge_keys` replaced, on the symmetric bool matrix `a`."""
+    """The key builder that the blocked listing replaced, on the symmetric bool matrix `a`."""
     n = a.shape[0]
     dtype = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
     keys = np.empty(int(np.count_nonzero(a)) // 2, dtype=dtype)
@@ -144,26 +144,48 @@ def reference_without_edges(g, edges):
     return Graph(g.n, tuple(adj))
 
 
-@pytest.mark.parametrize("n,p,seed", [(1, 0.5, 0), (7, 0.5, 1), (9, 0.6, 2), (513, 0.3, 3), (1100, 0.2, 4)])
+def listed_keys(g, vertices=None):
+    """The keys that a fresh `PackedCopy` of g lists for `vertices`, block by block."""
+    return list(PackedCopy(g).edge_key_blocks(vertices))
+
+
+@pytest.mark.parametrize(
+    "n,p,seed",
+    [(1, 0.5, 0), (7, 0.5, 1), (9, 0.6, 2), (513, 0.3, 3), (1100, 0.2, 4), (65, 0.5, 5), (130, 1.0, 6), (63, 0.0, 7)],
+)
 def test_edge_keys_match_reference(n, p, seed):
+    """A `PackedCopy` lists the keys u * n + v of the whole graph, or of the
+    subgraph induced on an ascending vertex list, in `edges()` order, one
+    int64 block for each `_KEY_ROWS` rows of the list; the graph keeps no rows
+    for it."""
     g = gnp(n, p, seed)
-    a = g.to_bit_matrix()
-    keys = g.edge_keys()
-    expect = reference_edge_keys(a)
-    assert keys.dtype == expect.dtype and np.array_equal(keys, expect)
-    assert keys.tolist() == [u * n + v for u, v in g.edges()]
-    # induced subgraphs, on more than a row block of vertices and on none
+    a = Graph(n, g.adj).to_bit_matrix()  # a twin keeps the rows, so g keeps none
     rng = rng_for(seed, stream=3)
-    for vs in (np.flatnonzero(rng.random(n) < 0.6), np.arange(n)[::-1], np.arange(0)):
-        sub = g.edge_keys(vs)
-        assert np.array_equal(sub, reference_edge_keys(a[np.ix_(vs, vs)]))
-        assert sub.dtype == np.int32
+    for vs in (None, np.flatnonzero(rng.random(n) < 0.6), np.arange(1, n, 3), np.arange(n - 1, n), np.arange(0)):
+        size = n if vs is None else len(vs)
+        blocks = listed_keys(g, vs)
+        assert len(blocks) == -(-size // _KEY_ROWS)
+        keys = np.concatenate(blocks + [np.zeros(0, dtype=np.int64)])
+        assert all(b.dtype == np.int64 for b in blocks)
+        for i0, block in zip(range(0, size, _KEY_ROWS), blocks):  # each block's rows, in order
+            rows = np.arange(n)[i0:i0 + _KEY_ROWS] if vs is None else vs[i0:i0 + _KEY_ROWS]
+            assert np.isin(block // n, rows).all()
+        at = np.arange(n) if vs is None else vs
+        i, j = np.divmod(reference_edge_keys(a[np.ix_(at, at)]).astype(np.int64), size)
+        assert np.array_equal(keys, at[i] * n + at[j])
+    assert np.concatenate(listed_keys(g)).tolist() == [u * n + v for u, v in g.edges()]
+    assert g._rows is None
 
 
 @pytest.mark.parametrize("n,p,seed", [(8, 0.9, 0), (9, 0.5, 1), (520, 0.3, 2), (1030, 0.1, 3)])
 def test_deletion_matches_reference_and_keeps_the_source(n, p, seed):
+    """`Graph.without_edges` and `PackedCopy.delete` against the int-row deletion:
+    unsorted keys with repeats, both orders of an edge, absent edges and a
+    loop, as int64 or int32; no keys; and every key twice, more than
+    `_KEY_BLOCK` keys on the largest host.  The copy is taken from kept rows
+    or packed afresh, and the graph keeps its rows either way."""
     g = gnp(n, p, seed)
-    adj, rows = g.adj, g.packed_rows().copy()
+    adj = g.adj
     rng = rng_for(seed, stream=4)
     edges = list(g.edges())
     pairs = [edges[int(i)] for i in rng.choice(len(edges), size=len(edges) // 3)]  # with repeats
@@ -171,10 +193,21 @@ def test_deletion_matches_reference_and_keeps_the_source(n, p, seed):
     pairs += [(0, n - 1), (n - 1, 0), (n // 2, n // 2)]  # maybe absent, and a loop
     expect = reference_without_edges(g, pairs)
     keys = np.array([u * n + v for u, v in pairs])
+    every = np.array([u * n + v for u, v in edges])
     assert g.without_edges(pairs) == expect
-    assert g.without_edge_keys(keys) == expect
-    assert g.without_edge_keys(keys.astype(np.int32)) == expect
-    assert g.without_edges([]) == g == g.without_edge_keys(np.zeros(0, dtype=np.int32))
+    assert g.without_edges([]) == g
+    for ks, out in ((keys, expect), (keys.astype(np.int32), expect), (np.zeros(0, dtype=np.int32), g),
+                    (np.concatenate([every, every[::-1]]), Graph.empty(n))):
+        edit = PackedCopy(g)
+        edit.delete(ks)
+        assert edit.graph() == out
+    if n > 1000:
+        assert 2 * len(every) > _KEY_BLOCK
+    assert g.adj == adj and g._rows is None
+    rows = g.packed_rows().copy()
+    edit = PackedCopy(g)
+    edit.delete(keys)
+    assert edit.graph() == expect and g.without_edges(pairs) == expect
     assert g.adj == adj and np.array_equal(g.packed_rows(), rows)
 
 
@@ -183,9 +216,6 @@ def test_deletion_rejects_an_end_outside_the_graph():
     for pairs in ([(0, 9)], [(9, 0)], [(-1, 3)], [(3, -1)], [(1, 2), (2, 10)]):
         with pytest.raises(ValueError, match="outside"):
             g.without_edges(pairs)
-    for keys in ([-1], [81], [0, 100]):
-        with pytest.raises(ValueError, match="outside"):
-            g.without_edge_keys(np.array(keys))
     assert g == Graph.complete(9)
 
 
@@ -490,21 +520,24 @@ def adversary_salt(seed, dtype):
     return rng_for(seed, stream=101).integers(0, 1 << 8 * width, dtype=f"u{width}")
 
 
+def priority_order(keys, salt):
+    """`keys` in the adversary's priority order under `salt`, ordered as
+    `_delete_in_halves` orders a half: mixed to words, sorted and unmixed."""
+    words = keys.astype(salt.dtype)
+    _mix(words, salt)
+    words.sort()
+    _unmix(words, salt)
+    return words.view(keys.dtype)
+
+
 def test_priority_order_is_a_seeded_permutation():
-    keys = gnp(300, 0.5, 0).edge_keys()
-
-    def ordered(seed):
-        out = keys.copy()
-        _priority_order(out, adversary_salt(seed, out.dtype))
-        return out
-
-    first = ordered(0)
+    keys = np.concatenate(listed_keys(gnp(300, 0.5, 0))).astype(np.int32)
+    first = priority_order(keys, adversary_salt(0, keys.dtype))
     assert first.dtype == keys.dtype and np.array_equal(np.sort(first), keys)
-    assert np.array_equal(ordered(0), first)
-    assert not np.array_equal(ordered(1), first)
+    assert np.array_equal(priority_order(keys, adversary_salt(0, keys.dtype)), first)
+    assert not np.array_equal(priority_order(keys, adversary_salt(1, keys.dtype)), first)
     big = np.arange(2**33, 2**33 + 5000, 3, dtype=np.int64)
-    out = big.copy()
-    _priority_order(out, adversary_salt(0, out.dtype))
+    out = priority_order(big, adversary_salt(0, big.dtype))
     assert np.array_equal(np.sort(out), big) and not np.array_equal(out, big)
 
 
@@ -512,12 +545,11 @@ def test_priority_order_is_uniform_on_complete_graph():
     """K_20's 190 keys over 2000 seeds: each key's mean rank lies within 4
     sigma of 94.5, and each two consecutive keys come in either order about
     half the time (within 4 sigma of 1/2)."""
-    keys = Graph.complete(20).edge_keys()
+    keys = np.concatenate(listed_keys(Graph.complete(20))).astype(np.int32)
     seeds = 2000
     ranks = np.empty((seeds, len(keys)))
     for seed in range(seeds):
-        out = keys.copy()
-        _priority_order(out, adversary_salt(seed, out.dtype))
+        out = priority_order(keys, adversary_salt(seed, keys.dtype))
         ranks[seed, np.searchsorted(keys, out)] = np.arange(len(keys))
     sigma = np.sqrt((len(keys) ** 2 - 1) / 12 / seeds)
     assert np.abs(ranks.mean(axis=0) - 94.5).max() < 4 * sigma

@@ -4,7 +4,8 @@ parameter of a spanembed function is passed by some call, and no spanembed funct
 its settings as string keys of a parameter, and no spanembed function imports inside its
 body; only `graph_core` knows the packed-row format, maps memory or holds the whole graph
 as an n x n bool matrix; `run_pipeline` holds no loop statement; every `ExperimentConfig`
-field is set by some test, benchmark or command-line flag."""
+field is set by some test, benchmark or command-line flag; every `Graph` and `PackedCopy`
+method has a caller in spanembed or a named reason to stay."""
 
 import ast
 from dataclasses import fields
@@ -369,8 +370,8 @@ def whole_matrix_calls(source: str) -> list[tuple[int, str]]:
 
     Both hold the whole graph as an n x n bool matrix, n^2 bytes against the n^2/8
     of the packed rows; other modules read rows a block at a time
-    (`to_bit_matrix(vertices)`, `Graph.edge_keys`) and delete edges by key
-    (`Graph.without_edge_keys`).
+    (`Graph.degree_table`, `PackedCopy.edge_key_blocks`) and delete edges by key
+    (`PackedCopy.delete`).
     """
     calls = []
     for node in ast.walk(ast.parse(source)):
@@ -486,3 +487,90 @@ def test_every_config_key_is_set_somewhere():
     callers = [path.read_text(encoding="utf-8") for path in [*TEST_FILES, *BENCH_FILES]]
     keys = [f.name for f in fields(ExperimentConfig)]
     assert unset_config_keys(keys, callers, (SRC / "cli.py").read_text(encoding="utf-8")) == []
+
+
+# `Graph` methods that no spanembed code calls, each with the callers that keep it
+UNCALLED_METHODS = {
+    "Graph.neighbours": "perfbench/check.py reads a host's rows with it",
+    "Graph.without_edges": "perfbench/test_check.py and the tests delete edges by pair with it",
+    "Graph.empty": "the tests build edgeless graphs with it",
+    "Graph.complete": "the tests build complete graphs with it",
+    "Graph.to_bit_matrix": "the tests compare whole adjacency matrices with it",
+}
+
+
+def uncalled_methods(sources: list[str], classes: set[str]) -> list[str]:
+    """`Class.method` for every method of `classes` but the dunders that no code in
+    `sources` reaches.
+
+    An attribute `x.method` reaches the method from anywhere but the body of one of
+    these methods that is not reached itself, so a method that only an unreached
+    one calls is unreached too.  Calls are matched by name, but an attribute of an
+    imported module (`np.empty`) or of another class (`VertexSet.empty`) reaches
+    nothing.
+    """
+    defined, refs, modules, class_names = set(), [], set(), set()
+
+    def visit(node, holder):
+        if isinstance(node, ast.Attribute):
+            refs.append((node.attr, getattr(node.value, "id", None), holder))
+        for child in ast.iter_child_nodes(node):
+            visit(child, holder)
+
+    for source in sources:
+        tree = ast.parse(source)
+        modules.update(
+            alias.asname or alias.name.split(".")[0]
+            for node in tree.body if isinstance(node, ast.Import) for alias in node.names
+        )
+        class_names.update(node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef))
+        for node in tree.body:
+            if not (isinstance(node, ast.ClassDef) and node.name in classes):
+                visit(node, None)
+                continue
+            for item in node.body:
+                name = getattr(item, "name", "__")
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not name.startswith("__"):
+                    defined.add(f"{node.name}.{name}")
+                    visit(item, f"{node.name}.{name}")
+                else:
+                    visit(item, None)
+    reached: set[str] = set()
+    while True:
+        new = {
+            method for method in defined - reached
+            if any(
+                attr == method.split(".")[1] and recv not in modules
+                and (recv not in class_names or recv == method.split(".")[0])
+                and (holder is None or holder in reached)
+                for attr, recv, holder in refs
+            )
+        }
+        if not new:
+            return sorted(defined - reached)
+        reached |= new
+
+
+def test_scanner_flags_only_uncalled_methods():
+    source = (
+        "import numpy as np\n"
+        "class Graph:\n"
+        "    def __init__(self):\n        self.a()\n"
+        "    def a(self):\n        return self.b\n"
+        "    def b(self):\n        pass\n"
+        "    def c(self):\n        pass\n"
+        "    def d(self):\n        return self.c() + self.d()\n"
+        "    @classmethod\n    def empty(cls):\n        pass\n"
+        "    @classmethod\n    def full(cls):\n        pass\n"
+        "class Other:\n    def e(self):\n        pass\n"
+        "def f(g):\n    return np.empty(3), Other.empty(), Graph.full()\n"
+    )
+    assert uncalled_methods([source], {"Graph"}) == ["Graph.c", "Graph.d", "Graph.empty"]
+    assert uncalled_methods([source], {"Graph", "Other"}) == ["Graph.c", "Graph.d", "Graph.empty", "Other.e"]
+
+
+def test_every_graph_method_has_a_caller_or_a_reason():
+    """A method that only tests or the benchmark call stays on `UNCALLED_METHODS`
+    with the reason; any other method without a caller in spanembed is dead."""
+    sources = [path.read_text(encoding="utf-8") for path in MODULES]
+    assert uncalled_methods(sources, {"Graph", "PackedCopy"}) == sorted(UNCALLED_METHODS)
