@@ -270,7 +270,7 @@ class _FreeCounts:
     def __init__(self, rows: np.ndarray, clusters: dict[tuple[int, int], VertexSet], free: int):
         self.rows = rows
         masks = [c.mask for c in clusters.values()]
-        self.table = row_mask_counts(rows, [free] + [m & free for m in masks]).T.astype(np.int32, order="C")
+        self.table = np.ascontiguousarray(row_mask_counts(rows, [free] + [m & free for m in masks]).T)
         self.lines = list(self.table)  # row views, updated in place
         row_of = np.zeros(len(rows), dtype=np.intp)
         for i, m in enumerate(masks, 1):

@@ -10,15 +10,17 @@ block is needed (`Graph.to_bit_matrix`, or `unpack_rows` for rows packed
 earlier); `bit_positions` lists a mask's set bits from its bytes.  Edge sets
 in bulk are int keys u * n + v, which a `PackedCopy` of the rows alone lists,
 a block of rows at a time, and deletes in place (`Graph.without_edges` deletes
-on one); `mapped_array` holds keys in bulk outside the heap.
-`gnp` writes its rows packed, a block of rows at a time, so program code never
-holds an n x n bool matrix, and `parse_graph_text` sets a file's edges
-straight into packed rows.  This module is the only one that knows that
-format.  A graph built by `from_edges` (a guest, a reduced or a cluster graph)
-also keeps each vertex's neighbours as an ascending tuple (`neighbour_list`),
-which walks over sparse graphs read instead of n-bit masks.  All randomness
-flows through numpy's Philox counter-based generator so that identical seeds
-reproduce identical graphs on every platform.
+on one).  Every buffer of n packed rows (kept rows, a `PackedCopy`'s rows, the
+rows that `gnp` draws into and that `parse_graph_text` sets a file's edges in)
+and edge keys in bulk are written once, straight into a `mapped_array` outside
+the malloc heap; only small packed blocks live in the heap.  `gnp` draws its
+rows a small block at a time, so program code never holds an n x n bool
+matrix.  This module is the only one that knows that format.  A graph built
+by `from_edges` (a guest, a reduced or a cluster graph) also keeps each
+vertex's neighbours as an ascending tuple (`neighbour_list`), which walks over
+sparse graphs read instead of n-bit masks.  All randomness flows through
+numpy's Philox counter-based generator so that identical seeds reproduce
+identical graphs on every platform.
 """
 
 from __future__ import annotations
@@ -95,51 +97,46 @@ def unpack_rows(rows: np.ndarray, n: int) -> np.ndarray:
 def _packed(masks, words: int) -> np.ndarray:
     """Int bitmasks as rows of `words` little-endian uint64 words: bit v is bit v % 64 of word v // 64.
 
-    The rows are filled one at a time, so that no more than one row's bytes
-    are held besides the result.
+    The rows are written one at a time straight into the result, so that no
+    more than one row's bytes are held besides it.  A result of more than
+    64 * (words - 1) rows, as many as a graph that wide has vertices, is a
+    `mapped_array`; fewer rows, such as a vertex subset's or a few masks', are
+    in the heap.
     """
     masks = list(masks)
     width = 8 * words
-    buf = bytearray(len(masks) * width)
+    whole = len(masks) > 64 * (words - 1)
+    out = (mapped_array if whole else np.empty)(len(masks) * width, np.uint8)
+    buf = out.data
     for i, m in enumerate(masks):
         buf[i * width:(i + 1) * width] = m.to_bytes(width, "little")
-    return np.frombuffer(buf, dtype="<u8").reshape(len(masks), words)
+    return out.view("<u8").reshape(len(masks), words)
 
 
 def mapped_array(count: int, dtype) -> np.ndarray:
     """A writable zeroed array of `count` items of `dtype` in an anonymous memory
     map of its own, unmapped when the array dies.  A page of it takes memory
     only once written, so a buffer sized for every edge key costs only the
-    keys put in it."""
+    keys put in it.  Every graph-sized buffer is one: kept and copied packed
+    rows, the rows that `gnp` and `parse_graph_text` fill, and bulk edge keys.
+    A buffer of n^2/8 bytes in the malloc heap would leave a hole there once
+    freed, which later allocations grow around."""
     dtype = np.dtype(dtype)
     return np.frombuffer(mmap.mmap(-1, max(count * dtype.itemsize, 1)), dtype=dtype, count=count)
 
 
-def _mapped_copy(a: np.ndarray) -> np.ndarray:
-    """A read-only copy of `a` in a `mapped_array`.  Kept rows live there,
-    outside the malloc heap: a graph that kept them in the heap until its
-    caller dropped it left a hole that later allocations grew around (1.3-1.9
-    MB more peak RSS over two pipeline calls at n = 4000, G(n, p) with the
-    adversary, when the caller held the first call's graphs until the second
-    began)."""
-    out = mapped_array(a.size, a.dtype).reshape(a.shape)
-    out[...] = a
-    out.flags.writeable = False
-    return out
-
-
 def row_mask_counts(rows: np.ndarray, masks) -> np.ndarray:
-    """D[i, c] = |rows[i] & masks[c]| as a signed int64 array, for rows in the format
+    """D[i, c] = |rows[i] & masks[c]| as a signed int32 array, for rows in the format
     of `Graph.packed_rows` and int bitmasks `masks` over the same vertices.
 
     Each block of rows meets every mask in one broadcast AND of at most about
     `_COUNT_BLOCK` words.
     """
     cols = _packed(masks, rows.shape[1])
-    table = np.empty((len(rows), len(cols)), dtype=np.int64)
+    table = np.empty((len(rows), len(cols)), dtype=np.int32)
     step = max(1, _COUNT_BLOCK // max(1, cols.size))
     for i in range(0, len(rows), step):
-        table[i:i + step] = np.bitwise_count(rows[i:i + step, None, :] & cols).sum(axis=2, dtype=np.int64)
+        table[i:i + step] = np.bitwise_count(rows[i:i + step, None, :] & cols).sum(axis=2, dtype=np.int32)
     return table
 
 
@@ -148,12 +145,14 @@ def _graph_of_rows(rows: np.ndarray) -> "Graph":
     return Graph(len(rows), tuple(int.from_bytes(row, "little") for row in rows))
 
 
-# Rows of a bool block that `gnp` unpacks at once, and of a vertex list that
-# `Graph.degree_table` reads at once; and the edge keys that `PackedCopy.delete`
-# clears in one step.  _ROW_BLOCK is a multiple of 8, so a block's columns
-# start on a byte.
+# Rows of a vertex list that `Graph.degree_table` reads at once, and the edge
+# keys that `PackedCopy.delete` clears in one step
 _ROW_BLOCK = 512
 _KEY_BLOCK = 1 << 16
+# Rows that `gnp` draws into one bool block and packs, with its transpose, at
+# once: the two take 2 * _GNP_ROWS * n bytes, beside the n^2/8 of the packed
+# rows.  A multiple of 8, so that a block's columns start on a byte.
+_GNP_ROWS = 128
 # Rows that `PackedCopy.edge_key_blocks` unpacks at once: few, so that a
 # block's keys stay small beside a buffer of half a graph's keys (blocks of
 # 256 rows gave back the peak RSS that halving the keys saved at n = 4000)
@@ -276,23 +275,24 @@ class Graph:
         """Row i is N(vertices[i]) as ceil(n/64) little-endian uint64 words, bit v in
         word v // 64; `vertices` defaults to all of them in order.
 
-        All rows are packed on the first call without `vertices` and kept, in a
-        memory map of their own (`_mapped_copy`): that call and every later one
-        return the same read-only array.  A call with `vertices` returns a
-        fresh array, sliced from the kept rows when there are any and packed
-        from those rows alone otherwise, so it never makes the graph keep
+        All rows are packed on the first call without `vertices` and kept, written
+        once straight into a `mapped_array` of their own: that call and every
+        later one return the same read-only array.  A call with `vertices`
+        returns a fresh array, sliced from the kept rows when there are any and
+        packed from those rows alone otherwise, so it never makes the graph keep
         n^2/8 bytes.
         """
         if vertices is None:
             if self._rows is None:
-                self._rows = _mapped_copy(_packed(self.adj, (self.n + 63) // 64))
+                self._rows = _packed(self.adj, (self.n + 63) // 64)
+                self._rows.flags.writeable = False
             return self._rows
         if self._rows is not None:
             return self._rows[np.asarray(vertices, dtype=np.intp)]
         return _packed([self.adj[v] for v in vertices], (self.n + 63) // 64)
 
     def degree_table(self, masks, vertices=None) -> np.ndarray:
-        """D[i, c] = |N(vertices[i]) & masks[c]| as an int64 array, one row per vertex
+        """D[i, c] = |N(vertices[i]) & masks[c]| as an int32 array, one row per vertex
         (all of them in order by default) and one column per mask.
 
         The rows of `vertices` are read `_ROW_BLOCK` at a time (see
@@ -307,15 +307,6 @@ class Graph:
     def to_bit_matrix(self, vertices=None) -> np.ndarray:
         """The adjacency rows of `vertices` (all by default) as a fresh bool matrix with n columns."""
         return unpack_rows(self.packed_rows(vertices), self.n)
-
-    @classmethod
-    def empty(cls, n: int) -> "Graph":
-        return cls(n, tuple([0] * n))
-
-    @classmethod
-    def complete(cls, n: int) -> "Graph":
-        full = (1 << n) - 1
-        return cls(n, tuple(full ^ (1 << v) for v in range(n)))
 
     @property
     def m(self) -> int:
@@ -402,15 +393,19 @@ class PackedCopy:
     """A writable packed copy of a graph's rows: edges are listed from it and
     deleted in it by key u * n + v, and `graph()` is the graph of its rows.
 
-    The copy is taken from the graph's kept rows, or packed afresh; the graph
-    keeps no rows for it.
+    The copy is written once into a `mapped_array`, from the graph's kept rows
+    or packed afresh from its masks; the graph keeps no rows for it.
     """
 
     __slots__ = ("n", "_rows")
 
     def __init__(self, g: Graph):
         self.n = g.n
-        rows = _packed(g.adj, (g.n + 63) // 64) if g._rows is None else g._rows.copy()
+        if g._rows is None:
+            rows = _packed(g.adj, (g.n + 63) // 64)
+        else:
+            rows = mapped_array(g._rows.size, g._rows.dtype).reshape(g._rows.shape)
+            rows[...] = g._rows
         self._rows = rows.view(np.uint8)
 
     def edge_key_blocks(self, vertices=None):
@@ -481,15 +476,16 @@ def gnp(n: int, p: float, seed: int) -> Graph:
         raise ValueError("n must be >= 1")
     if not (0.0 <= p <= 1.0):
         raise ValueError("p must lie in [0, 1]")
-    rows = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
+    width = (n + 7) // 8
+    rows = mapped_array(n * width, np.uint8).reshape(n, width)
     if p > 0.0 and n > 1:
         # One double per pair (u, v), u < v, drawn in row-major order, a block
         # of rows at a time.  The block is packed into its own rows, and its
         # transpose into the same columns of rows u0.. below: only those hold
         # edges (u, v) with v > u >= u0.
         rng = rng_for(seed, stream=0)
-        for u0 in range(0, n - 1, _ROW_BLOCK):
-            u1 = min(u0 + _ROW_BLOCK, n - 1)
+        for u0 in range(0, n - 1, _GNP_ROWS):
+            u1 = min(u0 + _GNP_ROWS, n - 1)
             block = np.zeros((u1 - u0, n), dtype=bool)
             for u in range(u0, u1):
                 block[u - u0, u + 1:] = rng.random(n - 1 - u) < p
@@ -612,8 +608,8 @@ def parse_graph_text(text: str) -> Graph:
 
 def _graph_of_keys(n: int, keys: np.ndarray) -> Graph:
     """The graph on [n] with the edges {u, v} of the keys u * n + v, set as bits of packed rows."""
-    rows = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
-    width = rows.shape[1]
+    width = (n + 7) // 8
+    rows = mapped_array(n * width, np.uint8).reshape(n, width)
     flat = rows.reshape(-1)
     u, v = np.divmod(keys, n)
     np.bitwise_or.at(flat, u * width + (v >> 3), ~_CLEAR_BIT[v & 7])

@@ -22,6 +22,17 @@ TREE_CFG = dict(
 )
 
 
+def empty_graph(n):
+    """The graph on n vertices with no edge."""
+    return Graph(n, tuple([0] * n))
+
+
+def complete_graph(n):
+    """The graph on n vertices with every edge."""
+    full = (1 << n) - 1
+    return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
+
+
 def graph_from_bit_matrix(a):
     """Graph whose adjacency is the n x n bool matrix `a`, which must be symmetric with a zero diagonal."""
     n = a.shape[0]
@@ -110,7 +121,7 @@ def deleted_to_floor(host, gamma, k, p, seed, stream=42):
 
 def complete_reduced(r, k):
     """Every pair of cells adjacent; row i extends to cell (i + 1 mod r, 0)."""
-    return ReducedGraph(BackboneIndex(r, k), Graph.complete(r * k), {i: ((i + 1) % r, 0) for i in range(r)})
+    return ReducedGraph(BackboneIndex(r, k), complete_graph(r * k), {i: ((i + 1) % r, 0) for i in range(r)})
 
 
 def even_targets(n, r, k):

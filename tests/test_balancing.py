@@ -7,9 +7,9 @@ from spanembed.balancing import (
     local_balance,
     small_move_select,
 )
-from spanembed.graph_core import Graph, VertexSet, gnp, rng_for
+from spanembed.graph_core import VertexSet, gnp, rng_for
 
-from helpers import complete_reduced, degree_into, move_touches
+from helpers import complete_graph, complete_reduced, degree_into, empty_graph, move_touches
 
 
 def probe_move_equidistribution(host, x, s, probes, max_tuple, cap, slack, seed=0):
@@ -65,14 +65,14 @@ def outcome(select, *args, **kwargs):
 
 class TestSmallMove:
     def test_complete_graph_all_eligible(self):
-        g = Graph.complete(60)
+        g = complete_graph(60)
         x = VertexSet.from_iter(60, range(30))
         z = [VertexSet.from_iter(60, range(30, 60))]
         s = small_move_select(g, x, z, 10, 0.0, 1.0, 1.0, seed=5)
         assert len(s) == 10 and not (s.mask & ~x.mask)
 
     def test_degree_starved_vertex_never_selected(self):
-        g = Graph.complete(60).without_edges([(0, v) for v in range(30, 60)])
+        g = complete_graph(60).without_edges([(0, v) for v in range(30, 60)])
         x = VertexSet.from_iter(60, range(30))
         z = [VertexSet.from_iter(60, range(30, 60))]
         for seed in range(10):
@@ -80,14 +80,14 @@ class TestSmallMove:
             assert 0 not in s
 
     def test_shortfall_reports_eligible_count(self):
-        g = Graph.empty(40)
+        g = empty_graph(40)
         x = VertexSet.from_iter(40, range(20))
         z = [VertexSet.from_iter(40, range(20, 40))]
         with pytest.raises(BalancingError, match="eligible"):
             small_move_select(g, x, z, 5, 0.0, 0.5, 1.0, seed=1)
 
     def test_m_cap(self):
-        g = Graph.complete(20)
+        g = complete_graph(20)
         x = VertexSet.from_iter(20, range(10))
         z = [VertexSet.from_iter(20, range(10, 20))]
         with pytest.raises(BalancingError, match="exceeds"):

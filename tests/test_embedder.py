@@ -12,10 +12,10 @@ from spanembed.embedder import (
     embedding_violations,
     verify_embedding,
 )
-from spanembed.graph_core import Graph, Labelling, VertexSet, bit_positions, gnp, mask_of, rng_for, row_mask_counts
+from spanembed.graph_core import Labelling, VertexSet, bit_positions, gnp, mask_of, rng_for, row_mask_counts
 from spanembed.pre_embedding import RestrictionPair
 
-from helpers import cycle_graph, fold_labelling, two_cell_setup
+from helpers import complete_graph, cycle_graph, empty_graph, fold_labelling, two_cell_setup
 from test_embed_exactness import K3_CFG, pipeline_embed_calls
 
 
@@ -23,20 +23,20 @@ class TestEmbed:
     def test_complete_host_any_order(self):
         n = 40
         guest, f_star, clusters = two_cell_setup(n)
-        g = Graph.complete(n)
+        g = complete_graph(n)
         buffers = choose_buffers(guest, f_star, (1 << n) - 1, sorted(clusters), 0.1, order=fold_labelling(n))
         res = embed(g, guest, clusters, f_star, RestrictionPair(), buffers, fold_labelling(n), seed=1)
         assert verify_embedding(g, guest, res.phi)
 
     def test_edgeless_guest_bijections(self):
         n = 30
-        guest = Graph.empty(n)
+        guest = empty_graph(n)
         f_star = tuple((0, v % 2) for v in range(n))
         clusters = {
             (0, 0): VertexSet.from_iter(n, range(0, n, 2)),
             (0, 1): VertexSet.from_iter(n, range(1, n, 2)),
         }
-        g = Graph.empty(n)
+        g = empty_graph(n)
         buffers = BufferPlan({c: VertexSet.empty(n) for c in clusters})
         res = embed(g, guest, clusters, f_star, RestrictionPair(), buffers, Labelling.identity(n), seed=1)
         assert verify_embedding(g, guest, res.phi)
@@ -46,13 +46,13 @@ class TestEmbed:
         guest, f_star, clusters = two_cell_setup(n)
         clusters[(0, 0)] = clusters[(0, 0)] - VertexSet.from_iter(n, [0])
         with pytest.raises(EmbedError):
-            embed(Graph.complete(n), guest, clusters, f_star, RestrictionPair(),
+            embed(complete_graph(n), guest, clusters, f_star, RestrictionPair(),
                   BufferPlan({c: VertexSet.empty(n) for c in clusters}), fold_labelling(n), seed=1)
 
     def test_respects_image_restrictions(self):
         n = 40
         guest, f_star, clusters = two_cell_setup(n)
-        g = Graph.complete(n)
+        g = complete_graph(n)
         restr = RestrictionPair(J={4: (5,)})  # image of guest 4 must neighbour host 5
         buffers = BufferPlan({c: VertexSet.empty(n) for c in clusters})
         res = embed(g, guest, clusters, f_star, restr, buffers, fold_labelling(n), seed=2)
@@ -72,7 +72,7 @@ class TestEmbed:
     def test_impossible_guest_fails_with_stuck_vertex(self):
         n = 20
         guest, f_star, clusters = two_cell_setup(n)
-        g = Graph.empty(n)
+        g = empty_graph(n)
         buffers = BufferPlan({c: VertexSet.empty(n) for c in clusters})
         with pytest.raises(EmbedError) as ei:
             embed(g, guest, clusters, f_star, RestrictionPair(), buffers, fold_labelling(n), seed=1)
@@ -116,12 +116,12 @@ class TestVerifyEmbedding:
         assert not verify_embedding(g, g, {0: 0})
 
     def test_collision_reported(self):
-        g = Graph.empty(4)
+        g = empty_graph(4)
         viols = embedding_violations(g, g, {0: 1, 1: 1, 2: 2, 3: 3})
         assert any("collide" in v for v in viols)
 
     def test_restriction_violation_reported(self):
-        g = Graph.complete(4)
+        g = complete_graph(4)
         phi = {v: v for v in range(4)}
         viols = embedding_violations(g, g, phi, images={0: 0b1110})
         assert any("restriction" in v for v in viols)

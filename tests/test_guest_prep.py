@@ -21,7 +21,7 @@ from spanembed.guest_prep import (
 )
 from spanembed.harness import make_guest
 
-from helpers import cell_counts, complete_reduced, even_targets, window_tree
+from helpers import cell_counts, complete_graph, complete_reduced, empty_graph, even_targets, window_tree
 
 
 class TestZeroFree:
@@ -168,7 +168,7 @@ class TestAssignGuest:
 
     def test_edgeless_guest(self):
         n, r, k = 480, 2, 2
-        h = Graph.empty(n)
+        h = empty_graph(n)
         l = Labelling.identity(n)
         col = Colouring(tuple((v % 2) + 1 for v in range(n)), 2)
         red = complete_reduced(r, k)
@@ -247,7 +247,7 @@ def test_block_grid_is_exact(n, k, blocklen):
 
     def assign_with_zero_at(pos):
         col = Colouring(tuple(sigma[:pos] + [0] + sigma[pos + 1:]), k)
-        return assign_guest(Graph.empty(n), l, col, red, m, xi=0.05, blocklen=blocklen, seed=0)
+        return assign_guest(empty_graph(n), l, col, red, m, xi=0.05, blocklen=blocklen, seed=0)
 
     assign_with_zero_at(prefix)  # the first position past the prefix
     with pytest.raises(GuestPrepError, match="colour zero in the first"):
@@ -256,7 +256,7 @@ def test_block_grid_is_exact(n, k, blocklen):
 
 class TestBoundedOrder:
     def test_edgeless_no_violations(self):
-        h = Graph.empty(6)
+        h = empty_graph(6)
         rep = check_bounded_order(h, Labelling.identity(6), None, None, 0, 0.5, 10)
         assert all(not v for v in rep.values())
 
@@ -271,7 +271,7 @@ class TestBoundedOrder:
         assert 0 in rep1["back_degree"]
 
     def test_k4_last_vertex_violates(self):
-        h = Graph.complete(4)
+        h = complete_graph(4)
         rep = check_bounded_order(h, Labelling.identity(4), None, None, 2, 0.5, 10)
         assert 3 in rep["back_degree"]  # back-degree 3 over budget 2
 
@@ -294,7 +294,7 @@ def _pinned_input(name):
     if name == "edgeless":
         n = 480
         col = Colouring(tuple((v % 2) + 1 for v in range(n)), 2)
-        return Graph.empty(n), Labelling.identity(n), col, complete_reduced(2, 2), even_targets(n, 2, 2), 0.08, 32, 0
+        return empty_graph(n), Labelling.identity(n), col, complete_reduced(2, 2), even_targets(n, 2, 2), 0.08, 32, 0
     if name == "path_zero_in_switching_block":
         # the colour-0 vertex sits in block 200, the first switching block of
         # section 0, so that section switches at block 201 instead

@@ -25,21 +25,30 @@ bound the key buffer, a memory map that tracemalloc does not see.  The
 priority order itself is checked for a round trip, determinism and
 uniformity, and the adversary for holding no array of keys in the heap.
 
-`gnp` works on blocks of `_ROW_BLOCK` rows, and a `PackedCopy` lists edge
-keys `_KEY_ROWS` rows at a time and clears bits on packed bytes: the cases at
-n from 1 to 1100 put rows and columns on both sides of a byte, a word and a
+`gnp` draws blocks of `_GNP_ROWS` rows, and a `PackedCopy` lists edge keys
+`_KEY_ROWS` rows at a time and clears bits on packed bytes: the cases at n
+from 1 to 1100 put rows and columns on both sides of a byte, a word and a
 block, and compare with `reference_edge_keys` and `reference_without_edges`,
 the code they replaced.  Neither path may hold an n x n matrix: at n = 3000
 the peak that tracemalloc sees stays under the n^2 bytes of one bool matrix.
+Nor may any n packed rows pass through the heap: kept rows, a `PackedCopy`'s
+rows and `gnp`'s rows are written straight into a memory map, which
+tracemalloc does not see, so at n = 3000 it sees a small fraction of their
+n^2/8 bytes.
 """
 
+import mmap
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from helpers import complete_graph, empty_graph
 from spanembed import harness
-from spanembed.graph_core import _KEY_BLOCK, _KEY_ROWS, _ROW_BLOCK, Graph, PackedCopy, gnp, iter_bits, rng_for
+from spanembed.graph_core import (
+    _GNP_ROWS, _KEY_BLOCK, _KEY_ROWS, _ROW_BLOCK, Graph, PackedCopy, gnp, iter_bits, rng_for,
+)
 from spanembed.harness import ConfigError, _mix, _unmix, adversary_delete
 
 
@@ -116,7 +125,9 @@ def oracle_adversary_delete(g, strategy, gamma, k, p, seed=0, budget=None, targe
     "n,p,seed",
     [(1, 0.5, 0), (2, 1.0, 0), (2, 0.5, 1), (3, 0.5, 2), (9, 0.3, 5), (50, 1.0, 1), (50, 0.0, 1), (301, 0.4, 3),
      (7, 0.5, 1), (8, 0.5, 2), (9, 1.0, 3), (511, 0.4, 4), (512, 0.4, 5), (513, 0.4, 6), (513, 1.0, 0),
-     (700, 0.3, 7), (1025, 0.3, 8)],
+     (700, 0.3, 7), (1025, 0.3, 8),
+     (_GNP_ROWS - 1, 0.4, 9), (_GNP_ROWS, 0.4, 10), (_GNP_ROWS + 1, 0.4, 11), (2 * _GNP_ROWS + 1, 0.4, 12),
+     (_GNP_ROWS - 1, 1.0, 13), (_GNP_ROWS, 1.0, 14), (_GNP_ROWS + 1, 1.0, 15), (2 * _GNP_ROWS + 1, 1.0, 16)],
 )
 def test_gnp_matches_oracle(n, p, seed):
     assert gnp(n, p, seed) == oracle_gnp(n, p, seed)
@@ -197,7 +208,7 @@ def test_deletion_matches_reference_and_keeps_the_source(n, p, seed):
     assert g.without_edges(pairs) == expect
     assert g.without_edges([]) == g
     for ks, out in ((keys, expect), (keys.astype(np.int32), expect), (np.zeros(0, dtype=np.int32), g),
-                    (np.concatenate([every, every[::-1]]), Graph.empty(n))):
+                    (np.concatenate([every, every[::-1]]), empty_graph(n))):
         edit = PackedCopy(g)
         edit.delete(ks)
         assert edit.graph() == out
@@ -212,11 +223,11 @@ def test_deletion_matches_reference_and_keeps_the_source(n, p, seed):
 
 
 def test_deletion_rejects_an_end_outside_the_graph():
-    g = Graph.complete(9)
+    g = complete_graph(9)
     for pairs in ([(0, 9)], [(9, 0)], [(-1, 3)], [(3, -1)], [(1, 2), (2, 10)]):
         with pytest.raises(ValueError, match="outside"):
             g.without_edges(pairs)
-    assert g == Graph.complete(9)
+    assert g == complete_graph(9)
 
 
 @pytest.mark.parametrize(
@@ -398,7 +409,7 @@ def test_regular_host_floor_matches_oracle(greedy_calls):
     its spare, so every vertex is unsafe there and the Python scan reads that
     block whole."""
     n = 300
-    host = Graph.complete(n)
+    host = complete_graph(n)
     gamma = (n - 2.5) / n - 1 / 2  # floor 1.5 under the degree n - 1 at k = 2, p = 1
     expect = oracle_adversary_delete(host, "random", gamma, 2, 1.0, seed=2)
     assert adversary_delete(host, "random", gamma, 2, 1.0, seed=2) == expect
@@ -484,6 +495,42 @@ def test_host_and_adversary_hold_no_square_matrix():
     assert traced_peak(adversary_delete, host, "random", 0.2, 2, p) < 4 * host.m + n * n
 
 
+def in_memory_map(a):
+    """Whether the `.base` chain of array `a` ends in a buffer of an `mmap.mmap`."""
+    while isinstance(a, np.ndarray):
+        a = a.base
+    return isinstance(a, memoryview) and isinstance(a.obj, mmap.mmap)
+
+
+def test_packed_rows_are_written_once_into_a_memory_map():
+    """At n = 3000 the packed rows take n^2/8 = 1.1 MB.  Kept rows, and a
+    `PackedCopy` of masks or of kept rows, are written straight into a memory
+    map: what tracemalloc sees of each stays under n^2/64 bytes.  Kept rows
+    stay read-only, and a copy of them is writable."""
+    n = 3000
+    g = gnp(n, 0.4, 0)
+    assert traced_peak(PackedCopy, g) < n * n // 64 and g._rows is None
+    assert traced_peak(g.packed_rows) < n * n // 64
+    assert traced_peak(PackedCopy, g) < n * n // 64
+    rows, edit = g.packed_rows(), PackedCopy(g)
+    assert in_memory_map(rows) and in_memory_map(edit._rows) and in_memory_map(PackedCopy(Graph(n, g.adj))._rows)
+    assert not rows.flags.writeable and edit._rows.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        rows[0, 0] = 0
+
+
+def test_gnp_holds_its_int_rows_and_small_blocks():
+    """At n = 3000 `gnp` holds, in what tracemalloc sees, less than its
+    result's int rows plus n^2/32 bytes: its packed rows are in a memory map,
+    and the bool blocks of `_GNP_ROWS` rows are gone before the ints are
+    built."""
+    n, p = 3000, 0.4
+    gnp(2, p, 0)  # numpy.random loads on the first draw, outside the trace
+    g = gnp(n, p, 0)
+    ints = sys.getsizeof(g.adj) + sum(map(sys.getsizeof, g.adj))
+    assert traced_peak(gnp, n, p, 0) < ints + n * n // 32
+
+
 @pytest.mark.parametrize("strategy", ["random", "bipartite_push"])
 def test_adversary_holds_one_key_array(strategy):
     """At n = 3000 the int32 keys would take 7.2 MB, and half of them 3.6 MB.
@@ -545,7 +592,7 @@ def test_priority_order_is_uniform_on_complete_graph():
     """K_20's 190 keys over 2000 seeds: each key's mean rank lies within 4
     sigma of 94.5, and each two consecutive keys come in either order about
     half the time (within 4 sigma of 1/2)."""
-    keys = np.concatenate(listed_keys(Graph.complete(20))).astype(np.int32)
+    keys = np.concatenate(listed_keys(complete_graph(20))).astype(np.int32)
     seeds = 2000
     ranks = np.empty((seeds, len(keys)))
     for seed in range(seeds):

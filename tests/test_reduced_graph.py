@@ -15,7 +15,7 @@ from spanembed.reduced_graph import (
     validate_k_equitable,
 )
 
-from helpers import backbone_edges, deleted_to_floor, degree_into
+from helpers import backbone_edges, complete_graph, deleted_to_floor, degree_into
 
 
 class TestBackboneStructure:
@@ -37,7 +37,7 @@ class TestFindBackbone:
     def test_complete_reduced_graph(self):
         verts = list(range(6))
         edges = {frozenset(e) for e in itertools.combinations(verts, 2)}
-        emb, ext = find_backbone(Graph.complete(6), 3, 2, seed=1)
+        emb, ext = find_backbone(complete_graph(6), 3, 2, seed=1)
         assert sorted(emb.values()) == verts
         for e in backbone_edges(3, 2):
             a, b = tuple(e)
@@ -209,7 +209,7 @@ class TestKEquitable:
 def cut_into_own_row(cut):
     """A vertex v of cell (0, 0) of the complete 200-vertex host, and the host
     preparation after G loses `cut` of v's 50 edges into cell (0, 1)."""
-    host = Graph.complete(200)
+    host = complete_graph(200)
     before = prepare_host(host, host, 1.0, 0.2, 2, 0.3, 0.4, 4, seed=2)
     v = next(iter(before.clusters[(0, 0)]))
     g = host.without_edges([(v, w) for w in before.clusters[(0, 1)].to_list()[:cut]])
@@ -218,7 +218,7 @@ def cut_into_own_row(cut):
 
 class TestPrepareHost:
     def test_complete_graph(self):
-        g = Graph.complete(120)
+        g = complete_graph(120)
         hs = prepare_host(g, g, 1.0, 0.2, 2, 0.1, 0.5, 4, seed=2)
         assert len(hs.v0) <= 2
         assert hs.reduced.contains_backbone()

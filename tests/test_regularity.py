@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from helpers import deleted_to_floor, degree_into, edges_between, graph_from_bit_matrix
+from helpers import complete_graph, deleted_to_floor, degree_into, edges_between, empty_graph, graph_from_bit_matrix
 from spanembed import regularity
 from spanembed.graph_core import Graph, VertexSet, gnp, iter_bits, mask_of, rng_for
 from spanembed.harness import adversary_delete
@@ -164,13 +164,13 @@ def partition_digest(res):
 
 class TestEnergyPartition:
     def test_edgeless_trivial(self):
-        res = energy_partition(Graph.empty(40), [VertexSet.full(40)], 0.25, 0.5, seed=1)
+        res = energy_partition(empty_graph(40), [VertexSet.full(40)], 0.25, 0.5, seed=1)
         assert res.regular and res.rounds == 1
         assert res.irregular_counts == [0]
         assert len(res.residues[0]) == 0
 
     def test_complete_single_round(self):
-        res = energy_partition(Graph.complete(40), [VertexSet.full(40)], 0.25, 1.0, seed=1)
+        res = energy_partition(complete_graph(40), [VertexSet.full(40)], 0.25, 1.0, seed=1)
         assert res.regular and res.rounds == 1
 
     def test_seeded_gnp_regression(self):
@@ -237,14 +237,14 @@ class TestEnergyPartition:
 
 class TestMinDegreePartition:
     def test_complete_graph(self):
-        g = Graph.complete(120)
+        g = complete_graph(120)
         part = min_degree_regular_partition(g, 0.1, 0.5, 1.0, 4, seed=2)
         r = len(part.clusters)
         assert part.reduced_min_degree == r - 1
         assert len(part.exceptional) <= 0.1 * 120
 
     def test_edgeless_fails_certificate(self):
-        g = Graph.empty(80)
+        g = empty_graph(80)
         with pytest.raises(RegularityError):
             min_degree_regular_partition(g, 0.1, 0.3, 0.5, 4, seed=1, retries=1)
 
@@ -423,7 +423,7 @@ class TestEngineMatchesScan:
             assert got == scan_lower(g, x, y, eps, d, p, 64, 3)
             assert got == PairVerdict("lower_regular", None)
             assert check_super_regular(g, host, x, y, eps, d, p, budget=64, seed=3)
-        empty = Graph.empty(g.n)
+        empty = empty_graph(g.n)
         assert check_lower_regular(empty, x, y, 0.25, 0.1, p).kind == "lower_regular"
         assert check_super_regular(empty, host, x, y, 0.25, 0.1, p)
         assert _prefix_inheritance_ok(empty, x.mask, y.mask, 0.25, 0.1, p)
