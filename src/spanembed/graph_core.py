@@ -6,21 +6,21 @@ little-endian uint64 words (`Graph.packed_rows`, which packs all rows once,
 on the first request for all of them, and keeps them read-only), counts
 vertex-to-set degrees on them with `row_mask_counts` (or `Graph.degree_table`,
 which reads the rows itself), and unpacks them to bool rows only where a 0/1
-block is needed (`Graph.to_bit_matrix`, or `unpack_rows` for rows packed
-earlier); `bit_positions` lists a mask's set bits from its bytes.  Edge sets
-in bulk are int keys u * n + v, which a `PackedCopy` of the rows alone lists,
-a block of rows at a time, and deletes in place (`Graph.without_edges` deletes
-on one).  Every buffer of n packed rows (kept rows, a `PackedCopy`'s rows, the
-rows that `gnp` draws into and that `parse_graph_text` sets a file's edges in)
-and edge keys in bulk are written once, straight into a `mapped_array` outside
-the malloc heap; only small packed blocks live in the heap.  `gnp` draws its
-rows a small block at a time, so program code never holds an n x n bool
-matrix.  This module is the only one that knows that format.  A graph built
-by `from_edges` (a guest, a reduced or a cluster graph) also keeps each
-vertex's neighbours as an ascending tuple (`neighbour_list`), which walks over
-sparse graphs read instead of n-bit masks.  All randomness flows through
-numpy's Philox counter-based generator so that identical seeds reproduce
-identical graphs on every platform.
+block is needed (`unpack_rows`); `bit_positions` lists a mask's set bits from
+its bytes.  Edge sets in bulk are int keys u * n + v, which a `PackedCopy` of
+the rows alone lists, a block of rows at a time and through a packed mask of
+a vertex subset, and deletes in place (`Graph.without_edges` deletes on one);
+the graph it becomes keeps its rows.  Every buffer of n packed rows (kept
+rows, a `PackedCopy`'s rows, the rows that `gnp` draws into and that
+`parse_graph_text` sets a file's edges in) and edge keys in bulk are written
+once, straight into a `mapped_array` outside the malloc heap; only small
+packed blocks live in the heap.  `gnp` draws its rows a small block at a
+time, so program code never holds an n x n bool matrix.  This module is the
+only one that knows that format.  A graph built by `from_edges` (a guest, a
+reduced or a cluster graph) also keeps each vertex's neighbours as an
+ascending tuple (`neighbour_list`), which walks over sparse graphs read
+instead of n-bit masks.  All randomness flows through numpy's Philox
+generator so that identical seeds reproduce identical graphs everywhere.
 """
 
 from __future__ import annotations
@@ -154,8 +154,8 @@ _KEY_BLOCK = 1 << 16
 # rows.  A multiple of 8, so that a block's columns start on a byte.
 _GNP_ROWS = 128
 # Rows that `PackedCopy.edge_key_blocks` unpacks at once: few, so that a
-# block's keys stay small beside a buffer of half a graph's keys (blocks of
-# 256 rows gave back the peak RSS that halving the keys saved at n = 4000)
+# block's keys stay small beside a buffer of a quarter of a graph's keys (256
+# rows cost the adversary's peak RSS at n = 4000; 32 or 16 rows buy nothing)
 _KEY_ROWS = 64
 # uint64 words of the rows-by-masks AND that `row_mask_counts` holds at once
 _COUNT_BLOCK = 1 << 16
@@ -304,10 +304,6 @@ class Graph:
         blocks = [vs[i:i + _ROW_BLOCK] for i in range(0, len(vs), _ROW_BLOCK)] or [vs]
         return np.concatenate([row_mask_counts(self.packed_rows(block), masks) for block in blocks])
 
-    def to_bit_matrix(self, vertices=None) -> np.ndarray:
-        """The adjacency rows of `vertices` (all by default) as a fresh bool matrix with n columns."""
-        return unpack_rows(self.packed_rows(vertices), self.n)
-
     @property
     def m(self) -> int:
         return self._m
@@ -391,10 +387,11 @@ class Graph:
 
 class PackedCopy:
     """A writable packed copy of a graph's rows: edges are listed from it and
-    deleted in it by key u * n + v, and `graph()` is the graph of its rows.
+    deleted in it by key u * n + v, and `graph()` is the graph of its rows,
+    which it hands over.
 
     The copy is written once into a `mapped_array`, from the graph's kept rows
-    or packed afresh from its masks; the graph keeps no rows for it.
+    or packed afresh from its masks; the source graph keeps no rows for it.
     """
 
     __slots__ = ("n", "_rows")
@@ -411,29 +408,30 @@ class PackedCopy:
     def edge_key_blocks(self, vertices=None):
         """Yield the edges {u, v} with u < v of the subgraph induced on `vertices`
         (ascending and distinct; all of [n] by default) as int64 keys u * n + v,
-        ascending, one array for each `_KEY_ROWS` rows of `vertices`."""
+        ascending, one array for each `_KEY_ROWS` rows of `vertices`, whose
+        rows are ANDed with the packed mask of `vertices` and unpacked."""
         n = self.n
-        vs = None if vertices is None else np.asarray(vertices, dtype=np.int64)
-        size = n if vs is None else len(vs)
-        for i0 in range(0, size, _KEY_ROWS):
-            if vs is None:
-                block = unpack_rows(self._rows[i0:i0 + _KEY_ROWS], n)
-            else:
-                block = unpack_rows(self._rows[vs[i0:i0 + _KEY_ROWS]], n)[:, vs]
-            for i in range(len(block)):
-                block[i, :i0 + i + 1] = False  # keep positions j > i0 + i
+        vs = np.arange(n) if vertices is None else np.asarray(vertices, dtype=np.int64)
+        mask = np.packbits(np.isin(np.arange(8 * self._rows.shape[1]), vs), bitorder="little")
+        for i0 in range(0, len(vs), _KEY_ROWS):
+            us = vs[i0:i0 + _KEY_ROWS]
+            block = unpack_rows(self._rows[us] & mask, n)
+            for i, u in enumerate(us.tolist()):
+                block[i, :u + 1] = False  # keep the columns v > u
             hit = np.flatnonzero(block)
-            if vs is None:
+            if vertices is None:
                 hit += i0 * n
-                yield hit
-            else:
-                i, j = np.divmod(hit, size)
-                yield vs[i0 + i] * n + vs[j]
+            else:  # row i's hits i * n + v are the keys u * n + v for u = us[i]
+                ends = np.searchsorted(hit, np.arange(len(us) + 1) * n)
+                hit += np.repeat((us - np.arange(len(us))) * n, np.diff(ends))
+            yield hit
 
     def delete(self, keys) -> None:
         """Clear both bits of each edge {u, v} of the keys u * n + v (ends in
         [0, n)), `_KEY_BLOCK` keys at a time; an absent edge is skipped.  Keys
-        in ascending order walk the rows in order."""
+        in ascending order walk the rows in order.  Raises ValueError after `graph()`."""
+        if not self._rows.flags.writeable:  # `ufunc.at` would write them regardless
+            raise ValueError("the rows are read-only: graph() has handed them over")
         width = self._rows.shape[1]
         flat = self._rows.reshape(-1)
         for at in range(0, len(keys), _KEY_BLOCK):
@@ -442,8 +440,12 @@ class PackedCopy:
             np.bitwise_and.at(flat, v * width + (u >> 3), _CLEAR_BIT[u & 7])
 
     def graph(self) -> Graph:
-        """The graph of the rows as they stand."""
-        return _graph_of_rows(self._rows)
+        """The graph of the rows as they stand, which keeps them as its packed
+        rows: they become read-only, so the copy deletes nothing after this."""
+        self._rows.flags.writeable = False
+        g = _graph_of_rows(self._rows)
+        g._rows = self._rows.view("<u8")
+        return g
 
 
 @dataclass(frozen=True)

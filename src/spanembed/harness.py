@@ -194,7 +194,7 @@ def adversary_delete(
     """Delete edges while keeping every degree at or above ((k-1)/k + gamma) p n.
 
     random: greedy over the edges in a seeded priority order (optionally
-    capped by budget), scanned in two halves (`_delete_in_halves`);
+    capped by budget), scanned in `_BUCKETS` buckets (`_delete_in_buckets`);
     triangle_killer: removes every triangle at `target` (edges inside its
     neighbourhood), failing if the floor blocks it, and takes no budget;
     bipartite_push: the same greedy over the edges inside k seeded random
@@ -214,7 +214,7 @@ def adversary_delete(
     spare = deg - math.ceil(floor - 1e-9)
     rng = rng_for(seed, stream=101)
     if strategy == "random":
-        return _delete_in_halves(g, spare, budget, rng, None)
+        return _delete_in_buckets(g, spare, budget, rng, None)
     if strategy == "triangle_killer":
         nbrs = bit_positions(g.adj[target])
         edit = PackedCopy(g)
@@ -230,7 +230,7 @@ def adversary_delete(
         return out
     if strategy == "bipartite_push":
         classes = rng.integers(0, k, size=n)
-        return _delete_in_halves(g, spare, budget, rng, classes)
+        return _delete_in_buckets(g, spare, budget, rng, classes)
     raise ConfigError(f"unknown adversary {strategy!r}")
 
 
@@ -282,7 +282,12 @@ def _unshift(h: np.ndarray, s: int, width: int) -> None:
         s *= 2
 
 
-def _delete_in_halves(
+# Buckets of the priority order that `_delete_in_buckets` scans in turn,
+# split by the priority word's top bits: a power of two
+_BUCKETS = 4
+
+
+def _delete_in_buckets(
     g: Graph, spare: np.ndarray, cap: int | None, rng: np.random.Generator, classes: np.ndarray | None
 ) -> Graph:
     """g less the edges that `_greedy_delete` selects from a scan of all its edge
@@ -292,33 +297,33 @@ def _delete_in_halves(
     is a bijection on the word, so distinct keys never tie and the order
     depends on the salt and the key set alone.
 
-    The scan runs in two halves, split by the top bit of the priority, so that
-    no more than half the keys are held at once.  The first half's keys are
-    listed from a `PackedCopy` of g's rows, ordered and scanned; the second
-    half's keys are listed only among the vertices that still have spare
+    The scan runs in `_BUCKETS` buckets, split by the top bits of the
+    priority, so that no more than about a quarter of the keys are held at
+    once.  Bucket 0's keys are listed from a `PackedCopy` of g's rows; each
+    later bucket's are listed only among the vertices that still have spare
     degree, because spare degree only falls and the scan skips a key with a
-    spent end.  Each listed key is mixed to read its top bit, and a half's
-    mixed words are kept, sorted in place and unmixed back to keys once.
-    Each half's selections are deleted from the copy, which becomes the
-    result.  The words live in one `mapped_array` sized for every key, of
-    which only the pages written take memory: those of the larger half's
-    keys, the first half's on a host with a floor that binds.
+    spent end.  Each listed key is mixed to read its bucket, and a bucket's
+    mixed words are kept, sorted in place, unmixed back to keys and scanned.
+    Each bucket's selections are deleted from the copy, which becomes the
+    result; a cap that runs out ends the scan.  The words live in one
+    `mapped_array` sized for every key, of which only the pages written take
+    memory: those of the largest bucket's keys, about a quarter of them.
     """
     n = g.n
     width = 4 if n * n <= np.iinfo(np.int32).max else 8  # bytes a key u * n + v takes as a signed int
     salt = rng.integers(0, 1 << 8 * width, dtype=f"u{width}")
     edit = PackedCopy(g)
     words = mapped_array(g.m, salt.dtype)
-    top = 8 * width - 1
-    for half in (0, 1):
+    shift = 8 * width - (_BUCKETS.bit_length() - 1)
+    for bucket in range(_BUCKETS):
         count = 0
-        for block in edit.edge_key_blocks(None if half == 0 else np.flatnonzero(spare > 0)):
+        for block in edit.edge_key_blocks(None if bucket == 0 else np.flatnonzero(spare > 0)):
             if classes is not None:
                 u, v = np.divmod(block, n)
                 block = block[classes[u] == classes[v]]
             mixed = block.astype(salt.dtype)
             _mix(mixed, salt)
-            mixed = np.compress(mixed >> top == half, mixed)
+            mixed = np.compress(mixed >> shift == bucket, mixed)
             words[count:count + len(mixed)] = mixed
             count += len(mixed)
         ordered = words[:count]
@@ -329,6 +334,7 @@ def _delete_in_halves(
             cap -= done
             if cap == 0:
                 break
+    del words, ordered  # unmapped before the result's int rows are built
     return edit.graph()
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from spanembed.graph_core import Graph, Labelling, VertexSet, gnp, iter_bits, rng_for
+from spanembed.graph_core import Graph, Labelling, VertexSet, gnp, iter_bits, rng_for, unpack_rows
 from spanembed.guest_prep import Colouring, assign_guest
 from spanembed.harness import make_guest
 from spanembed.reduced_graph import BackboneIndex, ReducedGraph, prepare_host
@@ -31,6 +31,11 @@ def complete_graph(n):
     """The graph on n vertices with every edge."""
     full = (1 << n) - 1
     return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
+
+
+def bit_matrix(g, vertices=None):
+    """The adjacency rows of `vertices` (all by default) of g as a fresh bool matrix with n columns."""
+    return unpack_rows(g.packed_rows(vertices), g.n)
 
 
 def graph_from_bit_matrix(a):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import complete_graph, degree_into, empty_graph, graph_from_bit_matrix
+from helpers import bit_matrix, complete_graph, degree_into, empty_graph, graph_from_bit_matrix
 from spanembed.graph_core import (
     Graph,
     Labelling,
@@ -64,7 +64,7 @@ class TestBitMatrix:
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 201])
     def test_round_trip(self, n):
         g = gnp(n, 0.4, n)
-        a = g.to_bit_matrix()
+        a = bit_matrix(g)
         assert a.dtype == bool and a.shape == (n, n)
         assert (a == a.T).all() and not a.diagonal().any()
         assert int(a.sum()) == 2 * g.m
@@ -73,7 +73,7 @@ class TestBitMatrix:
 
     def test_matrix_is_a_copy(self):
         g = complete_graph(5)
-        g.to_bit_matrix()[0, 1] = False
+        bit_matrix(g)[0, 1] = False
         assert g.has_edge(0, 1)
 
     def test_rejects_non_square(self):
@@ -94,8 +94,8 @@ class TestPackedRows:
         masks += [mask_of(np.flatnonzero(rng.random(n) < q).tolist()) for q in (0.1, 0.5, 0.9)]
         vertices = rng.permutation(n).tolist()  # not in ascending order
         assert (g.packed_rows(vertices) == rows[vertices]).all()
-        assert (g.to_bit_matrix(vertices) == g.to_bit_matrix()[vertices]).all()
-        assert (unpack_rows(rows[n // 2 :], n) == g.to_bit_matrix()[n // 2 :]).all()  # a slice of packed rows
+        assert (bit_matrix(g, vertices) == bit_matrix(g)[vertices]).all()
+        assert (unpack_rows(rows[n // 2 :], n) == bit_matrix(g)[n // 2 :]).all()  # a slice of packed rows
         table = g.degree_table(masks, vertices)
         assert table.dtype == np.int32
         assert table.tolist() == [[degree_into(g, v, m) for m in masks] for v in vertices]
@@ -104,7 +104,7 @@ class TestPackedRows:
     def test_empty_vertex_and_mask_lists(self):
         g = gnp(65, 0.4, 3)
         assert g.packed_rows([]).shape == (0, 2)
-        assert g.to_bit_matrix([]).shape == (0, 65)
+        assert bit_matrix(g, []).shape == (0, 65)
         assert g.degree_table([g.adj[0], 7], []).shape == (0, 2)
         assert g.degree_table([], [3, 1]).shape == (2, 0)
         assert g.degree_table([]).shape == (65, 0)
@@ -173,7 +173,7 @@ class TestRowCache:
             rows = g.packed_rows().copy()
         h = g.without_edges(list(g.edges())[::2])
         assert g.adj == adj and h.m == g.m - (g.m + 1) // 2
-        assert h._rows is None
+        assert not h._rows.flags.writeable  # the result keeps its copy's rows; the source gains none
         if keep:
             assert np.array_equal(g.packed_rows(), rows)
         else:
@@ -186,7 +186,7 @@ class TestRowCache:
         edit = PackedCopy(g)
         list(edit.edge_key_blocks())
         list(edit.edge_key_blocks(np.arange(0, 600, 3)))
-        g.to_bit_matrix([1, 2, 3])
+        bit_matrix(g, [1, 2, 3])
         assert g._rows is None
 
 

@@ -16,12 +16,14 @@ unsafe.  Each of those also checks the blocked greedy against
 `reference_greedy_delete`, the key-by-key scan it replaced, on every call's
 keys, and so does the benchmark's resilience host at n = 4000.
 
-The `random` and `bipartite_push` greedy scans the priority order in two
-halves, and lists the second half only among the vertices that still have
-spare degree.  Cases at n = 1000 cover a cap that runs out in the second
-half, a floor low enough that most vertices keep spare past the first, and
-bipartite_push at k = 3; on the resilience host the two halves' key counts
-bound the key buffer, a memory map that tracemalloc does not see.  The
+The `random` and `bipartite_push` greedy scans the priority order in four
+buckets, split by the top two bits of the priority word, and lists each
+bucket after the first only among the vertices that still have spare degree.
+Cases at n = 1000 cover a cap that runs out in bucket 1 and one that runs out
+in bucket 2, a floor low enough that most vertices keep spare past bucket 1,
+and bipartite_push at k = 3, and check that each bucket holds its own keys
+and is scanned in turn; on the resilience host the buckets' key counts bound
+the key buffer, a memory map that tracemalloc does not see.  The
 priority order itself is checked for a round trip, determinism and
 uniformity, and the adversary for holding no array of keys in the heap.
 
@@ -44,7 +46,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import complete_graph, empty_graph
+from helpers import bit_matrix, complete_graph, empty_graph
 from spanembed import harness
 from spanembed.graph_core import (
     _GNP_ROWS, _KEY_BLOCK, _KEY_ROWS, _ROW_BLOCK, Graph, PackedCopy, gnp, iter_bits, rng_for,
@@ -162,17 +164,22 @@ def listed_keys(g, vertices=None):
 
 @pytest.mark.parametrize(
     "n,p,seed",
-    [(1, 0.5, 0), (7, 0.5, 1), (9, 0.6, 2), (513, 0.3, 3), (1100, 0.2, 4), (65, 0.5, 5), (130, 1.0, 6), (63, 0.0, 7)],
+    [(1, 0.5, 0), (7, 0.5, 1), (9, 0.6, 2), (513, 0.3, 3), (1100, 0.2, 4), (65, 0.5, 5), (130, 1.0, 6), (63, 0.0, 7),
+     (1030, 0.3, 8)],
 )
 def test_edge_keys_match_reference(n, p, seed):
     """A `PackedCopy` lists the keys u * n + v of the whole graph, or of the
     subgraph induced on an ascending vertex list, in `edges()` order, one
     int64 block for each `_KEY_ROWS` rows of the list; the graph keeps no rows
-    for it."""
+    for it.  The lists include all vertices but one, all of them passed
+    explicitly and every other vertex, which the packed mask of the list
+    must cut on both sides of a byte and a word."""
     g = gnp(n, p, seed)
-    a = Graph(n, g.adj).to_bit_matrix()  # a twin keeps the rows, so g keeps none
+    a = bit_matrix(Graph(n, g.adj))  # a twin keeps the rows, so g keeps none
     rng = rng_for(seed, stream=3)
-    for vs in (None, np.flatnonzero(rng.random(n) < 0.6), np.arange(1, n, 3), np.arange(n - 1, n), np.arange(0)):
+    lists = (np.flatnonzero(rng.random(n) < 0.6), np.arange(1, n, 3), np.arange(n - 1, n), np.arange(0),
+             np.delete(np.arange(n), n // 2), np.arange(n), np.arange(0, n, 2))
+    for vs in (None, *lists):
         size = n if vs is None else len(vs)
         blocks = listed_keys(g, vs)
         assert len(blocks) == -(-size // _KEY_ROWS)
@@ -322,10 +329,11 @@ def greedy_calls(monkeypatch):
 
 def assert_matches_reference(call):
     """Run the reference on the call's inputs and compare what both delete and leave;
-    the selected keys must also come in scan order."""
+    the selected keys must also come in scan order.  The call's record is left as it was."""
     (keys, spare, cap), got, got_spare = call
     n = len(spare)
     expect = np.ones((n, n), dtype=bool)
+    spare = list(spare)  # the reference debits it in place
     reference_greedy_delete(expect, keys, spare, cap)
     du, dv = np.divmod(got, n)
     deleted = np.ones((n, n), dtype=bool)
@@ -432,33 +440,48 @@ def test_blocked_triangle_killer_greedy_matches_reference(greedy_calls):
 
 
 def test_resilience_host_matches_reference(greedy_calls):
-    """The `resilience-gnp-n4000` benchmark host, seed 0: the first half of the
-    priority order is 100 blocks of keys, and leaves 184 of 4000 vertices with
-    spare degree, so the second half lists 3778 of its 1.6 M keys.  The keys
-    live in a memory map, which tracemalloc does not see, so these counts are
-    what bound them."""
+    """The `resilience-gnp-n4000` benchmark host, seed 0: buckets 0 and 1 of the
+    priority order hold 798 842 and 791 831 keys, about 50 blocks each, and
+    leave 184 of 4000 vertices with spare degree, so buckets 2 and 3, listed
+    among those alone, hold 1861 and 249 of their 1.6 M keys.  The keys live
+    in a memory map, which tracemalloc does not see, so these counts are what
+    bound them."""
     host = gnp(4000, 0.4, 0)
     adversary_delete(host, "random", 0.2, 2, 0.4, seed=0)
-    first, second = ((keys, sum(s > 0 for s in spare)) for (keys, spare, _), _, _ in greedy_calls)
-    assert 99 * (4 * host.n) < len(first[0]) <= 0.55 * host.m and first[1] == host.n
-    assert len(second[0]) <= 0.01 * host.m and second[1] < 0.1 * host.n
+    counts = [len(keys) for (keys, _, _), _, _ in greedy_calls]
+    with_spare = [sum(s > 0 for s in spare) for (_, spare, _), _, _ in greedy_calls]
+    assert len(counts) == harness._BUCKETS == 4 and max(counts) <= 0.27 * host.m
+    assert min(counts[:2]) > 40 * (4 * host.n) and max(counts[2:]) <= 0.01 * host.m
+    assert with_spare[0] == host.n and with_spare[2] < 0.1 * host.n
     for call in greedy_calls:
         assert_matches_reference(call)
+
+
+def scan_salt(strategy, k, n, seed):
+    """The salt of the adversary's int32 priority words at `seed`: `bipartite_push`
+    draws its classes from the same stream first."""
+    rng = rng_for(seed, stream=101)
+    if strategy == "bipartite_push":
+        rng.integers(0, k, size=n)
+    return rng.integers(0, 1 << 32, dtype="u4")
 
 
 @pytest.mark.parametrize(
     "strategy,k,gamma,seed,budget",
     [
-        ("random", 2, 0.2, 1, 89_300),  # 89 164 deletions in the first half, 89 411 uncapped
-        ("random", 2, 0.0, 1, None),  # 626 of the 1000 vertices keep spare past the first half
-        ("bipartite_push", 3, 0.05, 2, None),  # the first half spends no vertex
+        ("random", 2, 0.2, 1, 80_000),  # 74 829 deletions in bucket 0, 89 164 after bucket 1
+        ("random", 2, 0.2, 1, 89_300),  # 89 370 deletions after bucket 2, 89 411 uncapped
+        ("random", 2, 0.0, 1, None),  # 626 of the 1000 vertices keep spare past bucket 1
+        ("bipartite_push", 3, 0.05, 2, None),  # buckets 0 and 1 spend no vertex
     ],
 )
-def test_second_half_matches_oracle(greedy_calls, strategy, k, gamma, seed, budget):
-    """The second half of the priority order, listed only among the vertices
-    that still have spare degree after the first: a cap that runs out there,
-    a floor low enough that most vertices keep spare, and bipartite_push at
-    k = 3."""
+def test_later_buckets_match_oracle(greedy_calls, strategy, k, gamma, seed, budget):
+    """Buckets 1 to 3 of the priority order, listed only among the vertices
+    that still have spare degree: a cap that runs out in bucket 1 and one that
+    runs out in bucket 2, a floor low enough that most vertices keep spare
+    past bucket 1, and bipartite_push at k = 3.  Bucket b holds exactly the
+    keys whose priority word has b as its top two bits, and the buckets are
+    scanned in that order."""
     n, p = 1000, 0.6
     host = gnp(n, p, seed)
     args = (host, strategy, gamma, k, p)
@@ -466,13 +489,23 @@ def test_second_half_matches_oracle(greedy_calls, strategy, k, gamma, seed, budg
     assert adversary_delete(*args, seed=seed, budget=budget) == expect
     for call in greedy_calls:
         assert_matches_reference(call)
-    first, second = greedy_calls
-    assert len(second[0][0]) > 0
+    salt = scan_salt(strategy, k, n, seed)
+    for bucket, ((keys, spare, _), _, _) in enumerate(greedy_calls):
+        words = keys.view("u4").copy()
+        _mix(words, salt)
+        assert (words >> 30 == bucket).all() and (np.diff(words.astype(np.int64)) > 0).all()
+        if bucket > 0:  # listed among the vertices with spare alone
+            has = np.asarray(spare) > 0
+            assert len(keys) > 0 and has[keys // n].all() and has[keys % n].all()
+    deleted = [len(got) for _, got, _ in greedy_calls]
     if budget is not None:
-        assert len(first[1]) < budget == host.m - expect.m
-        assert second[0][2] == budget - len(first[1]) == len(second[1])  # the cap binds in the second half
+        last = 1 if budget < 89_164 else 2
+        assert len(greedy_calls) == last + 1 and host.m - expect.m == budget
+        assert greedy_calls[last][0][2] == budget - sum(deleted[:last]) == deleted[last]  # the cap binds there
     else:
-        assert sum(s > 0 for s in first[2]) > n // 2
+        assert len(greedy_calls) == harness._BUCKETS
+    if gamma == 0.0:
+        assert sum(s > 0 for s in greedy_calls[1][2]) > n // 2
 
 
 def traced_peak(fn, *args):
@@ -517,6 +550,24 @@ def test_packed_rows_are_written_once_into_a_memory_map():
     assert not rows.flags.writeable and edit._rows.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         rows[0, 0] = 0
+
+
+@pytest.mark.parametrize("n", [70, 3000])
+def test_copy_hands_its_rows_to_its_graph(n):
+    """`PackedCopy.graph()` gives the result the copy's mapped rows as its kept
+    rows, read-only, so its `packed_rows()` packs nothing; the copy deletes
+    nothing after that."""
+    g = gnp(n, 0.4, 1)
+    edit = PackedCopy(g)
+    edit.delete(np.concatenate(listed_keys(g))[::3])
+    h = edit.graph()
+    rows = h.packed_rows()
+    assert in_memory_map(rows) and np.shares_memory(rows, edit._rows)
+    assert not rows.flags.writeable and np.array_equal(rows, Graph(n, h.adj).packed_rows())
+    assert traced_peak(h.packed_rows) < 1024 and h.packed_rows() is rows
+    with pytest.raises(ValueError, match="read-only"):
+        edit.delete(np.array([u * n + v for u, v in h.edges()][:1]))
+    assert g._rows is None and h == Graph(n, h.adj)
 
 
 def test_gnp_holds_its_int_rows_and_small_blocks():
@@ -569,7 +620,7 @@ def adversary_salt(seed, dtype):
 
 def priority_order(keys, salt):
     """`keys` in the adversary's priority order under `salt`, ordered as
-    `_delete_in_halves` orders a half: mixed to words, sorted and unmixed."""
+    `_delete_in_buckets` orders a bucket: mixed to words, sorted and unmixed."""
     words = keys.astype(salt.dtype)
     _mix(words, salt)
     words.sort()

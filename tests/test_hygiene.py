@@ -493,7 +493,6 @@ def test_every_config_key_is_set_somewhere():
 UNCALLED_METHODS = {
     "Graph.neighbours": "perfbench/check.py reads a host's rows with it",
     "Graph.without_edges": "perfbench/test_check.py and the tests delete edges by pair with it",
-    "Graph.to_bit_matrix": "the tests compare whole adjacency matrices with it",
 }
 
 
