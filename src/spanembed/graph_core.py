@@ -149,10 +149,18 @@ def _graph_of_rows(rows: np.ndarray) -> "Graph":
 # keys that `PackedCopy.delete` clears in one step
 _ROW_BLOCK = 512
 _KEY_BLOCK = 1 << 16
-# Rows that `gnp` draws into one bool block and packs, with its transpose, at
-# once: the two take 2 * _GNP_ROWS * n bytes, beside the n^2/8 of the packed
-# rows.  A multiple of 8, so that a block's columns start on a byte.
-_GNP_ROWS = 128
+# Rows that `gnp` draws at once: one word of columns, so that the block's
+# transpose is a row of 64 x 64 bit tiles
+_GNP_ROWS = 64
+# Binary digits of p that `gnp` compares with uniform words before a pair
+# still undecided takes a double
+_GNP_DIGITS = 8
+# _ABOVE[i] keeps the bits above bit i: row i of a tile's strict upper triangle
+_ABOVE = np.array([(2**64 - 1) ^ (2 ** (i + 1) - 1) for i in range(64)], dtype=np.uint64)
+# The six swap rounds of a 64 x 64 bit transpose: round j swaps, between rows
+# whose index differs in bit j, the columns whose index differs in bit j; its
+# mask keeps the columns with bit j clear
+_SWAPS = [(j, np.uint64(sum(((2**j - 1) << k) for k in range(0, 64, 2 * j)))) for j in (32, 16, 8, 4, 2, 1)]
 # Rows that `PackedCopy.edge_key_blocks` unpacks at once: few, so that a
 # block's keys stay small beside a buffer of a quarter of a graph's keys (256
 # rows cost the adversary's peak RSS at n = 4000; 32 or 16 rows buy nothing)
@@ -472,29 +480,86 @@ class Labelling:
         return len(self.order)
 
 
+def _compare_digits(digits, words, undecided: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Uniforms U compared with p one binary digit at a time, top digit first.
+
+    `digits` are p's leading binary digits and `words[i]` holds digit i of a U
+    at each bit; a set bit of `undecided` is a U still to compare.  U < p
+    exactly when, at the first digit where the two differ, U's is 0 and p's is
+    1.  Returns the bits found below p, and the bits whose digits all equal
+    p's, still undecided.
+    """
+    edge = np.zeros_like(undecided)
+    for digit, u in zip(digits, words):
+        if digit:
+            edge |= undecided & ~u
+            undecided = undecided & u
+        else:
+            undecided = undecided & ~u
+    return edge, undecided
+
+
 def gnp(n: int, p: float, seed: int) -> Graph:
-    """Binomial random graph: each unordered pair is an edge independently with probability p."""
+    """Binomial random graph: each unordered pair is an edge independently with probability p.
+
+    A pair is an edge when a uniform U is below p, found by comparing binary
+    digits (Knuth and Yao): one uniform word gives a digit of 64 pairs.  After
+    p's first `_GNP_DIGITS` = 8 digits, a pair still undecided (a 2^-8 share)
+    takes one double, and is an edge when the double is below the remainder
+    p * 2^8 - floor(p * 2^8).  So the law is exactly Bernoulli(p), up to the
+    rounding of that remainder to a double.  A p whose remainder is 0, such as
+    1/2, stops after its last 1-digit and draws no double; p = 0 and p = 1
+    draw nothing.
+
+    The stream of `rng_for(seed, 0)` is read a block of `_GNP_ROWS` = 64 rows
+    at a time, in order.  Each of a block's digits takes one raw word per row
+    and per word of columns from the block's diagonal word onwards, row by
+    row; then each undecided pair in the strict upper triangle takes one
+    double, in order of row, then column.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     if not (0.0 <= p <= 1.0):
         raise ValueError("p must lie in [0, 1]")
-    width = (n + 7) // 8
-    rows = mapped_array(n * width, np.uint8).reshape(n, width)
+    words = (n + 63) // 64
+    rows = mapped_array(n * words, "<u8").reshape(n, words)
     if p > 0.0 and n > 1:
-        # One double per pair (u, v), u < v, drawn in row-major order, a block
-        # of rows at a time.  The block is packed into its own rows, and its
-        # transpose into the same columns of rows u0.. below: only those hold
-        # edges (u, v) with v > u >= u0.
-        rng = rng_for(seed, stream=0)
+        top, rest = divmod(p * 2**_GNP_DIGITS, 1.0)
+        digits = [int(top) >> i & 1 for i in range(_GNP_DIGITS - 1, -1, -1)]
+        if rest == 0.0 and p < 1.0:
+            digits = digits[:len(digits) - digits[::-1].index(1)]
+        last = np.uint64(2 ** (n - 64 * (words - 1)) - 1)
+        rng = rng_for(seed, 0)
         for u0 in range(0, n - 1, _GNP_ROWS):
-            u1 = min(u0 + _GNP_ROWS, n - 1)
-            block = np.zeros((u1 - u0, n), dtype=bool)
-            for u in range(u0, u1):
-                block[u - u0, u + 1:] = rng.random(n - 1 - u) < p
-            rows[u0:u1] |= np.packbits(block, axis=1, bitorder="little")
-            below = np.packbits(block[:, u0:].T, axis=1, bitorder="little")
-            rows[u0:, u0 // 8:u0 // 8 + below.shape[1]] |= below
-    return _graph_of_rows(rows)
+            w0 = u0 // 64
+            undecided = np.full((min(u0 + _GNP_ROWS, n - 1) - u0, words - w0), ~np.uint64(0))
+            undecided[:, 0] &= _ABOVE[:len(undecided)]
+            undecided[:, -1] &= last
+            if p == 1.0:
+                edge = undecided
+            else:
+                raw = (rng.bit_generator.random_raw(undecided.shape) for _ in digits)
+                edge, undecided = _compare_digits(digits, raw, undecided)
+                if rest:
+                    at = np.flatnonzero(undecided)
+                    bits = np.unpackbits(undecided.ravel()[at].astype("<u8").view(np.uint8), bitorder="little")
+                    bits = bits.view(bool).reshape(-1, 64)
+                    bits[bits] = rng.random(np.count_nonzero(bits)) < rest
+                    edge.ravel()[at] |= np.packbits(bits, axis=1, bitorder="little").view("<u8").ravel()
+            rows[u0:u0 + len(edge), w0:] |= edge
+            # The block's 64 x 64 tiles, transposed in place: tile j, column j
+            # of `tiles`, holds the edges of rows 64 * (w0 + j).. into the
+            # block, so its rows go to word w0 of those rows
+            tiles = np.zeros((64, words - w0), dtype=np.uint64)
+            tiles[:len(edge)] = edge
+            for j, keep in _SWAPS:
+                pairs = tiles.reshape(32 // j, 2, j, -1)
+                low, high = pairs[:, 0], pairs[:, 1]
+                swap = ((low >> j) ^ high) & keep
+                high ^= swap
+                low ^= swap << j
+            rows[u0:, w0] |= tiles.T.ravel()[:n - u0]
+    return _graph_of_rows(rows.view(np.uint8))
 
 
 def _is_prime(q: int) -> bool:

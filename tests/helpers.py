@@ -47,6 +47,18 @@ def graph_from_bit_matrix(a):
     return Graph(n, tuple(int.from_bytes(row, "little") for row in rows))
 
 
+def gnp_by_doubles(n, p, seed):
+    """G(n, p) from one double of `rng_for(seed, 0)` per pair u < v, in row-major
+    order: the stream that `gnp` drew before it compared binary digits.  Tests
+    that pin what later stages make of a host draw it here, so that their pins
+    do not move with `gnp`'s stream."""
+    a = np.zeros((n, n), dtype=bool)
+    if p > 0.0 and n > 1:
+        iu = np.triu_indices(n, k=1)
+        a[iu] = rng_for(seed, stream=0).random(len(iu[0])) < p
+    return graph_from_bit_matrix(a | a.T)
+
+
 def edges_between(g, xmask, ymask):
     """Number of edges of g with one end in X, the other in Y (X, Y disjoint): one
     popcount per vertex of X, the reference for every packed edge count."""
@@ -160,10 +172,11 @@ def window_tree(n, seed, window=5, dmax=3):
     return Graph.from_edges(n, edges), Colouring(tuple(colour), 2)
 
 
-def pre_embed_instance(n=1000, seed=0, v0_target=None, eps=0.25):
-    """Host structure, guest, and assignment with V0 padded to a target size."""
+def pre_embed_instance(n=1000, seed=0, v0_target=None, eps=0.25, draw=gnp):
+    """Host structure, guest, and assignment with V0 padded to a target size; the
+    host is `draw(n, 0.4, seed)`."""
     p, k, gamma = 0.4, 2, 0.2
-    host = gnp(n, p, seed)
+    host = draw(n, p, seed)
     g = deleted_to_floor(host, gamma, k, p, seed)
     hs = prepare_host(g, host, p, gamma, k, eps, 0.1, 4, seed=seed)
     if v0_target is not None and len(hs.v0) < v0_target:

@@ -344,10 +344,15 @@ GRID = [
     for seed in range(4)
 ] + [
     # seeded-fuzz inputs on which the reference retries the most hosts that a
-    # deeper frame already saw, inside augmenting searches that succeed (630
-    # retries in 70 searches, and 20 in 20); `embed` skips those retries
+    # deeper frame already saw, inside augmenting searches that succeed;
+    # `embed` skips those retries.  Seeds 450 and 114 are the fuzz maxima on
+    # `gnp`'s hosts (300 retries in 60 searches, and 120 in 30, over seeds
+    # 0-599 and 0-299); 431 and 102 were the maxima on the stream of one
+    # double per pair that `gnp` drew before, and retry none now
     ("parity", 40, 0.3, 0.5, 431),
     ("pairs", 28, 0.3, 0.5, 102),
+    ("parity", 40, 0.3, 0.5, 450),
+    ("pairs", 28, 0.3, 0.5, 114),
 ]
 
 
@@ -382,8 +387,8 @@ def test_grid_reaches_every_outcome():
     errors = {msg.split(" at ")[0].split(" in ")[0] for kind, msg, _ in results if kind == "error"}
     assert errors == {"no perfect matching", "candidate depletion"}
     assert {0, 1, 2, 3, 4} <= {retries for kind, _, retries in results if kind == "ok"}
-    # the depth-first matcher alone needs up to seven restarts on the same grid
-    assert {0, 1, 3, 4, 7} <= {retries for kind, _, retries in map(grid_dfs_reference, GRID) if kind == "ok"}
+    # the depth-first matcher alone needs up to nine restarts on the same grid
+    assert {0, 1, 3, 4, 9} <= {retries for kind, _, retries in map(grid_dfs_reference, GRID) if kind == "ok"}
 
 
 @pytest.mark.parametrize("case", GRID, ids=GRID_IDS)
@@ -418,7 +423,7 @@ def matcher_passes(monkeypatch, case):
 def test_depth_first_pass_finishes_what_free_first_left_stuck(monkeypatch):
     """The first attempt's free-first pass leaves a buffer stuck; the depth-first
     pass from the restored state places every buffer, and the call succeeds."""
-    case = ("parity", 40, 0.4, 0.1, 0)
+    case = ("parity", 40, 0.4, 0.1, 9)
     got, passes = matcher_passes(monkeypatch, case)
     assert passes[:2] == [(True, False), (False, True)]
     assert got[0] == "ok" and got == grid_reference(case)
@@ -427,7 +432,7 @@ def test_depth_first_pass_finishes_what_free_first_left_stuck(monkeypatch):
 def test_free_first_succeeds_where_depth_first_alone_fails(monkeypatch):
     """On this case every attempt of the depth-first matcher alone fails, and
     the free-first pass of the first attempt places every buffer."""
-    case = ("parity", 40, 0.4, 0.1, 1)
+    case = ("parity", 40, 0.4, 0.1, 16)
     got, passes = matcher_passes(monkeypatch, case)
     assert grid_dfs_reference(case)[0] == "error"
     assert passes == [(True, True)]
@@ -519,7 +524,7 @@ def test_pipeline_inputs_match_reference(monkeypatch, cfg):
 
 
 # k = 3 with the square of a cycle: the only configuration measured on which
-# `embed` relocates neighbours and restarts (4 restarts at seed K3_SEED)
+# `embed` relocates neighbours and restarts (2 restarts at seed K3_SEED)
 K3_CFG = dict(
     guest_family="power_cycle:2", n=960, p=0.5, k=3, gamma=0.1, eps=0.35, d=0.1, mu=0.2,
     Delta=4, xi_guest=0.25,

@@ -1,10 +1,16 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import bit_matrix, complete_graph, degree_into, empty_graph, graph_from_bit_matrix
+from spanembed import graph_core
 from spanembed.graph_core import (
+    _GNP_ROWS,
+    _compare_digits,
     Graph,
     Labelling,
     PackedCopy,
@@ -43,7 +49,7 @@ class TestGnp:
         # mean 0.3*C(1000,2) = 149850, sigma = sqrt(149850*0.7) ~ 324
         g = gnp(1000, 0.3, 1)
         assert abs(g.m - 149850) <= 972
-        assert g.m == 149726  # frozen for this seed
+        assert g.m == 149983  # frozen for this seed
 
     def test_determinism(self):
         assert gnp(300, 0.25, 9).adj == gnp(300, 0.25, 9).adj
@@ -58,6 +64,81 @@ class TestGnp:
     def test_rejects_bad_p(self):
         with pytest.raises(ValueError):
             gnp(5, 1.5, 0)
+
+
+def truncated_digits(p, k):
+    """p's first k binary digits, cut after the last 1 when they are all of p, and
+    the remainder p * 2^k - floor(p * 2^k), as an exact fraction."""
+    scaled = Fraction(p) * 2**k
+    top = math.floor(scaled)
+    digits = [top >> (k - 1 - i) & 1 for i in range(k)]
+    if scaled == top:
+        digits = digits[:max(i for i in range(k) if digits[i]) + 1]
+    return digits, scaled - top
+
+
+class CountingRng:
+    """A generator that counts the raw words and the doubles drawn from it."""
+
+    def __init__(self, rng):
+        self.rng, self.raw, self.doubles = rng, 0, 0
+        self.bit_generator = self
+
+    def random_raw(self, size):
+        self.raw += math.prod(size)
+        return self.rng.bit_generator.random_raw(size)
+
+    def random(self, size):
+        self.doubles += size
+        return self.rng.random(size)
+
+
+class TestGnpLaw:
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_digit_comparison_is_exact(self, k):
+        """Every sequence of k <= 6 digits of U fits in one word: bit s of word i is
+        digit i of s.  Through `_compare_digits`, p's k-digit truncation q / 2^k is
+        the share found below p, and the sequences left undecided, with the
+        remainder's share, make up the rest of p exactly.  Without a remainder
+        the digits stop after p's last 1, and what is left is not below p."""
+        words = [np.array([sum((s >> (k - 1 - i) & 1) << s for s in range(2**k))], dtype=np.uint64) for i in range(k)]
+        every = np.array([2 ** 2**k - 1], dtype=np.uint64)
+        ps = [Fraction(q, 2**k) for q in range(1, 2**k)] + [0.4, 0.3, 1 / 3, 0.999, 1e-3, 2**-k / 3]
+        for p in ps:
+            digits, rest = truncated_digits(p, k)
+            edge, undecided = _compare_digits(digits, words, every)
+            below, tied = int(edge[0]).bit_count(), int(undecided[0]).bit_count()
+            assert below == math.floor(Fraction(p) * 2**k)
+            assert tied == 2 ** (k - len(digits))
+            assert Fraction(below, 2**k) + Fraction(tied, 2**k) * rest == Fraction(p)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_row_degrees_within_6_sigma(self, seed):
+        n, p = 2000, 0.3
+        g = gnp(n, p, seed)
+        mean, sigma = p * (n - 1), math.sqrt((n - 1) * p * (1 - p))
+        assert max(abs(g.degree(v) - mean) for v in range(n)) <= 6 * sigma
+
+    @pytest.mark.parametrize("p,digits", [(0.5, 1), (0.25, 2), (1.0, 0), (0.4, 8)])
+    def test_fallback_doubles(self, monkeypatch, p, digits):
+        """p = 1/2 and 1/4 stop after their last 1-digit and p = 1 draws nothing, so
+        none takes a fallback double; p = 0.4 compares 8 digits and leaves about
+        2^-8 of the pairs to one double each.  Each digit takes one raw word per
+        row of a block and word of columns from the block's diagonal word on."""
+        n = 300
+        rng = CountingRng(rng_for(7, 0))
+        monkeypatch.setattr(graph_core, "rng_for", lambda seed, stream: rng)
+        g = gnp(n, p, 7)
+        monkeypatch.undo()
+        assert g == gnp(n, p, 7)
+        words = (n + 63) // 64
+        per_digit = sum((min(u0 + _GNP_ROWS, n - 1) - u0) * (words - u0 // 64) for u0 in range(0, n - 1, _GNP_ROWS))
+        assert rng.raw == digits * per_digit
+        pairs = n * (n - 1) // 2
+        if p == 0.4:
+            assert abs(rng.doubles - pairs / 256) <= 6 * math.sqrt(pairs / 256)
+        else:
+            assert rng.doubles == 0
 
 
 class TestBitMatrix:

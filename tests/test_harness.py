@@ -605,20 +605,20 @@ PINNED_CONFIGS = [
     dict(TREE_CFG, seed=0),
 ]
 PINNED_ROWS = """\
-0,1000,0.4,2,0.2,hamilton_cycle,random,random,true,-,2,16,55,0
-1,1000,0.4,2,0.2,hamilton_cycle,random,random,true,-,2,12,48,0
-2,1000,0.4,2,0.2,hamilton_cycle,random,random,true,-,2,12,49,0
-3,1000,0.4,2,0.2,hamilton_cycle,random,random,true,-,2,10,42,0
-0,1000,0.4,2,0.2,hamilton_cycle,random,random,true,-,2,4,30,0
-1,1000,0.4,2,0.2,hamilton_cycle,random,random,true,-,2,2,24,0
-0,1000,0.4,2,0.2,hamilton_cycle,random,random,true,-,2,16,55,0
-1,1000,0.4,2,0.2,hamilton_cycle,random,random,true,-,2,12,48,0
-0,1000,0.4,2,0.2,hamilton_cycle,bipartite_push,random,true,-,2,16,59,0
-1,1000,0.4,2,0.2,hamilton_cycle,bipartite_push,random,true,-,2,12,46,0
+0,1000,0.4,2,0.2,hamilton_cycle,random,random,true,-,2,12,52,0
+1,1000,0.4,2,0.2,hamilton_cycle,random,random,true,-,2,12,45,0
+2,1000,0.4,2,0.2,hamilton_cycle,random,random,true,-,2,10,43,0
+3,1000,0.4,2,0.2,hamilton_cycle,random,random,true,-,2,12,49,0
+0,1000,0.4,2,0.2,hamilton_cycle,random,random,true,-,2,0,20,0
+1,1000,0.4,2,0.2,hamilton_cycle,random,random,true,-,2,2,26,0
+0,1000,0.4,2,0.2,hamilton_cycle,random,random,true,-,2,12,52,0
+1,1000,0.4,2,0.2,hamilton_cycle,random,random,true,-,2,12,45,0
+0,1000,0.4,2,0.2,hamilton_cycle,bipartite_push,random,true,-,2,12,49,0
+1,1000,0.4,2,0.2,hamilton_cycle,bipartite_push,random,true,-,2,12,49,0
 0,1000,0.4,2,0.2,hamilton_cycle,random,random,false,host-structure:cleanup,0,0,0,0
 0,4000,0.4,2,0.2,hamilton_cycle,random,random,true,-,2,0,16,0
 0,2017,0.5,2,0.1,hamilton_cycle,none,bijumbled,true,-,2,1,19,0
-0,4000,0.4,2,0.2,bounded_tree:3,none,degenerate,true,-,6,4,511,0
+0,4000,0.4,2,0.2,bounded_tree:3,none,degenerate,true,-,6,2,482,0
 """
 
 

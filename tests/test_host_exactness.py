@@ -1,10 +1,11 @@
 """The numpy G(n,p) host and edge-deleting adversary against pure-Python oracles.
 
-The oracles are the edge-list versions of `gnp` and `adversary_delete`: one
-Philox double per pair from `triu_indices`, and a greedy over a list of edge
-tuples, ordered by a pure-Python copy of the adversary's keyed priority (the
-murmur3 finaliser on Python ints mod 2^w).  The bit-matrix versions must
-reproduce their graphs exactly.
+The oracles are the edge-list versions of `gnp` and `adversary_delete`: a
+pair-by-pair comparison of p's binary digits with bits of the raw Philox
+words, read in the block layout that `gnp` documents, and a greedy over a
+list of edge tuples, ordered by a pure-Python copy of the adversary's keyed
+priority (the murmur3 finaliser on Python ints mod 2^w).  The bit-matrix
+versions must reproduce their graphs exactly.
 
 `adversary_delete` settles its greedy one block of 4n keys at a time,
 deleting the keys whose ends cannot run out of spare degree in the block at
@@ -42,6 +43,7 @@ n^2/8 bytes.
 import mmap
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -55,14 +57,52 @@ from spanembed.harness import ConfigError, _mix, _unmix, adversary_delete
 
 
 def oracle_gnp(n, p, seed):
+    """G(n, p) pair by pair from the raw words of `rng_for(seed, 0)`, in the layout
+    that `gnp` documents.
+
+    p's first eight binary digits and the remainder come from p as an exact
+    fraction; if the remainder is 0, the digits stop after p's last 1.  For
+    each block of 64 rows u0.. below n - 1, digit i takes one raw word per row
+    u of the block and per word index w from u0 // 64 to the last, row by row;
+    bit v % 64 of the word of (u, v // 64) is the digit of the pair (u, v).
+    The pair is an edge when, at the first digit where it differs from p's,
+    p's is 1.  Then each pair of the block whose digits all equal p's, in
+    order of u and then v, is an edge when the next double is below the
+    remainder.  p = 1 draws nothing.
+    """
     adj = [0] * n
+    if p == 1.0:
+        return Graph(n, tuple(((1 << n) - 1) ^ (1 << u) for u in range(n)))
     if p > 0.0 and n > 1:
-        rng = rng_for(seed, stream=0)
-        iu, iv = np.triu_indices(n, k=1)
-        hit = rng.random(iu.shape[0]) < p
-        for u, v in zip(iu[hit].tolist(), iv[hit].tolist()):
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
+        scaled = Fraction(p) * 256
+        top = scaled.numerator // scaled.denominator
+        rest = scaled - top
+        digits = [top >> (7 - i) & 1 for i in range(8)]
+        if rest == 0:
+            digits = digits[:max(i for i in range(8) if digits[i]) + 1]
+        rng = rng_for(seed, 0)
+        span = -(-n // 64)
+        for u0 in range(0, n - 1, 64):
+            block = range(u0, min(u0 + 64, n - 1))
+            width = span - u0 // 64
+            raw = [rng.bit_generator.random_raw(len(block) * width).tolist() for _ in digits]
+            tied = []
+            for u in block:
+                for v in range(u + 1, n):
+                    at, bit = (u - u0) * width + v // 64 - u0 // 64, v % 64
+                    for i, digit in enumerate(digits):
+                        if raw[i][at] >> bit & 1 != digit:
+                            if digit:
+                                adj[u] |= 1 << v
+                                adj[v] |= 1 << u
+                            break
+                    else:
+                        tied.append((u, v))
+            if rest:
+                for u, v in tied:
+                    if rng.random() < rest:
+                        adj[u] |= 1 << v
+                        adj[v] |= 1 << u
     return Graph(n, tuple(adj))
 
 
@@ -128,8 +168,11 @@ def oracle_adversary_delete(g, strategy, gamma, k, p, seed=0, budget=None, targe
     [(1, 0.5, 0), (2, 1.0, 0), (2, 0.5, 1), (3, 0.5, 2), (9, 0.3, 5), (50, 1.0, 1), (50, 0.0, 1), (301, 0.4, 3),
      (7, 0.5, 1), (8, 0.5, 2), (9, 1.0, 3), (511, 0.4, 4), (512, 0.4, 5), (513, 0.4, 6), (513, 1.0, 0),
      (700, 0.3, 7), (1025, 0.3, 8),
-     (_GNP_ROWS - 1, 0.4, 9), (_GNP_ROWS, 0.4, 10), (_GNP_ROWS + 1, 0.4, 11), (2 * _GNP_ROWS + 1, 0.4, 12),
-     (_GNP_ROWS - 1, 1.0, 13), (_GNP_ROWS, 1.0, 14), (_GNP_ROWS + 1, 1.0, 15), (2 * _GNP_ROWS + 1, 1.0, 16)],
+     (127, 0.4, 9), (128, 0.4, 10), (129, 0.4, 11), (257, 0.4, 12),
+     (127, 1.0, 13), (128, 1.0, 14), (129, 1.0, 15), (257, 1.0, 16),
+     (_GNP_ROWS - 1, 0.4, 17), (_GNP_ROWS, 0.4, 18), (_GNP_ROWS + 1, 0.4, 19), (2 * _GNP_ROWS + 1, 0.4, 20),
+     (_GNP_ROWS - 1, 1.0, 21), (_GNP_ROWS, 1.0, 22), (_GNP_ROWS + 1, 1.0, 23), (2 * _GNP_ROWS + 1, 1.0, 24),
+     (2 * _GNP_ROWS + 2, 0.5, 25), (2 * _GNP_ROWS + 2, 0.25, 26)],
 )
 def test_gnp_matches_oracle(n, p, seed):
     assert gnp(n, p, seed) == oracle_gnp(n, p, seed)
@@ -244,7 +287,7 @@ def test_deletion_rejects_an_end_outside_the_graph():
         ("random", 0.4, 0.05, 3, 1, 500, 0),
         ("bipartite_push", 0.4, 0.2, 2, 3, None, 0),
         ("bipartite_push", 0.4, 0.05, 3, 4, 200, 0),
-        ("triangle_killer", 0.3, 0.05, 2, 0, None, 0),
+        ("triangle_killer", 0.3, 0.05, 2, 2, None, 0),
         ("triangle_killer", 0.3, 0.0, 2, 1, None, 7),
     ],
 )
@@ -441,9 +484,9 @@ def test_blocked_triangle_killer_greedy_matches_reference(greedy_calls):
 
 def test_resilience_host_matches_reference(greedy_calls):
     """The `resilience-gnp-n4000` benchmark host, seed 0: buckets 0 and 1 of the
-    priority order hold 798 842 and 791 831 keys, about 50 blocks each, and
-    leave 184 of 4000 vertices with spare degree, so buckets 2 and 3, listed
-    among those alone, hold 1861 and 249 of their 1.6 M keys.  The keys live
+    priority order hold 799 225 and 796 959 keys, about 50 blocks each, and
+    leave 196 of 4000 vertices with spare degree, so buckets 2 and 3, listed
+    among those alone, hold 2159 and 292 of their 1.6 M keys.  The keys live
     in a memory map, which tracemalloc does not see, so these counts are what
     bound them."""
     host = gnp(4000, 0.4, 0)
@@ -469,9 +512,9 @@ def scan_salt(strategy, k, n, seed):
 @pytest.mark.parametrize(
     "strategy,k,gamma,seed,budget",
     [
-        ("random", 2, 0.2, 1, 80_000),  # 74 829 deletions in bucket 0, 89 164 after bucket 1
-        ("random", 2, 0.2, 1, 89_300),  # 89 370 deletions after bucket 2, 89 411 uncapped
-        ("random", 2, 0.0, 1, None),  # 626 of the 1000 vertices keep spare past bucket 1
+        ("random", 2, 0.2, 1, 80_000),  # 74 952 deletions in bucket 0, 89 788 after bucket 1
+        ("random", 2, 0.2, 1, 89_900),  # 89 959 deletions after bucket 2, 90 007 uncapped
+        ("random", 2, 0.0, 1, None),  # 621 of the 1000 vertices keep spare past bucket 1
         ("bipartite_push", 3, 0.05, 2, None),  # buckets 0 and 1 spend no vertex
     ],
 )
@@ -499,7 +542,7 @@ def test_later_buckets_match_oracle(greedy_calls, strategy, k, gamma, seed, budg
             assert len(keys) > 0 and has[keys // n].all() and has[keys % n].all()
     deleted = [len(got) for _, got, _ in greedy_calls]
     if budget is not None:
-        last = 1 if budget < 89_164 else 2
+        last = 1 if budget < 89_788 else 2
         assert len(greedy_calls) == last + 1 and host.m - expect.m == budget
         assert greedy_calls[last][0][2] == budget - sum(deleted[:last]) == deleted[last]  # the cap binds there
     else:
@@ -573,7 +616,7 @@ def test_copy_hands_its_rows_to_its_graph(n):
 def test_gnp_holds_its_int_rows_and_small_blocks():
     """At n = 3000 `gnp` holds, in what tracemalloc sees, less than its
     result's int rows plus n^2/32 bytes: its packed rows are in a memory map,
-    and the bool blocks of `_GNP_ROWS` rows are gone before the ints are
+    and the blocks of `_GNP_ROWS` rows of words are gone before the ints are
     built."""
     n, p = 3000, 0.4
     gnp(2, p, 0)  # numpy.random loads on the first draw, outside the trace

@@ -281,13 +281,13 @@ class TestMinDegreePartition:
             assert regular - dense and dense - regular
 
     def test_large_v0_fails_before_any_pair_check(self, monkeypatch):
-        # every attempt leaves |V0| = 160 > eps * n: it fails on V0 alone
+        # every attempt leaves |V0| > eps * n (280 in the last): it fails on V0 alone
         calls = []
         monkeypatch.setattr(
             regularity, "check_lower_regular", lambda *args, **kwargs: calls.append(args) or PairVerdict("lower_regular")
         )
         g = adversary_delete(gnp(1000, 0.4, 0), "random", 0.2, 2, 0.4, seed=0)
-        with pytest.raises(RegularityError, match=r"after 3 attempts: \|V0\|=160 > eps\*n=100\.0$"):
+        with pytest.raises(RegularityError, match=r"after 3 attempts: \|V0\|=280 > eps\*n=100\.0$"):
             min_degree_regular_partition(g, 0.1, 0.9, 0.4, 12, seed=0)
         assert calls == []
 
