@@ -295,7 +295,7 @@ def _common(
     m = base_mask[x]
     for y in nbrs[x]:
         if y != skip and y in phi:
-            m &= g.adj[phi[y]]
+            m &= g.neighbours(phi[y])
     return m
 
 
@@ -428,7 +428,7 @@ def _match_cells(
             others = _common(g, base_mask, nbrs, phi, x, skip=y)
             old = phi[y]
             for w2 in iter_bits(cand_of(y) & ~(1 << old) & ~held):
-                if not (g.adj[w2] & others):
+                if not (g.neighbours(w2) & others):
                     continue
                 cur = owner.get(w2)
                 if cur is not None:

@@ -1,26 +1,27 @@
 """Bitset graph kernel: representation, seeded generators and order utilities.
 
-Graphs are immutable, undirected, loop-free, with adjacency stored as one
-Python int bitmask per vertex.  Bulk work reads rows of vertices as packed
-little-endian uint64 words (`Graph.packed_rows`, which packs all rows once,
-on the first request for all of them, and keeps them read-only), counts
-vertex-to-set degrees on them with `row_mask_counts` (or `Graph.degree_table`,
-which reads the rows itself), and unpacks them to bool rows only where a 0/1
-block is needed (`unpack_rows`); `bit_positions` lists a mask's set bits from
-its bytes.  Edge sets in bulk are int keys u * n + v, which a `PackedCopy` of
-the rows alone lists, a block of rows at a time and through a packed mask of
-a vertex subset, and deletes in place (`Graph.without_edges` deletes on one);
-the graph it becomes keeps its rows.  Every buffer of n packed rows (kept
-rows, a `PackedCopy`'s rows, the rows that `gnp` draws into and that
+Graphs are immutable, undirected and loop-free, and each holds one adjacency
+store.  A graph built from rows or masks (`gnp`, `paley`, `parse_graph_text`,
+`PackedCopy.graph()`, `Graph(n, masks)`) keeps packed little-endian uint64
+rows (`Graph.packed_rows`, read-only); a graph built by `from_edges` (a guest,
+a reduced or a cluster graph) keeps each vertex's neighbours as an ascending
+tuple (`neighbour_list`), which walks over sparse graphs read.  Other modules
+read one row as an int bitmask, built on each call (`Graph.neighbours`), and
+many rows in bulk: vertex-to-set degrees with `row_mask_counts` (or
+`Graph.degree_table`, which reads the rows itself), 0/1 blocks with
+`unpack_rows`; `bit_positions` lists a mask's set bits from its bytes.  Edge
+sets in bulk are int keys u * n + v, which a `PackedCopy` of the rows alone
+lists, a block of rows at a time and through a packed mask of a vertex
+subset, and deletes in place (`Graph.without_edges` deletes on one); the graph
+it becomes keeps its rows.  Every buffer of n packed rows (kept rows, a
+`PackedCopy`'s rows, the rows that `gnp` draws into and that
 `parse_graph_text` sets a file's edges in) and edge keys in bulk are written
 once, straight into a `mapped_array` outside the malloc heap; only small
 packed blocks live in the heap.  `gnp` draws its rows a small block at a
 time, so program code never holds an n x n bool matrix.  This module is the
-only one that knows that format.  A graph built by `from_edges` (a guest, a
-reduced or a cluster graph) also keeps each vertex's neighbours as an
-ascending tuple (`neighbour_list`), which walks over sparse graphs read
-instead of n-bit masks.  All randomness flows through numpy's Philox
-generator so that identical seeds reproduce identical graphs everywhere.
+only one that knows that format or reads a graph's store.  All randomness
+flows through numpy's Philox generator so that identical seeds reproduce
+identical graphs everywhere.
 """
 
 from __future__ import annotations
@@ -94,23 +95,23 @@ def unpack_rows(rows: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(rows.view(np.uint8), axis=1, count=n, bitorder="little").view(bool)
 
 
-def _packed(masks, words: int) -> np.ndarray:
-    """Int bitmasks as rows of `words` little-endian uint64 words: bit v is bit v % 64 of word v // 64.
+def _packed(masks, count: int, words: int) -> np.ndarray:
+    """`count` int bitmasks from the iterable `masks` as rows of `words` little-endian
+    uint64 words: bit v is bit v % 64 of word v // 64.
 
-    The rows are written one at a time straight into the result, so that no
-    more than one row's bytes are held besides it.  A result of more than
-    64 * (words - 1) rows, as many as a graph that wide has vertices, is a
-    `mapped_array`; fewer rows, such as a vertex subset's or a few masks', are
-    in the heap.
+    The rows are taken and written one at a time straight into the result, so
+    that no more than one row's bytes are held besides it.  A result of more
+    than 64 * (words - 1) rows, as many as a graph that wide has vertices, is
+    a `mapped_array`; fewer rows, such as a vertex subset's or a few masks',
+    are in the heap.
     """
-    masks = list(masks)
     width = 8 * words
-    whole = len(masks) > 64 * (words - 1)
-    out = (mapped_array if whole else np.empty)(len(masks) * width, np.uint8)
+    whole = count > 64 * (words - 1)
+    out = (mapped_array if whole else np.empty)(count * width, np.uint8)
     buf = out.data
     for i, m in enumerate(masks):
         buf[i * width:(i + 1) * width] = m.to_bytes(width, "little")
-    return out.view("<u8").reshape(len(masks), words)
+    return out.view("<u8").reshape(count, words)
 
 
 def mapped_array(count: int, dtype) -> np.ndarray:
@@ -132,17 +133,12 @@ def row_mask_counts(rows: np.ndarray, masks) -> np.ndarray:
     Each block of rows meets every mask in one broadcast AND of at most about
     `_COUNT_BLOCK` words.
     """
-    cols = _packed(masks, rows.shape[1])
+    cols = _packed(masks, len(masks), rows.shape[1])
     table = np.empty((len(rows), len(cols)), dtype=np.int32)
     step = max(1, _COUNT_BLOCK // max(1, cols.size))
     for i in range(0, len(rows), step):
         table[i:i + step] = np.bitwise_count(rows[i:i + step, None, :] & cols).sum(axis=2, dtype=np.int32)
     return table
-
-
-def _graph_of_rows(rows: np.ndarray) -> "Graph":
-    """The graph whose row v is `rows[v]`, a row of little-endian bytes (bit w in byte w // 8)."""
-    return Graph(len(rows), tuple(int.from_bytes(row, "little") for row in rows))
 
 
 # Rows of a vertex list that `Graph.degree_table` reads at once, and the edge
@@ -230,74 +226,87 @@ class VertexSet:
 
 
 class Graph:
-    """Immutable undirected graph on vertices 0..n-1 with bitset adjacency; the
-    packed form of all rows is kept once a caller asks for it.
+    """Immutable undirected graph on vertices 0..n-1 that holds its adjacency in
+    exactly one store.
 
-    A graph built by `from_edges` also keeps each vertex's neighbours as an
-    ascending tuple (`neighbour_list`).  A graph built from rows keeps none:
-    on a dense host they would take tens of MB.
+    A graph built from rows or from masks (`gnp`, `paley`, `parse_graph_text`,
+    `PackedCopy.graph()`, `Graph(n, masks)`) keeps its packed rows, read-only,
+    in a `mapped_array`.  A graph built by `from_edges` (a guest, a reduced or
+    a cluster graph) keeps each vertex's neighbours as an ascending tuple
+    instead.  Every reader works on either store; `neighbours` builds the int
+    bitmask of one row on each call, and no graph keeps one.
     """
 
-    __slots__ = ("n", "adj", "_m", "_rows", "_nbrs")
+    __slots__ = ("n", "_m", "_rows", "_nbrs")
 
-    def __init__(self, n: int, adj: tuple[int, ...]):
-        if len(adj) != n:
+    def __init__(self, n: int, masks):
+        if len(masks) != n:
             raise ValueError("adjacency length mismatch")
-        self.n = n
-        self.adj = adj
-        self._m = sum(map(int.bit_count, adj)) // 2
-        self._rows = None
-        self._nbrs = None
+        self._hold(n, _packed(masks, n, (n + 63) // 64), None)
+
+    def _hold(self, n: int, rows: np.ndarray | None, nbrs: tuple[tuple[int, ...], ...] | None) -> None:
+        """Take `rows`, which become read-only, or else the tuples `nbrs` as the store."""
+        self.n, self._rows, self._nbrs = n, rows, nbrs
+        if rows is None:
+            self._m = sum(map(len, nbrs)) // 2
+        else:
+            rows.flags.writeable = False
+            blocks = range(0, n, _ROW_BLOCK)
+            self._m = sum(int(np.bitwise_count(rows[i:i + _ROW_BLOCK]).sum()) for i in blocks) // 2
+
+    @classmethod
+    def _of_rows(cls, rows: np.ndarray) -> "Graph":
+        """The graph that keeps `rows`, n rows in the format of `packed_rows`."""
+        g = cls.__new__(cls)
+        g._hold(len(rows), rows, None)
+        return g
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
-        adj = [0] * n
         nbrs = [[] for _ in range(n)]
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) outside [0,{n})")
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
             nbrs[u].append(v)
             nbrs[v].append(u)
-        g = cls(n, tuple(adj))
-        if sum(map(len, nbrs)) != 2 * g.m:  # a repeated edge was listed twice at each end
-            nbrs = map(set, nbrs)
-        g._nbrs = tuple(map(tuple, map(sorted, nbrs)))
+        g = cls.__new__(cls)
+        g._hold(n, None, tuple(tuple(sorted(set(a))) for a in nbrs))
         return g
+
+    def neighbours(self, v: int) -> int:
+        """N(v) as an int bitmask, built afresh from the graph's store."""
+        if self._rows is None:
+            return mask_of(self._nbrs[v])
+        return int.from_bytes(self._rows[v].tobytes(), "little")
 
     def neighbour_list(self, v: int) -> tuple[int, ...]:
         """N(v) as an ascending tuple: the kept one of a graph built by `from_edges`,
-        else listed afresh from v's mask and not kept."""
-        return self._nbrs[v] if self._nbrs is not None else tuple(iter_bits(self.adj[v]))
+        else listed afresh from v's row."""
+        return self._nbrs[v] if self._nbrs is not None else tuple(iter_bits(self.neighbours(v)))
 
     def neighbour_lists(self) -> tuple[tuple[int, ...], ...]:
         """`neighbour_list(v)` for every v."""
-        if self._nbrs is not None:
-            return self._nbrs
-        return tuple(tuple(iter_bits(a)) for a in self.adj)
+        return self._nbrs if self._nbrs is not None else tuple(map(self.neighbour_list, range(self.n)))
+
+    @property
+    def adj(self) -> tuple[int, ...]:
+        """`neighbours(v)` for every v, built afresh on each access."""
+        return tuple(map(self.neighbours, range(self.n)))
 
     def packed_rows(self, vertices=None) -> np.ndarray:
         """Row i is N(vertices[i]) as ceil(n/64) little-endian uint64 words, bit v in
         word v // 64; `vertices` defaults to all of them in order.
 
-        All rows are packed on the first call without `vertices` and kept, written
-        once straight into a `mapped_array` of their own: that call and every
-        later one return the same read-only array.  A call with `vertices`
-        returns a fresh array, sliced from the kept rows when there are any and
-        packed from those rows alone otherwise, so it never makes the graph keep
-        n^2/8 bytes.
+        A graph that keeps rows returns them, read-only, for all vertices, and a
+        fresh array sliced from them for a list.  A graph built by `from_edges`
+        packs a fresh array from its tuples on each call.
         """
-        if vertices is None:
-            if self._rows is None:
-                self._rows = _packed(self.adj, (self.n + 63) // 64)
-                self._rows.flags.writeable = False
-            return self._rows
-        if self._rows is not None:
-            return self._rows[np.asarray(vertices, dtype=np.intp)]
-        return _packed([self.adj[v] for v in vertices], (self.n + 63) // 64)
+        if self._rows is None:
+            vs = range(self.n) if vertices is None else vertices
+            return _packed((mask_of(self._nbrs[v]) for v in vs), len(vs), (self.n + 63) // 64)
+        return self._rows if vertices is None else self._rows[np.asarray(vertices, dtype=np.intp)]
 
     def degree_table(self, masks, vertices=None) -> np.ndarray:
         """D[i, c] = |N(vertices[i]) & masks[c]| as an int32 array, one row per vertex
@@ -316,30 +325,21 @@ class Graph:
     def m(self) -> int:
         return self._m
 
-    def neighbours(self, v: int) -> int:
-        return self.adj[v]
-
     def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
+        return len(self._nbrs[v]) if self._nbrs is not None else self.neighbours(v).bit_count()
 
     def min_degree(self) -> int:
-        return min((a.bit_count() for a in self.adj), default=0)
+        return min(self.degree_table([(1 << self.n) - 1])[:, 0].tolist(), default=0)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.adj[u] >> v) & 1)
+        return v in self._nbrs[u] if self._nbrs is not None else bool((self.neighbours(u) >> v) & 1)
 
     def edges(self):
         """Each edge once as (u, v) with u < v, ascending by u, then by v."""
-        if self._nbrs is not None:
-            for u, nb in enumerate(self._nbrs):
-                for v in nb:
-                    if v > u:
-                        yield (u, v)
-            return
         for u in range(self.n):
-            rest = self.adj[u] >> (u + 1)
-            for off in iter_bits(rest):
-                yield (u, u + 1 + off)
+            for v in self.neighbour_list(u):
+                if v > u:
+                    yield (u, v)
 
     def without_edges(self, edges) -> "Graph":
         """This graph less the edges (u, v) in `edges`, deleted on a `PackedCopy`;
@@ -354,13 +354,13 @@ class Graph:
     def common_neighbourhood(self, vertices, within: int | None = None) -> int:
         m = (1 << self.n) - 1 if within is None else within
         for v in vertices:
-            m &= self.adj[v]
+            m &= self.neighbours(v)
         return m
 
     def closed_neighbourhood(self, mask: int) -> int:
         """The vertices of `mask` and every neighbour of them, as a mask."""
         for v in iter_bits(mask):
-            mask |= self.adj[v]
+            mask |= self.neighbours(v)
         return mask
 
     def bfs_distances(self, sources, limit: int | None = None) -> list[int]:
@@ -384,10 +384,10 @@ class Graph:
         return dist
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
+        return isinstance(other, Graph) and np.array_equal(self.packed_rows(), other.packed_rows())
 
     def __hash__(self) -> int:
-        return hash((self.n, self.adj))
+        return hash((self.n, self._m))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self._m})"
@@ -398,19 +398,17 @@ class PackedCopy:
     deleted in it by key u * n + v, and `graph()` is the graph of its rows,
     which it hands over.
 
-    The copy is written once into a `mapped_array`, from the graph's kept rows
-    or packed afresh from its masks; the source graph keeps no rows for it.
+    The copy is written once into a `mapped_array` of its own, from the
+    graph's `packed_rows()`.
     """
 
     __slots__ = ("n", "_rows")
 
     def __init__(self, g: Graph):
         self.n = g.n
-        if g._rows is None:
-            rows = _packed(g.adj, (g.n + 63) // 64)
-        else:
-            rows = mapped_array(g._rows.size, g._rows.dtype).reshape(g._rows.shape)
-            rows[...] = g._rows
+        source = g.packed_rows()
+        rows = mapped_array(source.size, source.dtype).reshape(source.shape)
+        rows[...] = source
         self._rows = rows.view(np.uint8)
 
     def edge_key_blocks(self, vertices=None):
@@ -451,9 +449,7 @@ class PackedCopy:
         """The graph of the rows as they stand, which keeps them as its packed
         rows: they become read-only, so the copy deletes nothing after this."""
         self._rows.flags.writeable = False
-        g = _graph_of_rows(self._rows)
-        g._rows = self._rows.view("<u8")
-        return g
+        return Graph._of_rows(self._rows.view("<u8"))
 
 
 @dataclass(frozen=True)
@@ -559,7 +555,7 @@ def gnp(n: int, p: float, seed: int) -> Graph:
                 high ^= swap
                 low ^= swap << j
             rows[u0:, w0] |= tiles.T.ravel()[:n - u0]
-    return _graph_of_rows(rows.view(np.uint8))
+    return Graph._of_rows(rows)
 
 
 def _is_prime(q: int) -> bool:
@@ -675,13 +671,14 @@ def parse_graph_text(text: str) -> Graph:
 
 def _graph_of_keys(n: int, keys: np.ndarray) -> Graph:
     """The graph on [n] with the edges {u, v} of the keys u * n + v, set as bits of packed rows."""
-    width = (n + 7) // 8
-    rows = mapped_array(n * width, np.uint8).reshape(n, width)
-    flat = rows.reshape(-1)
+    words = (n + 63) // 64
+    rows = mapped_array(n * words, "<u8").reshape(n, words)
+    width = 8 * words
+    flat = rows.view(np.uint8).reshape(-1)
     u, v = np.divmod(keys, n)
     np.bitwise_or.at(flat, u * width + (v >> 3), ~_CLEAR_BIT[v & 7])
     np.bitwise_or.at(flat, v * width + (u >> 3), ~_CLEAR_BIT[u & 7])
-    return _graph_of_rows(rows)
+    return Graph._of_rows(rows)
 
 
 def read_graph_file(path) -> Graph:

@@ -400,7 +400,7 @@ def check_bounded_order(
     exc_mask = exceptional.mask if exceptional is not None else 0
     near_buf = 0
     for v in iter_bits(buf_mask):
-        near_buf |= h.adj[v]
+        near_buf |= h.neighbours(v)
     pos = order.pos
     nbrs = h.neighbour_lists()
 

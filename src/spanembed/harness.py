@@ -210,13 +210,14 @@ def adversary_delete(
         return g
     # A vertex may lose an edge while its degree minus one stays at or above
     # the floor; `spare` counts the edges each vertex can still lose.
-    deg = np.array([g.degree(v) for v in range(n)], dtype=np.int64)
+    deg = g.degree_table([(1 << n) - 1])[:, 0].astype(np.int64)
     spare = deg - math.ceil(floor - 1e-9)
     rng = rng_for(seed, stream=101)
     if strategy == "random":
         return _delete_in_buckets(g, spare, budget, rng, None)
     if strategy == "triangle_killer":
-        nbrs = bit_positions(g.adj[target])
+        inside = g.neighbours(target)
+        nbrs = bit_positions(inside)
         edit = PackedCopy(g)
         keys = np.concatenate([*edit.edge_key_blocks(nbrs), np.zeros(0, dtype=np.int64)])
         keys = keys[rng.permutation(len(keys))]
@@ -224,8 +225,7 @@ def adversary_delete(
         keys = keys[np.argsort(-(deg[us] + deg[vs]), kind="stable")]
         _delete_greedily(edit, keys, spare, None)
         out = edit.graph()
-        inside = g.adj[target]
-        if any(out.adj[u] & inside for u in nbrs.tolist()):
+        if any(out.neighbours(u) & inside for u in nbrs.tolist()):
             raise ConfigError("triangle_killer blocked by the degree floor")
         return out
     if strategy == "bipartite_push":
@@ -334,7 +334,6 @@ def _delete_in_buckets(
             cap -= done
             if cap == 0:
                 break
-    del words, ordered  # unmapped before the result's int rows are built
     return edit.graph()
 
 

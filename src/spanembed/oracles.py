@@ -72,7 +72,7 @@ def exact_bandwidth(g: Graph) -> int:
     # Feasibility check: can we order vertices with stretch <= b?  Positions are
     # filled left to right; a placed vertex with an unplaced neighbour fails once
     # the current position is more than b beyond it.
-    adj = g.adj
+    adj = [g.neighbours(v) for v in range(n)]
 
     def feasible(b: int) -> bool:
         placed_pos = [-1] * n
@@ -129,14 +129,14 @@ def exhaustive_subgraph_check(host_g: Graph, guest: Graph) -> bool:
         for v in range(guest.n):
             if in_order[v]:
                 continue
-            back = sum(1 for w in iter_bits(guest.adj[v]) if in_order[w])
+            back = sum(1 for w in guest.neighbour_list(v) if in_order[w])
             key = (-back, -guest.degree(v), v)
             if best_key is None or key < best_key:
                 best, best_key = v, key
         order.append(best)
         in_order[best] = True
 
-    host_adj = host_g.adj
+    host_adj = [host_g.neighbours(v) for v in range(host_g.n)]
     mapping = [-1] * guest.n
     full_host = (1 << host_g.n) - 1
 
@@ -145,7 +145,7 @@ def exhaustive_subgraph_check(host_g: Graph, guest: Graph) -> bool:
             return True
         v = order[idx]
         cand = full_host & ~used
-        for w in iter_bits(guest.adj[v]):
+        for w in guest.neighbour_list(v):
             if mapping[w] >= 0:
                 cand &= host_adj[mapping[w]]
         for hv in iter_bits(cand):
@@ -175,7 +175,7 @@ def _exhaustive_bijumbled_max(g: Graph, p: float) -> tuple[float, tuple[int, int
         sx = xmask.bit_count()
         comp = ((1 << n) - 1) & ~xmask
         for v in iter_bits(comp):
-            degs_into[v] = (g.adj[v] & xmask).bit_count()
+            degs_into[v] = (g.neighbours(v) & xmask).bit_count()
         comp_bits = list(iter_bits(comp))
 
         def walk(idx: int, ymask: int, sy: int, e: int):
@@ -221,11 +221,10 @@ def circulant_nu_upper(g: Graph, p: float) -> float | None:
     character, so the norm is the largest of |deg - p(n - 1)| and |lambda_a + p|
     over a != 0.
     """
-    n, row0 = g.n, g.adj[0]
+    n, row0 = g.n, g.neighbours(0)
     full = (1 << n) - 1
-    for u in range(1, n):
-        if g.adj[u] != ((row0 << u) | (row0 >> (n - u))) & full:
-            return None
+    if g != Graph(n, [((row0 << u) | (row0 >> (n - u))) & full for u in range(n)]):
+        return None
     row = np.zeros(n)
     row[bit_positions(row0)] = 1.0
     mu = np.fft.fft(row).real + p

@@ -134,7 +134,7 @@ def _independent_neighbourhood(h: Graph, x: int, forbid_c4: bool = False) -> boo
             if h.has_edge(nbrs[a], nbrs[b]):
                 return False
             if forbid_c4:
-                common = h.adj[nbrs[a]] & h.adj[nbrs[b]] & ~(1 << x)
+                common = h.neighbours(nbrs[a]) & h.neighbours(nbrs[b]) & ~(1 << x)
                 if common:
                     return False
     return True
@@ -265,11 +265,12 @@ def _greedy_tuple(
         if len(chosen) == ell:
             break
         w = w_pool[int(i)]
+        g_w, host_w = g.neighbours(w), host.neighbours(w)
         trial = {
             tuple(sorted(lam + (w,))): (
-                {j: gm[j] & g.adj[w] for j in row_clusters},
-                {j: hm[j] & host.adj[w] for j in row_clusters},
-                hg & host.adj[w],
+                {j: gm[j] & g_w for j in row_clusters},
+                {j: hm[j] & host_w for j in row_clusters},
+                hg & host_w,
             )
             for lam, (gm, hm, hg) in common.items()
         }
@@ -328,7 +329,7 @@ def pre_embed(
     while uncovered:
         t = len(state.anchors) + 1  # the round, counted from 1
         free = reserve.mask & ~im_mask
-        avail = {v: (g.adj[v] & free).bit_count() for v in uncovered}
+        avail = {v: (g.neighbours(v) & free).bit_count() for v in uncovered}
         v = min(uncovered, key=lambda u: (avail[u], u))
         if avail[v] < STUCK_GUARD * mu * p * n:
             raise PreEmbedError(
@@ -350,7 +351,7 @@ def pre_embed(
             x = next((cand for cand in far if sig[cand] == lag), x)
 
         i_t, w_pool = _choose_host_row(
-            g, host, g.adj[v] & free, clusters, v0.mask & ~im_mask, r, k, eps, d, p, prefer=t % r,
+            g, host, g.neighbours(v) & free, clusters, v0.mask & ~im_mask, r, k, eps, d, p, prefer=t % r,
         )
         if not w_pool:
             raise PreEmbedError("row-filter", f"no strong-degree host candidates for {v}")

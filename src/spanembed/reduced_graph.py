@@ -93,7 +93,7 @@ class ReducedGraph:
         return self.graph.has_edge(self.index.vertex(a), self.index.vertex(b))
 
     def contains_backbone(self) -> bool:
-        return all(not want & ~have for want, have in zip(self.index.graph().adj, self.graph.adj))
+        return all(self.graph.has_edge(u, v) for u, v in self.index.graph().edges())
 
     def validate_extension(self) -> bool:
         for i in range(self.index.r):
@@ -118,7 +118,7 @@ def find_backbone(
     m = cluster_graph.n
     if m != r * k:
         raise ValueError("vertex count must equal r*k")
-    adj = cluster_graph.adj
+    adj = [cluster_graph.neighbours(v) for v in range(m)]
     deg = [a.bit_count() for a in adj]
     steps = 0
     best_depth = 0
@@ -263,10 +263,6 @@ def _prepare_host_once(g, host, p, gamma, k, eps, d, r0, seed) -> HostStructure:
     # the partition itself runs at the working eps; eps_star only scales the
     # vertex screens (an eps/10-scale partition check is pure noise at n ~ 10^3)
     eps_star = eps / 10.0
-    # pack G's rows now, not at the W screen that would pack them anyway, so
-    # every row read until then (the partition, the Z1 screen on a host that is
-    # G) is a slice of them, not a fresh packing from ints
-    g.packed_rows()
     part = min_degree_regular_partition(g, eps, d, p, max(r0, 2 * k), seed=seed, budget=PAIR_BUDGET)
     clusters = list(part.clusters)
     v0_mask = part.exceptional.mask
@@ -318,13 +314,13 @@ def _prepare_host_once(g, host, p, gamma, k, eps, d, r0, seed) -> HostStructure:
     bad |= host_deg[:, -1] > max(2 * eps_star * p * n, 2.0 * p * v0_mask.bit_count() + 4)
     vacuous = _lower_bound_vacuous(d, eps / 2.0)
     if vacuous:
-        read = [c for c in range(r * k) if reduced.graph.adj[c]]
+        read = [c for c in range(r * k) if reduced.graph.degree(c)]
         bad |= (host_deg[:, read] == 0).any(axis=1)
     kept = np.compress(~bad, active).tolist()
     if not vacuous:
         kept = [
-            v for v in kept
-            if all(_inheritance_ok(g, host.adj[v], u[a], u[b], eps / 2.0, d, p) for a, b in red_edges)
+            v for v, nbrs in zip(kept, map(host.neighbours, kept))
+            if all(_inheritance_ok(g, nbrs, u[a], u[b], eps / 2.0, d, p) for a, b in red_edges)
         ]
     z1 = ((1 << n) - 1) & ~v0_mask & ~mask_of(kept)
     work = {cell: u[cell] & ~z1 for cell in cells}
@@ -381,7 +377,7 @@ def _prepare_host_once(g, host, p, gamma, k, eps, d, r0, seed) -> HostStructure:
 
     def in_degree_window(v, cell):
         exp = p * len(cluster_sets[cell])
-        return abs((host.adj[v] & final[cell]).bit_count() - exp) <= eps * exp + 1.0
+        return abs((host.neighbours(v) & final[cell]).bit_count() - exp) <= eps * exp + 1.0
 
     certs = {
         "size_window": all(n / (4 * k * r) <= len(c) <= 4 * n / (k * r) for c in cluster_sets.values()),
@@ -394,7 +390,7 @@ def _prepare_host_once(g, host, p, gamma, k, eps, d, r0, seed) -> HostStructure:
             for i in range(r) for js in itertools.combinations(range(k), 2)
         ),
         "inheritance": all(
-            _inheritance_ok(g, host.adj[v], *map(final.get, pick(red_edges)), eps, d, p)
+            _inheritance_ok(g, host.neighbours(v), *map(final.get, pick(red_edges)), eps, d, p)
             for v in probes[: max(10, CERT_SAMPLES // 10)]
         ),
         "degree_window": all(in_degree_window(probes[t % len(probes)], pick(cells)) for t in range(CERT_SAMPLES)),

@@ -81,7 +81,7 @@ def _takes_exact_route(x: VertexSet, y: VertexSet, exact: bool) -> bool:
 def _subset_degree_table(g: Graph, xs: list[int], ys: list[int]) -> np.ndarray:
     """D[S, i] = number of neighbours of xs[i] inside the subset S of ys (all 2^|ys| S)."""
     nx, ny = len(xs), len(ys)
-    cols = np.array([[(g.adj[x] >> y) & 1 for y in ys] for x in xs], dtype=np.int32)
+    cols = np.array([[(nbrs >> y) & 1 for y in ys] for nbrs in map(g.neighbours, xs)], dtype=np.int32)
     table = np.zeros((1 << ny, nx), dtype=np.int32)
     for j in range(ny):
         step = 1 << j
@@ -354,7 +354,7 @@ def _prefix_inheritance_ok(g: Graph, xmask: int, ymask: int, eps: float, d: floa
     if _lower_bound_vacuous(d, eps):
         return True
     thr = _threshold(eps, sx)
-    degs = sorted((g.adj[v] & ymask).bit_count() for v in iter_bits(xmask))
+    degs = sorted(g.degree_table([ymask], bit_positions(xmask))[:, 0].tolist())
     return sum(degs[:thr]) / (p * thr * sy) >= d - eps - 1e-12
 
 

@@ -64,12 +64,12 @@ def edges_between(g, xmask, ymask):
     popcount per vertex of X, the reference for every packed edge count."""
     if xmask & ymask:
         raise ValueError("edges_between requires disjoint sets")
-    return sum((g.adj[x] & ymask).bit_count() for x in iter_bits(xmask))
+    return sum((g.neighbours(x) & ymask).bit_count() for x in iter_bits(xmask))
 
 
 def degree_into(g, v, mask):
     """|N(v) & mask| in g."""
-    return (g.adj[v] & mask).bit_count()
+    return (g.neighbours(v) & mask).bit_count()
 
 
 def backbone_edges(r, k):

@@ -106,9 +106,9 @@ def reference_embed(
             """Base mask of x cut down to the G-neighbourhoods of the images of
             its embedded guest neighbours, all but `skip`."""
             m = base_mask[x]
-            for y in iter_bits(guest.adj[x]):
+            for y in iter_bits(guest.neighbours(x)):
                 if y != skip and y in phi:
-                    m &= g.adj[phi[y]]
+                    m &= g.neighbours(phi[y])
             return m
 
         def try_swap(x: int, need: int) -> bool:
@@ -145,7 +145,7 @@ def reference_embed(
                     failed = True
                     break
                 nbr_positions = [
-                    stack_pos[y] for y in iter_bits(guest.adj[x]) if y in phi and y in stack_pos
+                    stack_pos[y] for y in iter_bits(guest.neighbours(x)) if y in phi and y in stack_pos
                 ]
                 if not nbr_positions:
                     last_err = EmbedError(f"guest {x} has an empty base candidate set", stuck=x)
@@ -165,7 +165,7 @@ def reference_embed(
                 idx = order_index[culprit]
                 continue
             # prefer images keeping unembedded neighbours most flexible
-            future = [y for y in iter_bits(guest.adj[x]) if y not in phi and not ((skip_mask >> y) & 1)]
+            future = [y for y in iter_bits(guest.neighbours(x)) if y not in phi and not ((skip_mask >> y) & 1)]
             best_v, best_key = -1, None
             cand_list = list(iter_bits(cand))
             if len(cand_list) > 24:
@@ -174,11 +174,11 @@ def reference_embed(
             for v in cand_list:
                 if future:
                     score = min(
-                        (g.adj[v] & base_mask[y] & ~used).bit_count() for y in future
+                        (g.neighbours(v) & base_mask[y] & ~used).bit_count() for y in future
                     )
-                    key = (-score, (g.adj[v] & ~used).bit_count(), v)
+                    key = (-score, (g.neighbours(v) & ~used).bit_count(), v)
                 else:
-                    key = (0, (g.adj[v] & ~used).bit_count(), v)
+                    key = (0, (g.neighbours(v) & ~used).bit_count(), v)
                 if best_key is None or key < best_key:
                     best_v, best_key = v, key
             phi[x] = best_v
@@ -262,7 +262,7 @@ def reference_embed(
             The target host may itself be occupied: its occupant is displaced
             and re-placed by augmentation, with rollback on failure.
             """
-            for y in iter_bits(guest.adj[x]):
+            for y in iter_bits(guest.neighbours(x)):
                 if y not in phi or y in initial_phi:
                     continue
                 ycell = f_star[y]
@@ -271,7 +271,7 @@ def reference_embed(
                 others = common(x, skip=y)
                 old = phi[y]
                 for w2 in iter_bits(common(y) & ~(1 << old)):
-                    if not (g.adj[w2] & others):
+                    if not (g.neighbours(w2) & others):
                         continue
                     cur = owners[ycell].get(w2)
                     if cur is None and ((used >> w2) & 1):

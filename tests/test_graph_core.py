@@ -171,7 +171,7 @@ class TestPackedRows:
         rows = g.packed_rows()
         assert rows.dtype == np.dtype("<u8") and rows.shape == (n, (n + 63) // 64)
         assert [sum(int(w) << (64 * i) for i, w in enumerate(row)) for row in rows] == list(g.adj)
-        masks = [0, (1 << n) - 1, g.adj[0]]
+        masks = [0, (1 << n) - 1, g.neighbours(0)]
         masks += [mask_of(np.flatnonzero(rng.random(n) < q).tolist()) for q in (0.1, 0.5, 0.9)]
         vertices = rng.permutation(n).tolist()  # not in ascending order
         assert (g.packed_rows(vertices) == rows[vertices]).all()
@@ -186,7 +186,7 @@ class TestPackedRows:
         g = gnp(65, 0.4, 3)
         assert g.packed_rows([]).shape == (0, 2)
         assert bit_matrix(g, []).shape == (0, 65)
-        assert g.degree_table([g.adj[0], 7], []).shape == (0, 2)
+        assert g.degree_table([g.neighbours(0), 7], []).shape == (0, 2)
         assert g.degree_table([], [3, 1]).shape == (2, 0)
         assert g.degree_table([]).shape == (65, 0)
 
@@ -204,7 +204,7 @@ class TestPackedRows:
             for ms in (masks[:1], masks):
                 table = row_mask_counts(rows[vs], ms)
                 assert table.dtype == np.int32  # signed: a negated count of 0 sorts last
-                assert table.tolist() == [[(g.adj[v] & m).bit_count() for m in ms] for v in vs.tolist()]
+                assert table.tolist() == [[(g.neighbours(v) & m).bit_count() for m in ms] for v in vs.tolist()]
 
     @pytest.mark.parametrize("mask", [0, 1, 1 << 63, 1 << 64, (1 << 63) | (1 << 64), (1 << 130) - 1])
     def test_bit_positions_of_fixed_masks(self, mask):
@@ -221,8 +221,8 @@ class TestPackedRows:
 
 
 class TestRowCache:
-    """`packed_rows()` keeps the graph's rows once asked for all of them; no
-    other request makes it keep them."""
+    """A graph built from rows keeps them, read-only, from the start; a graph
+    built by `from_edges` keeps none, and no request makes it keep them."""
 
     def test_full_rows_are_kept_and_read_only(self):
         g = gnp(130, 0.4, 1)
@@ -230,40 +230,38 @@ class TestRowCache:
         assert g.packed_rows() is rows
         with pytest.raises(ValueError):
             rows[0, 0] = 0
-        assert g.degree_table([g.adj[3]]).tolist() == [[degree_into(g, v, g.adj[3])] for v in range(130)]
+        assert g.degree_table([g.neighbours(3)]).tolist() == [[degree_into(g, v, g.neighbours(3))] for v in range(130)]
         assert g.packed_rows() is rows
 
     def test_row_subsets_with_and_without_kept_rows(self):
         g = gnp(130, 0.4, 2)
+        twin = Graph.from_edges(130, g.edges())
         vertices = rng_for(2, stream=5).permutation(130)[:40].tolist()
-        fresh = g.packed_rows(vertices)
-        assert g._rows is None
         rows = g.packed_rows()
-        for vs in (vertices, np.array(vertices), [], tuple(vertices[:3])):
-            sliced = g.packed_rows(vs)
-            assert np.array_equal(sliced, rows[list(vs)])
-            sliced[...] = 0  # a fresh array: writing to it leaves the kept rows alone
-        assert np.array_equal(fresh, rows[vertices])
+        for h in (g, twin):
+            for vs in (vertices, np.array(vertices), [], tuple(vertices[:3])):
+                sliced = h.packed_rows(vs)
+                assert np.array_equal(sliced, rows[list(vs)])
+                sliced[...] = 0  # a fresh array: writing to it leaves the graph alone
+        assert np.array_equal(twin.packed_rows(), rows) and twin._rows is None
         assert np.array_equal(g.packed_rows(), Graph(130, g.adj).packed_rows())
 
     @pytest.mark.parametrize("keep", [False, True])
     def test_deletion_leaves_the_source_and_keeps_nothing(self, keep):
+        """The source keeps rows, or is built by `from_edges` and gains none."""
         g = gnp(70, 0.5, 3)
-        adj = g.adj
-        if keep:
-            rows = g.packed_rows().copy()
+        if not keep:
+            g = Graph.from_edges(70, g.edges())
+        adj, rows = g.adj, g.packed_rows().copy()
         h = g.without_edges(list(g.edges())[::2])
         assert g.adj == adj and h.m == g.m - (g.m + 1) // 2
-        assert not h._rows.flags.writeable  # the result keeps its copy's rows; the source gains none
-        if keep:
-            assert np.array_equal(g.packed_rows(), rows)
-        else:
-            assert g._rows is None
+        assert not h._rows.flags.writeable  # the result keeps its copy's rows
+        assert np.array_equal(g.packed_rows(), rows) and (g._rows is None) == (not keep)
 
     def test_edge_keys_keep_no_rows(self):
-        """The adversary lists a host's keys at its memory peak: listing them must
-        not leave the host holding its n^2/8 bytes of rows."""
-        g = gnp(600, 0.3, 4)
+        """Listing a graph's edge keys on a `PackedCopy` must not leave a graph
+        built by `from_edges` holding n^2/8 bytes of rows."""
+        g = Graph.from_edges(600, gnp(600, 0.3, 4).edges())
         edit = PackedCopy(g)
         list(edit.edge_key_blocks())
         list(edit.edge_key_blocks(np.arange(0, 600, 3)))
@@ -377,9 +375,17 @@ class TestVertexSetAndLabelling:
 
 class TestGraphFile:
     def test_round_trip(self):
-        g = gnp(40, 0.2, 3)
-        g2 = parse_graph_text(write_graph_file(g))
-        assert g2 == g
+        """At every row width the reader writes word-aligned rows: one word, a full
+        word, one bit over, and three words; a graph built by `from_edges`
+        equals its parsed twin, which keeps rows instead of tuples."""
+        for n in (1, 2, 40, 63, 64, 65, 130):
+            g = gnp(n, 0.2, n)
+            g2 = parse_graph_text(write_graph_file(g))
+            assert g2 == g and g2.packed_rows().shape == (n, (n + 63) // 64)
+            assert list(g2.edges()) == list(g.edges())
+            twin = Graph.from_edges(n, g.edges())
+            parsed = parse_graph_text(write_graph_file(twin))
+            assert parsed == twin and twin == parsed and parsed._nbrs is None and twin._rows is None
 
     def test_header_format(self):
         g = Graph.from_edges(3, [(0, 1)])

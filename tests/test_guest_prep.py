@@ -106,7 +106,7 @@ def test_switch_keeps_every_colour_zero_vertex(seed):
     h = Graph.from_edges(n, edges)
     sigma = [0] * n
     for v in order:
-        taken = {sigma[w] for w in iter_bits(h.adj[v]) if l.pos[w] < l.pos[v]}
+        taken = {sigma[w] for w in iter_bits(h.neighbours(v)) if l.pos[w] < l.pos[v]}
         free = [c for c in range(1, k + 1) if c not in taken]
         sigma[v] = 0 if not free or (0 not in taken and rnd.random() < 0.1) else rnd.choice(free)
     col = Colouring(tuple(sigma), k)

@@ -64,12 +64,12 @@ class TestAdversary:
         # neighbours, so the floor must sit well below (1 - p) pn
         g = gnp(500, 0.5, 9)
         out = adversary_delete(g, "triangle_killer", 0.1, 1, 0.5, seed=9, target=0)
-        nbrs = list(iter_bits(out.adj[0]))
+        nbrs = list(iter_bits(out.neighbours(0)))
         for i, u in enumerate(nbrs):
             for v in nbrs[i + 1:]:
                 assert not out.has_edge(u, v)
         assert out.min_degree() >= 0.1 * 0.5 * 500 - 1e-9
-        assert out.adj[0] == g.adj[0]  # edges at the target itself survive
+        assert out.neighbours(0) == g.neighbours(0)  # edges at the target itself survive
 
     def test_triangle_killer_blocked_raises(self):
         g = gnp(500, 0.5, 9)

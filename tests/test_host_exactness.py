@@ -41,7 +41,6 @@ n^2/8 bytes.
 """
 
 import mmap
-import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -149,7 +148,7 @@ def oracle_adversary_delete(g, strategy, gamma, k, p, seed=0, budget=None, targe
     if strategy == "random":
         return g.without_edges(greedy(oracle_priority_order(list(g.edges()), n, rng), budget))
     if strategy == "triangle_killer":
-        nbrs = list(iter_bits(g.adj[target]))
+        nbrs = list(iter_bits(g.neighbours(target)))
         inside = [(u, v) for ii, u in enumerate(nbrs) for v in nbrs[ii + 1:] if g.has_edge(u, v)]
         order = rng.permutation(len(inside))
         ranked = sorted((inside[int(i)] for i in order), key=lambda e: -(deg[e[0]] + deg[e[1]]))
@@ -213,12 +212,11 @@ def listed_keys(g, vertices=None):
 def test_edge_keys_match_reference(n, p, seed):
     """A `PackedCopy` lists the keys u * n + v of the whole graph, or of the
     subgraph induced on an ascending vertex list, in `edges()` order, one
-    int64 block for each `_KEY_ROWS` rows of the list; the graph keeps no rows
-    for it.  The lists include all vertices but one, all of them passed
+    int64 block for each `_KEY_ROWS` rows of the list.  The lists include all vertices but one, all of them passed
     explicitly and every other vertex, which the packed mask of the list
     must cut on both sides of a byte and a word."""
     g = gnp(n, p, seed)
-    a = bit_matrix(Graph(n, g.adj))  # a twin keeps the rows, so g keeps none
+    a = bit_matrix(g)
     rng = rng_for(seed, stream=3)
     lists = (np.flatnonzero(rng.random(n) < 0.6), np.arange(1, n, 3), np.arange(n - 1, n), np.arange(0),
              np.delete(np.arange(n), n // 2), np.arange(n), np.arange(0, n, 2))
@@ -235,7 +233,6 @@ def test_edge_keys_match_reference(n, p, seed):
         i, j = np.divmod(reference_edge_keys(a[np.ix_(at, at)]).astype(np.int64), size)
         assert np.array_equal(keys, at[i] * n + at[j])
     assert np.concatenate(listed_keys(g)).tolist() == [u * n + v for u, v in g.edges()]
-    assert g._rows is None
 
 
 @pytest.mark.parametrize("n,p,seed", [(8, 0.9, 0), (9, 0.5, 1), (520, 0.3, 2), (1030, 0.1, 3)])
@@ -243,8 +240,9 @@ def test_deletion_matches_reference_and_keeps_the_source(n, p, seed):
     """`Graph.without_edges` and `PackedCopy.delete` against the int-row deletion:
     unsorted keys with repeats, both orders of an edge, absent edges and a
     loop, as int64 or int32; no keys; and every key twice, more than
-    `_KEY_BLOCK` keys on the largest host.  The copy is taken from kept rows
-    or packed afresh, and the graph keeps its rows either way."""
+    `_KEY_BLOCK` keys on the largest host.  The copy is taken from kept rows,
+    or packed afresh from the tuples of a twin built by `from_edges`, and the
+    source is left as it was."""
     g = gnp(n, p, seed)
     adj = g.adj
     rng = rng_for(seed, stream=4)
@@ -264,12 +262,12 @@ def test_deletion_matches_reference_and_keeps_the_source(n, p, seed):
         assert edit.graph() == out
     if n > 1000:
         assert 2 * len(every) > _KEY_BLOCK
-    assert g.adj == adj and g._rows is None
-    rows = g.packed_rows().copy()
-    edit = PackedCopy(g)
+    assert g.adj == adj
+    twin = Graph.from_edges(n, edges)
+    edit = PackedCopy(twin)
     edit.delete(keys)
-    assert edit.graph() == expect and g.without_edges(pairs) == expect
-    assert g.adj == adj and np.array_equal(g.packed_rows(), rows)
+    assert edit.graph() == expect and twin.without_edges(pairs) == expect
+    assert twin._rows is None and twin == g
 
 
 def test_deletion_rejects_an_end_outside_the_graph():
@@ -579,17 +577,20 @@ def in_memory_map(a):
 
 
 def test_packed_rows_are_written_once_into_a_memory_map():
-    """At n = 3000 the packed rows take n^2/8 = 1.1 MB.  Kept rows, and a
-    `PackedCopy` of masks or of kept rows, are written straight into a memory
-    map: what tracemalloc sees of each stays under n^2/64 bytes.  Kept rows
-    stay read-only, and a copy of them is writable."""
+    """At n = 3000 the packed rows take n^2/8 = 1.1 MB.  The rows that
+    `Graph(n, masks)` packs, and a `PackedCopy` of kept rows or of the tuples
+    of a graph built by `from_edges`, are written straight into a memory map:
+    what tracemalloc sees of each stays under n^2/64 bytes.  Kept rows stay
+    read-only, and a copy of them is writable."""
     n = 3000
     g = gnp(n, 0.4, 0)
-    assert traced_peak(PackedCopy, g) < n * n // 64 and g._rows is None
-    assert traced_peak(g.packed_rows) < n * n // 64
+    masks, twin = g.adj, Graph.from_edges(n, g.edges())
     assert traced_peak(PackedCopy, g) < n * n // 64
+    assert traced_peak(Graph, n, masks) < n * n // 64
+    assert traced_peak(PackedCopy, twin) < n * n // 64
     rows, edit = g.packed_rows(), PackedCopy(g)
-    assert in_memory_map(rows) and in_memory_map(edit._rows) and in_memory_map(PackedCopy(Graph(n, g.adj))._rows)
+    assert in_memory_map(rows) and in_memory_map(edit._rows) and in_memory_map(Graph(n, masks).packed_rows())
+    assert in_memory_map(PackedCopy(twin)._rows)
     assert not rows.flags.writeable and edit._rows.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         rows[0, 0] = 0
@@ -610,32 +611,29 @@ def test_copy_hands_its_rows_to_its_graph(n):
     assert traced_peak(h.packed_rows) < 1024 and h.packed_rows() is rows
     with pytest.raises(ValueError, match="read-only"):
         edit.delete(np.array([u * n + v for u, v in h.edges()][:1]))
-    assert g._rows is None and h == Graph(n, h.adj)
+    assert h == Graph(n, h.adj)
 
 
-def test_gnp_holds_its_int_rows_and_small_blocks():
-    """At n = 3000 `gnp` holds, in what tracemalloc sees, less than its
-    result's int rows plus n^2/32 bytes: its packed rows are in a memory map,
-    and the blocks of `_GNP_ROWS` rows of words are gone before the ints are
-    built."""
+def test_gnp_holds_only_small_blocks():
+    """At n = 3000 `gnp` holds, in what tracemalloc sees, less than n^2/32
+    bytes: its packed rows are in a memory map, which its result keeps, and
+    only blocks of `_GNP_ROWS` rows of words are in the heap."""
     n, p = 3000, 0.4
     gnp(2, p, 0)  # numpy.random loads on the first draw, outside the trace
-    g = gnp(n, p, 0)
-    ints = sys.getsizeof(g.adj) + sum(map(sys.getsizeof, g.adj))
-    assert traced_peak(gnp, n, p, 0) < ints + n * n // 32
+    assert traced_peak(gnp, n, p, 0) < n * n // 32
 
 
 @pytest.mark.parametrize("strategy", ["random", "bipartite_push"])
 def test_adversary_holds_one_key_array(strategy):
     """At n = 3000 the int32 keys would take 7.2 MB, and half of them 3.6 MB.
     The adversary's one key array is a memory map, which tracemalloc does not
-    see; what it does see (the packed copy of the rows and the result's int
-    rows, about n^2/8 bytes each, and blocks of 64 rows, `_KEY_BLOCK` or 4n
-    keys) stays under those two copies plus 2 bytes a key, so no array of
-    half the keys fits in the heap."""
+    see, and neither are its packed copy of the rows or the result, which
+    keeps them; what it does see (blocks of 64 rows, `_KEY_BLOCK` or 4n keys)
+    stays under n^2/8 bytes plus 2 bytes a key, so no array of half the keys
+    fits in the heap."""
     n, p = 3000, 0.4
     host = gnp(n, p, 0)
-    assert traced_peak(adversary_delete, host, strategy, 0.2, 2, p) < n * n // 4 + 2 * host.m
+    assert traced_peak(adversary_delete, host, strategy, 0.2, 2, p) < n * n // 8 + 2 * host.m
 
 
 @pytest.mark.parametrize(

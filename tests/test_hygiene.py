@@ -2,8 +2,8 @@
 re-exported, every local that a spanembed function assigns is read, every defaulted
 parameter of a spanembed function is passed by some call, and no spanembed function takes
 its settings as string keys of a parameter, and no spanembed function imports inside its
-body; only `graph_core` knows the packed-row format, maps memory or holds the whole graph
-as an n x n bool matrix; `run_pipeline` holds no loop statement; every `ExperimentConfig`
+body; only `graph_core` knows the packed-row format, reads a graph's adjacency store, maps
+memory or holds the whole graph as an n x n bool matrix; `run_pipeline` holds no loop statement; every `ExperimentConfig`
 field is set by some test, benchmark or command-line flag; every `Graph` and `PackedCopy`
 method has a caller in spanembed or a named reason to stay."""
 
@@ -324,6 +324,45 @@ def test_only_graph_core_knows_the_packed_format():
     assert uses == []
 
 
+# a `Graph`'s stores: its packed rows, its neighbour tuples, and the int masks built from either
+GRAPH_STORE_NAMES = {"adj", "_rows", "_nbrs"}
+
+
+def graph_store_reads(source: str) -> list[tuple[int, str]]:
+    """(line, name) for every attribute read of a `Graph` store.
+
+    Which store a graph keeps is `graph_core`'s decision; other modules read a
+    row through `Graph.neighbours` and many rows through the bulk readers
+    (`Graph.degree_table`, `Graph.packed_rows`).
+    """
+    reads = [
+        (node.lineno, node.col_offset, node.attr)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in GRAPH_STORE_NAMES
+    ]
+    return [(line, name) for line, _col, name in sorted(reads)]
+
+
+def test_scanner_flags_only_graph_store_reads():
+    source = (
+        "def f(g, edit, adj):\n"
+        '    """g.adj in a docstring is fine"""\n'
+        "    rows = g._rows if edit._nbrs is None else adj[0]\n"
+        "    return g.adj[0] & g.neighbours(1), rows, g.packed_rows()\n"
+    )
+    assert graph_store_reads(source) == [(3, "_rows"), (3, "_nbrs"), (4, "adj")]
+
+
+def test_only_graph_core_reads_a_graph_store():
+    reads = [
+        f"{path.name}:{line} {name}"
+        for path in MODULES
+        if path.name != "graph_core.py"
+        for line, name in graph_store_reads(path.read_text(encoding="utf-8"))
+    ]
+    assert reads == []
+
+
 def memory_map_uses(source: str) -> list[int]:
     """Lines of every import or use of `mmap`, as a module, a name or an attribute.
 
@@ -491,7 +530,7 @@ def test_every_config_key_is_set_somewhere():
 
 # `Graph` methods that no spanembed code calls, each with the callers that keep it
 UNCALLED_METHODS = {
-    "Graph.neighbours": "perfbench/check.py reads a host's rows with it",
+    "Graph.adj": "perfbench/test_check.py builds a rotated Paley host from it",
     "Graph.without_edges": "perfbench/test_check.py and the tests delete edges by pair with it",
 }
 

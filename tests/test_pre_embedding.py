@@ -73,12 +73,12 @@ class TestPreEmbed:
             # injective, edge-preserving where both ends are embedded
             assert len(set(state.phi.values())) == len(state.phi)
             for x, v in state.phi.items():
-                for y in iter_bits(guest.adj[x]):
+                for y in iter_bits(guest.neighbours(x)):
                     if y in state.phi:
                         assert g.has_edge(v, state.phi[y])
             # each anchor's embedded neighbour images sit in N_G(v_t) cap reserve
             for anchor, v_t in state.anchors:
-                for y in iter_bits(guest.adj[anchor]):
+                for y in iter_bits(guest.neighbours(anchor)):
                     w = state.phi[y]
                     assert g.has_edge(v_t, w) and w in reserve
             # anchors pairwise far apart in the guest
@@ -202,7 +202,7 @@ class TestRestrictionValidation:
         g = gnp(30, 0.5, 3)
         cells = {(0, 0): VertexSet.from_iter(30, range(15))}
         img = restriction_image(g, cells, (0, 0), [20])
-        assert img == g.adj[20] & cells[(0, 0)].mask
+        assert img == g.neighbours(20) & cells[(0, 0)].mask
 
 
 def reference_anchor_candidates(h, l, assignment, r, forbid_c4):
@@ -240,11 +240,11 @@ def reference_choose_host_row(g, host, y_mask, clusters, v0_mask, r, k, eps, d, 
     n = g.n
     kept_rows = {i: [] for i in range(r)}
     for y in iter_bits(y_mask):
-        if v0_mask and (host.adj[y] & v0_mask).bit_count() >= max(eps * p * n, 2 * p * v0_mask.bit_count() + 4):
+        if v0_mask and (host.neighbours(y) & v0_mask).bit_count() >= max(eps * p * n, 2 * p * v0_mask.bit_count() + 4):
             continue
         deviant = False
         for cell, c in clusters.items():
-            dy = (host.adj[y] & c.mask).bit_count()
+            dy = (host.neighbours(y) & c.mask).bit_count()
             if abs(dy - p * len(c)) > eps * p * len(c) + 1.0:
                 deviant = True
                 break
@@ -265,10 +265,10 @@ def test_choose_host_row_matches_loop(eps, d):
     g, host, hs, *_ = pre_embed_instance(seed=2, v0_target=8)
     r, k = hs.r, hs.k
     outside = ((1 << g.n) - 1) & ~hs.v0.mask
-    y_masks = [g.adj[v] for v in list(hs.v0)[:3]] + [outside]
+    y_masks = [g.neighbours(v) for v in list(hs.v0)[:3]] + [outside]
     y0 = next(iter_bits(outside))
     # the exceptional set itself, and a large one that y0 sees entirely
-    for v0_mask in (hs.v0.mask, host.adj[y0]):
+    for v0_mask in (hs.v0.mask, host.neighbours(y0)):
         for y_mask in y_masks:
             for prefer in range(r):
                 args = (g, host, y_mask, hs.clusters, v0_mask, r, k, eps, d, 0.4)

@@ -289,22 +289,23 @@ class TestPrepareHost:
 
     def test_g_rows_are_packed_once(self, monkeypatch):
         # On a graph that is its own host, every adjacency row that host
-        # preparation reads is a slice of G's kept rows: at most n rows are
-        # packed from ints, where reading them afresh per use packed 4.7 n.
+        # preparation reads is a slice of G's kept rows, packed once when G
+        # was built: no row is packed from ints again, where reading them
+        # afresh per use packed 4.7 n.
         g = paley(1009)
         packed = []
         pack = graph_core._packed
 
-        def counting(masks, words):
-            masks = list(masks)
-            if sys._getframe(1).f_code.co_name == "packed_rows":
-                packed.append(len(masks))
-            return pack(masks, words)
+        def counting(masks, count, words):
+            caller = sys._getframe(1)
+            if caller.f_code.co_name == "packed_rows" and caller.f_locals["self"] is g:
+                packed.append(count)
+            return pack(masks, count, words)
 
         monkeypatch.setattr(graph_core, "_packed", counting)
         hs = prepare_host(g, g, 0.5, 0.1, 2, 0.25, 0.1, 4, seed=0)
         assert hs.reduced.contains_backbone()
-        assert 0 < sum(packed) <= g.n
+        assert sum(packed) == 0
 
 
 @functools.lru_cache(maxsize=None)
