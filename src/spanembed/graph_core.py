@@ -332,7 +332,8 @@ class Graph:
         return min(self.degree_table([(1 << self.n) - 1])[:, 0].tolist(), default=0)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._nbrs[u] if self._nbrs is not None else bool((self.neighbours(u) >> v) & 1)
+        """Is uv an edge?  A graph that keeps rows reads one word of u's row."""
+        return v in self._nbrs[u] if self._nbrs is not None else bool(self._rows.item(u, v >> 6) >> (v & 63) & 1)
 
     def edges(self):
         """Each edge once as (u, v) with u < v, ascending by u, then by v."""

@@ -17,10 +17,9 @@ import numpy as np
 
 from .graph_core import Graph, StageError, VertexSet, bit_positions, iter_bits, mask_of, rng_for
 from .regularity import (
-    _inheritance_ok,
-    _lower_bound_vacuous,
     check_lower_regular,
     check_super_regular,
+    inheritance_table,
     min_degree_regular_partition,
     RegularityError,
 )
@@ -38,12 +37,11 @@ __all__ = [
 
 # Host preparation settings: the sample budget of every pair check, the Z1
 # degree screen as a fraction of the certificate window eps, the Z2 screen as a
-# fraction of a cluster's expected degree, the certificate probes, the seeded
-# restarts of the whole preparation and the backbone search's step budget.
+# fraction of a cluster's expected degree, the seeded restarts of the whole
+# preparation and the backbone search's step budget.
 PAIR_BUDGET = 64
 SCREEN_FRAC = 0.9
 Z2_FACTOR = 0.1
-CERT_SAMPLES = 200
 HOST_RETRIES = 3
 BACKBONE_STEPS = 10**6
 
@@ -240,8 +238,9 @@ def prepare_host(
     host degrees or failing regularity inheritance (Z1); redistribute
     clique-factor degree violators and the old exceptional set by strong-degree
     rows; screen vertices seeing too much of the moved sets (Z2); certify the
-    size window, regularity, inheritance, and degree window on samples, raising
-    HostPrepError("certificates") that names every certificate that failed.
+    size window and regularity, and inheritance and the degree window on every
+    vertex outside V0, raising HostPrepError("certificates") that names every
+    certificate that failed.
     """
     floor = ((k - 1) / k + gamma) * p * g.n
     if g.min_degree() < floor - 1e-9:
@@ -296,15 +295,13 @@ def _prepare_host_once(g, host, p, gamma, k, eps, d, r0, seed) -> HostStructure:
     )
     if not reduced.contains_backbone():
         raise HostPrepError("backbone", "embedding misses a backbone edge")
-    red_edges = [(cells[a], cells[b]) for a, b in reduced.graph.edges()]
+    red_edges = list(reduced.graph.edges())
 
     # ---- Z1: degree-window and inheritance violators ---------------------
     # The degree screen runs at a fraction of the certificate window eps (an
     # asymptotically-tiny eps* would sweep in almost everything at desk-scale
-    # cluster sizes); +1 absorbs self-membership.
-    # The inheritance screen reads N(v) & U_a against U_b and N(v) & U_b; with
-    # d <= eps/2 it fails only on an empty side, and clusters are nonempty, so
-    # then v need only see every cell of a reduced edge.
+    # cluster sizes); +1 absorbs self-membership.  The inheritance screen runs
+    # at eps/2 on every reduced edge, on the vertices the degree screen keeps.
     masks = [u[cell] for cell in cells]
     size = np.array([m.bit_count() for m in masks])
     active = bit_positions(((1 << n) - 1) & ~v0_mask)
@@ -312,17 +309,9 @@ def _prepare_host_once(g, host, p, gamma, k, eps, d, r0, seed) -> HostStructure:
     exp = p * size
     bad = (np.abs(host_deg[:, :-1] - exp) > SCREEN_FRAC * eps * exp + 1.0).any(axis=1)
     bad |= host_deg[:, -1] > max(2 * eps_star * p * n, 2.0 * p * v0_mask.bit_count() + 4)
-    vacuous = _lower_bound_vacuous(d, eps / 2.0)
-    if vacuous:
-        read = [c for c in range(r * k) if reduced.graph.degree(c)]
-        bad |= (host_deg[:, read] == 0).any(axis=1)
-    kept = np.compress(~bad, active).tolist()
-    if not vacuous:
-        kept = [
-            v for v, nbrs in zip(kept, map(host.neighbours, kept))
-            if all(_inheritance_ok(g, nbrs, u[a], u[b], eps / 2.0, d, p) for a, b in red_edges)
-        ]
-    z1 = ((1 << n) - 1) & ~v0_mask & ~mask_of(kept)
+    kept = np.compress(~bad, active)
+    kept = np.compress(inheritance_table(g, host, kept, masks, red_edges, host_deg[~bad], eps / 2.0, d, p).all(1), kept)
+    z1 = ((1 << n) - 1) & ~v0_mask & ~mask_of(kept.tolist())
     work = {cell: u[cell] & ~z1 for cell in cells}
     z1 |= _pad_for_equitability(work, r, k)
 
@@ -366,34 +355,24 @@ def _prepare_host_once(g, host, p, gamma, k, eps, d, r0, seed) -> HostStructure:
     cluster_sets = {cell: VertexSet(n, final[cell]) for cell in cells}
 
     # ---- certificates -----------------------------------------------------
-    # Each is decided in turn and stops at its first failure.  The probes draw
-    # from one stream-43 generator: a permutation of the vertices, then a
-    # reduced edge per inheritance probe, then a cell per degree probe.
-    rng = rng_for(seed, stream=43)
-    probes = [int(v) for v in rng.permutation(n) if not ((v0_final >> int(v)) & 1)]
-
-    def pick(seq):
-        return seq[int(rng.integers(len(seq)))]
-
-    def in_degree_window(v, cell):
-        exp = p * len(cluster_sets[cell])
-        return abs((host.neighbours(v) & final[cell]).bit_count() - exp) <= eps * exp + 1.0
-
+    # Inheritance and the degree window hold on every vertex outside V0, read
+    # off one host degree table of the final cells.
+    final_masks = [final[cell] for cell in cells]
+    members = bit_positions(((1 << n) - 1) & ~v0_final)
+    cell_deg = host.degree_table(final_masks, members)
+    cell_exp = p * np.array([m.bit_count() for m in final_masks])
     certs = {
         "size_window": all(n / (4 * k * r) <= len(c) <= 4 * n / (k * r) for c in cluster_sets.values()),
         "k_equitable": validate_k_equitable(cluster_sets),
         "regular_on_reduced": all(
-            check_lower_regular(g, cluster_sets[a], cluster_sets[b], eps, d, p, budget=PAIR_BUDGET, seed=seed + 3).ok
-            for a, b in red_edges
+            check_lower_regular(g, *(cluster_sets[cells[c]] for c in e), eps, d, p, budget=PAIR_BUDGET, seed=seed + 3).ok
+            for e in red_edges
         ) and all(
             check_super_regular(g, host, *(cluster_sets[(i, j)] for j in js), eps, d, p, budget=PAIR_BUDGET, seed=seed + 5)
             for i in range(r) for js in itertools.combinations(range(k), 2)
         ),
-        "inheritance": all(
-            _inheritance_ok(g, host.neighbours(v), *map(final.get, pick(red_edges)), eps, d, p)
-            for v in probes[: max(10, CERT_SAMPLES // 10)]
-        ),
-        "degree_window": all(in_degree_window(probes[t % len(probes)], pick(cells)) for t in range(CERT_SAMPLES)),
+        "inheritance": inheritance_table(g, host, members, final_masks, red_edges, cell_deg, eps, d, p).all(),
+        "degree_window": (np.abs(cell_deg - cell_exp) <= eps * cell_exp + 1.0).all(),
     }
     failed = [name for name, ok in certs.items() if not ok]
     if failed:

@@ -34,6 +34,7 @@ __all__ = [
     "check_lower_regular",
     "check_super_regular",
     "energy_partition",
+    "inheritance_table",
     "min_degree_regular_partition",
     "RegularityError",
 ]
@@ -42,6 +43,7 @@ EXACT_SIDE_CAP = 20
 EXHAUSTIVE_FALLBACK_SIZE = 14
 DEFAULT_SAMPLE_BUDGET = 2000
 MAX_ROUNDS = 50  # refinement rounds of the energy-increment partitioner
+_SCREEN_ROWS = 256  # host rows that `inheritance_table` unpacks at once
 
 
 class RegularityError(RuntimeError):
@@ -58,9 +60,9 @@ class PairVerdict:
         return self.kind != "irregular"
 
 
-def _threshold(eps: float, size: int) -> int:
-    """Smallest integer t with t >= eps * size (and at least 1)."""
-    return max(1, math.ceil(eps * size - 1e-12))
+def _threshold(eps: float, size):
+    """Smallest integer t with t >= eps * size (and at least 1), of one size or of each in an array."""
+    return np.maximum(1, np.ceil(eps * np.asarray(size) - 1e-12)).astype(np.int64)
 
 
 def _lower_bound_vacuous(d: float, eps: float) -> bool:
@@ -341,30 +343,47 @@ def check_super_regular(
     return True
 
 
-def _prefix_inheritance_ok(g: Graph, xmask: int, ymask: int, eps: float, d: float, p: float) -> bool:
-    """Cheap one-pair screen: do the degree-sorted prefix cuts of X of size at least
-    eps|X| keep p-density d - eps into Y?  An empty side fails.
-
-    Prefix averages of ascending degrees never fall, so only the threshold-size cut
-    of the ceil(eps|X|) smallest degrees needs the test.
+def inheritance_table(
+    g: Graph, host: Graph, vertices, masks: list[int], edges, host_deg: np.ndarray, eps: float, d: float, p: float
+) -> np.ndarray:
+    """T[i, e]: does v = vertices[i] inherit regularity on edges[e] = (a, b), read from
+    A = masks[a] to B = masks[b]?  With X = N(v) & A for v's host neighbourhood
+    N(v), the ceil(eps|X|) smallest G-degrees of X into B, and those into
+    N(v) & B, must keep p-density d - eps (prefix averages of ascending degrees
+    never fall, so this cut decides every larger one); an empty side fails.
+    `host_deg[i, c]` = |N(vertices[i]) & masks[c]| alone decides T when
+    d - eps <= 0.  Otherwise each pair reads G[A, B] once and the host rows
+    `_SCREEN_ROWS` at a time: A sorted once by degree into B lists v's smallest
+    first, and the degrees into N(v) & B are one exact float32 product.
     """
-    sx, sy = xmask.bit_count(), ymask.bit_count()
-    if sx == 0 or sy == 0:
-        return False
+    seen = host_deg > 0
+    table = seen[:, [a for a, _ in edges]] & seen[:, [b for _, b in edges]]
     if _lower_bound_vacuous(d, eps):
-        return True
-    thr = _threshold(eps, sx)
-    degs = sorted(g.degree_table([ymask], bit_positions(xmask))[:, 0].tolist())
-    return sum(degs[:thr]) / (p * thr * sy) >= d - eps - 1e-12
-
-
-def _inheritance_ok(g: Graph, nbrs: int, amask: int, bmask: int, eps: float, d: float, p: float) -> bool:
-    """Inheritance screen of a vertex with host neighbourhood N(v) = `nbrs` on (A, B): the
-    prefix screen on (N(v) & A, B) and on (N(v) & A, N(v) & B)."""
-    nx = nbrs & amask
-    return _prefix_inheritance_ok(g, nx, bmask, eps, d, p) and _prefix_inheritance_ok(
-        g, nx, nbrs & bmask, eps, d, p
-    )
+        return table
+    for e, (a, b) in enumerate(edges):
+        if not table[:, e].any():
+            continue
+        xs, ys = bit_positions(masks[a]), bit_positions(masks[b])
+        block = _pair_block(g, xs, ys)
+        deg_b = block.sum(axis=1, dtype=np.int64)
+        order, block_t = np.argsort(deg_b), block.T.astype(np.float32)
+        for lo in range(0, len(vertices), _SCREEN_ROWS):
+            member = unpack_rows(host.packed_rows(vertices[lo:lo + _SCREEN_ROWS]), host.n)
+            in_x, in_y = member[:, xs], member[:, ys]
+            sx, sy = host_deg[lo:lo + _SCREEN_ROWS, a], host_deg[lo:lo + _SCREEN_ROWS, b]
+            thr = _threshold(eps, sx)
+            # into B: X's members in A's degree order, up to the thr-th
+            sorted_x = in_x[:, order]
+            one_sided = np.where(np.cumsum(sorted_x, axis=1) <= thr[:, None], sorted_x * deg_b[order], 0).sum(axis=1)
+            # into N(v) & B: the thr smallest of X's counts, non-members last
+            counts = np.where(in_x, in_y.astype(np.float32) @ block_t, np.inf)
+            counts.sort(axis=1)
+            last = np.maximum(np.minimum(thr, sx) - 1, 0)[:, None]
+            two_sided = np.take_along_axis(np.cumsum(counts, axis=1), last, axis=1)[:, 0]
+            table[lo:lo + _SCREEN_ROWS, e] &= (one_sided / (p * thr * len(ys)) >= d - eps - 1e-12) & (
+                two_sided / (p * thr * np.maximum(sy, 1)) >= d - eps - 1e-12  # sy = 0 has failed already
+            )
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from spanembed.embedder import (
     embedding_violations,
     verify_embedding,
 )
-from spanembed.graph_core import Labelling, VertexSet, bit_positions, gnp, mask_of, rng_for, row_mask_counts
+from spanembed.graph_core import Graph, Labelling, VertexSet, bit_positions, gnp, mask_of, rng_for, row_mask_counts
 from spanembed.pre_embedding import RestrictionPair
 
 from helpers import complete_graph, cycle_graph, empty_graph, fold_labelling, two_cell_setup
@@ -125,6 +125,25 @@ class TestVerifyEmbedding:
         phi = {v: v for v in range(4)}
         viols = embedding_violations(g, g, phi, images={0: 0b1110})
         assert any("restriction" in v for v in viols)
+
+    def test_reads_each_image_row_once(self, monkeypatch):
+        # a partial map of a sparse guest into a host that keeps rows: the
+        # messages are the edge-by-edge ones in `guest.edges()` order, and no
+        # image row is built more than once per guest vertex (`has_edge` reads
+        # one word of a kept row and builds none)
+        g = gnp(60, 0.5, 3)
+        guest = Graph.from_edges(40, gnp(40, 0.2, 4).edges())
+        perm = rng_for(5, stream=3).permutation(60).tolist()
+        phi = {x: perm[x] for x in range(40) if x % 7}
+        broken = [(u, v) for u, v in guest.edges() if u in phi and v in phi and not g.has_edge(phi[u], phi[v])]
+        assert len(broken) > 10
+        expected = [f"not total: {len(phi)}/40"]
+        expected += [f"edge ({u},{v}) -> ({phi[u]},{phi[v]}) missing in host" for u, v in broken]
+        calls = []
+        neighbours = Graph.neighbours
+        monkeypatch.setattr(Graph, "neighbours", lambda self, v: calls.append(v) or neighbours(self, v))
+        assert embedding_violations(g, guest, phi) == expected
+        assert len(calls) <= guest.n
 
 
 def test_free_counts_follow_places_swaps_and_undos(monkeypatch):

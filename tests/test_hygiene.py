@@ -5,7 +5,8 @@ its settings as string keys of a parameter, and no spanembed function imports in
 body; only `graph_core` knows the packed-row format, reads a graph's adjacency store, maps
 memory or holds the whole graph as an n x n bool matrix; `run_pipeline` holds no loop statement; every `ExperimentConfig`
 field is set by some test, benchmark or command-line flag; every `Graph` and `PackedCopy`
-method has a caller in spanembed or a named reason to stay."""
+method has a caller in spanembed or a named reason to stay; every `rng_for` stream is an int
+literal with one call site."""
 
 import ast
 from dataclasses import fields
@@ -610,3 +611,49 @@ def test_every_graph_method_has_a_caller_or_a_reason():
     with the reason; any other method without a caller in spanembed is dead."""
     sources = [path.read_text(encoding="utf-8") for path in MODULES]
     assert uncalled_methods(sources, {"Graph", "PackedCopy"}) == sorted(UNCALLED_METHODS)
+
+
+def rng_streams(source: str) -> list[tuple[int, int | str]]:
+    """(line, stream) for every `rng_for` call: the stream as an int, by position or
+    by keyword, 0 where the call leaves the default, or the stream's source text
+    where it is not an int literal.
+
+    A stream names one random source; two call sites on one stream would draw the
+    same numbers from the same seed, and a computed stream can meet another.
+    """
+    calls = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        if (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) != "rng_for":
+            continue
+        given = node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "stream"]
+        if not given:
+            stream = 0
+        elif isinstance(given[0], ast.Constant) and type(given[0].value) is int:
+            stream = given[0].value
+        else:
+            stream = ast.unparse(given[0])
+        calls.append((node.lineno, node.col_offset, stream))
+    return [(line, stream) for line, _col, stream in sorted(calls, key=lambda c: c[:2])]
+
+
+def test_scanner_lists_every_rng_stream():
+    source = (
+        "def rng_for(seed, stream=0):\n"
+        '    """rng_for(seed, 9) in a docstring is fine"""\n'
+        "def f(seed, s):\n"
+        "    a = rng_for(seed, 0), graph_core.rng_for(seed + 1, stream=21), rng_for(seed)\n"
+        "    return rng_for(seed, stream=s), rng_for(seed, 2.0), rng_for(seed, stream=-1), a\n"
+    )
+    assert rng_streams(source) == [(4, 0), (4, 21), (4, 0), (5, "s"), (5, "2.0"), (5, "-1")]
+
+
+def test_every_rng_stream_has_one_site():
+    sites: dict[int | str, list[str]] = {}
+    for path in MODULES:
+        for line, stream in rng_streams(path.read_text(encoding="utf-8")):
+            sites.setdefault(stream, []).append(f"{path.name}:{line}")
+    assert {stream: where for stream, where in sites.items() if not isinstance(stream, int)} == {}
+    assert {stream: where for stream, where in sites.items() if len(where) > 1} == {}
+    assert [where.split(":")[0] for where in sites[0]] == ["graph_core.py"]  # gnp's positional stream

@@ -262,30 +262,27 @@ class TestPrepareHost:
         assert hs.reduced.validate_extension()
 
     def test_vacuous_read_cell_rule_rejects_a_vertex_blind_to_a_cell(self):
-        # With d <= eps/2 the inheritance screen asks only that v see every read
-        # cell.  Here p|U| <= 1/(1 - 0.9 eps), so the degree screen lets a vertex
-        # with no host neighbour in a cell through, and the read-cell rule alone
-        # rejects such vertices, until a cluster is emptied.
+        # With d <= eps/2 the inheritance screen asks only that v see both cells
+        # of every reduced edge.  Here p|U| <= 1/(1 - 0.9 eps), so the degree
+        # screen lets a vertex with no host neighbour in a cell through, and the
+        # inheritance screen alone rejects such vertices, until a cluster is
+        # emptied.
         host = gnp(300, 0.5, 0)
         g = deleted_to_floor(host, 0.05, 2, 0.5, 0)
         with pytest.raises(HostPrepError) as ei:
             prepare_host(g, host, 0.5, 0.05, 2, 0.9, 0.1, 30, seed=0)
         assert str(ei.value) == "[cleanup] a cluster was emptied by the vertex screens"
 
-    def test_degree_window_spot_checks(self):
+    def test_degree_window_holds_on_every_kept_vertex(self):
         host = gnp(800, 0.4, 11)
         g = deleted_to_floor(host, 0.2, 2, 0.4, 12)
         hs = prepare_host(g, host, 0.4, 0.2, 2, 0.25, 0.1, 4, seed=11)
-        rng = rng_for(11, stream=9)
-        cells = sorted(hs.clusters)
-        for _ in range(200):
-            v = int(rng.integers(800))
-            if v in hs.v0:
-                continue
-            cell = cells[int(rng.integers(len(cells)))]
-            c = hs.clusters[cell]
-            dv = degree_into(host, v, c.mask)
-            assert abs(dv - 0.4 * len(c)) <= 0.25 * 0.4 * len(c) + 1.0
+        kept = [v for v in range(800) if v not in hs.v0]
+        assert len(kept) > 700
+        for c in hs.clusters.values():
+            for v in kept:
+                dv = degree_into(host, v, c.mask)
+                assert abs(dv - 0.4 * len(c)) <= 0.25 * 0.4 * len(c) + 1.0
 
     def test_g_rows_are_packed_once(self, monkeypatch):
         # On a graph that is its own host, every adjacency row that host
@@ -335,8 +332,8 @@ def pinned_row(n, seed, eps, d, expected, p=0.4, r0=4):
 
 # Outputs of the per-vertex screens that the degree tables replaced, on hosts
 # drawn with `gnp_by_doubles`, so that they pin `prepare_host` alone.  (0.25, 0.1)
-# is vacuous: with d <= eps/2 the inheritance screen only asks that v see every
-# read cell; the other configurations run it per vertex.  At n = 1000 the
+# is vacuous: with d <= eps/2 the inheritance screen only asks that v see both
+# cells of every reduced edge; the other configurations run the whole screen.  At n = 1000 the
 # partition leaves no exceptional vertex, so W is empty; at n = 1001 and 1003 it
 # leaves some, and d = 0.35 makes the strong-row test choose rows, or find none.
 # At p = 0.25 and 0.3 the certificates fail, and the message names each failed one.

@@ -15,14 +15,13 @@ from spanembed.regularity import (
     RegularityError,
     _energy,
     _energy_term,
-    _inheritance_ok,
-    _prefix_inheritance_ok,
     _random_subsets,
     _subset_degree_table,
     check_lower_regular,
     check_super_regular,
     check_two_sided_regular,
     energy_partition,
+    inheritance_table,
     min_degree_regular_partition,
 )
 
@@ -426,8 +425,13 @@ class TestEngineMatchesScan:
         empty = empty_graph(g.n)
         assert check_lower_regular(empty, x, y, 0.25, 0.1, p).kind == "lower_regular"
         assert check_super_regular(empty, host, x, y, 0.25, 0.1, p)
-        assert _prefix_inheritance_ok(empty, x.mask, y.mask, 0.25, 0.1, p)
-        assert not _prefix_inheritance_ok(empty, 0, y.mask, 0.25, 0.1, p)
+        # the inheritance table asks only for a host neighbour on both sides,
+        # and an empty side fails
+        everyone = complete_graph(g.n)
+        for masks, verdict in (([x.mask, y.mask], True), ([0, y.mask], False)):
+            deg = everyone.degree_table(masks)
+            table = inheritance_table(empty, everyone, range(g.n), masks, [(0, 1), (1, 0)], deg, 0.25, 0.1, p)
+            assert table.shape == (g.n, 2) and (table == verdict).all()
 
     def test_vacuous_route_reads_no_row(self, monkeypatch):
         # above the exact fallback with d <= eps, neither check reads an
@@ -436,11 +440,14 @@ class TestEngineMatchesScan:
             raise AssertionError("adjacency row read")
 
         g, host, x, y, p = scan_case(41, 23, 3)
+        deg = host.degree_table([x.mask, y.mask])
         monkeypatch.setattr(Graph, "neighbours", unread)
         monkeypatch.setattr(Graph, "packed_rows", unread)
         for eps, d in ((0.25, 0.1), (0.3, 0.3)):
             assert check_lower_regular(g, x, y, eps, d, p, budget=64, seed=3).kind == "lower_regular"
             assert check_super_regular(g, host, x, y, eps, d, p, budget=64, seed=3)
+            table = inheritance_table(g, host, range(g.n), [x.mask, y.mask], [(0, 1)], deg, eps, d, p)
+            assert (table[:, 0] == ((deg[:, 0] > 0) & (deg[:, 1] > 0))).all()
 
 
 # The energy partitioner's part sizes on the tree (333) and resilience (1000)
@@ -558,15 +565,24 @@ def reference_inheritance(g, nbrs, amask, bmask, eps, d, p):
 
 
 def test_inheritance_screen_matches_reference():
+    """Every entry of the table, both orientations of the pair, in both regimes and on
+    empty neighbourhoods.  Each vertex is listed six times, so that the vertices
+    span several blocks of host rows and every copy must agree."""
     g, host, x, y, p = scan_case(41, 23, 6)
     sparse = gnp(g.n, 0.03, 6)  # host neighbourhoods of a few vertices, some empty
+    masks, edges = [x.mask, y.mask], [(0, 1), (1, 0)]
+    vertices = np.tile(np.arange(g.n), 6)
+    assert len(vertices) > regularity._SCREEN_ROWS
     verdicts = []
     for h in (host, sparse):
-        for v in range(g.n):
-            for eps, d in ((0.2, 0.9), (0.3, 0.6), (0.25, 0.1)):
-                got = _inheritance_ok(g, h.neighbours(v), x.mask, y.mask, eps, d, p)
-                assert got == reference_inheritance(g, h.neighbours(v), x.mask, y.mask, eps, d, p)
-                verdicts.append(got)
+        deg = h.degree_table(masks, vertices)
+        for eps, d in ((0.2, 0.9), (0.3, 0.6), (0.25, 0.1)):
+            table = inheritance_table(g, h, vertices, masks, edges, deg, eps, d, p).reshape(6, g.n, 2)
+            for v in range(g.n):
+                for e, (a, b) in enumerate(edges):
+                    got = reference_inheritance(g, h.neighbours(v), masks[a], masks[b], eps, d, p)
+                    assert (table[:, v, e] == got).all()
+                    verdicts.append(got)
     assert 0.1 * len(verdicts) < sum(verdicts) < 0.9 * len(verdicts)
 
 
@@ -589,7 +605,9 @@ def reference_prefix_inheritance_ok(g, xmask, ymask, eps, d, p):
 
 def test_prefix_screen_matches_the_scan():
     """The threshold-size cut decides the screen as the scan of every prefix does,
-    on random graphs, sides, p and eps <= d, with both verdicts common."""
+    on random graphs, sides, p and eps <= d, with both verdicts common.  The table
+    reads the pair (X, Y) through a vertex w added to G, whose host neighbourhood
+    is X | Y: then both halves of w's entry are the one-pair screen of (X, Y)."""
     rng = rng_for(0, stream=61)
     verdicts = Counter()
     for seed in range(3000):
@@ -599,7 +617,10 @@ def test_prefix_screen_matches_the_scan():
         xmask, ymask = mask_of(np.flatnonzero(side == 0).tolist()), mask_of(np.flatnonzero(side == 1).tolist())
         eps = float(rng.uniform(0.05, 0.6))
         d, p = float(rng.uniform(eps, 1.0)), float(rng.uniform(0.05, 1.0))
-        got = _prefix_inheritance_ok(g, xmask, ymask, eps, d, p)
+        with_w = Graph.from_edges(n + 1, g.edges())
+        star = Graph.from_edges(n + 1, [(n, v) for v in iter_bits(xmask | ymask)])
+        deg = star.degree_table([xmask, ymask], [n])
+        got = bool(inheritance_table(with_w, star, [n], [xmask, ymask], [(0, 1)], deg, eps, d, p)[0, 0])
         assert got == reference_prefix_inheritance_ok(g, xmask, ymask, eps, d, p)
         verdicts[got] += 1
     assert min(verdicts[True], verdicts[False]) > 300
