@@ -12,12 +12,13 @@ many rows in bulk: vertex-to-set degrees with `row_mask_counts` (or
 `unpack_rows`; `bit_positions` lists a mask's set bits from its bytes.  Edge
 sets in bulk are int keys u * n + v, which a `PackedCopy` of the rows alone
 lists, a block of rows at a time and through a packed mask of a vertex
-subset, and deletes in place (`Graph.without_edges` deletes on one); the graph
-it becomes keeps its rows.  Every buffer of n packed rows (kept rows, a
-`PackedCopy`'s rows, the rows that `gnp` draws into and that
-`parse_graph_text` sets a file's edges in) and edge keys in bulk are written
-once, straight into a `mapped_array` outside the malloc heap; only small
-packed blocks live in the heap.  `gnp` draws its rows a small block at a
+subset, and deletes in place (`Graph.without_edges` deletes on one); it also
+counts, deletes and lists the edges of seeded pair labels (`PairLabels`) a
+block of words at a time, and the graph it becomes keeps its rows.  Every
+buffer of n packed rows (kept rows, a `PackedCopy`'s rows, the rows that
+`gnp` draws into and that `parse_graph_text` sets a file's edges in) and
+edge keys in bulk are written once, straight into a `mapped_array` outside
+the malloc heap; only small packed blocks live in the heap.  `gnp` draws its rows a small block at a
 time, so program code never holds an n x n bool matrix.  This module is the
 only one that knows that format or reads a graph's store.  All randomness
 flows through numpy's Philox generator so that identical seeds reproduce
@@ -35,6 +36,7 @@ import numpy as np
 __all__ = [
     "Graph",
     "PackedCopy",
+    "PairLabels",
     "VertexSet",
     "Labelling",
     "rng_for",
@@ -114,6 +116,15 @@ def _packed(masks, count: int, words: int) -> np.ndarray:
     return out.view("<u8").reshape(count, words)
 
 
+def _bool_words(flags: np.ndarray, words: int) -> np.ndarray:
+    """Rows of bools as fresh rows of `words` little-endian uint64 words, flag v
+    at bit v % 64 of word v // 64."""
+    out = np.zeros((len(flags), 8 * words), dtype=np.uint8)
+    packed = np.packbits(flags, axis=1, bitorder="little")
+    out[:, :packed.shape[1]] = packed
+    return out.view("<u8")
+
+
 def mapped_array(count: int, dtype) -> np.ndarray:
     """A writable zeroed array of `count` items of `dtype` in an anonymous memory
     map of its own, unmapped when the array dies.  A page of it takes memory
@@ -142,24 +153,24 @@ def row_mask_counts(rows: np.ndarray, masks) -> np.ndarray:
 
 
 # Rows of a vertex list that `Graph.degree_table` reads at once, and the edge
-# keys that `PackedCopy.delete` clears in one step
+# keys that `PackedCopy.delete` clears, or the words whose keys
+# `PackedCopy.read_labels` lists, in one step
 _ROW_BLOCK = 512
 _KEY_BLOCK = 1 << 16
-# Rows that `gnp` draws at once: one word of columns, so that the block's
-# transpose is a row of 64 x 64 bit tiles
+# Rows that `gnp` and `PairLabels` draw at once: one word of columns, so that
+# a block's transpose is a row of 64 x 64 bit tiles
 _GNP_ROWS = 64
 # Binary digits of p that `gnp` compares with uniform words before a pair
 # still undecided takes a double
 _GNP_DIGITS = 8
 # _ABOVE[i] keeps the bits above bit i: row i of a tile's strict upper triangle
 _ABOVE = np.array([(2**64 - 1) ^ (2 ** (i + 1) - 1) for i in range(64)], dtype=np.uint64)
-# The six swap rounds of a 64 x 64 bit transpose: round j swaps, between rows
-# whose index differs in bit j, the columns whose index differs in bit j; its
-# mask keeps the columns with bit j clear
-_SWAPS = [(j, np.uint64(sum(((2**j - 1) << k) for k in range(0, 64, 2 * j)))) for j in (32, 16, 8, 4, 2, 1)]
+# The three swap rounds of an 8 x 8 bit transpose of a word whose byte i is
+# row i: round (s, keep) swaps each kept bit with the bit s above it
+_SWAPS = [(np.uint64(s), np.uint64(keep)) for s, keep in
+          ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))]
 # Rows that `PackedCopy.edge_key_blocks` unpacks at once: few, so that a
-# block's keys stay small beside a buffer of a quarter of a graph's keys (256
-# rows cost the adversary's peak RSS at n = 4000; 32 or 16 rows buy nothing)
+# block's keys stay small
 _KEY_ROWS = 64
 # uint64 words of the rows-by-masks AND that `row_mask_counts` holds at once
 _COUNT_BLOCK = 1 << 16
@@ -396,11 +407,13 @@ class Graph:
 
 class PackedCopy:
     """A writable packed copy of a graph's rows: edges are listed from it and
-    deleted in it by key u * n + v, and `graph()` is the graph of its rows,
-    which it hands over.
+    deleted in it by key u * n + v or by label (see `PairLabels`), and
+    `graph()` is the graph of its rows, which it hands over.
 
     The copy is written once into a `mapped_array` of its own, from the
-    graph's `packed_rows()`.
+    graph's `packed_rows()`.  Until `graph()`, its edges are the bits of the
+    upper triangle, u < v: listing reads those alone and deleting clears
+    those alone, and `graph()` rebuilds the lower triangle from them.
     """
 
     __slots__ = ("n", "_rows")
@@ -419,7 +432,7 @@ class PackedCopy:
         rows are ANDed with the packed mask of `vertices` and unpacked."""
         n = self.n
         vs = np.arange(n) if vertices is None else np.asarray(vertices, dtype=np.int64)
-        mask = np.packbits(np.isin(np.arange(8 * self._rows.shape[1]), vs), bitorder="little")
+        mask = _bool_words(np.isin(np.arange(n), vs)[None], self._rows.shape[1] // 8)[0].view(np.uint8)
         for i0 in range(0, len(vs), _KEY_ROWS):
             us = vs[i0:i0 + _KEY_ROWS]
             block = unpack_rows(self._rows[us] & mask, n)
@@ -433,24 +446,84 @@ class PackedCopy:
                 hit += np.repeat((us - np.arange(len(us))) * n, np.diff(ends))
             yield hit
 
+    def read_labels(self, labels: PairLabels, live: np.ndarray, classes, jobs) -> list:
+        """Serve `jobs` in one read of `labels`, each over the copy's edges {u, v}
+        whose ends are both `live` (a bool per vertex) and, when `classes` (an
+        int per vertex) is given, in one class.  A job (label, safe, out)
+        covers those edges with `label`:
+
+        - With `safe` None, it counts them: its result is D[v], the number at
+          each vertex, from word popcounts along each block's rows and along
+          the rows of its transpose (`_columns`).
+        - Otherwise it deletes those whose two ends are `safe` (a bool per
+          vertex), clearing words, and writes the keys u * n + v (u < v) of
+          the others over the front of `out`, in no set order; its result is
+          their number.
+        """
+        n, rows = self.n, self._rows.view("<u8")
+        group = np.where(live, 0 if classes is None else classes, -1)
+        # partners[c] packs class c's live vertices; the last row, which a
+        # vertex not live picks by its group -1, is empty.  Every pair is
+        # between partners when all vertices are live in one class.
+        flags = group[None] == np.arange(int(group.max()) + 2)[:, None]
+        flags[-1] = False
+        partners = None if flags[0].all() else _bool_words(flags, rows.shape[1])
+        safe_words = [_bool_words(safe[None], rows.shape[1])[0] if safe is not None and safe.any() else None
+                      for _, safe, _ in jobs]
+        results = [np.zeros(n, dtype=np.int64) if safe is None else 0 for _, safe, _ in jobs]
+        found = [[] for _ in jobs]  # each take job's words not yet listed, with the key of their bit 0
+        pending = [0] * len(jobs)
+        for u0, w0, pairs, digits in labels.blocks():
+            at = slice(u0, u0 + len(pairs))
+            pairs &= rows[at, w0:]
+            if partners is not None:
+                pairs &= partners[group[at], w0:]
+            for i, (label, safe, out) in enumerate(jobs):
+                block = labels.select(pairs, digits, label)
+                if safe is None:
+                    results[i][at] += np.bitwise_count(block).sum(axis=1, dtype=np.int64)
+                    results[i][u0:] += np.bitwise_count(_columns(block)[:n - u0])
+                    continue
+                if safe_words[i] is not None:
+                    keep = ~(block & np.where(safe[at, None], safe_words[i][w0:], np.uint64(0)))
+                    rows[at, w0:] &= keep
+                    block &= keep
+                hit = np.flatnonzero(block)
+                row, word = np.divmod(hit, block.shape[1])
+                found[i].append((block.ravel()[hit], (u0 + row) * n + 64 * (w0 + word)))
+                pending[i] += len(hit)
+                if pending[i] >= _KEY_BLOCK:
+                    results[i], pending[i] = _write_keys(found[i], out, results[i]), 0
+        return [r if safe is None else _write_keys(f, out, r) for r, f, (_, safe, out) in zip(results, found, jobs)]
+
     def delete(self, keys) -> None:
-        """Clear both bits of each edge {u, v} of the keys u * n + v (ends in
-        [0, n)), `_KEY_BLOCK` keys at a time; an absent edge is skipped.  Keys
-        in ascending order walk the rows in order.  Raises ValueError after `graph()`."""
+        """Clear each edge {u, v} of the keys u * n + v (ends in [0, n), in either
+        order) at its bit in the upper triangle, `_KEY_BLOCK` keys at a time;
+        an absent edge is skipped.  Keys in ascending order walk the rows in
+        order.  Raises ValueError after `graph()`."""
         if not self._rows.flags.writeable:  # `ufunc.at` would write them regardless
             raise ValueError("the rows are read-only: graph() has handed them over")
         width = self._rows.shape[1]
         flat = self._rows.reshape(-1)
         for at in range(0, len(keys), _KEY_BLOCK):
             u, v = np.divmod(keys[at:at + _KEY_BLOCK].astype(np.int64), self.n)
+            u, v = np.minimum(u, v), np.maximum(u, v)
             np.bitwise_and.at(flat, u * width + (v >> 3), _CLEAR_BIT[v & 7])
-            np.bitwise_and.at(flat, v * width + (u >> 3), _CLEAR_BIT[u & 7])
 
     def graph(self) -> Graph:
         """The graph of the rows as they stand, which keeps them as its packed
-        rows: they become read-only, so the copy deletes nothing after this."""
-        self._rows.flags.writeable = False
-        return Graph._of_rows(self._rows.view("<u8"))
+        rows.  The first call rebuilds each block's lower triangle from its
+        upper one (`_columns`) and makes the rows read-only, so the copy
+        deletes nothing after this."""
+        n, rows = self.n, self._rows.view("<u8")
+        if self._rows.flags.writeable:
+            for u0, w0, upper in _upper_blocks(n):
+                upper &= rows[u0:u0 + len(upper), w0:]
+                keep = np.zeros(n - u0, dtype=np.uint64)  # the block's own upper bits in word w0
+                keep[:len(upper)] = _ABOVE[:len(upper)]
+                rows[u0:, w0] = rows[u0:, w0] & keep | _columns(upper)[:n - u0]
+            self._rows.flags.writeable = False
+        return Graph._of_rows(rows)
 
 
 @dataclass(frozen=True)
@@ -496,6 +569,94 @@ def _compare_digits(digits, words, undecided: np.ndarray) -> tuple[np.ndarray, n
     return edge, undecided
 
 
+def _upper_blocks(n: int):
+    """Yield (u0, w0, upper) for each block of `_GNP_ROWS` = 64 rows u0.. below
+    n - 1: `upper` is a fresh array of the block's rows of packed words from
+    word w0 = u0 // 64 onwards, with the bits of the pairs u < v < n set."""
+    words = (n + 63) // 64
+    last = np.uint64(2 ** (n - 64 * (words - 1)) - 1)
+    for u0 in range(0, n - 1, _GNP_ROWS):
+        w0 = u0 // 64
+        upper = np.full((min(u0 + _GNP_ROWS, n - 1) - u0, words - w0), ~np.uint64(0))
+        upper[:, 0] &= _ABOVE[:len(upper)]
+        upper[:, -1] &= last
+        yield u0, w0, upper
+
+
+def _columns(block: np.ndarray) -> np.ndarray:
+    """The transpose of `block`, at most 64 rows of packed words: word c of the
+    result holds bit c of the block's row i at bit i, for every column c.
+
+    Each 64 x 64 tile is cut into 8 x 8 bit squares, one word each with byte
+    i the square's row i; the squares are transposed by three swap rounds,
+    and their bytes regrouped into the words of the columns.
+    """
+    width = block.shape[1]
+    tiles = np.zeros((64, width), dtype="<u8")
+    tiles[:len(block)] = block
+    # byte k of row 8 * g + i, in column word j, is byte i of square (j, k, g)
+    squares = tiles.view(np.uint8).reshape(8, 8, width, 8).transpose(2, 3, 0, 1).copy().view("<u8")
+    for s, keep in _SWAPS:
+        swap = (squares ^ (squares >> s)) & keep
+        squares ^= swap ^ (swap << s)
+    # byte c of square (j, k, g) is byte g of column 64 * j + 8 * k + c
+    return squares.view(np.uint8).reshape(width, 8, 8, 8).transpose(0, 1, 3, 2).copy().view("<u8").ravel()
+
+
+class PairLabels:
+    """A label in [0, 2^digits) for each pair u < v of [n]: `digits` uniform
+    binary digits, top digit first, read from the raw words of a generator in
+    `gnp`'s block layout.  For each block of `_GNP_ROWS` = 64 rows u0.. below
+    n - 1, digit i takes one raw word per row and per word of columns from
+    the block's diagonal word onwards, row by row; bit v % 64 of the word of
+    (u, v // 64) is the pair's digit.
+
+    The labels are never held: each read draws them again, a block at a time,
+    from the state that the generator had when this was made, and leaves the
+    generator after the last block.
+    """
+
+    __slots__ = ("n", "digits", "_bits", "_state")
+
+    def __init__(self, n: int, rng: np.random.Generator, digits: int):
+        self.n, self.digits = n, digits
+        self._bits = rng.bit_generator
+        self._state = self._bits.state
+
+    def blocks(self):
+        """Yield (u0, w0, pairs, digits) for each block, as `_upper_blocks` yields
+        (u0, w0, pairs), with the block's digit words in digit order."""
+        self._bits.state = self._state
+        for u0, w0, pairs in _upper_blocks(self.n):
+            yield u0, w0, pairs, [self._bits.random_raw(pairs.shape) for _ in range(self.digits)]
+
+    def select(self, pairs: np.ndarray, digits, label: int) -> np.ndarray:
+        """A fresh array of the bits of `pairs` whose label, read from a block's
+        `digits` (at least one), is `label`."""
+        out = pairs
+        for i, raw in enumerate(digits):
+            out = out & (raw if label >> (self.digits - 1 - i) & 1 else ~raw)
+        return out
+
+
+def _write_keys(found: list, out: np.ndarray, count: int) -> int:
+    """Write the keys of `found`, pairs (words, base) of packed words and the key
+    of bit 0 of each, over `out` from `count` on, in no set order, and empty
+    `found`; return the new count.  Each round takes the lowest set bit of
+    every word still nonzero."""
+    words = np.concatenate([w for w, _ in found] + [np.zeros(0, dtype=np.uint64)])
+    base = np.concatenate([b for _, b in found] + [np.zeros(0, dtype=np.int64)])
+    found.clear()
+    while len(words):
+        low = words & (~words + np.uint64(1))
+        out[count:count + len(low)] = base + np.bitwise_count(low - np.uint64(1))
+        count += len(low)
+        words ^= low
+        more = words != 0
+        words, base = words[more], base[more]
+    return count
+
+
 def gnp(n: int, p: float, seed: int) -> Graph:
     """Binomial random graph: each unordered pair is an edge independently with probability p.
 
@@ -525,13 +686,8 @@ def gnp(n: int, p: float, seed: int) -> Graph:
         digits = [int(top) >> i & 1 for i in range(_GNP_DIGITS - 1, -1, -1)]
         if rest == 0.0 and p < 1.0:
             digits = digits[:len(digits) - digits[::-1].index(1)]
-        last = np.uint64(2 ** (n - 64 * (words - 1)) - 1)
         rng = rng_for(seed, 0)
-        for u0 in range(0, n - 1, _GNP_ROWS):
-            w0 = u0 // 64
-            undecided = np.full((min(u0 + _GNP_ROWS, n - 1) - u0, words - w0), ~np.uint64(0))
-            undecided[:, 0] &= _ABOVE[:len(undecided)]
-            undecided[:, -1] &= last
+        for u0, w0, undecided in _upper_blocks(n):
             if p == 1.0:
                 edge = undecided
             else:
@@ -544,18 +700,7 @@ def gnp(n: int, p: float, seed: int) -> Graph:
                     bits[bits] = rng.random(np.count_nonzero(bits)) < rest
                     edge.ravel()[at] |= np.packbits(bits, axis=1, bitorder="little").view("<u8").ravel()
             rows[u0:u0 + len(edge), w0:] |= edge
-            # The block's 64 x 64 tiles, transposed in place: tile j, column j
-            # of `tiles`, holds the edges of rows 64 * (w0 + j).. into the
-            # block, so its rows go to word w0 of those rows
-            tiles = np.zeros((64, words - w0), dtype=np.uint64)
-            tiles[:len(edge)] = edge
-            for j, keep in _SWAPS:
-                pairs = tiles.reshape(32 // j, 2, j, -1)
-                low, high = pairs[:, 0], pairs[:, 1]
-                swap = ((low >> j) ^ high) & keep
-                high ^= swap
-                low ^= swap << j
-            rows[u0:, w0] |= tiles.T.ravel()[:n - u0]
+            rows[u0:, w0] |= _columns(edge)[:n - u0]
     return Graph._of_rows(rows)
 
 

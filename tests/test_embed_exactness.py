@@ -529,7 +529,7 @@ K3_CFG = dict(
     guest_family="power_cycle:2", n=960, p=0.5, k=3, gamma=0.1, eps=0.35, d=0.1, mu=0.2,
     Delta=4, xi_guest=0.25,
 )
-K3_SEED = 4
+K3_SEED = 5
 
 
 def test_k3_pipeline_input_matches_reference(monkeypatch):

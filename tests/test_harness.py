@@ -605,15 +605,15 @@ PINNED_CONFIGS = [
     dict(TREE_CFG, seed=0),
 ]
 PINNED_ROWS = """\
-0,1000,0.4,2,0.2,hamilton_cycle,random,random,true,-,2,12,52,0
-1,1000,0.4,2,0.2,hamilton_cycle,random,random,true,-,2,12,45,0
-2,1000,0.4,2,0.2,hamilton_cycle,random,random,true,-,2,10,43,0
-3,1000,0.4,2,0.2,hamilton_cycle,random,random,true,-,2,12,49,0
+0,1000,0.4,2,0.2,hamilton_cycle,random,random,true,-,2,12,50,0
+1,1000,0.4,2,0.2,hamilton_cycle,random,random,true,-,2,12,46,0
+2,1000,0.4,2,0.2,hamilton_cycle,random,random,true,-,2,10,41,0
+3,1000,0.4,2,0.2,hamilton_cycle,random,random,true,-,2,12,47,0
 0,1000,0.4,2,0.2,hamilton_cycle,random,random,true,-,2,0,20,0
-1,1000,0.4,2,0.2,hamilton_cycle,random,random,true,-,2,2,26,0
-0,1000,0.4,2,0.2,hamilton_cycle,random,random,true,-,2,12,52,0
-1,1000,0.4,2,0.2,hamilton_cycle,random,random,true,-,2,12,45,0
-0,1000,0.4,2,0.2,hamilton_cycle,bipartite_push,random,true,-,2,12,49,0
+1,1000,0.4,2,0.2,hamilton_cycle,random,random,true,-,2,2,27,0
+0,1000,0.4,2,0.2,hamilton_cycle,random,random,true,-,2,12,50,0
+1,1000,0.4,2,0.2,hamilton_cycle,random,random,true,-,2,12,46,0
+0,1000,0.4,2,0.2,hamilton_cycle,bipartite_push,random,true,-,2,12,51,0
 1,1000,0.4,2,0.2,hamilton_cycle,bipartite_push,random,true,-,2,12,49,0
 0,1000,0.4,2,0.2,hamilton_cycle,random,random,false,host-structure:cleanup,0,0,0,0
 0,4000,0.4,2,0.2,hamilton_cycle,random,random,true,-,2,0,16,0

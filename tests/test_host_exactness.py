@@ -3,41 +3,46 @@
 The oracles are the edge-list versions of `gnp` and `adversary_delete`: a
 pair-by-pair comparison of p's binary digits with bits of the raw Philox
 words, read in the block layout that `gnp` documents, and a greedy over a
-list of edge tuples, ordered by a pure-Python copy of the adversary's keyed
-priority (the murmur3 finaliser on Python ints mod 2^w).  The bit-matrix
-versions must reproduce their graphs exactly.
+list of edge tuples.  The `random` and `bipartite_push` greedy orders the
+edges by bucket label, read pair by pair from raw words of the adversary's
+stream in the same layout (`oracle_labels`), then by a pure-Python copy of
+the keyed priority (the murmur3 finaliser on Python ints mod 2^w).  The
+bit-matrix versions must reproduce their graphs exactly.
 
-`adversary_delete` settles its greedy one block of 4n keys at a time,
-deleting the keys whose ends cannot run out of spare degree in the block at
-once.  The cases at n = 300 span several blocks; the cross-block cases (n of
-1000 to 1400, dozens of blocks) also cover a cap that runs out in a later
-block, a floor at the minimum degree, and vertices whose live keys in a block
-equal their spare, and a regular host covers blocks where every vertex is
-unsafe.  Each of those also checks the blocked greedy against
-`reference_greedy_delete`, the key-by-key scan it replaced, on every call's
-keys, and so does the benchmark's resilience host at n = 4000.
-
-The `random` and `bipartite_push` greedy scans the priority order in four
-buckets, split by the top two bits of the priority word, and lists each
-bucket after the first only among the vertices that still have spare degree.
-Cases at n = 1000 cover a cap that runs out in bucket 1 and one that runs out
-in bucket 2, a floor low enough that most vertices keep spare past bucket 1,
-and bipartite_push at k = 3, and check that each bucket holds its own keys
-and is scanned in turn; on the resilience host the buckets' key counts bound
-the key buffer, a memory map that tracemalloc does not see.  The
-priority order itself is checked for a round trip, determinism and
-uniformity, and the adversary for holding no array of keys in the heap.
+`adversary_delete` scans its 8 buckets in turn.  A bucket's keys between two
+vertices that cannot run out of spare degree in it (safe vertices) are
+deleted at word speed, and only the others are listed, sorted and scanned
+by the greedy, which settles them one block of 4n keys at a time in the same
+way.  The cases at n = 300 and 700 cover caps, classes and the triangle
+killer; the cross-block cases (n of 1000 to 1400) scan buckets of dozens of
+blocks, with a cap that runs out in a later block, a floor at the minimum
+degree, and vertices whose live keys in a block equal their spare, and a
+regular host covers buckets where every vertex is unsafe.  Each of those
+also checks the blocked greedy against `reference_greedy_delete`, the
+key-by-key scan it replaced, on every call's keys, and so does the
+benchmark's resilience host at n = 4000, whose per-bucket key counts bound
+the key buffers, memory maps that tracemalloc does not see.  Cases at
+n = 1000 cover caps that run out in buckets 1, 2 and 4 (the last in the one
+read that lists the last buckets among the few vertices with spare), a
+bucket deleted whole but for the keys of its unsafe vertices, a cap inside a
+bucket that would otherwise be deleted whole, a floor low enough that the
+first buckets go whole, and bipartite_push at k = 3; each checks that a
+bucket's listed keys carry its label and come in priority order.  One read
+of the labels serving several buckets is checked against each pair's label,
+and the priority order itself for a round trip, determinism and uniformity,
+and the adversary for holding no array of keys in the heap.
 
 `gnp` draws blocks of `_GNP_ROWS` rows, and a `PackedCopy` lists edge keys
 `_KEY_ROWS` rows at a time and clears bits on packed bytes: the cases at n
 from 1 to 1100 put rows and columns on both sides of a byte, a word and a
 block, and compare with `reference_edge_keys` and `reference_without_edges`,
-the code they replaced.  Neither path may hold an n x n matrix: at n = 3000
-the peak that tracemalloc sees stays under the n^2 bytes of one bool matrix.
-Nor may any n packed rows pass through the heap: kept rows, a `PackedCopy`'s
-rows and `gnp`'s rows are written straight into a memory map, which
-tracemalloc does not see, so at n = 3000 it sees a small fraction of their
-n^2/8 bytes.
+the code they replaced.  Both transpose 64 x 64 bit tiles with one helper,
+checked against a bool-matrix transpose.  Neither path may hold an n x n
+matrix: at n = 3000 the peak that tracemalloc sees stays under the n^2 bytes
+of one bool matrix.  Nor may any n packed rows pass through the heap: kept
+rows, a `PackedCopy`'s rows and `gnp`'s rows are written straight into a
+memory map, which tracemalloc does not see, so at n = 3000 it sees a small
+fraction of their n^2/8 bytes.
 """
 
 import mmap
@@ -50,7 +55,7 @@ import pytest
 from helpers import bit_matrix, complete_graph, empty_graph
 from spanembed import harness
 from spanembed.graph_core import (
-    _GNP_ROWS, _KEY_BLOCK, _KEY_ROWS, _ROW_BLOCK, Graph, PackedCopy, gnp, iter_bits, rng_for,
+    _GNP_ROWS, _KEY_BLOCK, _KEY_ROWS, _ROW_BLOCK, Graph, PackedCopy, PairLabels, _columns, gnp, iter_bits, rng_for,
 )
 from spanembed.harness import ConfigError, _mix, _unmix, adversary_delete
 
@@ -119,13 +124,38 @@ def oracle_fmix(h, width):
     return h ^ (h >> s2)
 
 
-def oracle_priority_order(edges, n, rng):
-    """`edges` sorted by the priority fmix(key ^ salt) of their keys u * n + v,
-    with one salt word drawn from `rng`; the words are 32 bits wide when the
-    keys fit an int32, as for n * n < 2^31."""
+def oracle_labels(n, rng, digits):
+    """Each pair's bucket label, pair by pair from the raw words of `rng` in the
+    layout that `gnp` documents, as a function of (u, v), u < v.
+
+    For each block of 64 rows u0.. below n - 1, digit i of the label takes
+    one raw word per row u of the block and per word index w from u0 // 64
+    to the last, row by row; bit v % 64 of the word of (u, v // 64) is the
+    pair's digit, and digit 0 is the label's top binary digit.
+    """
+    span = -(-n // 64)
+    raw = {}
+    for u0 in range(0, n - 1, 64):
+        rows = min(u0 + 64, n - 1) - u0
+        raw[u0] = [rng.bit_generator.random_raw(rows * (span - u0 // 64)).tolist() for _ in range(digits)]
+
+    def label(u, v):
+        u0 = u - u % 64
+        at, bit = (u - u0) * (span - u0 // 64) + v // 64 - u0 // 64, v % 64
+        return sum((words[at] >> bit & 1) << (digits - 1 - i) for i, words in enumerate(raw[u0]))
+
+    return label
+
+
+def oracle_scan_order(edges, n, rng):
+    """`edges` sorted by their bucket label, then by the priority fmix(key ^ salt)
+    of their keys u * n + v: one salt word drawn from `rng`, then the labels'
+    words (`oracle_labels`, log2 of `harness._BUCKETS` digits).  The words
+    are 32 bits wide when the keys fit an int32, as for n * n < 2^31."""
     width = 32 if n * n < 2**31 else 64
     salt = int(rng.integers(0, 1 << width, dtype=f"u{width // 8}"))
-    return sorted(edges, key=lambda e: oracle_fmix((e[0] * n + e[1]) ^ salt, width))
+    label = oracle_labels(n, rng, harness._BUCKETS.bit_length() - 1)
+    return sorted(edges, key=lambda e: (label(*e), oracle_fmix((e[0] * n + e[1]) ^ salt, width)))
 
 
 def oracle_adversary_delete(g, strategy, gamma, k, p, seed=0, budget=None, target=0):
@@ -146,7 +176,7 @@ def oracle_adversary_delete(g, strategy, gamma, k, p, seed=0, budget=None, targe
         return out
 
     if strategy == "random":
-        return g.without_edges(greedy(oracle_priority_order(list(g.edges()), n, rng), budget))
+        return g.without_edges(greedy(oracle_scan_order(list(g.edges()), n, rng), budget))
     if strategy == "triangle_killer":
         nbrs = list(iter_bits(g.neighbours(target)))
         inside = [(u, v) for ii, u in enumerate(nbrs) for v in nbrs[ii + 1:] if g.has_edge(u, v)]
@@ -159,7 +189,7 @@ def oracle_adversary_delete(g, strategy, gamma, k, p, seed=0, budget=None, targe
     assert strategy == "bipartite_push"
     classes = [int(x) for x in rng.integers(0, k, size=n)]
     edges = [(u, v) for u, v in g.edges() if classes[u] == classes[v]]
-    return g.without_edges(greedy(oracle_priority_order(edges, n, rng), budget))
+    return g.without_edges(greedy(oracle_scan_order(edges, n, rng), budget))
 
 
 @pytest.mark.parametrize(
@@ -268,6 +298,63 @@ def test_deletion_matches_reference_and_keeps_the_source(n, p, seed):
     edit.delete(keys)
     assert edit.graph() == expect and twin.without_edges(pairs) == expect
     assert twin._rows is None and twin == g
+
+
+def packed(a):
+    """The rows of the bool matrix `a` as packed little-endian words, 64 columns a word."""
+    bytes_ = np.packbits(a, axis=1, bitorder="little")
+    out = np.zeros((len(a), 8 * -(-a.shape[1] // 64)), dtype=np.uint8)
+    out[:, :bytes_.shape[1]] = bytes_
+    return out.view("<u8")
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 700])
+def test_tile_transpose_matches_bool_transpose(n):
+    """`_columns`, the bit-tile transpose that `gnp` and `PackedCopy.graph()`
+    share, against a bool-matrix transpose: each block of at most 64 rows of a
+    random n x n matrix becomes the words of its columns.  A `PackedCopy`
+    whose upper triangle lost random edges rebuilds its lower triangle to
+    match."""
+    rng = rng_for(n, stream=5)
+    a = rng.random((n, n)) < 0.5
+    rows = packed(a)
+    for u0 in range(0, n, 64):
+        cols = _columns(rows[u0:u0 + 64])
+        bits = np.unpackbits(cols.view(np.uint8), bitorder="little").reshape(-1, 64).view(bool)
+        assert np.array_equal(bits[:n, :len(a[u0:u0 + 64])], a[u0:u0 + 64].T) and not bits[n:].any()
+    g = gnp(n, 0.5, n)
+    edges = list(g.edges())
+    drop = [edges[int(i)] for i in rng.choice(len(edges), size=len(edges) // 2)] if edges else []
+    edit = PackedCopy(g)
+    edit.delete(np.array([u * n + v if rng.random() < 0.5 else v * n + u for u, v in drop], dtype=np.int64))
+    assert edit.graph() == reference_without_edges(g, drop)
+
+
+@pytest.mark.parametrize("n,classes", [(130, None), (300, None), (300, 3)])
+def test_label_reads_match_brute_force(n, classes):
+    """One read of `PairLabels` serving a count, a take and a whole listing of
+    two labels, over random live vertices (and classes), against each pair's
+    label read as `oracle_labels` reads it: the counts per vertex, the listed
+    keys, and the rows left, less the keys with two safe ends."""
+    g = gnp(n, 0.5, n)
+    rng = rng_for(n, stream=6)
+    live = rng.random(n) < 0.8
+    safe = rng.random(n) < 0.7
+    group = None if classes is None else rng.integers(0, classes, size=n)
+    labels = PairLabels(n, rng_for(n, stream=7), 3)
+    label = oracle_labels(n, rng_for(n, stream=7), 3)
+    out = [np.zeros(g.m, dtype=np.int64) for _ in range(2)]
+    edit = PackedCopy(g)
+    occ, took, listed = edit.read_labels(
+        labels, live, group, [(2, None, None), (2, safe, out[0]), (5, np.zeros(n, dtype=bool), out[1])]
+    )
+    keys = {b: [(u, v) for u, v in g.edges() if label(u, v) == b and live[u] and live[v]
+                and (group is None or group[u] == group[v])] for b in (2, 5)}
+    assert occ.tolist() == np.bincount(np.array(keys[2], dtype=np.int64).ravel(), minlength=n).tolist()
+    cleared = [e for e in keys[2] if safe[e[0]] and safe[e[1]]]
+    assert sorted(out[0][:took].tolist()) == sorted(u * n + v for u, v in keys[2] if (u, v) not in set(cleared))
+    assert sorted(out[1][:listed].tolist()) == [u * n + v for u, v in keys[5]]
+    assert edit.graph() == reference_without_edges(g, cleared)
 
 
 def test_deletion_rejects_an_end_outside_the_graph():
@@ -412,18 +499,20 @@ def block_profile(keys, spare, n):
     "strategy,n,p,gamma,k,seed,budget,target",
     [
         ("random", 1000, 0.6, 0.2, 2, 0, None, 0),
-        ("random", 1000, 0.6, 0.2, 2, 1, 80_000, 0),  # 89k deletions uncapped
+        ("random", 1000, 0.6, 0.2, 2, 1, 80_000, 0),  # 89 992 deletions uncapped, 75 267 after bucket 1
         ("bipartite_push", 1400, 0.6, 0.2, 2, 2, None, 0),
         ("triangle_killer", 1100, 0.8, 0.05, 1, 3, None, 5),
     ],
 )
 def test_cross_block_adversary_matches_oracle(greedy_calls, strategy, n, p, gamma, k, seed, budget, target):
+    """The one bucket scanned whole in order (the triangle killer's keys) spans
+    several blocks of the greedy."""
     host = gnp(n, p, seed)
     args = (host, strategy, gamma, k, p)
     kwargs = dict(seed=seed, budget=budget, target=target)
     expect = oracle_adversary_delete(*args, **kwargs)
     assert adversary_delete(*args, **kwargs) == expect
-    assert len(greedy_calls[0][0][0]) >= 4 * (4 * n)
+    assert max(len(keys) for (keys, _, _), _, _ in greedy_calls) >= 4 * (4 * n)
     for call in greedy_calls:
         assert_matches_reference(call)
     if budget is not None:
@@ -437,26 +526,28 @@ def test_tight_floor_matches_oracle(greedy_calls, slack):
     gamma = (host.min_degree() - slack - 0.5) / (0.6 * 1000) - 1 / 2  # floor `slack` under the min degree at k = 2
     expect = oracle_adversary_delete(host, "random", gamma, 2, 0.6, seed=1)
     assert adversary_delete(host, "random", gamma, 2, 0.6, seed=1) == expect
-    (keys, spare, _), _, _ = greedy_calls[0]
-    profile = block_profile(keys, spare, host.n)
     for call in greedy_calls:
         assert_matches_reference(call)
-    assert len(profile) >= 4
     if slack == 0:
-        # spare from 0 up: vertices on both sides of the safe test's `<=`
-        # boundary in the second block
-        assert profile[1][1] > 0 and profile[1][2] > 0
+        # spare from 0 up, under the ~75 keys a vertex has in a bucket: bucket
+        # 0 is listed but for the keys between safe vertices, and its scan
+        # has vertices on both sides of the safe test's `<=` boundary in its
+        # second block
+        (keys, spare, _), _, _ = greedy_calls[0]
+        profile = block_profile(keys, spare, host.n)
+        assert len(profile) >= 4 and profile[1][1] > 0 and profile[1][2] > 0
     else:
-        # spare far above the ~8 live keys a vertex has in a block: every
-        # vertex is safe in the first block, which one numpy step selects
-        assert profile[0][0] == 0.0
+        # spare far above a bucket's keys: every vertex is safe in bucket 0,
+        # which is deleted whole at word speed with no key listed
+        assert len(greedy_calls[0][0][0]) == 0 and len(greedy_calls[1][0][0]) > 0
 
 
 def test_regular_host_floor_matches_oracle(greedy_calls):
     """K_300 with a spare of 1 at every vertex, so that the greedy picks a
-    maximal matching: each vertex's ~8 live keys in the first block outnumber
-    its spare, so every vertex is unsafe there and the Python scan reads that
-    block whole."""
+    maximal matching: each vertex's ~37 keys in bucket 0 outnumber its spare,
+    so no key is deleted at word speed, and each vertex's ~8 live keys in the
+    scan's first block outnumber it too, so the Python scan reads that block
+    whole."""
     n = 300
     host = complete_graph(n)
     gamma = (n - 2.5) / n - 1 / 2  # floor 1.5 under the degree n - 1 at k = 2, p = 1
@@ -481,48 +572,54 @@ def test_blocked_triangle_killer_greedy_matches_reference(greedy_calls):
 
 
 def test_resilience_host_matches_reference(greedy_calls):
-    """The `resilience-gnp-n4000` benchmark host, seed 0: buckets 0 and 1 of the
-    priority order hold 799 225 and 796 959 keys, about 50 blocks each, and
-    leave 196 of 4000 vertices with spare degree, so buckets 2 and 3, listed
-    among those alone, hold 2159 and 292 of their 1.6 M keys.  The keys live
-    in a memory map, which tracemalloc does not see, so these counts are what
+    """The `resilience-gnp-n4000` benchmark host, seed 0, with 3 200 032 edges
+    and about 400 000 in each of the 8 buckets.  Every vertex is safe in bucket
+    0, which is deleted with no key listed, and 7 are unsafe in bucket 1, so
+    its scan lists 1452 keys.  Bucket 2 is listed whole, 399 691 keys, and
+    leaves 572 of the 4000 vertices with spare degree, so buckets 3 to 7,
+    listed among those alone, hold about 8900 keys each.  The keys live in
+    memory maps, which tracemalloc does not see, so these counts are what
     bound them."""
     host = gnp(4000, 0.4, 0)
     adversary_delete(host, "random", 0.2, 2, 0.4, seed=0)
     counts = [len(keys) for (keys, _, _), _, _ in greedy_calls]
     with_spare = [sum(s > 0 for s in spare) for (_, spare, _), _, _ in greedy_calls]
-    assert len(counts) == harness._BUCKETS == 4 and max(counts) <= 0.27 * host.m
-    assert min(counts[:2]) > 40 * (4 * host.n) and max(counts[2:]) <= 0.01 * host.m
-    assert with_spare[0] == host.n and with_spare[2] < 0.1 * host.n
+    assert len(counts) == harness._BUCKETS == 8
+    assert counts[:3] == [0, 1452, 399_691] and max(counts[3:]) <= 0.003 * host.m
+    assert with_spare[:4] == [host.n, host.n, 3992, 572]
     for call in greedy_calls:
         assert_matches_reference(call)
 
 
-def scan_salt(strategy, k, n, seed):
-    """The salt of the adversary's int32 priority words at `seed`: `bipartite_push`
-    draws its classes from the same stream first."""
+def scan_stream(strategy, k, n, seed):
+    """The salt of the adversary's int32 priority words at `seed` and its bucket
+    labels (`oracle_labels`): `bipartite_push` draws its classes from the same
+    stream first."""
     rng = rng_for(seed, stream=101)
     if strategy == "bipartite_push":
         rng.integers(0, k, size=n)
-    return rng.integers(0, 1 << 32, dtype="u4")
+    salt = rng.integers(0, 1 << 32, dtype="u4")
+    return salt, oracle_labels(n, rng, harness._BUCKETS.bit_length() - 1)
 
 
 @pytest.mark.parametrize(
     "strategy,k,gamma,seed,budget",
     [
-        ("random", 2, 0.2, 1, 80_000),  # 74 952 deletions in bucket 0, 89 788 after bucket 1
-        ("random", 2, 0.2, 1, 89_900),  # 89 959 deletions after bucket 2, 90 007 uncapped
-        ("random", 2, 0.0, 1, None),  # 621 of the 1000 vertices keep spare past bucket 1
-        ("bipartite_push", 3, 0.05, 2, None),  # buckets 0 and 1 spend no vertex
+        ("random", 2, 0.2, 1, 60_000),  # 37 830 deletions in bucket 0, 75 267 after bucket 1
+        ("random", 2, 0.2, 1, 80_000),  # 89 106 after bucket 2
+        ("random", 2, 0.2, 1, 89_900),  # 89 760 after bucket 3, 89 917 after bucket 4, 89 992 uncapped
+        ("random", 2, 0.0, 1, None),  # buckets 0 to 2 deleted whole, 594 of the 1000 vertices keep spare past bucket 3
+        ("bipartite_push", 3, 0.05, 2, None),  # buckets 0 to 4 spend no vertex
     ],
 )
 def test_later_buckets_match_oracle(greedy_calls, strategy, k, gamma, seed, budget):
-    """Buckets 1 to 3 of the priority order, listed only among the vertices
-    that still have spare degree: a cap that runs out in bucket 1 and one that
-    runs out in bucket 2, a floor low enough that most vertices keep spare
-    past bucket 1, and bipartite_push at k = 3.  Bucket b holds exactly the
-    keys whose priority word has b as its top two bits, and the buckets are
-    scanned in that order."""
+    """Each bucket of the scan order in turn: a cap that runs out in bucket 1,
+    which the cap has listed whole, one that runs out in bucket 2, listed
+    whole in the read of bucket 1, and one that runs out in bucket 4, in the
+    last read, which lists buckets 3 to 7 among the few vertices that still
+    have spare degree; a floor low enough that the first buckets are deleted
+    whole, and bipartite_push at k = 3.  Each bucket's listed keys have its
+    label, and are scanned in priority order."""
     n, p = 1000, 0.6
     host = gnp(n, p, seed)
     args = (host, strategy, gamma, k, p)
@@ -530,23 +627,59 @@ def test_later_buckets_match_oracle(greedy_calls, strategy, k, gamma, seed, budg
     assert adversary_delete(*args, seed=seed, budget=budget) == expect
     for call in greedy_calls:
         assert_matches_reference(call)
-    salt = scan_salt(strategy, k, n, seed)
-    for bucket, ((keys, spare, _), _, _) in enumerate(greedy_calls):
+    salt, label = scan_stream(strategy, k, n, seed)
+    for bucket, ((keys, _, _), _, _) in enumerate(greedy_calls):
         words = keys.view("u4").copy()
         _mix(words, salt)
-        assert (words >> 30 == bucket).all() and (np.diff(words.astype(np.int64)) > 0).all()
-        if bucket > 0:  # listed among the vertices with spare alone
-            has = np.asarray(spare) > 0
-            assert len(keys) > 0 and has[keys // n].all() and has[keys % n].all()
+        assert all(label(*divmod(int(key), n)) == bucket for key in keys)
+        assert (np.diff(words.astype(np.int64)) > 0).all()
     deleted = [len(got) for _, got, _ in greedy_calls]
     if budget is not None:
-        last = 1 if budget < 89_788 else 2
+        last = 1 if budget < 75_267 else 2 if budget < 89_106 else 4
         assert len(greedy_calls) == last + 1 and host.m - expect.m == budget
-        assert greedy_calls[last][0][2] == budget - sum(deleted[:last]) == deleted[last]  # the cap binds there
+        assert greedy_calls[last][0][2] == deleted[last] > 0  # the cap binds there
+        if last == 1:  # bucket 1 is listed whole, although all but 25 vertices are safe in it
+            assert len(greedy_calls[1][0][0]) == sum(label(u, v) == 1 for u, v in host.edges())
     else:
         assert len(greedy_calls) == harness._BUCKETS
     if gamma == 0.0:
-        assert sum(s > 0 for s in greedy_calls[1][2]) > n // 2
+        assert [len(keys) for (keys, _, _), _, _ in greedy_calls[:3]] == [0, 0, 0]
+        assert sum(s > 0 for s in greedy_calls[3][2]) > n // 2
+
+
+def test_whole_bucket_lists_only_keys_at_unsafe_vertices(greedy_calls):
+    """Bucket 1 of the n = 1000 host at seed 1 holds 37 612 keys and 25 unsafe
+    vertices: the keys between safe vertices are deleted at word speed, and
+    the scan lists the 1999 others, each with an unsafe end, in order."""
+    n, p = 1000, 0.6
+    host = gnp(n, p, 1)
+    expect = oracle_adversary_delete(host, "random", 0.2, 2, p, seed=1)
+    assert adversary_delete(host, "random", 0.2, 2, p, seed=1) == expect
+    _, label = scan_stream("random", 2, n, 1)
+    (keys, spare, _), _, _ = greedy_calls[1]
+    start = np.asarray(greedy_calls[0][2])  # spare at bucket 1's start
+    ends = np.array([e for e in host.edges() if label(*e) == 1])
+    occ = np.bincount(ends.ravel(), minlength=n)
+    unsafe = occ > start
+    assert len(ends) == 37_612 and np.count_nonzero(unsafe) == 25 and len(keys) == 1999
+    u, v = np.divmod(keys.astype(np.int64), n)
+    assert (unsafe[u] | unsafe[v]).all()
+    assert np.count_nonzero(unsafe[ends[:, 0]] | unsafe[ends[:, 1]]) == len(keys)
+    assert_matches_reference(greedy_calls[1])
+
+
+def test_cap_inside_a_whole_bucket_lists_it_in_order(greedy_calls):
+    """Every vertex is safe in bucket 0 of the n = 1000 host at seed 1, so it
+    would be deleted whole; a cap of 20 000 of its 37 830 keys needs its
+    order, so the scan lists all of them and stops there."""
+    n, p = 1000, 0.6
+    host = gnp(n, p, 1)
+    expect = oracle_adversary_delete(host, "random", 0.2, 2, p, seed=1, budget=20_000)
+    assert adversary_delete(host, "random", 0.2, 2, p, seed=1, budget=20_000) == expect
+    assert host.m - expect.m == 20_000 and len(greedy_calls) == 1
+    (keys, _, cap), got, _ = greedy_calls[0]
+    assert len(keys) == 37_830 and cap == len(got) == 20_000
+    assert_matches_reference(greedy_calls[0])
 
 
 def traced_peak(fn, *args):
