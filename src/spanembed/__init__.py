@@ -4,7 +4,8 @@ Submodules follow the pipeline order: graph_core (bitset kernel), regularity
 (pair predicates and regular partitions), reduced_graph (backbone structure and
 host cleanup), guest_prep (guest-side assignment), balancing (exact cluster
 sizing), pre_embedding (exceptional-vertex cover), embedder (spanning
-completion), oracles (brute-force ground truth), harness (experiments + CLI).
+completion), oracles (brute-force ground truth), adversary (edge deletion
+down to the degree floor), harness (experiments + CLI).
 """
 
 from .graph_core import (

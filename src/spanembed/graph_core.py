@@ -11,18 +11,19 @@ many rows in bulk: vertex-to-set degrees with `row_mask_counts` (or
 `Graph.degree_table`, which reads the rows itself), 0/1 blocks with
 `unpack_rows`; `bit_positions` lists a mask's set bits from its bytes.  Edge
 sets in bulk are int keys u * n + v, which a `PackedCopy` of the rows alone
-lists, a block of rows at a time and through a packed mask of a vertex
-subset, and deletes in place (`Graph.without_edges` deletes on one); it also
-counts, deletes and lists the edges of seeded pair labels (`PairLabels`) a
-block of words at a time, and the graph it becomes keeps its rows.  Every
-buffer of n packed rows (kept rows, a `PackedCopy`'s rows, the rows that
-`gnp` draws into and that `parse_graph_text` sets a file's edges in) and
-edge keys in bulk are written once, straight into a `mapped_array` outside
-the malloc heap; only small packed blocks live in the heap.  `gnp` draws its rows a small block at a
-time, so program code never holds an n x n bool matrix.  This module is the
-only one that knows that format or reads a graph's store.  All randomness
-flows through numpy's Philox generator so that identical seeds reproduce
-identical graphs everywhere.
+deletes in place (`Graph.without_edges` deletes on one); it also counts,
+deletes and lists the edges of seeded pair labels (`PairLabels`) a block of
+words at a time, and the graph it becomes keeps its rows.
+`Graph.without_edges_inside` drops the edges inside a vertex set by word ANDs
+on a copy of the rows.  Every buffer of n packed rows (kept rows, a
+`PackedCopy`'s rows, the rows that `gnp` draws into and that
+`parse_graph_text` sets a file's edges in) and edge keys in bulk are written
+once, straight into a `mapped_array` outside the malloc heap; only small
+packed blocks live in the heap.  `gnp` draws its rows a small block at a time,
+so program code never holds an n x n bool matrix.  This module is the only one
+that knows that format or reads a graph's store.  All randomness flows through
+numpy's Philox generator so that identical seeds reproduce identical graphs
+everywhere.
 """
 
 from __future__ import annotations
@@ -54,7 +55,12 @@ __all__ = [
     "read_graph_file",
     "parse_graph_text",
     "StageError",
+    "ConfigError",
 ]
+
+
+class ConfigError(ValueError):
+    """A configuration, or a host file, that no run can use."""
 
 
 class StageError(RuntimeError):
@@ -137,6 +143,13 @@ def mapped_array(count: int, dtype) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, max(count * dtype.itemsize, 1)), dtype=dtype, count=count)
 
 
+def _mapped_copy(rows: np.ndarray) -> np.ndarray:
+    """A writable copy of `rows` in a `mapped_array`."""
+    out = mapped_array(rows.size, rows.dtype).reshape(rows.shape)
+    out[...] = rows
+    return out
+
+
 def row_mask_counts(rows: np.ndarray, masks) -> np.ndarray:
     """D[i, c] = |rows[i] & masks[c]| as a signed int32 array, for rows in the format
     of `Graph.packed_rows` and int bitmasks `masks` over the same vertices.
@@ -169,9 +182,6 @@ _ABOVE = np.array([(2**64 - 1) ^ (2 ** (i + 1) - 1) for i in range(64)], dtype=n
 # row i: round (s, keep) swaps each kept bit with the bit s above it
 _SWAPS = [(np.uint64(s), np.uint64(keep)) for s, keep in
           ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))]
-# Rows that `PackedCopy.edge_key_blocks` unpacks at once: few, so that a
-# block's keys stay small
-_KEY_ROWS = 64
 # uint64 words of the rows-by-masks AND that `row_mask_counts` holds at once
 _COUNT_BLOCK = 1 << 16
 # _CLEAR_BIT[b] is a byte with every bit but b set
@@ -363,6 +373,14 @@ class Graph:
         edit.delete(ends[:, 0] * self.n + ends[:, 1])
         return edit.graph()
 
+    def without_edges_inside(self, mask: int) -> "Graph":
+        """This graph less every edge with both ends in the vertex set `mask`: on
+        a copy of the packed rows, each row of the set ANDed with the set's
+        complement."""
+        rows = _mapped_copy(self.packed_rows())
+        rows[bit_positions(mask)] &= ~_packed([mask], 1, rows.shape[1])[0]
+        return Graph._of_rows(rows)
+
     def common_neighbourhood(self, vertices, within: int | None = None) -> int:
         m = (1 << self.n) - 1 if within is None else within
         for v in vertices:
@@ -420,31 +438,7 @@ class PackedCopy:
 
     def __init__(self, g: Graph):
         self.n = g.n
-        source = g.packed_rows()
-        rows = mapped_array(source.size, source.dtype).reshape(source.shape)
-        rows[...] = source
-        self._rows = rows.view(np.uint8)
-
-    def edge_key_blocks(self, vertices=None):
-        """Yield the edges {u, v} with u < v of the subgraph induced on `vertices`
-        (ascending and distinct; all of [n] by default) as int64 keys u * n + v,
-        ascending, one array for each `_KEY_ROWS` rows of `vertices`, whose
-        rows are ANDed with the packed mask of `vertices` and unpacked."""
-        n = self.n
-        vs = np.arange(n) if vertices is None else np.asarray(vertices, dtype=np.int64)
-        mask = _bool_words(np.isin(np.arange(n), vs)[None], self._rows.shape[1] // 8)[0].view(np.uint8)
-        for i0 in range(0, len(vs), _KEY_ROWS):
-            us = vs[i0:i0 + _KEY_ROWS]
-            block = unpack_rows(self._rows[us] & mask, n)
-            for i, u in enumerate(us.tolist()):
-                block[i, :u + 1] = False  # keep the columns v > u
-            hit = np.flatnonzero(block)
-            if vertices is None:
-                hit += i0 * n
-            else:  # row i's hits i * n + v are the keys u * n + v for u = us[i]
-                ends = np.searchsorted(hit, np.arange(len(us) + 1) * n)
-                hit += np.repeat((us - np.arange(len(us))) * n, np.diff(ends))
-            yield hit
+        self._rows = _mapped_copy(g.packed_rows()).view(np.uint8)
 
     def read_labels(self, labels: PairLabels, live: np.ndarray, classes, jobs) -> list:
         """Serve `jobs` in one read of `labels`, each over the copy's edges {u, v}

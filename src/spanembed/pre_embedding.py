@@ -12,6 +12,7 @@ from __future__ import annotations
 import collections
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,24 +147,35 @@ def _anchor_candidates(
     assignment: GuestAssignment,
     r: int,
     forbid_c4: bool,
-) -> list[int]:
-    """Guest vertices usable as anchors, in labelling order: independent
-    neighbourhood and a constant-row, zero-free assignment on their (r+2)-ball.
+) -> Iterator[int]:
+    """Yield the guest vertices usable as anchors, in labelling order:
+    independent neighbourhood and a constant-row, zero-free assignment on
+    their (r+2)-ball.
 
     The ball of x avoids every vertex off x's row or of colour 0 exactly when
     no such vertex lies within distance r+2 of x, so one BFS per row, from all
-    the vertices that row's anchors must not see, decides every x at once.
+    the vertices that row's anchors must not see, decides every x of the row;
+    it runs when the scan first reaches the row.
     """
     f = assignment.f
     sig = assignment.sigma_prime.sigma
-    reached = {
-        i: h.bfs_distances([z for z in range(h.n) if f[z][0] != i or sig[z] == 0], limit=r + 2)
-        for i in {cell[0] for cell in f}
-    }
-    return [
-        x for x in l.order
-        if reached[f[x][0]][x] == -1 and _independent_neighbourhood(h, x, forbid_c4)
-    ]
+    reached = {}
+    for x in l.order:
+        i = f[x][0]
+        if i not in reached:
+            reached[i] = h.bfs_distances([z for z in range(h.n) if f[z][0] != i or sig[z] == 0], limit=r + 2)
+        if reached[i][x] == -1 and _independent_neighbourhood(h, x, forbid_c4):
+            yield x
+
+
+def _replay(seen: list, more: Iterator) -> Iterator:
+    """Yield the items of `seen`, then those that `more` still holds, each
+    appended to `seen` when drawn, so that a later replay starts over without
+    drawing them again."""
+    yield from seen
+    for x in more:
+        seen.append(x)
+        yield x
 
 
 def _choose_host_row(
@@ -319,7 +331,9 @@ def pre_embed(
     if len(v0) == 0:
         return state, tuple(f_star), restr
 
-    candidates = _anchor_candidates(guest, labelling, assignment, r, forbid_c4)
+    # listed as far as a round reads them; fewer than |V0| means all of them
+    more = _anchor_candidates(guest, labelling, assignment, r, forbid_c4)
+    candidates = list(itertools.islice(more, len(v0)))
     if len(candidates) < len(v0):
         raise PreEmbedError("anchors", f"{len(candidates)} anchor candidates for |V0|={len(v0)}")
     sep = 2 * r + 20
@@ -343,7 +357,7 @@ def pre_embed(
         # (row, colour) pairs must all be visited
         dist = guest.bfs_distances(state.phi, limit=sep)
         lag = 1 + ((t - 1) // r) % k
-        far = (cand for cand in candidates if dist[cand] == -1)
+        far = (cand for cand in _replay(candidates, more) if dist[cand] == -1)
         x = next(far, None)
         if x is None:
             raise PreEmbedError("anchors", f"no anchor at distance >= {sep} from the domain")

@@ -13,7 +13,6 @@ from spanembed.graph_core import (
     _compare_digits,
     Graph,
     Labelling,
-    PackedCopy,
     VertexSet,
     bandwidth_of_labelling,
     bit_positions,
@@ -258,15 +257,22 @@ class TestRowCache:
         assert not h._rows.flags.writeable  # the result keeps its copy's rows
         assert np.array_equal(g.packed_rows(), rows) and (g._rows is None) == (not keep)
 
-    def test_edge_keys_keep_no_rows(self):
-        """Listing a graph's edge keys on a `PackedCopy` must not leave a graph
-        built by `from_edges` holding n^2/8 bytes of rows."""
-        g = Graph.from_edges(600, gnp(600, 0.3, 4).edges())
-        edit = PackedCopy(g)
-        list(edit.edge_key_blocks())
-        list(edit.edge_key_blocks(np.arange(0, 600, 3)))
-        bit_matrix(g, [1, 2, 3])
-        assert g._rows is None
+    @pytest.mark.parametrize("keep", [False, True])
+    def test_edges_inside_a_set_go_and_the_source_stays(self, keep):
+        """`without_edges_inside` drops exactly the edges with both ends in the
+        set, across word boundaries, from either store; the source keeps its
+        edges and gains no rows."""
+        g = gnp(130, 0.5, 5)
+        if not keep:
+            g = Graph.from_edges(130, g.edges())
+        a = bit_matrix(g)
+        inside = (np.arange(130) % 3 == 0) | (np.arange(130) >= 120)
+        cleared = a.copy()
+        cleared[np.ix_(inside, inside)] = False
+        h = g.without_edges_inside(mask_of(np.flatnonzero(inside).tolist()))
+        assert h == graph_from_bit_matrix(cleared) and not h._rows.flags.writeable
+        assert np.array_equal(bit_matrix(g), a) and (g._rows is None) == (not keep)
+        assert g.without_edges_inside(0) == g
 
 
 class TestNeighbourLists:

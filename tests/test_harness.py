@@ -1,12 +1,15 @@
+import itertools
 import math
 import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from contextlib import ExitStack
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from spanembed import embedder, harness
@@ -26,7 +29,7 @@ from spanembed.harness import (
 )
 from spanembed.graph_core import bandwidth_of_labelling
 
-from helpers import SMOKE_CFG, TREE_CFG
+from helpers import SMOKE_CFG, TREE_CFG, bit_matrix, graph_from_bit_matrix
 
 # the host-free part of the paley(101) run of acceptance criterion 9
 PALEY_101_CFG = dict(
@@ -83,6 +86,35 @@ class TestAdversary:
         g = gnp(200, 0.5, 1)
         with pytest.raises(ConfigError, match="triangle_killer takes no adversary_budget"):
             adversary_delete(g, "triangle_killer", 0.1, 1, 0.5, seed=1, budget=budget)
+
+    @pytest.mark.parametrize("n", [64, 65, 200, 500])
+    def test_triangle_killer_follows_its_degree_rule(self, n):
+        """G is the host less every edge inside N(target) exactly when each
+        vertex there has at most as many neighbours inside as it has edges to
+        spare above the floor; otherwise the killer raises.  The grid meets
+        both outcomes at every n."""
+        outcomes = Counter()
+        for p in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8):
+            host = gnp(n, p, n)
+            a = bit_matrix(host)
+            deg = a.sum(axis=1)
+            for gamma, k, target in itertools.product((0.01, 0.05, 0.1, 0.2, 0.3), (1, 2), (0, 1, n // 2, n - 1)):
+                floor = ((k - 1) / k + gamma) * p * n
+                if deg.min() < floor - 1e-9:
+                    continue  # a floor that no adversary accepts
+                spare = np.floor(deg - floor + 1e-9)  # the edges a vertex can lose
+                inside = np.ix_(a[target], a[target])
+                args = (host, "triangle_killer", gamma, k, p)
+                if (a[inside].sum(axis=1) <= spare[a[target]]).all():
+                    cleared = a.copy()
+                    cleared[inside] = False
+                    assert adversary_delete(*args, seed=n, target=target) == graph_from_bit_matrix(cleared)
+                    outcomes["cleared"] += 1
+                else:
+                    with pytest.raises(ConfigError, match="^triangle_killer blocked by the degree floor$"):
+                        adversary_delete(*args, seed=n, target=target)
+                    outcomes["blocked"] += 1
+        assert outcomes["cleared"] > 0 and outcomes["blocked"] > 0, outcomes
 
     def test_bipartite_push(self):
         g = gnp(400, 0.5, 5)

@@ -17,7 +17,8 @@ way.  The cases at n = 300 and 700 cover caps, classes and the triangle
 killer; the cross-block cases (n of 1000 to 1400) scan buckets of dozens of
 blocks, with a cap that runs out in a later block, a floor at the minimum
 degree, and vertices whose live keys in a block equal their spare, and a
-regular host covers buckets where every vertex is unsafe.  Each of those
+regular host covers buckets where every vertex is unsafe.  The triangle
+killer follows its degree rule and calls no greedy.  Each of the others
 also checks the blocked greedy against `reference_greedy_delete`, the
 key-by-key scan it replaced, on every call's keys, and so does the
 benchmark's resilience host at n = 4000, whose per-bucket key counts bound
@@ -32,17 +33,16 @@ of the labels serving several buckets is checked against each pair's label,
 and the priority order itself for a round trip, determinism and uniformity,
 and the adversary for holding no array of keys in the heap.
 
-`gnp` draws blocks of `_GNP_ROWS` rows, and a `PackedCopy` lists edge keys
-`_KEY_ROWS` rows at a time and clears bits on packed bytes: the cases at n
-from 1 to 1100 put rows and columns on both sides of a byte, a word and a
-block, and compare with `reference_edge_keys` and `reference_without_edges`,
-the code they replaced.  Both transpose 64 x 64 bit tiles with one helper,
-checked against a bool-matrix transpose.  Neither path may hold an n x n
-matrix: at n = 3000 the peak that tracemalloc sees stays under the n^2 bytes
-of one bool matrix.  Nor may any n packed rows pass through the heap: kept
-rows, a `PackedCopy`'s rows and `gnp`'s rows are written straight into a
-memory map, which tracemalloc does not see, so at n = 3000 it sees a small
-fraction of their n^2/8 bytes.
+`gnp` draws blocks of `_GNP_ROWS` rows, and a `PackedCopy` clears bits on
+packed bytes: the cases at n from 1 to 1100 put rows and columns on both
+sides of a byte, a word and a block, and compare with
+`reference_without_edges`, the code it replaced.  Both transpose 64 x 64 bit
+tiles with one helper, checked against a bool-matrix transpose.  Neither
+path may hold an n x n matrix: at n = 3000 the peak that tracemalloc sees
+stays under the n^2 bytes of one bool matrix.  Nor may any n packed rows
+pass through the heap: kept rows, a `PackedCopy`'s rows and `gnp`'s rows are
+written straight into a memory map, which tracemalloc does not see, so at
+n = 3000 it sees a small fraction of their n^2/8 bytes.
 """
 
 import mmap
@@ -53,11 +53,11 @@ import numpy as np
 import pytest
 
 from helpers import bit_matrix, complete_graph, empty_graph
-from spanembed import harness
+from spanembed import adversary
+from spanembed.adversary import _mix, _unmix, adversary_delete
 from spanembed.graph_core import (
-    _GNP_ROWS, _KEY_BLOCK, _KEY_ROWS, _ROW_BLOCK, Graph, PackedCopy, PairLabels, _columns, gnp, iter_bits, rng_for,
+    _GNP_ROWS, _KEY_BLOCK, _ROW_BLOCK, ConfigError, Graph, PackedCopy, PairLabels, _columns, gnp, iter_bits, rng_for,
 )
-from spanembed.harness import ConfigError, _mix, _unmix, adversary_delete
 
 
 def oracle_gnp(n, p, seed):
@@ -150,11 +150,11 @@ def oracle_labels(n, rng, digits):
 def oracle_scan_order(edges, n, rng):
     """`edges` sorted by their bucket label, then by the priority fmix(key ^ salt)
     of their keys u * n + v: one salt word drawn from `rng`, then the labels'
-    words (`oracle_labels`, log2 of `harness._BUCKETS` digits).  The words
+    words (`oracle_labels`, log2 of `adversary._BUCKETS` digits).  The words
     are 32 bits wide when the keys fit an int32, as for n * n < 2^31."""
     width = 32 if n * n < 2**31 else 64
     salt = int(rng.integers(0, 1 << width, dtype=f"u{width // 8}"))
-    label = oracle_labels(n, rng, harness._BUCKETS.bit_length() - 1)
+    label = oracle_labels(n, rng, adversary._BUCKETS.bit_length() - 1)
     return sorted(edges, key=lambda e: (label(*e), oracle_fmix((e[0] * n + e[1]) ^ salt, width)))
 
 
@@ -207,19 +207,6 @@ def test_gnp_matches_oracle(n, p, seed):
     assert gnp(n, p, seed) == oracle_gnp(n, p, seed)
 
 
-def reference_edge_keys(a):
-    """The key builder that the blocked listing replaced, on the symmetric bool matrix `a`."""
-    n = a.shape[0]
-    dtype = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
-    keys = np.empty(int(np.count_nonzero(a)) // 2, dtype=dtype)
-    at = 0
-    for u in range(n - 1):
-        row = np.flatnonzero(a[u, u + 1:])
-        keys[at:at + len(row)] = row + (u * n + u + 1)
-        at += len(row)
-    return keys
-
-
 def reference_without_edges(g, edges):
     """The int-row deletion that `Graph.without_edges` replaced."""
     adj = list(g.adj)
@@ -229,40 +216,9 @@ def reference_without_edges(g, edges):
     return Graph(g.n, tuple(adj))
 
 
-def listed_keys(g, vertices=None):
-    """The keys that a fresh `PackedCopy` of g lists for `vertices`, block by block."""
-    return list(PackedCopy(g).edge_key_blocks(vertices))
-
-
-@pytest.mark.parametrize(
-    "n,p,seed",
-    [(1, 0.5, 0), (7, 0.5, 1), (9, 0.6, 2), (513, 0.3, 3), (1100, 0.2, 4), (65, 0.5, 5), (130, 1.0, 6), (63, 0.0, 7),
-     (1030, 0.3, 8)],
-)
-def test_edge_keys_match_reference(n, p, seed):
-    """A `PackedCopy` lists the keys u * n + v of the whole graph, or of the
-    subgraph induced on an ascending vertex list, in `edges()` order, one
-    int64 block for each `_KEY_ROWS` rows of the list.  The lists include all vertices but one, all of them passed
-    explicitly and every other vertex, which the packed mask of the list
-    must cut on both sides of a byte and a word."""
-    g = gnp(n, p, seed)
-    a = bit_matrix(g)
-    rng = rng_for(seed, stream=3)
-    lists = (np.flatnonzero(rng.random(n) < 0.6), np.arange(1, n, 3), np.arange(n - 1, n), np.arange(0),
-             np.delete(np.arange(n), n // 2), np.arange(n), np.arange(0, n, 2))
-    for vs in (None, *lists):
-        size = n if vs is None else len(vs)
-        blocks = listed_keys(g, vs)
-        assert len(blocks) == -(-size // _KEY_ROWS)
-        keys = np.concatenate(blocks + [np.zeros(0, dtype=np.int64)])
-        assert all(b.dtype == np.int64 for b in blocks)
-        for i0, block in zip(range(0, size, _KEY_ROWS), blocks):  # each block's rows, in order
-            rows = np.arange(n)[i0:i0 + _KEY_ROWS] if vs is None else vs[i0:i0 + _KEY_ROWS]
-            assert np.isin(block // n, rows).all()
-        at = np.arange(n) if vs is None else vs
-        i, j = np.divmod(reference_edge_keys(a[np.ix_(at, at)]).astype(np.int64), size)
-        assert np.array_equal(keys, at[i] * n + at[j])
-    assert np.concatenate(listed_keys(g)).tolist() == [u * n + v for u, v in g.edges()]
+def edge_keys(g):
+    """The keys u * n + v of g's edges, in `edges()` order."""
+    return np.flatnonzero(np.triu(bit_matrix(g), 1))
 
 
 @pytest.mark.parametrize("n,p,seed", [(8, 0.9, 0), (9, 0.5, 1), (520, 0.3, 2), (1030, 0.1, 3)])
@@ -411,7 +367,7 @@ def test_blocked_triangle_killer_matches_oracle():
 
 
 def reference_greedy_delete(a, keys, spare, cap):
-    """The key-by-key greedy that `harness._greedy_delete` replaced; `spare` is a list."""
+    """The key-by-key greedy that `adversary._greedy_delete` replaced; `spare` is a list."""
     n = a.shape[0]
     size = 4 * n  # the greedy's block
     left = len(keys) if cap is None else cap
@@ -443,7 +399,7 @@ def reference_greedy_delete(a, keys, spare, cap):
 def greedy_calls(monkeypatch):
     """Each `_greedy_delete` call the adversary makes: its inputs, then the keys it selects and the spare it leaves."""
     calls = []
-    greedy = harness._greedy_delete
+    greedy = adversary._greedy_delete
 
     def recording(keys, spare, cap):
         inputs = (keys.copy(), spare.tolist(), cap)
@@ -451,7 +407,7 @@ def greedy_calls(monkeypatch):
         calls.append((inputs, keys[:count].copy(), spare.tolist()))
         return count
 
-    monkeypatch.setattr(harness, "_greedy_delete", recording)
+    monkeypatch.setattr(adversary, "_greedy_delete", recording)
     return calls
 
 
@@ -505,14 +461,17 @@ def block_profile(keys, spare, n):
     ],
 )
 def test_cross_block_adversary_matches_oracle(greedy_calls, strategy, n, p, gamma, k, seed, budget, target):
-    """The one bucket scanned whole in order (the triangle killer's keys) spans
-    several blocks of the greedy."""
+    """A bucket scanned in order spans several blocks of the greedy.  The
+    triangle killer, decided by its degree rule, scans no key."""
     host = gnp(n, p, seed)
     args = (host, strategy, gamma, k, p)
     kwargs = dict(seed=seed, budget=budget, target=target)
     expect = oracle_adversary_delete(*args, **kwargs)
     assert adversary_delete(*args, **kwargs) == expect
-    assert max(len(keys) for (keys, _, _), _, _ in greedy_calls) >= 4 * (4 * n)
+    if strategy == "triangle_killer":
+        assert greedy_calls == []
+    else:
+        assert max(len(keys) for (keys, _, _), _, _ in greedy_calls) >= 4 * (4 * n)
     for call in greedy_calls:
         assert_matches_reference(call)
     if budget is not None:
@@ -561,14 +520,11 @@ def test_regular_host_floor_matches_oracle(greedy_calls):
     assert len(profile) >= 4 and profile[0][0] == 1.0
 
 
-def test_blocked_triangle_killer_greedy_matches_reference(greedy_calls):
+def test_blocked_triangle_killer_greedy_matches_reference():
     host = gnp(1100, 0.8, 3)
     for fn in (oracle_adversary_delete, adversary_delete):
         with pytest.raises(ConfigError, match="blocked"):
             fn(host, "triangle_killer", 0.3, 1, 0.8, seed=3, target=5)
-    assert len(greedy_calls[0][0][0]) >= 4 * (4 * host.n)
-    for call in greedy_calls:
-        assert_matches_reference(call)
 
 
 def test_resilience_host_matches_reference(greedy_calls):
@@ -584,7 +540,7 @@ def test_resilience_host_matches_reference(greedy_calls):
     adversary_delete(host, "random", 0.2, 2, 0.4, seed=0)
     counts = [len(keys) for (keys, _, _), _, _ in greedy_calls]
     with_spare = [sum(s > 0 for s in spare) for (_, spare, _), _, _ in greedy_calls]
-    assert len(counts) == harness._BUCKETS == 8
+    assert len(counts) == adversary._BUCKETS == 8
     assert counts[:3] == [0, 1452, 399_691] and max(counts[3:]) <= 0.003 * host.m
     assert with_spare[:4] == [host.n, host.n, 3992, 572]
     for call in greedy_calls:
@@ -599,7 +555,7 @@ def scan_stream(strategy, k, n, seed):
     if strategy == "bipartite_push":
         rng.integers(0, k, size=n)
     salt = rng.integers(0, 1 << 32, dtype="u4")
-    return salt, oracle_labels(n, rng, harness._BUCKETS.bit_length() - 1)
+    return salt, oracle_labels(n, rng, adversary._BUCKETS.bit_length() - 1)
 
 
 @pytest.mark.parametrize(
@@ -641,7 +597,7 @@ def test_later_buckets_match_oracle(greedy_calls, strategy, k, gamma, seed, budg
         if last == 1:  # bucket 1 is listed whole, although all but 25 vertices are safe in it
             assert len(greedy_calls[1][0][0]) == sum(label(u, v) == 1 for u, v in host.edges())
     else:
-        assert len(greedy_calls) == harness._BUCKETS
+        assert len(greedy_calls) == adversary._BUCKETS
     if gamma == 0.0:
         assert [len(keys) for (keys, _, _), _, _ in greedy_calls[:3]] == [0, 0, 0]
         assert sum(s > 0 for s in greedy_calls[3][2]) > n // 2
@@ -736,7 +692,7 @@ def test_copy_hands_its_rows_to_its_graph(n):
     nothing after that."""
     g = gnp(n, 0.4, 1)
     edit = PackedCopy(g)
-    edit.delete(np.concatenate(listed_keys(g))[::3])
+    edit.delete(edge_keys(g)[::3])
     h = edit.graph()
     rows = h.packed_rows()
     assert in_memory_map(rows) and np.shares_memory(rows, edit._rows)
@@ -803,7 +759,7 @@ def priority_order(keys, salt):
 
 
 def test_priority_order_is_a_seeded_permutation():
-    keys = np.concatenate(listed_keys(gnp(300, 0.5, 0))).astype(np.int32)
+    keys = edge_keys(gnp(300, 0.5, 0)).astype(np.int32)
     first = priority_order(keys, adversary_salt(0, keys.dtype))
     assert first.dtype == keys.dtype and np.array_equal(np.sort(first), keys)
     assert np.array_equal(priority_order(keys, adversary_salt(0, keys.dtype)), first)
@@ -817,7 +773,7 @@ def test_priority_order_is_uniform_on_complete_graph():
     """K_20's 190 keys over 2000 seeds: each key's mean rank lies within 4
     sigma of 94.5, and each two consecutive keys come in either order about
     half the time (within 4 sigma of 1/2)."""
-    keys = np.concatenate(listed_keys(complete_graph(20))).astype(np.int32)
+    keys = edge_keys(complete_graph(20)).astype(np.int32)
     seeds = 2000
     ranks = np.empty((seeds, len(keys)))
     for seed in range(seeds):

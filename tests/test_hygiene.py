@@ -5,8 +5,8 @@ its settings as string keys of a parameter, and no spanembed function imports in
 body; only `graph_core` knows the packed-row format, reads a graph's adjacency store, maps
 memory or holds the whole graph as an n x n bool matrix; `run_pipeline` holds no loop statement; every `ExperimentConfig`
 field is set by some test, benchmark or command-line flag; every `Graph` and `PackedCopy`
-method has a caller in spanembed or a named reason to stay; every `rng_for` stream is an int
-literal with one call site."""
+method and every public top-level function has a caller in spanembed or a named reason to
+stay; every `rng_for` stream is an int literal with one call site."""
 
 import ast
 from dataclasses import fields
@@ -410,8 +410,7 @@ def whole_matrix_calls(source: str) -> list[tuple[int, str]]:
 
     Both hold the whole graph as an n x n bool matrix, n^2 bytes against the n^2/8
     of the packed rows; other modules read rows a block at a time
-    (`Graph.degree_table`, `PackedCopy.edge_key_blocks`) and delete edges by key
-    (`PackedCopy.delete`).
+    (`Graph.degree_table`) and delete edges by key (`PackedCopy.delete`).
     """
     calls = []
     for node in ast.walk(ast.parse(source)):
@@ -611,6 +610,74 @@ def test_every_graph_method_has_a_caller_or_a_reason():
     with the reason; any other method without a caller in spanembed is dead."""
     sources = [path.read_text(encoding="utf-8") for path in MODULES]
     assert uncalled_methods(sources, {"Graph", "PackedCopy"}) == sorted(UNCALLED_METHODS)
+
+
+# public top-level functions that no spanembed code calls, each with the callers that keep it
+UNCALLED_FUNCTIONS = {
+    "graph_core.write_graph_file": "writes the host-file format that `read_graph_file` reads; the tests write host files",
+    "oracles.bijumbled_check": "the exhaustive bijumbledness oracle of the tests, which perfbench traces by this name",
+    "oracles.exact_bandwidth": "an exhaustive oracle of the tests (test_oracles.py)",
+    "oracles.exhaustive_subgraph_check": "an exhaustive oracle of the tests (test_oracles.py)",
+    "oracles.tail_bound": "the closed-form ceilings that acceptance criterion 8 checks",
+}
+
+
+def uncalled_functions(sources: dict[str, str]) -> list[str]:
+    """`module.function` for every public top-level function in `sources` (module
+    name -> source) that no code reaches.
+
+    A name `f` or an attribute `x.f` reaches each top-level function named f,
+    from anywhere but the body of f or of a top-level function that is not
+    reached itself; so a function that only an unreached one calls is
+    unreached too.  Module-level statements and class bodies, methods
+    included, reach what they name; an import reaches nothing.  Names are
+    matched alone, so the scan may miss a dead function, but it never flags a
+    called one.
+    """
+    defined: dict[str, list[str]] = {}
+    refs = []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            holder = None
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.setdefault(node.name, []).append(f"{module}.{node.name}")
+                holder = node.name
+            refs += [(sub.id if isinstance(sub, ast.Name) else sub.attr, holder)
+                     for sub in ast.walk(node) if isinstance(sub, (ast.Name, ast.Attribute))]
+    reached: set[str] = set()
+    while True:
+        new = {
+            name for name in defined.keys() - reached
+            if any(ref == name and (holder is None or holder in reached and holder != name) for ref, holder in refs)
+        }
+        if not new:
+            return sorted(q for name in defined.keys() - reached if not name.startswith("_") for q in defined[name])
+        reached |= new
+
+
+def test_scanner_flags_only_uncalled_functions():
+    sources = {
+        "a": (
+            "from b import k\n"
+            "def f():\n    return g()\n"
+            "def g():\n    return 1\n"
+            'def h():\n    """k() in a docstring reaches nothing"""\n    return h()\n'
+            "def k():\n    return _p()\n"
+            "def _p():\n    return b.q\n"
+            "class C:\n    def m(self):\n        return k()\n"
+            "TABLE = [used]\n"
+        ),
+        "b": "def used():\n    pass\ndef q():\n    pass\ndef _dead():\n    pass\n",
+    }
+    assert uncalled_functions(sources) == ["a.f", "a.g", "a.h"]
+
+
+def test_every_function_has_a_caller_or_a_reason():
+    """A public function that only tests or the benchmark call stays on
+    `UNCALLED_FUNCTIONS` with the reason; any other one without a caller in
+    spanembed, its command line included, is dead."""
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    assert uncalled_functions(sources) == sorted(UNCALLED_FUNCTIONS)
 
 
 def rng_streams(source: str) -> list[tuple[int, int | str]]:

@@ -229,7 +229,7 @@ def test_anchor_candidates_match_ball_scan(family):
         f = tuple((lab.pos[v] * r // n, 0) for v in range(n))
         assignment = SimpleNamespace(f=f, sigma_prime=Colouring(sigma, col.k))
         for forbid_c4 in (False, True):
-            got = _anchor_candidates(guest, lab, assignment, r, forbid_c4)
+            got = list(_anchor_candidates(guest, lab, assignment, r, forbid_c4))
             assert got == reference_anchor_candidates(guest, lab, assignment, r, forbid_c4)
             assert 0 < len(got) < n
 
