@@ -3,8 +3,8 @@
 The backbone graph joins cells (i, j), (i', j') exactly when j != j' and
 |i - i'| <= 1; its row cliques form the clique factor.  `prepare_host` turns a
 raw host subgraph into an exceptional set plus a k-equitable cluster partition
-whose reduced graph carries a spanning backbone copy, certifying size windows,
-regularity, inheritance, and degree windows along the way.
+whose reduced graph carries a spanning backbone copy, screening degree windows
+and inheritance on the final cells and certifying size windows and regularity.
 """
 
 from __future__ import annotations
@@ -36,12 +36,11 @@ __all__ = [
 
 
 # Host preparation settings: the sample budget of every pair check, the Z1
-# degree screen as a fraction of the certificate window eps, the Z2 screen as a
-# fraction of a cluster's expected degree, the seeded restarts of the whole
-# preparation and the backbone search's step budget.
+# degree screen as a fraction of the certificate window eps, the seeded
+# restarts of the whole preparation and the backbone search's step budget.
+# The closing screen on the final cells (no Z2 proxy) needs no setting.
 PAIR_BUDGET = 64
 SCREEN_FRAC = 0.9
-Z2_FACTOR = 0.1
 HOST_RETRIES = 3
 BACKBONE_STEPS = 10**6
 
@@ -237,10 +236,10 @@ def prepare_host(
     spanning-backbone search in the reduced graph; screen vertices with wrong
     host degrees or failing regularity inheritance (Z1); redistribute
     clique-factor degree violators and the old exceptional set by strong-degree
-    rows; screen vertices seeing too much of the moved sets (Z2); certify the
-    size window and regularity, and inheritance and the degree window on every
-    vertex outside V0, raising HostPrepError("certificates") that names every
-    certificate that failed.
+    rows; screen the final cells (no Z2 proxy) until every kept vertex is in
+    its degree window and inherits regularity at eps; certify the size window,
+    k-equitability and regularity, raising HostPrepError("certificates") that
+    names every certificate that failed.
     """
     floor = ((k - 1) / k + gamma) * p * g.n
     if g.min_degree() < floor - 1e-9:
@@ -332,35 +331,38 @@ def _prepare_host_once(g, host, p, gamma, k, eps, d, r0, seed) -> HostStructure:
     quota = max(1, math.ceil(100.0 * k * eps_star * n / (max(r, 1) * gamma)))
     row_load = [0] * r
     cell_load = {cell: 0 for cell in cells}
-    vprime = dict(work)
+    final = dict(work)  # the cells V'
     for wv in iter_bits(w_mask):
         chosen_row = next((i for i in range(r) if row_load[i] < quota and strong_row[wv, i]), -1)
         if chosen_row < 0:
             raise HostPrepError("redistribute", f"no strong row under quota for vertex {wv}")
         j_best = min(range(k), key=lambda j2: (cell_load[(chosen_row, j2)], j2))
-        vprime[(chosen_row, j_best)] |= 1 << wv
+        final[(chosen_row, j_best)] |= 1 << wv
         row_load[chosen_row] += 1
         cell_load[(chosen_row, j_best)] += 1
 
-    # ---- Z2: vertices seeing too much of the symmetric differences -------
-    alive = bit_positions(((1 << n) - 1) & ~z1)
-    sym_deg = host.degree_table([u[cell] ^ vprime[cell] for cell in cells], alive)
-    z2 = mask_of(np.compress((sym_deg >= Z2_FACTOR * p * size).any(axis=1), alive).tolist())
-    final = {cell: vprime[cell] & ~z2 for cell in cells}
-    z2 |= _pad_for_equitability(final, r, k)
-    v0_final = z1 | z2
-
-    if any(final[cell].bit_count() == 0 for cell in cells):
-        raise HostPrepError("cleanup", "a cluster was emptied by the vertex screens")
+    # ---- closing screen: the per-vertex certificates on the final cells ---
+    # Each pass moves every vertex outside its degree window in some final
+    # cell (+1 absorbs self-membership), or failing inheritance at eps on some
+    # reduced edge, into V0 and pads again, until no such vertex is left.
+    v0_final = z1 | _pad_for_equitability(final, r, k)
+    while True:
+        if any(final[cell] == 0 for cell in cells):
+            raise HostPrepError("cleanup", "a cluster was emptied by the vertex screens")
+        final_masks = [final[cell] for cell in cells]
+        members = bit_positions(((1 << n) - 1) & ~v0_final)
+        cell_deg = host.degree_table(final_masks, members)
+        cell_exp = p * np.array([m.bit_count() for m in final_masks])
+        typical = (np.abs(cell_deg - cell_exp) <= eps * cell_exp + 1.0).all(axis=1)
+        typical[typical] = inheritance_table(g, host, members[typical], final_masks, red_edges, cell_deg[typical], eps, d, p).all(1)
+        if typical.all():
+            break
+        drop = mask_of(members[~typical].tolist())
+        final = {cell: m & ~drop for cell, m in final.items()}
+        v0_final |= drop | _pad_for_equitability(final, r, k)
     cluster_sets = {cell: VertexSet(n, final[cell]) for cell in cells}
 
     # ---- certificates -----------------------------------------------------
-    # Inheritance and the degree window hold on every vertex outside V0, read
-    # off one host degree table of the final cells.
-    final_masks = [final[cell] for cell in cells]
-    members = bit_positions(((1 << n) - 1) & ~v0_final)
-    cell_deg = host.degree_table(final_masks, members)
-    cell_exp = p * np.array([m.bit_count() for m in final_masks])
     certs = {
         "size_window": all(n / (4 * k * r) <= len(c) <= 4 * n / (k * r) for c in cluster_sets.values()),
         "k_equitable": validate_k_equitable(cluster_sets),
@@ -371,8 +373,6 @@ def _prepare_host_once(g, host, p, gamma, k, eps, d, r0, seed) -> HostStructure:
             check_super_regular(g, host, *(cluster_sets[(i, j)] for j in js), eps, d, p, budget=PAIR_BUDGET, seed=seed + 5)
             for i in range(r) for js in itertools.combinations(range(k), 2)
         ),
-        "inheritance": inheritance_table(g, host, members, final_masks, red_edges, cell_deg, eps, d, p).all(),
-        "degree_window": (np.abs(cell_deg - cell_exp) <= eps * cell_exp + 1.0).all(),
     }
     failed = [name for name, ok in certs.items() if not ok]
     if failed:

@@ -6,9 +6,10 @@ body; only `graph_core` knows the packed-row format, reads a graph's adjacency s
 memory or holds the whole graph as an n x n bool matrix; `run_pipeline` holds no loop statement; every `ExperimentConfig`
 field is set by some test, benchmark or command-line flag; every `Graph` and `PackedCopy`
 method and every public top-level function has a caller in spanembed or a named reason to
-stay; every `rng_for` stream is an int literal with one call site."""
+stay; every module-level UPPER_CASE constant is read in spanembed; every `rng_for` stream is an int literal with one call site."""
 
 import ast
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -678,6 +679,50 @@ def test_every_function_has_a_caller_or_a_reason():
     spanembed, its command line included, is dead."""
     sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
     assert uncalled_functions(sources) == sorted(UNCALLED_FUNCTIONS)
+
+
+def unread_constants(sources: dict[str, str]) -> list[str]:
+    """`module.NAME` for every module-level UPPER_CASE name (a leading underscore
+    allowed) that a module of `sources` (module name -> source) assigns and no
+    code of any of them reads, as a name or an attribute; a docstring or an
+    `__all__` string reads nothing.  Names are matched alone, so the scan may
+    miss an unread constant, but it never flags a read one.
+    """
+    assigned = []
+    reads = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            assigned += [
+                (module, sub.id) for target in targets if isinstance(target, (ast.Name, ast.Tuple))
+                for sub in ast.walk(target) if isinstance(sub, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", sub.id)
+            ]
+        reads |= {
+            sub.id if isinstance(sub, ast.Name) else sub.attr
+            for sub in ast.walk(tree) if isinstance(sub, (ast.Name, ast.Attribute)) and isinstance(sub.ctx, ast.Load)
+        }
+    return sorted(f"{module}.{name}" for module, name in assigned if name not in reads)
+
+
+def test_scanner_flags_only_unread_constants():
+    sources = {
+        "a": (
+            "import numpy as np\n"
+            "A = 1\n_B: int = 2\nC, D = 3, 4\nlower = 5\nE = np.pi\n"
+            "def f(g):\n    G = 7\n    return A + g.D + G\n"
+            "class K:\n    H = 8\n"
+        ),
+        "b": '"""F in a docstring reads nothing"""\n__all__ = ["E"]\nF = 6\nX = [_B]\nX.append(0)\n',
+    }
+    assert unread_constants(sources) == ["a.C", "a.E", "b.F"]
+
+
+def test_every_constant_is_read():
+    """A module-level constant that no spanembed code reads is a setting that
+    nothing uses, such as the threshold of a screen that is gone."""
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    assert unread_constants(sources) == []
 
 
 def rng_streams(source: str) -> list[tuple[int, int | str]]:
